@@ -133,8 +133,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from phenobert_ray.functions import dedup as f_dedup
     from phenobert_ray.functions import events as f_events
     from phenobert_ray.functions import lm as f_lm
-    from phenobert_ray.functions import multimodal as f_mm
-    from phenobert_ray.functions import relational as f_rel
     from phenobert_ray.functions import search as f_search
     from phenobert_ray.functions import sft as f_sft
     from phenobert_ray.functions import textstats as f_text
@@ -161,19 +159,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return cooccurrence_edges(_annotations(sf))
 
     def cooccurrence_triangles(sf):
-        from phenobert_ray.functions.graph import triangles
+        from phenobert_ray.pipelines.graph import triangles
         from phenobert_ray.pipelines.triples import cooccurrence_edges
 
         return triangles(cooccurrence_edges(_annotations(sf)))
 
     def cooccurrence_pagerank(sf):
-        from phenobert_ray.functions.graph import pagerank
+        from phenobert_ray.pipelines.graph import pagerank
         from phenobert_ray.pipelines.triples import cooccurrence_edges
 
         return pagerank(cooccurrence_edges(_annotations(sf)))
 
     def cooccurrence_kcore(sf):
-        from phenobert_ray.functions.graph import kcore_nodes
+        from phenobert_ray.pipelines.graph import kcore_nodes
         from phenobert_ray.pipelines.triples import cooccurrence_edges
 
         return kcore_nodes(cooccurrence_edges(_annotations(sf)))
@@ -267,8 +265,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # floor(x*1e6+0.5)/1e6: Python round() is half-to-even, DuckDB
         # round() half-away-from-zero — an exact dyadic tie at the 7th
         # decimal (k/2^m ratios of small-int tp/np/ng DO produce them)
-        # would diverge; the floor bridge is the repo convention
-        # (relational.py) and matches DuckDB for non-negative x
+        # would diverge; the floor bridge matches DuckDB for
+        # non-negative x
         import math
 
         return math.floor(x * 1e6 + 0.5) / 1e6
@@ -327,46 +325,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         **f_dedup.queries(),
         **f_ann.queries(),
         **f_events.queries(),
-        **f_rel.queries(),
         **f_search.queries(),
         **f_cur.queries(),
         **f_sft.queries(),
         **f_lm.queries(),
         **f_clu.queries(),
-        "media_features": f_mm.media_features_query,
-        "media_decode_stats": f_mm.media_decode_stats_query,
-        "media_resize_stats": f_mm.media_resize_stats_query,
     }
-    # The external correctness gate verifies a ~50-query prefix in dict
-    # order (CORRECTNESS_r03 checked exactly the first 50 insertion-order
-    # entries; r4 checked the 7 _R4_TOUCHED + the 43 never-checked, so the
-    # r3+r4 union covers all 93).  Round-5 prefix policy, priority order:
-    #   0. queries that did not EXIST before round 5 (never externally
-    #      checked at all): index_search_or, tfidf_top_terms,
-    #      fuzzy_match_probe, dedup_keep_best, minhash_dup_clusters;
-    #   1. queries that gained their FIRST SQL oracle in r5 (both prior
-    #      rounds recorded them rows-only): ann_lsh_topk, ann_kmeans_topk,
-    #      semdedup, media_features;
-    #   2. queries whose implementation changed in r5 — everything riding
-    #      the annotate kernel (id-tuple probe, one-pass tokenizer), the
-    #      sentinel-covered joins, the materialized-BPE default, and the
-    #      minhash exchange coalescing — a prior pass must not shield a
-    #      regression from the gate;
-    #   3. r3-verified queries not re-checked since r3 (stalest first
-    #      beats re-checking r4's fresh passes);
-    #   4. queries last verified in r4 with untouched code.
-    def rank(k: str) -> int:
-        if k in _R5_NEW_QUERY:
-            return 0
-        if k in _R5_NEW_ORACLE:
-            return 0
-        if k in _R5_TOUCHED:
-            return 1
-        if k in _R3_GATE_CHECKED and k not in _R4_TOUCHED:
-            return 2
-        return 3
-
-    return {k: _guard_empty(k, q[k]) for k in sorted(q, key=lambda k: (rank(k),))}
+    return {k: _guard_empty(k, fn) for k, fn in q.items()}
 
 
 def _guard_empty(name: str, fn):
@@ -377,8 +342,8 @@ def _guard_empty(name: str, fn):
     The registry below records each query's result schema (derived from
     its own sf0.001 output, NOT from the oracle — the oracle must stay an
     independent check) and the tables whose emptiness makes the result
-    empty; the guard reads only parquet footers (review r4 w9: the full
-    93-query gate now passes on an ALL-EMPTY scale factor)."""
+    empty; the guard reads only parquet footers, so every query passes
+    its oracle on an ALL-EMPTY scale factor."""
     spec = _EMPTY_RESULT_SCHEMAS.get(name)
     if spec is None:
         return fn
@@ -394,77 +359,6 @@ def _guard_empty(name: str, fn):
         return fn(sf_dir, *a, **kw)
 
     return g
-
-
-# r3-verified queries that ride code CHANGED in round 4: the
-# connected-components coalescing pass (graph.py) behind the split
-# queries, the annotate-stage NER hook (linker.py, stages/annotate.py)
-# behind the KG/eval chain, and the BPE trainer/encoder whose r4-w9 SQL
-# oracles upgrade them from r3's recorded no_oracle to a full hash
-# check.  BUDGET: the external gate checks a ~50-query prefix, and 43
-# queries were never checked in r3 — so at most 7 re-checks fit without
-# pushing a never-checked query past the cutoff (7 + 43 = 50 exactly).
-# One representative per changed code path: CC-riding split queries
-# (leakage_safe_split + semdedup; the two *_clusters queries share that
-# exact path and yielded their slots to the BPE pair), the annotate
-# stage (extract_mentions), the triple chain (kg_triples), the
-# pred⋈gold eval join (eval_micro), and the newly-oracled BPE pair;
-# conv_hpo_sets / eval_macro / onto_similarity stay r3-verified.
-_R4_TOUCHED = frozenset({
-    "leakage_safe_split", "semdedup", "extract_mentions", "kg_triples",
-    "eval_micro", "bpe_train_merges", "bpe_encode",
-})
-
-# first-ever SQL oracles landed in round 5 (previously rows-only)
-_R5_NEW_ORACLE = frozenset({
-    "ann_lsh_topk", "ann_kmeans_topk", "semdedup", "media_features",
-})
-
-# brand-new queries added late in round 5 — never externally checked, so
-# they outrank everything in the gate prefix
-_R5_NEW_QUERY = frozenset({
-    "index_search_or", "tfidf_top_terms", "fuzzy_match_probe",
-    "dedup_keep_best", "minhash_dup_clusters", "embedding_dup_clusters",
-    "rollup_token_stats", "funnel_stages", "strip_duplicate_spans",
-    "retention_cohorts", "bag_dedup", "event_transitions", "grouped_median",
-    "pricing_summary", "top_nation_revenue", "session_paths",
-    "orders_with_returns", "weekly_active_users", "cooccurrence_pmi",
-    "hpo_information_content", "media_resize_stats", "order_skyline",
-    "grouped_mode",
-})
-
-# implementation changed in round 5: the annotate kernel (cached is_num,
-# one-pass tokenizer, id-tuple dict probe) rides every KG/eval query; the
-# cover-key sentinel join rewrite (shipping_priority), the materialized
-# BPE default (bpe_train_merges/encode), and the minhash exchange
-# coalescing (minhash_lsh_pairs)
-_R5_TOUCHED = frozenset({
-    "turns_synth", "extract_mentions", "conv_hpo_sets", "kg_triples",
-    "cooccurrence_edges", "cooccurrence_triangles", "cooccurrence_pagerank",
-    "cooccurrence_kcore", "hpo_ancestor_rollup", "inverted_index",
-    "index_search_and", "eval_micro", "eval_macro", "onto_similarity",
-    "shipping_priority", "bpe_train_merges", "bpe_encode",
-    "minhash_lsh_pairs",
-})
-
-# the 50 queries CORRECTNESS_r03.json verified (insertion-order prefix)
-_R3_GATE_CHECKED = frozenset({
-    "turns_synth", "extract_mentions", "conv_hpo_sets", "kg_triples",
-    "cooccurrence_edges", "cooccurrence_triangles", "cooccurrence_pagerank",
-    "cooccurrence_kcore", "hpo_ancestor_rollup", "isa_closure", "hpo_depth",
-    "inverted_index", "index_search_and", "sample_hash", "eval_micro",
-    "eval_macro", "onto_similarity", "doc_stats", "cms_probe_counts",
-    "ntile_by_source", "global_sort_rank", "hll_distinct_by_source",
-    "token_count_by_source", "quality_score", "lang_id", "fingerprint",
-    "winnowing_fingerprints", "token_quantiles_by_source", "bpe_token_count",
-    "lang_id_ngram", "top_tokens", "bpe_pair_counts", "bpe_train_merges",
-    "bpe_encode", "longest_docs_by_source", "distinct_texts_by_source",
-    "length_histogram", "exact_dedup", "minhash_lsh_pairs",
-    "simhash_dup_pairs", "ngram_jaccard_pairs", "documents_deduped",
-    "ngram_dup_clusters", "simhash_dup_clusters", "embedding_dup_pairs",
-    "duplicate_spans", "semdedup", "leakage_safe_split", "contrastive_pairs",
-    "bloom_incremental_dedup",
-})
 
 
 _EMPTY_RESULT_SCHEMAS: dict = {
@@ -505,10 +399,7 @@ _EMPTY_RESULT_SCHEMAS: dict = {
     "retention_cohorts": (("events",), [("cohort_week", pa.int64()), ("week_offset", pa.int64()), ("n_users", pa.int64())]),
     "event_transitions": (("events",), [("type_from", pa.string()), ("type_to", pa.string()), ("n", pa.int64())]),
     "grouped_median": (("events",), [("event_type", pa.string()), ("n_rows", pa.int64()), ("median_x2_cents", pa.int64())]),
-    "pricing_summary": (("lineitem",), [("l_returnflag", pa.string()), ("l_linestatus", pa.string()), ("n_rows", pa.int64()), ("sum_qty_cents", pa.int64()), ("sum_base_cents", pa.int64()), ("sum_disc_cpct", pa.int64()), ("sum_charge_cpct2", pa.int64())]),
-    "top_nation_revenue": (("lineitem", "orders", "customer", "supplier", "nation", "region"), [("n_name", pa.string()), ("n_lines", pa.int64()), ("revenue_cpct", pa.int64())]),
     "session_paths": (("events",), [("path", pa.string()), ("n_sessions", pa.int64())]),
-    "orders_with_returns": (("orders", "lineitem"), [("o_orderpriority", pa.string()), ("n_orders", pa.int64())]),
     "weekly_active_users": (("events",), [("day", pa.int64()), ("n_active", pa.int64())]),
     "bag_dedup": (("documents",), [("bag_md5", pa.string()), ("keep_doc_id", pa.int64()), ("n_dups", pa.int64())]),
     "inverted_index": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("first_conv", pa.string()), ("last_conv", pa.string())]),
@@ -519,18 +410,13 @@ _EMPTY_RESULT_SCHEMAS: dict = {
     "length_histogram": (("documents",), [("bucket_lo", pa.int64()), ("n", pa.int64())]),
     "lm_perplexity": (("documents",), [("doc_id", pa.int64()), ("n_bigrams", pa.int64()), ("nll_nano", pa.int64()), ("ppl", pa.float64())]),
     "longest_docs_by_source": (("documents",), [("source", pa.string()), ("doc_id", pa.int64()), ("n_tokens", pa.int64()), ("rank", pa.int64())]),
-    "media_decode_stats": (("documents",), [("media_id", pa.int64()), ("kind", pa.string()), ("n_values", pa.int64()), ("value_sum", pa.int64())]),
-    "media_resize_stats": (("documents",), [("media_id", pa.int64()), ("n_values", pa.int64()), ("value_sum", pa.int64())]),
-    "order_skyline": (("orders",), [("o_orderpriority", pa.string()), ("cents", pa.int64()), ("ts_us", pa.int64())]),
     "grouped_mode": (("events",), [("event_type", pa.string()), ("n_rows", pa.int64()), ("mode_cents", pa.int64()), ("mode_count", pa.int64())]),
-    "media_features": (("documents",), [("media_id", pa.int64()), ("kind", pa.string()), ("j", pa.int64()), ("feat_q", pa.int64())]),
     "mixture_sample": (("documents",), [("doc_id", pa.int64()), ("source", pa.string())]),
     "pii_redact": (("documents",), [("doc_id", pa.int64()), ("n_emails", pa.int64()), ("n_phones", pa.int64()), ("n_ips", pa.int64()), ("clean_text", pa.string())]),
     "props_stats": (("events",), [("event_type", pa.string()), ("n", pa.int64()), ("sum_k", pa.int64()), ("max_k", pa.int64())]),
     "quality_score": (("documents",), [("doc_id", pa.int64()), ("ttr", pa.float64()), ("is_short", pa.bool_())]),
     "render_conversations": (("documents",), [("conv_id", pa.string()), ("n_turns", pa.int64()), ("n_tokens", pa.int64()), ("rendered", pa.string())]),
     "repetition_stats": (("documents",), [("doc_id", pa.int64()), ("dup_3gram_frac", pa.float64()), ("top_2gram_frac", pa.float64())]),
-    "revenue_by_segment": (("orders", "customer"), [("c_mktsegment", pa.string()), ("n_orders", pa.int64()), ("revenue_cents", pa.int64())]),
     "role_transition_counts": (("documents",), [("role_from", pa.string()), ("role_to", pa.string()), ("n", pa.int64())]),
     "running_user_spend": (("events",), [("event_id", pa.int64()), ("user_id", pa.int64()), ("ts", pa.timestamp("us")), ("cents", pa.int64()), ("running_cents", pa.int64())]),
     "sample_hash": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("role", pa.string())]),
@@ -680,7 +566,7 @@ def _onto_similarity_sql() -> str:
 
 def _pagerank_sql(iters: int = 3, damping: float = 0.85) -> str:
     """Fixed-iteration PageRank over the co-occurrence graph as chained
-    CTEs — exactly the synchronous updates functions/graph.pagerank runs."""
+    CTEs — exactly the synchronous updates pipelines/graph.pagerank runs."""
     ctes = """
         , pred AS (
           SELECT DISTINCT conv_id, hpo_id FROM expected_mentions WHERE NOT negated
@@ -719,7 +605,7 @@ def _pagerank_sql(iters: int = 3, damping: float = 0.85) -> str:
 
 def _kcore_sql(k: int = 2, rounds: int = 3) -> str:
     """Fixed-round k-core peeling as chained CTEs — mirrors
-    functions/graph.kcore_nodes (final degree within the surviving set,
+    pipelines/graph.kcore_nodes (final degree within the surviving set,
     0 if a survivor lost all alive-neighbors in the last round)."""
     ctes = """
         , pred AS (
@@ -817,8 +703,6 @@ def oracle_sql() -> dict[str, str]:
     from phenobert_ray.functions import dedup as f_dedup
     from phenobert_ray.functions import events as f_events
     from phenobert_ray.functions import lm as f_lm
-    from phenobert_ray.functions import multimodal as f_mm
-    from phenobert_ray.functions import relational as f_rel
     from phenobert_ray.functions import search as f_search
     from phenobert_ray.functions import sft as f_sft
     from phenobert_ray.functions import textstats as f_text
@@ -935,7 +819,7 @@ def oracle_sql() -> dict[str, str]:
         "eval_micro": _with_turns("mentions", _gold_sql())
         + """
         -- COALESCE + tp>0 guards: DuckDB division by zero yields NULL,
-        -- the engine returns 0.0 on empty/zero-tp corpora (review r4)
+        -- the engine returns 0.0 on empty/zero-tp corpora
         SELECT round(COALESCE(tp / NULLIF(CAST(np AS DOUBLE), 0), 0), 6) AS precision,
                round(COALESCE(tp / NULLIF(CAST(ng AS DOUBLE), 0), 0), 6) AS recall,
                round(CASE WHEN tp > 0 THEN
@@ -964,13 +848,9 @@ def oracle_sql() -> dict[str, str]:
     out.update(f_dedup.oracles())
     out.update(f_ann.oracles())
     out.update(f_events.oracles())
-    out.update(f_rel.oracles())
     out.update(f_search.oracles())
     out.update(f_cur.oracles())
     out.update(f_sft.oracles())
     out.update(f_lm.oracles())
     out.update(f_clu.oracles())
-    out["media_decode_stats"] = f_mm.media_decode_stats_sql()
-    out["media_resize_stats"] = f_mm.media_resize_stats_sql()
-    out["media_features"] = f_mm.media_features_sql()
     return out

@@ -1,21 +1,28 @@
-"""Benchmark harness (driver contract).
+"""Benchmark harness for the phenotype KG pipeline.
 
-Default mode: runs the headline pipelines over ``$GRAFT_SF_DIR`` (default
-/root/testdata/sf0.1) under ``ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS or 32)`` and prints ONE JSON line::
+Default mode: runs the headline KG build over ``$GRAFT_SF_DIR`` (default:
+the sf0.1 testdata directory) plus per-query timings under
+``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or the CPUs this
+process may run on)`` and prints ONE JSON line::
 
     {"metric": ..., "value": <total sec>, "unit": "sec",
      "queries": {...per-query sec...}, "sf": ..., "num_cpus": N,
      "turns": T, "turns_per_sec": R}
 
-``--scaling``: runs the headline KG pipeline twice in fresh subprocesses at
-num_cpus=8 and num_cpus=32 on the same input and reports both throughputs
-plus scaling efficiency = (T_8/T_32)/(32/8).
+``--scaling``: runs the headline KG pipeline in fresh subprocesses at
+num_cpus=N/4 and num_cpus=N (N = the CPU count above) on the same input
+and reports both throughputs plus scaling efficiency
+= (T_lo/T_hi)/(hi/lo).  Exits nonzero when N < 2 (nothing to compare).
+
+``--<name>-scale`` (``--index-scale``, ``--skew-scale``, ``--cc-scale``,
+``--dedup-scale``, ...; see ``scale_flags`` in :func:`main`): closed-form
+long-haul regressions, each sized by its own ``$GRAFT_*`` variable; each
+prints one JSON line and exits nonzero when the distributed validation
+fails.
 
 The turns table is amplified ``$GRAFT_BENCH_REPLICATE`` × (default 20) by
 replicating the documents table with offset doc_ids — deterministic, so
-every run sees the identical workload (the small-sf stand-in for the
-10^12-turn table).
+every run sees the identical workload.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ def _sf_dir() -> str:
 
 
 def _cpus() -> int:
-    return int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    return int(os.environ.get("RAY_GRAFT_CPUS",
+                              str(len(os.sched_getaffinity(0)))))
 
 
 def _replicate() -> int:
@@ -41,7 +49,8 @@ def _replicate() -> int:
 
 def _scaling_replicate() -> int:
     # the scaling levels need enough work to amortize session/exchange
-    # startup at 32 cpus (≥ 10s of steady-state), hence a larger corpus
+    # startup at the top level (≥ 10s of steady-state), hence a larger
+    # corpus
     return int(os.environ.get("GRAFT_SCALING_REPLICATE", "200"))
 
 
@@ -104,20 +113,20 @@ def run_headline(sf_dir: str, replicate: int, passes: int = 3) -> dict:
     out = "/tmp/bench_triples"
     dag = mini_dag()
     # Ray bundles the fused amplify→synthesize→annotate chain by INPUT rows
-    # of the chain (= base doc rows, r1 notes #5).  A/B-measured in one
-    # session at 32 cpus: batch 128 (≈40 tasks) edges out 256 (≈20 tasks)
-    # 40-41k vs 36-43k turns/s, while 52 (≈96 small tasks) LOSES 25% to
-    # per-task overhead — fewer, bigger tasks win once the kernel is fast.
+    # of the chain (= base doc rows).  A/B-measured in one session at 32
+    # cpus: batch 128 (≈40 tasks) edges out 256 (≈20 tasks) 40-41k vs
+    # 36-43k turns/s, while 52 (≈96 small tasks) LOSES 25% to per-task
+    # overhead — fewer, bigger tasks win once the kernel is fast.
     cfg = PipelineConfig(annotate_batch_size=128)
     # warmup: spin up worker processes + imports on every core so the
     # measurement reflects steady-state throughput, not cold start
     annotate_turns(amplified_turns(sf_dir, 1), dag, cfg).count()
     turns = amplified_turns(sf_dir, replicate)
     n_turns = turns.count()
-    # multi-pass: this host shows multi-x external CPU-pressure spikes (see
-    # BENCH_local_r2.json).  The headline metric is the MEDIAN pass (robust
-    # to a single spike without the optimistic bias of best-of-N, ADVICE
-    # r2); all samples are persisted so readers can judge variance.
+    # multi-pass: shared hosts show multi-x external CPU-pressure spikes.
+    # The headline metric is the MEDIAN pass (robust to a single spike
+    # without the optimistic bias of best-of-N); all samples are persisted
+    # so readers can judge variance.
     # --scaling sets passes=1 (it already repeats whole child processes
     # per level).
     samples = []
@@ -157,17 +166,17 @@ def run_queries(sf_dir: str) -> dict:
         "lang_id",
         "sessionize",
         "window_agg",
-        # r3c: curation family (functions/curation.py) — decontaminate is
+        # curation family (functions/curation.py) — decontaminate is
         # the interesting one (benchmark-gram broadcast + one streaming
         # corpus pass); pii_redact is the regex-kernel bound pure map
         "decontaminate",
         "pii_redact",
-        # r3d: relevance search (two-pass broadcast-stats), interval join
+        # relevance search (two-pass broadcast-stats), interval join
         # (chunked non-equi), distributed total-order rank
         "bm25_topk",
         "range_join",
         "global_sort_rank",
-        # r3e: ExactSubstr-style duplicated-substring spans (two linear
+        # ExactSubstr-style duplicated-substring spans (two linear
         # exchanges, no pair product), bigram-LM perplexity scoring
         # (fit exchange + broadcast model + streaming score), DSIR
         # importance selection (O(B) model broadcast), and the iterative
@@ -176,7 +185,7 @@ def run_queries(sf_dir: str) -> dict:
         "lm_perplexity",
         "dsir_importance",
         "bpe_train_merges",
-        # r3e second wave: rule bundle (pure map), MOSS sketch (pure map),
+        # rule bundle (pure map), MOSS sketch (pure map),
         # RAG chunking (pure map), semantic dedup (bounded kmeans + one
         # cell exchange), cluster-granular split (posting + CC + tag-union)
         "gopher_rules",
@@ -184,7 +193,7 @@ def run_queries(sf_dir: str) -> dict:
         "chunk_documents",
         "semdedup",
         "leakage_safe_split",
-        # r3f: full iterative Lloyd fit (one k x 65-row exchange per
+        # full iterative Lloyd fit (one k x 65-row exchange per
         # round), exact fixed-point PCA (one scatter-matrix exchange),
         # Bloom incremental screen (m-bounded build + streaming probe),
         # Count-Min sketch (two tiny exchanges), transcript role matrix
@@ -193,20 +202,19 @@ def run_queries(sf_dir: str) -> dict:
         "bloom_incremental_dedup",
         "cms_probe_counts",
         "role_transition_counts",
-        # r3f second wave: PQ codebooks (4 subspace fits over one shared
-        # projection), per-key running totals (chunked prefix-sum window),
-        # sort-blocked dedup, C4 boilerplate profiling, chained 3-way
-        # join top-k, keep-latest compaction, DAG rollup
+        # PQ codebooks (4 subspace fits over one shared projection),
+        # per-key running totals (chunked prefix-sum window), sort-blocked
+        # dedup, C4 boilerplate profiling, keep-latest compaction, DAG
+        # rollup
         "pq_encode",
         "running_user_spend",
         "snm_candidate_pairs",
         "boilerplate_sentences",
-        "shipping_priority",
         "compact_latest_events",
         "hpo_ancestor_rollup",
         "corpus_diff",
         "ntile_by_source",
-        # r5 late wave: per-source TF-IDF ranking (vocab-bounded double
+        # per-source TF-IDF ranking (vocab-bounded double
         # exchange), probe-set fuzzy join (broadcast small side, one
         # vectorized merge per batch), quality-aware near-dup collapse
         # (packed-argmax exchange over the CC output), OR index probe
@@ -214,7 +222,7 @@ def run_queries(sf_dir: str) -> dict:
         "fuzzy_match_probe",
         "dedup_keep_best",
         "index_search_or",
-        # r5 late wave 2: hierarchical rollup (leaf combiner exchange),
+        # hierarchical rollup (leaf combiner exchange),
         # conversion funnel (chunk transition-table + per-user fold),
         # ExactSubstr rewrite (span/doc tagged-union exchange), weekly
         # retention matrix (three bounded exchanges)
@@ -222,27 +230,21 @@ def run_queries(sf_dir: str) -> dict:
         "funnel_stages",
         "strip_duplicate_spans",
         "retention_cohorts",
-        # r5 late wave 3: Q1 scan-heavy partial agg, Q5 broadcast+shuffle
-        # mixed join, chunk-folded Markov transitions, exact counting-
-        # exchange median, top session-opening paths
-        "pricing_summary",
-        "top_nation_revenue",
+        # chunk-folded Markov transitions, exact counting-exchange median,
+        # top session-opening paths
         "event_transitions",
         "grouped_median",
         "session_paths",
-        "orders_with_returns",
         "weekly_active_users",
         "cooccurrence_pmi",
         "hpo_information_content",
-        "media_resize_stats",
-        "order_skyline",
         "grouped_mode",
     ]
     qs = E.queries()
 
-    # production-shape variants timed alongside the queries() surface
-    # (not registered as driver queries — semantics pytest-pinned equal):
-    # bpe at 64 merges = VERDICT r3 item 7's bar (no per-round re-derive)
+    # production-shape variant timed alongside the queries() surface (not
+    # a registered query; pytest-pinned bit-equal to bpe_train_merges):
+    # the materialized BPE trainer at 64 merges
     def _bpe64(sf):
         from phenobert_ray.functions.textstats import (
             bpe_train_merges_materialized,
@@ -263,7 +265,7 @@ def run_queries(sf_dir: str) -> dict:
 
 
 def run_cc_scale(n_edges: int, chain: int = 256) -> dict:
-    """Connected-components scale regression (VERDICT r2 #9): a
+    """Connected-components scale regression: a
     deterministic graph of length-``chain`` cycles — diameter chain/2, so
     convergence NEEDS the pointer-jumping + coalescing path — generated
     distributed, clustered, and validated distributed (the expected
@@ -1025,7 +1027,7 @@ def run_ann_scale(n_vecs: int) -> dict:
 
 
 def run_dedup_scale(n_docs: int) -> dict:
-    """Near-dup dedup long-haul regression (VERDICT r3 item 6): the full
+    """Near-dup dedup long-haul regression: the full
     flagship chain minhash LSH → exact-Jaccard verify → connected
     components at ≥1M docs, with a closed-form expectation validated
     DISTRIBUTED (no driver state grows with n_docs).
@@ -1716,9 +1718,9 @@ def main() -> None:
         child_main(int(sys.argv[sys.argv.index("--child") + 1]))
         return
 
-    # table-driven scale-regression flags: identical contract for all six
-    # (fresh ray session -> runner -> one JSON line -> nonzero exit when the
-    # distributed validation failed)
+    # scale-regression flags, one contract for all: fresh ray session ->
+    # runner -> one JSON line -> nonzero exit when the distributed
+    # validation failed
     scale_flags = {
         "--cc-scale": ("GRAFT_CC_EDGES", 10_000_000, run_cc_scale,
                        "cc_scale_edges_per_sec", "edges_per_sec", "edges/sec"),
@@ -1794,14 +1796,19 @@ def main() -> None:
         return
 
     if "--scaling" in sys.argv:
-        # this host shows large run-to-run timing variance (up to 3x on an
-        # identical workload); run N fresh-process runs per level, report
-        # the MEDIAN (ADVICE r2: min-of-N biases efficiency optimistically)
+        # shared hosts show large run-to-run timing variance (up to 3x on
+        # an identical workload); run N fresh-process runs per level,
+        # report the MEDIAN (min-of-N biases efficiency optimistically)
         # and persist every sample so readers can judge the spread
         repeats = int(os.environ.get("GRAFT_SCALING_REPEATS", "3"))
+        hi = _cpus()
+        lo = max(1, hi // 4)
+        if lo == hi:
+            sys.exit(f"--scaling needs at least 2 CPUs to compare two "
+                     f"parallelism levels; this process may use {hi}")
         results = {}
         all_samples = {}
-        for n in (8, 32):
+        for n in (lo, hi):
             runs = []
             for _ in range(repeats):
                 p = subprocess.run(
@@ -1821,21 +1828,21 @@ def main() -> None:
             }
             results[n] = med
             all_samples[n] = [round(r["sec"], 2) for r in runs]
-        t8, t32 = results[8]["sec"], results[32]["sec"]
-        eff = (t8 / t32) / (32 / 8)
+        t_lo, t_hi = results[lo]["sec"], results[hi]["sec"]
+        eff = (t_lo / t_hi) / (hi / lo)
         print(
             json.dumps(
                 {
-                    "metric": "scaling_efficiency_8_to_32_cpus",
+                    "metric": f"scaling_efficiency_{lo}_to_{hi}_cpus",
                     "value": round(eff, 3),
                     "unit": "ratio",
-                    "throughput_8": round(results[8]["turns_per_sec"], 1),
-                    "throughput_32": round(results[32]["turns_per_sec"], 1),
-                    "sec_8": round(t8, 2),
-                    "sec_32": round(t32, 2),
-                    "samples_8": all_samples[8],
-                    "samples_32": all_samples[32],
-                    "turns": results[32]["turns"],
+                    f"throughput_{lo}": round(results[lo]["turns_per_sec"], 1),
+                    f"throughput_{hi}": round(results[hi]["turns_per_sec"], 1),
+                    f"sec_{lo}": round(t_lo, 2),
+                    f"sec_{hi}": round(t_hi, 2),
+                    f"samples_{lo}": all_samples[lo],
+                    f"samples_{hi}": all_samples[hi],
+                    "turns": results[hi]["turns"],
                     "sf": _sf_dir(),
                 }
             )

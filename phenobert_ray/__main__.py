@@ -154,7 +154,7 @@ def main(argv=None) -> int:
         # load-bearing turn columns may drop a row (run_kg_job applies
         # this internally; the direct parquet/tsv output paths read the
         # turns here and must apply it too — a NULL text otherwise
-        # crashes the annotate kernel on one bad row, review r4 w9)
+        # crashes the annotate kernel on one bad row)
         turns = drop_null_rows(ray.data.read_parquet(args.input),
                                columns=["conv_id", "turn_idx", "text"])
 

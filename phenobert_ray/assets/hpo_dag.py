@@ -108,7 +108,7 @@ class HpoDag:
         machinery (state/sharded) folds this into shard identity, so two
         ontologies that differ in ANY phrase mapping or is_a edge must
         never collide (a changed ontology on a reused out_dir must
-        invalidate every shard, review r4).  Also refreshes the derived
+        invalidate every shard).  Also refreshes the derived
         phrase-dict indexes (vocab prune set, max window length): a
         mutated dictionary with a stale vocab would silently never match
         the added phrases in the fast probe path."""

@@ -141,7 +141,7 @@ def generate_segments(
             hit = False
             # only spans intersecting THIS sentence: the full document-wide
             # list re-scanned every sentence made the hot kernel
-            # O(sentences × spans × tokens) on long turns (review r4 w8);
+            # O(sentences × spans × tokens) on long turns;
             # an int overlap test per span keeps it near-linear
             for ns, ne in ner_segments:
                 if ne <= s or ns >= e:
@@ -149,7 +149,7 @@ def generate_segments(
                 # the reference BREAKS a PROBLEM span at {, . : ; ( ) [ ]}
                 # (util.py:903) — a tagger that scores punctuation above
                 # threshold must not produce 'cleft lip , cleft palate' as
-                # one phrase (review r4)
+                # one phrase
                 cur_seed: list[Token] = []
                 for t in toks:
                     if not (ns <= t.start < ne):
@@ -181,7 +181,7 @@ def generate_segments(
             # split on the spliter set ONLY — the reference's loop
             # (util.py:930-938) keeps other symbols ('+', '%', '=') inside
             # phrases; an extra any-non-alnum split rule silently shrank
-            # the candidate windows spanning them (review r4)
+            # the candidate windows spanning them
             if t.text in spliters:
                 if cur:
                     if not seeded_locs.intersection(t2.start for t2 in cur):

@@ -34,7 +34,7 @@ class PipelineConfig:
     annotate_gpu_wait: bool = False  # skip the 0-GPU fail-fast: on an
     # AUTOSCALING cluster whose GPU node group is currently scaled to zero,
     # cluster_resources() reports no GPUs even though submitting the actor
-    # pool would provision them — set True there (review r4 w8); on a
+    # pool would provision them — set True there; on a
     # fixed-size GPU-less cluster leave False so an infeasible num_gpus
     # fails loudly instead of parking the pipeline forever.
     target_block_rows: int = 4096

@@ -104,7 +104,7 @@ def macro_prf(pred_ds, gold_ds, n_all_convs: int | None = None) -> dict:
     over ALL files and scores a doc with neither gold nor predicted HPOs
     as P=R=1 (eval_all.py:64-67, averaged :284-285); such docs never
     appear in the membership stream, so pass the corpus size to include
-    them (review r4).  The driver-gate query keeps the stream-only
+    them.  The `queries()` entry keeps the stream-only
     semantics (None) — its synthetic corpus has no empty docs."""
     return macro_prf_membership(membership(pred_ds, gold_ds), n_all_convs)
 

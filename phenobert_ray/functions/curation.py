@@ -560,7 +560,7 @@ def dsir_importance(sf_dir: str, target_sources=DSIR_TARGET_SOURCES,
     ln terms ride as integer nanounits (the lm.py / bm25 trick) so the
     driver hash is summation-order-free."""
     from ..stages.shuffle import two_phase_groupby
-    from .lm import _ln_nano_arr
+    from ..pipelines.triples import _ln_nano_arr
 
     tgt = set(target_sources)
 

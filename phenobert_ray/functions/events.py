@@ -423,7 +423,7 @@ def running_user_spend(sf_dir: str, num_buckets: int | None = None):
                 # _cents: same floor(x*100 + 0.5) half-away convention as
                 # sessionize/window_agg AND the NaN/overflow loud guard —
                 # an inline floor would silently wrap NaN to INT64_MIN
-                # while the oracle's CAST raises (ADVICE r4)
+                # while the oracle's CAST raises
                 "v": _cents(df["value"]),
                 "kind": np.zeros(len(df), dtype=np.int64),
             }

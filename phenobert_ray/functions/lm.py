@@ -27,11 +27,11 @@ sums are exact-integer equal.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pandas as pd
 import ray
+
+from ..pipelines.triples import _ln_nano_arr
 
 PPL_NANO = 1_000_000_000
 
@@ -43,26 +43,6 @@ def _read_docs(sf_dir: str, columns=("doc_id", "text")):
     return drop_null_rows(ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=list(columns)
     ))
-
-
-# per-worker memo: integer k -> floor(ln(k)*1e9 + 0.5); a corpus has few
-# DISTINCT count values, so this stays tiny
-_LN_NANO: dict[int, int] = {}
-
-
-def _ln_nano_arr(ks: np.ndarray) -> np.ndarray:
-    """ln in nanounits for an int array, one math.log per DISTINCT value."""
-    uniq, inv = np.unique(ks, return_inverse=True)
-    vals = np.empty(len(uniq), dtype=np.int64)
-    for j, k in enumerate(uniq):
-        k = int(k)
-        v = _LN_NANO.get(k)
-        if v is None:
-            v = math.floor(math.log(k) * PPL_NANO + 0.5)
-            if len(_LN_NANO) < 1_000_000:
-                _LN_NANO[k] = v
-        vals[j] = v
-    return vals[inv]
 
 
 def _fit_bigram_model(sf_dir: str):

@@ -23,7 +23,7 @@ corpus stats are one fixed-width row, z-score's are one row per *source*
 Determinism contract with the SQL oracles: every per-term BM25
 contribution is converted to integer nanounits (``floor(x * 1e9 + 0.5)``, the tie-rule-proof repo convention) before
 summation, so addition order cannot perturb the result (same trick as the
-integer-cents joins in relational.py); the z-score uses the identical
+integer-cents aggregates in events.py); the z-score uses the identical
 double expression tree in both engines over exact integer sums.
 """
 

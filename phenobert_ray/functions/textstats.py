@@ -169,7 +169,7 @@ def fingerprint(sf_dir: str):
     oracle can recompute the identical fold in SQL (recursive CTE over
     token ordinals); order-sensitivity and modulus are unchanged.
 
-    Vectorized (VERDICT r2 'What's wrong' #4): each distinct token in the
+    Vectorized: each distinct token in the
     block is md5-hashed once (memoized), then the Horner fold runs
     position-stepped across all docs at once in uint64, using the Mersenne
     identity 2^61 ≡ 1 (mod M) to keep h*257 inside 64 bits:
@@ -733,7 +733,7 @@ def bpe_train_merges_materialized(sf_dir: str, n_merges: int = 64,
                                   num_workers: int | None = None):
     """(rank, left, right, n) — identical semantics (bit-equal output,
     pytest-pinned) to :func:`bpe_train_merges`, in the PRODUCTION shape
-    for large merge counts (VERDICT r3 item 7): unit sequences are
+    for large merge counts: unit sequences are
     tokenized ONCE into actor-held partitions and rewritten by exactly
     one merge per round (no per-round re-derive — O(n) total rewrite work
     instead of O(n²) merge applications); global pair counts live in a
@@ -1429,7 +1429,7 @@ def queries():
         "bpe_pair_counts": bpe_pair_counts,
         # the materialized trainer is the default serving path (bit-equal
         # to the streaming re-derive loop, pytest-pinned; ~2× faster at 4
-        # merges and ~30× at 64 — VERDICT r4 item 4); the re-derive loop
+        # merges and ~30× at 64); the re-derive loop
         # stays as the resumable/no-actor-state variant and parity anchor
         "bpe_train_merges": lambda sf_dir: bpe_train_merges_materialized(
             sf_dir, n_merges=4),
@@ -1698,7 +1698,7 @@ def oracles():
 
 def token_quantiles_by_source(sf_dir: str):
     """(source, p25, p50, p75) of per-doc token counts — EXACT quantiles
-    via two-phase weighted histograms (VERDICT r2 'What's wrong' #3): the
+    via two-phase weighted histograms: the
     exchange carries (source, n_tokens, cnt) partials, so a dominant
     source's state is bounded by its number of DISTINCT token counts (≤
     max doc length), never by its document count.  The weighted linear

@@ -93,7 +93,7 @@ def resolve_overlaps(
     removed: set[int] = set()
     n = len(results)
     # hoist the locs frozensets: the property rebuilds one per access and
-    # this loop is O(n^2) accesses per turn (review r4)
+    # this loop is O(n^2) accesses per turn
     locs = [r[0].locs for r in results]
     for i in range(n):
         if i in removed:

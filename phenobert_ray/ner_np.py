@@ -9,7 +9,7 @@ That model is an external artifact (hundreds of MB, not shipped); the
 engine's default is therefore the documented recall-superset
 pseudo-seeding (every sentence seeded, candidates.py:6-14).
 
-This module provides the hermetic middle ground (VERDICT r3 item 3): an
+This module provides the hermetic middle ground: an
 averaged-perceptron token tagger trained on SILVER labels projected by
 the exact dictionary over the reference's shipped corpora — a span is
 silver-PROBLEM iff it lies inside a dictionary match of the pipeline's

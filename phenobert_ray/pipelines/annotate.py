@@ -36,7 +36,7 @@ def _job_identity(dag: HpoDag, cfg: PipelineConfig) -> str:
     content and every config field that changes the OUTPUT (not sizing).
     Folded into each shard's manifest spec so a re-run with a new ontology
     release or different thresholds on a reused out_dir invalidates every
-    shard instead of silently skipping them (review r4)."""
+    shard instead of silently skipping them."""
     sem = (dag.fingerprint, cfg.param1, cfg.param2, cfg.param3,
            cfg.use_longest, cfg.use_step_3, cfg.use_model_standins,
            cfg.model_dir, cfg.ner_path, cfg.triples_drop_negated)

@@ -16,6 +16,8 @@ reducer sees a hot key; the combiner is what bounds skew from hot *rows*.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -23,6 +25,32 @@ import ray
 
 from ..assets.hpo_dag import HpoDag
 from ..config import PipelineConfig
+
+_NANO = 1_000_000_000
+
+# per-worker memo: integer k -> floor(ln(k)*1e9 + 0.5); a corpus has few
+# DISTINCT count values, so this stays tiny
+_LN_NANO: dict[int, int] = {}
+
+
+def _ln_nano_arr(ks: np.ndarray) -> np.ndarray:
+    """ln in nanounits for an int array, one math.log per DISTINCT value.
+
+    Every argument is an exact integer and each term is quantized to
+    floor(ln(k)·1e9 + 0.5) — DuckDB's round() for positives — so int64
+    sums of these terms are hash-identical to the SQL oracles regardless
+    of summation order."""
+    uniq, inv = np.unique(ks, return_inverse=True)
+    vals = np.empty(len(uniq), dtype=np.int64)
+    for j, k in enumerate(uniq):
+        k = int(k)
+        v = _LN_NANO.get(k)
+        if v is None:
+            v = math.floor(math.log(k) * _NANO + 0.5)
+            if len(_LN_NANO) < 1_000_000:
+                _LN_NANO[k] = v
+        vals[j] = v
+    return vals[inv]
 
 TRIPLES_SCHEMA = pa.schema(
     [
@@ -71,7 +99,7 @@ def has_phenotype_triples(annotations_ds, cfg: PipelineConfig | None = None):
         # Arrow out, cast to TRIPLES_SCHEMA: pandas blocks here union'd
         # with the Arrow is_a table gave the KG two block schemas
         # (object vs string columns) — Ray warned on every run and
-        # downstream Arrow-only consumers saw mixed blocks (review r4 w9)
+        # downstream Arrow-only consumers saw mixed blocks
         return pa.table(
             {
                 "subj": pa.array(
@@ -96,13 +124,13 @@ def _distinct_conv_hpo_per_block(b: pa.Table) -> pa.Table:
     """Per-block distinct non-negated (conv_id, hpo_id) combiner — runs
     BEFORE the conv exchange so a hot conversation's million mentions
     move as ≤ |phenotype vocab| rows per block.  Shared by
-    cooccurrence_edges and cooccurrence_pmi (review wave 3: a fix here
-    must reach both)."""
+    cooccurrence_edges and cooccurrence_pmi (a fix here must reach
+    both)."""
     df = b.to_pandas()
     df = df[~df["negated"]][["conv_id", "hpo_id"]].drop_duplicates()
     if not len(df):
         # all-negated block: an empty pandas frame would infer Arrow
-        # null columns — the documented mixed-schema footgun (review r4)
+        # null columns — the documented mixed-schema footgun
         return pa.schema([("conv_id", pa.string()),
                           ("hpo_id", pa.string())]).empty_table()
     return pa.Table.from_pandas(
@@ -114,8 +142,7 @@ def _conv_bucketizer(n_buckets: int):
     once on the driver and captured here: computing it from
     ray.cluster_resources() inside the worker would let batches observe
     different CPU counts mid-job (autoscaling / node loss), splitting one
-    conversation across buckets — cross-bucket pairs silently lost
-    (ADVICE r4)."""
+    conversation across buckets — cross-bucket pairs silently lost."""
     def conv_bucket(b: pa.Table) -> pa.Table:
         df = b.to_pandas()
         df["bucket"] = (
@@ -200,9 +227,9 @@ def cooccurrence_pmi(annotations_ds, cfg: PipelineConfig | None = None):
 
     over conversation-level phenotype sets (N = conversations with ≥1
     non-negated mention).  Every ln argument is an EXACT integer, so the
-    lm_perplexity nanounit convention makes the score hash-identical to
-    SQL: each term is floor(ln(k)·1e9 + 0.5) computed per distinct count,
-    summed as int64.
+    nanounit convention of :func:`_ln_nano_arr` makes the score
+    hash-identical to SQL: each term is floor(ln(k)·1e9 + 0.5) computed
+    per distinct count, summed as int64.
 
     Scale shape: ONE annotate pass feeds one hash(conv) exchange whose
     per-bucket fold emits a tagged union — pair partials (kind 0),
@@ -292,8 +319,6 @@ def cooccurrence_pmi(annotations_ds, cfg: PipelineConfig | None = None):
     ])
 
     def score(b: pa.Table) -> pa.Table:
-        from ..functions.lm import _ln_nano_arr
-
         nn = ray.get(node_ref)
         df = b.to_pandas()
         n_ab = df["n_convs"].to_numpy(dtype=np.int64)
@@ -324,13 +349,12 @@ def hpo_information_content(annotations_ds, dag: HpoDag,
     N is taken as max(n_convs) over the rollup — identically in SQL —
     which equals the distinct-conversation total because every
     conversation's mentions roll up into the abnormality root.  Both
-    engines quantize each ln term to integer nanos (lm_perplexity
-    convention) so the score is summation- and platform-order-proof.
+    engines quantize each ln term to integer nanos (:func:`_ln_nano_arr`)
+    so the score is summation- and platform-order-proof.
 
     Scale shape: ancestor_rollup's two bounded exchanges run ONCE
     (materialized — output ≤ |ontology| rows), the max is an in-cluster
     aggregate, and scoring is a pure map with one broadcast scalar."""
-    from ..functions.lm import _ln_nano_arr
     from ..stages.shuffle import from_pandas_clean, typed_result
 
     out_schema = pa.schema([
@@ -368,7 +392,7 @@ def ancestor_rollup(annotations_ds, dag: HpoDag, cfg: PipelineConfig | None = No
     second per-block dedup — then two bucketed exchanges (distinct pairs,
     then per-node conv counts).  A hot phenotype's rollup row is a count
     accumulated combiner-first; no node ever needs its conv list in one
-    place (the sharded-posting lesson of round 2)."""
+    place."""
     from ..stages.shuffle import from_pandas_clean, two_phase_groupby
 
     anc_map = {

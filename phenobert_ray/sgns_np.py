@@ -41,16 +41,20 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def load_concept_phrases(models_dir: str, tokenize) -> tuple[
         dict[str, list[list[str]]], list[list[str]]]:
     """(concept → unique token-lists, None-phrase token-lists) from
-    train.txt + train_source/*.txt (the reference's shipped supervision)."""
+    train.txt + train_source/*.txt (the reference's shipped supervision).
+
+    Raises FileNotFoundError when ``models_dir`` has no train.txt: a
+    missing supervision dir must not train on empty supervision."""
     import glob
 
+    train = os.path.join(models_dir, "train.txt")
+    if not os.path.exists(train):
+        raise FileNotFoundError(f"no train.txt under {models_dir}")
     by_concept: dict[str, set[str]] = defaultdict(set)
     none_phrases: set[str] = set()
-    paths = [os.path.join(models_dir, "train.txt")] + sorted(
+    paths = [train] + sorted(
         glob.glob(os.path.join(models_dir, "train_source", "train_*.txt")))
     for path in paths:
-        if not os.path.exists(path):
-            continue
         with open(path, encoding="utf-8") as f:
             for line in f:
                 parts = line.rstrip("\n").split("\t")

@@ -91,7 +91,7 @@ _MEMO_MAX = 200_000  # per-worker entries; annotations are tiny rows
 # Only short turns are memoized: the memo targets verbatim-repeated turns
 # ("ok", tool boilerplate), which are short; admitting arbitrary-length
 # texts let a corpus of unique 50 KB turns grow the memo to ~10 GB per
-# worker before the entry cap bound (review r4 w8).  Worst case is now
+# worker before the entry cap bound.  Worst case is now
 # _MEMO_MAX × _MEMO_MAX_TEXT_LEN ≈ 200 MB of keys per worker.
 _MEMO_MAX_TEXT_LEN = 1024
 
@@ -161,7 +161,7 @@ class AnnotateTurns:
 def _annotate_task(batch: pa.Table, dag_ref=None, cfg: PipelineConfig | None = None,
                    fingerprint: str | None = None) -> pa.Table:
     # the advertised default was a guaranteed AttributeError: _load_state
-    # and _annotate_batch both dereference cfg fields (review r4 w8)
+    # and _annotate_batch both dereference cfg fields
     cfg = cfg or PipelineConfig()
     dag, scorer, memo, ner = _load_state(dag_ref, cfg, fingerprint)
     return _annotate_batch(batch, dag, scorer, cfg, memo, ner)
@@ -189,7 +189,7 @@ def annotate_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
             # forever behind periodic warnings — fail fast instead.  An
             # autoscaling cluster whose GPU group is scaled to zero reports
             # 0 here too; annotate_gpu_wait=True opts out of the check so
-            # the demand can trigger provisioning (review r4 w8).
+            # the demand can trigger provisioning.
             raise ValueError(
                 f"annotate_num_gpus={cfg.annotate_num_gpus} but the cluster "
                 "reports 0 GPUs; drop --gpus-per-actor, add GPU nodes, or "

@@ -13,8 +13,8 @@ instead:
 
 P bounds both merge parallelism and per-worker memory: a bucket must fit in
 a worker's heap.  Default P = cluster cores (the parallelism FLOOR — see
-default_num_buckets for the measured A/B that moved it down from 4×); at
-100 TB size P so that (total data / P) ≈ 100-500 MB.  Hot keys are spread by hashing; a single
+default_num_buckets); at 100 TB size P so that (total data / P) ≈
+100-500 MB.  Hot keys are spread by hashing; a single
 pathological key (one conversation with millions of mentions) is already
 collapsed to ≤1 row per block by the partial phase — that is the salting
 story of SURVEY.md §4.
@@ -37,20 +37,17 @@ def drop_null_rows(ds, columns=None):
     """Null contract at the read boundary: a row with a NULL in any of the
     columns an operator projected is DROPPED before compute.
 
-    Real crawl/transcript parquet carries nulls (missing text, absent
-    source, null value); without this every pandas `.str`/astype kernel
-    downstream crashes the whole pipeline on one bad row (reproduced
-    across doc_stats/lang_id/sessionize/label_centroids).  Dropping the
-    incomplete row is what production curation pipelines do, and because
-    operators project ONLY the columns they need at the read, a null in
-    an unused column never discards the row.  One vectorized Arrow kernel
-    per block (`Table.drop_null`), zero-copy in, fused into the read.
+    Real transcript parquet carries nulls (missing text, absent conv
+    id); without this every pandas `.str`/astype kernel downstream
+    crashes the whole pipeline on one bad row.  Dropping the incomplete
+    row is what production curation pipelines do, and because operators
+    project ONLY the columns they need at the read, a null in an unused
+    column never discards the row.  One vectorized Arrow kernel per block
+    (`Table.drop_null`), zero-copy in, fused into the read.
 
-    The TPC-H-ish relational tables keep their schema-level NOT NULL
-    contract and skip this (their oracles count every row).  SQL oracles
-    over documents/events/embeddings assume the driver's null-free
-    testdata; on null-bearing inputs the engine's contract is
-    engine(T) == engine(T with incomplete rows removed) — pinned by
+    SQL oracles over documents/events/embeddings assume null-free
+    testdata; on null-bearing inputs the engine's contract is engine(T)
+    == engine(T with incomplete rows removed) — pinned by
     tests/test_adversarial_regressions.py.
 
     ``columns``: restrict the null check to these columns (for readers
@@ -98,22 +95,16 @@ AggSpec = dict[str, tuple[str | None, str, str]]
 def default_num_buckets() -> int:
     """P = cluster cores — the parallelism FLOOR, not a data-size cap.
 
-    Same lesson the CC rounds measured (NOTES_r3: 4× wall at P=4×cores
-    from per-bucket scheduling): every bucket is a map_groups task, and
-    an ITERATIVE workload pays that per-round task overhead every round
-    (CC at 1M edges: 380 s at P=128 → ~96 s at P≤cores).  A 3-rep A/B
-    at sf0.1 over sessionize/exact_dedup/window_agg/simhash/ngram found
-    the one-shot ops within host noise either way (pair-generation ops
-    read slightly BETTER at 4×cores from straggler balance — they take
-    an explicit num_buckets for that).  Cores stays the default because
-    the task-count saving is structural and compounds per round.
-    At real scale callers must RAISE num_buckets so (data / P) fits a
-    worker's heap — the partial phase has already collapsed per-block
-    duplicates, so bucket payload is bounded by distinct keys, not rows."""
+    Every bucket is a map_groups task, and an ITERATIVE workload
+    (pagerank, k-core) pays that per-bucket task overhead every round, so
+    more buckets than cores only adds scheduling cost.  At real scale
+    callers must RAISE num_buckets so (data / P) fits a worker's heap —
+    the partial phase has already collapsed per-block duplicates, so
+    bucket payload is bounded by distinct keys, not rows."""
     return max(8, int(ray.cluster_resources().get("CPU", 8)))
 
 
-def join_num_partitions(est_rows: int | None = None) -> int:
+def join_num_partitions() -> int:
     """Partition count for native ``Dataset.join`` hash joins.
 
     Unlike the bucket exchange (where buckets are just groupby keys), every
@@ -123,20 +114,8 @@ def join_num_partitions(est_rows: int | None = None) -> int:
     cluster deadlock (64 actor slots wanted, map tasks starve); P=cpus/4
     leaves room for both pools plus the map stages.  At real scale raise P
     so dataset_size/P fits an aggregator's heap — cores/4 per join is the
-    FLOOR for pipelining, not a cap on data size.
-
-    ``est_rows`` (a cheap upper bound, e.g. the probe side's parquet
-    footer count) only LOWERS P below the CPU-based default when the
-    input is small — each aggregator actor costs ~0.5 s of pool spin-up,
-    so idle partitions are pure overhead (A/B at sf0.1: two chained joins
-    on 600 k probe rows ran 3.3 s at P=4 vs 4.0 s at P=8 on 32 CPUs).  It
-    never raises P: sizing up for heap fit stays the caller's documented
-    responsibility because only the caller knows post-filter selectivity.
-    """
-    base = max(2, int(ray.cluster_resources().get("CPU", 8)) // 4)
-    if est_rows is None:
-        return base
-    return max(2, min(base, -(-int(est_rows) // 200_000)))
+    FLOOR for pipelining, not a cap on data size."""
+    return max(2, int(ray.cluster_resources().get("CPU", 8)) // 4)
 
 
 def coalesce_for_exchange(ds, est_rows: int, rows_per_block: int = 200_000):
@@ -171,9 +150,9 @@ def normalize_empty_blocks(ds, schema: pa.Schema, num_blocks: int | None = None)
 
     A FULLY empty dataset has no typed neighbor to merge with and
     ``map_batches`` never sees its empty blocks, so the repartition+fixer
-    recipe alone cannot type it (review-confirmed join crash on empty
-    corpora) — union one explicit typed empty block first; the
-    repartition then folds everything into typed blocks."""
+    recipe alone cannot type it (a join crash on empty corpora) — union
+    one explicit typed empty block first; the repartition then folds
+    everything into typed blocks."""
     ds = ds.union(ray.data.from_arrow(schema.empty_table()))
     ds = ds.repartition(num_blocks or join_num_partitions())
 
@@ -183,55 +162,6 @@ def normalize_empty_blocks(ds, schema: pa.Schema, num_blocks: int | None = None)
         return t
 
     return ds.map_batches(f, batch_format="pyarrow")
-
-
-def hash_cover_keys(num_partitions: int, n_sets: int = 1) -> list:
-    """``n_sets`` DISJOINT lists of NEGATIVE int64 keys, each list holding
-    exactly one key per hash partition of Ray's hash-shuffle partitioner
-    (position p of every list routes to partition p).
-
-    Why this exists: Ray's hash-join aggregator finalizes each partition
-    with ``ArrowBlockBuilder().build()`` — a partition whose builder
-    received no shards builds a COLUMN-LESS table and acero fails with
-    "No match ... for key field".  The shuffle's schema-broadcast path
-    that should type those builders is burned whenever the FIRST block a
-    side submits has zero rows (``_shuffle_block`` returns before the
-    ``send_empty_blocks`` loop but the has-broadcast flag is still set) —
-    and filtered or zero-match join inputs produce exactly such blocks.
-    Seeding every partition of every join side with one sentinel row keyed
-    by these covers makes every builder non-empty by construction, with no
-    materialize+count empty-side probe and no reliance on block order.
-
-    The keys are computed with Ray's own ``hash_partition`` (int hashing
-    is PYTHONHASHSEED-independent, verified stable across processes), so
-    driver-chosen covers route identically inside shuffle tasks.  Callers
-    must guarantee the data's key domain excludes negatives (the TPC-H
-    tables' schema-level contract) so sentinels can never match real rows."""
-    from ray.data._internal.arrow_ops.transform_pyarrow import hash_partition
-
-    if num_partitions <= 1:
-        return [[-(s + 1)] for s in range(n_sets)]
-    width = 64 * num_partitions * n_sets
-    cand = pa.table({"k": pa.array(range(-1, -(width + 1), -1), pa.int64())})
-    parts = hash_partition(cand, hash_cols=["k"],
-                           num_partitions=num_partitions)
-    sets: list = [[] for _ in range(n_sets)]
-    for p in range(num_partitions):
-        t = parts.get(p)
-        ks = t.column("k").to_pylist() if t is not None else []
-        if len(ks) < n_sets:
-            raise RuntimeError(
-                f"hash cover candidates exhausted for partition {p} "
-                f"(width {width})")
-        for s in range(n_sets):
-            sets[s].append(ks[s])
-    return sets
-
-
-def with_sentinel_rows(ds, table: pa.Table):
-    """Union driver-built sentinel rows onto a join input (one tiny extra
-    block; see hash_cover_keys for why every partition needs one)."""
-    return ds.union(ray.data.from_arrow(table))
 
 
 def table_rows(sf_dir: str, table: str) -> int:
@@ -250,7 +180,7 @@ def table_rows(sf_dir: str, table: str) -> int:
         glob.glob(os.path.join(p, "*.parquet")))
     if not paths:
         # a typo'd sf_dir / missing table must be an ERROR, not a
-        # well-typed empty query result via _guard_empty (ADVICE r4)
+        # well-typed empty query result via _guard_empty
         raise FileNotFoundError(
             f"table_rows: no parquet file or fragment at {p}")
     return sum(pq.ParquetFile(f).metadata.num_rows for f in paths)
@@ -260,15 +190,13 @@ def typed_result(ds, schema: pa.Schema):
     """Pin a RESULT dataset's schema against Ray's fully-empty-dataset
     schema loss: when every block of a dataset is empty, ``map_batches``
     never runs (so no in-cluster stage can retype it) and ``to_pandas`` /
-    ``schema()`` come back column-less — a downstream ``df[["doc_a"]]``
-    KeyErrors.  That is a LEGITIMATE state for pair-shaped operator
-    results (a corpus with zero near-duplicates, zero duplicated spans,
-    zero purchases), not just for empty inputs, so the early empty-input
-    guards don't cover it (reproduced, review r4 w9).  Appending one
-    empty TYPED block via union fixes ``Dataset.schema()``,
-    ``write_parquet`` output and every in-cluster consumer; measured
-    within host noise on the benched pair ops (minhash sf0.1 5.39 →
-    5.80 s, same plan executed once, still streaming).  It cannot fix
+    ``schema()`` come back column-less — a downstream ``df[["hpo_a"]]``
+    KeyErrors.  That is a LEGITIMATE state for pair-shaped results (a
+    corpus with zero co-occurring phenotypes), not just for empty inputs,
+    so the early empty-input guards don't cover it.  Appending one empty
+    TYPED block via union fixes ``Dataset.schema()``, ``write_parquet``
+    output and every in-cluster consumer, and the plan still streams.
+    It cannot fix
     ``Dataset.to_pandas()`` — Ray 2.49 drops the columns of ANY
     zero-row dataset there; driver-side consumers needing a typed frame
     must rebuild it from ``schema()`` (see tools/verify_local.to_df)."""
@@ -302,8 +230,8 @@ def two_phase_groupby(
             # typed empty: an empty pandas frame converts object columns
             # to Arrow `null`, emitting mixed/schema-less blocks — the
             # exact footgun normalize_empty_blocks documents, reproduced
-            # through this very function on all-filtered blocks (review
-            # r4).  Types come from the incoming Arrow batch; columns the
+            # through this very function on all-filtered blocks.  Types
+            # come from the incoming Arrow batch; columns the
             # pre_filter derived fall back to their (empty) pandas dtype.
             def atype(col: str):
                 if col in batch.schema.names:
@@ -324,12 +252,12 @@ def two_phase_groupby(
         for c in count_cols:
             kwargs[c] = (keys[0], "size")
         # dropna=False: SQL GROUP BY keeps a NULL group; pandas' default
-        # silently drops those rows, diverging from the oracles (review r4)
+        # silently drops those rows, diverging from the oracles
         g = df.groupby(keys, as_index=False, sort=False, dropna=False).agg(**kwargs)
         # hash the COMPOSITE key (hash_pandas_object over the key frame
         # combines columns per row): bucketing on keys[0] alone sent all
         # of a hot first-key's groups to one bucket even when the full
-        # key was high-cardinality (review r4)
+        # key was high-cardinality
         g["bucket"] = (
             pd.util.hash_pandas_object(g[keys], index=False).to_numpy() % P
         ).astype("int64")

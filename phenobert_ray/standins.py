@@ -224,7 +224,7 @@ class StandInScorer:
                 if not pools[ci]:
                     # routed candidate whose subtree pool emptied at the
                     # param2 gate — same guard as the use_step_3 branch's
-                    # `if not pair_ci` (review r4: max() of an empty pool
+                    # `if not pair_ci` (max() of an empty pool
                     # killed the whole batch under -nb)
                     continue
                 hpo, p = max(pools[ci].items(), key=lambda kv: kv[1])

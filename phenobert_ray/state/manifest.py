@@ -41,7 +41,7 @@ def shard_done(out_dir: str, shard: int, input_paths: list[str], spec: str = "")
         if m.get("input_fingerprint") != _fingerprint(input_paths, spec):
             return False
         # a manifest without its data directory is a lost partition, not a
-        # finished shard — skipping it would silently drop rows (review r4)
+        # finished shard — skipping it would silently drop rows
         return (m.get("row_count") == 0
                 or os.path.isdir(os.path.join(out_dir, f"shard={shard}")))
     except (json.JSONDecodeError, OSError):

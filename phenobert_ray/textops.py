@@ -93,7 +93,7 @@ def _fold_char(c: str) -> str:
 def _lower_char(c: str) -> str:
     # str.lower() is NOT length-preserving for every char ('İ' U+0130 →
     # 'i' + combining dot, 2 chars) — a whole-string .lower() shifted every
-    # downstream span offset after such a char (review r4).  Take the
+    # downstream span offset after such a char.  Take the
     # first char of a multi-char lowering (the base letter) to stay both
     # lowercased and length-exact.
     lc = c.lower()
@@ -231,7 +231,7 @@ _IRREGULAR = {
     "nuclei": "nucleus", "ganglia": "ganglion", "foci": "focus",
     "testes": "testis", "diagnoses": "diagnosis", "analyses": "analysis",
     # Greek/Latin clinical plurals WordNet resolves via its exception list
-    # (review r4 w8: the suffix rules mangled these — 'stenoses'→'stenose'
+    # (the suffix rules mangled these — 'stenoses'→'stenose'
     # missed 'stenosis' dictionary keys the reference's lemmatizer hits).
     # '-ses'→'-sis' cannot be a rule ('cases', 'diseases'), nor '-uses'→
     # '-us' ('causes'), nor '-i'→'-us' ('ski') — enumerate instead.

@@ -582,6 +582,10 @@ def train_all(
     from .sources.loaders import read_phrase_pairs
     from .state.torch_ckpt import write_state_dict
 
+    if fasttext_bin and learn_embeddings:
+        # checked before anything touches out_dir or models_dir
+        raise ValueError("fasttext_bin and learn_embeddings are "
+                         "mutually exclusive (both define token vectors)")
     os.makedirs(out_dir, exist_ok=True)
     dag = dag_from_train_source(models_dir)
 
@@ -594,9 +598,6 @@ def train_all(
 
         from .sgns_np import FastTextEmbedder
 
-        if learn_embeddings:
-            raise ValueError("fasttext_bin and learn_embeddings are "
-                             "mutually exclusive (both define token vectors)")
         ft_emb = FastTextEmbedder.from_bin(fasttext_bin)
         dst = os.path.join(out_dir, "fasttext.bin")
         if os.path.abspath(fasttext_bin) != os.path.abspath(dst):

@@ -1,4 +1,4 @@
-"""Regressions pinned by the adversarial-input oracle gate (round 4).
+"""Regressions pinned by the adversarial-input oracle gate.
 
 Each test reproduces a failure `tools/make_adversarial_sf.py` +
 `tools/verify_local.py` exposed: pathological-but-valid inputs where the
@@ -285,15 +285,14 @@ def _canon(df):
     ("kmeans_assign", "embeddings", ("vec_id", "embedding")),
     ("ann_topk", "embeddings", ("vec_id", "embedding")),
     ("label_centroids", "embeddings", ("vec_id", "embedding", "label")),
+    ("extract_mentions", "documents", ("doc_id", "text")),
+    ("inverted_index", "documents", ("doc_id", "text")),
 ])
 def test_null_rows_dropped_at_read(tmp_path_factory, qname, table, cols):
     """Null-bearing tables neither crash nor leak incomplete rows: the
     result equals running on a table pre-filtered to the operator's
     projected columns (and nulls in UNprojected columns never drop a
     row — the twin filters only `cols`)."""
-    import sys
-
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as E
 
     src = _null_sf(tmp_path_factory)
@@ -544,31 +543,38 @@ def test_running_user_spend_range_frame_ties(tmp_path_factory):
     assert got["running_cents"].tolist() == [1000, 1300, 1300, 1600]
 
 
-def test_all_empty_sf_returns_typed_results(tmp_path_factory):
+def test_all_empty_sf_returns_typed_results(tmp_path_factory, sf_small):
     """review r4 w9: over an ALL-EMPTY scale factor (a legitimate quiet
     time-slice partition) 48 queries returned schema-less empties (Ray
     can't type a dataset whose every block is empty).  The query surface
     now guards zero-row primary tables with its result-schema registry;
-    spot-check one query per family against the registry."""
-    import pyarrow.parquet as _pq
-
+    spot-check one query per family against the registry, and every
+    phenotype query against its oracle (same columns, same row count)."""
     import __ray_entry__ as E
+    from test_oracle_parity import PHENOTYPE_QUERIES
+    from tools.verify_local import TABLES, canon, connect, to_df
 
-    src = "/root/testdata/sf0.001"
     d = tmp_path_factory.mktemp("emptysf")
-    for t in ["region", "nation", "customer", "supplier", "part", "orders",
-              "lineitem", "events", "documents", "embeddings"]:
-        tbl = _pq.read_table(f"{src}/{t}.parquet")
-        _pq.write_table(tbl.schema.empty_table(), str(d / f"{t}.parquet"))
+    for t in TABLES:
+        tbl = pq.read_table(f"{sf_small}/{t}.parquet")
+        pq.write_table(tbl.schema.empty_table(), str(d / f"{t}.parquet"))
     qs = E.queries()
     for name in ["extract_mentions", "sessionize", "doc_stats",
-                 "revenue_by_segment", "inverted_index", "exact_dedup",
-                 "label_centroids", "render_conversations"]:
+                 "inverted_index", "exact_dedup", "label_centroids",
+                 "render_conversations"]:
         res = qs[name](str(d))
         want = [c for c, _ in E._EMPTY_RESULT_SCHEMAS[name][1]]
         got = [f.name for f in res.schema().base_schema]
         assert got == want, (name, got, want)
         assert res.count() == 0, name
+
+    con = connect(str(d))
+    oracles = E.oracle_sql()
+    for name in PHENOTYPE_QUERIES:
+        got = canon(to_df(qs[name](str(d))))
+        want = canon(con.execute(oracles[name]).df())
+        assert list(got.columns) == list(want.columns), name
+        assert len(got) == len(want), name
 
 
 def test_search_convs_with_any_or_semantics(mini, sf_small):

@@ -131,7 +131,7 @@ def test_fast_path_equivalence(mini):
 
 
 def test_c3_ellipsis_only_on_seeded_spans():
-    """Reference parity (ADVICE r1): the A+B ellipsis recovery runs only on
+    """Reference parity: the A+B ellipsis recovery runs only on
     NER-seeded spans — C2 spliter-pass segments are already split at
     and/or/'/' and never reach C3 intact (util.py:930,957-967)."""
     from phenobert_ray.candidates import generate_segments

@@ -297,13 +297,13 @@ def empty_docs_dir(tmp_path_factory):
 
 def test_review_repros_stay_fixed(empty_docs_dir, tmp_path_factory):
     """Crash classes a code review confirmed (zero-row / edge-topology
-    paths): star-graph kcore peeling, empty-corpus SNM / snapshot diff,
-    and a chained join whose filter empties a side."""
+    paths): star-graph kcore peeling and empty-corpus SNM / snapshot
+    diff."""
     import ray
 
     from phenobert_ray.functions.curation import corpus_diff
     from phenobert_ray.functions.dedup import snm_candidate_pairs
-    from phenobert_ray.functions.graph import kcore_nodes
+    from phenobert_ray.pipelines.graph import kcore_nodes
 
     # hub whose neighbors are all degree-1: a round leaves alive nodes but
     # zero alive-alive edges
@@ -312,65 +312,6 @@ def test_review_repros_stay_fixed(empty_docs_dir, tmp_path_factory):
 
     assert len(snm_candidate_pairs(empty_docs_dir).to_pandas()) == 0
     assert len(corpus_diff(empty_docs_dir).to_pandas()) == 0
-
-    # Q3 with a segment no customer has: both chained joins must
-    # short-circuit to an empty, typed result
-    import pandas as pd
-
-    d2 = tmp_path_factory.mktemp("q3nomatch")
-    pq.write_table(
-        pa.table(
-            {
-                "c_custkey": pa.array([1], pa.int64()),
-                "c_name": ["a"],
-                "c_nationkey": pa.array([0], pa.int32()),
-                "c_acctbal": pa.array([1.0]),
-                "c_mktsegment": ["MACHINERY"],
-            }
-        ),
-        str(d2 / "customer.parquet"),
-    )
-    pq.write_table(
-        pa.table(
-            {
-                "o_orderkey": pa.array([10], pa.int64()),
-                "o_custkey": pa.array([1], pa.int64()),
-                "o_orderstatus": ["O"],
-                "o_totalprice": pa.array([5.0]),
-                "o_orderdate": pa.array(
-                    [pd.Timestamp("1996-01-01")], pa.timestamp("us")
-                ),
-                "o_orderpriority": ["1-URGENT"],
-            }
-        ),
-        str(d2 / "orders.parquet"),
-    )
-    pq.write_table(
-        pa.table(
-            {
-                "l_orderkey": pa.array([10], pa.int64()),
-                "l_partkey": pa.array([1], pa.int64()),
-                "l_suppkey": pa.array([1], pa.int64()),
-                "l_linenumber": pa.array([1], pa.int32()),
-                "l_quantity": pa.array([1.0]),
-                "l_extendedprice": pa.array([9.0]),
-                "l_discount": pa.array([0.1]),
-                "l_tax": pa.array([0.0]),
-                "l_returnflag": ["N"],
-                "l_linestatus": ["O"],
-                "l_shipdate": pa.array(
-                    [pd.Timestamp("1999-01-01")], pa.timestamp("us")
-                ),
-            }
-        ),
-        str(d2 / "lineitem.parquet"),
-    )
-    from phenobert_ray.functions.relational import shipping_priority
-
-    got = shipping_priority(str(d2))
-    assert got.count() == 0
-    # NB: to_pandas() drops columns on 0-row datasets; assert on schema
-    assert got.schema().names == ["l_orderkey", "o_orderdate", "revenue_cpct"]
 
 
 def test_assign_overflow_guard_rejects_unsafe_range():
@@ -392,7 +333,7 @@ def test_triangles_wedge_free_and_empty_graphs():
     import pandas as pd
     import ray
 
-    from phenobert_ray.functions.graph import triangles
+    from phenobert_ray.pipelines.graph import triangles
 
     path = pd.DataFrame({"hpo_a": ["1", "2"], "hpo_b": ["2", "3"]})
     assert triangles(ray.data.from_pandas(path)).count() == 0
@@ -645,7 +586,7 @@ def test_two_phase_groupby_keeps_null_keys():
     assert int(null_row["n"].iloc[0]) == 2
 
 
-# --- review wave 8 (textstats / cluster / relational degenerate paths) ---
+# --- textstats / cluster degenerate paths ---
 
 
 def test_doc_stats_rounding_tie_matches_duckdb(tmp_path):
@@ -705,40 +646,6 @@ def test_kmeans_labels_are_seed_vec_ids_on_sparse_ids(tmp_path):
     assert (eng["cluster"].to_numpy() == ora["cluster"].to_numpy()).all()
 
 
-def test_shipping_priority_zero_match_join_is_typed_empty(tmp_path):
-    """Non-empty sides whose join produces ZERO rows: Ray's to_pandas
-    drops the schema from all-empty blocks and the top-k sort KeyErrored
-    (reproduced, review wave 8)."""
-    import numpy as np
-
-    from phenobert_ray.functions import relational as rel
-
-    pq.write_table(
-        pa.table({"c_custkey": pa.array([1, 2], pa.int64()),
-                  "c_mktsegment": pa.array(["BUILDING", "BUILDING"])}),
-        str(tmp_path / "customer.parquet"),
-    )
-    pq.write_table(
-        pa.table({"o_orderkey": pa.array([10, 11], pa.int64()),
-                  "o_custkey": pa.array([1, 2], pa.int64()),
-                  "o_orderdate": pa.array(
-                      [np.datetime64("1997-01-01", "us")] * 2)}),
-        str(tmp_path / "orders.parquet"),
-    )
-    pq.write_table(  # lineitem references orderkeys the join never sees
-        pa.table({"l_orderkey": pa.array([99], pa.int64()),
-                  "l_extendedprice": pa.array([10.0]),
-                  "l_discount": pa.array([0.0]),
-                  "l_shipdate": pa.array(
-                      [np.datetime64("1998-06-01", "us")])}),
-        str(tmp_path / "lineitem.parquet"),
-    )
-    out = rel.shipping_priority(str(tmp_path))
-    assert out.count() == 0
-    assert {f.name for f in out.schema().base_schema} == {
-        "l_orderkey", "o_orderdate", "revenue_cpct"}
-
-
 def test_pca_on_empty_embeddings_is_typed_empty(tmp_path):
     """Empty embeddings: the oracle's matvec CTE yields zero rows, so 64
     all-zero engine rows were a rows-count divergence (reproduced)."""
@@ -780,12 +687,10 @@ def test_empty_corpus_sweep_queries_dont_crash(empty_sf_dir):
     Dataset aggregates, and KeyErrors on schema-less to_pandas frames.
     Every oracle returns 0 rows; the engine must too."""
     from phenobert_ray.functions import ann, curation, dedup, lm
-    from phenobert_ray.functions import relational as rel
     from phenobert_ray.functions import search, textstats
 
     fns = [
-        ann.knn_label_vote, rel.revenue_by_priority,
-        rel.customers_without_urgent, search.bm25_topk,
+        ann.knn_label_vote, search.bm25_topk,
         curation.dsir_importance, curation.pack_sequences,
         lm.lm_perplexity, textstats.cms_probe_counts, textstats.top_tokens,
         textstats.bpe_pair_counts, textstats.bpe_encode,
@@ -794,28 +699,6 @@ def test_empty_corpus_sweep_queries_dont_crash(empty_sf_dir):
     for fn in fns:
         out = fn(empty_sf_dir)
         assert out.count() == 0, fn.__name__
-
-
-def test_anti_join_with_zero_urgent_orders(tmp_path):
-    """A corpus with NO urgent orders (a normal input, not a degenerate
-    one) emptied the probe side of the anti-join and crashed the hash
-    aggregator's finalize (reproduced, review wave 9): the result must be
-    every customer."""
-    from phenobert_ray.functions import relational as rel
-
-    pq.write_table(
-        pa.table({"c_custkey": pa.array([1, 2], pa.int64()),
-                  "c_mktsegment": pa.array(["A", "B"])}),
-        str(tmp_path / "customer.parquet"),
-    )
-    pq.write_table(
-        pa.table({"o_orderkey": pa.array([5], pa.int64()),
-                  "o_custkey": pa.array([1], pa.int64()),
-                  "o_orderpriority": pa.array(["3-MEDIUM"])}),
-        str(tmp_path / "orders.parquet"),
-    )
-    out = rel.customers_without_urgent(str(tmp_path)).to_pandas()
-    assert sorted(out["c_custkey"]) == [1, 2]
 
 
 def test_coalesce_for_exchange_scale_guard():

@@ -124,9 +124,8 @@ def test_offsets_valid_on_real_clinical_text(big_dag):
 
 
 def test_span_level_conformance_gsc(big_dag):
-    """Strict (start, end, hpo) span diff vs the GSC+ expert gold files
-    (VERDICT r1 item 3).  Among mentions where our HPO matches gold and the
-    spans overlap, exact boundary agreement must stay >= 0.95 (measured
+    """Strict (start, end, hpo) span diff vs the GSC+ expert gold files.
+    Among mentions where our HPO matches gold and the spans overlap, exact boundary agreement must stay >= 0.95 (measured
     0.9607 after removing the type-notation rewrite from the offset text;
     the residue is dictionary-phrase length vs gold's wider expert spans —
     inherent to dictionary matching, identical in the reference)."""
@@ -138,7 +137,7 @@ def test_span_level_conformance_gsc(big_dag):
     res = span_main(f"{REF}/data/GSC+/corpus", f"{REF}/data/GSC+/ann")
     assert res["rate"] >= 0.95
     assert res["exact"] >= 850
-    # the M5 fidelity gate (VERDICT r3 item 4): once gold EXTENT-convention
+    # the M5 fidelity gate: once gold EXTENT-convention
     # diffs are attributed away, what remains measures the tokenizer itself.
     # A diff counts as convention ONLY when our span is a whole-word
     # sub/super-span of gold, is itself a complete dictionary surface form

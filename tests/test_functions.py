@@ -1231,7 +1231,7 @@ def test_snm_flags_exact_dups_in_window(tmp_path):
 def test_kcore_peels_low_degree_tail():
     import ray
 
-    from phenobert_ray.functions.graph import kcore_nodes
+    from phenobert_ray.pipelines.graph import kcore_nodes
 
     # triangle a-b-c (2-core) plus a pendant path c-d-e that must peel off
     edges = pa.table(
@@ -1248,7 +1248,7 @@ def test_kcore_peels_low_degree_tail():
 def test_kcore_fully_peeled_graph_is_empty():
     import ray
 
-    from phenobert_ray.functions.graph import kcore_nodes
+    from phenobert_ray.pipelines.graph import kcore_nodes
 
     # a path graph has no 2-core
     edges = pa.table({"hpo_a": ["a", "b", "c"], "hpo_b": ["b", "c", "d"]})

@@ -1,0 +1,36 @@
+"""Every phenotype query agrees with its DuckDB oracle at sf0.001 — the
+``__ray_entry__`` correctness gate, run through the same comparison as
+``tools/verify_local.py`` (row count, columns, order-insensitive value
+hash)."""
+
+import pytest
+
+import __ray_entry__ as E
+from tools.verify_local import canon, compare, connect, to_df
+
+PHENOTYPE_QUERIES = [
+    "turns_synth", "extract_mentions", "conv_hpo_sets", "kg_triples",
+    "cooccurrence_edges", "cooccurrence_triangles", "cooccurrence_pagerank",
+    "cooccurrence_kcore", "cooccurrence_pmi", "hpo_information_content",
+    "hpo_ancestor_rollup", "isa_closure", "hpo_depth", "inverted_index",
+    "index_search_and", "index_search_or", "sample_hash", "eval_micro",
+    "eval_macro", "onto_similarity",
+]
+
+
+def test_every_query_has_an_oracle():
+    assert set(E.queries()) == set(E.oracle_sql())
+    assert set(PHENOTYPE_QUERIES) <= set(E.queries())
+
+
+@pytest.fixture(scope="module")
+def con(sf_small):
+    return connect(sf_small)
+
+
+@pytest.mark.parametrize("name", PHENOTYPE_QUERIES)
+def test_query_matches_oracle(con, sf_small, name):
+    mine = canon(to_df(E.queries()[name](sf_small)))
+    oracle = canon(con.execute(E.oracle_sql()[name]).df())
+    assert compare(mine, oracle), (name, len(mine), len(oracle),
+                                   list(mine.columns), list(oracle.columns))

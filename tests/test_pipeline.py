@@ -190,7 +190,7 @@ def test_cooccurrence_edges_bruteforce(mini, sf_small):
 def test_triangles_bruteforce(mini, sf_small):
     from itertools import combinations
 
-    from phenobert_ray.functions.graph import triangles
+    from phenobert_ray.pipelines.graph import triangles
     from phenobert_ray.pipelines.triples import cooccurrence_edges
     from phenobert_ray.stages.annotate import annotate_turns
     from phenobert_ray.transcripts import read_turns
@@ -216,7 +216,7 @@ def test_triangles_bruteforce(mini, sf_small):
 def test_pagerank_bruteforce(mini, sf_small):
     import numpy as np
 
-    from phenobert_ray.functions.graph import pagerank
+    from phenobert_ray.pipelines.graph import pagerank
     from phenobert_ray.pipelines.triples import cooccurrence_edges
     from phenobert_ray.stages.annotate import annotate_turns
     from phenobert_ray.transcripts import read_turns

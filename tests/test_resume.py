@@ -267,7 +267,7 @@ def test_kill_during_shard_pipeline_resumes_identical(mini, sf_small, tmp_path):
     """SIGKILL the driver WHILE a shard's annotate→dedup-shuffle pipeline is
     executing (not between shards): the partial shard dir has no manifest,
     so resume clears and re-runs exactly that shard and the triples match a
-    never-killed run (VERDICT r4 item 9 — the between-stage kills above
+    never-killed run (the between-stage kills above
     simulate the crash by file surgery; this one is a real mid-execution
     process kill in a child Ray session).
 

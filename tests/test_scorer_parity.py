@@ -1,6 +1,6 @@
 """Branch-logic parity of NumpyModelScorer vs util.py:1098-1146.
 
-Pins the round-3 ADVICE fixes with stub models (no weights needed):
+Pins the Step-2/Step-3 branch fixes with stub models (no weights needed):
 - -nb branch keeps "None" in the Step-2 ranking and DROPS the phrase when
   it wins (util.py:1106-1110) instead of emitting the runner-up;
 - Step-3 branch takes top-10 per subtree (top-all when ≤10), collects a

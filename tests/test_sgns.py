@@ -110,16 +110,52 @@ def test_bin_roundtrip_composition_parity(toy_model, tmp_path):
     assert np.linalg.norm(emb("unseen-token")) > 0
 
 
-def test_load_concept_phrases_reads_shipped_supervision():
+def test_load_concept_phrases_reads_shipped_supervision(tmp_path):
+    """Supervision in the reference's layout (train.txt plus
+    train_source/train_*.txt, ``phrase<TAB>HP:… | None``) built from
+    names and synonyms of the shipped DAG.json: phrases group by concept
+    (deduplicated across files), None rows become negatives, malformed
+    lines are skipped, and a dir without train.txt is an error."""
+    import json
+    from importlib.resources import files
+
     from phenobert_ray.sgns_np import load_concept_phrases
     from phenobert_ray.train_np import simplified_tokens
 
-    concepts, nones = load_concept_phrases(
-        "/root/reference/phenobert/models", simplified_tokens)
-    assert len(concepts) > 5_000      # ~8k concepts with phrases
-    assert len(nones) > 10_000        # the wiki None negatives
-    # multi-surface-form concepts exist (the bridge signal)
-    assert sum(1 for p in concepts.values() if len(p) > 1) > 2_000
+    dag = json.loads(
+        files("phenobert_ray.assets").joinpath("trained/DAG.json").read_text())
+    picked = [h for h, v in dag.items() if v["synonym"]][:6]
+    picked += [h for h, v in dag.items() if not v["synonym"]][:2]
+    nones = ["the weather today", "a long walk home", "coffee and tea"]
+
+    src = tmp_path / "train_source"
+    src.mkdir()
+    with open(tmp_path / "train.txt", "w", encoding="utf-8") as f:
+        for h in picked:
+            f.write(f"{dag[h]['name'][0]}\t{h}\n")
+        f.write(f"{nones[0]}\tNone\n")
+        f.write("malformed line without a tab\n")
+    with open(src / "train_0.txt", "w", encoding="utf-8") as f:
+        for h in picked:
+            # the name again (dedup across files) plus every synonym
+            for p in [dag[h]["name"][0], *dag[h]["synonym"]]:
+                f.write(f"{p}\t{h}\n")
+        for p in nones:
+            f.write(f"{p}\tNone\n")
+
+    concepts, got_nones = load_concept_phrases(str(tmp_path), simplified_tokens)
+    assert set(concepts) == set(picked)
+    for h in picked:
+        phrases = sorted({dag[h]["name"][0], *dag[h]["synonym"]})
+        want = [t for t in map(simplified_tokens, phrases) if t]
+        assert concepts[h] == want, h
+    assert got_nones == [simplified_tokens(p) for p in sorted(nones)]
+    # multi-surface-form concepts (the bridge signal) survive grouping
+    multi = {h for h in picked if len(concepts[h]) > 1}
+    assert multi and multi <= {h for h in picked if dag[h]["synonym"]}
+
+    with pytest.raises(FileNotFoundError):
+        load_concept_phrases(str(tmp_path / "missing"), simplified_tokens)
 
 
 def test_router_accepts_frozen_embedder():

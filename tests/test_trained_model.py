@@ -1,4 +1,4 @@
-"""Gate on the packaged hermetically-trained CNN weights (VERDICT r2 item 2).
+"""Gate on the packaged hermetically-trained CNN weights.
 
 The reference's own trained weights are external downloads
 (README.md:70-83), so the engine ships checkpoints fit by

@@ -1,4 +1,4 @@
-"""Weight-format loading path (VERDICT r1 item 7): a tiny random state dict
+"""Weight-format loading path: a tiny random state dict
 written in the torch.save zip layout must load through load_torch_scorer
 (torch-free reader) and drive one annotate_turns batch end-to-end."""
 

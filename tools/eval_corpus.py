@@ -97,7 +97,7 @@ def main(argv=None) -> int:
 
     # one membership exchange feeds all three metrics (micro_prf /
     # macro_prf / ontology_similarity each rebuild it otherwise — a 3×
-    # recompute of the tag+union+shuffle, review r4); averages run over
+    # recompute of the tag+union+shuffle); averages run over
     # ALL corpus docs like the reference (docs with neither gold nor
     # predicted HPOs score P=R=1 / sim=1, eval_all.py:64-67)
     n_docs = len({f for f in os.listdir(args.corpus_dir)
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
         f"R={macro['macro_recall']:.4f}\n"
         f"onto-similarity={sim:.4f}\n"
         f"({dt:.1f}s; dictionary-only recall is bounded without the trained "
-        f"model weights — see NOTES_r1.md)"
+        f"model weights)"
     )
     if args.json:
         import json

@@ -1,12 +1,13 @@
 """Synthesize a pathological scale-factor directory for the oracle gate.
 
-Same 10 tables / schemas as /root/testdata/sf* (TESTDATA.md), but every
-value distribution is chosen to be hostile: unicode (CJK, emoji, RTL,
+The three tables the oracles read (documents, events, embeddings), with
+the same schemas as the testdata sf* directories (TESTDATA.md), but every
+value distribution chosen to be hostile: unicode (CJK, emoji, RTL,
 combining marks, special-casing), empty strings, whitespace runs, exact
-and near duplicate texts, key skew (one hot source / user / custkey),
-singleton groups, orphan foreign keys, rounding-tie money values,
-boundary timestamps (exact window edges, Q3 cutoff ties), zero vectors
-and duplicate embeddings, ties everywhere two rows can tie.
+and near duplicate texts, key skew (one hot source / user), singleton
+groups, rounding-tie money values, boundary timestamps (exact window
+edges), zero vectors and duplicate embeddings, ties everywhere two rows
+can tie.
 
 Usage:  python tools/make_adversarial_sf.py [out_dir]   (default /tmp/sfadv)
 
@@ -215,120 +216,6 @@ def make_events(out: str) -> None:
     pq.write_table(tbl.take(pa.array(perm)), f"{out}/events.parquet")
 
 
-# --- TPC-H-ish ---------------------------------------------------------
-
-SEGMENTS = ["BUILDING", "FURNITURE", "", "AUTOMOBILE"]
-PRIORITIES = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"]
-
-
-def make_tpch(out: str) -> None:
-    rng = _rng()
-    # region / nation: tiny, one region with no nations
-    pq.write_table(pa.table({
-        "r_regionkey": pa.array([0, 1, 2], pa.int32()),
-        "r_name": pa.array(["AFRICA", "AMERICA", "EMPTYREGION"], pa.string()),
-    }), f"{out}/region.parquet")
-    pq.write_table(pa.table({
-        "n_nationkey": pa.array([0, 1, 2, 3], pa.int32()),
-        "n_name": pa.array(["N0", "N1", "N2", "N3"], pa.string()),
-        "n_regionkey": pa.array([0, 0, 1, 1], pa.int32()),
-    }), f"{out}/nation.parquet")
-
-    # customer: 120 rows; empty-string segment; customers w/o orders;
-    # acctbal ties and negatives; skew: half in BUILDING
-    n_cust = 120
-    ck = np.arange(n_cust, dtype=np.int64)
-    seg = np.array([SEGMENTS[0] if i < 60 else SEGMENTS[1 + i % 3]
-                    for i in range(n_cust)], dtype=object)
-    bal = np.where(ck % 10 == 0, -100.0, np.round(rng.uniform(0, 9999, n_cust), 2))
-    bal[5] = bal[6] = 1234.56  # exact ties
-    pq.write_table(pa.table({
-        "c_custkey": pa.array(ck),
-        "c_name": pa.array([f"Customer#{i:09d}" for i in ck], pa.string()),
-        "c_nationkey": pa.array((ck % 4).astype(np.int32), pa.int32()),
-        "c_acctbal": pa.array(bal, pa.float64()),
-        "c_mktsegment": pa.array(list(seg), pa.string()),
-    }), f"{out}/customer.parquet")
-
-    # orders: 600 rows; orphan custkeys (>= n_cust); totalprice rounding
-    # ties (x.005 / x.995); orderdate exactly ON the Q3 cutoff; hot
-    # customer 7 owns 100 orders
-    n_ord = 600
-    ok = np.arange(n_ord, dtype=np.int64)
-    cust = rng.integers(0, n_cust + 20, n_ord).astype(np.int64)  # orphans
-    cust[:100] = 7  # hot key
-    price = np.round(rng.uniform(100, 200000, n_ord), 2)
-    price[:10] = [100.005, 99.995, 0.005, 0.0, 12345.675, 1.015, 2.025,
-                  3.035, 4.045, 5.055]  # tie-rule probes
-    dates = (np.datetime64("1996-01-01", "us")
-             + rng.integers(0, 1500, n_ord) * np.timedelta64(1, "D"))
-    dates[:5] = np.datetime64("1998-01-01", "us")  # exactly Q3_DATE
-    status = np.where(ok % 3 == 0, "F", "O").astype(object)
-    prio = np.array([PRIORITIES[i % 5] for i in ok], dtype=object)
-    prio[200:300] = "1-URGENT"  # urgent skew
-    pq.write_table(pa.table({
-        "o_orderkey": pa.array(ok),
-        "o_custkey": pa.array(cust),
-        "o_orderstatus": pa.array(list(status), pa.string()),
-        "o_totalprice": pa.array(price, pa.float64()),
-        "o_orderdate": pa.array(dates, pa.timestamp("us")),
-        "o_orderpriority": pa.array(list(prio), pa.string()),
-    }), f"{out}/orders.parquet")
-
-    # lineitem: 2000 rows; orphan orderkeys; shipdate ties at the cutoff;
-    # discount 0.0 and 1.0; price ties; hot orderkey 0 with 50 lines
-    n_li = 2000
-    lok = rng.integers(0, n_ord + 50, n_li).astype(np.int64)  # orphans
-    lok[:50] = 0
-    lprice = np.round(rng.uniform(900, 105000, n_li), 2)
-    lprice[:6] = [0.005, 100.005, 99.995, 0.0, 55.555, 1.005]
-    disc = np.round(rng.uniform(0, 0.1, n_li), 2)
-    disc[:4] = [0.0, 1.0, 0.005, 0.995]
-    ship = (np.datetime64("1996-06-01", "us")
-            + rng.integers(0, 1500, n_li) * np.timedelta64(1, "D"))
-    ship[:5] = np.datetime64("1998-01-01", "us")  # exactly Q3_DATE (excluded)
-    pq.write_table(pa.table({
-        "l_orderkey": pa.array(lok),
-        "l_partkey": pa.array(rng.integers(0, 60, n_li).astype(np.int64)),
-        "l_suppkey": pa.array(rng.integers(0, 10, n_li).astype(np.int64)),
-        "l_linenumber": pa.array((np.arange(n_li) % 7).astype(np.int32),
-                                 pa.int32()),
-        "l_quantity": pa.array(rng.integers(1, 50, n_li).astype(np.float64)),
-        "l_extendedprice": pa.array(lprice, pa.float64()),
-        "l_discount": pa.array(disc, pa.float64()),
-        "l_tax": pa.array(np.round(rng.uniform(0, 0.08, n_li), 2),
-                          pa.float64()),
-        "l_returnflag": pa.array([["A", "N", "R"][i % 3] for i in range(n_li)],
-                                 pa.string()),
-        "l_linestatus": pa.array([["F", "O"][i % 2] for i in range(n_li)],
-                                 pa.string()),
-        "l_shipdate": pa.array(ship, pa.timestamp("us")),
-    }), f"{out}/lineitem.parquet")
-
-    # part / supplier: small; duplicate names, empty type
-    n_part = 60
-    pk = np.arange(n_part, dtype=np.int64)
-    pq.write_table(pa.table({
-        "p_partkey": pa.array(pk),
-        "p_name": pa.array(["dup widget"] * 5
-                           + [f"part {i}" for i in range(n_part - 5)],
-                           pa.string()),
-        "p_brand": pa.array([f"Brand#{i % 3}" for i in pk], pa.string()),
-        "p_type": pa.array(["ECONOMY", "", "STANDARD"][0:1] * n_part,
-                           pa.string()),
-        "p_size": pa.array((pk % 50).astype(np.int32), pa.int32()),
-        "p_retailprice": pa.array(np.round(900 + pk * 0.1, 2), pa.float64()),
-    }), f"{out}/part.parquet")
-    pq.write_table(pa.table({
-        "s_suppkey": pa.array(np.arange(10, dtype=np.int64)),
-        "s_name": pa.array([f"Supplier#{i}" for i in range(10)], pa.string()),
-        "s_nationkey": pa.array((np.arange(10) % 4).astype(np.int32),
-                                pa.int32()),
-        "s_acctbal": pa.array(np.round(np.linspace(-10, 5000, 10), 2),
-                              pa.float64()),
-    }), f"{out}/supplier.parquet")
-
-
 def fragment(out: str, n_frags: int = 3) -> None:
     """Rewrite every table as a DIRECTORY of ``n_frags`` parquet fragments
     with rows dealt round-robin — the multi-file layout a real 100 TB
@@ -355,7 +242,6 @@ def main(out: str = "/tmp/sfadv", fragments: bool = False) -> None:
     make_documents(out)
     make_embeddings(out)
     make_events(out)
-    make_tpch(out)
     if fragments:
         fragment(out)
     print(f"wrote adversarial tables to {out}"

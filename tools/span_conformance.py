@@ -1,4 +1,4 @@
-"""Span-level conformance harness (VERDICT round-1 item 3).
+"""Span-level conformance harness.
 
 For every GSC+ document, compare OUR (start, end, hpo) mention spans from
 ``annotate_text`` against the expert gold annotation files

@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True)
     ap.add_argument("--models-dir", default=f"{REF}/models")
     ap.add_argument("--no-sgns", action="store_true",
-                    help="hash-trigram embeddings (the round-3 recipe)")
+                    help="hash-trigram embeddings")
     ap.add_argument("--sgns-epochs", type=int, default=8)
     ap.add_argument("--sgns-dim", type=int, default=100)
     ap.add_argument("--epochs", type=int, default=30)

@@ -9,17 +9,18 @@ With query names given, only those queries are checked.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import pandas as pd
 import ray
 
-TABLES = [
-    "region", "nation", "customer", "supplier", "part", "orders",
-    "lineitem", "events", "documents", "embeddings",
-]
+# the tables the oracles read; the phenotype queries read only documents
+# (the turns are synthesized from it in SQL, see phenobert_ray/transcripts.py)
+TABLES = ["events", "documents", "embeddings"]
 
 
 def to_df(res) -> pd.DataFrame:
@@ -35,8 +36,8 @@ def to_df(res) -> pd.DataFrame:
             # Ray's to_pandas drops the columns of ANY zero-row Dataset,
             # even a schema-carrying one (typed_result); rebuild the typed
             # empty frame from the dataset schema so a legitimately-empty
-            # result (zero near-dup pairs) compares against its oracle on
-            # columns, not on a column-less frame (review r4 w9)
+            # result (zero co-occurring pairs) compares against its
+            # oracle on columns, not on a column-less frame
             sch = res.schema()
             base = getattr(sch, "base_schema", None)
             if isinstance(base, pa.Schema):
@@ -72,24 +73,38 @@ def value_hash(df: pd.DataFrame) -> str:
     return h.hexdigest()[:16]
 
 
-def main(sf_dir: str, only: list[str] | None = None) -> int:
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False)
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as E
-
+def connect(sf_dir: str) -> duckdb.DuckDBPyConnection:
+    """DuckDB connection with every table the oracles read registered as
+    a view over ``sf_dir``.  A table may be ONE file or a DIRECTORY of
+    fragments (the 100 TB layout, exercised by make_adversarial_sf.py
+    --fragments)."""
     con = duckdb.connect()
     for t in TABLES:
-        # a table may be ONE file or a DIRECTORY of fragments (the 100 TB
-        # layout, exercised by make_adversarial_sf.py --fragments)
-        import os as _os
-
         p = f"{sf_dir}/{t}.parquet"
-        src = f"{p}/*.parquet" if _os.path.isdir(p) else p
+        src = f"{p}/*.parquet" if os.path.isdir(p) else p
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{src}')"
         )
+    return con
 
+
+def compare(mine: pd.DataFrame, oracle: pd.DataFrame) -> bool:
+    """Row count, column names and order-insensitive value hash agree
+    (both frames already passed through ``canon``)."""
+    return (
+        len(mine) == len(oracle)
+        and list(mine.columns) == list(oracle.columns)
+        and value_hash(mine) == value_hash(oracle)
+    )
+
+
+def main(sf_dir: str, only: list[str] | None = None) -> int:
+    if not ray.is_initialized():
+        ray.init(address="local", num_cpus=8, include_dashboard=False)
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    import __ray_entry__ as E
+
+    con = connect(sf_dir)
     qs, os_ = E.queries(), E.oracle_sql()
     if only:
         unknown = [k for k in only if k not in qs]
@@ -118,34 +133,32 @@ def main(sf_dir: str, only: list[str] | None = None) -> int:
             print(f"FAIL  {name}: oracle raised {exc}")
             failures += 1
             continue
-        ok_rows = len(mine) == len(oracle)
-        ok_cols = list(mine.columns) == list(oracle.columns)
-        ok_hash = ok_rows and ok_cols and value_hash(mine) == value_hash(oracle)
-        if ok_hash:
-            print(f"PASS  {name}: rows={len(mine)} [{time.time()-t0:.1f}s]")
-        else:
-            failures += 1
-            print(
-                f"FAIL  {name}: rows {len(mine)}/{len(oracle)} cols "
-                f"{list(mine.columns)}/{list(oracle.columns)}"
-            )
-            if ok_rows and ok_cols:
-                # value_hash is dtype-sensitive on purpose (mirrors the
-                # driver); distinguish a genuine value diff from a
-                # float32-vs-float64 / Int64-vs-int64 representation diff
-                m64, o64 = mine.copy(), oracle.copy()
-                for c in m64.columns:
-                    if m64[c].dtype.kind in "fiu" or o64[c].dtype.kind in "fiu":
-                        m64[c] = m64[c].astype("float64")
-                        o64[c] = o64[c].astype("float64")
-                if value_hash(m64) == value_hash(o64):
-                    print("  (values EQUAL after dtype normalization — "
-                          "dtype-only mismatch; align the Ray output dtype "
-                          "with the oracle)")
-                neq = (mine != oracle) & ~(mine.isna() & oracle.isna())
-                bad = neq.any(axis=1)
-                print(mine[bad].head(5))
-                print(oracle[bad].head(5))
+        if compare(mine, oracle):
+            print(f"PASS  {name}: rows={len(mine)} hash={value_hash(mine)} "
+                  f"[{time.time()-t0:.1f}s]")
+            continue
+        failures += 1
+        print(
+            f"FAIL  {name}: rows {len(mine)}/{len(oracle)} cols "
+            f"{list(mine.columns)}/{list(oracle.columns)}"
+        )
+        if len(mine) == len(oracle) and list(mine.columns) == list(oracle.columns):
+            # value_hash is dtype-sensitive on purpose (mirrors the
+            # driver); distinguish a genuine value diff from a
+            # float32-vs-float64 / Int64-vs-int64 representation diff
+            m64, o64 = mine.copy(), oracle.copy()
+            for c in m64.columns:
+                if m64[c].dtype.kind in "fiu" or o64[c].dtype.kind in "fiu":
+                    m64[c] = m64[c].astype("float64")
+                    o64[c] = o64[c].astype("float64")
+            if value_hash(m64) == value_hash(o64):
+                print("  (values EQUAL after dtype normalization — "
+                      "dtype-only mismatch; align the Ray output dtype "
+                      "with the oracle)")
+            neq = (mine != oracle) & ~(mine.isna() & oracle.isna())
+            bad = neq.any(axis=1)
+            print(mine[bad].head(5))
+            print(oracle[bad].head(5))
     ray.shutdown()
     return failures
 
