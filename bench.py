@@ -43,6 +43,41 @@ def _cpus() -> int:
                               str(len(os.sched_getaffinity(0)))))
 
 
+def _host_stamp() -> dict:
+    """The host and versions a result was measured on: CPUs of the
+    affinity mask, ``os.cpu_count()``, ``OMP_NUM_THREADS``, memory,
+    Ray/pyarrow/numpy versions and the checkout's git SHA."""
+    import platform
+
+    import numpy
+    import pyarrow
+    import ray
+
+    mem_mb = None
+    with open("/proc/meminfo") as f:
+        for line in f:
+            if line.startswith("MemTotal:"):
+                mem_mb = int(line.split()[1]) // 1024
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+        ).stdout.strip() or None
+    except OSError:
+        sha = None
+    return {
+        "cpus": len(os.sched_getaffinity(0)),
+        "os_cpu_count": os.cpu_count(),
+        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
+        "mem_total_mb": mem_mb,
+        "python": platform.python_version(),
+        "ray": ray.__version__,
+        "pyarrow": pyarrow.__version__,
+        "numpy": numpy.__version__,
+        "git_sha": sha,
+    }
+
+
 def _replicate() -> int:
     return int(os.environ.get("GRAFT_BENCH_REPLICATE", "20"))
 
@@ -1789,7 +1824,8 @@ def main() -> None:
             ray.init(address="local", num_cpus=_cpus(), include_dashboard=False)
         r = runner(int(os.environ.get(env, str(default))))
         print(json.dumps({"metric": metric, "value": r[rate_key],
-                          "unit": unit, **r, "num_cpus": _cpus()}))
+                          "unit": unit, **r, "num_cpus": _cpus(),
+                          "host": _host_stamp()}))
         ray.shutdown()
         if not r["validated"]:
             sys.exit(1)
@@ -1844,6 +1880,7 @@ def main() -> None:
                     f"samples_{hi}": all_samples[hi],
                     "turns": results[hi]["turns"],
                     "sf": _sf_dir(),
+                    "host": _host_stamp(),
                 }
             )
         )
@@ -1868,6 +1905,7 @@ def main() -> None:
                 "num_cpus": _cpus(),
                 "turns": head["turns"],
                 "turns_per_sec": round(head["turns_per_sec"], 1),
+                "host": _host_stamp(),
             }
         )
     )

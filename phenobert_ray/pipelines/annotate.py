@@ -20,7 +20,7 @@ from ..config import PipelineConfig
 from ..stages.annotate import annotate_turns
 from ..state.sharded import run_sharded, shard_content_hash
 from ..transcripts import synthesize_turns_batch
-from .triples import has_phenotype_triples, is_a_triples, materialize_triples
+from .triples import has_phenotype_triples, materialize_triples, write_is_a
 
 
 def annotations_from_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
@@ -59,8 +59,7 @@ def _run_shards(shard_specs, make_turns, out_dir, dag, cfg) -> dict:
 
         tmp_dir = isa_dir + ".tmp"
         shutil.rmtree(tmp_dir, ignore_errors=True)
-        os.makedirs(out_dir, exist_ok=True)
-        is_a_triples(dag).write_parquet(tmp_dir)
+        write_is_a(dag, tmp_dir)
         if os.path.isfile(isa_marker):
             os.remove(isa_marker)
         shutil.rmtree(isa_dir, ignore_errors=True)

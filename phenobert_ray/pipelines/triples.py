@@ -429,10 +429,10 @@ def ancestor_rollup(annotations_ds, dag: HpoDag, cfg: PipelineConfig | None = No
     )
 
 
-def is_a_triples(dag: HpoDag):
-    """Ontology edges as triples — small table built driver-side."""
+def is_a_table(dag: HpoDag) -> pa.Table:
+    """Ontology edges as a ``TRIPLES_SCHEMA`` table, built driver-side."""
     edges = dag.is_a_edges()
-    tbl = pa.Table.from_arrays(
+    return pa.Table.from_arrays(
         [
             pa.array([c for c, _ in edges], pa.string()),
             pa.array(["is_a"] * len(edges), pa.string()),
@@ -442,7 +442,23 @@ def is_a_triples(dag: HpoDag):
         ],
         schema=TRIPLES_SCHEMA,
     )
-    return ray.data.from_arrow(tbl)
+
+
+def is_a_triples(dag: HpoDag):
+    """Ontology edges as a Dataset (for ``union`` with has_phenotype)."""
+    return ray.data.from_arrow(is_a_table(dag))
+
+
+def write_is_a(dag: HpoDag, out_dir: str) -> None:
+    """Write the is_a table as one parquet file under ``out_dir`` with a
+    single pyarrow write: the table is already on the driver, so a Ray
+    Data write would only add a full execution around the same bytes."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    os.makedirs(out_dir, exist_ok=True)
+    pq.write_table(is_a_table(dag), os.path.join(out_dir, "is_a.parquet"))
 
 
 def materialize_triples(annotations_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
@@ -465,4 +481,4 @@ def write_kg(annotations_ds, dag: HpoDag, out_dir: str,
     has_phenotype_triples(annotations_ds, cfg).write_parquet(
         os.path.join(out_dir, "has_phenotype")
     )
-    is_a_triples(dag).write_parquet(os.path.join(out_dir, "is_a"))
+    write_is_a(dag, os.path.join(out_dir, "is_a"))

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assets.hpo_dag import HpoDag
+from .assets.hpo_dag import ROOT, HpoDag
 from .candidates import Candidate
 from .config import PipelineConfig
 
@@ -279,6 +279,14 @@ def load_torch_scorer(model_dir: str, dag: HpoDag, cfg: PipelineConfig):
       deterministic subword hash at the models' embedding width.
     - ``embedding.pt`` + ``vocab.txt`` only: the loaded table drives the
       stand-in scorer's control flow (LoadedEmbeddingCache).
+
+    A ``DAG.json`` beside ``l1.pt`` names the ontology the CNN/BERT
+    checkpoints were fit against.  It is reused as ``dag`` itself when its
+    node table equals ``dag.nodes`` (and ``dag`` is rooted at HP:0000118):
+    the scorer reads only node-derived fields (``layer1``, ``descendants``,
+    ``abnormality``, ``parents``, ``name_of``), so equal node tables give
+    identical scorer state.  Otherwise a separate ``HpoDag`` is built from
+    it for the scorer.
     """
     import os
 
@@ -293,15 +301,18 @@ def load_torch_scorer(model_dir: str, dag: HpoDag, cfg: PipelineConfig):
         # a DAG.json written by train_np.train_all pins the exact ontology
         # the checkpoints were fit against (layer1 order and member sets
         # are POSITIONAL in l1.pt / H0); the surrounding pipeline's dag
-        # keeps driving dictionary matching
+        # keeps driving dictionary matching.  The scorer reads only
+        # node-derived fields, so when DAG.json holds the pipeline's own
+        # node table (``-m builtin`` over the shipped ontology) that dag
+        # is reused instead of built a second time.
         dag_json = os.path.join(model_dir, "DAG.json")
         if os.path.exists(dag_json):
             import json
 
-            from .assets.hpo_dag import HpoDag
-
             with open(dag_json, encoding="utf-8") as f:
-                dag = HpoDag(json.load(f))
+                nodes = json.load(f)
+            if dag.root != ROOT or nodes != dag.nodes:
+                dag = HpoDag(nodes)
 
         ft_path = os.path.join(model_dir, "fasttext.bin")
         if os.path.exists(ft_path):

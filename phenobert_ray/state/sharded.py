@@ -16,9 +16,10 @@ import os
 import shutil
 import time
 
-import ray
-
 from .manifest import prune_stale_shards, shard_done, write_manifest
+
+
+_MASK64 = (1 << 64) - 1
 
 
 def shard_content_hash(shard_dir: str, cols: list[str]) -> tuple[int, str]:
@@ -26,24 +27,32 @@ def shard_content_hash(shard_dir: str, cols: list[str]) -> tuple[int, str]:
     vectorized per-row hashes, so block order never matters.  Sum, not
     XOR: XOR cancels rows with even multiplicity ({R,R,S} ≡ {S}), and the
     per-row hash covers each column separately (hash_pandas_object over
-    the frame) so no string-join ambiguity ('a|b','c' vs 'a','b|c')."""
+    the frame) so no string-join ambiguity ('a|b','c' vs 'a','b|c').
+
+    The shard is read on the calling process with ``pyarrow.dataset``,
+    one record batch at a time (memory stays bounded by a batch), instead
+    of a Ray Data read whose blocks all came back to the driver anyway.
+    Hidden files (``.``/``_`` prefixes) are skipped, as Ray's reader
+    skips them.  The definition is unchanged, so manifests are too."""
     import numpy as np
     import pandas as pd
+    import pyarrow.dataset as pads
 
-    rows, h = 0, np.uint64(0)
+    rows, h = 0, 0
     if not os.path.isdir(shard_dir):  # zero-row write: Ray creates no dir
         return 0, f"{0:016x}"
-    for ref in (
-        ray.data.read_parquet(shard_dir).select_columns(cols).to_arrow_refs()
-    ):
-        t = ray.get(ref)
-        rows += t.num_rows
-        if t.num_rows:
-            df = t.to_pandas()
+    ds = pads.dataset(shard_dir, format="parquet")
+    if not ds.files:  # zero-row shard: run_sharded creates an empty dir
+        return 0, f"{0:016x}"
+    for batch in ds.to_batches(columns=cols):
+        rows += batch.num_rows
+        if batch.num_rows:
             hv = pd.util.hash_pandas_object(
-                df[cols], index=False).to_numpy(np.uint64)
-            h = h + hv.sum(dtype=np.uint64)  # uint64 wraps: sum mod 2^64
-    return rows, f"{int(h):016x}"
+                batch.to_pandas(), index=False).to_numpy(np.uint64)
+            # array sums wrap silently; the running total is a Python int
+            # masked to 64 bits, so it wraps too but without a warning
+            h = (h + int(hv.sum(dtype=np.uint64))) & _MASK64
+    return rows, f"{h:016x}"
 
 
 def run_sharded(shard_specs, build, out_dir: str, content_cols: list[str]) -> dict:

@@ -247,6 +247,40 @@ def test_content_hash_multiset_and_column_boundaries(tmp_path):
     assert shard_content_hash(str(tmp_path / "nope"), cols) == (0, "0" * 16)
 
 
+def test_content_hash_pinned(tmp_path):
+    """The manifest hash definition — per-row hash_pandas_object over the
+    columns, summed mod 2^64 — pinned as a literal over a fixed multi-file
+    shard, so no reader change can drift it; the 64-bit wrap is silent."""
+    import warnings
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from phenobert_ray.state.sharded import shard_content_hash
+
+    parts = [  # three files, one of them empty
+        [(f"c{i}:{i % 3}", "has_phenotype", f"HP:{1000 + 7 * i:07d}")
+         for i in range(40)],
+        [("c1:0", "has_phenotype", "HP:0001250"),
+         ("c1:0", "has_phenotype", "HP:0001250"),  # repeated row counts twice
+         ("a|b", "is_a", "c"), ("a", "is_a", "b|c")],
+        [],
+    ]
+    shard = tmp_path / "fixed"
+    shard.mkdir()
+    for k, rows in enumerate(parts):
+        pq.write_table(pa.table({
+            "subj": pa.array([r[0] for r in rows], pa.string()),
+            "pred": pa.array([r[1] for r in rows], pa.string()),
+            "obj": pa.array([r[2] for r in rows], pa.string()),
+            "score": pa.array([0.5] * len(rows), pa.float32()),
+        }), shard / f"part-{k}.parquet")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = shard_content_hash(str(shard), ["subj", "pred", "obj"])
+    assert got == (44, "4a545c6161fcb224")
+
+
 def test_empty_documents_input(mini, tmp_path):
     """A zero-row documents.parquet runs as one empty shard instead of a
     TypeError in the range arithmetic (review r4)."""

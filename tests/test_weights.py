@@ -368,3 +368,68 @@ def test_routed_candidate_clearing_no_threshold_is_dropped(mini, tmp_path):
     )
     # the dictionary hit survives; the routed-but-unscored junk is dropped
     assert {a.hpo_id for a in anns} == {"HP:0002373"}
+
+
+def _shipped():
+    import json
+    import os
+
+    from phenobert_ray.assets.hpo_dag import HpoDag
+    from phenobert_ray.assets.loader import trained_model_dir
+    from phenobert_ray.config import PipelineConfig
+
+    d = trained_model_dir()
+    with open(os.path.join(d, "DAG.json"), encoding="utf-8") as f:
+        dag = HpoDag(json.load(f))
+    # the CLI's -m builtin operating point
+    cfg = PipelineConfig(param1=0.95, param2=0.9, use_model_standins=True,
+                         model_dir=d)
+    return d, dag, cfg
+
+
+def _shipped_turns(dag) -> list[str]:
+    """Fixed turns over DAG.json names and synonyms, verbatim and perturbed
+    (dropped word, swapped words) so the CNN/BERT stack scores some."""
+    ids = sorted(dag.abnormality_nt)[::401]
+    out = []
+    for i, h in enumerate(ids):
+        node = dag.nodes[h]
+        name = dag.name_of[h]
+        syn = (node.get("synonym") or [name])[0]
+        words = name.split()
+        pert = " ".join(words[1:] if len(words) > 2 else words[::-1])
+        out.append(f"Patient {i} presented with {name.lower()}. "
+                   f"Mother reports {syn.lower()}; exam shows {pert.lower()}.")
+    return out
+
+
+def test_builtin_scorer_reuses_pipeline_ontology():
+    """-m builtin over the shipped ontology: DAG.json holds the pipeline's
+    own node table, so the scorer keeps the pipeline's dag object."""
+    from phenobert_ray.standins import load_torch_scorer
+
+    d, dag, cfg = _shipped()
+    assert load_torch_scorer(d, dag, cfg).dag is dag
+
+
+def test_builtin_scorer_with_other_ontology_builds_its_own(mini):
+    """With another dag (mini) the scorer still builds DAG.json's ontology
+    (l1.pt's class order is positional), and annotate_text gives identical
+    output with the reused dag and with that freshly built one."""
+    from phenobert_ray.linker import annotate_text
+    from phenobert_ray.standins import load_torch_scorer
+    from phenobert_ray.textops import bag_key, process_str
+
+    d, dag, cfg = _shipped()
+    fresh = load_torch_scorer(d, mini, cfg)
+    assert fresh.dag is not mini and fresh.dag is not dag
+    assert fresh.dag.layer1 == dag.layer1 and fresh.dag.layer1 != mini.layer1
+    reused = load_torch_scorer(d, dag, cfg)
+    assert reused.dag is dag
+
+    turns = _shipped_turns(dag)
+    got = [annotate_text(t, dag, scorer=reused) for t in turns]
+    assert got == [annotate_text(t, dag, scorer=fresh) for t in turns]
+    model_spans = [a for anns in got for a in anns
+                   if bag_key(process_str(a.mention)) not in dag.phrase2hpo]
+    assert sum(map(len, got)) > len(turns) and model_spans
