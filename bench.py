@@ -904,17 +904,18 @@ def run_index_scale(n_convs: int) -> dict:
 
 def run_skew_scale(n_turns: int) -> dict:
     """Hot-key regression: EVERY turn of the corpus belongs to ONE
-    conversation — the pathological skew the two-phase dedup exchange's
-    combiner story claims to absorb (stages/shuffle.py docstring; a naive
-    groupby(conv_id) would serialize the whole corpus into one reducer).
+    conversation — the pathological skew the dedup's per-block combiner
+    must absorb (pipelines/triples.py docstring; a naive groupby(conv_id)
+    would serialize the whole corpus into one reducer).
     Each turn carries the same dictionary mentions plus a turn-unique junk
     token (so the annotate memo never trivializes the workload), making
     the expected dedup result CLOSED-FORM: one row per non-negated
     distinct HPO, n_mentions = per-turn count × n_turns, first_turn 0,
     max_score 1.0 — a |vocab|-sized frame checked exactly driver-side.
-    What the regression pins distributed: per-block combiner collapse +
-    the composite-key exchange under total key skew, with driver RSS
-    reported to show nothing corpus-sized lands on one node."""
+    What the regression pins distributed: the Arrow combiner fused into
+    the annotate operator collapses each block to ≤ |vocab| rows, so the
+    single-block merge sees blocks × |vocab| rows, never the corpus; driver
+    RSS is reported to show nothing corpus-sized lands on one node."""
     import resource
 
     import numpy as np

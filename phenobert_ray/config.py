@@ -39,10 +39,6 @@ class PipelineConfig:
     # fails loudly instead of parking the pipeline forever.
     target_block_rows: int = 4096
 
-    # shuffle: bucket count for the two-phase dedup exchange (None → sized
-    # to the cluster, 4×cores; at 100 TB size so data/P ≈ 100-500 MB)
-    dedup_num_buckets: int | None = None
-
     # keep negated mentions out of has_phenotype triples (annotations keep
     # them with the Neg flag, like the reference TSV output util.py:1199-1209)
     triples_drop_negated: bool = True

@@ -2,8 +2,9 @@
 
 Lifecycle (SURVEY.md §3, re-expressed Ray-Data-first):
   driver builds/broadcasts the ontology asset →
-  ``read_parquet`` (column-pruned) → fused annotate actor pool
-  (``map_batches``) → two-phase (combiner + groupby) per-conv dedup shuffle →
+  ``read_parquet`` (column-pruned) → fused annotate operator
+  (``map_batches``) with the Arrow (conv_id, hpo_id) combiner in the same
+  task → one Arrow merge per shard (``repartition(1)``, no exchange) →
   triples ∪ is_a edges → partitioned parquet + lineage manifests.
 
 Everything is lazy/streaming until a sink consumes it.

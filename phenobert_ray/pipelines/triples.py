@@ -2,16 +2,18 @@
 
 Two triple families (SURVEY.md §1.2, FIXTURES.md §4):
 - ``has_phenotype``: one triple per distinct ``(conv_id, hpo_id)`` —
-  the per-conversation dedup shuffle of the north rule (set semantics of
-  the reference's per-doc HPO sets, eval_all.py:90-118).
+  the per-conversation dedup of the north rule (set semantics of the
+  reference's per-doc HPO sets, eval_all.py:90-118).
 - ``is_a``: the ontology's direct child→parent edges (broadcast-side, tiny).
 
-Scale notes: the dedup shuffle is a two-phase aggregate — a per-block
-combiner inside ``map_batches`` first collapses duplicates locally (hot HPO
-terms appearing in most turns of a conversation collapse before the
-exchange), then a ``groupby`` merges partials.  The groupby key is the
-composite ``(conv_id, hpo_id)`` so cardinality stays high and no single
-reducer sees a hot key; the combiner is what bounds skew from hot *rows*.
+Scale notes: the ``(conv_id, hpo_id)`` dedup is exchange-free.  A per-block
+distinct set is a mergeable summary, so an Arrow ``group_by`` combiner
+fused into the annotate operator collapses each block (a hot term in most
+turns of a conversation becomes one row per block), and one Arrow
+``group_by`` over a single ``repartition(1)`` block merges the partials.
+That block holds the distinct pairs of what is deduped — one input shard
+of a KG job — so ``num_shards`` bounds it.  The co-occurrence and IC
+operators below still use the bucketed ``two_phase_groupby`` exchange.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..assets.hpo_dag import HpoDag
@@ -62,62 +65,106 @@ TRIPLES_SCHEMA = pa.schema(
     ]
 )
 
+_PAIR = ["conv_id", "hpo_id"]
 
-def dedup_conv_hpo(annotations_ds, cfg: PipelineConfig | None = None,
-                   drop_negated: bool = True):
+# one row per (conv_id, hpo_id): the per-block partials and the merged
+# shard share it, so every block the dedup emits has one schema
+DEDUP_SCHEMA = pa.schema(
+    [
+        ("conv_id", pa.string()),
+        ("hpo_id", pa.string()),
+        ("first_turn", pa.int32()),
+        ("max_score", pa.float32()),
+        ("n_mentions", pa.int64()),
+    ]
+)
+
+
+def _pair_table(g: pa.Table, first: str, top: str, count: str) -> pa.Table:
+    """An Arrow ``group_by`` result under DEDUP_SCHEMA's names."""
+    return pa.Table.from_arrays(
+        [g[c] for c in (*_PAIR, first, top, count)], schema=DEDUP_SCHEMA)
+
+
+def _conv_hpo_partial(batch: pa.Table, drop_negated: bool = True) -> pa.Table:
+    """Per-block combiner: ≤ one row per (conv_id, hpo_id) of the block.
+    Single-threaded ``group_by`` keeps first-seen key order, so a block's
+    output does not depend on Arrow's thread pool."""
+    if drop_negated:
+        batch = batch.filter(pc.invert(batch["negated"]))
+    g = batch.group_by(_PAIR, use_threads=False).aggregate(
+        [("turn_idx", "min"), ("score", "max"), ([], "count_all")])
+    return _pair_table(g, "turn_idx_min", "score_max", "count_all")
+
+
+def _conv_hpo_merge(batch: pa.Table) -> pa.Table:
+    """Merge of the partials: min of mins, max of maxes, sum of counts."""
+    g = batch.group_by(_PAIR, use_threads=False).aggregate(
+        [("first_turn", "min"), ("max_score", "max"), ("n_mentions", "sum")])
+    return _pair_table(g, "first_turn_min", "max_score_max", "n_mentions_sum")
+
+
+def _partials_gathered(annotations_ds, drop_negated: bool):
+    """The per-block partials of ``annotations_ds``, gathered into one block.
+
+    The combiner is a ``map_batches`` with default remote args, so Ray
+    fuses it into the annotate operator and each block leaves that task
+    already collapsed; ``repartition(1)`` then moves only partials."""
+    return annotations_ds.map_batches(
+        _conv_hpo_partial, batch_format="pyarrow",
+        fn_kwargs={"drop_negated": drop_negated},
+    ).repartition(1)
+
+
+def dedup_conv_hpo(annotations_ds, drop_negated: bool = True):
     """annotations → one row per (conv_id, hpo_id): min turn_idx, max score,
-    total mention count.
+    total mention count (DEDUP_SCHEMA), lazily.
 
-    Uses the two-phase bucketed exchange (stages/shuffle.py): Ray's native
-    ``groupby().aggregate()`` reduces per group in Python, which at ~1 group
-    per row (this workload) costs ~3× the whole annotate stage; the bucketed
-    combiner keeps both phases vectorized."""
-    from ..stages.shuffle import two_phase_groupby
+    Exchange-free: a per-block Arrow ``group_by`` combiner fused into the
+    annotate operator, then one Arrow ``group_by`` over the gathered
+    partials — no bucketed shuffle, no pandas.
 
-    pre = (lambda df: df[~df["negated"]]) if drop_negated else None
-    return two_phase_groupby(
-        annotations_ds.map_batches(
-            lambda b: b.select(["conv_id", "hpo_id", "turn_idx", "score", "negated"]),
-            batch_format="pyarrow",
-        ),
-        keys=["conv_id", "hpo_id"],
-        aggs={
-            "first_turn": ("turn_idx", "min", "min"),
-            "max_score": ("score", "max", "max"),
-            "n_mentions": (None, "size", "sum"),
-        },
-        num_buckets=(cfg.dedup_num_buckets if cfg else None),
-        pre_filter=pre,
+    Memory contract: the merge holds the distinct pairs of the whole input
+    in one block — 2.6k-3k rows per shard of a four-shard, 20k-turn
+    kg_chat job (~11k for the whole job).  ``run_kg_job`` dedups one input
+    shard at a time, so ``num_shards`` sizes that block.
+    A zero-row input yields a typed zero-row result."""
+    from ..stages.shuffle import typed_result
+
+    merged = _partials_gathered(annotations_ds, drop_negated).map_batches(
+        _conv_hpo_merge, batch_format="pyarrow", batch_size=None)
+    return typed_result(merged, DEDUP_SCHEMA)
+
+
+def _to_triples(b: pa.Table) -> pa.Table:
+    """Deduped pairs → TRIPLES_SCHEMA rows; ``subj`` is
+    ``conv_id:first_turn``."""
+    subj = pc.binary_join_element_wise(
+        b["conv_id"], pc.cast(b["first_turn"], pa.string()), ":")
+    return pa.Table.from_arrays(
+        [subj, pa.repeat("has_phenotype", b.num_rows), b["hpo_id"],
+         b["max_score"], b["n_mentions"]],
+        schema=TRIPLES_SCHEMA,
     )
 
 
+def _merge_to_triples(b: pa.Table) -> pa.Table:
+    return _to_triples(_conv_hpo_merge(b))
+
+
 def has_phenotype_triples(annotations_ds, cfg: PipelineConfig | None = None):
+    """annotations → ``has_phenotype`` triples (TRIPLES_SCHEMA), one per
+    distinct (conv_id, hpo_id), lazily: the :func:`dedup_conv_hpo` plan
+    with the triple build in the merge task.  Same memory contract;
+    ``cfg.triples_drop_negated`` keeps negated mentions out.
+
+    Unlike :func:`dedup_conv_hpo`, no typed empty block is appended: a
+    zero-row result comes back column-less (Ray skips ``map_batches`` on
+    empty blocks), which the KG sink writes as an empty shard, and the
+    append costs every shard an extra union operator (35-100 ms measured)."""
     cfg = cfg or PipelineConfig()
-    deduped = dedup_conv_hpo(annotations_ds, cfg, drop_negated=cfg.triples_drop_negated)
-
-    def _to_triples(batch: pd.DataFrame) -> pa.Table:
-        # Arrow out, cast to TRIPLES_SCHEMA: pandas blocks here union'd
-        # with the Arrow is_a table gave the KG two block schemas
-        # (object vs string columns) — Ray warned on every run and
-        # downstream Arrow-only consumers saw mixed blocks
-        return pa.table(
-            {
-                "subj": pa.array(
-                    batch["conv_id"] + ":" + batch["first_turn"].astype(str),
-                    pa.string(),
-                ),
-                "pred": pa.array(["has_phenotype"] * len(batch), pa.string()),
-                "obj": pa.array(batch["hpo_id"], pa.string()),
-                "score": pa.array(
-                    batch["max_score"].astype("float32"), pa.float32()
-                ),
-                "n_mentions": pa.array(
-                    batch["n_mentions"].astype("int64"), pa.int64()
-                ),
-            }
-        )
-
-    return deduped.map_batches(_to_triples, batch_format="pandas")
+    return _partials_gathered(annotations_ds, cfg.triples_drop_negated).map_batches(
+        _merge_to_triples, batch_format="pyarrow", batch_size=None)
 
 
 def _distinct_conv_hpo_per_block(b: pa.Table) -> pa.Table:
@@ -285,8 +332,6 @@ def cooccurrence_pmi(annotations_ds, cfg: PipelineConfig | None = None):
         .groupby("bucket")
         .map_groups(fold, batch_format="pandas")
     ).materialize()  # consumed three ways below; annotate runs ONCE
-
-    import pyarrow.compute as pc
 
     def by_kind(k: int):
         def f(b: pa.Table) -> pa.Table:

@@ -1,7 +1,7 @@
 """Skew fixtures (FIXTURES.md §1): a hot conversation with 100× turns and
-one hot HPO term appearing in most turns — the bucketed two-phase dedup
-must stay correct (the per-block combiner collapses the hot key before the
-exchange; the bucket hash spreads conversations)."""
+one hot HPO term appearing in most turns — the dedup must stay correct
+(the per-block combiner collapses the hot key before the single-block
+merge sees it)."""
 
 import numpy as np
 import pandas as pd
@@ -50,20 +50,16 @@ def test_hot_conv_dedup_correct(mini, skewed_turns):
 
 
 def test_combiner_bounds_shuffle_rows(mini, skewed_turns):
-    """The partial phase emits ≤ one row per key per block, so the exchange
+    """The partial phase emits ≤ one row per key per block, so the merge
     never carries the hot conversation's 2,000 raw mention rows."""
-    import pandas as pd
     import pyarrow as pa
+
+    from phenobert_ray.pipelines.triples import _conv_hpo_partial
 
     anns = annotate_turns(skewed_turns, mini)
     raw = anns.count()
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        g = df.groupby(["conv_id", "hpo_id"], as_index=False).agg(n=("turn_idx", "size"))
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    shuffled_rows = anns.map_batches(partial, batch_format="pyarrow").count()
+    shuffled_rows = anns.map_batches(_conv_hpo_partial,
+                                     batch_format="pyarrow").count()
     n_blocks = anns.map_batches(
         lambda b: pa.table({"one": [1]}), batch_format="pyarrow"
     ).count()
