@@ -133,31 +133,35 @@ def amplified_turns(sf_dir: str, replicate: int):
 
 
 def run_headline(sf_dir: str, replicate: int, passes: int = 3) -> dict:
-    """The flagship KG build: turns → annotate → dedupe shuffle → triples →
-    parquet sink.  Returns timing + row counts."""
+    """The flagship KG build: ``run_kg_job`` over the amplified turns
+    (annotate → per-shard dedup → triples → resumable parquet sink), one
+    shard per pass.  The turns are written to parquet once, untimed; each
+    pass builds the KG into a fresh out dir.  Returns timing + row counts."""
     import shutil
 
-    import ray
+    import pyarrow.dataset as pads
 
     from phenobert_ray.assets.mini_hpo import mini_dag
-    from phenobert_ray.pipelines.triples import write_kg
+    from phenobert_ray.pipelines.annotate import run_kg_job
     from phenobert_ray.stages.annotate import annotate_turns
 
     from phenobert_ray.config import PipelineConfig
 
-    out = "/tmp/bench_triples"
+    turns_dir, out = "/tmp/bench_turns", "/tmp/bench_triples"
     dag = mini_dag()
-    # Ray bundles the fused amplify→synthesize→annotate chain by INPUT rows
-    # of the chain (= base doc rows).  A/B-measured in one session at 32
-    # cpus: batch 128 (≈40 tasks) edges out 256 (≈20 tasks) 40-41k vs
-    # 36-43k turns/s, while 52 (≈96 small tasks) LOSES 25% to per-task
+    # A/B-measured at 32 cpus on the earlier in-memory
+    # amplify→synthesize→annotate chain (Ray bundles a fused chain by its
+    # input rows): batch 128 (≈40 tasks) edged out 256 (≈20 tasks) 40-41k
+    # vs 36-43k turns/s, while 52 (≈96 small tasks) LOST 25% to per-task
     # overhead — fewer, bigger tasks win once the kernel is fast.
     cfg = PipelineConfig(annotate_batch_size=128)
     # warmup: spin up worker processes + imports on every core so the
     # measurement reflects steady-state throughput, not cold start
     annotate_turns(amplified_turns(sf_dir, 1), dag, cfg).count()
-    turns = amplified_turns(sf_dir, replicate)
-    n_turns = turns.count()
+    # one file per block of the amplified turns, so the read fans out
+    shutil.rmtree(turns_dir, ignore_errors=True)
+    amplified_turns(sf_dir, replicate).write_parquet(turns_dir)
+    n_turns = pads.dataset(turns_dir).count_rows()
     # multi-pass: shared hosts show multi-x external CPU-pressure spikes.
     # The headline metric is the MEDIAN pass (robust to a single spike
     # without the optimistic bias of best-of-N); all samples are persisted
@@ -168,8 +172,9 @@ def run_headline(sf_dir: str, replicate: int, passes: int = 3) -> dict:
     for _ in range(passes):
         shutil.rmtree(out, ignore_errors=True)
         t0 = time.time()
-        write_kg(annotate_turns(amplified_turns(sf_dir, replicate), dag, cfg), dag, out)
+        run_kg_job(turns_dir, out, dag, cfg, num_shards=1)
         samples.append(time.time() - t0)
+    shutil.rmtree(turns_dir, ignore_errors=True)
     srt = sorted(samples)
     dt = srt[len(srt) // 2] if len(srt) % 2 else sum(srt[len(srt) // 2 - 1:len(srt) // 2 + 1]) / 2
     return {

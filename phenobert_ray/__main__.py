@@ -3,6 +3,10 @@
 Mirrors the reference's flags (annotate.py:15-30): ``-i/-o`` input/output,
 ``-p1/-p2/-p3`` thresholds, ``-al`` keep-overlaps, ``-nb`` no-BERT — plus
 engine flags for dictionary asset, sharded resumable runs and output format.
+``--output-format kg`` (the default) runs ``pipelines.annotate.run_kg_job``
+for every ``--input-format`` and writes one layout: ``shard=K/`` triples,
+``_MANIFEST/shard-K.json`` lineage, ``ontology/`` is_a edges; a re-run into
+the same directory skips finished shards.
 Designed to run under ``ray job submit -- python -m phenobert_ray ...`` on a
 cluster; locally it owns the Ray session (guarded init).
 
@@ -121,7 +125,6 @@ def main(argv=None) -> int:
         ray.init(address="local", include_dashboard=False)
 
     from .config import PipelineConfig
-    from .stages.annotate import annotate_turns
 
     cfg = PipelineConfig(
         param1=args.p1, param2=args.p2, param3=args.p3,
@@ -137,50 +140,27 @@ def main(argv=None) -> int:
     dag = load_dag(args)
     t0 = time.time()
 
-    if args.input_format == "textdir":
-        from .sources.loaders import read_text_dir_as_turns
-
-        turns = ray.data.from_arrow(read_text_dir_as_turns(args.input))
-    elif args.input_format == "jsonl":
-        from .sources.loaders import read_turns_jsonl
-        from .stages.shuffle import drop_null_rows
-
-        turns = drop_null_rows(read_turns_jsonl(args.input),
-                               columns=["conv_id", "turn_idx", "text"])
-    else:
-        from .stages.shuffle import drop_null_rows
-
-        # the engine-wide read-boundary null contract: only the
-        # load-bearing turn columns may drop a row (run_kg_job applies
-        # this internally; the direct parquet/tsv output paths read the
-        # turns here and must apply it too — a NULL text otherwise
-        # crashes the annotate kernel on one bad row)
-        turns = drop_null_rows(ray.data.read_parquet(args.input),
-                               columns=["conv_id", "turn_idx", "text"])
-
     if args.output_format == "kg":
-        if args.input_format in ("textdir", "jsonl"):
-            # the resumable sharded runner shards by PARQUET fragment —
-            # non-parquet inputs run as one streaming (unsharded) job
-            from .pipelines.triples import write_kg
+        from .pipelines.annotate import run_kg_job
 
-            write_kg(annotate_turns(turns, dag, cfg), dag, args.output, cfg)
-            stats = {"mode": f"kg (unsharded: {args.input_format} input)"}
-        else:
-            from .pipelines.annotate import run_kg_job
-
-            stats = run_kg_job(args.input, args.output, dag, cfg,
-                               num_shards=args.shards)
-    elif args.output_format == "parquet":
-        from .sources.writers import write_annotations_parquet
-
-        write_annotations_parquet(annotate_turns(turns, dag, cfg), args.output)
-        stats = {"mode": "annotations parquet"}
+        stats = run_kg_job(args.input, args.output, dag, cfg,
+                           num_shards=args.shards,
+                           input_format=args.input_format)
     else:
-        from .sources.writers import write_annotations_tsv
+        from .pipelines.annotate import read_turns_input
+        from .stages.annotate import annotate_turns
 
-        n = write_annotations_tsv(annotate_turns(turns, dag, cfg), args.output)
-        stats = {"mode": "tsv", "files": n}
+        ann = annotate_turns(read_turns_input(args.input, args.input_format),
+                             dag, cfg)
+        if args.output_format == "parquet":
+            from .sources.writers import write_annotations_parquet
+
+            write_annotations_parquet(ann, args.output)
+            stats = {"mode": "annotations parquet"}
+        else:
+            from .sources.writers import write_annotations_tsv
+
+            stats = {"mode": "tsv", "files": write_annotations_tsv(ann, args.output)}
 
     print(f"done in {time.time() - t0:.1f}s: {stats} -> {args.output}")
     if owns_session:

@@ -37,7 +37,6 @@ class PipelineConfig:
     # pool would provision them — set True there; on a
     # fixed-size GPU-less cluster leave False so an infeasible num_gpus
     # fails loudly instead of parking the pipeline forever.
-    target_block_rows: int = 4096
 
     # keep negated mentions out of has_phenotype triples (annotations keep
     # them with the Neg flag, like the reference TSV output util.py:1199-1209)

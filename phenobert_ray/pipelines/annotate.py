@@ -7,7 +7,8 @@ Lifecycle (SURVEY.md §3, re-expressed Ray-Data-first):
   task → one Arrow merge per shard (``repartition(1)``, no exchange) →
   triples ∪ is_a edges → partitioned parquet + lineage manifests.
 
-Everything is lazy/streaming until a sink consumes it.
+Everything is lazy/streaming until a sink consumes it.  ``run_kg_job`` is
+the one KG writer, for every input format.
 """
 
 from __future__ import annotations
@@ -19,17 +20,45 @@ import ray
 from ..assets.hpo_dag import HpoDag
 from ..config import PipelineConfig
 from ..stages.annotate import annotate_turns
-from ..state.sharded import run_sharded, shard_content_hash
-from ..transcripts import synthesize_turns_batch
+from ..state.sharded import run_sharded
 from .triples import has_phenotype_triples, materialize_triples, write_is_a
-
-
-def annotations_from_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
-    return annotate_turns(turns_ds, dag, cfg)
 
 
 def kg_from_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
     return materialize_triples(annotate_turns(turns_ds, dag, cfg), dag, cfg)
+
+
+def read_turns_input(src, input_format: str = "parquet"):
+    """Turns Dataset from ``src``: a parquet file/dir (or fragment list), a
+    jsonl file/dir (or file list), or a directory of text files.  Parquet
+    and jsonl apply the read-boundary null contract: only the load-bearing
+    turn columns may drop a row (a NULL text otherwise crashes the annotate
+    kernel on one bad row)."""
+    from ..stages.shuffle import drop_null_rows
+
+    if input_format == "textdir":
+        from ..sources.loaders import read_text_dir_as_turns
+
+        return ray.data.from_arrow(read_text_dir_as_turns(src))
+    if input_format == "jsonl":
+        from ..sources.loaders import read_turns_jsonl
+
+        ds = read_turns_jsonl(src)
+    else:
+        ds = ray.data.read_parquet(src)
+    return drop_null_rows(ds, columns=["conv_id", "turn_idx", "text"])
+
+
+def _input_files(path: str, input_format: str) -> list[str]:
+    """The files a textdir/jsonl input is read from: every entry of a text
+    directory (as ``read_text_dir_as_turns`` lists it), or the visible
+    files under a jsonl directory (Ray's reader skips ``.``/``_`` names)."""
+    if os.path.isfile(path):
+        return [path]
+    if input_format == "textdir":
+        return [os.path.join(path, n) for n in sorted(os.listdir(path))]
+    return sorted(os.path.join(d, n) for d, _, names in os.walk(path)
+                  for n in names if not n.startswith((".", "_")))
 
 
 def _job_identity(dag: HpoDag, cfg: PipelineConfig) -> str:
@@ -44,10 +73,39 @@ def _job_identity(dag: HpoDag, cfg: PipelineConfig) -> str:
     return "|".join(str(x) for x in sem)
 
 
-def _run_shards(shard_specs, make_turns, out_dir, dag, cfg) -> dict:
-    """KG-specific wrapper over the generic resumable sharded writer
-    (state/sharded.run_sharded): adds the write-then-rename ontology dir."""
-    job_id = _job_identity(dag, cfg)
+def shard_fragments(frags: list[str], num_shards: int):
+    """Group input fragments round-robin into shard specs."""
+    groups: list[list[str]] = [[] for _ in range(num_shards)]
+    for i, p in enumerate(sorted(frags)):
+        groups[i % num_shards].append(p)
+    return [(g, "", None) for g in groups if g]
+
+
+def run_kg_job(
+    turns_path: str,
+    out_dir: str,
+    dag: HpoDag,
+    cfg: PipelineConfig | None = None,
+    num_shards: int = 4,
+    input_format: str = "parquet",
+) -> dict:
+    """Resumable KG build: ``out_dir/shard=K/`` has_phenotype triples with
+    ``_MANIFEST/shard-K.json`` lineage per shard (state/sharded.run_sharded),
+    and the is_a edges in ``ontology/`` + ``ontology.fingerprint``.
+
+    Parquet input (input_hint schema) shards by fragment, so a single-file
+    input runs as one shard.  ``textdir`` and ``jsonl`` input run as one
+    shard whose input paths are the files the loader reads, so an edited
+    file re-runs it."""
+    cfg = cfg or PipelineConfig()
+    if input_format == "parquet":
+        import pyarrow.dataset as pads
+
+        frags = [f.path for f in pads.dataset(turns_path).get_fragments()]
+        specs = shard_fragments(frags, min(num_shards, len(frags)))
+    else:
+        specs = [(_input_files(turns_path, input_format), input_format, None)]
+
     isa_dir = os.path.join(out_dir, "ontology")
     # marker lives BESIDE the parquet dir (directory readers must see only
     # parquet inside), and is written only after the rename lands — a kill
@@ -70,126 +128,11 @@ def _run_shards(shard_specs, make_turns, out_dir, dag, cfg) -> dict:
         os.replace(isa_marker + ".tmp", isa_marker)
 
     def build(paths, expr):
-        return has_phenotype_triples(annotate_turns(make_turns(paths, expr), dag, cfg), cfg)
+        # the text-dir loader lists its directory itself
+        src = turns_path if input_format == "textdir" else paths
+        turns = read_turns_input(src, input_format)
+        return has_phenotype_triples(annotate_turns(turns, dag, cfg), cfg)
 
-    specs = [(paths, f"{spec}|job:{job_id}", expr)
-             for paths, spec, expr in shard_specs]
-    return run_sharded(specs, build, out_dir,
-                       content_cols=["subj", "pred", "obj"])
-
-
-def shard_fragments(frags: list[str], num_shards: int):
-    """Group input fragments round-robin into shard specs."""
-    groups: list[list[str]] = [[] for _ in range(num_shards)]
-    for i, p in enumerate(sorted(frags)):
-        groups[i % num_shards].append(p)
-    return [(g, "", None) for g in groups if g]
-
-
-def run_kg_job(
-    turns_path: str,
-    out_dir: str,
-    dag: HpoDag,
-    cfg: PipelineConfig | None = None,
-    num_shards: int = 4,
-) -> dict:
-    """Resumable KG build over an arbitrary turns parquet file/dir
-    (input_hint schema).  Shards by parquet fragment; a single-file input
-    runs as one shard."""
-    cfg = cfg or PipelineConfig()
-    import pyarrow.dataset as pads
-
-    frags = [f.path for f in pads.dataset(turns_path).get_fragments()]
-    specs = shard_fragments(frags, min(num_shards, len(frags)))
-
-    def make_turns(paths, expr):
-        from ..stages.shuffle import drop_null_rows
-
-        # null contract: only the load-bearing turn columns may drop a row
-        return drop_null_rows(ray.data.read_parquet(paths),
-                              columns=["conv_id", "turn_idx", "text"])
-
-    return _run_shards(specs, make_turns, out_dir, dag, cfg)
-
-
-def _doc_id_bounds(frags: list[str]) -> tuple[int, int]:
-    """min/max doc_id from parquet ROW-GROUP STATISTICS (footer metadata
-    only — never scans the column; the stats exist because parquet writers
-    emit them by default).  Falls back to a real column scan only for files
-    whose footer lacks min/max."""
-    import pyarrow.parquet as pq
-
-    mn = mx = None
-    for p in frags:
-        md = pq.ParquetFile(p).metadata
-        names = [md.schema.column(i).name for i in range(md.num_columns)]
-        ci = names.index("doc_id")
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(ci).statistics
-            if st is None or not st.has_min_max:
-                # statistics-less footer: ONE full-column scan covers the
-                # whole file, so stop iterating its row groups
-                import pyarrow.dataset as pads
-                import pyarrow.compute as pc_
-
-                col = pads.dataset(p).to_table(columns=["doc_id"]).column("doc_id")
-                lo, hi = pc_.min(col).as_py(), pc_.max(col).as_py()
-                if lo is None:  # zero-row / all-null file
-                    break
-            else:
-                lo, hi = st.min, st.max
-            mn = lo if mn is None else min(mn, lo)
-            mx = hi if mx is None else max(mx, hi)
-            if st is None or not st.has_min_max:
-                break
-    return mn, mx
-
-
-def run_job(
-    sf_dir: str,
-    out_dir: str,
-    dag: HpoDag,
-    cfg: PipelineConfig | None = None,
-    num_shards: int = 4,
-) -> dict:
-    """Resumable KG build over ``{sf_dir}/documents.parquet``-derived turns.
-
-    Input fragments are hashed into ``num_shards`` groups; each group runs as
-    its own streaming pipeline writing ``out_dir/shard=K/`` + a lineage
-    manifest.  A killed run resumes by skipping completed shards
-    (deterministic stages ⇒ identical triples; see tests/test_resume.py).
-    """
-    cfg = cfg or PipelineConfig()
-    import pyarrow.dataset as pads
-
-    src = pads.dataset(os.path.join(sf_dir, "documents.parquet"))
-    frags = sorted(f.path for f in src.get_fragments())
-
-    def make_turns(paths, expr):
-        from ..stages.shuffle import drop_null_rows
-
-        read_kwargs = {"columns": ["doc_id", "text"]}
-        if expr is not None:
-            read_kwargs["filter"] = expr
-        return drop_null_rows(
-            ray.data.read_parquet(paths, **read_kwargs)
-        ).map_batches(synthesize_turns_batch, batch_format="pyarrow")
-
-    # shard spec: groups of fragments when there are enough files (the 100 TB
-    # layout), else contiguous doc_id ranges within the single file (pushed
-    # down as a parquet read filter).
-    shard_specs: list[tuple[list[str], str, object]] = []
-    if len(frags) >= num_shards:
-        shard_specs = shard_fragments(frags, num_shards)
-    else:
-        mn, mx = _doc_id_bounds(frags)
-        if mn is None:  # zero-row input: one empty shard, not a TypeError
-            shard_specs = [(frags, "range:empty", None)]
-        else:
-            step = (mx - mn + num_shards) // num_shards
-            for k in range(num_shards):
-                a, b = mn + k * step, mn + (k + 1) * step
-                expr = (pads.field("doc_id") >= a) & (pads.field("doc_id") < b)
-                shard_specs.append((frags, f"range:{a}:{b}", expr))
-
-    return _run_shards(shard_specs, make_turns, out_dir, dag, cfg)
+    job_id = _job_identity(dag, cfg)
+    specs = [(paths, f"{spec}|job:{job_id}", expr) for paths, spec, expr in specs]
+    return run_sharded(specs, build, out_dir, content_cols=["subj", "pred", "obj"])

@@ -511,19 +511,7 @@ def materialize_triples(annotations_ds, dag: HpoDag, cfg: PipelineConfig | None 
 
     NOTE: ``union`` breaks streaming execution in Ray Data (the big side
     gets materialized / re-executed) — use this only where a single Dataset
-    result is required (driver correctness queries).  The production write
-    path (``write_kg``) writes the two families separately instead."""
+    result is required (driver correctness queries).  The KG writer
+    (``pipelines.annotate.run_kg_job``) writes the two families separately
+    instead."""
     return has_phenotype_triples(annotations_ds, cfg).union(is_a_triples(dag))
-
-
-def write_kg(annotations_ds, dag: HpoDag, out_dir: str,
-             cfg: PipelineConfig | None = None) -> None:
-    """Streaming KG sink: has_phenotype triples stream to
-    ``out_dir/has_phenotype/``; the (tiny, broadcast-side) is_a edge table
-    is written once to ``out_dir/is_a/``."""
-    import os
-
-    has_phenotype_triples(annotations_ds, cfg).write_parquet(
-        os.path.join(out_dir, "has_phenotype")
-    )
-    write_is_a(dag, os.path.join(out_dir, "is_a"))

@@ -4,10 +4,10 @@ operator output can be written resumably, per the brief's "Resumable
 output" requirement (one directory per input shard; a failed run skips
 finished partitions).
 
-A shard spec is ``(paths, spec, expr)`` — the input fragment group, a
-spec string folded into the fingerprint (e.g. a doc_id range), and an
-optional parquet filter expression.  ``build(paths, expr)`` returns the
-Dataset to write for that shard.
+A shard spec is ``(paths, spec, expr)`` — the input files, a spec string
+folded into the fingerprint (e.g. the KG job's input format and semantic
+identity), and an optional parquet filter expression.
+``build(paths, expr)`` returns the Dataset to write for that shard.
 """
 
 from __future__ import annotations

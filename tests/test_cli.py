@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from phenobert_ray.__main__ import main
 
 
@@ -72,7 +74,7 @@ def test_cli_custom_dict_matches_library(tmp_path, mini):
     assert main(["-i", str(corpus), "--input-format", "textdir",
                  "-o", out, "--output-format", "kg", "--dict", dict_path]) == 0
 
-    files = glob.glob(os.path.join(out, "has_phenotype", "*.parquet"))
+    files = glob.glob(os.path.join(out, "shard=*", "*.parquet"))
     trip = pads.dataset(files).to_table().to_pandas()
     got = {
         (s.rsplit(":", 1)[0], o) for s, o in zip(trip.subj, trip.obj)
@@ -205,3 +207,94 @@ def test_cli_jsonl_input_matches_parquet(tmp_path, sf_small):
     assert sorted(os.listdir(out_pq)) == sorted(os.listdir(out_jl))
     for name in os.listdir(out_pq):
         assert (out_pq / name).read_text() == (out_jl / name).read_text()
+
+
+def _kg_rows(out) -> int:
+    import glob
+
+    import pyarrow.dataset as pads
+
+    return pads.dataset(glob.glob(os.path.join(out, "shard=*", "*.parquet"))
+                        ).count_rows()
+
+
+def _kg_input(tmp_path, sf_small, input_format: str) -> str:
+    """The sf_small turns as a parquet dir, a jsonl dir, or (for textdir) a
+    directory of four text files."""
+    from phenobert_ray.sources.loaders import write_turns_jsonl
+    from phenobert_ray.transcripts import read_turns
+
+    d = tmp_path / f"in_{input_format}"
+    if input_format == "parquet":
+        read_turns(sf_small).write_parquet(str(d))
+    elif input_format == "jsonl":
+        write_turns_jsonl(read_turns(sf_small), str(d))
+    else:
+        d.mkdir()
+        for name, text in [
+                ("docA", "Patient shows febrile seizure today. No scoliosis."),
+                ("docB", "Broad thumbs and toes. Obesity present."),
+                ("docC", "Exam reveals scoliosis."),
+                ("docD", "nothing to report.")]:
+            (d / name).write_text(text)
+    return str(d)
+
+
+@pytest.mark.parametrize("input_format", ["parquet", "textdir", "jsonl"])
+def test_cli_kg_layout_and_rerun_skip(tmp_path, sf_small, capsys, input_format):
+    """--output-format kg writes one layout for every input format (shard
+    dirs, manifests, ontology/), and a second run into the same directory
+    is a full skip that leaves the rows unchanged (the textdir/jsonl sink
+    used to append a second copy of every triple)."""
+    from phenobert_ray.state.manifest import read_manifests
+
+    src = _kg_input(tmp_path, sf_small, input_format)
+    out = str(tmp_path / "kg")
+    argv = ["-i", src, "--input-format", input_format, "-o", out,
+            "--output-format", "kg", "--shards", "1"]
+    assert main(argv) == 0
+    (m,) = read_manifests(out)
+    rows = _kg_rows(out)
+    assert rows == m["row_count"] > 0
+    assert os.path.isdir(os.path.join(out, "ontology"))
+    assert os.path.isfile(os.path.join(out, "ontology.fingerprint"))
+    assert sorted(n for n in os.listdir(out) if n.startswith("shard=")) == ["shard=0"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "'shards_run': 0, 'shards_skipped': 1" in capsys.readouterr().out
+    assert _kg_rows(out) == rows
+    assert read_manifests(out) == [m]
+
+
+def test_cli_kg_textdir_edit_reruns(tmp_path, sf_small):
+    """A textdir shard is fingerprinted by the files the loader reads: an
+    edited file re-runs the shard and its triples follow the edit."""
+    import time
+
+    from phenobert_ray.state.manifest import read_manifests
+
+    src = _kg_input(tmp_path, sf_small, "textdir")
+    out = str(tmp_path / "kg")
+    argv = ["-i", src, "--input-format", "textdir", "-o", out]
+    assert main(argv) == 0
+    before = read_manifests(out)[0]["row_count"]
+    time.sleep(0.01)
+    with open(os.path.join(src, "docD"), "w") as f:
+        f.write("Patient has obesity.")
+    assert main(argv) == 0
+    assert read_manifests(out)[0]["row_count"] == before + 1
+
+
+def test_cli_kg_jsonl_matches_parquet(tmp_path, sf_small):
+    """The same turns as jsonl and as parquet input with --shards 1 give
+    the same manifest (row_count, content_hash)."""
+    from phenobert_ray.state.manifest import read_manifests
+
+    got = []
+    for fmt in ("parquet", "jsonl"):
+        out = str(tmp_path / f"kg_{fmt}")
+        assert main(["-i", _kg_input(tmp_path, sf_small, fmt),
+                     "--input-format", fmt, "-o", out, "--shards", "1"]) == 0
+        got.append([(m["row_count"], m["content_hash"])
+                    for m in read_manifests(out)])
+    assert got[0] == got[1] and got[0][0][0] > 0

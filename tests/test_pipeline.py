@@ -135,26 +135,28 @@ def test_streaming_no_materialize(mini, sf_small):
     assert ds.take(1)
 
 
-def test_write_kg_matches_union(mini, sf_small, tmp_path):
-    """The streaming sink (write_kg: separate triple families) produces the
-    same triple set as the single-Dataset union path."""
+def test_kg_job_sink_matches_union(mini, sf_small, tmp_path):
+    """The KG writer (run_kg_job: has_phenotype under shard=*/, is_a under
+    ontology/) holds the same triple set as the single-Dataset union path."""
     import glob
 
+    import pyarrow as pa
     import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
 
-    from phenobert_ray.pipelines.triples import write_kg
-    from phenobert_ray.stages.annotate import annotate_turns
+    from phenobert_ray.pipelines.annotate import run_kg_job
 
+    src = tmp_path / "turns"
+    src.mkdir()
+    turns = pa.concat_tables(ray.get(read_turns(sf_small).to_arrow_refs()))
+    for k in range(2):
+        pq.write_table(turns.slice(k * 250, 250), src / f"part-{k}.parquet")
     out = str(tmp_path / "kg")
-    write_kg(annotate_turns(read_turns(sf_small), mini), mini, out)
-    files = glob.glob(out + "/has_phenotype/*.parquet") + glob.glob(out + "/is_a/*.parquet")
-    written = (
-        pads.dataset(files).to_table(columns=["subj", "pred", "obj"]).to_pandas()
-    )
-    union = kg_from_turns(read_turns(sf_small), mini).to_pandas()[
-        ["subj", "pred", "obj"]
-    ]
+    run_kg_job(str(src), out, mini, num_shards=1)
+    files = glob.glob(out + "/shard=*/*.parquet") + glob.glob(out + "/ontology/*.parquet")
     key = ["subj", "pred", "obj"]
+    written = pads.dataset(files).to_table(columns=key).to_pandas()
+    union = kg_from_turns(read_turns(sf_small), mini).to_pandas()[key]
     pd.testing.assert_frame_equal(
         written.sort_values(key).reset_index(drop=True),
         union.sort_values(key).reset_index(drop=True),

@@ -5,10 +5,34 @@ import os
 import shutil
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+import ray
 
-from phenobert_ray.pipelines.annotate import run_job
+from phenobert_ray.pipelines.annotate import run_kg_job
 from phenobert_ray.state.manifest import read_manifests
+
+
+def _turns_table(sf_small) -> pa.Table:
+    from phenobert_ray.transcripts import read_turns
+
+    t = pa.concat_tables(ray.get(read_turns(sf_small).to_arrow_refs()))
+    return t.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+
+
+def _write_files(t: pa.Table, d, files: int) -> str:
+    """``t`` as ``files`` contiguous parquet files, so the shard count of a
+    run over ``d`` is fixed by ``num_shards`` alone."""
+    os.makedirs(d)
+    step = -(-t.num_rows // files)
+    for k in range(files):
+        pq.write_table(t.slice(k * step, step), os.path.join(d, f"part-{k}.parquet"))
+    return str(d)
+
+
+def _turns_dir(sf_small, tmp_path, files: int = 4) -> str:
+    return _write_files(_turns_table(sf_small), tmp_path / "turns", files)
 
 
 def _triples(out_dir):
@@ -25,32 +49,34 @@ def _triples(out_dir):
 
 
 def test_resume_identical(mini, sf_small, tmp_path):
+    src = _turns_dir(sf_small, tmp_path)
     full = str(tmp_path / "full")
-    run_job(sf_small, full, mini, num_shards=2)
+    run_kg_job(src, full, mini, num_shards=2)
     assert len(read_manifests(full)) == 2
     ref = _triples(full)
 
     # simulate a crash: run shard 0 only (kill before shard 1), then resume
     partial = str(tmp_path / "partial")
-    run_job(sf_small, partial, mini, num_shards=2)
+    run_kg_job(src, partial, mini, num_shards=2)
     # drop shard 1's output + manifest → the "crash"
     shutil.rmtree(os.path.join(partial, "shard=1"))
     os.remove(os.path.join(partial, "_MANIFEST", "shard-1.json"))
-    stats = run_job(sf_small, partial, mini, num_shards=2)
+    stats = run_kg_job(src, partial, mini, num_shards=2)
     assert stats["shards_skipped"] == 1 and stats["shards_run"] == 1
 
     pd.testing.assert_frame_equal(ref, _triples(partial))
 
 
 def test_manifest_contents(mini, sf_small, tmp_path):
+    src = _turns_dir(sf_small, tmp_path)
     out = str(tmp_path / "m")
-    run_job(sf_small, out, mini, num_shards=1)
+    run_kg_job(src, out, mini, num_shards=1)
     (m,) = read_manifests(out)
     assert m["row_count"] > 0
     assert m["input_fingerprint"]
     assert m["content_hash"]
     # second run is a full skip
-    stats = run_job(sf_small, out, mini, num_shards=1)
+    stats = run_kg_job(src, out, mini, num_shards=1)
     assert stats == {
         "shards_run": 0, "shards_skipped": 1, "rows": 0, "shards_pruned": 0
     }
@@ -59,16 +85,17 @@ def test_manifest_contents(mini, sf_small, tmp_path):
 def test_resume_cleans_partial_shard(mini, sf_small, tmp_path):
     """A mid-shard kill leaves output files WITHOUT a manifest; the re-run
     must clear them (not append next to them) or the shard doubles up."""
+    src = _turns_dir(sf_small, tmp_path)
     full = str(tmp_path / "full")
-    run_job(sf_small, full, mini, num_shards=2)
+    run_kg_job(src, full, mini, num_shards=2)
     ref = _triples(full)
 
     crashed = str(tmp_path / "crashed")
-    run_job(sf_small, crashed, mini, num_shards=2)
+    run_kg_job(src, crashed, mini, num_shards=2)
     # simulate: shard 1 was mid-write when killed — manifest missing, a
     # stale (complete-looking) parquet file still present
     os.remove(os.path.join(crashed, "_MANIFEST", "shard-1.json"))
-    stats = run_job(sf_small, crashed, mini, num_shards=2)
+    stats = run_kg_job(src, crashed, mini, num_shards=2)
     assert stats["shards_run"] == 1 and stats["shards_skipped"] == 1
     pd.testing.assert_frame_equal(ref, _triples(crashed))
 
@@ -77,10 +104,11 @@ def test_rerun_with_fewer_shards_prunes_stale(mini, sf_small, tmp_path):
     """Re-running with a smaller --shards must remove the previous run's
     higher-indexed shard dirs + manifests, or readers of out_dir see the
     same triples twice (stale shard=K next to the fresh layout)."""
+    src = _turns_dir(sf_small, tmp_path)
     out = str(tmp_path / "shrink")
-    run_job(sf_small, out, mini, num_shards=4)
+    run_kg_job(src, out, mini, num_shards=4)
     ref4 = _triples(out)
-    stats = run_job(sf_small, out, mini, num_shards=2)
+    stats = run_kg_job(src, out, mini, num_shards=2)
     assert stats["shards_pruned"] == 2
     assert not os.path.isdir(os.path.join(out, "shard=2"))
     assert not os.path.exists(os.path.join(out, "_MANIFEST", "shard-3.json"))
@@ -92,15 +120,15 @@ def test_rerun_with_fewer_shards_prunes_stale(mini, sf_small, tmp_path):
 def test_modified_input_same_size_invalidates(mini, sf_small, tmp_path):
     """An input file rewritten in place with the SAME byte length must not
     be silently skipped on resume (fingerprint folds in mtime_ns)."""
-    src = str(tmp_path / "data")
-    shutil.copytree(sf_small, src)
+    src = _turns_dir(sf_small, tmp_path)
     out = str(tmp_path / "out")
-    run_job(src, out, mini, num_shards=1)
-    doc_path = os.path.join(src, "documents.parquet")
-    os.utime(doc_path, ns=(os.stat(doc_path).st_atime_ns,
-                           os.stat(doc_path).st_mtime_ns + 1_000_000))
-    stats = run_job(src, out, mini, num_shards=1)
-    assert stats["shards_run"] == 1 and stats["shards_skipped"] == 0
+    run_kg_job(src, out, mini, num_shards=2)
+    # shard 1 holds part-1 and part-3 (round-robin over sorted fragments)
+    part = os.path.join(src, "part-3.parquet")
+    os.utime(part, ns=(os.stat(part).st_atime_ns,
+                       os.stat(part).st_mtime_ns + 1_000_000))
+    stats = run_kg_job(src, out, mini, num_shards=2)
+    assert stats["shards_run"] == 1 and stats["shards_skipped"] == 1
 
 
 def test_generic_sharded_write_resumable(sf_small, tmp_path):
@@ -157,40 +185,32 @@ def test_generic_sharded_write_resumable(sf_small, tmp_path):
 
 
 def test_zero_row_shard_does_not_crash(mini, sf_small, tmp_path):
-    """Sparse doc_id ranges produce empty shards; writing zero rows must
-    yield a manifest (rows=0) instead of FileNotFoundError in the content
-    hash, and resume must skip it (review r4)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    # doc_ids clustered at 0-4 plus one at 1000: 4 range shards over
-    # [0, 1000] leave at least one middle shard empty
-    src = pads.dataset(os.path.join(sf_small, "documents.parquet")).to_table()
-    ids = list(range(5)) + [1000]
-    t = src.take(list(range(6)))
-    t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                     pa.array(ids, t.column("doc_id").type))
-    d = tmp_path / "sparse"
-    d.mkdir()
-    pq.write_table(t, d / "documents.parquet")
+    """A zero-row input fragment that is a shard on its own writes zero
+    rows: it must yield a manifest (rows=0) instead of FileNotFoundError
+    in the content hash, and resume must skip it (review r4)."""
+    t = _turns_table(sf_small)
+    d = _write_files(t, tmp_path / "sparse", 3)
+    pq.write_table(t.slice(0, 0), os.path.join(d, "part-3.parquet"))
 
     out = str(tmp_path / "out")
-    stats = run_job(str(d), out, mini, num_shards=4)
+    stats = run_kg_job(d, out, mini, num_shards=4)
+    assert stats["shards_run"] == 4
     ms = read_manifests(out)
-    assert len(ms) == 4
-    assert any(m["row_count"] == 0 for m in ms)
-    stats2 = run_job(str(d), out, mini, num_shards=4)
+    assert [m["row_count"] == 0 for m in ms] == [False, False, False, True]
+    assert ms[3]["content_hash"] == "0" * 16
+    stats2 = run_kg_job(d, out, mini, num_shards=4)
     assert stats2["shards_run"] == 0 and stats2["shards_skipped"] == 4
 
 
 def test_lost_data_dir_triggers_rebuild(mini, sf_small, tmp_path):
     """A manifest whose shard data directory is gone must NOT be skipped —
     that would silently drop the partition's rows (review r4)."""
+    src = _turns_dir(sf_small, tmp_path)
     out = str(tmp_path / "o")
-    run_job(sf_small, out, mini, num_shards=2)
+    run_kg_job(src, out, mini, num_shards=2)
     ref = _triples(out)
     shutil.rmtree(os.path.join(out, "shard=1"))  # manifest survives
-    stats = run_job(sf_small, out, mini, num_shards=2)
+    stats = run_kg_job(src, out, mini, num_shards=2)
     assert stats["shards_run"] == 1 and stats["shards_skipped"] == 1
     pd.testing.assert_frame_equal(ref, _triples(out))
 
@@ -200,8 +220,9 @@ def test_changed_ontology_invalidates_all_shards(mini, sf_small, tmp_path):
     re-run every shard AND rewrite the is_a edges (review r4)."""
     import copy
 
+    src = _turns_dir(sf_small, tmp_path)
     out = str(tmp_path / "o")
-    run_job(sf_small, out, mini, num_shards=2)
+    run_kg_job(src, out, mini, num_shards=2)
 
     dag2 = copy.deepcopy(mini)
     # a new synonym changes dictionary content -> different fingerprint
@@ -210,9 +231,9 @@ def test_changed_ontology_invalidates_all_shards(mini, sf_small, tmp_path):
     dag2.refresh_fingerprint()
     assert dag2.fingerprint != mini.fingerprint
 
-    stats = run_job(sf_small, out, mini, num_shards=2)
+    stats = run_kg_job(src, out, mini, num_shards=2)
     assert stats["shards_run"] == 0  # same dag -> full skip
-    stats2 = run_job(sf_small, out, dag2, num_shards=2)
+    stats2 = run_kg_job(src, out, dag2, num_shards=2)
     assert stats2["shards_run"] == 2 and stats2["shards_skipped"] == 0
     with open(os.path.join(out, "ontology.fingerprint")) as f:
         assert f.read().strip() == dag2.fingerprint
@@ -281,20 +302,19 @@ def test_content_hash_pinned(tmp_path):
     assert got == (44, "4a545c6161fcb224")
 
 
-def test_empty_documents_input(mini, tmp_path):
-    """A zero-row documents.parquet runs as one empty shard instead of a
-    TypeError in the range arithmetic (review r4)."""
-    import pyarrow.parquet as pq
-
-    src = pads.dataset("/root/testdata/sf0.001/documents.parquet")
+def test_empty_documents_input(mini, sf_small, tmp_path):
+    """A zero-row turns input (one empty parquet file) runs as one empty
+    shard with a row_count 0 manifest, and a re-run skips it (review r4)."""
     d = tmp_path / "empty"
     d.mkdir()
-    pq.write_table(src.schema.empty_table(), d / "documents.parquet")
+    pq.write_table(_turns_table(sf_small).slice(0, 0), d / "part-0.parquet")
     out = str(tmp_path / "out")
-    stats = run_job(str(d), out, mini, num_shards=4)
-    assert stats["rows"] == 0
+    stats = run_kg_job(str(d), out, mini, num_shards=4)
+    assert stats["shards_run"] == 1 and stats["rows"] == 0
     (m,) = read_manifests(out)
     assert m["row_count"] == 0
+    stats2 = run_kg_job(str(d), out, mini, num_shards=4)
+    assert stats2["shards_run"] == 0 and stats2["shards_skipped"] == 1
 
 
 def test_kill_during_shard_pipeline_resumes_identical(mini, sf_small, tmp_path):
@@ -316,27 +336,16 @@ def test_kill_during_shard_pipeline_resumes_identical(mini, sf_small, tmp_path):
     import sys
     import time as _time
 
-    import pyarrow as pa
-    import pyarrow.parquet as pq
+    import pyarrow.compute as pc
 
-    base = pq.read_table(
-        os.path.join(sf_small, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    tiles = []
-    for i in range(30):
-        t = base.set_column(
-            0, "doc_id",
-            pa.array([d + i * 10_000_000 for d in base.column("doc_id").to_pylist()],
-                     pa.int64()),
-        )
-        tiles.append(t)
-    big = pa.concat_tables(tiles)
-    in_dir = tmp_path / "in"
-    in_dir.mkdir()
-    pq.write_table(big, in_dir / "documents.parquet")
+    base = _turns_table(sf_small)
+    tiles = [base.set_column(0, "conv_id", pc.binary_join_element_wise(
+                 f"t{i}", base.column("conv_id"), "-"))
+             for i in range(30)]
+    in_dir = _write_files(pa.concat_tables(tiles), tmp_path / "in", 8)
 
     ref_dir = str(tmp_path / "ref")
-    run_job(str(in_dir), ref_dir, mini, num_shards=2)
+    run_kg_job(in_dir, ref_dir, mini, num_shards=2)
     ref = _triples(ref_dir)
 
     out = str(tmp_path / "killed")
@@ -357,7 +366,7 @@ def test_kill_during_shard_pipeline_resumes_identical(mini, sf_small, tmp_path):
         "    return _orig(ds.map_batches(mark, batch_format='pyarrow',\n"
         "                                batch_size=256), cfg)\n"
         "A.has_phenotype_triples = _slowed\n"
-        f"A.run_job({str(in_dir)!r}, {out!r}, mini_dag(), num_shards=2)\n"
+        f"A.run_kg_job({in_dir!r}, {out!r}, mini_dag(), num_shards=2)\n"
     )
     # new session => new process group: SIGKILL takes the child's private
     # raylet tree down with it, not the test session's
@@ -394,6 +403,6 @@ def test_kill_during_shard_pipeline_resumes_identical(mini, sf_small, tmp_path):
         "kill was meant to land before shard 1 completed"
     )
 
-    stats = run_job(str(in_dir), out, mini, num_shards=2)
+    stats = run_kg_job(in_dir, out, mini, num_shards=2)
     assert stats["shards_skipped"] == 1 and stats["shards_run"] == 1
     pd.testing.assert_frame_equal(ref, _triples(out))
