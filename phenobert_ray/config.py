@@ -22,9 +22,10 @@ class PipelineConfig:
     # tools/train_ner.py); None -> pseudo-seeding (every sentence seeded,
     # the documented recall-superset default, candidates.py:6-14)
 
-    # Ray sizing — tuned for 32-CPU single node; scales by cluster size.
+    # Ray sizing.  The task pool fills the cluster's CPUs; a model path
+    # (model_dir, use_model_standins or ner_path) runs one task per block.
     annotate_concurrency: int | None = None  # None → task pool autoscale
-    annotate_batch_size: int = 256           # turns per batch
+    annotate_batch_size: int = 256           # turns per kernel call
     annotate_num_cpus: float = 1.0
     annotate_num_gpus: float = 0.0  # >0 reserves GPU per scorer actor and
     # forces the actor-pool path (SURVEY §4: reference auto-selects cuda,

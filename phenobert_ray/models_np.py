@@ -12,7 +12,9 @@ Re-implements, from the public reference source, the forward passes of:
                        scorer, L5; the GraphConvolution at inference is a
                        single sparse matmul + bias, model.py:34-63)
 - ancestor matrix      (util.py:540-575): w(c,c)=1, w(c,a) = Σ_parents
-                       w(p,a)/|parents|, restricted to the L1 subtree
+                       w(p,a)/|parents|, restricted to the L1 subtree;
+                       inference applies it to H0 row by row
+                       (``ancestor_graph``) instead of building it
 
 Weights load from ``torch.save``-format checkpoints through the torch-free
 reader (state/torch_ckpt.py) — with the reference's real trained files
@@ -87,8 +89,9 @@ def ancestor_matrix(dag: HpoDag, members: list[str]) -> np.ndarray:
     """Dense (n+1, n+1) ancestor-weight matrix over ``members`` + a final
     None row, replicating getAdjacentMatrixAncestors (util.py:540-575):
     w(c,c)=1 and each parent contributes its ancestor weights / n_parents.
-    Dense is fine at subtree scale (the reference's subtrees are ≤ a few
-    thousand concepts); swap in scipy.sparse at full-ontology scale."""
+    Training (``train_np``) multiplies by it; inference never builds it —
+    :func:`ancestor_graph` computes ``W @ H0`` row by row instead (the
+    largest shipped subtree's W is 53 MB)."""
     idx = {h: i for i, h in enumerate(members)}
     n = len(members)
     W = np.zeros((n + 1, n + 1), dtype=np.float32)
@@ -112,10 +115,34 @@ def ancestor_matrix(dag: HpoDag, members: list[str]) -> np.ndarray:
     return W
 
 
+def ancestor_graph(dag: HpoDag, members: list[str], H0: np.ndarray) -> np.ndarray:
+    """``ancestor_matrix(dag, members) @ H0`` without the (n+1)² matrix.
+
+    Row i of W is e_i + mean over in-subtree parents f of W[f], so row i
+    of W @ H0 is H0[i] + mean_f (W @ H0)[f]: one pass in parent order over
+    (n+1, d) rows.  The None row is H0's last row."""
+    idx = {h: i for i, h in enumerate(members)}
+    LH = np.array(H0, dtype=np.float32)
+    done = [False] * len(members)
+
+    def visit(i: int):
+        if done[i]:
+            return
+        done[i] = True
+        fathers = [idx[p] for p in dag.parents.get(members[i], ()) if p in idx]
+        for f in fathers:
+            visit(f)
+            LH[i] += LH[f] / len(fathers)
+
+    for i in range(len(members)):
+        visit(i)
+    return LH
+
+
 class SubtreeModelNP:
     """HPOModel forward (L5) for one L1 subtree: logits = enc @ G where
     G = (L_anc @ H0 + gcn_bias).T is precomputed once (H0 and the ancestor
-    matrix are constants at inference)."""
+    weights are constants at inference; :func:`ancestor_graph`)."""
 
     def __init__(self, state: dict[str, np.ndarray], dag: HpoDag, l1_root: str):
         self.encoder = CnnEncoderNP(state)
@@ -129,8 +156,7 @@ class SubtreeModelNP:
                 f"H0 rows {H0.shape[0]} != subtree size {len(members)}+1 "
                 f"for {l1_root}"
             )
-        L = ancestor_matrix(dag, members)
-        self.graph = (L @ H0 + bias).T                    # (out2, n+1)
+        self.graph = (ancestor_graph(dag, members, H0) + bias).T  # (out2, n+1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """(B, S, E) → (B, n+1) raw logits."""

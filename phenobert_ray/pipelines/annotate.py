@@ -19,7 +19,7 @@ import ray
 
 from ..assets.hpo_dag import HpoDag
 from ..config import PipelineConfig
-from ..stages.annotate import annotate_turns
+from ..stages.annotate import annotate_turns, carries_model
 from ..state.sharded import run_sharded
 from .triples import has_phenotype_triples, materialize_triples, write_is_a
 
@@ -131,6 +131,12 @@ def run_kg_job(
         # the text-dir loader lists its directory itself
         src = turns_path if input_format == "textdir" else paths
         turns = read_turns_input(src, input_format)
+        if carries_model(cfg):
+            # Ray Data reserves each operator its own CPU share, which
+            # keeps the annotate operator on one CPU.  Ray gives every read
+            # a copy of the global DataContext, so lifting the reservation
+            # here touches only this shard's lineage.
+            turns.context.op_resource_reservation_enabled = False
         return has_phenotype_triples(annotate_turns(turns, dag, cfg), cfg)
 
     job_id = _job_identity(dag, cfg)

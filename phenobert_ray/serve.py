@@ -43,6 +43,7 @@ def build_state(dict_path: str | None = None, model_dir: str | None = None,
     """(dag, scorer, ner) loaded once at startup — the reference GUI's
     import-time globals (api.py:18-24)."""
     from .config import PipelineConfig
+    from .standins import build_models
 
     builtin = model_dir == "builtin"
     if builtin or ner_path == "builtin":
@@ -68,25 +69,14 @@ def build_state(dict_path: str | None = None, model_dir: str | None = None,
 
         dag = dag_from_phrase_pairs(read_phrase_pairs(dict_path))
 
-    scorer = None
-    if model_dir:
-        # the REAL weight-loading path, same as the pipeline workers
-        # (stages/annotate.py) — StandInScorer ignores model_dir and would
-        # silently serve the untrained hash stand-in.  The packaged
-        # hashing-embedding weights operate at 0.95/0.9; other checkpoint
-        # dirs get the reference defaults (0.8/0.6), mirroring __main__.py.
-        from .standins import load_torch_scorer
-
-        p1, p2 = (0.95, 0.9) if builtin else (0.8, 0.6)
-        scorer = load_torch_scorer(
-            model_dir, dag,
-            PipelineConfig(param1=p1, param2=p2, use_model_standins=True,
-                           model_dir=model_dir))
-    ner = None
-    if ner_path:
-        from .ner_np import NerTagger
-
-        ner = NerTagger.load(ner_path)
+    # the REAL weight-loading path, the same code as the pipeline's
+    # (stages/annotate.py).  The packaged hashing-embedding weights operate
+    # at 0.95/0.9; other checkpoint dirs get the reference defaults
+    # (0.8/0.6), mirroring __main__.py.
+    p1, p2 = (0.95, 0.9) if builtin else (0.8, 0.6)
+    scorer, ner = build_models(dag, PipelineConfig(
+        param1=p1, param2=p2, use_model_standins=bool(model_dir),
+        model_dir=model_dir, ner_path=ner_path))
     return dag, scorer, ner
 
 

@@ -1,18 +1,19 @@
 """Ray Data stage: turns → annotations (the fused per-turn recognizer).
 
-One stateful ``map_batches`` callable class runs the whole per-turn chain
-(candidate generation C1-C4 → dict link L1/L2 → optional stand-in scorers
-L4-L6 → finalize L2/L7/L8) because every one of those operators needs *turn
-locality* (subsumption/overlap work on all of a turn's candidates, SURVEY.md
-§7 hard-part (b)).  Fusing them means zero shuffles before the triple
+One ``map_batches`` task runs the whole per-turn chain (candidate
+generation C1-C4 → dict link L1/L2 → optional scorers L4-L6 → finalize
+L2/L7/L8) because every one of those operators needs *turn locality*
+(subsumption/overlap work on all of a turn's candidates, SURVEY.md §7
+hard-part (b)).  Fusing them means zero shuffles before the triple
 materialize step, and turn-level rows keep blocks balanced.
 
-The ontology (HpoDag, ~50k-key phrase dict at production scale) is broadcast
-once per Ray session: the driver keeps one ``ray.put`` ref keyed by the
-ontology fingerprint and the session, so every shard of every job in that
-session ships the same object (a put of the shipped DAG pickles ~4.6 MB).
-Each worker process then deserializes it once — never re-shipped per batch
-(SURVEY.md §2.5).
+The stage state is broadcast once per Ray session (``_broadcast``) and
+deserialized once per worker process — never re-shipped per batch
+(SURVEY.md §2.5).  On the dictionary path it is the ontology (the shipped
+DAG pickles to ~4.6 MB); on a model path it is ``(dag, scorer, ner)``,
+built once on the driver (~36 MB for ``-m builtin``), so no worker loads
+checkpoints.  A model path also hands each block to its own task, which
+``run_kg_job`` lets run on every CPU.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import ray
 from ..assets.hpo_dag import HpoDag
 from ..config import PipelineConfig
 from ..linker import annotate_text
+from ..standins import build_models
 
 ANNOTATIONS_SCHEMA = pa.schema(
     [
@@ -38,49 +40,42 @@ ANNOTATIONS_SCHEMA = pa.schema(
 )
 
 
-# Per-worker-process broadcast cache: Ray reuses worker processes across
-# tasks, so each worker deserializes the ontology from the object store
+# Per-worker-process state cache: Ray reuses worker processes across
+# tasks, so each worker deserializes the stage state from the object store
 # exactly once (actor-like state residency without actor-pool sizing —
 # a fixed pool the size of the cluster starves upstream operators, and an
 # autoscaling pool ramps slower than short jobs run).
 _STATE_CACHE: dict = {}
 
 
-def _load_state(dag_ref, cfg: PipelineConfig, fingerprint: str | None = None):
-    # key on the ontology's content fingerprint (passed driver-side) so the
-    # same dag re-broadcast under a new ObjectRef (one per pipeline) reuses
-    # the worker-local copy
+def _state_key(fingerprint, cfg: PipelineConfig) -> tuple:
     # EVERY config field that changes scorer construction or annotation
     # output must be in this key, or a reused worker silently serves state
     # (and memoized rows) built under different thresholds
-    key = (
-        fingerprint or (dag_ref.hex() if isinstance(dag_ref, ray.ObjectRef) else id(dag_ref)),
-        cfg.use_model_standins,
-        cfg.use_longest,
-        cfg.model_dir,
-        cfg.ner_path,
-        cfg.param1,
-        cfg.param2,
-        cfg.param3,
-        cfg.use_step_3,
-    )
+    return (fingerprint, cfg.use_model_standins, cfg.use_longest,
+            cfg.model_dir, cfg.ner_path, cfg.param1, cfg.param2, cfg.param3,
+            cfg.use_step_3)
+
+
+def carries_model(cfg: PipelineConfig) -> bool:
+    """True when the stage runs a scorer or an NER tagger (a model path)."""
+    return bool(cfg.model_dir or cfg.use_model_standins or cfg.ner_path)
+
+
+def _load_state(src, cfg: PipelineConfig, fingerprint: str | None = None):
+    """This worker's ``(dag, scorer, memo, ner)``.  ``src`` is the session's
+    broadcast ref (``_broadcast``) or a plain dag.  A ref resolves to the
+    driver-built ``(dag, scorer, ner)`` or, on the dictionary path, to the
+    dag; a dag has its models (if any) built in-process.  Keyed on the
+    ontology's content fingerprint (passed driver-side), so the same dag
+    under a new ObjectRef reuses the worker-local copy."""
+    key = _state_key(
+        fingerprint or (src.hex() if isinstance(src, ray.ObjectRef) else id(src)),
+        cfg)
     state = _STATE_CACHE.get(key)
     if state is None:
-        dag = ray.get(dag_ref) if isinstance(dag_ref, ray.ObjectRef) else dag_ref
-        scorer = None
-        if cfg.model_dir:
-            from ..standins import load_torch_scorer
-
-            scorer = load_torch_scorer(cfg.model_dir, dag, cfg)
-        elif cfg.use_model_standins:
-            from ..standins import StandInScorer
-
-            scorer = StandInScorer(dag, cfg)
-        ner = None
-        if cfg.ner_path:
-            from ..ner_np import NerTagger
-
-            ner = NerTagger.load(cfg.ner_path)
+        obj = ray.get(src) if isinstance(src, ray.ObjectRef) else src
+        dag, scorer, ner = obj if isinstance(obj, tuple) else (obj, *build_models(obj, cfg))
         # memo: turn text → annotation rows.  Web-scale transcripts repeat
         # short turns constantly ("ok", tool boilerplate); identical text ⇒
         # identical annotations, so this is pure dedup of CPU work.
@@ -145,20 +140,29 @@ def _annotate_batch(batch: pa.Table, dag: HpoDag, scorer, cfg: PipelineConfig,
     )
 
 
+def _annotate_block(block: pa.Table, state, cfg: PipelineConfig) -> pa.Table:
+    """Annotate ``block`` ``cfg.annotate_batch_size`` turns per kernel call
+    (a model path hands each task a whole block)."""
+    dag, scorer, memo, ner = state
+    step = max(1, cfg.annotate_batch_size)
+    return pa.concat_tables([
+        _annotate_batch(block.slice(i, step), dag, scorer, cfg, memo, ner)
+        for i in range(0, max(1, block.num_rows), step)])
+
+
 class AnnotateTurns:
-    """Actor-pool form of the stage (used when heavy model state is
-    attached, e.g. stand-in scorers): setup once in ``__init__``, per-batch
+    """Actor-pool form of the stage (``annotate_concurrency`` or
+    ``annotate_num_gpus`` set): state loads once in ``__init__``, per-batch
     work in ``__call__``."""
 
     def __init__(self, dag_ref, cfg: PipelineConfig | None = None,
                  fingerprint: str | None = None):
         self.cfg = cfg or PipelineConfig()
-        self.dag, self.scorer, self.memo, self.ner = _load_state(
-            dag_ref, self.cfg, fingerprint)
+        self.state = _load_state(dag_ref, self.cfg, fingerprint)
+        self.dag, self.scorer, self.memo, self.ner = self.state
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return _annotate_batch(batch, self.dag, self.scorer, self.cfg,
-                               self.memo, self.ner)
+        return _annotate_block(batch, self.state, self.cfg)
 
 
 def _annotate_task(batch: pa.Table, dag_ref=None, cfg: PipelineConfig | None = None,
@@ -166,49 +170,49 @@ def _annotate_task(batch: pa.Table, dag_ref=None, cfg: PipelineConfig | None = N
     # the advertised default was a guaranteed AttributeError: _load_state
     # and _annotate_batch both dereference cfg fields
     cfg = cfg or PipelineConfig()
-    dag, scorer, memo, ner = _load_state(dag_ref, cfg, fingerprint)
-    return _annotate_batch(batch, dag, scorer, cfg, memo, ner)
+    return _annotate_block(batch, _load_state(dag_ref, cfg, fingerprint), cfg)
 
 
-# Driver-side broadcast cache: (fingerprint, job id, node id) → the
-# ontology's ObjectRef.  The job id alone is not a session identity: it
+# Driver-side broadcast cache: (state key, job id, node id) → the stage
+# state's ObjectRef.  The job id alone is not a session identity: it
 # restarts at 01000000 after ray.shutdown() + ray.init(), while the local
 # node id does not repeat, and a ref from an ended session is dead.  Holds
-# at most one ontology, like the worker-side _STATE_CACHE.
-_DAG_REFS: dict = {}
+# at most one state, like the worker-side _STATE_CACHE.
+_STATE_REFS: dict = {}
 
 
-def _broadcast(dag: HpoDag):
-    """The session's ObjectRef for ``dag``: one ``ray.put`` per ontology
-    fingerprint per Ray session, not one per call.  A dag mutated after
-    construction must call ``refresh_fingerprint()`` (as the worker cache
-    already requires) to be re-broadcast."""
+def _broadcast(dag: HpoDag, cfg: PipelineConfig):
+    """The session's ObjectRef for the stage state of ``dag`` under ``cfg``:
+    one ``ray.put`` per state key per Ray session, not one per call.  The
+    dictionary path ships the dag; a model path builds ``(dag, scorer,
+    ner)`` here once and ships that.  A dag mutated after construction
+    must call ``refresh_fingerprint()`` (as the worker cache already
+    requires) to be re-broadcast."""
     def key():
         ctx = ray.get_runtime_context()
-        return dag.fingerprint, ctx.get_job_id(), ctx.get_node_id()
+        return _state_key(dag.fingerprint, cfg), ctx.get_job_id(), ctx.get_node_id()
 
-    ref = _DAG_REFS.get(key()) if ray.is_initialized() else None
+    ref = _STATE_REFS.get(key()) if ray.is_initialized() else None
     if ref is None:
-        ref = ray.put(dag)  # initializes Ray if nothing has yet
-        _DAG_REFS.clear()
-        _DAG_REFS[key()] = ref
+        state = (dag, *build_models(dag, cfg)) if carries_model(cfg) else dag
+        ref = ray.put(state)  # initializes Ray if nothing has yet
+        _STATE_REFS.clear()
+        _STATE_REFS[key()] = ref
     return ref
 
 
 def annotate_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
     """turns Dataset → annotations Dataset (lazy, streaming).
 
-    Dict-only mode runs as a task pool with the ontology broadcast once
-    per Ray session (``_broadcast``) + per-worker cache; stand-in-model
-    mode runs as an autoscaling actor pool (models load in ``__init__``)."""
+    Runs as a task pool by default, with the stage state broadcast once
+    per Ray session (``_broadcast``) and cached per worker process;
+    ``annotate_concurrency`` or ``annotate_num_gpus > 0`` selects an actor
+    pool instead.  A model path gives each block its own task."""
     cfg = cfg or PipelineConfig()
-    dag_ref = _broadcast(dag)
-    # the task pool (with per-worker state cache) is the default even for
-    # the stand-in model mode — workers are reused, so state residency is
-    # actor-like without actor-pool sizing pathologies; set
-    # annotate_concurrency (or annotate_num_gpus > 0) to force a real
-    # actor pool, where num_gpus is reserved per actor for GPU-resident
-    # scorers (ref auto-selects cuda: util.py:24, model.py:7)
+    dag_ref = _broadcast(dag, cfg)
+    batch_size = None if carries_model(cfg) else cfg.annotate_batch_size
+    # an actor pool reserves num_gpus per actor for GPU-resident scorers
+    # (ref auto-selects cuda: util.py:24, model.py:7)
     if cfg.annotate_concurrency or cfg.annotate_num_gpus > 0:
         if cfg.annotate_num_gpus > 0 and not cfg.annotate_gpu_wait and \
                 ray.cluster_resources().get("GPU", 0) <= 0:
@@ -236,7 +240,7 @@ def annotate_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
         return turns_ds.map_batches(
             AnnotateTurns,
             batch_format="pyarrow",
-            batch_size=cfg.annotate_batch_size,
+            batch_size=batch_size,
             fn_constructor_kwargs={"dag_ref": dag_ref, "cfg": cfg,
                                    "fingerprint": getattr(dag, "fingerprint", None)},
             num_cpus=cfg.annotate_num_cpus,
@@ -246,7 +250,7 @@ def annotate_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
     return turns_ds.map_batches(
         _annotate_task,
         batch_format="pyarrow",
-        batch_size=cfg.annotate_batch_size,
+        batch_size=batch_size,
         fn_kwargs={"dag_ref": dag_ref, "cfg": cfg,
                    "fingerprint": getattr(dag, "fingerprint", None)},
         num_cpus=cfg.annotate_num_cpus,

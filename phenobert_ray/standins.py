@@ -369,3 +369,23 @@ def load_torch_scorer(model_dir: str, dag: HpoDag, cfg: PipelineConfig):
         vocab = {line.strip(): i for i, line in enumerate(f) if line.strip()}
     emb = LoadedEmbeddingCache(matrix, vocab)
     return StandInScorer(dag, cfg, emb=emb)
+
+
+def build_models(dag: HpoDag, cfg: PipelineConfig):
+    """``(scorer, ner)`` for ``cfg`` — the one constructor of model state, for
+    the annotate stage (``stages.annotate``) and the HTTP server
+    (``serve.build_state``).  ``model_dir`` loads checkpoints through
+    :func:`load_torch_scorer`, else ``use_model_standins`` builds the
+    deterministic :class:`StandInScorer`; ``ner_path`` loads the C1
+    tagger.  Each is None when ``cfg`` does not ask for it."""
+    scorer = None
+    if cfg.model_dir:
+        scorer = load_torch_scorer(cfg.model_dir, dag, cfg)
+    elif cfg.use_model_standins:
+        scorer = StandInScorer(dag, cfg)
+    ner = None
+    if cfg.ner_path:
+        from .ner_np import NerTagger
+
+        ner = NerTagger.load(cfg.ner_path)
+    return scorer, ner

@@ -1,4 +1,5 @@
-"""Fixed per-job costs of a KG job: the ontology is broadcast once per Ray
+"""Fixed per-job costs of a KG job: the stage state (the ontology, plus the
+built scorer and NER tagger on a model path) is broadcast once per Ray
 session (``stages.annotate._broadcast``), and the ``ontology/`` is_a table
 is written with one pyarrow write."""
 
@@ -11,6 +12,7 @@ import pyarrow.parquet as pq
 import ray
 
 from phenobert_ray.assets.hpo_dag import HpoDag
+from phenobert_ray.config import PipelineConfig
 from phenobert_ray.pipelines.annotate import run_kg_job
 from phenobert_ray.state.manifest import read_manifests
 
@@ -42,7 +44,7 @@ def _turns_dir(tmp_path, dag: HpoDag, files: int = 4) -> str:
 def _count_dag_puts(monkeypatch):
     import phenobert_ray.stages.annotate as stage
 
-    monkeypatch.setattr(stage, "_DAG_REFS", {})
+    monkeypatch.setattr(stage, "_STATE_REFS", {})
     puts = []
     real_put = ray.put
 
@@ -89,7 +91,7 @@ def test_kg_job_after_session_restart(mini, tmp_path):
 
     turns = _turns_dir(tmp_path, mini)
     run_kg_job(turns, str(tmp_path / "a"), mini, num_shards=2)
-    (before,) = stage._DAG_REFS.values()
+    (before,) = stage._STATE_REFS.values()
     ray.shutdown()
     try:
         ray.init(address="local", num_cpus=4, include_dashboard=False)
@@ -97,7 +99,7 @@ def test_kg_job_after_session_restart(mini, tmp_path):
     finally:
         if not ray.is_initialized():
             ray.init(address="local", num_cpus=4, include_dashboard=False)
-    (after,) = stage._DAG_REFS.values()
+    (after,) = stage._STATE_REFS.values()
     assert after != before
     assert stats["shards_run"] == 2 and stats["rows"] > 0
 
@@ -128,3 +130,154 @@ def test_ontology_table_is_the_is_a_triples(mini, tmp_path):
         mini.is_a_edges())
     with open(os.path.join(out, "ontology.fingerprint")) as f:
         assert f.read().strip() == mini.fingerprint
+
+
+# ------------------------------------------------------------ model path
+STANDIN = PipelineConfig(use_model_standins=True)
+
+
+def _count_state_puts(monkeypatch):
+    """ray.put calls that ship a built (dag, scorer, ner) stage state."""
+    import phenobert_ray.stages.annotate as stage
+
+    monkeypatch.setattr(stage, "_STATE_REFS", {})
+    puts = []
+    real_put = ray.put
+
+    def put(obj, **kw):
+        if isinstance(obj, tuple) and obj and isinstance(obj[0], HpoDag):
+            puts.append(obj)
+        return real_put(obj, **kw)
+
+    monkeypatch.setattr(ray, "put", put)
+    return puts
+
+
+def _embedding_dir(path) -> str:
+    """A model dir holding only embedding.pt + vocab.txt (the loaded
+    stand-in scorer)."""
+    import numpy as np
+
+    from phenobert_ray.standins import DIM
+    from phenobert_ray.state.torch_ckpt import write_state_dict
+
+    vocab = ["seizure", "febrile", "obesity"]
+    mat = np.random.default_rng(2).standard_normal((len(vocab), DIM))
+    path.mkdir()
+    write_state_dict(str(path / "embedding.pt"),
+                     {"embedding.weight": mat.astype(np.float32)})
+    (path / "vocab.txt").write_text("\n".join(vocab))
+    return str(path)
+
+
+def test_one_put_per_model_state_per_session(mini, monkeypatch, tmp_path):
+    """A model path ships the driver-built (dag, scorer, ner) once per
+    state key: the same config reuses it; a changed param1 or model_dir
+    builds and ships afresh."""
+    from phenobert_ray.stages.annotate import annotate_turns
+    from phenobert_ray.standins import StandInScorer
+
+    puts = _count_state_puts(monkeypatch)
+    turns = ray.data.from_arrow(_turns(mini))
+    first = _hpos(annotate_turns(turns, mini, STANDIN))
+    second = _hpos(annotate_turns(turns, mini, STANDIN))
+    assert len(puts) == 1 and first == second and first
+    dag, scorer, ner = puts[0]
+    assert dag is mini and isinstance(scorer, StandInScorer) and ner is None
+
+    annotate_turns(turns, mini, PipelineConfig(use_model_standins=True, param1=0.7))
+    assert len(puts) == 2 and puts[1][1].cfg.param1 == 0.7
+    cfg = PipelineConfig(use_model_standins=True,
+                         model_dir=_embedding_dir(tmp_path / "emb"))
+    assert _hpos(annotate_turns(turns, mini, cfg))
+    assert len(puts) == 3 and puts[2][1].emb is not scorer.emb
+
+
+def test_model_kg_job_after_session_restart(mini, tmp_path):
+    """A model-path KG job re-broadcasts its built state after
+    ray.shutdown() + ray.init() and writes hash-identical shards."""
+    import phenobert_ray.stages.annotate as stage
+
+    turns = _turns_dir(tmp_path, mini)
+    run_kg_job(turns, str(tmp_path / "a"), mini, STANDIN, num_shards=2)
+    (before,) = stage._STATE_REFS.values()
+    ray.shutdown()
+    try:
+        ray.init(address="local", num_cpus=4, include_dashboard=False)
+        stats = run_kg_job(turns, str(tmp_path / "b"), mini, STANDIN, num_shards=2)
+    finally:
+        if not ray.is_initialized():
+            ray.init(address="local", num_cpus=4, include_dashboard=False)
+    (after,) = stage._STATE_REFS.values()
+    assert after != before
+    assert stats["shards_run"] == 2 and stats["rows"] > 0
+
+    def manifests(out):
+        return [(m["row_count"], m["content_hash"])
+                for m in read_manifests(str(tmp_path / out))]
+
+    assert manifests("a") == manifests("b")
+
+
+def test_model_path_lifts_reservation_for_its_job_only(mini, monkeypatch, tmp_path):
+    """Only a model-path KG job's own datasets run without Ray Data's
+    per-operator reservation, with one annotate task per block (Ray may
+    split a fragment's block, never bundle blocks);
+    the global DataContext, a caller's input dataset and the dictionary
+    path keep it."""
+    import re
+
+    import phenobert_ray.pipelines.annotate as pipeline
+    from phenobert_ray.stages.annotate import annotate_turns
+
+    seen = {}
+    real = pipeline.has_phenotype_triples
+
+    def spy(ann, cfg):
+        out = real(ann, cfg)
+        seen[cfg.use_model_standins] = (ann.context.op_resource_reservation_enabled,
+                                        out.materialize().stats())
+        return out
+
+    monkeypatch.setattr(pipeline, "has_phenotype_triples", spy)
+    turns = _turns_dir(tmp_path, mini, files=4)
+    run_kg_job(turns, str(tmp_path / "model"), mini, STANDIN, num_shards=1)
+    run_kg_job(turns, str(tmp_path / "dict"), mini, num_shards=1)
+
+    def annotate_tasks(stats: str) -> int:
+        m = re.search(r"MapBatches\(_annotate_task\)[^:\n]*: (\d+) tasks executed", stats)
+        return int(m.group(1))
+
+    assert seen[True][0] is False and annotate_tasks(seen[True][1]) >= 4
+    assert seen[False][0] is True and annotate_tasks(seen[False][1]) == 1
+    assert ray.data.DataContext.get_current().op_resource_reservation_enabled
+
+    caller = ray.data.read_parquet(turns)
+    annotate_turns(caller, mini, STANDIN).materialize()
+    assert caller.context.op_resource_reservation_enabled
+
+
+def test_ner_kg_job_uses_driver_built_tagger(mini, tmp_path):
+    """An NER-only KG job ships the driver-loaded tagger to its workers and
+    writes exactly the pairs an in-process annotate_text recomputes."""
+    import pytest
+
+    from phenobert_ray.assets.loader import trained_model_dir
+    from phenobert_ray.linker import annotate_text
+    from phenobert_ray.ner_np import NerTagger
+
+    d = trained_model_dir()
+    if d is None or not os.path.exists(os.path.join(d, "ner.pt")):
+        pytest.skip("no packaged ner tagger")
+    cfg = PipelineConfig(ner_path=os.path.join(d, "ner.pt"))
+    out = str(tmp_path / "kg")
+    run_kg_job(_turns_dir(tmp_path, mini), out, mini, cfg, num_shards=2)
+    files = glob.glob(os.path.join(out, "shard=*", "*.parquet"))
+    got = {(s.rsplit(":", 1)[0], o) for f in files
+           for s, o in zip(*pq.read_table(f, columns=["subj", "obj"]).to_pydict().values())}
+
+    ner = NerTagger.load(cfg.ner_path)
+    t = _turns(mini)
+    want = {(c, a.hpo_id) for c, text in zip(t["conv_id"].to_pylist(), t["text"].to_pylist())
+            for a in annotate_text(text, mini, ner=ner) if not a.negated}
+    assert got == want and want

@@ -433,3 +433,128 @@ def test_builtin_scorer_with_other_ontology_builds_its_own(mini):
     model_spans = [a for anns in got for a in anns
                    if bag_key(process_str(a.mention)) not in dag.phrase2hpo]
     assert sum(map(len, got)) > len(turns) and model_spans
+
+
+def _dense_graph(dag, sub, state):
+    """The subtree graph through the dense (n+1)² ancestor matrix."""
+    from phenobert_ray.models_np import ancestor_matrix
+
+    L = ancestor_matrix(dag, sub.members)
+    return (L @ np.asarray(state["H0"], np.float32)
+            + np.asarray(state["GCNNet.gcn1.bias"], np.float32)).T
+
+
+def test_ancestor_free_graph_bit_identical_on_shipped_weights():
+    """Every shipped subtree model's graph equals the dense-matrix one
+    exactly."""
+    import os
+
+    from phenobert_ray.assets.loader import trained_model_dir
+    from phenobert_ray.models_np import SubtreeModelNP
+    from phenobert_ray.state.torch_ckpt import read_state_dict
+
+    if trained_model_dir() is None:
+        pytest.skip("no packaged trained weights")
+    d, dag, _ = _shipped()
+    n = 0
+    for h in dag.layer1:
+        p = os.path.join(d, f"sub_{h.replace(':', '_')}.pt")
+        if os.path.exists(p):
+            state = read_state_dict(p)
+            sub = SubtreeModelNP(state, dag, h)
+            assert np.array_equal(sub.graph, _dense_graph(dag, sub, state)), h
+            n += 1
+    assert n == len(dag.layer1)
+
+
+def _diamond(dag):
+    """``dag`` plus a second in-subtree parent for one node per L1
+    subtree that has a grandchild, so some ancestor weights are 1/2."""
+    import copy
+
+    from phenobert_ray.assets.hpo_dag import HpoDag
+
+    nodes = copy.deepcopy(dag.nodes)
+    for l1 in dag.layer1:
+        kids = sorted(dag.children[l1])
+        grand = [g for k in kids for g in sorted(dag.children[k])]
+        other = [k for k in kids if not grand or k not in dag.parents[grand[0]]]
+        if grand and other:
+            nodes[grand[0]]["is_a"] = sorted(set(nodes[grand[0]]["is_a"]) | {other[0]})
+    return HpoDag(nodes)
+
+
+def test_ancestor_free_graph_matches_dense_on_random_weights(mini, tmp_path):
+    """Random H0 over mini_dag (and a multi-parent variant): the graph
+    matches the dense-matrix one to float32 rounding, and a scorer with
+    the dense graphs annotates identically."""
+    from phenobert_ray.config import PipelineConfig
+    from phenobert_ray.linker import annotate_text
+    from phenobert_ray.models_np import SubtreeModelNP, ancestor_matrix
+    from phenobert_ray.standins import load_torch_scorer
+    from phenobert_ray.state.torch_ckpt import read_state_dict, write_state_dict
+
+    rng = np.random.default_rng(31)
+    E, C, D = 32, 16, 16
+    n_class = len(mini.layer1)
+    l1 = _l1_fixture(rng, E, C, D, n_class)
+    l1["linear.bias"] = np.array([5.0] * n_class + [-5.0], np.float32)  # route all
+    write_state_dict(str(tmp_path / "l1.pt"), l1)
+    for h in mini.layer1:
+        members = sorted({h} | (mini.descendants.get(h, set()) & mini.abnormality))
+        H0 = rng.standard_normal((len(members) + 1, D)).astype(np.float32)
+        H0[-1] = -10.0  # None never wins Step-2
+        write_state_dict(str(tmp_path / f"sub_{h.replace(':', '_')}.pt"), {
+            "Encoder.conv.weight": rng.standard_normal((C, E, 1)).astype(np.float32),
+            "Encoder.conv.bias": rng.standard_normal(C).astype(np.float32),
+            "Encoder.linear.weight": rng.standard_normal((D, C)).astype(np.float32),
+            "Encoder.linear.bias": rng.standard_normal(D).astype(np.float32),
+            "H0": H0,
+            "GCNNet.gcn1.bias": rng.standard_normal(D).astype(np.float32),
+        })
+
+    diamond = _diamond(mini)
+    halves = 0
+    for dag in (mini, diamond):
+        for h in mini.layer1:
+            state = read_state_dict(str(tmp_path / f"sub_{h.replace(':', '_')}.pt"))
+            sub = SubtreeModelNP(state, dag, h)
+            np.testing.assert_allclose(sub.graph, _dense_graph(dag, sub, state),
+                                       rtol=1e-6, atol=1e-6)
+            halves += int((ancestor_matrix(dag, sub.members) == 0.5).any())
+    assert halves  # the variant exercises the mean over several parents
+
+    cfg = PipelineConfig(use_model_standins=True, param1=0.5, param2=0.0,
+                         use_step_3=False)
+    scorer = load_torch_scorer(str(tmp_path), mini, cfg)
+    dense = load_torch_scorer(str(tmp_path), mini, cfg)
+    for h, sub in dense.subs.items():
+        state = read_state_dict(str(tmp_path / f"sub_{h.replace(':', '_')}.pt"))
+        sub.graph = _dense_graph(mini, sub, state)
+    texts = ["unmatched mystery words beside a febrile seizure",
+             "the patient reports frequent headaches and blurry vision",
+             "no obesity; mild cognitive slowing noted"]
+    got = [annotate_text(t, mini, scorer=scorer) for t in texts]
+    assert got == [annotate_text(t, mini, scorer=dense) for t in texts]
+    # the model path emits spans the dictionary alone does not
+    assert sum(map(len, got)) > sum(len(annotate_text(t, mini)) for t in texts)
+
+
+def test_builtin_scorer_load_memory_bound():
+    """Loading the -m builtin scorer stack allocates under 100 MB at peak:
+    no dense (n+1)² ancestor matrix per subtree."""
+    import tracemalloc
+
+    from phenobert_ray.assets.loader import trained_model_dir
+    from phenobert_ray.standins import load_torch_scorer
+
+    if trained_model_dir() is None:
+        pytest.skip("no packaged trained weights")
+    d, dag, cfg = _shipped()
+    tracemalloc.start()
+    try:
+        load_torch_scorer(d, dag, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, peak / 2**20
