@@ -132,9 +132,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from phenobert_ray.functions import curation as f_cur
     from phenobert_ray.functions import dedup as f_dedup
     from phenobert_ray.functions import events as f_events
-    from phenobert_ray.functions import lm as f_lm
-    from phenobert_ray.functions import search as f_search
-    from phenobert_ray.functions import sft as f_sft
     from phenobert_ray.functions import textstats as f_text
 
     def turns_synth(sf):
@@ -325,10 +322,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         **f_dedup.queries(),
         **f_ann.queries(),
         **f_events.queries(),
-        **f_search.queries(),
         **f_cur.queries(),
-        **f_sft.queries(),
-        **f_lm.queries(),
         **f_clu.queries(),
     }
     return {k: _guard_empty(k, fn) for k, fn in q.items()}
@@ -375,7 +369,6 @@ _EMPTY_RESULT_SCHEMAS: dict = {
     "hpo_information_content": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("ic_nano", pa.int64())]),
     "curate_corpus": (("documents",), [("doc_id", pa.int64()), ("source", pa.string()), ("n_tokens", pa.int64())]),
     "decontaminate": (("documents",), [("doc_id", pa.int64()), ("source", pa.string()), ("n_shared", pa.int64()), ("contaminated", pa.bool_())]),
-    "dialog_windows": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("context", pa.string()), ("target", pa.string())]),
     "distinct_texts_by_source": (("documents",), [("source", pa.string()), ("n_docs", pa.int64()), ("n_distinct", pa.int64())]),
     "doc_stats": (("documents",), [("doc_id", pa.int64()), ("n_chars", pa.int64()), ("n_tokens", pa.int64()), ("n_uniq_tokens", pa.int64()), ("stop_ratio", pa.float64())]),
     "dsir_importance": (("documents",), [("doc_id", pa.int64()), ("n_grams", pa.int64()), ("logw_nano", pa.int64()), ("selected", pa.bool_())]),
@@ -388,19 +381,11 @@ _EMPTY_RESULT_SCHEMAS: dict = {
     "hpo_ancestor_rollup": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64())]),
     "index_search_and": (("documents",), [("conv_id", pa.string())]),
     "index_search_or": (("documents",), [("conv_id", pa.string())]),
-    "tfidf_top_terms": (("documents",), [("source", pa.string()), ("rank", pa.int64()), ("term", pa.string()), ("tf", pa.int64()), ("df", pa.int64()), ("score_nano", pa.int64())]),
-    "fuzzy_match_probe": (("documents",), [("probe_id", pa.int64()), ("doc_id", pa.int64()), ("n_inter", pa.int64()), ("n_union", pa.int64())]),
     "dedup_keep_best": (("documents",), [("cluster_id", pa.int64()), ("keep_doc_id", pa.int64()), ("best_n_chars", pa.int64()), ("n_members", pa.int64())]),
     "minhash_dup_clusters": (("documents",), [("doc_id", pa.int64()), ("cluster_id", pa.int64())]),
     "embedding_dup_clusters": (("embeddings",), [("vec_id", pa.int64()), ("cluster_id", pa.int64())]),
     "rollup_token_stats": (("documents",), [("source", pa.string()), ("lang", pa.string()), ("n_docs", pa.int64()), ("n_tokens", pa.int64())]),
-    "funnel_stages": (("events",), [("user_id", pa.int64()), ("stage", pa.string()), ("ts", pa.timestamp("us")), ("event_id", pa.int64())]),
     "strip_duplicate_spans": (("documents",), [("doc_id", pa.int64()), ("n_removed_tokens", pa.int64()), ("clean_text", pa.string())]),
-    "retention_cohorts": (("events",), [("cohort_week", pa.int64()), ("week_offset", pa.int64()), ("n_users", pa.int64())]),
-    "event_transitions": (("events",), [("type_from", pa.string()), ("type_to", pa.string()), ("n", pa.int64())]),
-    "grouped_median": (("events",), [("event_type", pa.string()), ("n_rows", pa.int64()), ("median_x2_cents", pa.int64())]),
-    "session_paths": (("events",), [("path", pa.string()), ("n_sessions", pa.int64())]),
-    "weekly_active_users": (("events",), [("day", pa.int64()), ("n_active", pa.int64())]),
     "bag_dedup": (("documents",), [("bag_md5", pa.string()), ("keep_doc_id", pa.int64()), ("n_dups", pa.int64())]),
     "inverted_index": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("first_conv", pa.string()), ("last_conv", pa.string())]),
     "label_centroids": (("embeddings",), [("label", pa.int64()), ("dim", pa.int64()), ("n_vecs", pa.int64()), ("centroid", pa.float64())]),
@@ -408,16 +393,12 @@ _EMPTY_RESULT_SCHEMAS: dict = {
     "lang_id_ngram": (("documents",), [("doc_id", pa.int64()), ("lang_pred", pa.string())]),
     "leakage_safe_split": (("documents",), [("doc_id", pa.int64()), ("group_key", pa.int64()), ("split", pa.string())]),
     "length_histogram": (("documents",), [("bucket_lo", pa.int64()), ("n", pa.int64())]),
-    "lm_perplexity": (("documents",), [("doc_id", pa.int64()), ("n_bigrams", pa.int64()), ("nll_nano", pa.int64()), ("ppl", pa.float64())]),
     "longest_docs_by_source": (("documents",), [("source", pa.string()), ("doc_id", pa.int64()), ("n_tokens", pa.int64()), ("rank", pa.int64())]),
-    "grouped_mode": (("events",), [("event_type", pa.string()), ("n_rows", pa.int64()), ("mode_cents", pa.int64()), ("mode_count", pa.int64())]),
     "mixture_sample": (("documents",), [("doc_id", pa.int64()), ("source", pa.string())]),
     "pii_redact": (("documents",), [("doc_id", pa.int64()), ("n_emails", pa.int64()), ("n_phones", pa.int64()), ("n_ips", pa.int64()), ("clean_text", pa.string())]),
     "props_stats": (("events",), [("event_type", pa.string()), ("n", pa.int64()), ("sum_k", pa.int64()), ("max_k", pa.int64())]),
     "quality_score": (("documents",), [("doc_id", pa.int64()), ("ttr", pa.float64()), ("is_short", pa.bool_())]),
-    "render_conversations": (("documents",), [("conv_id", pa.string()), ("n_turns", pa.int64()), ("n_tokens", pa.int64()), ("rendered", pa.string())]),
     "repetition_stats": (("documents",), [("doc_id", pa.int64()), ("dup_3gram_frac", pa.float64()), ("top_2gram_frac", pa.float64())]),
-    "role_transition_counts": (("documents",), [("role_from", pa.string()), ("role_to", pa.string()), ("n", pa.int64())]),
     "running_user_spend": (("events",), [("event_id", pa.int64()), ("user_id", pa.int64()), ("ts", pa.timestamp("us")), ("cents", pa.int64()), ("running_cents", pa.int64())]),
     "sample_hash": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("role", pa.string())]),
     "sessionize": (("events",), [("user_id", pa.int64()), ("session_idx", pa.int64()), ("n_events", pa.int64()), ("start_ts", pa.timestamp("us")), ("end_ts", pa.timestamp("us")), ("sum_value_cents", pa.int64())]),
@@ -702,9 +683,6 @@ def oracle_sql() -> dict[str, str]:
     from phenobert_ray.functions import curation as f_cur
     from phenobert_ray.functions import dedup as f_dedup
     from phenobert_ray.functions import events as f_events
-    from phenobert_ray.functions import lm as f_lm
-    from phenobert_ray.functions import search as f_search
-    from phenobert_ray.functions import sft as f_sft
     from phenobert_ray.functions import textstats as f_text
 
     out = {
@@ -848,9 +826,6 @@ def oracle_sql() -> dict[str, str]:
     out.update(f_dedup.oracles())
     out.update(f_ann.oracles())
     out.update(f_events.oracles())
-    out.update(f_search.oracles())
     out.update(f_cur.oracles())
-    out.update(f_sft.oracles())
-    out.update(f_lm.oracles())
     out.update(f_clu.oracles())
     return out

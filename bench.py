@@ -211,18 +211,14 @@ def run_queries(sf_dir: str) -> dict:
         # corpus pass); pii_redact is the regex-kernel bound pure map
         "decontaminate",
         "pii_redact",
-        # relevance search (two-pass broadcast-stats), interval join
-        # (chunked non-equi), distributed total-order rank
-        "bm25_topk",
+        # interval join (chunked non-equi), distributed total-order rank
         "range_join",
         "global_sort_rank",
         # ExactSubstr-style duplicated-substring spans (two linear
-        # exchanges, no pair product), bigram-LM perplexity scoring
-        # (fit exchange + broadcast model + streaming score), DSIR
-        # importance selection (O(B) model broadcast), and the iterative
-        # BPE merge loop (4 rounds × one streaming pass each)
+        # exchanges, no pair product), DSIR importance selection (O(B)
+        # model broadcast), and the iterative BPE merge loop (4 rounds ×
+        # one streaming pass each)
         "duplicate_spans",
-        "lm_perplexity",
         "dsir_importance",
         "bpe_train_merges",
         # rule bundle (pure map), MOSS sketch (pure map),
@@ -236,12 +232,11 @@ def run_queries(sf_dir: str) -> dict:
         # full iterative Lloyd fit (one k x 65-row exchange per
         # round), exact fixed-point PCA (one scatter-matrix exchange),
         # Bloom incremental screen (m-bounded build + streaming probe),
-        # Count-Min sketch (two tiny exchanges), transcript role matrix
+        # Count-Min sketch (two tiny exchanges)
         "kmeans_assign",
         "pca_top_direction",
         "bloom_incremental_dedup",
         "cms_probe_counts",
-        "role_transition_counts",
         # PQ codebooks (4 subspace fits over one shared projection),
         # per-key running totals (chunked prefix-sum window), sort-blocked
         # dedup, C4 boilerplate profiling, keep-latest compaction, DAG
@@ -254,31 +249,16 @@ def run_queries(sf_dir: str) -> dict:
         "hpo_ancestor_rollup",
         "corpus_diff",
         "ntile_by_source",
-        # per-source TF-IDF ranking (vocab-bounded double
-        # exchange), probe-set fuzzy join (broadcast small side, one
-        # vectorized merge per batch), quality-aware near-dup collapse
-        # (packed-argmax exchange over the CC output), OR index probe
-        "tfidf_top_terms",
-        "fuzzy_match_probe",
+        # quality-aware near-dup collapse (packed-argmax exchange over
+        # the CC output), OR index probe
         "dedup_keep_best",
         "index_search_or",
-        # hierarchical rollup (leaf combiner exchange),
-        # conversion funnel (chunk transition-table + per-user fold),
-        # ExactSubstr rewrite (span/doc tagged-union exchange), weekly
-        # retention matrix (three bounded exchanges)
+        # hierarchical rollup (leaf combiner exchange), ExactSubstr
+        # rewrite (span/doc tagged-union exchange)
         "rollup_token_stats",
-        "funnel_stages",
         "strip_duplicate_spans",
-        "retention_cohorts",
-        # chunk-folded Markov transitions, exact counting-exchange median,
-        # top session-opening paths
-        "event_transitions",
-        "grouped_median",
-        "session_paths",
-        "weekly_active_users",
         "cooccurrence_pmi",
         "hpo_information_content",
-        "grouped_mode",
     ]
     qs = E.queries()
 
@@ -1156,91 +1136,6 @@ def run_dedup_scale(n_docs: int) -> dict:
     }
 
 
-def run_fuzzy_scale(n_docs: int) -> dict:
-    """Fuzzy probe-join long-haul: fuzzy_match_probe at ≥1M docs with a
-    closed-form expectation validated DISTRIBUTED.
-
-    Corpus: probes are the registry ids (d % 101 == 0, d < 101000 — the
-    operator's own bounded-registry rule), each with 10 probe-unique
-    tokens.  A non-probe doc d with d % 5 == 1 carries 9 tokens of its
-    partner probe q(d) = (d mod n_probes)·101 plus one unique token —
-    Jaccard exactly 9/11 ≥ 4/5, a guaranteed match; every other doc is
-    10 unique tokens, a guaranteed non-match.  Expected output is exactly
-    {(q(d), d, 9, 11)} ∪ {(p, p, 10, 10) self-matches}; the validator
-    recomputes the rule per emitted row in-cluster and the driver compares
-    two scalars (row count, bad count)."""
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.search import PROBE_ID_CAP, PROBE_MOD, fuzzy_match_probe
-
-    out_dir = "/tmp/fuzzy_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-    n_probes = min((n_docs + PROBE_MOD - 1) // PROBE_MOD,
-                   PROBE_ID_CAP // PROBE_MOD)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        d = batch.column("id").to_numpy()
-        texts = []
-        for i in d:
-            if i % PROBE_MOD == 0 and i < PROBE_ID_CAP:
-                texts.append(" ".join(f"p{i}t{j}" for j in range(10)))
-            elif i % 5 == 1:
-                q = (i % n_probes) * PROBE_MOD
-                texts.append(
-                    " ".join(f"p{q}t{j}" for j in range(9)) + f" u{i}")
-            else:
-                texts.append(" ".join(f"u{i}t{j}" for j in range(10)))
-        return pa.table(
-            {"doc_id": pa.array(d, pa.int64()), "text": pa.array(texts)}
-        )
-
-    ray.data.range(n_docs).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/documents.parquet"
-    )
-
-    t0 = time.time()
-    out = fuzzy_match_probe(out_dir)
-
-    def check(b: pa.Table) -> pa.Table:
-        p = b.column("probe_id").to_numpy()
-        d = b.column("doc_id").to_numpy()
-        ni = b.column("n_inter").to_numpy()
-        nu = b.column("n_union").to_numpy()
-        # "probe doc" = the registry rule INCLUDING the id cap: a doc ≥
-        # the cap with d%101==0 is an ordinary doc and may family-match
-        is_probe_doc = (d % PROBE_MOD == 0) & (d < PROBE_ID_CAP)
-        is_self = (p == d) & is_probe_doc & (ni == 10) & (nu == 10)
-        is_fam = ((d % 5 == 1) & ~is_probe_doc
-                  & (p == (d % n_probes) * PROBE_MOD)
-                  & (ni == 9) & (nu == 11))
-        bad = int((~(is_self | is_fam)).sum())
-        return pa.table({"bad": pa.array([bad], pa.int64()),
-                         "n": pa.array([b.num_rows], pa.int64())})
-
-    agg = out.map_batches(check, batch_format="pyarrow").sum(["bad", "n"])
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    # expected family matches: d%5==1 and d is not a registry probe
-    # (O(n/5) driver arithmetic, independent of the engine under test)
-    n_fam = sum(1 for d in range(1, n_docs, 5)
-                if not (d % PROBE_MOD == 0 and d < PROBE_ID_CAP))
-    expected = n_fam + n_probes
-    ok = int(agg["sum(bad)"]) == 0 and int(agg["sum(n)"]) == expected
-    return {
-        "sec": round(dt, 2),
-        "docs": n_docs,
-        "docs_per_sec": round(n_docs / dt, 1),
-        "rows_checked": int(agg["sum(n)"]),
-        "rows_expected": expected,
-        "mismatched": int(agg["sum(bad)"]),
-        "validated": ok,
-    }
-
-
 def run_keepbest_scale(n_docs: int) -> dict:
     """Keep-best near-dup collapse long-haul: dedup_keep_best at ≥500k
     docs with a closed-form expectation validated DISTRIBUTED.
@@ -1310,438 +1205,6 @@ def run_keepbest_scale(n_docs: int) -> dict:
     }
 
 
-def run_funnel_scale(n_events: int) -> dict:
-    """Conversion-funnel long-haul: funnel_stages at ≥5M events with a
-    closed-form expectation validated DISTRIBUTED, every stage completion
-    in its OWN time chunk (the cross-chunk fold is the novel machinery).
-
-    Corpus: 10 events per user (event_id = 10u + j), each event in its
-    own 6h chunk (ts = (30u + 3j)·CHUNK + j).  By u % 4:
-      0 → view@j0, click@j3, purchase@j5 (full conversion, 3 rows);
-      1 → click@j0 (pre-view, unusable), view@j2, click@j4 (2 rows);
-      2 → view@j0 only (1 row);
-      3 → no funnel events (0 rows);
-    every other slot is an 'error' event the funnel ignores.  Expected
-    output = 1.5 rows/user, each row's (stage, ts, event_id) a pure
-    function of event_id — recomputed per emitted row in-cluster."""
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.events import RUN_CHUNK_US, funnel_stages
-
-    n_events -= n_events % 40  # whole users, u%4 classes balanced
-    n_users = n_events // 10
-    out_dir = "/tmp/funnel_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    # (u%4, j) → stage kind; everything else is noise
-    stage_of = {(0, 0): "view", (0, 3): "click", (0, 5): "purchase",
-                (1, 0): "click", (1, 2): "view", (1, 4): "click",
-                (2, 0): "view"}
-    expect_of = {(0, 0): "view", (0, 3): "click", (0, 5): "purchase",
-                 (1, 2): "view", (1, 4): "click", (2, 0): "view"}
-
-    def gen(batch: pa.Table) -> pa.Table:
-        e = batch.column("id").to_numpy()
-        u, j = e // 10, e % 10
-        ts = (30 * u + 3 * j) * RUN_CHUNK_US + j
-        types = [stage_of.get((int(uu) % 4, int(jj)), "error")
-                 for uu, jj in zip(u, j)]
-        return pa.table({
-            "event_id": pa.array(e, pa.int64()),
-            "ts": pa.array(ts.astype("datetime64[us]")),
-            "user_id": pa.array(u, pa.int64()),
-            "event_type": pa.array(types),
-            "value": pa.array(np.ones(len(e))),
-            "props": pa.array(["{}"] * len(e)),
-        })
-
-    ray.data.range(n_events).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/events.parquet"
-    )
-
-    t0 = time.time()
-    out = funnel_stages(out_dir)
-
-    stage_id = {"view": 0, "click": 1, "purchase": 2}
-    lut = np.full((4, 10), -1, dtype=np.int64)
-    for (cls, j), st in expect_of.items():
-        lut[cls, j] = stage_id[st]
-
-    def check(b: pa.Table) -> pa.Table:
-        uid = b.column("user_id").to_numpy()
-        eid = b.column("event_id").to_numpy()
-        ts = b.column("ts").to_numpy().astype("int64")
-        got_k = np.array([stage_id[s] for s in b.column("stage").to_pylist()],
-                         dtype=np.int64)
-        u, j = eid // 10, eid % 10
-        want_ts = (30 * u + 3 * j) * RUN_CHUNK_US + j
-        bad = int((uid != u).sum() + (ts != want_ts).sum()
-                  + (lut[u % 4, j] != got_k).sum())
-        return pa.table({"bad": pa.array([bad], pa.int64()),
-                         "n": pa.array([b.num_rows], pa.int64())})
-
-    agg = out.map_batches(check, batch_format="pyarrow").sum(["bad", "n"])
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    expected = (n_users // 4) * 6  # 3 + 2 + 1 + 0 per class of four users
-    ok = int(agg["sum(bad)"]) == 0 and int(agg["sum(n)"]) == expected
-    return {
-        "sec": round(dt, 2),
-        "events": n_events,
-        "events_per_sec": round(n_events / dt, 1),
-        "rows_checked": int(agg["sum(n)"]),
-        "rows_expected": expected,
-        "mismatched": int(agg["sum(bad)"]),
-        "validated": ok,
-    }
-
-
-def run_transitions_scale(n_events: int) -> dict:
-    """Markov-transition long-haul: event_transitions at ≥5M events with
-    an EXACT closed-form expectation (4 output rows), half the users
-    within-chunk and half with every event in its OWN 6h chunk so the
-    cross-chunk summary fold carries half of all transitions.
-
-    Corpus: 10 events per user (event_id = 10u + j), type cycle
-    a→b→c→d→a…; even users pack all 10 events into one chunk, odd users
-    spread one event per chunk.  Per user the 9 transitions are exactly
-    a→b ×3, b→c ×2, c→d ×2, d→a ×2 — independent of the chunk layout,
-    so any boundary mis-fold (lost, doubled or misordered cross-chunk
-    pairs) shifts a count."""
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.events import (
-        RUN_CHUNK_US,
-        event_transitions,
-    )
-
-    n_events -= n_events % 20  # whole users, even/odd classes balanced
-    n_users = n_events // 10
-    out_dir = "/tmp/transitions_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    types4 = np.array(["a", "b", "c", "d"], dtype=object)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        e = batch.column("id").to_numpy()
-        u, j = e // 10, e % 10
-        # even users: one chunk; odd users: one chunk per event
-        # (25·CHUNK per user keeps users' chunk ranges disjoint)
-        ts = np.where(u % 2 == 0, 25 * u * RUN_CHUNK_US + j,
-                      (25 * u + 2 * j) * RUN_CHUNK_US + j)
-        return pa.table({
-            "event_id": pa.array(e, pa.int64()),
-            "ts": pa.array(ts.astype("datetime64[us]")),
-            "user_id": pa.array(u, pa.int64()),
-            "event_type": pa.array(types4[j % 4]),
-            "value": pa.array(np.ones(len(e))),
-            "props": pa.array(["{}"] * len(e)),
-        })
-
-    ray.data.range(n_events).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/events.parquet"
-    )
-
-    t0 = time.time()
-    got = event_transitions(out_dir).to_pandas()  # ≤ 16 rows: driver-safe
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    got_map = {(f, t): int(n) for f, t, n in zip(
-        got["type_from"], got["type_to"], got["n"])}
-    want = {("a", "b"): 3 * n_users, ("b", "c"): 2 * n_users,
-            ("c", "d"): 2 * n_users, ("d", "a"): 2 * n_users}
-    mism = sum(1 for k in set(got_map) | set(want)
-               if got_map.get(k) != want.get(k))
-    return {
-        "sec": round(dt, 2),
-        "events": n_events,
-        "events_per_sec": round(n_events / dt, 1),
-        "rows_checked": len(got),
-        "rows_expected": len(want),
-        "mismatched": mism,
-        "validated": mism == 0,
-    }
-
-
-def run_paths_scale(n_events: int) -> dict:
-    """Session-paths long-haul: session_paths at ≥4M events with an exact
-    3-row closed-form expectation; a third of the users open a session
-    that STRADDLES the 24h chunk boundary (the head-recombination fold is
-    what's under test).
-
-    Corpus: 4 events per user (event_id = 4u + j).  By u % 3:
-      0 → a,b,c,d one minute apart mid-chunk → one session, path a>b>c;
-      1 → w 10 min BEFORE a day boundary, x,y,z 5/6/7 min after → one
-          boundary-straddling session, path w>x>y;
-      2 → four events 4 h apart (same chunk, gap > 30 min) → four
-          single-event sessions, path e each.
-    Expected: {a>b>c: U/3, w>x>y: U/3, e: 4U/3}."""
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.events import session_paths
-
-    n_events -= n_events % 12  # whole users, u%3 classes balanced
-    n_users = n_events // 4
-    out_dir = "/tmp/paths_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    DAY = 24 * 3600 * 1_000_000
-    MIN = 60 * 1_000_000
-
-    type_of = np.array([["a", "b", "c", "d"],
-                        ["w", "x", "y", "z"],
-                        ["e", "e", "e", "e"]], dtype=object)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        e = batch.column("id").to_numpy()
-        u, j = e // 4, e % 4
-        cls = u % 3
-        base = (50 * u + 1) * DAY  # a day boundary per user, users apart
-        ts = np.where(
-            cls == 0, base + 60 * MIN + j * MIN,
-            np.where(cls == 1,
-                     base + np.where(j == 0, -10 * MIN, (4 + j) * MIN),
-                     base + 60 * MIN + j * 240 * MIN))
-        return pa.table({
-            "event_id": pa.array(e, pa.int64()),
-            "ts": pa.array(ts.astype("datetime64[us]")),
-            "user_id": pa.array(u, pa.int64()),
-            "event_type": pa.array(type_of[cls, j]),
-            "value": pa.array(np.ones(len(e))),
-            "props": pa.array(["{}"] * len(e)),
-        })
-
-    ray.data.range(n_events).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/events.parquet"
-    )
-
-    t0 = time.time()
-    got = session_paths(out_dir).to_pandas()  # ≤ top-20 rows: driver-safe
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    got_map = {p: int(n) for p, n in zip(got["path"], got["n_sessions"])}
-    want = {"a>b>c": n_users // 3, "w>x>y": n_users // 3,
-            "e": 4 * (n_users // 3)}
-    mism = sum(1 for k in set(got_map) | set(want)
-               if got_map.get(k) != want.get(k))
-    return {
-        "sec": round(dt, 2),
-        "events": n_events,
-        "events_per_sec": round(n_events / dt, 1),
-        "rows_checked": len(got),
-        "rows_expected": len(want),
-        "mismatched": mism,
-        "validated": mism == 0,
-    }
-
-
-def run_median_scale(n_events: int) -> dict:
-    """Exact-grouped-median long-haul: ≥10M events, 3 types, 1001
-    distinct cent values per type — the counting exchange carries 3,003
-    rows regardless of event count, and the closed-form median is exact.
-
-    Corpus: type t = e % 3, value v = ((e // 3) % 1001) / 100 within
-    each type, so each type holds ceil/floor-uniform counts over cents
-    0..1000: median cents = 500 exactly when the type's count is odd OR
-    the two middles straddle 500 evenly — with n_events a multiple of
-    3·1001 every cent value appears equally often per type, so BOTH
-    middle order statistics are 500 and median_x2 = 1000."""
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.events import grouped_median
-
-    n_events -= n_events % (3 * 1001)
-    out_dir = "/tmp/median_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    types3 = np.array(["alpha", "beta", "gamma"], dtype=object)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        e = batch.column("id").to_numpy()
-        return pa.table({
-            "event_id": pa.array(e, pa.int64()),
-            "ts": pa.array(e.astype("datetime64[us]")),
-            "user_id": pa.array(e % 1000, pa.int64()),
-            "event_type": pa.array(types3[e % 3]),
-            "value": pa.array(((e // 3) % 1001) / 100.0),
-            "props": pa.array(["{}"] * len(e)),
-        })
-
-    ray.data.range(n_events).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/events.parquet"
-    )
-
-    t0 = time.time()
-    got = grouped_median(out_dir).to_pandas()  # 3 rows: driver-safe
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    per_type = n_events // 3
-    got_map = {e: (int(n), int(m)) for e, n, m in zip(
-        got["event_type"], got["n_rows"], got["median_x2_cents"])}
-    want = {t: (per_type, 1000) for t in types3}
-    mism = sum(1 for k in set(got_map) | set(want)
-               if got_map.get(k) != want.get(k))
-    return {
-        "sec": round(dt, 2),
-        "events": n_events,
-        "events_per_sec": round(n_events / dt, 1),
-        "rows_checked": len(got),
-        "rows_expected": len(want),
-        "mismatched": mism,
-        "validated": mism == 0,
-    }
-
-
-def run_wau_scale(n_events: int) -> dict:
-    """Weekly-active-users long-haul: 2 events per user (same day — the
-    distinct collapse halves the stream), user u active on day u % 50.
-    Expected: n_active(day t) = (U / 50) · min(t + 1, 7) for the 50
-    active days — every window count is exact and the whole 50-row
-    result is compared on the driver."""
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.events import DAY_US, weekly_active_users
-
-    D = 50
-    n_events -= n_events % (2 * D)  # whole users, uniform day residues
-    n_users = n_events // 2
-    out_dir = "/tmp/wau_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        e = batch.column("id").to_numpy()
-        u, j = e // 2, e % 2
-        ts = (u % D) * DAY_US + u + j * 1000
-        return pa.table({
-            "event_id": pa.array(e, pa.int64()),
-            "ts": pa.array(ts.astype("datetime64[us]")),
-            "user_id": pa.array(u, pa.int64()),
-            "event_type": pa.array(np.where(j == 0, "view", "click")),
-            "value": pa.array(np.ones(len(e))),
-            "props": pa.array(["{}"] * len(e)),
-        })
-
-    ray.data.range(n_events).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/events.parquet"
-    )
-
-    t0 = time.time()
-    got = weekly_active_users(out_dir).to_pandas()  # 50 rows: driver-safe
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    per_day = n_users // D
-    got_map = {int(d): int(n) for d, n in zip(got["day"], got["n_active"])}
-    want = {t: per_day * min(t + 1, 7) for t in range(D)}
-    mism = sum(1 for k in set(got_map) | set(want)
-               if got_map.get(k) != want.get(k))
-    return {
-        "sec": round(dt, 2),
-        "events": n_events,
-        "events_per_sec": round(n_events / dt, 1),
-        "rows_checked": len(got),
-        "rows_expected": len(want),
-        "mismatched": mism,
-        "validated": mism == 0,
-    }
-
-
-def run_tfidf_scale(n_docs: int) -> dict:
-    """TF-IDF long-haul: tfidf_top_terms at ≥1M docs against an exactly
-    derivable expected table.
-
-    Corpus: 32 sources (s = d % 32), n_docs a multiple of 96 so residues
-    are uniform per source.  Every doc holds 1×'alpha', (2 if s even else
-    1)×'beta', and (d % 3)×'sig{s}'.  Per source: tf(alpha) = n/32,
-    tf(beta) = (2|1)·n/32, tf(sig_s) = n/32 (0+1+2 per 3 docs); df(alpha)
-    = df(beta) = 32, df(sig_s) = 1, N = 32.  The expected 96-row result
-    (3 terms/source, score ties broken term-asc) is built analytically
-    and compared exactly — the output is k×sources-bounded, so the
-    driver-side compare is O(1) in n_docs."""
-    import math
-    import shutil
-
-    import pandas as pd
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.search import tfidf_top_terms
-
-    n_docs -= n_docs % 96
-    out_dir = "/tmp/tfidf_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        d = batch.column("id").to_numpy()
-        texts = []
-        for i in d:
-            s = i % 32
-            parts = ["alpha"] + ["beta"] * (2 if s % 2 == 0 else 1)
-            parts += [f"sig{s}"] * (i % 3)
-            texts.append(" ".join(parts))
-        return pa.table({
-            "text": pa.array(texts),
-            "source": pa.array([f"src{i % 32}" for i in d]),
-        })
-
-    ray.data.range(n_docs).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/documents.parquet"
-    )
-
-    t0 = time.time()
-    got = (tfidf_top_terms(out_dir).to_pandas()
-           .sort_values(["source", "rank"]).reset_index(drop=True))
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    per = n_docs // 32
-    i_one = math.floor((math.log(33.0 / 33.0) + 1.0) * 1e9 + 0.5)
-    i_sig = math.floor((math.log(33.0 / 2.0) + 1.0) * 1e9 + 0.5)
-    rows = []
-    for s in range(32):
-        tf_beta = (2 if s % 2 == 0 else 1) * per
-        cand = [("alpha", per, 32, per * i_one),
-                ("beta", tf_beta, 32, tf_beta * i_one),
-                (f"sig{s}", per, 1, per * i_sig)]
-        cand.sort(key=lambda r: (-r[3], r[0]))
-        for rank, (term, tf, df, sc) in enumerate(cand, 1):
-            rows.append((f"src{s}", rank, term, tf, df, sc))
-    want = pd.DataFrame(rows, columns=["source", "rank", "term", "tf",
-                                       "df", "score_nano"])
-    want = want.sort_values(["source", "rank"]).reset_index(drop=True)
-    ok = got.astype({"rank": "int64"}).equals(
-        want.astype({c: got[c].dtype for c in want.columns}))
-    return {
-        "sec": round(dt, 2),
-        "docs": n_docs,
-        "docs_per_sec": round(n_docs / dt, 1),
-        "rows_checked": len(got),
-        "rows_expected": len(want),
-        "mismatched": 0 if ok else int(
-            (got.values != want.values).any(axis=1).sum()),
-        "validated": bool(ok),
-    }
-
-
 def child_main(num_cpus: int) -> None:
     """Fresh-process headline run at a given parallelism (for --scaling)."""
     import ray
@@ -1790,36 +1253,10 @@ def main() -> None:
         "--events-scale": ("GRAFT_EVENTS_N", 10_000_000, run_events_scale,
                            "events_scale_events_per_sec", "events_per_sec",
                            "events/sec"),
-        "--fuzzy-scale": ("GRAFT_FUZZY_DOCS", 1_000_000, run_fuzzy_scale,
-                          "fuzzy_scale_docs_per_sec", "docs_per_sec",
-                          "docs/sec"),
-        "--tfidf-scale": ("GRAFT_TFIDF_DOCS", 2_000_000, run_tfidf_scale,
-                          "tfidf_scale_docs_per_sec", "docs_per_sec",
-                          "docs/sec"),
         "--keepbest-scale": ("GRAFT_KEEPBEST_DOCS", 600_000,
                              run_keepbest_scale,
                              "keepbest_scale_docs_per_sec", "docs_per_sec",
                              "docs/sec"),
-        "--funnel-scale": ("GRAFT_FUNNEL_EVENTS", 5_000_000,
-                           run_funnel_scale,
-                           "funnel_scale_events_per_sec", "events_per_sec",
-                           "events/sec"),
-        "--transitions-scale": ("GRAFT_TRANSITIONS_EVENTS", 5_000_000,
-                                run_transitions_scale,
-                                "transitions_scale_events_per_sec",
-                                "events_per_sec", "events/sec"),
-        "--paths-scale": ("GRAFT_PATHS_EVENTS", 4_000_000,
-                          run_paths_scale,
-                          "paths_scale_events_per_sec",
-                          "events_per_sec", "events/sec"),
-        "--wau-scale": ("GRAFT_WAU_EVENTS", 5_000_000,
-                        run_wau_scale,
-                        "wau_scale_events_per_sec",
-                        "events_per_sec", "events/sec"),
-        "--median-scale": ("GRAFT_MEDIAN_EVENTS", 10_000_000,
-                           run_median_scale,
-                           "median_scale_events_per_sec",
-                           "events_per_sec", "events/sec"),
     }
     flag = next((f for f in scale_flags if f in sys.argv), None)
     if flag is not None:

@@ -557,7 +557,7 @@ def dsir_importance(sf_dir: str, target_sources=DSIR_TARGET_SOURCES,
     combiner-first exchange of ≤ 2·B rows per block and the broadcast is
     O(B) regardless of corpus size; scoring is one streaming pass (bucket
     ids via the memoized gram-md5, then one np.take + reduceat per block).
-    ln terms ride as integer nanounits (the lm.py / bm25 trick) so the
+    ln terms ride as integer nanounits (pipelines/triples._ln_nano_arr) so the
     driver hash is summation-order-free."""
     from ..stages.shuffle import two_phase_groupby
     from ..pipelines.triples import _ln_nano_arr

@@ -545,7 +545,7 @@ def running_user_spend(sf_dir: str, num_buckets: int | None = None):
         # exchange emits a row for every data chunk, so the fillna path
         # never fires today, but one unmatched row would promote the whole
         # column to float64 and corrupt running totals above 2⁵³ cents by
-        # ±1 (the funnel-summary bug class, which DID fire there).
+        # ±1.
         # Exactness past 2⁵³ is pinned end-to-end by
         # test_running_user_spend_exact_beyond_float53.
         om["off"] = om["off"].astype("Int64")
@@ -608,1075 +608,17 @@ def compact_latest_events(sf_dir: str, num_buckets: int | None = None):
     )
 
 
-FUNNEL_STAGES = ("view", "click", "purchase")
-_TS_ABSENT = np.int64(1) << 62
-
-
-def funnel_stages(sf_dir: str, num_buckets: int | None = None):
-    """(user_id, stage, ts, event_id) — ordered conversion funnel, one row
-    per completed stage.  Definition (mirrored in SQL): v1 = the user's
-    earliest view by (ts, event_id); c1 = earliest click with
-    (ts, event_id) > v1; p1 = earliest purchase with (ts, event_id) > c1
-    — the standard greedy funnel matching.
-
-    Scale shape (the running_user_spend chunk pattern): funnel events
-    exchange ONCE on hash(user, time-chunk); each user-chunk reduces to
-    ONE summary row — a transition table of the stage chain completable
-    within the chunk for every entry state k_in ∈ {0,1,2}.  That table is
-    sufficient because chunks partition time: every event in a later
-    chunk is strictly after any completion in an earlier one (same-ts
-    events share a chunk by construction), so only the COUNT of
-    previously completed stages matters at a chunk boundary, never their
-    timestamps.  The per-user fold then runs over chunk summaries —
-    state bounded by the user's CHUNK count, never its event count (a
-    hot user's history still never needs one task)."""
-    from ..stages.shuffle import (
-        coalesce_for_exchange,
-        default_num_buckets,
-        from_pandas_clean,
-        table_rows,
-    )
-
-    P = num_buckets or default_num_buckets()
-    kind_of = {s: i for i, s in enumerate(FUNNEL_STAGES)}
-    out_schema = pa.schema([
-        ("user_id", pa.int64()), ("stage", pa.string()),
-        ("ts", pa.timestamp("us")), ("event_id", pa.int64()),
-    ])
-    keys = ["user_id", "chunk"]
-    scen = ["v0", "c0", "p0", "c1", "p1", "p2"]
-
-    def proj(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df = df[df["event_type"].isin(FUNNEL_STAGES)]
-        ts_us = df["ts"].astype("int64")
-        out = pd.DataFrame({
-            "user_id": df["user_id"].astype("int64"),
-            "chunk": (ts_us // RUN_CHUNK_US).astype("int64"),
-            "ts_us": ts_us.astype("int64"),
-            "event_id": df["event_id"].astype("int64"),
-            "kind": df["event_type"].map(kind_of).astype("int64"),
-            "bucket": (pd.util.hash_pandas_object(
-                df[["user_id"]].assign(
-                    chunk=(ts_us // RUN_CHUNK_US).astype("int64")),
-                index=False).to_numpy() % P).astype("int64"),
-        })
-        return from_pandas_clean(out)
-
-    def summarize(df: pd.DataFrame) -> pa.Table:
-        """One bucket of (user, chunk) groups → one summary row each:
-        (ts, event_id) of the chunk-local chain for every entry state —
-        all six firsts computed with whole-bucket vectorized merges."""
-        sum_schema = pa.schema(
-            [("user_id", pa.int64()), ("chunk", pa.int64())]
-            + [(f"{n}_{c}", pa.int64()) for n in scen for c in ("ts", "eid")]
-        )
-        df = df.sort_values(keys + ["ts_us", "event_id"])
-
-        def first_of(kind: int) -> pd.DataFrame:
-            sub = df[df["kind"] == kind]
-            return sub.drop_duplicates(keys)[keys + ["ts_us", "event_id"]]
-
-        def first_after(kind: int, thr: pd.DataFrame) -> pd.DataFrame:
-            sub = df[df["kind"] == kind].merge(
-                thr.rename(columns={"ts_us": "a_ts", "event_id": "a_eid"}),
-                on=keys)
-            sub = sub[(sub["ts_us"] > sub["a_ts"])
-                      | ((sub["ts_us"] == sub["a_ts"])
-                         & (sub["event_id"] > sub["a_eid"]))]
-            sub = sub.sort_values(keys + ["ts_us", "event_id"])
-            return sub.drop_duplicates(keys)[keys + ["ts_us", "event_id"]]
-
-        v0 = first_of(0)
-        c0 = first_after(1, v0)
-        p0 = first_after(2, c0)
-        c1 = first_of(1)
-        p1 = first_after(2, c1)
-        p2 = first_of(2)
-        out = df[keys].drop_duplicates()
-        for name, t in zip(scen, (v0, c0, p0, c1, p1, p2)):
-            t = t.rename(columns={"ts_us": f"{name}_ts",
-                                  "event_id": f"{name}_eid"})
-            # NULLABLE Int64 through the left merge: plain int64 columns
-            # get promoted to float64 when the merge introduces NaN,
-            # silently corrupting µs timestamps (and ids) above 2⁵³ by
-            # ±1 — caught by the --funnel-scale pin, whose synthetic far-
-            # future timestamps cross 2⁵³ µs (year ~2255)
-            t[f"{name}_ts"] = t[f"{name}_ts"].astype("Int64")
-            t[f"{name}_eid"] = t[f"{name}_eid"].astype("Int64")
-            out = out.merge(t, on=keys, how="left")
-            out[f"{name}_ts"] = (
-                out[f"{name}_ts"].fillna(_TS_ABSENT).astype("int64"))
-            out[f"{name}_eid"] = out[f"{name}_eid"].fillna(-1).astype("int64")
-        if not len(out):
-            return sum_schema.empty_table()
-        return from_pandas_clean(out).cast(sum_schema)
-
-    n_ev = table_rows(sf_dir, "events")
-    summaries = (
-        coalesce_for_exchange(
-            _read_events(sf_dir, columns=["event_id", "ts", "user_id",
-                                          "event_type"])
-            .map_batches(proj, batch_format="pyarrow"),
-            n_ev,
-        )
-        .groupby("bucket")
-        .map_groups(summarize, batch_format="pandas")
-    )
-
-    def fold(df: pd.DataFrame) -> pa.Table:
-        """One user-bucket of summary rows → stage rows: greedy fold over
-        chunks in time order, advancing the chunk-local chain that matches
-        the entry state.  Loop length = the user's chunk count."""
-        if df.empty or "user_id" not in df.columns:
-            return out_schema.empty_table()
-        df = df.sort_values(keys)
-        rows_u, rows_s, rows_t, rows_e = [], [], [], []
-        for uid, g in df.groupby("user_id", sort=False):
-            k = 0
-            for r in g.itertuples(index=False):
-                if k == 0:
-                    chain = (("view", r.v0_ts, r.v0_eid),
-                             ("click", r.c0_ts, r.c0_eid),
-                             ("purchase", r.p0_ts, r.p0_eid))
-                elif k == 1:
-                    chain = (("click", r.c1_ts, r.c1_eid),
-                             ("purchase", r.p1_ts, r.p1_eid))
-                elif k == 2:
-                    chain = (("purchase", r.p2_ts, r.p2_eid),)
-                else:
-                    break
-                for stage, ts, eid in chain:
-                    if ts == _TS_ABSENT:
-                        break
-                    rows_u.append(uid)
-                    rows_s.append(stage)
-                    rows_t.append(ts)
-                    rows_e.append(eid)
-                    k += 1
-        if not rows_u:
-            return out_schema.empty_table()
-        out = pd.DataFrame({
-            "user_id": np.asarray(rows_u, dtype=np.int64),
-            "stage": rows_s,
-            "ts": np.asarray(rows_t, dtype=np.int64).astype("datetime64[us]"),
-            "event_id": np.asarray(rows_e, dtype=np.int64),
-        })
-        return from_pandas_clean(out).cast(out_schema)
-
-    def ubucket(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["ubucket"] = (
-            pd.util.hash_pandas_object(df["user_id"], index=False).to_numpy()
-            % P
-        ).astype("int64")
-        return from_pandas_clean(df)
-
-    # summary rows ≤ one per user-chunk ≤ n_ev: small relative to events
-    return (
-        coalesce_for_exchange(
-            summaries.map_batches(ubucket, batch_format="pyarrow"), n_ev)
-        .groupby("ubucket")
-        .map_groups(fold, batch_format="pandas")
-    )
-
-
-WEEK_US = 7 * 24 * 3600 * 1_000_000
-
-
-def retention_cohorts(sf_dir: str, num_buckets: int | None = None):
-    """(cohort_week, week_offset, n_users) — weekly retention matrix:
-    cohort_week = epoch-week of a user's FIRST 'signup' event,
-    week_offset = activity week − cohort week (≥ 0), n_users = distinct
-    users of that cohort active (any event type) at that offset.  The
-    product-analytics staple behind every retention curve.
-
-    Scale shape: three bucketed exchanges, none corpus-wide —
-      1. per-user first-signup (combiner min over a signup-ts projection
-         with an absent-sentinel; non-signup users drop out);
-      2. distinct (user, week) activity pairs (combiner distinct);
-      3. cohorts ⋈ activity on ONE tagged-union hash(user) exchange
-         (per-user group = that user's distinct weeks, bounded by the
-         observation window, never event count), then a final
-         (cohort, offset) count exchange whose cardinality is
-         weeks² — a constant-size matrix."""
-    from ..stages.shuffle import (
-        coalesce_for_exchange,
-        default_num_buckets,
-        from_pandas_clean,
-        table_rows,
-        two_phase_groupby,
-    )
-
-    P = num_buckets or default_num_buckets()
-    out_schema = pa.schema([
-        ("cohort_week", pa.int64()), ("week_offset", pa.int64()),
-        ("n_users", pa.int64()),
-    ])
-    _ABSENT = np.int64(1) << 62
-    n_ev = table_rows(sf_dir, "events")
-
-    def proj(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        ts_us = df["ts"].astype("int64")
-        return from_pandas_clean(pd.DataFrame({
-            "user_id": df["user_id"].astype("int64"),
-            "week": (ts_us // WEEK_US).astype("int64"),
-            "signup_ts": np.where(df["event_type"].to_numpy() == "signup",
-                                  ts_us.to_numpy(), _ABSENT),
-        }))
-
-    rows = coalesce_for_exchange(
-        _read_events(sf_dir, columns=["ts", "user_id", "event_type"])
-        .map_batches(proj, batch_format="pyarrow"),
-        n_ev,
-    ).materialize()
-
-    cohorts = two_phase_groupby(
-        rows.map_batches(lambda b: b.select(["user_id", "signup_ts"]),
-                         batch_format="pyarrow"),
-        keys=["user_id"],
-        aggs={"s0": ("signup_ts", "min", "min")},
-    )
-
-    def cohort_rows(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df = df[df["s0"] != _ABSENT]
-        return from_pandas_clean(pd.DataFrame({
-            "user_id": df["user_id"].astype("int64"),
-            "week": (df["s0"] // WEEK_US).astype("int64"),
-            "kind": np.ones(len(df), dtype=np.int64),
-            "bucket": (df["user_id"].to_numpy(dtype=np.int64) % P),
-        }))
-
-    activity = two_phase_groupby(
-        rows.map_batches(lambda b: b.select(["user_id", "week"]),
-                         batch_format="pyarrow"),
-        keys=["user_id", "week"],
-        aggs={"n": (None, "size", "sum")},
-    )
-
-    def activity_rows(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        return from_pandas_clean(pd.DataFrame({
-            "user_id": df["user_id"].astype("int64"),
-            "week": df["week"].astype("int64"),
-            "kind": np.zeros(len(df), dtype=np.int64),
-            "bucket": (df["user_id"].to_numpy(dtype=np.int64) % P),
-        }))
-
-    tagged = coalesce_for_exchange(
-        cohorts.map_batches(cohort_rows, batch_format="pyarrow").union(
-            activity.map_batches(activity_rows, batch_format="pyarrow")),
-        2 * n_ev,
-    )
-
-    def attach(df: pd.DataFrame) -> pd.DataFrame:
-        cw = df.loc[df["kind"] == 1, ["user_id", "week"]].rename(
-            columns={"week": "cohort_week"})
-        act = df.loc[df["kind"] == 0, ["user_id", "week"]]
-        m = act.merge(cw, on="user_id", sort=False)
-        m = m[m["week"] >= m["cohort_week"]]
-        if not len(m):
-            return pd.DataFrame({
-                "cohort_week": pd.Series([], dtype="int64"),
-                "week_offset": pd.Series([], dtype="int64"),
-                "n": pd.Series([], dtype="int64"),
-            })
-        out = pd.DataFrame({
-            "cohort_week": m["cohort_week"].astype("int64"),
-            "week_offset": (m["week"] - m["cohort_week"]).astype("int64"),
-        })
-        # distinct (user, week) upstream ⇒ one row per (user, offset):
-        # the per-bucket partial count is exact
-        return out.groupby(["cohort_week", "week_offset"],
-                           as_index=False).size().rename(columns={"size": "n"})
-
-    partial = tagged.groupby("bucket").map_groups(attach,
-                                                  batch_format="pandas")
-    agg = two_phase_groupby(
-        partial, keys=["cohort_week", "week_offset"],
-        aggs={"n_users": ("n", "sum", "sum")},
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        return from_pandas_clean(pd.DataFrame({
-            "cohort_week": df["cohort_week"].astype("int64"),
-            "week_offset": df["week_offset"].astype("int64"),
-            "n_users": df["n_users"].astype("int64"),
-        })).cast(out_schema)
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-def _user_chunk_proj(chunk_us: int, P: int):
-    """(user_id, chunk, ts_us, event_id, event_type, bucket) projection
-    with hash(user_id, chunk) % P bucketing — the shared front half of
-    the chunked per-user operators (event_transitions, session_paths).
-    The older ops in this module (sessionize, running_user_spend,
-    funnel_stages) predate the helper and keep their inline variants
-    (different carried columns / chunk parameters); a future hashing or
-    chunking fix must visit those three sites too (review wave 3)."""
-    def proj(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        ts_us = df["ts"].astype("int64")
-        out = pd.DataFrame({
-            "user_id": df["user_id"].astype("int64"),
-            "chunk": (ts_us // chunk_us).astype("int64"),
-            "ts_us": ts_us.astype("int64"),
-            "event_id": df["event_id"].astype("int64"),
-            "event_type": df["event_type"],
-        })
-        out["bucket"] = (pd.util.hash_pandas_object(
-            out[["user_id", "chunk"]], index=False).to_numpy() % P
-        ).astype("int64")
-        return from_pandas_clean(out)
-    return proj
-
-
-def event_transitions(sf_dir: str, num_buckets: int | None = None):
-    """(type_from, type_to, n) — global Markov transition counts over each
-    user's (ts, event_id)-ordered event stream: every consecutive event
-    pair of one user contributes one (prev_type, next_type) count.  The
-    clickstream/agent-trace staple behind behavior models and anomaly
-    screens.
-
-    Scale shape (the running_user_spend chunk pattern): events exchange
-    ONCE on hash(user, time-chunk); each (user, chunk) group counts its
-    within-chunk transitions locally and reduces to ONE summary row
-    (first_type, last_type) — sufficient because chunks partition time,
-    so the only transitions a chunk cannot see are (last event of a
-    chunk → first event of the user's NEXT non-empty chunk), which is
-    exactly adjacent pairs of the user's chunk-summary list.  The
-    per-user fold therefore runs over chunk summaries (2 strings per
-    chunk), never raw events — a hot user with 10^8 events costs its
-    bucket only ~#chunks rows.  Final counts merge through one
-    vocabulary-bounded two-phase groupby (≤ |event_type|² keys)."""
-    from ..stages.shuffle import (
-        coalesce_for_exchange,
-        default_num_buckets,
-        table_rows,
-        two_phase_groupby,
-        typed_result,
-    )
-
-    P = num_buckets or default_num_buckets()
-    # tagged-union schema for the single phase-1 output stream:
-    # kind=0 rows carry (type_from, type_to, n) partial counts;
-    # kind=1 rows carry a (user, chunk) boundary summary in the SAME
-    # columns (type_from=chunk's first type, type_to=last, n unused)
-    mid_schema = pa.schema([
-        ("user_id", pa.int64()), ("chunk", pa.int64()),
-        ("type_from", pa.string()), ("type_to", pa.string()),
-        ("n", pa.int64()), ("kind", pa.int64()),
-    ])
-
-    proj = _user_chunk_proj(RUN_CHUNK_US, P)
-
-    def local(df: pd.DataFrame) -> pa.Table:
-        if df.empty or "user_id" not in df.columns:
-            return mid_schema.empty_table()
-        keys = ["user_id", "chunk"]
-        df = df.sort_values(keys + ["ts_us", "event_id"])
-        same = df[keys].eq(df[keys].shift()).all(axis=1)
-        prev = df["event_type"].shift()
-        pairs = pd.DataFrame({
-            "type_from": prev[same], "type_to": df["event_type"][same]})
-        counts = pairs.groupby(["type_from", "type_to"],
-                               as_index=False).size()
-        counts = pd.DataFrame({
-            "user_id": np.int64(-1), "chunk": np.int64(-1),
-            "type_from": counts["type_from"],
-            "type_to": counts["type_to"],
-            "n": counts["size"].astype("int64"), "kind": np.int64(0)})
-        # after the sort, first/last per group are positional
-        g = df.groupby(keys, as_index=False, sort=False).agg(
-            type_from=("event_type", "first"),
-            type_to=("event_type", "last"))
-        bounds = pd.DataFrame({
-            "user_id": g["user_id"].astype("int64"),
-            "chunk": g["chunk"].astype("int64"),
-            "type_from": g["type_from"], "type_to": g["type_to"],
-            "n": np.int64(0), "kind": np.int64(1)})
-        return from_pandas_clean(
-            pd.concat([counts, bounds], ignore_index=True)).cast(mid_schema)
-
-    n_ev = table_rows(sf_dir, "events")
-    # materialized: `mid` feeds BOTH the within-chunk and the boundary
-    # branch — without it Ray re-executes the events read + exchange +
-    # fold twice (no common-subexpression sharing; review wave 3).  Safe
-    # at any corpus size: the fold has already aggregated to ≤ |types|²
-    # count rows + one summary row per (user, chunk) — summary-sized,
-    # never event-sized — and the object store spills if needed.
-    mid = (
-        coalesce_for_exchange(
-            _read_events(sf_dir, columns=["event_id", "ts", "user_id",
-                                          "event_type"])
-            .map_batches(proj, batch_format="pyarrow"),
-            n_ev,
-        )
-        .groupby("bucket")
-        .map_groups(local, batch_format="pandas")
-    ).materialize()
-
-    def ubucket(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df = df[df["kind"] == 1]
-        df["ubucket"] = (pd.util.hash_pandas_object(
-            df["user_id"], index=False).to_numpy() % P).astype("int64")
-        return from_pandas_clean(df[["user_id", "chunk", "type_from",
-                                     "type_to", "ubucket"]])
-
-    def boundary_counts(df: pd.DataFrame) -> pa.Table:
-        """Adjacent chunk-summary pairs within a user: the previous
-        chunk's LAST type transitions into this chunk's FIRST type."""
-        cnt_schema = pa.schema([("type_from", pa.string()),
-                                ("type_to", pa.string()),
-                                ("n", pa.int64())])
-        if df.empty or "user_id" not in df.columns:
-            return cnt_schema.empty_table()
-        df = df.sort_values(["user_id", "chunk"])
-        same = df["user_id"].eq(df["user_id"].shift())
-        prev_last = df["type_to"].shift()
-        pairs = pd.DataFrame({
-            "type_from": prev_last[same], "type_to": df["type_from"][same]})
-        if pairs.empty:
-            return cnt_schema.empty_table()
-        counts = pairs.groupby(["type_from", "type_to"],
-                               as_index=False).size()
-        return from_pandas_clean(pd.DataFrame({
-            "type_from": counts["type_from"],
-            "type_to": counts["type_to"],
-            "n": counts["size"].astype("int64")})).cast(cnt_schema)
-
-    cross = (
-        mid.map_batches(ubucket, batch_format="pyarrow")
-        .groupby("ubucket")
-        .map_groups(boundary_counts, batch_format="pandas")
-    )
-
-    def within(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = b.filter(pc.equal(b.column("kind"), 0))
-        return t.select(["type_from", "type_to", "n"])
-
-    # typed_result: a corpus where every user has ONE event produces a
-    # legitimately EMPTY result from a non-empty input (zero transitions)
-    # — caught by the hypothesis property test; without the typed union
-    # the all-empty dataset loses its schema and the gate's column
-    # compare fails
-    return typed_result(
-        two_phase_groupby(
-            mid.map_batches(within, batch_format="pyarrow").union(cross),
-            keys=["type_from", "type_to"],
-            aggs={"n": ("n", "sum", "sum")},
-        ),
-        pa.schema([("type_from", pa.string()), ("type_to", pa.string()),
-                   ("n", pa.int64())]),
-    )
-
-
-def grouped_median(sf_dir: str, num_buckets: int | None = None):
-    """(event_type, n_rows, median_x2_cents) — EXACT per-type median of
-    ``value`` in integer cents, reported as the SUM of the lower and
-    upper middle order statistics (×2 median) so odd and even counts are
-    both pure integers — no float averaging, hash-identical to SQL.
-
-    Scale shape: the classic exact distributed order statistic via a
-    COUNTING exchange — each batch pre-aggregates (event_type, cents) →
-    partial n, the two-phase groupby merges them, and a second exchange
-    on event_type alone hands each type its full counting table, where
-    one cumulative-sum scan picks the middle positions.  Nothing
-    row-proportional ever crosses the wire: bucket payload is bounded by
-    the DISTINCT cent values per type (documented partitioning
-    assumption — true for money-like bounded-domain columns; a
-    pathological unbounded-domain column needs a quantile sketch
-    instead, see token_quantiles_by_source)."""
-    from ..stages.shuffle import (
-        default_num_buckets,
-        two_phase_groupby,
-        typed_result,
-    )
-
-    out_schema = pa.schema([
-        ("event_type", pa.string()), ("n_rows", pa.int64()),
-        ("median_x2_cents", pa.int64()),
-    ])
-    P = num_buckets or default_num_buckets()
-
-    def proj(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        return from_pandas_clean(pd.DataFrame({
-            "event_type": df["event_type"],
-            "cents": _cents(df["value"]),
-        }))
-
-    counting = two_phase_groupby(
-        _read_events(sf_dir, columns=["event_type", "value"])
-        .map_batches(proj, batch_format="pyarrow"),
-        keys=["event_type", "cents"],
-        aggs={"n": (None, "size", "sum")},
-        num_buckets=P,
-    )
-
-    def tbucket(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["tbucket"] = (pd.util.hash_pandas_object(
-            df["event_type"], index=False).to_numpy() % P).astype("int64")
-        return from_pandas_clean(df)
-
-    def finish(df: pd.DataFrame) -> pa.Table:
-        if df.empty or "event_type" not in df.columns:
-            return out_schema.empty_table()
-        rows = []
-        for etype, g in df.groupby("event_type", sort=False):
-            g = g.sort_values("cents")
-            c = g["cents"].to_numpy()
-            cum = g["n"].to_numpy().cumsum()
-            total = int(cum[-1])
-            lo = c[np.searchsorted(cum, (total + 1) // 2, side="left")]
-            hi = c[np.searchsorted(cum, (total + 2) // 2, side="left")]
-            rows.append((etype, total, int(lo) + int(hi)))
-        return from_pandas_clean(pd.DataFrame({
-            "event_type": [r[0] for r in rows],
-            "n_rows": np.asarray([r[1] for r in rows], dtype=np.int64),
-            "median_x2_cents": np.asarray([r[2] for r in rows],
-                                          dtype=np.int64),
-        })).cast(out_schema)
-
-    # typed_result: a non-empty events table whose every row is dropped
-    # by the read-boundary null contract yields a legitimately-empty
-    # result from non-empty input (review wave 3)
-    return typed_result(
-        counting.map_batches(tbucket, batch_format="pyarrow")
-        .groupby("tbucket")
-        .map_groups(finish, batch_format="pandas"),
-        out_schema,
-    )
-
-
-DAY_US = 24 * 3600 * 1_000_000
-WAU_WINDOW_DAYS = 7
-
-
-def weekly_active_users(sf_dir: str, num_buckets: int | None = None):
-    """(day, n_active) — trailing-7-day distinct active users, reported
-    for every day that has at least one event: the DAU/WAU staple.
-
-    Scale shape — sliding-window DISTINCT via bounded replication: raw
-    events first collapse to DISTINCT (user, day) pairs with one
-    combiner exchange (payload bounded by users × active days, never
-    events); each pair then replicates to the ≤7 window days it serves,
-    restricted to the broadcast active-day set (days with events —
-    O(active days), driver-held ints); a second distinct exchange on
-    (user, target_day) removes multi-day double counts, and the final
-    count is a two-phase groupby over ≤ active-days keys.  No window
-    ever re-scans events, and a hot user costs exactly its active-day
-    count × 7 replica rows."""
-    from ..stages.shuffle import (
-        coalesce_for_exchange,
-        default_num_buckets,
-        table_rows,
-        two_phase_groupby,
-    )
-
-    P = num_buckets or default_num_buckets()
-    W = WAU_WINDOW_DAYS
-    n_ev = table_rows(sf_dir, "events")
-
-    def proj(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        day = (df["ts"].astype("int64") // DAY_US).astype("int64")
-        out = pd.DataFrame({
-            "user_id": df["user_id"].astype("int64"), "day": day,
-        }).drop_duplicates()
-        out["bucket"] = (pd.util.hash_pandas_object(
-            out[["user_id", "day"]], index=False).to_numpy() % P
-        ).astype("int64")
-        return from_pandas_clean(out)
-
-    distinct_ud = (
-        coalesce_for_exchange(
-            _read_events(sf_dir, columns=["ts", "user_id"])
-            .map_batches(proj, batch_format="pyarrow"),
-            n_ev,
-        )
-        .groupby("bucket")
-        .map_groups(
-            lambda df: df[["user_id", "day"]].drop_duplicates(),
-            batch_format="pandas")
-    )
-
-    # the active-day set: tiny (≤ days in the corpus), reduced in-cluster
-    # by a dedicated single-column pass (per-block distinct-day combiner →
-    # one bounded exchange) — cheaper than re-executing the distinct_ud
-    # pipeline a second time just to enumerate its day values
-    def day_proj(b: pa.Table) -> pa.Table:
-        d = np.unique(b.column("ts").to_numpy().astype("int64") // DAY_US)
-        return pa.table({"day": pa.array(d, pa.int64())})
-
-    # the distinct-day stream is ≥100× sparser than events (rows per
-    # block are capped by the corpus' day count); the estimate only
-    # DECIDES whether to coalesce — when it is wrong at scale the call
-    # no-ops and the natural block layout stays
-    day_counts = two_phase_groupby(
-        coalesce_for_exchange(
-            _read_events(sf_dir, columns=["ts"])
-            .map_batches(day_proj, batch_format="pyarrow"),
-            max(n_ev // 100, 1),
-        ),
-        keys=["day"],
-        aggs={"n": (None, "size", "sum")},
-    )
-    days_arr = np.asarray(
-        sorted(r["day"] for r in day_counts.take_all()), dtype=np.int64)
-    days_ref = ray.put(days_arr)
-
-    def replicate(b: pa.Table) -> pa.Table:
-        dv = ray.get(days_ref)
-        df = b.to_pandas()
-        if len(dv) == 0 or not len(df):
-            return pa.schema([("user_id", pa.int64()),
-                              ("target", pa.int64()),
-                              ("bucket", pa.int64())]).empty_table()
-        parts = []
-        for k in range(W):
-            t = pd.DataFrame({"user_id": df["user_id"],
-                              "target": df["day"] + k})
-            parts.append(t)
-        rep = pd.concat(parts, ignore_index=True)
-        # only targets that are themselves active days produce output rows
-        idx = np.minimum(np.searchsorted(dv, rep["target"].to_numpy()),
-                         len(dv) - 1)
-        hit = dv[idx] == rep["target"].to_numpy()
-        rep = rep[hit].drop_duplicates()
-        rep["bucket"] = (pd.util.hash_pandas_object(
-            rep[["user_id", "target"]], index=False).to_numpy() % P
-        ).astype("int64")
-        return from_pandas_clean(rep)
-
-    distinct_ut = (
-        coalesce_for_exchange(
-            distinct_ud.map_batches(replicate, batch_format="pyarrow"),
-            n_ev * W,
-        )
-        .groupby("bucket")
-        .map_groups(
-            lambda df: df[["user_id", "target"]].drop_duplicates(),
-            batch_format="pandas")
-    )
-
-    def one(b: pa.Table) -> pa.Table:
-        return pa.table({"day": b.column("target"),
-                         "n": pa.array(np.ones(b.num_rows, dtype=np.int64),
-                                       pa.int64())})
-
-    # typed_result: all-rows-null-dropped inputs empty the stream before
-    # any typed block exists (review wave 3)
-    from ..stages.shuffle import typed_result
-
-    return typed_result(
-        two_phase_groupby(
-            distinct_ut.map_batches(one, batch_format="pyarrow"),
-            keys=["day"],
-            aggs={"n_active": ("n", "sum", "sum")},
-        ),
-        pa.schema([("day", pa.int64()), ("n_active", pa.int64())]),
-    )
-
-
-def grouped_mode(sf_dir: str, num_buckets: int | None = None):
-    """(event_type, n_rows, mode_cents, mode_count) — the most frequent
-    ``value`` (in exact cents) per type, ties broken toward the SMALLEST
-    cents so the answer is deterministic in both engines.
-
-    Scale shape: grouped_median's counting-table exchange (per-batch
-    (type, cents) combiner → merge), then a per-type argmax scan —
-    nothing row-proportional crosses the wire; same documented
-    bounded-value-domain assumption."""
-    from ..stages.shuffle import (
-        default_num_buckets,
-        two_phase_groupby,
-        typed_result,
-    )
-
-    out_schema = pa.schema([
-        ("event_type", pa.string()), ("n_rows", pa.int64()),
-        ("mode_cents", pa.int64()), ("mode_count", pa.int64()),
-    ])
-    P = num_buckets or default_num_buckets()
-
-    def proj(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        return from_pandas_clean(pd.DataFrame({
-            "event_type": df["event_type"],
-            "cents": _cents(df["value"]),
-        }))
-
-    counting = two_phase_groupby(
-        _read_events(sf_dir, columns=["event_type", "value"])
-        .map_batches(proj, batch_format="pyarrow"),
-        keys=["event_type", "cents"],
-        aggs={"n": (None, "size", "sum")},
-        num_buckets=P,
-    )
-
-    def tbucket(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["tbucket"] = (pd.util.hash_pandas_object(
-            df["event_type"], index=False).to_numpy() % P).astype("int64")
-        return from_pandas_clean(df)
-
-    def finish(df: pd.DataFrame) -> pa.Table:
-        if df.empty or "event_type" not in df.columns:
-            return out_schema.empty_table()
-        # sort (n desc, cents asc): first row per type IS the mode with
-        # the deterministic tiebreak
-        df = df.sort_values(["event_type", "n", "cents"],
-                            ascending=[True, False, True])
-        tot = df.groupby("event_type", sort=False)["n"].transform("sum")
-        df = df.assign(n_rows=tot)
-        top = df.groupby("event_type", sort=False).head(1)
-        return from_pandas_clean(pd.DataFrame({
-            "event_type": top["event_type"],
-            "n_rows": top["n_rows"].astype("int64"),
-            "mode_cents": top["cents"].astype("int64"),
-            "mode_count": top["n"].astype("int64"),
-        })).cast(out_schema)
-
-    return typed_result(
-        counting.map_batches(tbucket, batch_format="pyarrow")
-        .groupby("tbucket")
-        .map_groups(finish, batch_format="pandas"),
-        out_schema,
-    )
-
-
-PATH_K = 3
-PATH_TOPN = 20
-
-
-def session_paths(sf_dir: str, gap_minutes: int = 30,
-                  num_buckets: int | None = None,
-                  split_hours: int = 24):
-    """(path, n_sessions) — the ``PATH_TOPN`` most common session-opening
-    event-type sequences: each session's first ``PATH_K`` event types (by
-    ts, event_id) joined with '>', counted over all sessions (same
-    30-minute gap rule as :func:`sessionize`), ties broken (n desc, path
-    asc) so the top-N set is deterministic.  The product-analytics "top
-    user journeys" query.
-
-    Scale shape: phase 1 = sessionize's proven hash(user, time-chunk)
-    exchange, but each chunk-local session reduces to a summary row that
-    ALSO carries its first-K types (K string slots — constant width, so
-    a hot user's summary stream stays ~#chunks rows); phase 2 re-merges
-    boundary-straddling sessions with the identical gap rule and takes
-    the first K slots across constituents in session order (vectorized
-    melt→rank→head, no per-session Python); counts then merge through a
-    two-phase groupby keyed on path (payload bounded by DISTINCT paths ≤
-    |event_type|^K per block — the documented vocabulary bound) and the
-    top-N is two-phase (per-bucket head, one ≤N×buckets global head)."""
-    from ..stages.shuffle import (
-        coalesce_for_exchange,
-        default_num_buckets,
-        table_rows,
-        two_phase_groupby,
-    )
-
-    P = num_buckets or default_num_buckets()
-    gap_us = gap_minutes * 60 * 1_000_000
-    chunk_us = split_hours * 3_600 * 1_000_000
-    K = PATH_K
-    slots = [f"h{i}" for i in range(K)]
-    out_schema = pa.schema([("path", pa.string()),
-                            ("n_sessions", pa.int64())])
-    sum_schema = pa.schema(
-        [("user_id", pa.int64()), ("start_us", pa.int64()),
-         ("end_us", pa.int64())] + [(s, pa.string()) for s in slots])
-
-    proj = _user_chunk_proj(chunk_us, P)
-
-    def heads_wide(df: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
-        """First-K event types per group of the (already rank-ordered)
-        long frame ``df`` with columns keys + [pos, event_type] → wide
-        (keys, h0..h{K-1}) with absent slots None."""
-        df = df.sort_values(keys + ["pos"])
-        df = df.groupby(keys, sort=False).head(K).copy()
-        df["slot"] = df.groupby(keys, sort=False).cumcount()
-        w = df.pivot_table(index=keys, columns="slot",
-                           values="event_type", aggfunc="first")
-        w = w.reindex(columns=range(K))
-        w.columns = slots[: len(w.columns)]
-        return w.reset_index()
-
-    def local_sessions(df: pd.DataFrame) -> pa.Table:
-        if df.empty or "user_id" not in df.columns:
-            return sum_schema.empty_table()
-        keys = ["user_id", "chunk"]
-        df = df.sort_values(keys + ["ts_us", "event_id"])
-        same = df[keys].eq(df[keys].shift()).all(axis=1)
-        brk = (df["ts_us"].diff() > gap_us) & same
-        df["sid"] = brk.groupby(
-            [df["user_id"].values, df["chunk"].values]).cumsum().astype(
-            "int64")
-        skeys = ["user_id", "chunk", "sid"]
-        g = df.groupby(skeys, as_index=False, sort=False).agg(
-            start_us=("ts_us", "min"), end_us=("ts_us", "max"))
-        df["pos"] = df.groupby(skeys, sort=False).cumcount()
-        w = heads_wide(df[skeys + ["pos", "event_type"]], skeys)
-        g = g.merge(w, on=skeys)
-        return from_pandas_clean(
-            g[["user_id", "start_us", "end_us", *slots]]).cast(sum_schema)
-
-    n_ev = table_rows(sf_dir, "events")
-    local = (
-        coalesce_for_exchange(
-            _read_events(sf_dir, columns=["event_id", "ts", "user_id",
-                                          "event_type"])
-            .map_batches(proj, batch_format="pyarrow"),
-            n_ev,
-        )
-        .groupby("bucket")
-        .map_groups(local_sessions, batch_format="pandas")
-    )
-
-    def ubucket(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["ubucket"] = (pd.util.hash_pandas_object(
-            df["user_id"], index=False).to_numpy() % P).astype("int64")
-        return from_pandas_clean(df)
-
-    def merge_paths(df: pd.DataFrame) -> pa.Table:
-        """Boundary merge (sessionize's gap rule over SUMMARY rows) +
-        first-K recombination + local path counts."""
-        cnt_schema = pa.schema([("path", pa.string()), ("n", pa.int64())])
-        if df.empty or "user_id" not in df.columns:
-            return cnt_schema.empty_table()
-        df = df.sort_values(["user_id", "start_us", "end_us"])
-        same_user = df["user_id"].eq(df["user_id"].shift())
-        brk = ~((df["start_us"] - df["end_us"].shift() <= gap_us)
-                & same_user)
-        df["sid"] = brk.groupby(df["user_id"].values).cumsum().astype(
-            "int64")
-        skeys = ["user_id", "sid"]
-        df["rank"] = df.groupby(skeys, sort=False).cumcount()
-        longs = []
-        for i, s in enumerate(slots):
-            part = df[skeys + ["rank", s]].rename(columns={s: "event_type"})
-            part = part[part["event_type"].notna()]
-            part["pos"] = part["rank"] * K + i
-            longs.append(part[skeys + ["pos", "event_type"]])
-        longd = pd.concat(longs, ignore_index=True)
-        w = heads_wide(longd, skeys)
-        # join non-null slots in order: slot 0 always exists (a session
-        # has ≥1 event); later slots append '>' + type when present
-        # heads_wide reindexes to ALL K slot columns, so each slot always
-        # exists; absent values are the NaNs the mask handles
-        path = w[slots[0]].astype(object).to_numpy()
-        for s in slots[1:]:
-            hasv = w[s].notna().to_numpy()
-            # fillna first: np.where evaluates BOTH branches, and
-            # str + NaN raises
-            sv = w[s].fillna("").astype(object).to_numpy()
-            path = np.where(hasv, path + ">" + sv, path)
-        counts = pd.Series(path).groupby(pd.Series(path)).size()
-        return from_pandas_clean(pd.DataFrame({
-            "path": counts.index.astype(object),
-            "n": counts.to_numpy().astype("int64")})).cast(cnt_schema)
-
-    counts = two_phase_groupby(
-        coalesce_for_exchange(
-            local.map_batches(ubucket, batch_format="pyarrow"), n_ev)
-        .groupby("ubucket")
-        .map_groups(merge_paths, batch_format="pandas"),
-        keys=["path"],
-        aggs={"n_sessions": ("n", "sum", "sum")},
-    )
-
-    def bucket_head(b: pa.Table) -> pa.Table:
-        df = b.to_pandas().sort_values(
-            ["n_sessions", "path"], ascending=[False, True]).head(PATH_TOPN)
-        return from_pandas_clean(df[["path", "n_sessions"]])
-
-    out = counts.map_batches(bucket_head, batch_format="pyarrow").to_pandas()
-    if out.empty:
-        return ray.data.from_arrow(out_schema.empty_table())
-    out = (out.sort_values(["n_sessions", "path"], ascending=[False, True])
-           .head(PATH_TOPN).reset_index(drop=True))
-    return ray.data.from_pandas(out[["path", "n_sessions"]])
-
-
 def queries():
     return {"sessionize": sessionize, "window_agg": window_agg,
             "hopping_window_agg": hopping_window_agg,
             "asof_join": asof_join, "range_join": range_join,
             "props_stats": props_stats,
             "compact_latest_events": compact_latest_events,
-            "running_user_spend": running_user_spend,
-            "funnel_stages": funnel_stages,
-            "retention_cohorts": retention_cohorts,
-            "event_transitions": event_transitions,
-            "grouped_median": grouped_median,
-            "session_paths": session_paths,
-            "weekly_active_users": weekly_active_users,
-            "grouped_mode": grouped_mode}
+            "running_user_spend": running_user_spend}
 
 
 def oracles():
     return {
-        # lag window mirrors the engine's (ts, event_id) per-user order
-        "event_transitions": """
-        WITH o AS (
-          SELECT user_id, event_type,
-                 lag(event_type) OVER (PARTITION BY user_id
-                                       ORDER BY ts, event_id) AS prev
-          FROM events
-        )
-        SELECT prev AS type_from, event_type AS type_to, count(*) AS n
-        FROM o WHERE prev IS NOT NULL GROUP BY 1, 2
-        """,
-        # ×2 median = lower + upper middle order statistic, both engines
-        # in exact integer cents (odd n: the two positions coincide)
-        "grouped_median": """
-        WITH c AS (
-          SELECT event_type,
-                 CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents
-          FROM events
-        ), r AS (
-          SELECT event_type, cents,
-                 row_number() OVER (PARTITION BY event_type
-                                    ORDER BY cents) AS rn,
-                 count(*) OVER (PARTITION BY event_type) AS n
-          FROM c
-        )
-        SELECT event_type, CAST(max(n) AS BIGINT) AS n_rows,
-               CAST(sum(CASE WHEN rn = (n + 1) // 2 THEN cents ELSE 0 END)
-                  + sum(CASE WHEN rn = (n + 2) // 2 THEN cents ELSE 0 END)
-                 AS BIGINT) AS median_x2_cents
-        FROM r GROUP BY event_type
-        """,
-        # epoch-µs // DAY mirrors the engine's day bucketing; a day is
-        # reported iff it has events; n_active = distinct users active in
-        # the trailing 7-day window
-        "weekly_active_users": f"""
-        WITH ud AS (
-          SELECT DISTINCT user_id,
-                 CAST(epoch_us(ts) // {DAY_US} AS BIGINT) AS d
-          FROM events
-        ), days AS (SELECT DISTINCT d FROM ud)
-        SELECT days.d AS day, count(DISTINCT ud.user_id) AS n_active
-        FROM days JOIN ud
-          ON ud.d BETWEEN days.d - {WAU_WINDOW_DAYS - 1} AND days.d
-        GROUP BY days.d
-        """,
-        # (count desc, cents asc) row_number mirrors the engine's
-        # deterministic smallest-cents tiebreak
-        "grouped_mode": """
-        WITH c AS (
-          SELECT event_type,
-                 CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents
-          FROM events
-        ), g AS (
-          SELECT event_type, cents, count(*) AS n FROM c GROUP BY 1, 2
-        ), r AS (
-          SELECT event_type, cents, n,
-                 sum(n) OVER (PARTITION BY event_type) AS n_rows,
-                 row_number() OVER (PARTITION BY event_type
-                                    ORDER BY n DESC, cents ASC) AS rn
-          FROM g
-        )
-        SELECT event_type, CAST(n_rows AS BIGINT) AS n_rows,
-               cents AS mode_cents, CAST(n AS BIGINT) AS mode_count
-        FROM r WHERE rn = 1
-        """,
-        # identical gap rule to the sessionize oracle; first-K via rn;
-        # total order (n desc, path asc) makes the top-N set exact
-        "session_paths": f"""
-        WITH e AS (
-          SELECT user_id, ts, event_id, event_type,
-                 CASE WHEN ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-                      THEN 1 ELSE 0 END AS brk
-          FROM events
-          WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-        ), s AS (
-          SELECT user_id, ts, event_id, event_type,
-                 sum(brk) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                                ROWS UNBOUNDED PRECEDING) AS sid
-          FROM e
-        ), r AS (
-          SELECT user_id, sid, event_type, ts, event_id,
-                 row_number() OVER (PARTITION BY user_id, sid
-                                    ORDER BY ts, event_id) AS rn
-          FROM s
-        ), p AS (
-          SELECT user_id, sid,
-                 string_agg(event_type, '>' ORDER BY rn) AS path
-          FROM r WHERE rn <= {PATH_K} GROUP BY user_id, sid
-        )
-        SELECT path, count(*) AS n_sessions FROM p GROUP BY path
-        ORDER BY n_sessions DESC, path ASC LIMIT {PATH_TOPN}
-        """,
-        # epoch-µs integer division mirrors the engine's week bucketing;
-        # week(min signup ts) ≡ min signup week (floor is monotone)
-        "retention_cohorts": f"""
-        WITH su AS (
-          SELECT user_id, min(ts) AS s0 FROM events
-          WHERE event_type = 'signup' GROUP BY user_id
-        ),
-        cw AS (
-          SELECT user_id,
-                 CAST(epoch_us(s0) // {WEEK_US} AS BIGINT) AS cohort_week
-          FROM su
-        ),
-        aw AS (
-          SELECT DISTINCT user_id,
-                 CAST(epoch_us(ts) // {WEEK_US} AS BIGINT) AS w
-          FROM events
-        )
-        SELECT cw.cohort_week, aw.w - cw.cohort_week AS week_offset,
-               count(DISTINCT aw.user_id) AS n_users
-        FROM aw JOIN cw USING (user_id)
-        WHERE aw.w >= cw.cohort_week
-        GROUP BY 1, 2
-        """,
-        # row-value comparisons mirror the engine's (ts, event_id)
-        # lexicographic "strictly after"
-        "funnel_stages": """
-        WITH f AS (
-          SELECT user_id, ts, event_id, event_type FROM events
-          WHERE event_type IN ('view', 'click', 'purchase')
-        ),
-        v AS (
-          SELECT user_id, ts, event_id FROM (
-            SELECT user_id, ts, event_id,
-                   row_number() OVER (PARTITION BY user_id
-                                      ORDER BY ts, event_id) AS rn
-            FROM f WHERE event_type = 'view') WHERE rn = 1
-        ),
-        c AS (
-          SELECT user_id, ts, event_id FROM (
-            SELECT e.user_id, e.ts, e.event_id,
-                   row_number() OVER (PARTITION BY e.user_id
-                                      ORDER BY e.ts, e.event_id) AS rn
-            FROM f e JOIN v ON v.user_id = e.user_id
-            WHERE e.event_type = 'click'
-              AND (e.ts, e.event_id) > (v.ts, v.event_id)) WHERE rn = 1
-        ),
-        p AS (
-          SELECT user_id, ts, event_id FROM (
-            SELECT e.user_id, e.ts, e.event_id,
-                   row_number() OVER (PARTITION BY e.user_id
-                                      ORDER BY e.ts, e.event_id) AS rn
-            FROM f e JOIN c ON c.user_id = e.user_id
-            WHERE e.event_type = 'purchase'
-              AND (e.ts, e.event_id) > (c.ts, c.event_id)) WHERE rn = 1
-        )
-        SELECT user_id, 'view' AS stage, ts, event_id FROM v
-        UNION ALL SELECT user_id, 'click', ts, event_id FROM c
-        UNION ALL SELECT user_id, 'purchase', ts, event_id FROM p
-        """,
         "running_user_spend": """
         SELECT event_id, user_id, ts,
                CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents,

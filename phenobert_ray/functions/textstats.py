@@ -1360,9 +1360,8 @@ def rollup_token_stats(sf_dir: str):
     Scale shape: ONE streaming pass emits block-local leaf partials
     (combiner), one bucketed exchange merges them; both upper levels are
     pure arithmetic over the LEAF table, which is bounded by
-    |sources| × |langs| (vocabulary-sized, like zscore_by_source's stats
-    — collected driver-side with that same justification, never the
-    corpus)."""
+    |sources| × |langs| (vocabulary-sized — collected driver-side for
+    that reason, never the corpus)."""
     from ..stages.shuffle import two_phase_groupby
 
     import pyarrow.dataset as pads

@@ -54,9 +54,16 @@ def drop_null_rows(ds, columns=None):
     that project more than the operator strictly requires — e.g. the
     sharded KG runner reads all six turn columns but only conv_id /
     turn_idx / text are load-bearing; a NULL ``tool`` must not drop a
-    valid turn)."""
+    valid turn).
+
+    Both branches also strip the schema metadata: pandas-written parquet
+    carries a ``b'pandas'`` metadata dict that Ray's ``unify_schemas``
+    cannot hash, so every downstream exchange logged "Failed to hash the
+    schemas" once per read."""
     if columns is None:
-        return ds.map_batches(lambda t: t.drop_null(), batch_format="pyarrow")
+        return ds.map_batches(
+            lambda t: t.drop_null().replace_schema_metadata(None),
+            batch_format="pyarrow")
 
     cols = list(columns)
 
@@ -67,7 +74,7 @@ def drop_null_rows(ds, columns=None):
         for c in cols:
             v = pc.is_valid(t.column(c))
             keep = v if keep is None else pc.and_(keep, v)
-        return t.filter(keep)
+        return t.filter(keep).replace_schema_metadata(None)
 
     return ds.map_batches(f, batch_format="pyarrow")
 

@@ -92,23 +92,8 @@ def test_curation_family_on_tiny(tiny_dir):
 
 
 def test_r3d_ops_on_tiny(tiny_dir):
-    """BM25 / z-score / rank / HLL on the pathological 4-doc corpus."""
+    """Rank / HLL on the pathological 4-doc corpus."""
     from phenobert_ray.functions import textstats as t
-    from phenobert_ray.functions.search import bm25_topk, zscore_by_source
-
-    # none of the 4 docs contains a BM25 query term: the result must be
-    # EMPTY without crashing.  (Columns are unavoidably dropped: Ray 2.49
-    # cannot round-trip a typed fully-empty dataset — even
-    # ray.data.from_pandas(typed_empty).to_pandas() returns a column-less
-    # frame, and map_batches is skipped for empty blocks, so no stage can
-    # retype them.  Documented boundary, guarded in bm25_topk._typed.)
-    bm = _run(bm25_topk, tiny_dir)
-    assert len(bm) == 0
-
-    z = _run(zscore_by_source, tiny_dir)
-    assert len(z) == 4
-    # src7 has a single doc -> zero variance -> z = 0
-    assert float(z.set_index("doc_id").loc[3, "z"]) == 0.0
 
     r = _run(t.global_sort_rank, tiny_dir)
     assert sorted(r["rank"]) == [1, 2, 3, 4]
@@ -169,21 +154,16 @@ def test_label_centroids_single_vector_labels(tmp_path_factory):
 
 def test_r3e_ops_on_tiny(tiny_dir):
     """The r3e family on the pathological 4-doc table: single-token doc
-    (no grams, no bigrams), an exact-dup pair (cross-doc spans over the
+    (no grams), an exact-dup pair (cross-doc spans over the
     FULL text), and per-source singletons."""
     from phenobert_ray.functions import curation as c
     from phenobert_ray.functions import dedup as d
-    from phenobert_ray.functions import lm
     from phenobert_ray.functions import textstats as t
 
     spans = _run(d.duplicate_spans, tiny_dir)
     # docs 1+2 (8 tokens each, L=8): one full-width span each
     assert set(zip(spans["doc_id"], spans["span_start"], spans["span_end"])) \
         == {(1, 0, 7), (2, 0, 7)}
-    ppl = _run(lm.lm_perplexity, tiny_dir).set_index("doc_id")
-    assert 0 not in ppl.index          # 1-token doc has no bigram
-    assert set(ppl.index) == {1, 2, 3}
-    assert (ppl.loc[[1, 2]].values == ppl.loc[[2, 1]].values).all()
     dsir = _run(c.dsir_importance, tiny_dir).set_index("doc_id")
     assert 0 not in dsir.index and len(dsir) == 3
     merges = _run(t.bpe_train_merges, tiny_dir)
@@ -496,25 +476,6 @@ def test_range_join_overflow_guard(tmp_path):
                    window_hours=2 ** 62 // 3_600_000_000).count()
 
 
-def test_dialog_windows_single_turn_only_corpus(tmp_path):
-    """A corpus whose every conversation has ONE turn yields zero pairs
-    with a typed schema, not Arrow-null columns (review r4)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from phenobert_ray.functions.sft import dialog_windows
-
-    t = pa.table({"doc_id": pa.array([1], pa.int64()),
-                  "text": pa.array(["only one sentence here."], pa.string()),
-                  "source": pa.array(["s"], pa.string())})
-    d = tmp_path / "sf"
-    d.mkdir()
-    pq.write_table(t, d / "documents.parquet")
-    res = dialog_windows(str(d))
-    df = res.to_pandas()
-    assert len(df) == 0
-
-
 def test_decontaminate_benchmark_only_corpus(tmp_path):
     """Every doc in the benchmark slice (doc_id % 97 == 0): flag() must
     emit a typed empty result, not null-schema blocks (review r4)."""
@@ -563,9 +524,10 @@ def test_two_phase_groupby_all_filtered_blocks_stay_typed():
     )
     assert out_all.count() == 0
     # NB: schema() is None here — groupby().map_groups emits no blocks at
-    # all for a fully-empty input on Ray 2.49 (same documented boundary
-    # as bm25_topk._typed); the typed-empty partial fixes the MIXED case
-    # (typed + filtered blocks in one dataset), which is the crash class.
+    # all for a fully-empty input on Ray 2.49 (the documented boundary
+    # stages/shuffle.typed_result works around); the typed-empty partial
+    # fixes the MIXED case (typed + filtered blocks in one dataset), which
+    # is the crash class.
 
 
 def test_two_phase_groupby_keeps_null_keys():
@@ -686,13 +648,12 @@ def test_empty_corpus_sweep_queries_dont_crash(empty_sf_dir):
     partitions the hash aggregator cannot finalize, int(None) on empty
     Dataset aggregates, and KeyErrors on schema-less to_pandas frames.
     Every oracle returns 0 rows; the engine must too."""
-    from phenobert_ray.functions import ann, curation, dedup, lm
-    from phenobert_ray.functions import search, textstats
+    from phenobert_ray.functions import ann, curation, dedup, textstats
 
     fns = [
-        ann.knn_label_vote, search.bm25_topk,
+        ann.knn_label_vote,
         curation.dsir_importance, curation.pack_sequences,
-        lm.lm_perplexity, textstats.cms_probe_counts, textstats.top_tokens,
+        textstats.cms_probe_counts, textstats.top_tokens,
         textstats.bpe_pair_counts, textstats.bpe_encode,
         dedup.documents_deduped,
     ]

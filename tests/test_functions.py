@@ -710,71 +710,6 @@ def test_duplicate_spans_bucket_count_invariance(sf_small, docs):
 
 
 # ---------------------------------------------------------------------------
-# lm_perplexity (bigram LM fit + streaming scoring)
-
-
-def _brute_ppl(texts: dict[int, str]):
-    """Serial reference: add-one bigram LM in integer nanounits."""
-    import math
-    from collections import Counter
-
-    uni, big = Counter(), Counter()
-    for t in texts.values():
-        toks = t.split(" ")
-        uni.update(toks)
-        big.update(zip(toks, toks[1:]))
-    V = len(uni)
-    ln = lambda k: math.floor(math.log(k) * 1e9 + 0.5)
-    out = {}
-    for d, t in texts.items():
-        toks = t.split(" ")
-        if len(toks) < 2:
-            continue
-        nll = sum(
-            ln(uni[a] + V) - ln(big[(a, b)] + 1) for a, b in zip(toks, toks[1:])
-        )
-        n = len(toks) - 1
-        out[d] = (n, nll, float(np.round(np.exp(nll / 1e9 / n), 6)))
-    return out
-
-
-def test_lm_perplexity_vs_bruteforce(sf_small, docs):
-    from phenobert_ray.functions.lm import lm_perplexity
-
-    got = lm_perplexity(sf_small).to_pandas().set_index("doc_id")
-    want = _brute_ppl(docs)
-    assert set(got.index) == set(want)
-    for d, (n, nll, ppl) in want.items():
-        r = got.loc[d]
-        assert (r["n_bigrams"], r["nll_nano"]) == (n, nll)
-        assert r["ppl"] == ppl
-
-
-def test_lm_perplexity_degenerate(tmp_path):
-    """Single-token and repeated docs: short docs are absent; a document
-    made of one repeated bigram must score as near-certain (ppl → low)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq_
-
-    from phenobert_ray.functions.lm import lm_perplexity
-
-    texts = {0: "solo", 1: "a b " * 50 + "a b", 2: "x q z w m k j h g f"}
-    d = tmp_path / "lmdeg"
-    d.mkdir()
-    pq_.write_table(
-        pa.table({"doc_id": list(texts), "text": list(texts.values())}),
-        str(d / "documents.parquet"),
-    )
-    got = lm_perplexity(str(d)).to_pandas().set_index("doc_id")
-    assert 0 not in got.index  # no bigram
-    want = _brute_ppl(texts)
-    for did in (1, 2):
-        assert got.loc[did, "nll_nano"] == want[did][1]
-    # the repetitive doc is far more predictable than the one-off doc
-    assert got.loc[1, "ppl"] < got.loc[2, "ppl"]
-
-
-# ---------------------------------------------------------------------------
 # bpe_train_merges (iterative tokenizer-training loop)
 
 
@@ -1414,91 +1349,6 @@ def test_embedding_dup_clusters_matches_unionfind(sf_small):
     assert len(got) > 0
 
 
-def _funnel_serial(ev: pd.DataFrame) -> set:
-    """Reference greedy funnel: earliest view; earliest click strictly
-    after it by (ts, event_id); earliest purchase strictly after that."""
-    want = set()
-    for uid, g in ev.groupby("user_id"):
-        g = g.sort_values(["ts", "event_id"])
-        cur = None
-        for stage in ("view", "click", "purchase"):
-            s = g[g["event_type"] == stage]
-            if cur is not None:
-                s = s[(s["ts"] > cur[0])
-                      | ((s["ts"] == cur[0]) & (s["event_id"] > cur[1]))]
-            if s.empty:
-                break
-            r = s.iloc[0]
-            cur = (r["ts"], r["event_id"])
-            want.add((uid, stage, r["ts"], r["event_id"]))
-    return want
-
-
-def test_funnel_stages_matches_serial(sf_small):
-    from phenobert_ray.functions.events import funnel_stages
-
-    ev = pq.read_table(
-        f"{sf_small}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"]).to_pandas()
-    got = funnel_stages(sf_small).to_pandas()
-    got_set = set(zip(got["user_id"], got["stage"], got["ts"],
-                      got["event_id"]))
-    assert got_set == _funnel_serial(ev)
-    assert len(got) == len(got_set)
-
-
-def test_funnel_stages_cross_chunk_and_ties(tmp_path):
-    """Constructed corpus: completions spanning time chunks (6h apart),
-    a click BEFORE the first view (unusable), a same-timestamp tie where
-    event_id ordering decides, and a user who never converts."""
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import RUN_CHUNK_US, funnel_stages
-
-    H = RUN_CHUNK_US  # one chunk width in µs
-    rows = [
-        # user 1: click at t=0 (before any view: ignored), view in chunk 0,
-        # click in chunk 2, purchase in chunk 2 after the click
-        (10, 0, 1, "click"),
-        (11, 1_000, 1, "view"),
-        (12, 2 * H + 5, 1, "click"),
-        (13, 2 * H + 9, 1, "purchase"),
-        # user 2: view and click share a timestamp; click's event_id is
-        # LARGER so it counts; purchase earlier same ts with smaller id
-        # than click does NOT
-        (20, 7, 2, "view"),
-        (21, 7, 2, "click"),
-        (19, 7, 2, "purchase"),
-        (25, 8, 2, "purchase"),
-        # user 3: purchases only — no stage completes
-        (30, 5, 3, "purchase"),
-    ]
-    t = _pa.table({
-        "event_id": _pa.array([r[0] for r in rows], _pa.int64()),
-        "ts": _pa.array([r[1] for r in rows], _pa.timestamp("us")),
-        "user_id": _pa.array([r[2] for r in rows], _pa.int64()),
-        "event_type": _pa.array([r[3] for r in rows]),
-        "value": _pa.array([1.0] * len(rows)),
-        "props": _pa.array(["{}"] * len(rows)),
-    })
-    _pq.write_table(t, tmp_path / "events.parquet")
-    got = funnel_stages(str(tmp_path)).to_pandas()
-    got_set = {(u, s, int(ts.value), e) for u, s, ts, e in zip(
-        got["user_id"], got["stage"],
-        pd.to_datetime(got["ts"]), got["event_id"])}
-    # pd.Timestamp.value is ns; convert expectations
-    us = 1000
-    assert got_set == {
-        (1, "view", 1_000 * us, 11),
-        (1, "click", (2 * H + 5) * us, 12),
-        (1, "purchase", (2 * H + 9) * us, 13),
-        (2, "view", 7 * us, 20),
-        (2, "click", 7 * us, 21),
-        (2, "purchase", 8 * us, 25),
-    }
-
-
 def test_strip_duplicate_spans_matches_manual(sf_small):
     """Every modified doc's rewrite equals manually cutting its
     duplicate_spans islands from the raw token list; untouched docs are
@@ -1546,63 +1396,6 @@ def test_strip_duplicate_spans_full_removal(tmp_path):
     assert int(got.loc[1, "n_removed_tokens"]) == 30
 
 
-def test_retention_cohorts_matches_serial(sf_small):
-    from phenobert_ray.functions.events import WEEK_US, retention_cohorts
-
-    ev = pq.read_table(
-        f"{sf_small}/events.parquet",
-        columns=["ts", "user_id", "event_type"]).to_pandas()
-    ts_us = ev["ts"].astype("int64")
-    ev = ev.assign(week=(ts_us // WEEK_US).astype("int64"))
-    first_signup = (
-        ev[ev["event_type"] == "signup"].groupby("user_id")["week"].min())
-    want = {}
-    act = ev[["user_id", "week"]].drop_duplicates()
-    for uid, w in zip(act["user_id"], act["week"]):
-        cw = first_signup.get(uid)
-        if cw is not None and w >= cw:
-            want[(cw, w - cw)] = want.get((cw, w - cw), set()) | {uid}
-    want = {k: len(v) for k, v in want.items()}
-    got = retention_cohorts(sf_small).to_pandas()
-    got_map = {(c, o): n for c, o, n in zip(
-        got["cohort_week"], got["week_offset"], got["n_users"])}
-    assert got_map == want
-    assert all(o >= 0 for _, o in got_map)
-
-
-def test_retention_cohorts_pre_signup_excluded(tmp_path):
-    """Activity BEFORE a user's first signup never counts; users who
-    never sign up are invisible."""
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import WEEK_US, retention_cohorts
-
-    W = WEEK_US
-    rows = [
-        # user 1: click in week 0 (pre-signup: dropped), signup week 1,
-        # click week 3
-        (1, 0 * W + 5, 1, "click"),
-        (2, 1 * W + 5, 1, "signup"),
-        (3, 3 * W + 5, 1, "click"),
-        # user 2: never signs up
-        (4, 0 * W + 9, 2, "view"),
-    ]
-    t = _pa.table({
-        "event_id": _pa.array([r[0] for r in rows], _pa.int64()),
-        "ts": _pa.array([r[1] for r in rows], _pa.timestamp("us")),
-        "user_id": _pa.array([r[2] for r in rows], _pa.int64()),
-        "event_type": _pa.array([r[3] for r in rows]),
-        "value": _pa.array([1.0] * len(rows)),
-        "props": _pa.array(["{}"] * len(rows)),
-    })
-    _pq.write_table(t, tmp_path / "events.parquet")
-    got = retention_cohorts(str(tmp_path)).to_pandas()
-    got_map = {(c, o): n for c, o, n in zip(
-        got["cohort_week"], got["week_offset"], got["n_users"])}
-    assert got_map == {(1, 0): 1, (1, 2): 1}
-
-
 def test_bag_dedup_groups_reordered_docs(tmp_path):
     """Docs with identical token multisets collapse regardless of word
     order; multiset (not set) semantics keep repeat-count-different docs
@@ -1622,41 +1415,10 @@ def test_bag_dedup_groups_reordered_docs(tmp_path):
     assert by_keep == {0: 2, 2: 1, 3: 1}
 
 
-def test_funnel_stages_exact_beyond_float53(tmp_path):
-    """Timestamps above 2^53 µs must come back EXACT: the chunk-summary
-    left-merge used to promote int64 to float64 (NaN fill), silently
-    corrupting such values by ±1 µs (caught by bench --funnel-scale)."""
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import RUN_CHUNK_US, funnel_stages
-
-    base = (1 << 53) + 1  # odd: unrepresentable in float64
-    rows = [
-        (1, base, 1, "view"),
-        (2, base + RUN_CHUNK_US, 1, "click"),
-        (3, base + 2 * RUN_CHUNK_US + 1, 1, "purchase"),
-    ]
-    t = _pa.table({
-        "event_id": _pa.array([r[0] for r in rows], _pa.int64()),
-        "ts": _pa.array([r[1] for r in rows], _pa.timestamp("us")),
-        "user_id": _pa.array([r[2] for r in rows], _pa.int64()),
-        "event_type": _pa.array([r[3] for r in rows]),
-        "value": _pa.array([1.0] * len(rows)),
-        "props": _pa.array(["{}"] * len(rows)),
-    })
-    _pq.write_table(t, tmp_path / "events.parquet")
-    got = funnel_stages(str(tmp_path)).to_pandas().sort_values("event_id")
-    assert got["ts"].astype("int64").tolist() == [
-        base, base + RUN_CHUNK_US, base + 2 * RUN_CHUNK_US + 1]
-    assert got["stage"].tolist() == ["view", "click", "purchase"]
-
-
 def test_running_user_spend_exact_beyond_float53(tmp_path):
     """Running totals above 2^53 cents must come back EXACT end to end
     (odd, not float64-representable): pins the all-integer partial-sum /
-    offset path against any future float promotion (the class of bug the
-    funnel chunk summaries DID have)."""
+    offset path against any future float promotion."""
     import pyarrow as _pa
     import pyarrow.parquet as _pq
 
@@ -1688,243 +1450,3 @@ def test_running_user_spend_exact_beyond_float53(tmp_path):
            .sort_values("event_id"))
     assert got["running_cents"].tolist() == [c_big, c_big + 1, c_big + 101]
 
-
-def test_event_transitions_matches_serial(sf_small):
-    from phenobert_ray.functions.events import event_transitions
-
-    ev = pq.read_table(
-        f"{sf_small}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"]).to_pandas()
-    ev = ev.sort_values(["user_id", "ts", "event_id"])
-    same = ev["user_id"].eq(ev["user_id"].shift())
-    want = (
-        pd.DataFrame({"f": ev["event_type"].shift()[same],
-                      "t": ev["event_type"][same]})
-        .groupby(["f", "t"]).size().to_dict())
-    got = event_transitions(sf_small).to_pandas()
-    got_map = {(f, t): n for f, t, n in zip(
-        got["type_from"], got["type_to"], got["n"])}
-    assert got_map == want
-
-
-def test_event_transitions_cross_chunk(tmp_path):
-    """Transitions straddling time-chunk boundaries (including across an
-    EMPTY middle chunk) are counted exactly once, with (ts, event_id)
-    tie order."""
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import (
-        RUN_CHUNK_US,
-        event_transitions,
-    )
-
-    H = RUN_CHUNK_US
-    rows = [
-        # user 1: a→b within chunk 0, b→c across the 0|1 boundary,
-        # c→d across chunks 1→3 (chunk 2 empty)
-        (1, 5, 1, "a"),
-        (2, 9, 1, "b"),
-        (3, H + 1, 1, "c"),
-        (4, 3 * H + 1, 1, "d"),
-        # user 2: same-timestamp tie — event_id orders x before y
-        (10, 7, 2, "x"),
-        (11, 7, 2, "y"),
-        # user 3: single event, no transitions
-        (20, 3, 3, "z"),
-    ]
-    t = _pa.table({
-        "event_id": _pa.array([r[0] for r in rows], _pa.int64()),
-        "ts": _pa.array([r[1] for r in rows], _pa.timestamp("us")),
-        "user_id": _pa.array([r[2] for r in rows], _pa.int64()),
-        "event_type": _pa.array([r[3] for r in rows]),
-        "value": _pa.array([1.0] * len(rows)),
-        "props": _pa.array(["{}"] * len(rows)),
-    })
-    _pq.write_table(t, tmp_path / "events.parquet")
-    got = event_transitions(str(tmp_path)).to_pandas()
-    got_map = {(f, t_): n for f, t_, n in zip(
-        got["type_from"], got["type_to"], got["n"])}
-    assert got_map == {("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1,
-                       ("x", "y"): 1}
-
-
-def test_grouped_median_exact_odd_even(tmp_path):
-    """Odd group → 2×middle; even group → lower+upper middle, in exact
-    cents (no float averaging)."""
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import grouped_median
-
-    vals = {
-        "odd": [3.0, 1.0, 2.0],            # median 2.00 → x2 = 400
-        "even": [4.0, 1.0, 3.0, 2.0],      # middles 2.00+3.00 → 500
-        "dupes": [5.0, 5.0, 5.0, 1.0],     # middles 5.00+5.00 → 1000
-    }
-    rows = [(i, i, i, et, v)
-            for i, (et, v) in enumerate(
-                (et, v) for et, vs in vals.items() for v in vs)]
-    t = _pa.table({
-        "event_id": _pa.array([r[0] for r in rows], _pa.int64()),
-        "ts": _pa.array([r[1] for r in rows], _pa.timestamp("us")),
-        "user_id": _pa.array([r[2] for r in rows], _pa.int64()),
-        "event_type": _pa.array([r[3] for r in rows]),
-        "value": _pa.array([r[4] for r in rows], _pa.float64()),
-        "props": _pa.array(["{}"] * len(rows)),
-    })
-    _pq.write_table(t, tmp_path / "events.parquet")
-    got = grouped_median(str(tmp_path)).to_pandas()
-    got_map = {e: (n, m) for e, n, m in zip(
-        got["event_type"], got["n_rows"], got["median_x2_cents"])}
-    assert got_map == {"odd": (3, 400), "even": (4, 500),
-                       "dupes": (4, 1000)}
-
-
-def test_session_paths_cross_chunk_heads(tmp_path):
-    """A session straddling the 24h chunk boundary recombines its
-    first-K types across constituent chunk-sessions in session order;
-    the gap rule still splits sessions within and across chunks."""
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import session_paths
-
-    D = 24 * 3600 * 1_000_000  # chunk width (split_hours=24)
-    M = 60 * 1_000_000
-    rows = [
-        # user 1: session A starts near the end of chunk 0 with one
-        # event ("a"), continues < 30min later into chunk 1 ("b", "c",
-        # "d") → one session, path a>b>c (first 3 of 4).
-        (1, D - 5 * M, 1, "a"),
-        (2, D + 5 * M, 1, "b"),
-        (3, D + 6 * M, 1, "c"),
-        (4, D + 7 * M, 1, "d"),
-        # user 1: a second session > 30min later, path e
-        (5, D + 100 * M, 1, "e"),
-        # user 2: two single-event sessions, both path e
-        (6, 0, 2, "e"),
-        (7, 1000 * M, 2, "e"),
-    ]
-    t = _pa.table({
-        "event_id": _pa.array([r[0] for r in rows], _pa.int64()),
-        "ts": _pa.array([r[1] for r in rows], _pa.timestamp("us")),
-        "user_id": _pa.array([r[2] for r in rows], _pa.int64()),
-        "event_type": _pa.array([r[3] for r in rows]),
-        "value": _pa.array([1.0] * len(rows)),
-        "props": _pa.array(["{}"] * len(rows)),
-    })
-    _pq.write_table(t, tmp_path / "events.parquet")
-    got = session_paths(str(tmp_path)).to_pandas()
-    got_map = dict(zip(got["path"], got["n_sessions"]))
-    assert got_map == {"a>b>c": 1, "e": 3}
-
-
-def test_session_paths_matches_duckdb(sf_small):
-    import duckdb
-
-    from phenobert_ray.functions.events import (
-        PATH_K,
-        PATH_TOPN,
-        session_paths,
-    )
-
-    got = session_paths(sf_small).to_pandas()
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM "
-                f"read_parquet('{sf_small}/events.parquet')")
-    want = con.execute(f"""
-        WITH e AS (
-          SELECT user_id, ts, event_id, event_type,
-                 CASE WHEN ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-                      THEN 1 ELSE 0 END AS brk
-          FROM events
-          WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-        ), s AS (
-          SELECT user_id, ts, event_id, event_type,
-                 sum(brk) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                                ROWS UNBOUNDED PRECEDING) AS sid
-          FROM e
-        ), r AS (
-          SELECT user_id, sid, event_type, ts, event_id,
-                 row_number() OVER (PARTITION BY user_id, sid
-                                    ORDER BY ts, event_id) AS rn
-          FROM s
-        ), p AS (
-          SELECT user_id, sid,
-                 string_agg(event_type, '>' ORDER BY rn) AS path
-          FROM r WHERE rn <= {PATH_K} GROUP BY user_id, sid
-        )
-        SELECT path, count(*) AS n_sessions FROM p GROUP BY path
-        ORDER BY n_sessions DESC, path ASC LIMIT {PATH_TOPN}
-    """).df()
-    assert got["path"].tolist() == want["path"].tolist()
-    assert got["n_sessions"].tolist() == want["n_sessions"].tolist()
-
-
-def test_weekly_active_users_window_semantics(tmp_path):
-    """A day counts a user iff the user was active in [d-6, d]; only
-    days WITH events are reported; multi-day users count once per
-    window day."""
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import DAY_US, weekly_active_users
-
-    D = DAY_US
-    rows = [
-        # user 1 active day 0 and day 8; user 2 active day 0 only;
-        # user 3 active days 5,6 (twice on 6 — dedup)
-        (1, 0 * D + 5, 1),
-        (2, 8 * D + 5, 1),
-        (3, 0 * D + 9, 2),
-        (4, 5 * D + 1, 3),
-        (5, 6 * D + 1, 3),
-        (6, 6 * D + 2, 3),
-    ]
-    t = _pa.table({
-        "event_id": _pa.array([r[0] for r in rows], _pa.int64()),
-        "ts": _pa.array([r[1] for r in rows], _pa.timestamp("us")),
-        "user_id": _pa.array([r[2] for r in rows], _pa.int64()),
-        "event_type": _pa.array(["view"] * len(rows)),
-        "value": _pa.array([1.0] * len(rows)),
-        "props": _pa.array(["{}"] * len(rows)),
-    })
-    _pq.write_table(t, tmp_path / "events.parquet")
-    got = weekly_active_users(str(tmp_path)).to_pandas()
-    got_map = dict(zip(got["day"], got["n_active"]))
-    # reported days = {0, 5, 6, 8}; windows: [−6,0] → {u1,u2};
-    # [−1,5] → {u1,u2,u3}; [0,6] → {u1,u2,u3}; [2,8] → {u1,u3}
-    assert got_map == {0: 2, 5: 3, 6: 3, 8: 2}
-
-
-def test_grouped_mode_tiebreak_and_counts(tmp_path):
-    """Mode per type with the smallest-cents deterministic tiebreak."""
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import grouped_mode
-
-    vals = {
-        # 2.0 ×2 vs 1.0 ×2 → tie, smaller cents (1.0) wins
-        "tie": [2.0, 1.0, 2.0, 1.0, 3.0],
-        # clear mode 5.0 ×3
-        "clear": [5.0, 5.0, 5.0, 4.0],
-    }
-    rows = [(i, i, i, et, v)
-            for i, (et, v) in enumerate(
-                (et, v) for et, vs in vals.items() for v in vs)]
-    t = _pa.table({
-        "event_id": _pa.array([r[0] for r in rows], _pa.int64()),
-        "ts": _pa.array([r[1] for r in rows], _pa.timestamp("us")),
-        "user_id": _pa.array([r[2] for r in rows], _pa.int64()),
-        "event_type": _pa.array([r[3] for r in rows]),
-        "value": _pa.array([r[4] for r in rows], _pa.float64()),
-        "props": _pa.array(["{}"] * len(rows)),
-    })
-    _pq.write_table(t, tmp_path / "events.parquet")
-    got = grouped_mode(str(tmp_path)).to_pandas()
-    got_map = {e: (n, m, c) for e, n, m, c in zip(
-        got["event_type"], got["n_rows"], got["mode_cents"],
-        got["mode_count"])}
-    assert got_map == {"tie": (5, 100, 2), "clear": (4, 500, 3)}

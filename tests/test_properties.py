@@ -164,199 +164,3 @@ def test_rounded_div_is_half_away_exact(s, n):
     want = mag if x >= 0 else -mag
     assert got == want
 
-
-@given(
-    rows=st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 10),
-                  st.sampled_from(["a", "b", "c"])),
-        min_size=1, max_size=60,
-    )
-)
-@settings(max_examples=8, deadline=None)
-def test_event_transitions_matches_pandas(rows):
-    """Chunk-folded transition counts must agree with a serial lag-based
-    count for ANY (user, ts, type) distribution — including same-ts ties
-    (event_id breaks them) and chunk-boundary straddles (ts spans up to
-    ~2 chunks)."""
-    import tempfile
-
-    import pandas as pd
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import (
-        RUN_CHUNK_US,
-        event_transitions,
-    )
-
-    tmp = tempfile.mkdtemp()
-    n = len(rows)
-    ts = [u_t_y[1] * (RUN_CHUNK_US // 4) for u_t_y in rows]
-    t = _pa.table({
-        "event_id": _pa.array(range(n), _pa.int64()),
-        "ts": _pa.array(pd.to_datetime(ts, unit="us").values,
-                        _pa.timestamp("us")),
-        "user_id": _pa.array([r[0] for r in rows], _pa.int64()),
-        "event_type": _pa.array([r[2] for r in rows]),
-        "value": _pa.array([1.0] * n),
-        "props": _pa.array(["{}"] * n),
-    })
-    _pq.write_table(t, f"{tmp}/events.parquet")
-    res = event_transitions(tmp)
-    got = res.to_pandas()
-    if not len(got) and not len(got.columns):
-        # Ray drops the columns of ANY zero-row dataset in to_pandas;
-        # the driver gate rebuilds from schema() (typed_result) — mirror
-        got = res.schema().base_schema.empty_table().to_pandas()
-    assert list(got.columns) == ["type_from", "type_to", "n"]
-    got_map = {(f, t_): int(x) for f, t_, x in zip(
-        got["type_from"], got["type_to"], got["n"])}
-    df = pd.DataFrame({"u": [r[0] for r in rows], "ts": ts,
-                       "e": range(n), "t": [r[2] for r in rows]})
-    df = df.sort_values(["u", "ts", "e"])
-    same = df["u"].eq(df["u"].shift())
-    want = (pd.DataFrame({"f": df["t"].shift()[same], "t": df["t"][same]})
-            .groupby(["f", "t"]).size().to_dict())
-    assert got_map == want
-
-
-@given(
-    rows=st.lists(
-        st.tuples(st.sampled_from(["x", "y"]),
-                  st.floats(-1e6, 1e6, allow_nan=False)),
-        min_size=1, max_size=80,
-    )
-)
-@settings(max_examples=8, deadline=None)
-def test_grouped_median_matches_serial(rows):
-    """Counting-exchange median must equal the serial two-middle-order-
-    statistics rule for any value multiset, including heavy duplicates
-    and negatives."""
-    import tempfile
-
-    import numpy as np
-    import pandas as pd
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import grouped_median
-
-    tmp = tempfile.mkdtemp()
-    n = len(rows)
-    t = _pa.table({
-        "event_id": _pa.array(range(n), _pa.int64()),
-        "ts": _pa.array(pd.to_datetime(range(n), unit="us").values,
-                        _pa.timestamp("us")),
-        "user_id": _pa.array([1] * n, _pa.int64()),
-        "event_type": _pa.array([r[0] for r in rows]),
-        "value": _pa.array([r[1] for r in rows], _pa.float64()),
-        "props": _pa.array(["{}"] * n),
-    })
-    _pq.write_table(t, f"{tmp}/events.parquet")
-    got = grouped_median(tmp).to_pandas()
-    got_map = {e: (int(c), int(m)) for e, c, m in zip(
-        got["event_type"], got["n_rows"], got["median_x2_cents"])}
-    want = {}
-    df = pd.DataFrame({"e": [r[0] for r in rows],
-                       "c": np.floor(np.array([r[1] for r in rows])
-                                     * 100 + 0.5).astype("int64")})
-    for e, g in df.groupby("e"):
-        c = np.sort(g["c"].to_numpy())
-        m = len(c)
-        want[e] = (m, int(c[(m + 1) // 2 - 1]) + int(c[(m + 2) // 2 - 1]))
-    assert got_map == want
-
-
-@given(
-    rows=st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 12),
-                  st.sampled_from(["a", "b", "c"])),
-        min_size=1, max_size=50,
-    )
-)
-@settings(max_examples=8, deadline=None)
-def test_session_paths_matches_pandas(rows):
-    """Chunked session-path counting must agree with a serial gap-rule
-    fold for any (user, ts, type) distribution — ts spans ~3 chunk
-    widths at quarter-chunk granularity, so sessions straddle chunk
-    boundaries and same-ts ties exercise event_id ordering."""
-    import tempfile
-
-    import pandas as pd
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import session_paths
-
-    CHUNK = 24 * 3600 * 1_000_000  # split_hours=24 default
-    GAP = 30 * 60 * 1_000_000
-    tmp = tempfile.mkdtemp()
-    n = len(rows)
-    # quarter-chunk steps, plus a small per-index jitter below the gap
-    ts = [r[1] * (CHUNK // 4) + (i % 3) for i, r in enumerate(rows)]
-    t = _pa.table({
-        "event_id": _pa.array(range(n), _pa.int64()),
-        "ts": _pa.array(pd.to_datetime(ts, unit="us").values,
-                        _pa.timestamp("us")),
-        "user_id": _pa.array([r[0] for r in rows], _pa.int64()),
-        "event_type": _pa.array([r[2] for r in rows]),
-        "value": _pa.array([1.0] * n),
-        "props": _pa.array(["{}"] * n),
-    })
-    _pq.write_table(t, f"{tmp}/events.parquet")
-    got = session_paths(tmp).to_pandas()
-    got_map = dict(zip(got["path"], got["n_sessions"].astype(int)))
-
-    df = pd.DataFrame({"u": [r[0] for r in rows], "ts": ts,
-                       "e": range(n), "t": [r[2] for r in rows]})
-    df = df.sort_values(["u", "ts", "e"])
-    brk = ~((df["ts"] - df["ts"].shift() <= GAP)
-            & df["u"].eq(df["u"].shift()))
-    df["sid"] = brk.cumsum()
-    want: dict = {}
-    for _, g in df.groupby("sid"):
-        p = ">".join(g["t"].head(3))
-        want[p] = want.get(p, 0) + 1
-    # ≤ 9 distinct paths possible (|types|≤3, K=3 over ≤3 symbols is
-    # bounded well under the top-20 cutoff), so the whole map must match
-    assert got_map == want
-
-
-@given(
-    rows=st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 15)),
-        min_size=1, max_size=60,
-    )
-)
-@settings(max_examples=8, deadline=None)
-def test_weekly_active_users_matches_serial(rows):
-    """Replicate-then-dedup window counts must equal the serial trailing
-    7-day distinct count for any (user, day) multiset."""
-    import tempfile
-
-    import pandas as pd
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import DAY_US, weekly_active_users
-
-    tmp = tempfile.mkdtemp()
-    n = len(rows)
-    ts = [r[1] * DAY_US + i for i, r in enumerate(rows)]
-    t = _pa.table({
-        "event_id": _pa.array(range(n), _pa.int64()),
-        "ts": _pa.array(pd.to_datetime(ts, unit="us").values,
-                        _pa.timestamp("us")),
-        "user_id": _pa.array([r[0] for r in rows], _pa.int64()),
-        "event_type": _pa.array(["view"] * n),
-        "value": _pa.array([1.0] * n),
-        "props": _pa.array(["{}"] * n),
-    })
-    _pq.write_table(t, f"{tmp}/events.parquet")
-    got = weekly_active_users(tmp).to_pandas()
-    got_map = {int(d): int(x) for d, x in zip(got["day"], got["n_active"])}
-    days = sorted({r[1] for r in rows})
-    want = {
-        d: len({u for u, dd in rows if d - 6 <= dd <= d}) for d in days
-    }
-    assert got_map == want

@@ -1,97 +1,10 @@
-"""BM25 ranking + per-source z-score (functions/search.py): serial
-brute-force oracles over the real sf0.001 documents table."""
-
-import math
+"""Serial brute-force oracles for assorted registry operators (total-order
+rank, label centroids, hopping windows, HLL, BPE pair counts, token-stat
+rollups) over the real sf0.001 tables."""
 
 import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
-
-from phenobert_ray.functions.search import (
-    BM25_B,
-    BM25_K1,
-    QUERY_TERMS,
-    bm25_topk,
-    zscore_by_source,
-)
-
-
-def _brute_bm25(docs: pd.DataFrame, k: int) -> pd.DataFrame:
-    toks = docs["text"].str.split(" ")
-    dl = toks.str.len().to_numpy(dtype=np.float64)
-    n = len(docs)
-    avgdl = dl.sum() / n
-    total = np.zeros(n, dtype=np.int64)
-    for t in QUERY_TERMS:
-        tf = toks.map(lambda ws: ws.count(t)).to_numpy(dtype=np.float64)
-        df_t = int((tf > 0).sum())
-        idf = math.log(1.0 + (n - df_t + 0.5) / (df_t + 0.5))
-        contrib = idf * (tf * (BM25_K1 + 1.0)
-                         / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / avgdl))))
-        total += np.floor(contrib * 1e9 + 0.5).astype(np.int64)
-    out = pd.DataFrame({"doc_id": docs["doc_id"], "score_nano": total})
-    out = out[out["score_nano"] > 0]
-    out = out.sort_values(["score_nano", "doc_id"],
-                          ascending=[False, True]).head(k)
-    out = out.reset_index(drop=True)
-    out.insert(0, "rank", np.arange(1, len(out) + 1, dtype=np.int64))
-    return out
-
-
-def test_bm25_matches_serial_bruteforce(sf_small):
-    got = bm25_topk(sf_small, k=15).to_pandas()
-    docs = pq.read_table(f"{sf_small}/documents.parquet").to_pandas()
-    want = _brute_bm25(docs, 15)
-    pd.testing.assert_frame_equal(
-        got.reset_index(drop=True), want, check_dtype=False
-    )
-
-
-def test_bm25_rank_is_deterministic_and_sorted(sf_small):
-    a = bm25_topk(sf_small).to_pandas()
-    b = bm25_topk(sf_small).to_pandas()
-    pd.testing.assert_frame_equal(a, b)
-    s = a["score_nano"].to_numpy()
-    assert (np.diff(s) <= 0).all()
-    # doc_id strictly increases within equal-score runs
-    ties = a[a.duplicated("score_nano", keep=False)]
-    for _, g in ties.groupby("score_nano"):
-        assert g["doc_id"].is_monotonic_increasing
-
-
-def test_zscore_matches_pandas_window(sf_small):
-    got = zscore_by_source(sf_small).to_pandas().sort_values("doc_id")
-    docs = pq.read_table(f"{sf_small}/documents.parquet").to_pandas()
-    nt = docs["text"].str.split(" ").str.len().astype("int64")
-    df = pd.DataFrame(
-        {"doc_id": docs["doc_id"], "source": docs["source"], "x": nt}
-    )
-    g = df.groupby("source")["x"]
-    mean = g.transform("mean")
-    std = g.transform(lambda s: s.std(ddof=0))
-    want_z = np.where(std > 0, (df["x"] - mean) / std, 0.0)
-    got = got.set_index("doc_id")
-    assert np.allclose(
-        got.loc[df["doc_id"], "z"].to_numpy(), want_z, atol=2e-6
-    )
-    assert (got.loc[df["doc_id"], "n_tokens"].to_numpy() == nt.to_numpy()).all()
-
-
-def test_zscore_constant_source_gets_zero(tmp_path):
-    # synthetic table with one zero-variance source
-    import pyarrow as pa
-
-    t = pa.table(
-        {
-            "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
-            "text": ["a b c", "a b c", "a b", "a b c d"],
-            "source": ["flat", "flat", "vary", "vary"],
-        }
-    )
-    pq.write_table(t, tmp_path / "documents.parquet")
-    got = zscore_by_source(str(tmp_path)).to_pandas().set_index("doc_id")
-    assert got.loc[0, "z"] == 0.0 and got.loc[1, "z"] == 0.0
-    assert got.loc[2, "z"] == -1.0 and got.loc[3, "z"] == 1.0
 
 
 def test_global_sort_rank_matches_serial(sf_small):
@@ -212,103 +125,6 @@ def test_bpe_pair_counts_matches_serial(sf_small):
         c.update(f"{a} {b}" for a, b in zip(ws, ws[1:]))
     want = sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))[:12]
     assert list(zip(got["pair"], got["n"])) == want
-
-
-# ---------------------------------------------------------------------------
-# TF-IDF top terms + fuzzy probe join (round 5)
-
-
-def _brute_tfidf(docs: pd.DataFrame, k: int) -> pd.DataFrame:
-    rows = {}
-    for src, text in zip(docs["source"], docs["text"]):
-        for w in text.split(" "):
-            if w:
-                rows[(src, w)] = rows.get((src, w), 0) + 1
-    df_t = {}
-    for (src, w) in rows:
-        df_t[w] = df_t.get(w, 0) + 1
-    n_sources = len({s for s, _ in rows})
-    out = []
-    for (src, w), tf in rows.items():
-        idf_nano = math.floor(
-            (math.log((1.0 + n_sources) / (1.0 + df_t[w])) + 1.0) * 1e9 + 0.5)
-        out.append((src, w, tf, df_t[w], tf * idf_nano))
-    frame = pd.DataFrame(out, columns=["source", "term", "tf", "df",
-                                       "score_nano"])
-    frame = frame.sort_values(["source", "score_nano", "term"],
-                              ascending=[True, False, True])
-    frame = frame.groupby("source", sort=True).head(k).reset_index(drop=True)
-    frame["rank"] = frame.groupby("source").cumcount() + 1
-    return frame[["source", "rank", "term", "tf", "df", "score_nano"]]
-
-
-def test_tfidf_top_terms_matches_serial(sf_small):
-    from phenobert_ray.functions.search import tfidf_top_terms
-
-    got = (tfidf_top_terms(sf_small, k=5).to_pandas()
-           .sort_values(["source", "rank"]).reset_index(drop=True))
-    docs = pq.read_table(f"{sf_small}/documents.parquet").to_pandas()
-    want = _brute_tfidf(docs, 5)
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-
-def test_tfidf_rank_contract(sf_small):
-    """ranks are 1..k per source, scores non-increasing, term-asc ties."""
-    from phenobert_ray.functions.search import TFIDF_TOPK, tfidf_top_terms
-
-    got = tfidf_top_terms(sf_small).to_pandas()
-    for _, g in got.groupby("source"):
-        g = g.sort_values("rank")
-        assert list(g["rank"]) == list(range(1, len(g) + 1))
-        assert len(g) <= TFIDF_TOPK
-        s = g["score_nano"].to_numpy()
-        assert (np.diff(s) <= 0).all()
-
-
-def test_fuzzy_match_probe_matches_serial(sf_small):
-    from phenobert_ray.functions.search import (
-        FUZZY_DEN,
-        FUZZY_NUM,
-        PROBE_ID_CAP,
-        PROBE_MOD,
-        fuzzy_match_probe,
-    )
-
-    docs = pq.read_table(f"{sf_small}/documents.parquet").to_pandas()
-    tok = {d: {w for w in t.split(" ") if w}
-           for d, t in zip(docs["doc_id"], docs["text"])}
-    probes = [d for d in docs["doc_id"]
-              if d % PROBE_MOD == 0 and d < PROBE_ID_CAP]
-    want = set()
-    for p in probes:
-        for d, ts in tok.items():
-            inter = len(tok[p] & ts)
-            union = len(tok[p] | ts)
-            if FUZZY_DEN * inter >= FUZZY_NUM * union:
-                want.add((p, d, inter, union))
-    got = fuzzy_match_probe(sf_small).to_pandas()
-    got_set = set(zip(got["probe_id"], got["doc_id"],
-                      got["n_inter"], got["n_union"]))
-    assert got_set == want
-    assert len(got) == len(got_set)  # no duplicate emission
-
-
-def test_fuzzy_match_probe_empty_token_sets(tmp_path):
-    """jaccard(∅,∅)=1 convention: an all-whitespace probe matches exactly
-    the all-whitespace docs (n_inter = n_union = 0), nothing else."""
-    import pyarrow as pa
-
-    from phenobert_ray.functions.search import fuzzy_match_probe
-
-    t = pa.table({
-        "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
-        "text": ["   ", "word word", "", "word other"],
-    })
-    pq.write_table(t, tmp_path / "documents.parquet")
-    got = fuzzy_match_probe(str(tmp_path)).to_pandas()
-    got_set = set(zip(got["probe_id"], got["doc_id"],
-                      got["n_inter"], got["n_union"]))
-    assert got_set == {(0, 0, 0, 0), (0, 2, 0, 0)}
 
 
 def test_rollup_token_stats_matches_serial(sf_small):

@@ -53,7 +53,7 @@ UNICODE_TEXTS = [
     "it's quoted 'text' with \"double\" quotes; semicolons, commas",
     "a  b   c    d",  # multi-space runs -> empty tokens
     "word " * 200,  # trailing space -> empty final token
-    "join window hash vector join window hash vector",  # all bm25 terms
+    "join window hash vector join window hash vector",  # repeated 4-token cycle
     "join join join join join join join join join join",  # tf skew
 ]
 
