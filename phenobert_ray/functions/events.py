@@ -848,6 +848,9 @@ def asof_join(
         return from_pandas_clean(df)
 
     def resolve(df: pd.DataFrame) -> pd.DataFrame:
+        # a bucket holding only unmatched purchases has an all-null
+        # view_ts, which arrives as object dtype and made merge_asof raise
+        df["view_ts"] = df["view_ts"].astype("datetime64[us]")
         done = df[df["side"] == 0]
         pending = df[df["side"] == 1].sort_values(["ts", "event_id"])
         summaries = df[df["side"] == 2].sort_values(["view_ts", "view_event_id"])
