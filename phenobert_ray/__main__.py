@@ -20,7 +20,6 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -49,8 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dir with reference-format checkpoints (l1.pt, "
                         "sub_*.pt, bert.pt, embedding.pt) for the numpy "
                         "inference path; the literal 'builtin' selects the "
-                        "packaged hermetically-trained weights (pair with "
-                        "-p1 0.95 -p2 0.9, see assets.loader.trained_model_dir)")
+                        "packaged hermetically-trained weights (-p1/-p2 "
+                        "then default to 0.95/0.9)")
     p.add_argument("--ner", dest="ner_path", default=None,
                    help="C1 span-seeder checkpoint (ner.pt; the literal "
                         "'builtin' selects the packaged tagger); default "
@@ -62,13 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also index stopword-free dictionary keys (+recall)")
     p.add_argument("--shards", type=int, default=4, help="resumable shard count")
     p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--gpus-per-actor", type=float, default=0.0,
-                   help="reserve this many GPUs per scorer actor (>0 forces "
-                        "the actor-pool path; fractional packs several "
-                        "actors per device)")
-    p.add_argument("--concurrency", type=int, default=None,
-                   help="fixed scorer actor-pool size (default: task pool, "
-                        "or GPU-count-derived when --gpus-per-actor is set)")
     p.add_argument("-t", "--threads", type=float, default=1.0,
                    help="CPUs reserved per annotate task (reference -t sets "
                         "torch intra-op threads, annotate.py:23; here the "
@@ -77,67 +69,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def load_dag(args):
-    if not args.dict_path:
-        from .assets.mini_hpo import mini_dag
-
-        return mini_dag()
-    path = args.dict_path
-    if path.endswith(".json"):
-        from .assets.loader import dag_from_hpo_json
-
-        return dag_from_hpo_json(path)
-    if path.endswith(".obo"):
-        from .assets.loader import dag_from_obo
-
-        return dag_from_obo(path)
-    from .assets.hpo_dag import dag_from_phrase_pairs
-    from .sources.loaders import read_phrase_pairs
-
-    return dag_from_phrase_pairs(read_phrase_pairs(path),
-                                 simplified_keys=args.simplified_keys)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    builtin = args.model_dir == "builtin"
-    if builtin or args.ner_path == "builtin":
-        from .assets.loader import resolve_builtin
+    from .assets.loader import resolve_entry
 
-        try:
-            args.model_dir, args.ner_path = resolve_builtin(
-                args.model_dir, args.ner_path)
-        except FileNotFoundError as e:
-            print(str(e), file=sys.stderr)
-            return 2
-    # reference defaults (annotate.py:15-30) assume its fastText-based
-    # weights; the packaged hashing-embedding weights operate at 0.95/0.9
-    # (BASELINE.md sweep) — explicit flags always win
-    if args.p1 is None:
-        args.p1 = 0.95 if builtin else 0.8
-    if args.p2 is None:
-        args.p2 = 0.9 if builtin else 0.6
+    try:
+        dag, cfg = resolve_entry(
+            args.dict_path, args.model_dir, args.ner_path, args.p1, args.p2,
+            simplified_keys=args.simplified_keys,
+            use_model_standins=args.use_standins, param3=args.p3,
+            use_longest=not args.al, use_step_3=not args.nb,
+            annotate_batch_size=args.batch_size,
+            annotate_num_cpus=args.threads)
+    except FileNotFoundError as e:
+        print(str(e), file=sys.stderr)
+        return 2
 
     import ray
 
     owns_session = not ray.is_initialized()
     if owns_session:
         ray.init(address="local", include_dashboard=False)
-
-    from .config import PipelineConfig
-
-    cfg = PipelineConfig(
-        param1=args.p1, param2=args.p2, param3=args.p3,
-        use_longest=not args.al, use_step_3=not args.nb,
-        use_model_standins=args.use_standins or bool(args.model_dir),
-        model_dir=args.model_dir,
-        ner_path=args.ner_path,
-        annotate_batch_size=args.batch_size,
-        annotate_num_gpus=args.gpus_per_actor,
-        annotate_concurrency=args.concurrency,
-        annotate_num_cpus=args.threads,
-    )
-    dag = load_dag(args)
     t0 = time.time()
 
     if args.output_format == "kg":

@@ -19,9 +19,9 @@ from .textops import process_str
 
 @lru_cache(maxsize=1)
 def _default_state() -> tuple[HpoDag, StandInScorer]:
-    from .assets.mini_hpo import mini_dag
+    from .assets.loader import load_ontology
 
-    dag = mini_dag()
+    dag = load_ontology()
     return dag, StandInScorer(dag, PipelineConfig())
 
 

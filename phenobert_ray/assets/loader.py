@@ -4,6 +4,8 @@ Supports the reference's ``hpo.json`` node layout (dict-of-dicts keyed by
 ``HP:...`` with ``Name/Alt_id/Synonym/Is_a`` fields, util.py:27-44) and a
 minimal ``.obo`` parser, normalized into the node format HpoDag consumes.
 Assets build once on the driver and broadcast (SURVEY.md §2.5).
+``resolve_entry`` is the set-up every entry point runs: ontology loader,
+``builtin`` asset paths and the threshold defaults.
 """
 
 from __future__ import annotations
@@ -192,8 +194,7 @@ def resolve_builtin(model_dir: str | None = None,
                     ner_path: str | None = None) -> tuple[str | None, str | None]:
     """Resolve the ``"builtin"`` sentinels to packaged asset paths.
 
-    Single source of truth for the CLI (``__main__``), the HTTP server
-    (``serve``) and the eval harness (``tools/eval_corpus``).  Raises
+    Entry points reach it through :func:`resolve_entry`.  Raises
     FileNotFoundError when a requested packaged asset is absent — callers
     must fail loudly, never silently degrade to dictionary-only output."""
     import os
@@ -212,3 +213,53 @@ def resolve_builtin(model_dir: str | None = None,
                 "no packaged ner tagger found (--ner builtin)")
         ner_path = p
     return model_dir, ner_path
+
+
+def load_ontology(dict_path: str | None = None,
+                  simplified_keys: bool = False) -> HpoDag:
+    """The ontology an entry point annotates with: the built-in mini
+    ontology when ``dict_path`` is empty, else a reference ``hpo.json``,
+    an ``.obo`` file, or ``train.txt``-style phrase pairs
+    (``simplified_keys`` reaches only the phrase-pair loader)."""
+    if not dict_path:
+        from .mini_hpo import mini_dag
+
+        return mini_dag()
+    if dict_path.endswith(".json"):
+        return dag_from_hpo_json(dict_path)
+    if dict_path.endswith(".obo"):
+        return dag_from_obo(dict_path)
+    from ..sources.loaders import read_phrase_pairs
+    from .hpo_dag import dag_from_phrase_pairs
+
+    return dag_from_phrase_pairs(read_phrase_pairs(dict_path),
+                                 simplified_keys=simplified_keys)
+
+
+def resolve_entry(dict_path: str | None = None, model_dir: str | None = None,
+                  ner_path: str | None = None, p1: float | None = None,
+                  p2: float | None = None, *, simplified_keys: bool = False,
+                  use_model_standins: bool = False, **cfg_fields):
+    """``(dag, PipelineConfig)`` from an entry point's flags: the one
+    set-up shared by the CLI (``__main__``), the HTTP server (``serve``)
+    and the eval harness (``tools/eval_corpus``).
+
+    Resolves the ``"builtin"`` sentinels first (FileNotFoundError before
+    any ontology loads), then loads the ontology (:func:`load_ontology`).
+    Thresholds left ``None`` take the reference defaults (0.8/0.6), or
+    0.95/0.9 with ``model_dir="builtin"``: the packaged weights use the
+    hashing embedding, not the reference's fastText, and over-admit at
+    0.8/0.6 (see :func:`trained_model_dir`).  An explicit threshold always
+    wins.  A model dir turns the model stages on; ``cfg_fields`` pass
+    through to ``PipelineConfig``."""
+    from ..config import PipelineConfig
+
+    builtin = model_dir == "builtin"
+    model_dir, ner_path = resolve_builtin(model_dir, ner_path)
+    d1, d2 = (0.95, 0.9) if builtin else (PipelineConfig.param1,
+                                         PipelineConfig.param2)
+    cfg = PipelineConfig(
+        param1=d1 if p1 is None else p1, param2=d2 if p2 is None else p2,
+        use_model_standins=use_model_standins or bool(model_dir),
+        model_dir=model_dir, ner_path=ner_path, **cfg_fields)
+    return load_ontology(dict_path, simplified_keys), cfg

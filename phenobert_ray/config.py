@@ -22,23 +22,27 @@ class PipelineConfig:
     # tools/train_ner.py); None -> pseudo-seeding (every sentence seeded,
     # the documented recall-superset default, candidates.py:6-14)
 
-    # Ray sizing.  The task pool fills the cluster's CPUs; a model path
-    # (model_dir, use_model_standins or ner_path) runs one task per block.
-    annotate_concurrency: int | None = None  # None → task pool autoscale
+    # Ray sizing (never changes output).  The annotate stage is one
+    # task-pool ``map_batches``: the dictionary path hands each task
+    # ``annotate_batch_size`` turns under Ray Data's per-operator CPU
+    # reservation; a model path (model_dir, use_model_standins or
+    # ner_path) hands each block to its own task, and ``run_kg_job`` lifts
+    # the reservation so those tasks run on every CPU.
     annotate_batch_size: int = 256           # turns per kernel call
-    annotate_num_cpus: float = 1.0
-    annotate_num_gpus: float = 0.0  # >0 reserves GPU per scorer actor and
-    # forces the actor-pool path (SURVEY §4: reference auto-selects cuda,
-    # util.py:24, model.py:7; CPU fallback util.py:626-629).  Fractional
-    # values pack several scorer actors per device.  Untestable in this
-    # CPU-only sandbox; covered by a resource-spec unit test.
-    annotate_gpu_wait: bool = False  # skip the 0-GPU fail-fast: on an
-    # AUTOSCALING cluster whose GPU node group is currently scaled to zero,
-    # cluster_resources() reports no GPUs even though submitting the actor
-    # pool would provision them — set True there; on a
-    # fixed-size GPU-less cluster leave False so an infeasible num_gpus
-    # fails loudly instead of parking the pipeline forever.
+    annotate_num_cpus: float = 1.0           # CPUs reserved per task
 
     # keep negated mentions out of has_phenotype triples (annotations keep
     # them with the Neg flag, like the reference TSV output util.py:1199-1209)
     triples_drop_negated: bool = True
+
+    # Every field that changes annotation or triple output, in the order
+    # ``pipelines.annotate._job_identity`` folds them into each shard
+    # manifest (reordering it invalidates every finished shard).
+    OUTPUT_FIELDS = ("param1", "param2", "param3", "use_longest", "use_step_3",
+                     "use_model_standins", "model_dir", "ner_path",
+                     "triples_drop_negated")
+
+    def output_identity(self) -> tuple:
+        """The values of ``OUTPUT_FIELDS``: the worker state cache key and
+        the KG job identity are built from this one list."""
+        return tuple(getattr(self, f) for f in self.OUTPUT_FIELDS)

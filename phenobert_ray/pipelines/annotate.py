@@ -67,10 +67,7 @@ def _job_identity(dag: HpoDag, cfg: PipelineConfig) -> str:
     Folded into each shard's manifest spec so a re-run with a new ontology
     release or different thresholds on a reused out_dir invalidates every
     shard instead of silently skipping them."""
-    sem = (dag.fingerprint, cfg.param1, cfg.param2, cfg.param3,
-           cfg.use_longest, cfg.use_step_3, cfg.use_model_standins,
-           cfg.model_dir, cfg.ner_path, cfg.triples_drop_negated)
-    return "|".join(str(x) for x in sem)
+    return "|".join(str(x) for x in (dag.fingerprint, *cfg.output_identity()))
 
 
 def shard_fragments(frags: list[str], num_shards: int):

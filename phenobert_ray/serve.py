@@ -17,6 +17,9 @@ Endpoints:
                     ?format=tsv returns the reference TSV lines
                     (util.py:1199-1209), default JSON rows
   GET  /health      {"status": "ok"}
+
+A request body over ``MAX_BODY_BYTES`` is refused with 413 and a malformed
+or negative ``Content-Length`` with 400, before any of the body is read.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import json
 import os
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+MAX_BODY_BYTES = 1 << 20
 
 _PAGE = """<!doctype html>
 <title>phenobert_ray</title>
@@ -41,43 +46,13 @@ _PAGE = """<!doctype html>
 def build_state(dict_path: str | None = None, model_dir: str | None = None,
                 ner_path: str | None = None):
     """(dag, scorer, ner) loaded once at startup — the reference GUI's
-    import-time globals (api.py:18-24)."""
-    from .config import PipelineConfig
+    import-time globals (api.py:18-24) — through the CLI's set-up
+    (``assets.loader.resolve_entry``) and the pipeline's model loader."""
+    from .assets.loader import resolve_entry
     from .standins import build_models
 
-    builtin = model_dir == "builtin"
-    if builtin or ner_path == "builtin":
-        from .assets.loader import resolve_builtin
-
-        model_dir, ner_path = resolve_builtin(model_dir, ner_path)
-
-    if not dict_path:
-        from .assets.mini_hpo import mini_dag
-
-        dag = mini_dag()
-    elif dict_path.endswith(".json"):
-        from .assets.loader import dag_from_hpo_json
-
-        dag = dag_from_hpo_json(dict_path)
-    elif dict_path.endswith(".obo"):
-        from .assets.loader import dag_from_obo
-
-        dag = dag_from_obo(dict_path)
-    else:
-        from .assets.hpo_dag import dag_from_phrase_pairs
-        from .sources.loaders import read_phrase_pairs
-
-        dag = dag_from_phrase_pairs(read_phrase_pairs(dict_path))
-
-    # the REAL weight-loading path, the same code as the pipeline's
-    # (stages/annotate.py).  The packaged hashing-embedding weights operate
-    # at 0.95/0.9; other checkpoint dirs get the reference defaults
-    # (0.8/0.6), mirroring __main__.py.
-    p1, p2 = (0.95, 0.9) if builtin else (0.8, 0.6)
-    scorer, ner = build_models(dag, PipelineConfig(
-        param1=p1, param2=p2, use_model_standins=bool(model_dir),
-        model_dir=model_dir, ner_path=ner_path))
-    return dag, scorer, ner
+    dag, cfg = resolve_entry(dict_path, model_dir, ner_path)
+    return (dag, *build_models(dag, cfg))
 
 
 def _annotations(text: str, state) -> list[dict]:
@@ -129,7 +104,19 @@ def make_handler(state):
                 self._send(404, json.dumps({"error": "not found"}),
                            "application/json")
                 return
-            n = int(self.headers.get("Content-Length") or 0)
+            try:
+                n = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                n = -1
+            if n < 0:
+                self._send(400, json.dumps({"error": "bad Content-Length"}),
+                           "application/json")
+                return
+            if n > MAX_BODY_BYTES:
+                self._send(413, json.dumps({"error": "body over "
+                                            f"{MAX_BODY_BYTES} bytes"}),
+                           "application/json")
+                return
             raw = self.rfile.read(n).decode("utf-8", errors="replace")
             ctype = (self.headers.get("Content-Type") or "").split(";")[0]
             if ctype == "application/json":

@@ -1,6 +1,7 @@
 """Ray Data stage: turns → annotations (the fused per-turn recognizer).
 
-One ``map_batches`` task runs the whole per-turn chain (candidate
+The stage has one form of execution: a task-pool ``map_batches`` over
+``_annotate_task``.  Each task runs the whole per-turn chain (candidate
 generation C1-C4 → dict link L1/L2 → optional scorers L4-L6 → finalize
 L2/L7/L8) because every one of those operators needs *turn locality*
 (subsumption/overlap work on all of a turn's candidates, SURVEY.md §7
@@ -13,7 +14,9 @@ deserialized once per worker process — never re-shipped per batch
 DAG pickles to ~4.6 MB); on a model path it is ``(dag, scorer, ner)``,
 built once on the driver (~36 MB for ``-m builtin``), so no worker loads
 checkpoints.  A model path also hands each block to its own task, which
-``run_kg_job`` lets run on every CPU.
+``run_kg_job`` lets run on every CPU.  The scorers are numpy
+(``models_np``, ``bert_np``, ``ner_np``), so the stage reserves CPUs only.
+``AnnotateTurns`` is the same stage run in-process, one batch per call.
 """
 
 from __future__ import annotations
@@ -49,12 +52,9 @@ _STATE_CACHE: dict = {}
 
 
 def _state_key(fingerprint, cfg: PipelineConfig) -> tuple:
-    # EVERY config field that changes scorer construction or annotation
-    # output must be in this key, or a reused worker silently serves state
-    # (and memoized rows) built under different thresholds
-    return (fingerprint, cfg.use_model_standins, cfg.use_longest,
-            cfg.model_dir, cfg.ner_path, cfg.param1, cfg.param2, cfg.param3,
-            cfg.use_step_3)
+    # every output-changing field is in this key, or a reused worker
+    # silently serves state (and memoized rows) built under other thresholds
+    return (fingerprint, *cfg.output_identity())
 
 
 def carries_model(cfg: PipelineConfig) -> bool:
@@ -151,9 +151,11 @@ def _annotate_block(block: pa.Table, state, cfg: PipelineConfig) -> pa.Table:
 
 
 class AnnotateTurns:
-    """Actor-pool form of the stage (``annotate_concurrency`` or
-    ``annotate_num_gpus`` set): state loads once in ``__init__``, per-batch
-    work in ``__call__``."""
+    """The stage in-process, without Ray Data: ``__init__`` loads the
+    state a worker would hold (``dag_ref`` is a broadcast ref or a plain
+    dag), and each ``__call__`` annotates one batch as ``_annotate_task``
+    does.  Profilers replay batches through it, reading ``.memo``,
+    ``.scorer`` and ``.ner``."""
 
     def __init__(self, dag_ref, cfg: PipelineConfig | None = None,
                  fingerprint: str | None = None):
@@ -204,54 +206,16 @@ def _broadcast(dag: HpoDag, cfg: PipelineConfig):
 def annotate_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
     """turns Dataset → annotations Dataset (lazy, streaming).
 
-    Runs as a task pool by default, with the stage state broadcast once
-    per Ray session (``_broadcast``) and cached per worker process;
-    ``annotate_concurrency`` or ``annotate_num_gpus > 0`` selects an actor
-    pool instead.  A model path gives each block its own task."""
+    One task-pool ``map_batches``: the stage state is broadcast once per
+    Ray session (``_broadcast``) and cached per worker process.  The
+    dictionary path takes ``annotate_batch_size`` turns per task; a model
+    path gives each block its own task."""
     cfg = cfg or PipelineConfig()
-    dag_ref = _broadcast(dag, cfg)
-    batch_size = None if carries_model(cfg) else cfg.annotate_batch_size
-    # an actor pool reserves num_gpus per actor for GPU-resident scorers
-    # (ref auto-selects cuda: util.py:24, model.py:7)
-    if cfg.annotate_concurrency or cfg.annotate_num_gpus > 0:
-        if cfg.annotate_num_gpus > 0 and not cfg.annotate_gpu_wait and \
-                ray.cluster_resources().get("GPU", 0) <= 0:
-            # an actor requesting num_gpus on a GPU-less FIXED cluster is an
-            # infeasible resource demand: Ray would park the pipeline
-            # forever behind periodic warnings — fail fast instead.  An
-            # autoscaling cluster whose GPU group is scaled to zero reports
-            # 0 here too; annotate_gpu_wait=True opts out of the check so
-            # the demand can trigger provisioning.
-            raise ValueError(
-                f"annotate_num_gpus={cfg.annotate_num_gpus} but the cluster "
-                "reports 0 GPUs; drop --gpus-per-actor, add GPU nodes, or "
-                "set annotate_gpu_wait=True on an autoscaling cluster")
-        concurrency = cfg.annotate_concurrency
-        if concurrency is None:
-            if cfg.annotate_num_gpus > 0:
-                total = ray.cluster_resources().get("GPU", 0)
-                concurrency = (1, max(1, int(total // cfg.annotate_num_gpus) or 1))
-            else:
-                total = int(ray.cluster_resources().get("CPU", 8))
-                concurrency = (1, max(2, int(total // max(cfg.annotate_num_cpus, 0.25))))
-        kwargs = {}
-        if cfg.annotate_num_gpus > 0:
-            kwargs["num_gpus"] = cfg.annotate_num_gpus
-        return turns_ds.map_batches(
-            AnnotateTurns,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            fn_constructor_kwargs={"dag_ref": dag_ref, "cfg": cfg,
-                                   "fingerprint": getattr(dag, "fingerprint", None)},
-            num_cpus=cfg.annotate_num_cpus,
-            concurrency=concurrency,
-            **kwargs,
-        )
     return turns_ds.map_batches(
         _annotate_task,
         batch_format="pyarrow",
-        batch_size=batch_size,
-        fn_kwargs={"dag_ref": dag_ref, "cfg": cfg,
+        batch_size=None if carries_model(cfg) else cfg.annotate_batch_size,
+        fn_kwargs={"dag_ref": _broadcast(dag, cfg), "cfg": cfg,
                    "fingerprint": getattr(dag, "fingerprint", None)},
         num_cpus=cfg.annotate_num_cpus,
     )

@@ -298,3 +298,52 @@ def test_cli_kg_jsonl_matches_parquet(tmp_path, sf_small):
         got.append([(m["row_count"], m["content_hash"])
                     for m in read_manifests(out)])
     assert got[0] == got[1] and got[0][0][0] > 0
+
+
+class _Resolved(Exception):
+    """Stops an entry point right after its set-up."""
+
+
+@pytest.mark.parametrize("thresholds", [[], ["-p1", "0.9"], ["-p2", "0.5"],
+                                        ["-p1", "0.7", "-p2", "0.5"]],
+                         ids=["neither", "p1", "p2", "both"])
+def test_builtin_thresholds_same_on_cli_and_eval(tmp_path, monkeypatch, thresholds):
+    """-m builtin defaults p1/p2 to 0.95/0.9 and an explicit flag always
+    wins, one threshold at a time, with the same PipelineConfig from the
+    CLI and tools/eval_corpus."""
+    import phenobert_ray.assets.loader as loader
+
+    if loader.trained_model_dir() is None:
+        pytest.skip("no packaged trained weights")
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "tools"))
+    from eval_corpus import main as eval_main
+
+    real, got = loader.resolve_entry, []
+
+    def resolve(*a, **kw):
+        got.append(real(*a, **kw)[1])
+        raise _Resolved
+
+    monkeypatch.setattr(loader, "resolve_entry", resolve)
+    dict_path = tmp_path / "train.txt"
+    dict_path.write_text("febrile seizure\tHP:0002373\n")
+    flags = ["--model-dir", "builtin", "--dict", str(dict_path), *thresholds]
+    with pytest.raises(_Resolved):
+        main(["-i", "in", "-o", "out", *flags])
+    with pytest.raises(_Resolved):
+        eval_main(["corpus", "ann", *flags])
+    cli, ev = got
+    assert cli == ev
+    given = dict(zip(thresholds[::2], map(float, thresholds[1::2])))
+    assert (cli.param1, cli.param2) == (given.get("-p1", 0.95),
+                                        given.get("-p2", 0.9))
+    assert cli.model_dir == loader.trained_model_dir() and cli.use_model_standins
+
+
+def test_actor_pool_size_flag_is_a_usage_error(capsys):
+    """The annotate stage has one execution path: the actor-pool size
+    flag is gone and argparse rejects it (exit 2)."""
+    with pytest.raises(SystemExit) as ei:
+        main(["-i", "in", "-o", "out", "--concurrency", "2"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -68,14 +68,16 @@ def test_kg_triples_shape(mini, sf_small):
 
 def test_determinism_across_parallelism(mini, sf_small):
     """North-rule invariant: N vs 4N parallelism produces identical triples
-    (here: different batch sizes / concurrency inside one session)."""
+    (here: different batch sizes and per-task CPU reservations inside one
+    session, so the task pool packs a different number of tasks per CPU)."""
     from phenobert_ray.config import PipelineConfig
 
     a = kg_from_turns(
         read_turns(sf_small), mini, PipelineConfig(annotate_batch_size=32)
     ).to_pandas()
     b = kg_from_turns(
-        read_turns(sf_small), mini, PipelineConfig(annotate_batch_size=997, annotate_concurrency=2)
+        read_turns(sf_small), mini,
+        PipelineConfig(annotate_batch_size=997, annotate_num_cpus=0.5)
     ).to_pandas()
     key = ["subj", "pred", "obj"]
     pd.testing.assert_frame_equal(
@@ -84,47 +86,20 @@ def test_determinism_across_parallelism(mini, sf_small):
     )
 
 
-def test_gpu_pool_resource_spec(mini, sf_small, monkeypatch):
-    """annotate_num_gpus > 0 reserves GPUs per scorer actor and forces the
-    actor-pool path (SURVEY §4 GPU posture; ref util.py:24, model.py:7).
-    CPU-only sandbox: simulate a GPU cluster for plan building and assert
-    on the lazy logical plan, never execute."""
-    import pytest
-
-    import phenobert_ray.stages.annotate as ann_mod
+@pytest.mark.parametrize("model", [False, True], ids=["dict", "model"])
+def test_annotate_plan_is_one_cpu_task_pool(mini, sf_small, model):
+    """The default annotate plan is one task-pool map_batches that reserves
+    CPUs only: the dictionary path batches annotate_batch_size turns per
+    task, a model path hands each block to its own task.  The plan is
+    built, never executed."""
     from phenobert_ray.config import PipelineConfig
-    from phenobert_ray.stages.annotate import annotate_turns
 
-    # a GPU-less cluster must fail fast, not park an infeasible actor
-    # request forever behind periodic Ray warnings
-    with pytest.raises(ValueError, match="0 GPUs"):
-        annotate_turns(read_turns(sf_small), mini,
-                       PipelineConfig(annotate_num_gpus=0.25))
-
-    # ...unless the user declares an autoscaling cluster (GPU group scaled
-    # to zero reports 0 resources but provisions on demand, review r4 w8):
-    # plan construction must succeed and still reserve the GPUs
-    ds0 = annotate_turns(read_turns(sf_small), mini,
-                         PipelineConfig(annotate_num_gpus=0.25,
-                                        annotate_gpu_wait=True))
-    assert ds0._logical_plan.dag._ray_remote_args.get("num_gpus") == 0.25
-
-    real = ann_mod.ray.cluster_resources()
-    monkeypatch.setattr(ann_mod.ray, "cluster_resources",
-                        lambda: {**real, "GPU": 2.0})
-    ds = annotate_turns(read_turns(sf_small), mini,
-                        PipelineConfig(annotate_num_gpus=0.25))
-    op = ds._logical_plan.dag
-    assert op._ray_remote_args.get("num_gpus") == 0.25
-    compute = op._compute
-    assert type(compute).__name__ == "ActorPoolStrategy"
-    # 2 GPUs / 0.25 per actor → pool bounded at 8
-    assert compute.max_size == 8
-    # default path stays a task pool with no GPU reservation
-    ds2 = annotate_turns(read_turns(sf_small), mini, PipelineConfig())
-    op2 = ds2._logical_plan.dag
-    assert "num_gpus" not in op2._ray_remote_args
-    assert type(op2._compute).__name__ != "ActorPoolStrategy"
+    cfg = PipelineConfig(use_model_standins=model)
+    op = annotate_turns(read_turns(sf_small), mini, cfg)._logical_plan.dag
+    assert op._fn.__name__ == "_annotate_task"
+    assert type(op._compute).__name__ == "TaskPoolStrategy"
+    assert op._ray_remote_args == {"num_cpus": cfg.annotate_num_cpus}
+    assert op._batch_size == (None if model else cfg.annotate_batch_size)
 
 
 def test_streaming_no_materialize(mini, sf_small):

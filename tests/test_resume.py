@@ -406,3 +406,60 @@ def test_kill_during_shard_pipeline_resumes_identical(mini, sf_small, tmp_path):
     stats = run_kg_job(in_dir, out, mini, num_shards=2)
     assert stats["shards_skipped"] == 1 and stats["shards_run"] == 1
     pd.testing.assert_frame_equal(ref, _triples(out))
+
+
+def _earlier_spec(dag, cfg) -> str:
+    """A parquet shard's manifest spec, spelled out field by field as
+    existing out dirs carry it: the job identity must keep this exact
+    string, field order included, or those dirs stop skipping."""
+    sem = (dag.fingerprint, cfg.param1, cfg.param2, cfg.param3,
+           cfg.use_longest, cfg.use_step_3, cfg.use_model_standins,
+           cfg.model_dir, cfg.ner_path, cfg.triples_drop_negated)
+    return "|job:" + "|".join(str(x) for x in sem)
+
+
+def test_rerun_over_earlier_manifests_skips_every_shard(mini, sf_small, tmp_path):
+    """An out dir whose manifests carry the field-by-field job identity
+    re-runs as a full skip."""
+    from phenobert_ray.config import PipelineConfig
+    from phenobert_ray.state.manifest import write_manifest
+
+    src = _turns_dir(sf_small, tmp_path)
+    out = str(tmp_path / "o")
+    cfg = PipelineConfig(param3=0.85, use_longest=False)
+    run_kg_job(src, out, mini, cfg, num_shards=2)
+    before = read_manifests(out)
+    for m in before:
+        write_manifest(out, m["shard"], m["input_paths"], m["row_count"],
+                       m["content_hash"], spec=_earlier_spec(mini, cfg),
+                       metrics=m["metrics"])
+    assert read_manifests(out) == before
+    stats = run_kg_job(src, out, mini, cfg, num_shards=2)
+    assert stats["shards_run"] == 0 and stats["shards_skipped"] == 2
+
+
+def test_every_output_field_changes_the_job_identity(mini):
+    """Flipping any one output field changes both the KG job identity and
+    the worker state key; the sizing fields change neither."""
+    import dataclasses
+
+    from phenobert_ray.config import PipelineConfig
+    from phenobert_ray.pipelines.annotate import _job_identity
+    from phenobert_ray.stages.annotate import _state_key
+
+    sizing = {"annotate_batch_size": 7, "annotate_num_cpus": 0.25}
+    flips = {"param1": 0.5, "param2": 0.5, "param3": 0.5, "use_longest": False,
+             "use_step_3": False, "use_model_standins": True,
+             "model_dir": "/m", "ner_path": "/m/ner.pt",
+             "triples_drop_negated": False}
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert set(PipelineConfig.OUTPUT_FIELDS) == set(flips) == fields - set(sizing)
+    base = PipelineConfig()
+    for name, value in flips.items():
+        cfg = dataclasses.replace(base, **{name: value})
+        assert _job_identity(mini, cfg) != _job_identity(mini, base), name
+        assert (_state_key(mini.fingerprint, cfg)
+                != _state_key(mini.fingerprint, base)), name
+    sized = dataclasses.replace(base, **sizing)
+    assert _job_identity(mini, sized) == _job_identity(mini, base)
+    assert _state_key(mini.fingerprint, sized) == _state_key(mini.fingerprint, base)

@@ -161,3 +161,41 @@ def test_scorer_exception_returns_500(server, monkeypatch):
         status, body = e.code, e.read().decode()
     assert status == 500
     assert "scorer exploded" in json.loads(body)["error"]
+
+
+def _raw_post(base: str, length: str) -> int:
+    """Status of a POST /annotate that sends ``Content-Length: length``
+    and no body at all, so the server must answer without reading one."""
+    import socket
+    from urllib.parse import urlsplit
+
+    u = urlsplit(base)
+    with socket.create_connection((u.hostname, u.port), timeout=10) as s:
+        s.sendall(f"POST /annotate HTTP/1.1\r\nHost: {u.netloc}\r\n"
+                  f"Content-Type: text/plain\r\nContent-Length: {length}\r\n"
+                  f"\r\n".encode())
+        status_line = s.makefile("rb").readline().decode()
+    return int(status_line.split()[1])
+
+
+@pytest.mark.parametrize("length,status", [("abc", 400), ("-1", 400),
+                                           ("1e3", 400), (None, 413)],
+                         ids=["non-integer", "negative", "float", "huge"])
+def test_content_length_bounded_before_read(server, length, status):
+    """A malformed or negative Content-Length is a 400 and one above
+    MAX_BODY_BYTES a 413, each answered with a status line and without
+    waiting for a body the client never sends."""
+    from phenobert_ray.serve import MAX_BODY_BYTES
+
+    if length is None:
+        length = str(MAX_BODY_BYTES + 1)
+    assert _raw_post(server, length) == status
+
+
+def test_body_at_the_cap_is_read(server):
+    """A body of exactly MAX_BODY_BYTES is still annotated."""
+    from phenobert_ray.serve import MAX_BODY_BYTES
+
+    body = b"seizure".ljust(MAX_BODY_BYTES)
+    status, out = _post(server + "/annotate", body, "text/plain")
+    assert status == 200 and json.loads(out)["annotations"]

@@ -5,7 +5,7 @@ set-similarity score (A2/A3/A4, eval_all.py:60-126,260-321 semantics).
 
 Usage:
     python tools/eval_corpus.py [corpus_dir] [ann_dir] [--format gsc|tsv]
-        [--dict train.txt|hpo.json] [--model-dir DIR]
+        [--dict train.txt|hpo.json|.obo] [--model-dir DIR]
 
 Defaults evaluate GSC+ with the reference's 48.6k-pair dictionary.
 """
@@ -31,8 +31,8 @@ def main(argv=None) -> int:
                     default=f"{REF}/models/train.txt")
     ap.add_argument("--model-dir", default=None,
                     help="checkpoint dir, or 'builtin' for the packaged "
-                         "trained weights (auto-tunes p1/p2 to 0.95/0.9 "
-                         "unless given)")
+                         "trained weights (p1/p2 then default to 0.95/0.9; "
+                         "an explicit -p1/-p2 wins)")
     ap.add_argument("-p1", type=float, default=None)
     ap.add_argument("-p2", type=float, default=None)
     ap.add_argument("-p3", type=float, default=0.9)
@@ -42,18 +42,14 @@ def main(argv=None) -> int:
     ap.add_argument("--json", action="store_true",
                     help="emit one machine-readable JSON line last")
     args = ap.parse_args(argv)
-    if args.model_dir == "builtin" or args.ner_path == "builtin":
-        from phenobert_ray.assets.loader import resolve_builtin
+    from phenobert_ray.assets.loader import resolve_entry
 
-        builtin_model = args.model_dir == "builtin"
-        try:
-            args.model_dir, args.ner_path = resolve_builtin(
-                args.model_dir, args.ner_path)
-        except FileNotFoundError as e:
-            print(str(e), file=sys.stderr)
-            return 2
-        if builtin_model and args.p1 is None:
-            args.p1, args.p2 = 0.95, 0.9
+    try:
+        dag, cfg = resolve_entry(args.dict_path, args.model_dir, args.ner_path,
+                                 args.p1, args.p2, param3=args.p3)
+    except FileNotFoundError as e:
+        print(str(e), file=sys.stderr)
+        return 2
 
     import ray
 
@@ -61,24 +57,12 @@ def main(argv=None) -> int:
     if owns:
         ray.init(address="local", include_dashboard=False)
 
-    from phenobert_ray.assets.hpo_dag import dag_from_phrase_pairs
-    from phenobert_ray.config import PipelineConfig
     from phenobert_ray.eval.metrics import (macro_prf_membership, membership,
                                             micro_prf_membership,
                                             ontology_similarity_membership)
     from phenobert_ray.pipelines.triples import dedup_conv_hpo
     from phenobert_ray.sources import loaders
     from phenobert_ray.stages.annotate import annotate_turns
-
-    cfg = PipelineConfig(
-        model_dir=args.model_dir,
-        use_model_standins=bool(args.model_dir),
-        param1=args.p1 if args.p1 is not None else 0.8,
-        param2=args.p2 if args.p2 is not None else 0.6,
-        param3=args.p3,
-        ner_path=args.ner_path,
-    )
-    dag = dag_from_phrase_pairs(loaders.read_phrase_pairs(args.dict_path))
 
     t0 = time.time()
     turns = ray.data.from_arrow(loaders.read_text_dir_as_turns(args.corpus_dir))
