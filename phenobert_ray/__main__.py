@@ -4,9 +4,10 @@ Mirrors the reference's flags (annotate.py:15-30): ``-i/-o`` input/output,
 ``-p1/-p2/-p3`` thresholds, ``-al`` keep-overlaps, ``-nb`` no-BERT — plus
 engine flags for dictionary asset, sharded resumable runs and output format.
 ``--output-format kg`` (the default) runs ``pipelines.annotate.run_kg_job``
-for every ``--input-format`` and writes one layout: ``shard=K/`` triples,
-``_MANIFEST/shard-K.json`` lineage, ``ontology/`` is_a edges; a re-run into
-the same directory skips finished shards.
+for every ``--input-format`` and writes one layout: ``shard=K/`` triples
+split by conversation hash, ``_MANIFEST/shard-K.json`` lineage, per-fragment
+partials in ``_partials/``, ``ontology/`` is_a edges; a re-run into the
+same directory annotates only new or changed fragments.
 Designed to run under ``ray job submit -- python -m phenobert_ray ...`` on a
 cluster; locally it owns the Ray session (guarded init).
 
@@ -59,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: built-in mini ontology)")
     p.add_argument("--simplified-keys", action="store_true",
                    help="also index stopword-free dictionary keys (+recall)")
-    p.add_argument("--shards", type=int, default=4, help="resumable shard count")
+    p.add_argument("--shards", type=int, default=4,
+                   help="kg output files, split by conversation hash "
+                        "(at most one per input fragment)")
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("-t", "--threads", type=float, default=1.0,
                    help="CPUs reserved per annotate task (reference -t sets "

@@ -105,10 +105,10 @@ class HpoDag:
     def refresh_fingerprint(self) -> None:
         """Recompute after any post-construction dictionary mutation
         (e.g. simplified-key indexing).  Full-content hash: the resume
-        machinery (state/sharded) folds this into shard identity, so two
-        ontologies that differ in ANY phrase mapping or is_a edge must
-        never collide (a changed ontology on a reused out_dir must
-        invalidate every shard).  Also refreshes the derived
+        machinery (``pipelines.annotate._job_identity``) folds this into
+        every fragment's identity, so two ontologies that differ in ANY
+        phrase mapping or is_a edge must never collide (a changed ontology
+        on a reused out_dir must invalidate every fragment).  Also refreshes the derived
         phrase-dict indexes (vocab prune set, max window length): a
         mutated dictionary with a stale vocab would silently never match
         the added phrases in the fast probe path."""

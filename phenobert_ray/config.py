@@ -36,8 +36,8 @@ class PipelineConfig:
     triples_drop_negated: bool = True
 
     # Every field that changes annotation or triple output, in the order
-    # ``pipelines.annotate._job_identity`` folds them into each shard
-    # manifest (reordering it invalidates every finished shard).
+    # ``pipelines.annotate._job_identity`` folds them into each fragment
+    # manifest (reordering it invalidates every finished fragment).
     OUTPUT_FIELDS = ("param1", "param2", "param3", "use_longest", "use_step_3",
                      "use_model_standins", "model_dir", "ner_path",
                      "triples_drop_negated")

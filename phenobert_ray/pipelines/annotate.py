@@ -4,36 +4,54 @@ Lifecycle (SURVEY.md §3, re-expressed Ray-Data-first):
   driver builds/broadcasts the ontology asset →
   ``read_parquet`` (column-pruned) → fused annotate operator
   (``map_batches``) with the Arrow (conv_id, hpo_id) combiner in the same
-  task → one Arrow merge per shard (``repartition(1)``, no exchange) →
-  triples ∪ is_a edges → partitioned parquet + lineage manifests.
+  task → ``repartition(1)`` (no exchange) → the driver merges per input
+  fragment, keeps each fragment's partial, merges every partial once →
+  has_phenotype triples split by conversation hash ∪ is_a edges →
+  parquet + lineage manifests.
 
 Everything is lazy/streaming until a sink consumes it.  ``run_kg_job`` is
-the one KG writer, for every input format.
+the one KG writer, for every input format, and runs one Ray Data
+execution per job.
 """
 
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
+import pyarrow as pa
 import ray
 
 from ..assets.hpo_dag import HpoDag
 from ..config import PipelineConfig
 from ..stages.annotate import annotate_turns, carries_model
-from ..state.sharded import run_sharded
-from .triples import has_phenotype_triples, materialize_triples, write_is_a
+from ..state import manifest as mf
+from ..state.sharded import table_content_hash, write_partial, write_shard
+from .triples import (
+    DEDUP_SCHEMA,
+    _conv_hpo_merge,
+    _to_triples,
+    gather_partials,
+    materialize_triples,
+    write_is_a,
+)
+
+# the turn columns the KG path reads: the only ones that may drop a row
+TURN_COLS = ["conv_id", "turn_idx", "text"]
 
 
 def kg_from_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
     return materialize_triples(annotate_turns(turns_ds, dag, cfg), dag, cfg)
 
 
-def read_turns_input(src, input_format: str = "parquet"):
+def read_turns_input(src, input_format: str = "parquet", include_paths: bool = False):
     """Turns Dataset from ``src``: a parquet file/dir (or fragment list), a
     jsonl file/dir (or file list), or a directory of text files.  Parquet
-    and jsonl apply the read-boundary null contract: only the load-bearing
-    turn columns may drop a row (a NULL text otherwise crashes the annotate
-    kernel on one bad row)."""
+    is read column-pruned to ``TURN_COLS`` (plus each row's file as
+    ``path`` with ``include_paths``).  Parquet and jsonl apply the
+    read-boundary null contract: only the load-bearing turn columns may
+    drop a row (a NULL text otherwise crashes the annotate kernel on one
+    bad row)."""
     from ..stages.shuffle import drop_null_rows
 
     if input_format == "textdir":
@@ -45,8 +63,9 @@ def read_turns_input(src, input_format: str = "parquet"):
 
         ds = read_turns_jsonl(src)
     else:
-        ds = ray.data.read_parquet(src)
-    return drop_null_rows(ds, columns=["conv_id", "turn_idx", "text"])
+        ds = ray.data.read_parquet(src, columns=TURN_COLS,
+                                   include_paths=include_paths)
+    return drop_null_rows(ds, columns=TURN_COLS)
 
 
 def _input_files(path: str, input_format: str) -> list[str]:
@@ -64,18 +83,145 @@ def _input_files(path: str, input_format: str) -> list[str]:
 def _job_identity(dag: HpoDag, cfg: PipelineConfig) -> str:
     """Semantic identity of a KG run beyond its input bytes: the ontology
     content and every config field that changes the OUTPUT (not sizing).
-    Folded into each shard's manifest spec so a re-run with a new ontology
-    release or different thresholds on a reused out_dir invalidates every
-    shard instead of silently skipping them."""
+    Folded into each fragment's manifest spec so a re-run with a new
+    ontology release or different thresholds on a reused out_dir
+    re-annotates every fragment instead of silently skipping them."""
     return "|".join(str(x) for x in (dag.fingerprint, *cfg.output_identity()))
 
 
 def shard_fragments(frags: list[str], num_shards: int):
-    """Group input fragments round-robin into shard specs."""
+    """Group input fragments round-robin into ``(paths, spec, expr)`` specs,
+    for callers that stage a job's fragments by hand (kgperf's traced
+    run).  ``run_kg_job`` resumes per fragment and does not use it."""
     groups: list[list[str]] = [[] for _ in range(num_shards)]
     for i, p in enumerate(sorted(frags)):
         groups[i % num_shards].append(p)
     return [(g, "", None) for g in groups if g]
+
+
+class _Unit(NamedTuple):
+    """A resume unit: one parquet fragment, or a whole textdir/jsonl input."""
+
+    name: str          # file stem of its partial and manifest
+    paths: list[str]   # the input files it is read from
+    key: str           # input fingerprint folded with the job spec
+
+
+def _write_ontology(out_dir: str, dag: HpoDag) -> None:
+    """``ontology/`` (is_a edges) + ``ontology.fingerprint``, rewritten
+    only when the ontology changed."""
+    isa_dir = os.path.join(out_dir, "ontology")
+    # marker lives BESIDE the parquet dir (directory readers must see only
+    # parquet inside), and is written only after the rename lands — a kill
+    # between the two leaves a missing/stale marker and forces a rewrite
+    isa_marker = isa_dir + ".fingerprint"
+    if (os.path.isdir(isa_dir) and os.path.isfile(isa_marker)
+            and open(isa_marker).read().strip() == dag.fingerprint):
+        return
+    import shutil
+
+    tmp_dir = isa_dir + ".tmp"
+    shutil.rmtree(tmp_dir, ignore_errors=True)
+    write_is_a(dag, tmp_dir)
+    if os.path.isfile(isa_marker):
+        os.remove(isa_marker)
+    shutil.rmtree(isa_dir, ignore_errors=True)
+    os.rename(tmp_dir, isa_dir)
+    with open(isa_marker + ".tmp", "w") as f:
+        f.write(dag.fingerprint)
+    os.replace(isa_marker + ".tmp", isa_marker)
+
+
+def _annotate_pending(turns_path: str, pending: list[_Unit], dag: HpoDag,
+                      cfg: PipelineConfig, input_format: str) -> dict[str, pa.Table]:
+    """Each pending unit's distinct ``(conv_id, hpo_id)`` partial
+    (DEDUP_SCHEMA), from the job's one Ray Data execution: read →
+    annotate → combiner keyed on the fragment → ``repartition(1)``,
+    streamed to the driver and merged there per fragment."""
+    import pyarrow.compute as pc
+
+    if input_format == "parquet":
+        turns = read_turns_input([u.paths[0] for u in pending], include_paths=True)
+    else:
+        # the text-dir loader lists its directory itself
+        turns = read_turns_input(
+            turns_path if input_format == "textdir" else pending[0].paths,
+            input_format)
+    if carries_model(cfg):
+        # Ray Data reserves each operator its own CPU share, which keeps
+        # the annotate operator on one CPU.  Ray gives every read a copy
+        # of the global DataContext, so lifting the reservation here
+        # touches only this job's lineage.
+        turns.context.op_resource_reservation_enabled = False
+    gathered = gather_partials(annotate_turns(turns, dag, cfg),
+                               cfg.triples_drop_negated)
+    blocks = [b for b in gathered.iter_batches(batch_size=None, batch_format="pyarrow")
+              if b.num_rows]
+    out = {u.name: DEDUP_SCHEMA.empty_table() for u in pending}
+    if not blocks:
+        return out
+    merged = _conv_hpo_merge(pa.concat_tables(blocks))
+    if "path" not in merged.column_names:  # one textdir/jsonl unit
+        return {pending[0].name: _sorted(merged)}
+    # sorted by fragment, each fragment's rows are one slice
+    merged = merged.sort_by([("path", "ascending"), ("conv_id", "ascending"),
+                             ("hpo_id", "ascending")])
+    by_path = {u.paths[0]: u.name for u in pending}
+    start = 0
+    for run in pc.value_counts(merged["path"]).to_pylist():
+        if run["values"] not in by_path:
+            # a row no unit claims would silently leave the output
+            raise RuntimeError(f"annotated rows from an unread fragment: {run['values']}")
+        out[by_path[run["values"]]] = merged.slice(start, run["counts"]).drop_columns(["path"])
+        start += run["counts"]
+    return out
+
+
+def _sorted(pairs: pa.Table) -> pa.Table:
+    # a fixed row order makes every written file a function of its rows
+    return pairs.sort_by([("conv_id", "ascending"), ("hpo_id", "ascending")])
+
+
+def _conv_shard(conv_id: pa.ChunkedArray, n: int):
+    """Output shard of each row: a process-stable hash of ``conv_id`` (not
+    Python's salted ``hash()``) mod ``n``."""
+    import pandas as pd
+
+    return pd.util.hash_pandas_object(conv_id.to_pandas(), index=False).to_numpy() % n
+
+
+def _write_shards(out_dir: str, units: list[_Unit], fresh: dict[str, pa.Table],
+                  n: int) -> dict:
+    """The merge: every unit's partial (``fresh`` in memory, the rest from
+    ``_partials/``) → one distinct set → has_phenotype triples split into
+    ``n`` shards by conversation hash.  A shard whose manifest matches the
+    partial keys and ``n`` is skipped; when all match, nothing is read."""
+    import hashlib
+
+    import pyarrow.parquet as pq
+
+    paths = [p for u in units for p in u.paths]
+    keys = ",".join(u.key for u in units)
+    spec = f"shards:{n}|partials:{hashlib.sha256(keys.encode()).hexdigest()[:16]}"
+    stats = {"shards_run": 0, "shards_skipped": 0, "rows": 0,
+             "shards_pruned": mf.prune_stale_shards(out_dir, n)}
+    todo = [k for k in range(n) if not mf.shard_done(out_dir, k, paths, spec)]
+    stats["shards_skipped"] = n - len(todo)
+    if not todo:
+        return stats
+    parts = [fresh[u.name] if u.name in fresh
+             else pq.read_table(mf.partial_path(out_dir, u.name)).cast(DEDUP_SCHEMA)
+             for u in units]
+    pairs = _sorted(_conv_hpo_merge(pa.concat_tables(parts)))
+    triples, shard_of = _to_triples(pairs), _conv_shard(pairs["conv_id"], n)
+    for k in todo:
+        t = triples.filter(pa.array(shard_of == k))
+        write_shard(out_dir, k, t)
+        rows, digest = table_content_hash(t, ["subj", "pred", "obj"])
+        mf.write_manifest(out_dir, k, paths, rows, digest, spec)
+        stats["shards_run"] += 1
+        stats["rows"] += rows
+    return stats
 
 
 def run_kg_job(
@@ -86,56 +232,44 @@ def run_kg_job(
     num_shards: int = 4,
     input_format: str = "parquet",
 ) -> dict:
-    """Resumable KG build: ``out_dir/shard=K/`` has_phenotype triples with
-    ``_MANIFEST/shard-K.json`` lineage per shard (state/sharded.run_sharded),
-    and the is_a edges in ``ontology/`` + ``ontology.fingerprint``.
+    """Resumable KG build, one Ray Data execution per job.
 
-    Parquet input (input_hint schema) shards by fragment, so a single-file
-    input runs as one shard.  ``textdir`` and ``jsonl`` input run as one
-    shard whose input paths are the files the loader reads, so an edited
-    file re-runs it."""
+    The resume unit is the input fragment: each parquet fragment (a
+    ``textdir`` or ``jsonl`` input is one unit of the files its loader
+    reads) keeps its distinct ``(conv_id, hpo_id)`` partial under
+    ``_partials/`` with a manifest keyed on its fingerprint and the job
+    identity.  Pending units go through one plan; one driver-side merge
+    over every partial writes the has_phenotype triples, one per distinct
+    ``(conv_id, hpo_id)`` of the whole input, as ``out_dir/shard=K/``
+    + ``_MANIFEST/shard-K.json`` for ``K < min(num_shards, units)`` (at
+    least one), split by conversation hash.  The is_a edges go to ``ontology/`` +
+    ``ontology.fingerprint``.
+
+    Stats: ``shards_run`` / ``shards_skipped`` / ``shards_pruned`` and
+    ``rows`` (written this run) for the output shards, ``fragments_run`` /
+    ``fragments_skipped`` for the units."""
     cfg = cfg or PipelineConfig()
+    spec = f"{'' if input_format == 'parquet' else input_format}|job:{_job_identity(dag, cfg)}"
     if input_format == "parquet":
         import pyarrow.dataset as pads
 
-        frags = [f.path for f in pads.dataset(turns_path).get_fragments()]
-        specs = shard_fragments(frags, min(num_shards, len(frags)))
+        groups = [[os.path.abspath(f.path)]
+                  for f in pads.dataset(turns_path).get_fragments()]
     else:
-        specs = [(_input_files(turns_path, input_format), input_format, None)]
+        groups = [_input_files(turns_path, input_format)]
+    units = sorted((_Unit(mf.unit_name(g), g, mf.partial_key(g, spec)) for g in groups),
+                   key=lambda u: u.paths)
 
-    isa_dir = os.path.join(out_dir, "ontology")
-    # marker lives BESIDE the parquet dir (directory readers must see only
-    # parquet inside), and is written only after the rename lands — a kill
-    # between the two leaves a missing/stale marker and forces a rewrite
-    isa_marker = isa_dir + ".fingerprint"
-    fresh = (os.path.isdir(isa_dir) and os.path.isfile(isa_marker)
-             and open(isa_marker).read().strip() == dag.fingerprint)
-    if not fresh:
-        import shutil
-
-        tmp_dir = isa_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        write_is_a(dag, tmp_dir)
-        if os.path.isfile(isa_marker):
-            os.remove(isa_marker)
-        shutil.rmtree(isa_dir, ignore_errors=True)
-        os.rename(tmp_dir, isa_dir)
-        with open(isa_marker + ".tmp", "w") as f:
-            f.write(dag.fingerprint)
-        os.replace(isa_marker + ".tmp", isa_marker)
-
-    def build(paths, expr):
-        # the text-dir loader lists its directory itself
-        src = turns_path if input_format == "textdir" else paths
-        turns = read_turns_input(src, input_format)
-        if carries_model(cfg):
-            # Ray Data reserves each operator its own CPU share, which
-            # keeps the annotate operator on one CPU.  Ray gives every read
-            # a copy of the global DataContext, so lifting the reservation
-            # here touches only this shard's lineage.
-            turns.context.op_resource_reservation_enabled = False
-        return has_phenotype_triples(annotate_turns(turns, dag, cfg), cfg)
-
-    job_id = _job_identity(dag, cfg)
-    specs = [(paths, f"{spec}|job:{job_id}", expr) for paths, spec, expr in specs]
-    return run_sharded(specs, build, out_dir, content_cols=["subj", "pred", "obj"])
+    os.makedirs(out_dir, exist_ok=True)
+    _write_ontology(out_dir, dag)
+    mf.prune_stale_partials(out_dir, {u.name for u in units})
+    pending = [u for u in units if not mf.partial_done(out_dir, u.name, u.key)]
+    fresh = _annotate_pending(turns_path, pending, dag, cfg, input_format) if pending else {}
+    for u in pending:
+        t = fresh[u.name]
+        write_partial(out_dir, u.name, t)
+        mf.write_partial_manifest(out_dir, u.name, u.paths, spec, u.key,
+                                  t.num_rows, sum(t["n_mentions"].to_pylist()))
+    stats = _write_shards(out_dir, units, fresh, min(max(num_shards, 1), len(units)))
+    stats.update(fragments_run=len(pending), fragments_skipped=len(units) - len(pending))
+    return stats

@@ -11,9 +11,12 @@ distinct set is a mergeable summary, so an Arrow ``group_by`` combiner
 fused into the annotate operator collapses each block (a hot term in most
 turns of a conversation becomes one row per block), and one Arrow
 ``group_by`` over a single ``repartition(1)`` block merges the partials.
-That block holds the distinct pairs of what is deduped — one input shard
-of a KG job — so ``num_shards`` bounds it.  The co-occurrence and IC
-operators below still use the bucketed ``two_phase_groupby`` exchange.
+The KG job (``pipelines.annotate.run_kg_job``) keys the combiner on the
+input fragment too (a ``path`` column), keeps one merged partial per
+fragment, and merges those once on the driver, so the job's distinct
+pairs — ~11.5k rows per 20k-turn kg_chat job — are what the driver holds.
+The co-occurrence and IC operators below still use the bucketed
+``two_phase_groupby`` exchange.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ TRIPLES_SCHEMA = pa.schema(
 
 _PAIR = ["conv_id", "hpo_id"]
 
-# one row per (conv_id, hpo_id): the per-block partials and the merged
-# shard share it, so every block the dedup emits has one schema
+# one row per (conv_id, hpo_id): the per-block partials, the per-fragment
+# partials and the merged pairs share it (rows read with include_paths
+# carry a trailing ``path`` key column until the KG job splits them)
 DEDUP_SCHEMA = pa.schema(
     [
         ("conv_id", pa.string()),
@@ -81,35 +85,47 @@ DEDUP_SCHEMA = pa.schema(
 
 
 def _pair_table(g: pa.Table, first: str, top: str, count: str) -> pa.Table:
-    """An Arrow ``group_by`` result under DEDUP_SCHEMA's names."""
-    return pa.Table.from_arrays(
+    """An Arrow ``group_by`` result under DEDUP_SCHEMA's names, plus the
+    ``path`` key when the rows carry one."""
+    t = pa.Table.from_arrays(
         [g[c] for c in (*_PAIR, first, top, count)], schema=DEDUP_SCHEMA)
+    return t.append_column("path", g["path"]) if "path" in g.column_names else t
+
+
+def _keys(batch: pa.Table) -> list[str]:
+    # rows read with include_paths=True are deduped per input fragment
+    return ["path", *_PAIR] if "path" in batch.column_names else _PAIR
 
 
 def _conv_hpo_partial(batch: pa.Table, drop_negated: bool = True) -> pa.Table:
-    """Per-block combiner: ≤ one row per (conv_id, hpo_id) of the block.
+    """Per-block combiner: ≤ one row per (conv_id, hpo_id) of the block —
+    per (path, conv_id, hpo_id) when the block carries a ``path`` column.
     Single-threaded ``group_by`` keeps first-seen key order, so a block's
     output does not depend on Arrow's thread pool."""
     if drop_negated:
         batch = batch.filter(pc.invert(batch["negated"]))
-    g = batch.group_by(_PAIR, use_threads=False).aggregate(
+    g = batch.group_by(_keys(batch), use_threads=False).aggregate(
         [("turn_idx", "min"), ("score", "max"), ([], "count_all")])
     return _pair_table(g, "turn_idx_min", "score_max", "count_all")
 
 
 def _conv_hpo_merge(batch: pa.Table) -> pa.Table:
-    """Merge of the partials: min of mins, max of maxes, sum of counts."""
-    g = batch.group_by(_PAIR, use_threads=False).aggregate(
+    """Merge of the partials: min of mins, max of maxes, sum of counts
+    (per ``path`` too, when the partials carry one)."""
+    g = batch.group_by(_keys(batch), use_threads=False).aggregate(
         [("first_turn", "min"), ("max_score", "max"), ("n_mentions", "sum")])
     return _pair_table(g, "first_turn_min", "max_score_max", "n_mentions_sum")
 
 
-def _partials_gathered(annotations_ds, drop_negated: bool):
+def gather_partials(annotations_ds, drop_negated: bool):
     """The per-block partials of ``annotations_ds``, gathered into one block.
 
     The combiner is a ``map_batches`` with default remote args, so Ray
     fuses it into the annotate operator and each block leaves that task
-    already collapsed; ``repartition(1)`` then moves only partials."""
+    already collapsed; ``repartition(1)`` then moves only partials.  The
+    gather also keeps the annotate operator under Ray Data's per-operator
+    CPU reservation (without it, the dictionary path spreads over every
+    CPU at +25% peak RSS)."""
     return annotations_ds.map_batches(
         _conv_hpo_partial, batch_format="pyarrow",
         fn_kwargs={"drop_negated": drop_negated},
@@ -125,13 +141,11 @@ def dedup_conv_hpo(annotations_ds, drop_negated: bool = True):
     partials — no bucketed shuffle, no pandas.
 
     Memory contract: the merge holds the distinct pairs of the whole input
-    in one block — 2.6k-3k rows per shard of a four-shard, 20k-turn
-    kg_chat job (~11k for the whole job).  ``run_kg_job`` dedups one input
-    shard at a time, so ``num_shards`` sizes that block.
+    in one block (~11.5k rows per 20k kg_chat turns).
     A zero-row input yields a typed zero-row result."""
     from ..stages.shuffle import typed_result
 
-    merged = _partials_gathered(annotations_ds, drop_negated).map_batches(
+    merged = gather_partials(annotations_ds, drop_negated).map_batches(
         _conv_hpo_merge, batch_format="pyarrow", batch_size=None)
     return typed_result(merged, DEDUP_SCHEMA)
 
@@ -160,10 +174,10 @@ def has_phenotype_triples(annotations_ds, cfg: PipelineConfig | None = None):
 
     Unlike :func:`dedup_conv_hpo`, no typed empty block is appended: a
     zero-row result comes back column-less (Ray skips ``map_batches`` on
-    empty blocks), which the KG sink writes as an empty shard, and the
-    append costs every shard an extra union operator (35-100 ms measured)."""
+    empty blocks); the append would cost an extra union operator (35-100
+    ms measured per execution)."""
     cfg = cfg or PipelineConfig()
-    return _partials_gathered(annotations_ds, cfg.triples_drop_negated).map_batches(
+    return gather_partials(annotations_ds, cfg.triples_drop_negated).map_batches(
         _merge_to_triples, batch_format="pyarrow", batch_size=None)
 
 

@@ -96,13 +96,17 @@ _MEMO_MAX_TEXT_LEN = 1024
 
 def _annotate_batch(batch: pa.Table, dag: HpoDag, scorer, cfg: PipelineConfig,
                     memo: dict | None = None, ner=None) -> pa.Table:
+    """One annotation row per mention (ANNOTATIONS_SCHEMA).  A batch read
+    with ``include_paths=True`` keeps its ``path`` column on each row, so
+    the KG job can dedup per input fragment."""
     conv = batch.column("conv_id").to_pylist()
     tidx = batch.column("turn_idx").to_pylist()
     texts = batch.column("text").to_pylist()
+    src = [] if "path" in batch.column_names else None
 
     out_conv, out_tidx = [], []
     starts, ends, mentions, hpos, scores, negs = [], [], [], [], [], []
-    for c, t, text in zip(conv, tidx, texts):
+    for i, (c, t, text) in enumerate(zip(conv, tidx, texts)):
         rows = memo.get(text) if memo is not None else None
         if rows is None:
             rows = [
@@ -115,6 +119,8 @@ def _annotate_batch(batch: pa.Table, dag: HpoDag, scorer, cfg: PipelineConfig,
             if (memo is not None and len(memo) < _MEMO_MAX
                     and len(text) <= _MEMO_MAX_TEXT_LEN):
                 memo[text] = rows
+        if src is not None and rows:
+            src.extend([i] * len(rows))
         for st, en, m, h, sc, ng in rows:
             out_conv.append(c)
             out_tidx.append(t)
@@ -125,7 +131,7 @@ def _annotate_batch(batch: pa.Table, dag: HpoDag, scorer, cfg: PipelineConfig,
             scores.append(sc)
             negs.append(ng)
 
-    return pa.Table.from_arrays(
+    out = pa.Table.from_arrays(
         [
             pa.array(out_conv, pa.string()),
             pa.array(out_tidx, pa.int32()),
@@ -138,6 +144,10 @@ def _annotate_batch(batch: pa.Table, dag: HpoDag, scorer, cfg: PipelineConfig,
         ],
         schema=ANNOTATIONS_SCHEMA,
     )
+    if src is None:
+        return out
+    return out.append_column(
+        "path", batch.column("path").take(pa.array(src, pa.int64())))
 
 
 def _annotate_block(block: pa.Table, state, cfg: PipelineConfig) -> pa.Table:

@@ -51,10 +51,9 @@ def drop_null_rows(ds, columns=None):
     tests/test_adversarial_regressions.py.
 
     ``columns``: restrict the null check to these columns (for readers
-    that project more than the operator strictly requires — e.g. the
-    sharded KG runner reads all six turn columns but only conv_id /
-    turn_idx / text are load-bearing; a NULL ``tool`` must not drop a
-    valid turn).
+    that project more than the operator strictly requires — e.g. a jsonl
+    turns read keeps every field, but only conv_id / turn_idx / text are
+    load-bearing; a NULL ``tool`` must not drop a valid turn).
 
     Both branches also strip the schema metadata: pandas-written parquet
     carries a ``b'pandas'`` metadata dict that Ray's ``unify_schemas``

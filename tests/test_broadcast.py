@@ -230,16 +230,16 @@ def test_model_path_lifts_reservation_for_its_job_only(mini, monkeypatch, tmp_pa
     import phenobert_ray.pipelines.annotate as pipeline
     from phenobert_ray.stages.annotate import annotate_turns
 
-    seen = {}
-    real = pipeline.has_phenotype_triples
+    seen = []
+    real = pipeline.gather_partials
 
-    def spy(ann, cfg):
-        out = real(ann, cfg)
-        seen[cfg.use_model_standins] = (ann.context.op_resource_reservation_enabled,
-                                        out.materialize().stats())
+    def spy(ann, drop_negated):
+        out = real(ann, drop_negated)
+        seen.append((ann.context.op_resource_reservation_enabled,
+                     out.materialize().stats()))
         return out
 
-    monkeypatch.setattr(pipeline, "has_phenotype_triples", spy)
+    monkeypatch.setattr(pipeline, "gather_partials", spy)
     turns = _turns_dir(tmp_path, mini, files=4)
     run_kg_job(turns, str(tmp_path / "model"), mini, STANDIN, num_shards=1)
     run_kg_job(turns, str(tmp_path / "dict"), mini, num_shards=1)
@@ -248,8 +248,9 @@ def test_model_path_lifts_reservation_for_its_job_only(mini, monkeypatch, tmp_pa
         m = re.search(r"MapBatches\(_annotate_task\)[^:\n]*: (\d+) tasks executed", stats)
         return int(m.group(1))
 
-    assert seen[True][0] is False and annotate_tasks(seen[True][1]) >= 4
-    assert seen[False][0] is True and annotate_tasks(seen[False][1]) == 1
+    (model_ctx, model_stats), (dict_ctx, dict_stats) = seen
+    assert model_ctx is False and annotate_tasks(model_stats) >= 4
+    assert dict_ctx is True and annotate_tasks(dict_stats) == 1
     assert ray.data.DataContext.get_current().op_resource_reservation_enabled
 
     caller = ray.data.read_parquet(turns)

@@ -1,8 +1,8 @@
 """The exchange-free ``(conv_id, hpo_id)`` dedup of the KG path: an Arrow
 ``group_by`` combiner fused into the annotate operator, one Arrow
-``group_by`` merge per shard.  Checked against a plain-Python reference,
-across block layouts and annotate batch sizes, on empty and all-negated
-input, and through ``run_kg_job``'s written shards."""
+``group_by`` merge per fragment and one over the job.  Checked against a
+plain-Python reference, across block layouts and annotate batch sizes, on
+empty and all-negated input, and through ``run_kg_job``'s written shards."""
 
 import logging
 import os
@@ -23,7 +23,7 @@ from phenobert_ray.pipelines.triples import (
     has_phenotype_triples,
 )
 from phenobert_ray.stages.annotate import ANNOTATIONS_SCHEMA, annotate_turns
-from phenobert_ray.state.manifest import read_manifests
+from phenobert_ray.state.manifest import read_manifests, read_partial_manifests
 from phenobert_ray.state.sharded import shard_content_hash
 
 TERMS = ["seizure", "scoliosis", "obesity", "nystagmus", "hypertelorism",
@@ -182,12 +182,28 @@ def _turns_dir(tmp_path, files: int = 5, n_convs: int = 30) -> str:
 
 
 # (row_count, content_hash) per shard manifest, then the same pair over all
-# five triple columns, for num_shards 1 and 2
+# five triple columns, for num_shards 1 and 2.  The one-shard literal
+# predates the per-fragment merge; the two-shard split by conversation hash
+# is a partition of its rows (test_two_shard_pins_partition_one_shard).
 SINK_PINS = {
     1: [((111, "0bfbee4d961f09cc"), (111, "158f5a886f62e06a"))],
-    2: [((81, "bc0266f39680d790"), (81, "339125c146022eaa")),
-        ((66, "f1055920ac4f531a"), (66, "f011f2c5f46a010c"))],
+    2: [((49, "163801e057fd8e1b"), (49, "5fe556311a74cfa2")),
+        ((62, "f5c3ec6d3e217bb1"), (62, "b5aa045754ee10c8"))],
 }
+
+
+def _hash_sum(pins) -> tuple[int, str]:
+    """Row counts and content hashes of shards, summed (mod 2^64)."""
+    return (sum(n for n, _ in pins),
+            f"{sum(int(h, 16) for _, h in pins) % (1 << 64):016x}")
+
+
+def test_two_shard_pins_partition_one_shard():
+    """The content hash is a sum of per-row hashes, so the shards of one
+    job add up to the one-shard literal: same rows, no duplicates."""
+    (one,) = SINK_PINS[1]
+    for col in (0, 1):
+        assert _hash_sum([p[col] for p in SINK_PINS[2]]) == one[col]
 
 
 @pytest.mark.parametrize("num_shards", [1, 2])
@@ -202,6 +218,56 @@ def test_kg_job_output_pinned(mini, tmp_path, num_shards):
                                TRIPLES_SCHEMA.names))
            for k, m in enumerate(read_manifests(out))]
     assert got == SINK_PINS[num_shards]
+
+
+def test_mentions_reconcile_with_fragment_manifests(mini, tmp_path):
+    """Each fragment manifest records its partial's rows and mention
+    total; the written triples' ``n_mentions`` add up to the manifests'
+    total, and no fragment's rows exceed the output's."""
+    out = str(tmp_path / "kg")
+    stats = run_kg_job(_turns_dir(tmp_path), out, mini, num_shards=2)
+    frags = read_partial_manifests(out)
+    assert len(frags) == stats["fragments_run"] == 5
+    written = pa.concat_tables(
+        pq.read_table(os.path.join(out, f"shard={k}")) for k in range(2))
+    assert sum(written["n_mentions"].to_pylist()) == sum(
+        f["n_mentions"] for f in frags) > written.num_rows
+    assert max(f["row_count"] for f in frags) <= written.num_rows == stats["rows"]
+
+
+def test_one_ray_data_execution_per_job(mini, tmp_path):
+    """A job over 8 fragments with num_shards=4 runs one Ray Data plan:
+    exactly one "Starting execution" per job, and none for a re-run that
+    skips every fragment."""
+    import ray.data  # noqa: F401  (configures the logger this test hooks)
+
+    d = tmp_path / "turns8"
+    d.mkdir()
+    t = _turns(n_hot=160, n_convs=40)
+    for k in range(8):
+        pq.write_table(t.take(list(range(k, t.num_rows, 8))),
+                       d / f"part-{k}.parquet")
+    starts = []
+
+    class Count(logging.Handler):
+        def emit(self, record):
+            if record.getMessage().startswith("Starting execution"):
+                starts.append(record)
+
+    ray_data = logging.getLogger("ray.data")
+    handler = Count(logging.INFO)
+    ray_data.addHandler(handler)
+    old = ray_data.level
+    ray_data.setLevel(logging.INFO)
+    try:
+        counts = []
+        for _ in range(2):
+            stats = run_kg_job(str(d), str(tmp_path / "kg"), mini, num_shards=4)
+            counts.append((len(starts), stats["fragments_run"], stats["shards_run"]))
+    finally:
+        ray_data.removeHandler(handler)
+        ray_data.setLevel(old)
+    assert counts == [(1, 8, 4), (1, 0, 0)]
 
 
 def test_kg_job_logs_no_schema_mismatch(mini, tmp_path, monkeypatch, caplog):

@@ -1,7 +1,9 @@
 """Model-path KG output (``-m builtin`` over the shipped ontology) is pinned:
 the same ``_MANIFEST`` rows and content hash for every annotate batch size
 and shard count, equal to a literal recorded before the annotate operator
-ran its model path on every CPU."""
+ran its model path on every CPU.  Triples are also identical across
+fragment count, batch size and shard count on both the dictionary and the
+``-m builtin`` path."""
 
 import json
 import os
@@ -19,11 +21,13 @@ pytestmark = pytest.mark.skipif(trained_model_dir() is None,
                                 reason="no packaged trained weights")
 
 FRAGMENTS = 8
-# _MANIFEST (row_count, content_hash) per shard, recorded while the
-# annotate stage still bundled a shard's turns into one batch on one CPU.
-# Two shards dedup per shard, so conversations straddling them add rows.
+# _MANIFEST (row_count, content_hash) per shard.  The one-shard literal was
+# recorded while the annotate stage still bundled a shard's turns into one
+# batch on one CPU.  Two shards split the job's one distinct set by
+# conversation hash, so their rows and hashes add up to it
+# (test_two_shard_pins_partition_one_shard).
 PINNED = {1: [(76, "bf3dcee00be0508c")],
-          2: [(38, "1f0f908be39f3611"), (41, "a1506afb45901a13")]}
+          2: [(52, "216ab0406f652c95"), (24, "9dd31e9f9c7b23f7")]}
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +76,12 @@ def turns_dir(shipped, tmp_path_factory):
     return str(d)
 
 
+def test_two_shard_pins_partition_one_shard():
+    (rows, digest), = PINNED[1]
+    assert sum(n for n, _ in PINNED[2]) == rows
+    assert sum(int(h, 16) for _, h in PINNED[2]) % (1 << 64) == int(digest, 16)
+
+
 def _manifests(out: str) -> list[tuple[int, str]]:
     return [(m["row_count"], m["content_hash"]) for m in read_manifests(out)]
 
@@ -83,3 +93,41 @@ def test_model_kg_pinned_across_batch_size_and_shards(shipped, turns_dir, tmp_pa
                            _builtin_cfg(annotate_batch_size=bs), num_shards=shards)
         assert stats["shards_run"] == shards
         assert _manifests(out) == PINNED[shards], (shards, bs)
+
+
+# (fragments, annotate_batch_size, num_shards): every pair of values of
+# two axes appears in some run
+LAYOUTS = [(1, 256, 1), (1, 1, 2), (1, 256, 4),
+           (4, 1, 1), (4, 256, 2), (4, 1, 4),
+           (8, 256, 1), (8, 1, 2), (8, 256, 4)]
+
+
+@pytest.mark.parametrize("path", ["dictionary", "builtin"])
+def test_triples_identical_across_layouts(shipped, tmp_path, path):
+    """The same turns in 1, 4 or 8 fragments, annotated 1 or 256 turns per
+    call and written to 1, 2 or 4 shards, give identical triples with no
+    ``(conv_id, hpo_id)`` twice."""
+    import glob
+
+    t = _turns(shipped)
+    ref = None
+    for frags, bs, shards in LAYOUTS:
+        d = tmp_path / f"in-{frags}-{bs}-{shards}"
+        d.mkdir()
+        step = -(-t.num_rows // frags)
+        for k in range(frags):
+            pq.write_table(t.slice(k * step, step), d / f"part-{k}.parquet")
+        cfg = (_builtin_cfg(annotate_batch_size=bs) if path == "builtin"
+               else PipelineConfig(annotate_batch_size=bs))
+        out = str(tmp_path / f"out-{frags}-{bs}-{shards}")
+        stats = run_kg_job(str(d), out, shipped, cfg, num_shards=shards)
+        assert stats["fragments_run"] == frags
+        assert stats["shards_run"] == len(read_manifests(out)) == min(frags, shards)
+        written = pa.concat_tables(
+            pq.read_table(f) for f in glob.glob(os.path.join(out, "shard=*", "*.parquet")))
+        rows = sorted(zip(*(written[c].to_pylist() for c in written.column_names)))
+        pairs = [(s.rsplit(":", 1)[0], o) for s, _, o, _, _ in rows]
+        assert len(set(pairs)) == len(pairs) > 0, (frags, bs, shards)
+        if ref is None:
+            ref = rows
+        assert rows == ref, (frags, bs, shards)

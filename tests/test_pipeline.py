@@ -138,6 +138,46 @@ def test_kg_job_sink_matches_union(mini, sf_small, tmp_path):
     )
 
 
+def test_turns_read_projects_turn_columns(mini, tmp_path):
+    """Parquet turns are read column-pruned to conv_id / turn_idx / text,
+    so a NULL role, tool or ts never drops a turn (a NULL text does), and
+    run_kg_job writes the triples of every kept turn."""
+    import datetime
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from phenobert_ray.linker import annotate_text
+    from phenobert_ray.pipelines.annotate import TURN_COLS, read_turns_input, run_kg_job
+
+    ts = datetime.datetime(2024, 1, 1)
+    texts = ["patient shows seizure.", "obesity noted.", "scoliosis present.",
+             "microcephaly seen.", None]
+    src = tmp_path / "turns"
+    src.mkdir()
+    pq.write_table(pa.table({
+        "conv_id": pa.array([f"c{i}" for i in range(5)], pa.string()),
+        "turn_idx": pa.array([0] * 5, pa.int32()),
+        "role": pa.array([None, "user", "user", "user", "user"], pa.string()),
+        "text": pa.array(texts, pa.string()),
+        "tool": pa.array(["t", None, "t", "t", "t"], pa.string()),
+        "ts": pa.array([ts, ts, None, ts, ts], pa.timestamp("us")),
+    }), src / "part-0.parquet")
+
+    kept = read_turns_input(str(src)).to_pandas()
+    assert list(kept.columns) == TURN_COLS
+    assert sorted(kept.conv_id) == ["c0", "c1", "c2", "c3"]
+
+    out = str(tmp_path / "kg")
+    run_kg_job(str(src), out, mini, num_shards=1)
+    got = {(s.rsplit(":", 1)[0], o) for f in glob.glob(out + "/shard=*/*.parquet")
+           for s, o in zip(*pq.read_table(f, columns=["subj", "obj"]).to_pydict().values())}
+    want = {(f"c{i}", a.hpo_id) for i, text in enumerate(texts[:4])
+            for a in annotate_text(text, mini) if not a.negated}
+    assert got == want and {c for c, _ in want} == {"c0", "c1", "c2", "c3"}
+
+
 def test_cooccurrence_edges_bruteforce(mini, sf_small):
     """Co-mention graph: pairs + counts must equal a serial set build."""
     from itertools import combinations

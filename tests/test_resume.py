@@ -8,10 +8,15 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
+import pytest
 import ray
 
 from phenobert_ray.pipelines.annotate import run_kg_job
-from phenobert_ray.state.manifest import read_manifests
+from phenobert_ray.state.manifest import (
+    partial_path,
+    read_manifests,
+    read_partial_manifests,
+)
 
 
 def _turns_table(sf_small) -> pa.Table:
@@ -49,13 +54,14 @@ def _triples(out_dir):
 
 
 def test_resume_identical(mini, sf_small, tmp_path):
+    """Surgery on one output shard (dir and manifest gone) re-writes just
+    that shard from the kept fragment partials: nothing is re-annotated."""
     src = _turns_dir(sf_small, tmp_path)
     full = str(tmp_path / "full")
     run_kg_job(src, full, mini, num_shards=2)
     assert len(read_manifests(full)) == 2
     ref = _triples(full)
 
-    # simulate a crash: run shard 0 only (kill before shard 1), then resume
     partial = str(tmp_path / "partial")
     run_kg_job(src, partial, mini, num_shards=2)
     # drop shard 1's output + manifest → the "crash"
@@ -63,6 +69,7 @@ def test_resume_identical(mini, sf_small, tmp_path):
     os.remove(os.path.join(partial, "_MANIFEST", "shard-1.json"))
     stats = run_kg_job(src, partial, mini, num_shards=2)
     assert stats["shards_skipped"] == 1 and stats["shards_run"] == 1
+    assert stats["fragments_run"] == 0 and stats["fragments_skipped"] == 4
 
     pd.testing.assert_frame_equal(ref, _triples(partial))
 
@@ -75,16 +82,28 @@ def test_manifest_contents(mini, sf_small, tmp_path):
     assert m["row_count"] > 0
     assert m["input_fingerprint"]
     assert m["content_hash"]
+    assert m["input_paths"] == sorted(
+        os.path.join(src, f"part-{k}.parquet") for k in range(4))
+    # one manifest per input fragment, beside its partial, outside _MANIFEST
+    frags = read_partial_manifests(out)
+    assert sorted(p for f in frags for p in f["input_paths"]) == m["input_paths"]
+    for f in frags:
+        part = pq.read_table(partial_path(out, f["unit"]))
+        assert f["row_count"] == part.num_rows
+        assert f["n_mentions"] == sum(part["n_mentions"].to_pylist())
+    assert sum(f["row_count"] for f in frags) >= m["row_count"]
     # second run is a full skip
     stats = run_kg_job(src, out, mini, num_shards=1)
     assert stats == {
-        "shards_run": 0, "shards_skipped": 1, "rows": 0, "shards_pruned": 0
+        "shards_run": 0, "shards_skipped": 1, "rows": 0, "shards_pruned": 0,
+        "fragments_run": 0, "fragments_skipped": 4,
     }
 
 
 def test_resume_cleans_partial_shard(mini, sf_small, tmp_path):
-    """A mid-shard kill leaves output files WITHOUT a manifest; the re-run
-    must clear them (not append next to them) or the shard doubles up."""
+    """A kill mid-merge leaves a shard's files WITHOUT a manifest; the
+    re-run must replace them (not append next to them) or the shard
+    doubles up — and it re-annotates nothing."""
     src = _turns_dir(sf_small, tmp_path)
     full = str(tmp_path / "full")
     run_kg_job(src, full, mini, num_shards=2)
@@ -97,19 +116,22 @@ def test_resume_cleans_partial_shard(mini, sf_small, tmp_path):
     os.remove(os.path.join(crashed, "_MANIFEST", "shard-1.json"))
     stats = run_kg_job(src, crashed, mini, num_shards=2)
     assert stats["shards_run"] == 1 and stats["shards_skipped"] == 1
+    assert stats["fragments_run"] == 0
     pd.testing.assert_frame_equal(ref, _triples(crashed))
 
 
 def test_rerun_with_fewer_shards_prunes_stale(mini, sf_small, tmp_path):
     """Re-running with a smaller --shards must remove the previous run's
     higher-indexed shard dirs + manifests, or readers of out_dir see the
-    same triples twice (stale shard=K next to the fresh layout)."""
+    same triples twice (stale shard=K next to the fresh layout).  The new
+    split reuses every fragment partial."""
     src = _turns_dir(sf_small, tmp_path)
     out = str(tmp_path / "shrink")
     run_kg_job(src, out, mini, num_shards=4)
     ref4 = _triples(out)
     stats = run_kg_job(src, out, mini, num_shards=2)
     assert stats["shards_pruned"] == 2
+    assert stats["fragments_run"] == 0 and stats["shards_run"] == 2
     assert not os.path.isdir(os.path.join(out, "shard=2"))
     assert not os.path.exists(os.path.join(out, "_MANIFEST", "shard-3.json"))
     assert len(read_manifests(out)) == 2
@@ -119,92 +141,74 @@ def test_rerun_with_fewer_shards_prunes_stale(mini, sf_small, tmp_path):
 
 def test_modified_input_same_size_invalidates(mini, sf_small, tmp_path):
     """An input file rewritten in place with the SAME byte length must not
-    be silently skipped on resume (fingerprint folds in mtime_ns)."""
+    be silently skipped on resume (fingerprint folds in mtime_ns): that
+    one fragment is re-annotated, and the output equals a fresh run."""
     src = _turns_dir(sf_small, tmp_path)
     out = str(tmp_path / "out")
     run_kg_job(src, out, mini, num_shards=2)
-    # shard 1 holds part-1 and part-3 (round-robin over sorted fragments)
     part = os.path.join(src, "part-3.parquet")
     os.utime(part, ns=(os.stat(part).st_atime_ns,
                        os.stat(part).st_mtime_ns + 1_000_000))
     stats = run_kg_job(src, out, mini, num_shards=2)
-    assert stats["shards_run"] == 1 and stats["shards_skipped"] == 1
+    assert stats["fragments_run"] == 1 and stats["fragments_skipped"] == 3
+    assert stats["shards_run"] == 2
+    fresh = str(tmp_path / "fresh")
+    run_kg_job(src, fresh, mini, num_shards=2)
+    pd.testing.assert_frame_equal(_triples(fresh), _triples(out))
 
 
-def test_generic_sharded_write_resumable(sf_small, tmp_path):
-    """run_sharded works for NON-KG operator output too: a dedup result
-    written in doc_id-range shards resumes identically after a crash."""
-    import pyarrow.dataset as pads
+@pytest.mark.parametrize("name", ["part-9.parquet", "part-0.parquet"])
+def test_added_fragment_annotates_only_itself(mini, sf_small, tmp_path, name):
+    """A fragment appended after (part-9) or inserted before (part-0) the
+    others is the only one annotated on the re-run; the kept partials are
+    not rewritten, and the output equals a fresh run over all fragments.
+    The new fragment's conversations straddle the old ones."""
+    t = _turns_table(sf_small)
+    step = -(-t.num_rows // 5)
+    d = tmp_path / "turns"
+    os.makedirs(d)
+    for k in range(1, 5):
+        pq.write_table(t.slice(k * step, step), d / f"part-{k}.parquet")
+    out = str(tmp_path / "out")
+    run_kg_job(str(d), out, mini, num_shards=2)
+    kept = {m["unit"]: os.stat(partial_path(out, m["unit"])).st_mtime_ns
+            for m in read_partial_manifests(out)}
 
-    from phenobert_ray.state.sharded import run_sharded
-
-    def specs():
-        out = []
-        for k, (a, b) in enumerate([(0, 250), (250, 10_000)]):
-            expr = (pads.field("doc_id") >= a) & (pads.field("doc_id") < b)
-            out.append(([f"{sf_small}/documents.parquet"], f"r:{a}:{b}", expr))
-        return out
-
-    def build(paths, expr):
-        import hashlib
-
-        import pandas as pd_
-        import ray as _ray
-
-        ds = _ray.data.read_parquet(paths, filter=expr,
-                                    columns=["doc_id", "text"])
-
-        def f(df: pd_.DataFrame) -> pd_.DataFrame:
-            return pd_.DataFrame(
-                {"doc_id": df["doc_id"].astype("int64"),
-                 "text_md5": df["text"].map(
-                     lambda t: hashlib.md5(t.encode()).hexdigest())}
-            )
-
-        return ds.map_batches(f, batch_format="pandas")
-
-    out = str(tmp_path / "dedup_shards")
-    stats = run_sharded(specs(), build, out, content_cols=["doc_id", "text_md5"])
-    assert stats["shards_run"] == 2 and stats["rows"] == 500
-    def read_all(base):
-        import pyarrow as pa_
-
-        tables = [pads.dataset(os.path.join(base, d)).to_table()
-                  for d in sorted(os.listdir(base)) if d.startswith("shard=")]
-        return (pa_.concat_tables(tables).to_pandas()
-                .sort_values("doc_id").reset_index(drop=True))
-
-    ref = read_all(out)
-
-    # crash shard 1 (manifest gone, stale files present) and resume
-    os.remove(os.path.join(out, "_MANIFEST", "shard-1.json"))
-    stats = run_sharded(specs(), build, out, content_cols=["doc_id", "text_md5"])
-    assert stats == {"shards_run": 1, "shards_skipped": 1, "rows": 250,
-                     "shards_pruned": 0}
-    pd.testing.assert_frame_equal(ref, read_all(out))
+    pq.write_table(t.slice(0, step), d / name)
+    stats = run_kg_job(str(d), out, mini, num_shards=2)
+    assert stats["fragments_run"] == 1 and stats["fragments_skipped"] == 4
+    assert {u: os.stat(partial_path(out, u)).st_mtime_ns for u in kept} == kept
+    (new,) = [m for m in read_partial_manifests(out) if m["unit"] not in kept]
+    assert new["input_paths"] == [str(d / name)]
+    fresh = str(tmp_path / "fresh")
+    run_kg_job(str(d), fresh, mini, num_shards=2)
+    pd.testing.assert_frame_equal(_triples(fresh), _triples(out))
 
 
 def test_zero_row_shard_does_not_crash(mini, sf_small, tmp_path):
-    """A zero-row input fragment that is a shard on its own writes zero
-    rows: it must yield a manifest (rows=0) instead of FileNotFoundError
-    in the content hash, and resume must skip it (review r4)."""
+    """A zero-row input fragment yields a zero-row partial with a manifest
+    (rows=0) instead of a crash, the output still has its four shards, and
+    resume skips every fragment and shard."""
     t = _turns_table(sf_small)
     d = _write_files(t, tmp_path / "sparse", 3)
     pq.write_table(t.slice(0, 0), os.path.join(d, "part-3.parquet"))
 
     out = str(tmp_path / "out")
     stats = run_kg_job(d, out, mini, num_shards=4)
-    assert stats["shards_run"] == 4
-    ms = read_manifests(out)
-    assert [m["row_count"] == 0 for m in ms] == [False, False, False, True]
-    assert ms[3]["content_hash"] == "0" * 16
+    assert stats["shards_run"] == 4 and stats["fragments_run"] == 4
+    frags = {m["input_paths"][0]: m for m in read_partial_manifests(out)}
+    assert [frags[os.path.join(d, f"part-{k}.parquet")]["row_count"] == 0
+            for k in range(4)] == [False, False, False, True]
+    assert sum(m["row_count"] for m in read_manifests(out)) == stats["rows"] > 0
     stats2 = run_kg_job(d, out, mini, num_shards=4)
     assert stats2["shards_run"] == 0 and stats2["shards_skipped"] == 4
+    assert stats2["fragments_run"] == 0 and stats2["fragments_skipped"] == 4
 
 
 def test_lost_data_dir_triggers_rebuild(mini, sf_small, tmp_path):
     """A manifest whose shard data directory is gone must NOT be skipped —
-    that would silently drop the partition's rows (review r4)."""
+    that would silently drop the partition's rows (review r4).  The shard
+    is rebuilt from the kept partials."""
     src = _turns_dir(sf_small, tmp_path)
     out = str(tmp_path / "o")
     run_kg_job(src, out, mini, num_shards=2)
@@ -212,12 +216,14 @@ def test_lost_data_dir_triggers_rebuild(mini, sf_small, tmp_path):
     shutil.rmtree(os.path.join(out, "shard=1"))  # manifest survives
     stats = run_kg_job(src, out, mini, num_shards=2)
     assert stats["shards_run"] == 1 and stats["shards_skipped"] == 1
+    assert stats["fragments_run"] == 0
     pd.testing.assert_frame_equal(ref, _triples(out))
 
 
 def test_changed_ontology_invalidates_all_shards(mini, sf_small, tmp_path):
     """Re-running with a different ontology on a reused out_dir must
-    re-run every shard AND rewrite the is_a edges (review r4)."""
+    re-annotate every fragment, re-run every shard AND rewrite the is_a
+    edges (review r4)."""
     import copy
 
     src = _turns_dir(sf_small, tmp_path)
@@ -232,9 +238,10 @@ def test_changed_ontology_invalidates_all_shards(mini, sf_small, tmp_path):
     assert dag2.fingerprint != mini.fingerprint
 
     stats = run_kg_job(src, out, mini, num_shards=2)
-    assert stats["shards_run"] == 0  # same dag -> full skip
+    assert stats["shards_run"] == 0 and stats["fragments_run"] == 0
     stats2 = run_kg_job(src, out, dag2, num_shards=2)
     assert stats2["shards_run"] == 2 and stats2["shards_skipped"] == 0
+    assert stats2["fragments_run"] == 4 and stats2["fragments_skipped"] == 0
     with open(os.path.join(out, "ontology.fingerprint")) as f:
         assert f.read().strip() == dag2.fingerprint
 
@@ -313,83 +320,63 @@ def test_empty_documents_input(mini, sf_small, tmp_path):
     assert stats["shards_run"] == 1 and stats["rows"] == 0
     (m,) = read_manifests(out)
     assert m["row_count"] == 0
+    (f,) = read_partial_manifests(out)
+    assert (f["row_count"], f["n_mentions"]) == (0, 0)
     stats2 = run_kg_job(str(d), out, mini, num_shards=4)
     assert stats2["shards_run"] == 0 and stats2["shards_skipped"] == 1
+    assert stats2["fragments_run"] == 0
 
 
-def test_kill_during_shard_pipeline_resumes_identical(mini, sf_small, tmp_path):
-    """SIGKILL the driver WHILE a shard's annotate→dedup-shuffle pipeline is
-    executing (not between shards): the partial shard dir has no manifest,
-    so resume clears and re-runs exactly that shard and the triples match a
-    never-killed run (the between-stage kills above
-    simulate the crash by file surgery; this one is a real mid-execution
-    process kill in a child Ray session).
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-    Kill timing is DETERMINISTIC, not sleep-tuned: the child wraps its
-    shard pipeline with a stage whose tasks touch a sentinel file and
-    dawdle per batch; the parent deletes the sentinel once shard 0's
-    manifest lands (all shard-0 tasks are finished by then), waits for a
-    shard-1 task to re-touch it — proof the kill lands while shard 1's
-    pipeline is mid-execution — and SIGKILLs the child's process group."""
-    import signal
-    import subprocess
-    import sys
-    import time as _time
 
+def _tiled_input(sf_small, tmp_path) -> str:
+    """30 renamed copies of the small corpus in 8 fragments: enough
+    batches that a kill reliably lands inside the job."""
     import pyarrow.compute as pc
 
     base = _turns_table(sf_small)
     tiles = [base.set_column(0, "conv_id", pc.binary_join_element_wise(
                  f"t{i}", base.column("conv_id"), "-"))
              for i in range(30)]
-    in_dir = _write_files(pa.concat_tables(tiles), tmp_path / "in", 8)
+    return _write_files(pa.concat_tables(tiles), tmp_path / "in", 8)
 
-    ref_dir = str(tmp_path / "ref")
-    run_kg_job(in_dir, ref_dir, mini, num_shards=2)
-    ref = _triples(ref_dir)
 
-    out = str(tmp_path / "killed")
-    sentinel = str(tmp_path / "IN_SHARD")
+def _kill_when(hook: str, in_dir: str, out: str, sentinel: str) -> None:
+    """Run ``run_kg_job(in_dir, out, mini_dag(), num_shards=2)`` in a child
+    process whose module source is patched by ``hook`` (it touches
+    ``sentinel`` from inside the job), and SIGKILL the child's process
+    group once the sentinel appears.  The kill timing is deterministic,
+    not sleep-tuned: the hook marks a point the job is known to be in."""
+    import signal
+    import subprocess
+    import sys
+    import time as _time
+
     child_src = (
         "import ray\n"
         "ray.init(address='local', num_cpus=4, include_dashboard=False,\n"
         "         logging_level='ERROR')\n"
+        "import pathlib, time\n"
         "import phenobert_ray.pipelines.annotate as A\n"
         "from phenobert_ray.assets.mini_hpo import mini_dag\n"
-        "_orig = A.has_phenotype_triples\n"
-        "def _slowed(ds, cfg=None):\n"
-        "    def mark(b):\n"
-        "        import pathlib, time\n"
-        f"        pathlib.Path({sentinel!r}).touch()\n"
-        "        time.sleep(0.3)\n"
-        "        return b\n"
-        "    return _orig(ds.map_batches(mark, batch_format='pyarrow',\n"
-        "                                batch_size=256), cfg)\n"
-        "A.has_phenotype_triples = _slowed\n"
+        f"SENTINEL = {sentinel!r}\n"
+        + hook +
         f"A.run_kg_job({in_dir!r}, {out!r}, mini_dag(), num_shards=2)\n"
     )
     # new session => new process group: SIGKILL takes the child's private
     # raylet tree down with it, not the test session's
     proc = subprocess.Popen(
         [sys.executable, "-c", child_src],
-        cwd="/root/repo", start_new_session=True,
+        cwd=_REPO, start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         env={**os.environ, "RAY_ADDRESS": "local"},
     )
-    m0 = os.path.join(out, "_MANIFEST", "shard-0.json")
     deadline = _time.time() + 300
     try:
-        while not os.path.isfile(m0):
-            assert proc.poll() is None, "child exited before finishing shard 0"
-            assert _time.time() < deadline, "timed out waiting for shard 0"
-            _time.sleep(0.05)
-        # shard 0 fully done (manifest is written after its pipeline) —
-        # any later sentinel touch comes from a shard-1 task in flight
-        if os.path.exists(sentinel):
-            os.remove(sentinel)
         while not os.path.exists(sentinel):
-            assert proc.poll() is None, "child finished before the kill landed"
-            assert _time.time() < deadline, "timed out waiting for shard 1"
+            assert proc.poll() is None, "child exited before the hook ran"
+            assert _time.time() < deadline, "timed out waiting for the hook"
             _time.sleep(0.02)
     finally:
         try:
@@ -398,18 +385,75 @@ def test_kill_during_shard_pipeline_resumes_identical(mini, sf_small, tmp_path):
             pass
         proc.wait()
 
-    assert os.path.isfile(m0), "shard 0 manifest must survive the kill"
-    assert not os.path.isfile(os.path.join(out, "_MANIFEST", "shard-1.json")), (
-        "kill was meant to land before shard 1 completed"
+
+def test_kill_mid_annotate_resumes_identical(mini, sf_small, tmp_path):
+    """SIGKILL the driver while the job's one Ray Data plan is annotating:
+    the child wraps ``annotate_turns`` (the call ``run_kg_job`` makes)
+    with a stage whose tasks touch a sentinel and dawdle per batch.  No
+    fragment partial has a manifest yet, so the resume annotates every
+    fragment, and the triples match a never-killed run."""
+    in_dir = _tiled_input(sf_small, tmp_path)
+    ref_dir = str(tmp_path / "ref")
+    run_kg_job(in_dir, ref_dir, mini, num_shards=2)
+    ref = _triples(ref_dir)
+
+    out = str(tmp_path / "killed")
+    hook = (
+        "_orig = A.annotate_turns\n"
+        "def _slowed(ds, dag, cfg=None):\n"
+        "    def mark(b):\n"
+        "        import pathlib, time\n"
+        "        pathlib.Path(SENTINEL).touch()\n"
+        "        time.sleep(0.3)\n"
+        "        return b\n"
+        "    return _orig(ds.map_batches(mark, batch_format='pyarrow',\n"
+        "                                batch_size=256), dag, cfg)\n"
+        "A.annotate_turns = _slowed\n"
     )
+    _kill_when(hook, in_dir, out, str(tmp_path / "IN_ANNOTATE"))
+    assert read_partial_manifests(out) == []
+    assert read_manifests(out) == []
 
     stats = run_kg_job(in_dir, out, mini, num_shards=2)
-    assert stats["shards_skipped"] == 1 and stats["shards_run"] == 1
+    assert stats["fragments_run"] == 8 and stats["fragments_skipped"] == 0
+    assert stats["shards_run"] == 2
+    pd.testing.assert_frame_equal(ref, _triples(out))
+
+
+def test_kill_mid_merge_resumes_identical(mini, sf_small, tmp_path):
+    """SIGKILL the driver while the merge writes its output: the child
+    wraps ``write_shard`` to stall after shard 1's files land, before its
+    manifest.  Every fragment partial is done, so the resume annotates
+    nothing, keeps shard 0, replaces shard 1's orphaned files, and the
+    triples match a never-killed run."""
+    in_dir = _tiled_input(sf_small, tmp_path)
+    ref_dir = str(tmp_path / "ref")
+    run_kg_job(in_dir, ref_dir, mini, num_shards=2)
+    ref = _triples(ref_dir)
+
+    out = str(tmp_path / "killed")
+    hook = (
+        "_orig = A.write_shard\n"
+        "def _stalled(out_dir, k, table):\n"
+        "    _orig(out_dir, k, table)\n"
+        "    if k == 1:\n"
+        "        pathlib.Path(SENTINEL).touch()\n"
+        "        time.sleep(600)\n"
+        "A.write_shard = _stalled\n"
+    )
+    _kill_when(hook, in_dir, out, str(tmp_path / "IN_MERGE"))
+    assert len(read_partial_manifests(out)) == 8
+    assert [m["shard"] for m in read_manifests(out)] == [0]
+    assert os.listdir(os.path.join(out, "shard=1"))
+
+    stats = run_kg_job(in_dir, out, mini, num_shards=2)
+    assert stats["fragments_run"] == 0 and stats["fragments_skipped"] == 8
+    assert stats["shards_run"] == 1 and stats["shards_skipped"] == 1
     pd.testing.assert_frame_equal(ref, _triples(out))
 
 
 def _earlier_spec(dag, cfg) -> str:
-    """A parquet shard's manifest spec, spelled out field by field as
+    """A parquet fragment's manifest spec, spelled out field by field as
     existing out dirs carry it: the job identity must keep this exact
     string, field order included, or those dirs stop skipping."""
     sem = (dag.fingerprint, cfg.param1, cfg.param2, cfg.param3,
@@ -419,22 +463,25 @@ def _earlier_spec(dag, cfg) -> str:
 
 
 def test_rerun_over_earlier_manifests_skips_every_shard(mini, sf_small, tmp_path):
-    """An out dir whose manifests carry the field-by-field job identity
-    re-runs as a full skip."""
+    """An out dir whose fragment manifests carry the field-by-field job
+    identity re-runs as a full skip: no fragment, no shard."""
     from phenobert_ray.config import PipelineConfig
-    from phenobert_ray.state.manifest import write_manifest
+    from phenobert_ray.state.manifest import partial_key, write_partial_manifest
 
     src = _turns_dir(sf_small, tmp_path)
     out = str(tmp_path / "o")
     cfg = PipelineConfig(param3=0.85, use_longest=False)
     run_kg_job(src, out, mini, cfg, num_shards=2)
-    before = read_manifests(out)
+    before = read_partial_manifests(out)
+    assert len(before) == 4
+    spec = _earlier_spec(mini, cfg)
     for m in before:
-        write_manifest(out, m["shard"], m["input_paths"], m["row_count"],
-                       m["content_hash"], spec=_earlier_spec(mini, cfg),
-                       metrics=m["metrics"])
-    assert read_manifests(out) == before
+        write_partial_manifest(out, m["unit"], m["input_paths"], spec,
+                               partial_key(m["input_paths"], spec),
+                               m["row_count"], m["n_mentions"])
+    assert read_partial_manifests(out) == before
     stats = run_kg_job(src, out, mini, cfg, num_shards=2)
+    assert stats["fragments_run"] == 0 and stats["fragments_skipped"] == 4
     assert stats["shards_run"] == 0 and stats["shards_skipped"] == 2
 
 
