@@ -128,8 +128,6 @@ def entry() -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from phenobert_ray.functions import ann as f_ann
-    from phenobert_ray.functions import cluster as f_clu
-    from phenobert_ray.functions import curation as f_cur
     from phenobert_ray.functions import dedup as f_dedup
     from phenobert_ray.functions import events as f_events
     from phenobert_ray.functions import textstats as f_text
@@ -322,8 +320,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         **f_dedup.queries(),
         **f_ann.queries(),
         **f_events.queries(),
-        **f_cur.queries(),
-        **f_clu.queries(),
     }
     return {k: _guard_empty(k, fn) for k, fn in q.items()}
 
@@ -358,24 +354,18 @@ def _guard_empty(name: str, fn):
 _EMPTY_RESULT_SCHEMAS: dict = {
     "asof_join": (("events",), [("event_id", pa.int64()), ("user_id", pa.int64()), ("ts", pa.timestamp("us")), ("view_event_id", pa.int64()), ("view_ts", pa.timestamp("us"))]),
     "bloom_incremental_dedup": (("documents",), [("doc_id", pa.int64()), ("n_hit", pa.int64()), ("maybe_dup", pa.bool_())]),
-    "boilerplate_sentences": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("n_sentences", pa.int64()), ("n_boiler", pa.int64()), ("n_clean_tokens", pa.int64())]),
     "bpe_encode": (("documents",), [("doc_id", pa.int64()), ("n_units", pa.int64()), ("n_merged_units", pa.int64())]),
     "bpe_token_count": (("documents",), [("doc_id", pa.int64()), ("n_ws_tokens", pa.int64()), ("n_bpe_tokens", pa.int64())]),
-    "chunk_documents": (("documents",), [("doc_id", pa.int64()), ("chunk_idx", pa.int64()), ("start_tok", pa.int64()), ("n_chunk_tokens", pa.int64()), ("chunk_text", pa.string())]),
     "compact_latest_events": (("events",), [("user_id", pa.int64()), ("event_type", pa.string()), ("event_id", pa.int64()), ("ts", pa.timestamp("us")), ("value", pa.float64())]),
     "conv_hpo_sets": (("documents",), [("conv_id", pa.string()), ("hpo_id", pa.string())]),
     "cooccurrence_edges": (("documents",), [("hpo_a", pa.string()), ("hpo_b", pa.string()), ("n_convs", pa.int64())]),
     "cooccurrence_pmi": (("documents",), [("hpo_a", pa.string()), ("hpo_b", pa.string()), ("n_convs", pa.int64()), ("pmi_nano", pa.int64())]),
     "hpo_information_content": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("ic_nano", pa.int64())]),
-    "curate_corpus": (("documents",), [("doc_id", pa.int64()), ("source", pa.string()), ("n_tokens", pa.int64())]),
-    "decontaminate": (("documents",), [("doc_id", pa.int64()), ("source", pa.string()), ("n_shared", pa.int64()), ("contaminated", pa.bool_())]),
     "distinct_texts_by_source": (("documents",), [("source", pa.string()), ("n_docs", pa.int64()), ("n_distinct", pa.int64())]),
     "doc_stats": (("documents",), [("doc_id", pa.int64()), ("n_chars", pa.int64()), ("n_tokens", pa.int64()), ("n_uniq_tokens", pa.int64()), ("stop_ratio", pa.float64())]),
-    "dsir_importance": (("documents",), [("doc_id", pa.int64()), ("n_grams", pa.int64()), ("logw_nano", pa.int64()), ("selected", pa.bool_())]),
     "exact_dedup": (("documents",), [("text_md5", pa.string()), ("keep_doc_id", pa.int64()), ("n_dups", pa.int64())]),
     "extract_mentions": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("mention", pa.string()), ("hpo_id", pa.string()), ("score", pa.float32()), ("negated", pa.bool_())]),
     "fingerprint": (("documents",), [("doc_id", pa.int64()), ("fp", pa.uint64())]),
-    "gopher_rules": (("documents",), [("doc_id", pa.int64()), ("n_words", pa.int64()), ("n_word_chars", pa.int64()), ("n_stop_hits", pa.int64()), ("n_alpha_words", pa.int64()), ("ok_word_count", pa.bool_()), ("ok_mean_word_len", pa.bool_()), ("ok_stopwords", pa.bool_()), ("ok_alpha_frac", pa.bool_()), ("keep", pa.bool_())]),
     "hll_distinct_by_source": (("documents",), [("source", pa.string()), ("n_hit", pa.int64()), ("est", pa.float64())]),
     "hopping_window_agg": (("events",), [("window_start", pa.timestamp("us")), ("event_type", pa.string()), ("n_events", pa.int64()), ("sum_value_cents", pa.int64())]),
     "hpo_ancestor_rollup": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64())]),
@@ -394,15 +384,11 @@ _EMPTY_RESULT_SCHEMAS: dict = {
     "leakage_safe_split": (("documents",), [("doc_id", pa.int64()), ("group_key", pa.int64()), ("split", pa.string())]),
     "length_histogram": (("documents",), [("bucket_lo", pa.int64()), ("n", pa.int64())]),
     "longest_docs_by_source": (("documents",), [("source", pa.string()), ("doc_id", pa.int64()), ("n_tokens", pa.int64()), ("rank", pa.int64())]),
-    "mixture_sample": (("documents",), [("doc_id", pa.int64()), ("source", pa.string())]),
-    "pii_redact": (("documents",), [("doc_id", pa.int64()), ("n_emails", pa.int64()), ("n_phones", pa.int64()), ("n_ips", pa.int64()), ("clean_text", pa.string())]),
     "props_stats": (("events",), [("event_type", pa.string()), ("n", pa.int64()), ("sum_k", pa.int64()), ("max_k", pa.int64())]),
     "quality_score": (("documents",), [("doc_id", pa.int64()), ("ttr", pa.float64()), ("is_short", pa.bool_())]),
-    "repetition_stats": (("documents",), [("doc_id", pa.int64()), ("dup_3gram_frac", pa.float64()), ("top_2gram_frac", pa.float64())]),
     "running_user_spend": (("events",), [("event_id", pa.int64()), ("user_id", pa.int64()), ("ts", pa.timestamp("us")), ("cents", pa.int64()), ("running_cents", pa.int64())]),
     "sample_hash": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("role", pa.string())]),
     "sessionize": (("events",), [("user_id", pa.int64()), ("session_idx", pa.int64()), ("n_events", pa.int64()), ("start_ts", pa.timestamp("us")), ("end_ts", pa.timestamp("us")), ("sum_value_cents", pa.int64())]),
-    "stratified_sample": (("documents",), [("doc_id", pa.int64()), ("source", pa.string())]),
     "token_quantiles_by_source": (("documents",), [("source", pa.string()), ("p25", pa.float64()), ("p50", pa.float64()), ("p75", pa.float64())]),
     "turns_synth": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("role", pa.string()), ("text", pa.string()), ("tool", pa.string()), ("ts", pa.timestamp("us"))]),
     "window_agg": (("events",), [("window_start", pa.timestamp("us")), ("event_type", pa.string()), ("n_events", pa.int64()), ("sum_value_cents", pa.int64())]),
@@ -679,8 +665,6 @@ def _ancestor_rollup_sql(final: str | None = None) -> str:
 
 def oracle_sql() -> dict[str, str]:
     from phenobert_ray.functions import ann as f_ann
-    from phenobert_ray.functions import cluster as f_clu
-    from phenobert_ray.functions import curation as f_cur
     from phenobert_ray.functions import dedup as f_dedup
     from phenobert_ray.functions import events as f_events
     from phenobert_ray.functions import textstats as f_text
@@ -826,6 +810,4 @@ def oracle_sql() -> dict[str, str]:
     out.update(f_dedup.oracles())
     out.update(f_ann.oracles())
     out.update(f_events.oracles())
-    out.update(f_cur.oracles())
-    out.update(f_clu.oracles())
     return out

@@ -206,48 +206,29 @@ def run_queries(sf_dir: str) -> dict:
         "lang_id",
         "sessionize",
         "window_agg",
-        # curation family (functions/curation.py) — decontaminate is
-        # the interesting one (benchmark-gram broadcast + one streaming
-        # corpus pass); pii_redact is the regex-kernel bound pure map
-        "decontaminate",
-        "pii_redact",
         # interval join (chunked non-equi), distributed total-order rank
         "range_join",
         "global_sort_rank",
         # ExactSubstr-style duplicated-substring spans (two linear
-        # exchanges, no pair product), DSIR importance selection (O(B)
-        # model broadcast), and the iterative BPE merge loop (4 rounds ×
-        # one streaming pass each)
+        # exchanges, no pair product) and the iterative BPE merge loop
+        # (4 rounds × one streaming pass each)
         "duplicate_spans",
-        "dsir_importance",
         "bpe_train_merges",
-        # rule bundle (pure map), MOSS sketch (pure map),
-        # RAG chunking (pure map), semantic dedup (bounded kmeans + one
+        # MOSS sketch (pure map), semantic dedup (bounded kmeans + one
         # cell exchange), cluster-granular split (posting + CC + tag-union)
-        "gopher_rules",
         "winnowing_fingerprints",
-        "chunk_documents",
         "semdedup",
         "leakage_safe_split",
-        # full iterative Lloyd fit (one k x 65-row exchange per
-        # round), exact fixed-point PCA (one scatter-matrix exchange),
         # Bloom incremental screen (m-bounded build + streaming probe),
         # Count-Min sketch (two tiny exchanges)
-        "kmeans_assign",
-        "pca_top_direction",
         "bloom_incremental_dedup",
         "cms_probe_counts",
-        # PQ codebooks (4 subspace fits over one shared projection),
         # per-key running totals (chunked prefix-sum window), sort-blocked
-        # dedup, C4 boilerplate profiling, keep-latest compaction, DAG
-        # rollup
-        "pq_encode",
+        # dedup, keep-latest compaction, DAG rollup
         "running_user_spend",
         "snm_candidate_pairs",
-        "boilerplate_sentences",
         "compact_latest_events",
         "hpo_ancestor_rollup",
-        "corpus_diff",
         "ntile_by_source",
         # quality-aware near-dup collapse (packed-argmax exchange over
         # the CC output), OR index probe
@@ -338,72 +319,10 @@ def run_cc_scale(n_edges: int, chain: int = 256) -> dict:
     }
 
 
-def run_pack_scale(n_docs: int) -> dict:
-    """Sequence-packing scale regression: pins the distributed ordered
-    prefix-sum (pack_sequences' two-phase scan).  A synthetic corpus with
-    n_tokens(doc) = 1 + doc % 37 is generated DISTRIBUTED (written as
-    partitioned parquet), packed, and validated DISTRIBUTED against the
-    closed form  start(d) = d + 666*(d//37) + r*(r-1)/2  (r = d % 37,
-    0+1+...+36 = 666) — no driver-side state grows with n_docs."""
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.curation import pack_sequences
-
-    out_dir = "/tmp/pack_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-    templ = np.array([" ".join(["w"] * (1 + k)) for k in range(37)], dtype=object)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        d = batch.column("id").to_numpy()
-        return pa.table(
-            {
-                "doc_id": pa.array(d, pa.int64()),
-                "text": pa.array(templ[d % 37]),
-                "source": pa.array(np.full(len(d), "s", dtype=object)),
-            }
-        )
-
-    ray.data.range(n_docs).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/documents.parquet"
-    )
-
-    t0 = time.time()
-    packed = pack_sequences(out_dir, n_buckets=max(64, n_docs // 500_000))
-
-    def check(b: pa.Table) -> pa.Table:
-        d = b.column("doc_id").to_numpy()
-        r = d % 37
-        expect = d + 666 * (d // 37) + (r * (r - 1)) // 2
-        bad = int((b.column("start_offset").to_numpy() != expect).sum())
-        bad += int((b.column("n_tokens").to_numpy() != 1 + r).sum())
-        return pa.table(
-            {
-                "bad": pa.array([bad], pa.int64()),
-                "n": pa.array([b.num_rows], pa.int64()),
-            }
-        )
-
-    agg = packed.map_batches(check, batch_format="pyarrow").sum(["bad", "n"])
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    return {
-        "sec": round(dt, 2),
-        "docs": n_docs,
-        "docs_per_sec": round(n_docs / dt, 1),
-        "docs_checked": int(agg["sum(n)"]),
-        "mismatched": int(agg["sum(bad)"]),
-        "validated": int(agg["sum(bad)"]) == 0 and int(agg["sum(n)"]) == n_docs,
-    }
-
-
 def run_rank_scale(n_docs: int) -> dict:
     """Global sort-rank scale regression: pins the order-preserving
-    composite-bucket rank path (distributed ORDER BY).  Same synthetic
-    corpus as --pack-scale (n_tokens = 1 + doc % 37) — the closed-form
+    composite-bucket rank path (distributed ORDER BY).  Synthetic
+    corpus with n_tokens = 1 + doc % 37 — the closed-form
     rank of doc d among (n_tokens DESC, doc_id ASC) is
         rank(d) = (#docs with nt > nt(d)) + (#same-nt docs with id < d) + 1
     with both counts exact from n_docs and d, validated DISTRIBUTED."""
@@ -468,74 +387,6 @@ def run_rank_scale(n_docs: int) -> dict:
         "docs_checked": int(agg["sum(n)"]),
         "mismatched": int(agg["sum(bad)"]),
         "validated": int(agg["sum(bad)"]) == 0 and int(agg["sum(n)"]) == n_docs,
-    }
-
-
-def run_kmeans_scale(n_vecs: int, k: int = 8) -> dict:
-    """Distributed-KMeans scale regression: pins the iterative Lloyd path
-    (quantized projection materialize + one combiner exchange per round)
-    at millions of vectors.  Synthetic corpus with ``k`` well-separated
-    planted clusters — vec v belongs to planted cluster v % k, whose
-    center lights dims ≡ −c (mod k) at 0.4 with ±0.01 deterministic
-    jitter — and seed vectors 0..k−1 each sit in a distinct planted
-    cluster, so after 3 rounds every assignment must equal v % k,
-    validated DISTRIBUTED (nothing vec-sized reaches the driver)."""
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.cluster import DIM, kmeans_assign
-
-    out_dir = "/tmp/kmeans_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        v = batch.column("id").to_numpy()
-        c = v % k
-        dims = np.arange(DIM)
-        centers = ((dims[None, :] + np.arange(k)[:, None]) % k == 0) * 0.4
-        jitter = (((v[:, None] * 31 + dims[None, :]) % 7) - 3) * 0.003
-        e = (centers[c] + jitter).astype(np.float32)
-        return pa.table(
-            {
-                "vec_id": pa.array(v, pa.int64()),
-                "embedding": pa.FixedSizeListArray.from_arrays(
-                    pa.array(e.reshape(-1), type=pa.float32()), DIM
-                ),
-            }
-        )
-
-    ray.data.range(n_vecs).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/embeddings.parquet"
-    )
-
-    t0 = time.time()
-    assigned = kmeans_assign(out_dir, k=k, iters=3)
-
-    def check(b: pa.Table) -> pa.Table:
-        v = b.column("vec_id").to_numpy()
-        bad = int((b.column("cluster").to_numpy() != v % k).sum())
-        return pa.table(
-            {
-                "bad": pa.array([bad], pa.int64()),
-                "n": pa.array([b.num_rows], pa.int64()),
-            }
-        )
-
-    import pandas as pd
-
-    res = assigned.map_batches(check, batch_format="pyarrow").to_pandas()
-    sec = time.time() - t0
-    bad, n = int(res["bad"].sum()), int(res["n"].sum())
-    return {
-        "n_vecs": n_vecs,
-        "sec": round(sec, 1),
-        "vecs_per_sec": round(n_vecs / sec, 1),
-        "mismatched": bad,
-        "rows_checked": n,
-        "validated": bad == 0 and n == n_vecs,
     }
 
 
@@ -991,8 +842,7 @@ def run_ann_scale(n_vecs: int) -> dict:
     import pyarrow as pa
     import ray
 
-    from phenobert_ray.functions.ann import K, N_QUERIES, ann_topk
-    from phenobert_ray.functions.cluster import DIM
+    from phenobert_ray.functions.ann import DIM, K, N_QUERIES, ann_topk
 
     out_dir = "/tmp/ann_scale"
     shutil.rmtree(out_dir, ignore_errors=True)
@@ -1228,13 +1078,8 @@ def main() -> None:
     scale_flags = {
         "--cc-scale": ("GRAFT_CC_EDGES", 10_000_000, run_cc_scale,
                        "cc_scale_edges_per_sec", "edges_per_sec", "edges/sec"),
-        "--pack-scale": ("GRAFT_PACK_DOCS", 5_000_000, run_pack_scale,
-                         "pack_scale_docs_per_sec", "docs_per_sec", "docs/sec"),
         "--rank-scale": ("GRAFT_RANK_DOCS", 5_000_000, run_rank_scale,
                          "rank_scale_docs_per_sec", "docs_per_sec", "docs/sec"),
-        "--kmeans-scale": ("GRAFT_KMEANS_VECS", 2_000_000, run_kmeans_scale,
-                           "kmeans_scale_vecs_per_sec", "vecs_per_sec",
-                           "vecs/sec"),
         "--spans-scale": ("GRAFT_SPANS_DOCS", 2_000_000, run_spans_scale,
                           "spans_scale_docs_per_sec", "docs_per_sec",
                           "docs/sec"),

@@ -10,9 +10,38 @@
   searched only within the query's coarse bucket (here: the ``label``
   column as the pre-computed coarse quantizer cell).
 
-Input contract: ``vec_id`` is a PRIMARY KEY (see cluster.py — the
-family's oracles key sample/seed/join steps on it; duplicate ids make
-engine and oracle legitimately disagree, probed review r4 w9).
+Input contract: ``vec_id`` is a PRIMARY KEY (vector ids are generated,
+not crawled).  The family's oracles key sample/seed/join steps on it, so
+duplicate ids make engine and oracle legitimately disagree on which row
+a given id denotes (probed, review r4 w9) — unlike the documents table,
+where row-distinct semantics are defined and oracled (see
+textstats._bpe_units_sql).
+
+Integer-exact k-means kernel (``ann_kmeans_topk``'s coarse quantizer and
+``dedup.semdedup``): true Lloyd centroids are RATIONAL (Σx / n), and
+comparing exact rationals across clusters with different denominators
+doesn't vectorize into int64.  Instead centroids live on a fixed-point
+grid at 1/R of a quantization step:
+
+    point  q  = floor(f·QUANT + 0.5)                (identical in DuckDB)
+    M_c       = round_half_away(R·Σq / n)           (exact int division)
+    cost(x,c) = Σ_dim (R·q − M_c)²                  (pure int64)
+
+so both engines argmin over IDENTICAL integers — no float summation-
+order hazard, bit-exact assignments, SQL-oracle-able as chained CTEs
+(one CTE pair per Lloyd round, see ``_sampled_lloyd_cte``).  Ties break
+to the smallest cluster id in both engines (np.argmin first-hit ==
+ORDER BY cost, cluster).  Empty clusters keep their previous centroid
+(coalesce in both engines).  Division rounds half away from zero on the
+absolute value, sidestepping the DuckDB-truncates / numpy-floors
+divergence on negatives.
+
+int64 bounds: cost terms are ≤ 64·(2R·max|q|)² — independent of cluster
+size n (the reason fixed-point beats the n²-scaled-rational formulation,
+whose cross-cluster comparison is also just wrong: the scale factor
+differs per cluster).  Safe while max|q| < 2²² (|component| < ~4194 at
+QUANT=1000); ``_check_bounds`` raises past it.  The sum 2R·|Σq| stays
+< 2⁶³ up to n ≈ 10¹⁴ members per cluster.
 """
 
 from __future__ import annotations
@@ -28,6 +57,39 @@ N_QUERIES = 8  # vec_id < 8 are the query set; the rest is the corpus
 N_CELLS = 8
 KMEANS_ITERS = 3  # Lloyd rounds; mirrored as SQL CTE pairs in the oracle
 KMEANS_SAMPLE = 4096  # driver-side fit sample (bounded regardless of corpus)
+
+# integer-exact k-means kernel (module docstring)
+DIM = 64
+QUANT = 1000
+R = 16  # centroid sub-resolution: 1/R of a quantization step
+
+
+def _check_bounds(q: np.ndarray) -> None:
+    # the binding term is ‖M_c‖² ≤ DIM·(R·max|q|)², which must stay under
+    # 2⁶³: max|q| < sqrt(2⁶³/64)/16 ≈ 2²⁴·⁵.  2²² leaves >2 bits of margin.
+    # (A review repro showed the earlier 2²⁶ guard admitted silent int64
+    # wraparound from ~2²³·⁵ — numpy wraps, the HUGEINT oracle doesn't.)
+    if np.abs(q).max(initial=0) >= 2**22:
+        raise ValueError(
+            "integer-exact kmeans bound exceeded (|q| too large); lower "
+            "QUANT or switch to the float cost path (see module docstring)"
+        )
+
+
+def _assign(q: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """argmin_c Σ (R·q − M_c)², first-hit tie-break (smallest cluster).
+
+    Expanded to R²·q2 − 2R·(q·M_c) + ‖M_c‖² so the block does ONE int64
+    matmul instead of k dense subtractions; the R²·q2 term is common to
+    every cluster and dropped from the argmin."""
+    dot = q @ M.T  # (B, k) int64 matmul
+    cost = (M * M).sum(axis=1)[None, :] - 2 * R * dot
+    return np.argmin(cost, axis=1)
+
+
+def _rounded_div(s: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """round_half_away(R·s / n) in pure ints, DuckDB-agreeing on negatives."""
+    return np.sign(s) * ((2 * R * np.abs(s) + n) // (2 * n))
 
 
 def _read_emb(sf_dir: str, columns: tuple[str, ...] = ("vec_id", "embedding", "label")):
@@ -262,7 +324,7 @@ def label_centroids(sf_dir: str):
     silent wrap.
 
     Determinism: components are quantized to integer MICROS
-    (floor(x·1e6 + 0.5), the cluster-family convention) before summation,
+    (floor(x·1e6 + 0.5), the k-means kernel's rounding) before summation,
     so distributed accumulation order cannot perturb the mean — a raw
     double partial sum is order-dependent when one label mixes component
     magnitudes (1e3 next to 1e-8).  The mean is then ONE identical double
@@ -346,12 +408,10 @@ def _sampled_lloyd_cte(n_cells: int = N_CELLS, iters: int = KMEANS_ITERS,
     """CTE chain (no leading WITH) re-deriving ``_fit_centroids`` in SQL:
     ``q`` = quantized coordinates of EVERY vector, ``qs`` = the id-range
     fit sample, ``seeds`` = its n_cells smallest ids, ``c0..c{iters}`` =
-    the Lloyd rounds (cluster._kmeans_sql's round pattern: identical
-    integer costs, ties to the smallest seed id, half-away rational
-    means, empty cells coalesce to the previous centroid).  Callers
+    the Lloyd rounds of the module's kernel (identical integer costs,
+    ties to the smallest seed id, half-away rational means, empty cells
+    coalesce to the previous centroid).  Callers
     append their own assignment / probe CTEs over ``c{iters}``."""
-    from .cluster import DIM, QUANT, R
-
     head = f"""
     q AS (
       SELECT vec_id, i - 1 AS dim,
@@ -396,8 +456,6 @@ def _sampled_lloyd_cte(n_cells: int = N_CELLS, iters: int = KMEANS_ITERS,
 
 def _kmeans_topk_sql(k: int = K, n_probe: int = 2,
                      iters: int = KMEANS_ITERS) -> str:
-    from .cluster import R
-
     return f"""
     WITH {_sampled_lloyd_cte(iters=iters)},
     cells AS (
@@ -700,7 +758,7 @@ def _fit_centroids(sf_dir: str, n_cells: int = N_CELLS,
     """Integer-exact Lloyd fit on a BOUNDED deterministic corpus sample
     (``vec_id < sample`` — an id-range predicate pushed to the parquet
     read, so the driver never materializes more than the sample no matter
-    the corpus size).  Reuses cluster.py's fixed-point math verbatim
+    the corpus size).  Uses the module's fixed-point kernel
     (quantize → int64 cost argmin → rational centroid on a 1/R grid), so
     the WHOLE fit — sample, seeds (the ``n_cells`` smallest sample ids),
     every round, tie-breaks, empty-cluster carry — is re-derivable in
@@ -709,11 +767,9 @@ def _fit_centroids(sf_dir: str, n_cells: int = N_CELLS,
     oracles (r5; the previous float/rng fit was unverifiable by design).
     Returns (M, seed_vids): the fixed-point centroid matrix (k, DIM) of
     int64 m-values plus the seed vec_ids — the PUBLIC cell labels
-    (oracle parity: ``vec_id AS cluster``, like cluster.kmeans_assign).
+    (oracle parity: ``vec_id AS cluster``).
     Empty sample → ((0, DIM), (0,))."""
     import pyarrow.dataset as pads
-
-    from .cluster import DIM, QUANT, R, _assign, _check_bounds, _rounded_div
 
     t = (
         pads.dataset(f"{sf_dir}/embeddings.parquet")
@@ -744,12 +800,10 @@ def _fit_centroids(sf_dir: str, n_cells: int = N_CELLS,
 
 def _cell_costs(q: np.ndarray, M: np.ndarray) -> np.ndarray:
     """FULL fixed-point cost matrix Σ(R·q − m)² per (row, cell) — unlike
-    cluster._assign (which drops the per-row R²·q2 term because argmin
+    _assign (which drops the per-row R²·q2 term because argmin
     ignores it), probing ranks cells per row, where the dropped term is
     still constant per row, so ranking by this partial cost equals the
     oracle's ORDER BY sum((R*q - m)^2)."""
-    from .cluster import R
-
     return (M * M).sum(axis=1)[None, :] - 2 * R * (q @ M.T)
 
 
@@ -765,8 +819,6 @@ def ann_kmeans_topk(sf_dir: str, k: int = K, n_probe: int = 2):
     the per-cell ranking are all SQL-derivable — see oracles())."""
     if _emb_row_count(sf_dir) == 0:
         return _empty_topk()
-    from .cluster import QUANT, _assign, _check_bounds
-
     qids, Q, Qraw = _query_matrix(sf_dir, raw=True)
     M, _seed_vids = _fit_centroids(sf_dir)
     qq = np.floor(Qraw * QUANT + 0.5).astype(np.int64)

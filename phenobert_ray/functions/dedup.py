@@ -1379,8 +1379,7 @@ def _semdedup_sql(threshold: float = COSINE_THRESHOLD) -> str:
     is a recursive CTE over the cosine-threshold edges (self-loops added
     explicitly — the engine forces the adjacency diagonal True, which
     also covers zero vectors whose self-cosine is NULL in SQL)."""
-    from .ann import KMEANS_ITERS, _sampled_lloyd_cte
-    from .cluster import R
+    from .ann import KMEANS_ITERS, R, _sampled_lloyd_cte
 
     iters = KMEANS_ITERS
     return f"""
@@ -1851,8 +1850,8 @@ def semdedup(sf_dir: str, threshold: float = COSINE_THRESHOLD,
     """(vec_id, cell, group_id, keep) — semantic dedup: every vector is
     assigned to its nearest kmeans cell (integer-exact centroids fit ONCE
     on a bounded deterministic sample, broadcast via ray.put —
-    `ann._fit_centroids`; cell labels are the seed vec_ids, the
-    kmeans_assign convention); within each cell, cosine-≥-threshold pairs
+    `ann._fit_centroids`; cell labels are the seed vec_ids, as in
+    ann_kmeans_topk); within each cell, cosine-≥-threshold pairs
     form groups (min-label closure) and only the min-vec_id member of
     each group is kept.
 
@@ -1865,8 +1864,8 @@ def semdedup(sf_dir: str, threshold: float = COSINE_THRESHOLD,
     the within-cell pass is quadratic in CELL size — n_cells must grow
     with the corpus (the paper uses 50k cells for LAION); one
     groupby(cell) exchange, vectors cross the wire once."""
-    from .ann import _emb_row_count, _fit_centroids, _normalize, _read_emb
-    from .cluster import QUANT, _assign, _check_bounds
+    from .ann import (QUANT, _assign, _check_bounds, _emb_row_count,
+                      _fit_centroids, _normalize, _read_emb)
 
     if _emb_row_count(sf_dir) == 0:  # empty table: no centroids to fit
         return ray.data.from_arrow(pa.table({
@@ -1948,7 +1947,7 @@ def duplicate_spans(sf_dir: str, L: int = DUP_SPAN_L,
     Scale shape (vs the paper's monolithic suffix array, which needs the
     whole corpus in one address space):
       1. one tokenize pass → (gram-hash, doc_id, start) int posting rows
-         (md5-64 per gram via curation.doc_gram_hashes — positions, not
+         (md5-64 per gram via textstats.doc_gram_hashes — positions, not
          distinct; the gram TEXT never leaves its block);
       2. hash-exchange on gram → per-bucket vectorized mark: a gram group
          with ≥ 2 DISTINCT docs marks all its (doc_id, start) rows.  Mark
@@ -1965,7 +1964,7 @@ def duplicate_spans(sf_dir: str, L: int = DUP_SPAN_L,
     and the DuckDB oracle compares gram STRINGS, so the driver hash check
     would catch one)."""
     from ..stages.shuffle import default_num_buckets, from_pandas_clean
-    from .curation import doc_gram_hashes
+    from .textstats import doc_gram_hashes
 
     P = num_buckets or default_num_buckets()
 

@@ -353,6 +353,33 @@ def top_tokens(sf_dir: str, k: int = TOP_K_TOKENS):
     return ray.data.from_pandas(out)
 
 
+N_GRAM = 3  # default word-gram width of doc_gram_hashes
+_GRAM_H: dict[str, int] = {}  # gram-hash memo (per worker)
+
+
+def _gram_md5_64(g: str) -> int:
+    h = _GRAM_H.get(g)
+    if h is None:
+        h = int(hashlib.md5(g.encode()).hexdigest()[:16], 16)
+        if len(_GRAM_H) < 500_000:
+            _GRAM_H[g] = h
+    return h
+
+
+def doc_gram_hashes(text: str, n: int = N_GRAM) -> np.ndarray:
+    """md5-64 hashes of the word n-grams of ``text`` (positions, not
+    distinct) — the compact wire/broadcast representation of a gram."""
+    toks = text.split(" ")
+    m = len(toks) - n + 1
+    if m <= 0:
+        return np.empty(0, dtype=np.uint64)
+    return np.fromiter(
+        (_gram_md5_64(" ".join(toks[i : i + n])) for i in range(m)),
+        dtype=np.uint64,
+        count=m,
+    )
+
+
 WINNOW_K = 4  # gram width for winnowing
 WINNOW_W = 5  # window width (guarantee: every W consecutive grams yield a pick)
 
@@ -370,7 +397,6 @@ def winnowing_fingerprints(sf_dir: str, k: int = WINNOW_K, w: int = WINNOW_W):
     per doc with a sliding-window view; rightmost-tie argmin comes from
     argmin over the REVERSED window axis.  Docs with fewer than k+w−1
     tokens (< w grams) emit nothing — mirrored by the oracle's range."""
-    from .curation import doc_gram_hashes
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
         out_d, out_p, out_h = [], [], []
@@ -907,7 +933,7 @@ def global_sort_rank(sf_dir: str, n_id_buckets: int = 16):
     doc_id) rank of every document: distributed total-order sort + rank
     assignment WITHOUT materializing a sorted copy.
 
-    Shape (the ordered-prefix-sum pattern, same as pack_sequences):
+    Shape (the ordered-prefix-sum pattern):
       1. one tokenize pass → (doc_id, n_tokens) int rows, materialized
          (~16 B/doc);
       2. an order-preserving composite range bucket

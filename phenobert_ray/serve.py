@@ -20,6 +20,8 @@ Endpoints:
 
 A request body over ``MAX_BODY_BYTES`` is refused with 413 and a malformed
 or negative ``Content-Length`` with 400, before any of the body is read.
+A body that is not valid UTF-8 is refused with 400: the returned start/end
+offsets must index the string the client sent, not a repaired copy.
 """
 
 from __future__ import annotations
@@ -117,7 +119,12 @@ def make_handler(state):
                                             f"{MAX_BODY_BYTES} bytes"}),
                            "application/json")
                 return
-            raw = self.rfile.read(n).decode("utf-8", errors="replace")
+            try:
+                raw = self.rfile.read(n).decode("utf-8")
+            except UnicodeDecodeError:
+                self._send(400, json.dumps({"error": "body is not UTF-8"}),
+                           "application/json")
+                return
             ctype = (self.headers.get("Content-Type") or "").split(";")[0]
             if ctype == "application/json":
                 try:

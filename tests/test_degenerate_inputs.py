@@ -1,6 +1,5 @@
 """Degenerate-input robustness: a pathological 4-doc documents table (a
-1-token doc, an exact duplicate pair, a benchmark-slice doc at doc_id 0)
-must flow through every documents-family operator without crashing — tiny
+1-token doc, an exact duplicate pair, a french-marker doc) must flow through every documents-family operator without crashing — tiny
 and empty groups/blocks are where group-merge and exchange code breaks
 first at scale."""
 
@@ -11,7 +10,6 @@ import pytest
 
 TINY = pd.DataFrame(
     {
-        # doc_id 0 is the benchmark slice (0 % BENCH_MOD == 0)
         "doc_id": pd.array([0, 1, 2, 3], dtype="int64"),
         "text": [
             "x",  # single token: no 2/3-grams at all
@@ -19,8 +17,7 @@ TINY = pd.DataFrame(
             "the fast table scan the fast table scan",  # exact dup of 1
             "le la les le la les le la",  # french markers
         ],
-        # mixture_sample derives keep rates from md5(source) % 4
-        # (md5('src3') % 4 == 3 → rate 1.0 keeps everything; 'src7' → 0.75)
+        # one three-doc source holding the duplicate pair, one singleton
         "source": ["src3", "src3", "src3", "src7"],
     }
 )
@@ -59,36 +56,6 @@ def test_dedup_family_on_tiny(tiny_dir):
     assert set(zip(mh["doc_a"], mh["doc_b"])) == {(1, 2)}
     sh = _run(d.simhash_signatures, tiny_dir)
     assert len(sh) == 4
-
-
-def test_curation_family_on_tiny(tiny_dir):
-    from phenobert_ray.functions import curation as c
-
-    dec = _run(c.decontaminate, tiny_dir)
-    assert len(dec) == 3  # doc 0 is the benchmark slice
-    assert not dec["contaminated"].any()  # 'x' shares no 3-gram with others
-    rep = _run(c.repetition_stats, tiny_dir).set_index("doc_id")
-    assert rep.loc[0, "dup_3gram_frac"] == 0.0  # no grams at all
-    assert rep.loc[1, "dup_3gram_frac"] > 0.5
-    pk = _run(c.pack_sequences, tiny_dir).sort_values("doc_id")
-    assert list(pk["start_offset"]) == [0, 1, 9, 17]
-    assert len(_run(c.pii_redact, tiny_dir)) == 4
-    ss = _run(c.stratified_sample, tiny_dir)
-    assert len(ss) == 4  # all docs fit under the per-source cap
-    import hashlib as hl
-
-    from phenobert_ray.functions.curation import MIX_RATES
-
-    mix = _run(c.mixture_sample, tiny_dir)
-    exp = {
-        did for did, src in zip([0, 1, 2, 3], ["src3", "src3", "src3", "src7"])
-        if int(hl.md5(str(did).encode()).hexdigest(), 16)
-        < MIX_RATES[int(hl.md5(src.encode()).hexdigest()[:8], 16)
-                    % len(MIX_RATES)] * 2**128
-    }
-    assert set(mix["doc_id"]) == exp  # src3 → rate 1.0 keeps 0,1,2
-    cur = _run(c.curate_corpus, tiny_dir)
-    assert len(cur) <= 3  # never emits the benchmark doc
 
 
 def test_r3d_ops_on_tiny(tiny_dir):
@@ -156,7 +123,6 @@ def test_r3e_ops_on_tiny(tiny_dir):
     """The r3e family on the pathological 4-doc table: single-token doc
     (no grams), an exact-dup pair (cross-doc spans over the
     FULL text), and per-source singletons."""
-    from phenobert_ray.functions import curation as c
     from phenobert_ray.functions import dedup as d
     from phenobert_ray.functions import textstats as t
 
@@ -164,18 +130,11 @@ def test_r3e_ops_on_tiny(tiny_dir):
     # docs 1+2 (8 tokens each, L=8): one full-width span each
     assert set(zip(spans["doc_id"], spans["span_start"], spans["span_end"])) \
         == {(1, 0, 7), (2, 0, 7)}
-    dsir = _run(c.dsir_importance, tiny_dir).set_index("doc_id")
-    assert 0 not in dsir.index and len(dsir) == 3
     merges = _run(t.bpe_train_merges, tiny_dir)
     assert len(merges) == 4 and merges.loc[0, "n"] >= 2
-    gr = _run(c.gopher_rules, tiny_dir).set_index("doc_id")
-    assert len(gr) == 4 and not gr["ok_word_count"].any()  # all < 50 words
     win = _run(t.winnowing_fingerprints, tiny_dir)
     # doc 0 has no 4-grams; docs 1-3 (8 tokens → 5 grams = w) each select
     assert set(win["doc_id"]) == {1, 2, 3}
-    ch = _run(c.chunk_documents, tiny_dir).set_index(["doc_id", "chunk_idx"])
-    assert ch.loc[(0, 0), "chunk_text"] == "x"
-    assert len(ch) == 4                  # every short doc = exactly 1 chunk
     ls = _run(d.leakage_safe_split, tiny_dir).set_index("doc_id")
     assert len(ls) == 4
     assert ls.loc[1, "split"] == ls.loc[2, "split"]  # dup pair same side
@@ -208,21 +167,8 @@ def test_semdedup_two_vectors(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def tiny_emb_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("tinyemb")
-    pq.write_table(
-        pa.table(
-            {
-                "vec_id": pa.array([0, 1, 2], pa.int64()),
-                "embedding": pa.array(
-                    [[0.1] * 64, [0.2] * 64, [0.3] * 64],
-                    pa.list_(pa.float32()),
-                ),
-                "label": pa.array([0, 0, 0], pa.int32()),
-            }
-        ),
-        str(d / "embeddings.parquet"),
-    )
+def single_doc_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("singledoc")
     pq.write_table(
         pa.table(
             {
@@ -236,27 +182,19 @@ def tiny_emb_dir(tmp_path_factory):
     return str(d)
 
 
-def test_r3f_ops_on_degenerate(tiny_emb_dir):
-    from phenobert_ray.functions import cluster as clu
+def test_r3f_ops_on_degenerate(single_doc_dir):
     from phenobert_ray.functions.dedup import (
         bloom_incremental_dedup,
         snm_candidate_pairs,
     )
     from phenobert_ray.functions.textstats import cms_probe_counts
 
-    # fewer vectors than k: codebook degrades to the seeds that exist,
-    # same as the oracle's vec_id < k CTE
-    km = clu.kmeans_assign(tiny_emb_dir).to_pandas()
-    assert len(km) == 3 and set(km["cluster"]) <= {0, 1, 2}
-    pqc = clu.pq_encode(tiny_emb_dir).to_pandas()
-    assert len(pqc) == 3
-    assert len(clu.pca_top_direction(tiny_emb_dir).to_pandas()) == clu.DIM
     # doc_id 7: empty SNM windows beyond 1 doc, empty bloom base (doc 7
     # is incoming), empty CMS probe set (doc_id < 5 absent)
-    assert len(snm_candidate_pairs(tiny_emb_dir).to_pandas()) == 0
-    bl = bloom_incremental_dedup(tiny_emb_dir).to_pandas()
+    assert len(snm_candidate_pairs(single_doc_dir).to_pandas()) == 0
+    bl = bloom_incremental_dedup(single_doc_dir).to_pandas()
     assert len(bl) == 1 and not bl["maybe_dup"].iloc[0]
-    assert len(cms_probe_counts(tiny_emb_dir).to_pandas()) == 0
+    assert len(cms_probe_counts(single_doc_dir).to_pandas()) == 0
 
 
 @pytest.fixture(scope="module")
@@ -277,11 +215,9 @@ def empty_docs_dir(tmp_path_factory):
 
 def test_review_repros_stay_fixed(empty_docs_dir, tmp_path_factory):
     """Crash classes a code review confirmed (zero-row / edge-topology
-    paths): star-graph kcore peeling and empty-corpus SNM / snapshot
-    diff."""
+    paths): star-graph kcore peeling and empty-corpus SNM."""
     import ray
 
-    from phenobert_ray.functions.curation import corpus_diff
     from phenobert_ray.functions.dedup import snm_candidate_pairs
     from phenobert_ray.pipelines.graph import kcore_nodes
 
@@ -291,7 +227,6 @@ def test_review_repros_stay_fixed(empty_docs_dir, tmp_path_factory):
     assert len(kcore_nodes(ray.data.from_arrow(edges), k=2).to_pandas()) == 0
 
     assert len(snm_candidate_pairs(empty_docs_dir).to_pandas()) == 0
-    assert len(corpus_diff(empty_docs_dir).to_pandas()) == 0
 
 
 def test_assign_overflow_guard_rejects_unsafe_range():
@@ -299,11 +234,11 @@ def test_assign_overflow_guard_rejects_unsafe_range():
     (review-confirmed); the bound is now 2^22 with >2 bits of margin."""
     import numpy as np
 
-    from phenobert_ray.functions import cluster as clu
+    from phenobert_ray.functions import ann
 
     with pytest.raises(ValueError):
-        clu._check_bounds(np.array([2**22], dtype=np.int64))
-    clu._check_bounds(np.array([2**22 - 1], dtype=np.int64))  # ok
+        ann._check_bounds(np.array([2**22], dtype=np.int64))
+    ann._check_bounds(np.array([2**22 - 1], dtype=np.int64))  # ok
 
 
 def test_triangles_wedge_free_and_empty_graphs():
@@ -431,37 +366,6 @@ def test_lsh_probe_bits_beyond_two():
     assert full_probe.values.tolist() == exact.values.tolist()
 
 
-def test_gopher_alpha_counts_ascii_only(tmp_path):
-    """n_alpha_words must match the oracle's [A-Za-z] regex: tokens of
-    non-Latin script count as alphabetic under unicode isalpha() but not
-    under the SQL, flipping keep on multilingual corpora (review r4)."""
-    import duckdb
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from phenobert_ray.functions.curation import gopher_rules
-
-    base = "the quick brown fox jumps over the lazy dog again and again " * 8
-    ru = ("привет мир " * 40 + "the a of ") + base[:100]
-    t = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
-                  "text": pa.array([base.strip(), ru.strip()], pa.string()),
-                  "source": pa.array(["s", "s"], pa.string())})
-    d = tmp_path / "sf"
-    d.mkdir()
-    pq.write_table(t, d / "documents.parquet")
-
-    import __ray_entry__ as E
-    mine = gopher_rules(str(d)).to_pandas().sort_values(
-        "doc_id").reset_index(drop=True)
-    con = duckdb.connect()
-    con.execute("CREATE VIEW documents AS SELECT * FROM "
-                f"read_parquet('{d}/documents.parquet')")
-    oracle = con.execute(E.oracle_sql()["gopher_rules"]).df().sort_values(
-        "doc_id").reset_index(drop=True)
-    for col in mine.columns:
-        assert mine[col].tolist() == oracle[col].tolist(), col
-
-
 def test_range_join_overflow_guard(tmp_path):
     """A composite searchsorted key that would wrap int64 must raise, not
     silently cross-match other users' windows (review r4)."""
@@ -474,25 +378,6 @@ def test_range_join_overflow_guard(tmp_path):
     with _pytest.raises(Exception, match="overflow|2\\^63"):
         range_join("/root/testdata/sf0.001",
                    window_hours=2 ** 62 // 3_600_000_000).count()
-
-
-def test_decontaminate_benchmark_only_corpus(tmp_path):
-    """Every doc in the benchmark slice (doc_id % 97 == 0): flag() must
-    emit a typed empty result, not null-schema blocks (review r4)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from phenobert_ray.functions.curation import decontaminate
-
-    ids = [0, 97, 194]
-    t = pa.table({"doc_id": pa.array(ids, pa.int64()),
-                  "text": pa.array(["alpha beta gamma delta"] * 3, pa.string()),
-                  "source": pa.array(["s"] * 3, pa.string())})
-    d = tmp_path / "sf"
-    d.mkdir()
-    pq.write_table(t, d / "documents.parquet")
-    res = decontaminate(str(d))
-    assert res.count() == 0
 
 
 def test_two_phase_groupby_all_filtered_blocks_stay_typed():
@@ -548,7 +433,7 @@ def test_two_phase_groupby_keeps_null_keys():
     assert int(null_row["n"].iloc[0]) == 2
 
 
-# --- textstats / cluster degenerate paths ---
+# --- textstats degenerate paths ---
 
 
 def test_doc_stats_rounding_tie_matches_duckdb(tmp_path):
@@ -576,56 +461,6 @@ def test_doc_stats_rounding_tie_matches_duckdb(tmp_path):
     assert eng["stop_ratio"].iloc[0] == ora["stop_ratio"].iloc[0] == 0.007813
 
 
-def test_kmeans_labels_are_seed_vec_ids_on_sparse_ids(tmp_path):
-    """Cluster labels must be the seed rows' vec_ids (the oracle seeds
-    `vec_id AS cluster`): with gaps in the ids below k, index labels
-    diverged on 22/40 rows (reproduced, review wave 8)."""
-    import duckdb
-    import numpy as np
-
-    from phenobert_ray.functions import cluster as clu
-
-    rng = np.random.default_rng(0)
-    vids = np.array([0, 2, 4, 6, 9, 11, 13, 15] + list(range(20, 52)),
-                    dtype=np.int64)
-    emb = rng.normal(size=(len(vids), 64)).astype(np.float32)
-    pq.write_table(
-        pa.table({"vec_id": vids,
-                  "embedding": pa.FixedSizeListArray.from_arrays(
-                      pa.array(emb.reshape(-1)), 64)}),
-        str(tmp_path / "embeddings.parquet"),
-    )
-    eng = (clu.kmeans_assign(str(tmp_path)).to_pandas()
-           .sort_values("vec_id").reset_index(drop=True))
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW embeddings AS SELECT * FROM "
-        f"read_parquet('{tmp_path}/embeddings.parquet')"
-    )
-    ora = (con.execute(clu.oracles()["kmeans_assign"]).df()
-           .sort_values("vec_id").reset_index(drop=True))
-    assert set(eng["cluster"]) <= {0, 2, 4, 6}  # labels ARE seed vec_ids
-    assert (eng["cluster"].to_numpy() == ora["cluster"].to_numpy()).all()
-
-
-def test_pca_on_empty_embeddings_is_typed_empty(tmp_path):
-    """Empty embeddings: the oracle's matvec CTE yields zero rows, so 64
-    all-zero engine rows were a rows-count divergence (reproduced)."""
-    from phenobert_ray.functions import cluster as clu
-
-    pq.write_table(
-        pa.table({"vec_id": pa.array([], pa.int64()),
-                  "embedding": pa.array([], pa.list_(pa.float32(), 64))}),
-        str(tmp_path / "embeddings.parquet"),
-    )
-    top = clu.pca_top_direction(str(tmp_path))
-    assert top.count() == 0
-    assert {f.name for f in top.schema().base_schema} == {"dim", "v"}
-    proj = clu.pca_project(str(tmp_path))
-    assert proj.count() == 0
-    assert {f.name for f in proj.schema().base_schema} == {"vec_id", "proj"}
-
-
 # --- review wave 9: the empty-corpus sweep (all queries × empty tables) ---
 
 
@@ -648,11 +483,10 @@ def test_empty_corpus_sweep_queries_dont_crash(empty_sf_dir):
     partitions the hash aggregator cannot finalize, int(None) on empty
     Dataset aggregates, and KeyErrors on schema-less to_pandas frames.
     Every oracle returns 0 rows; the engine must too."""
-    from phenobert_ray.functions import ann, curation, dedup, textstats
+    from phenobert_ray.functions import ann, dedup, textstats
 
     fns = [
         ann.knn_label_vote,
-        curation.dsir_importance, curation.pack_sequences,
         textstats.cms_probe_counts, textstats.top_tokens,
         textstats.bpe_pair_counts, textstats.bpe_encode,
         dedup.documents_deduped,

@@ -805,6 +805,46 @@ def test_bpe_train_merges_materialized_exhausts(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# longest_docs_by_source (grouped top-k)
+
+
+def test_grouped_topk_bruteforce(sf_small):
+    from phenobert_ray.functions.textstats import longest_docs_by_source
+
+    got = longest_docs_by_source(sf_small).to_pandas()
+    d = pq.read_table(f"{sf_small}/documents.parquet",
+                      columns=["doc_id", "text", "source"]).to_pandas()
+    d["n_tokens"] = d["text"].str.split(" ").str.len()
+    for src, g in d.groupby("source"):
+        want = g.sort_values(["n_tokens", "doc_id"], ascending=[False, True]).head(3)
+        mine = got[got["source"] == src].sort_values("rank")
+        assert list(mine["doc_id"]) == list(want["doc_id"])
+        assert list(mine["n_tokens"]) == list(want["n_tokens"])
+        assert list(mine["rank"]) == list(range(1, len(want) + 1))
+
+
+# ---------------------------------------------------------------------------
+# integer-exact k-means kernel (ann_kmeans_topk, semdedup)
+
+
+def test_rounded_div_matches_duckdb_semantics():
+    import duckdb
+
+    from phenobert_ray.functions import ann
+
+    s = np.array([-7, -5, -1, 0, 1, 5, 7, -1000, 999], dtype=np.int64)
+    n = np.array([3, 2, 4, 5, 4, 2, 3, 7, 11], dtype=np.int64)
+    got = ann._rounded_div(s, n)
+    for si, ni, gi in zip(s, n, got):
+        (want,) = duckdb.sql(
+            f"""SELECT CASE WHEN {si} < 0
+                 THEN -((2 * {ann.R} * ({-si}) + {ni}) // (2 * {ni}))
+                 ELSE (2 * {ann.R} * {si} + {ni}) // (2 * {ni}) END"""
+        ).fetchone()
+        assert gi == want, (si, ni, gi, want)
+
+
+# ---------------------------------------------------------------------------
 # semdedup (cluster-then-near-dup semantic dedup)
 
 
@@ -885,10 +925,10 @@ def test_winnowing_guarantees(sf_small, docs):
     window of w consecutive gram positions contains ≥ 1 selection;
     (2) two docs sharing a substring of ≥ w+k−1 tokens share a
     fingerprint value."""
-    from phenobert_ray.functions.curation import doc_gram_hashes
     from phenobert_ray.functions.textstats import (
         WINNOW_K,
         WINNOW_W,
+        doc_gram_hashes,
         winnowing_fingerprints,
     )
 

@@ -135,15 +135,15 @@ def test_kmeans_assign_expansion_matches_naive(qrows, mrows):
     # naive per-cluster subtraction, first-hit ties included
     import numpy as np
 
-    from phenobert_ray.functions import cluster as clu
+    from phenobert_ray.functions import ann
 
     q = np.array(qrows, dtype=np.int64)
     M = np.array(mrows, dtype=np.int64)
     # emulate an 8-dim problem by monkey-free direct kernel use: _assign
     # only uses shapes, R and the matmul — dims need not be 64
-    naive = ((clu.R * q[:, None, :] - M[None, :, :]) ** 2).sum(axis=2)
+    naive = ((ann.R * q[:, None, :] - M[None, :, :]) ** 2).sum(axis=2)
     want = np.argmin(naive, axis=1)
-    got = clu._assign(q, M)
+    got = ann._assign(q, M)
     assert (got == want).all()
 
 
@@ -154,11 +154,11 @@ def test_rounded_div_is_half_away_exact(s, n):
 
     import numpy as np
 
-    from phenobert_ray.functions import cluster as clu
+    from phenobert_ray.functions import ann
 
-    got = int(clu._rounded_div(np.array([s], dtype=np.int64),
+    got = int(ann._rounded_div(np.array([s], dtype=np.int64),
                                np.array([n], dtype=np.int64))[0])
-    x = Fraction(clu.R * s, n)
+    x = Fraction(ann.R * s, n)
     frac = abs(x) - abs(x).numerator // abs(x).denominator
     mag = abs(x).numerator // abs(x).denominator + (1 if 2 * frac >= 1 else 0)
     want = mag if x >= 0 else -mag

@@ -83,6 +83,20 @@ def test_empty_text_rejected(server):
     assert ei.value.code == 404
 
 
+def test_non_utf8_body_rejected(server):
+    """A body that is not UTF-8 is a 400, not text annotated with U+FFFD
+    in place of the bad bytes (its offsets would not index the client's
+    string)."""
+    import urllib.error
+
+    for body, ctype in ((b"seizure \xff", "text/plain"),
+                        (b'{"text": "\xff"}', "application/json")):
+        with pytest.raises(urllib.error.HTTPError) as ei:
+            _post(server + "/annotate", body, ctype)
+        assert ei.value.code == 400
+        assert "UTF-8" in json.loads(ei.value.read())["error"]
+
+
 def test_annotate_rejects_non_string_json_text(server):
     """{"text": null} / numbers / lists must return a clean 400, not an
     AttributeError traceback that drops the connection (review r4)."""

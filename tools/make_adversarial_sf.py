@@ -140,8 +140,8 @@ def make_embeddings(out: str) -> None:
         vecs.append(base.copy()); labels.append(1)          # exact dups
     vecs.append(-base); labels.append(2)                     # antipode
     vecs.append(base * 1e-8); labels.append(1)               # tiny norm
-    # large-but-in-contract norm: the integer-exact cluster family
-    # documents |value| < ~4194 with QUANT=1000 (cluster.py docstring)
+    # large-but-in-contract norm: the integer-exact k-means kernel
+    # documents |value| < ~4194 with QUANT=1000 (ann.py docstring)
     # and fails LOUDLY past it (pinned in tests) — stay inside here so
     # the oracle comparison, not the guard, is what this input exercises
     vecs.append(base * 1e3); labels.append(1)                # huge norm
