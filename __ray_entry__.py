@@ -130,7 +130,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from phenobert_ray.functions import ann as f_ann
     from phenobert_ray.functions import dedup as f_dedup
     from phenobert_ray.functions import events as f_events
-    from phenobert_ray.functions import textstats as f_text
 
     def turns_synth(sf):
         return _turns(sf)
@@ -316,7 +315,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "eval_micro": eval_micro,
         "eval_macro": eval_macro,
         "onto_similarity": onto_similarity,
-        **f_text.queries(),
         **f_dedup.queries(),
         **f_ann.queries(),
         **f_events.queries(),
@@ -354,19 +352,13 @@ def _guard_empty(name: str, fn):
 _EMPTY_RESULT_SCHEMAS: dict = {
     "asof_join": (("events",), [("event_id", pa.int64()), ("user_id", pa.int64()), ("ts", pa.timestamp("us")), ("view_event_id", pa.int64()), ("view_ts", pa.timestamp("us"))]),
     "bloom_incremental_dedup": (("documents",), [("doc_id", pa.int64()), ("n_hit", pa.int64()), ("maybe_dup", pa.bool_())]),
-    "bpe_encode": (("documents",), [("doc_id", pa.int64()), ("n_units", pa.int64()), ("n_merged_units", pa.int64())]),
-    "bpe_token_count": (("documents",), [("doc_id", pa.int64()), ("n_ws_tokens", pa.int64()), ("n_bpe_tokens", pa.int64())]),
     "compact_latest_events": (("events",), [("user_id", pa.int64()), ("event_type", pa.string()), ("event_id", pa.int64()), ("ts", pa.timestamp("us")), ("value", pa.float64())]),
     "conv_hpo_sets": (("documents",), [("conv_id", pa.string()), ("hpo_id", pa.string())]),
     "cooccurrence_edges": (("documents",), [("hpo_a", pa.string()), ("hpo_b", pa.string()), ("n_convs", pa.int64())]),
     "cooccurrence_pmi": (("documents",), [("hpo_a", pa.string()), ("hpo_b", pa.string()), ("n_convs", pa.int64()), ("pmi_nano", pa.int64())]),
     "hpo_information_content": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("ic_nano", pa.int64())]),
-    "distinct_texts_by_source": (("documents",), [("source", pa.string()), ("n_docs", pa.int64()), ("n_distinct", pa.int64())]),
-    "doc_stats": (("documents",), [("doc_id", pa.int64()), ("n_chars", pa.int64()), ("n_tokens", pa.int64()), ("n_uniq_tokens", pa.int64()), ("stop_ratio", pa.float64())]),
     "exact_dedup": (("documents",), [("text_md5", pa.string()), ("keep_doc_id", pa.int64()), ("n_dups", pa.int64())]),
     "extract_mentions": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("mention", pa.string()), ("hpo_id", pa.string()), ("score", pa.float32()), ("negated", pa.bool_())]),
-    "fingerprint": (("documents",), [("doc_id", pa.int64()), ("fp", pa.uint64())]),
-    "hll_distinct_by_source": (("documents",), [("source", pa.string()), ("n_hit", pa.int64()), ("est", pa.float64())]),
     "hopping_window_agg": (("events",), [("window_start", pa.timestamp("us")), ("event_type", pa.string()), ("n_events", pa.int64()), ("sum_value_cents", pa.int64())]),
     "hpo_ancestor_rollup": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64())]),
     "index_search_and": (("documents",), [("conv_id", pa.string())]),
@@ -374,25 +366,17 @@ _EMPTY_RESULT_SCHEMAS: dict = {
     "dedup_keep_best": (("documents",), [("cluster_id", pa.int64()), ("keep_doc_id", pa.int64()), ("best_n_chars", pa.int64()), ("n_members", pa.int64())]),
     "minhash_dup_clusters": (("documents",), [("doc_id", pa.int64()), ("cluster_id", pa.int64())]),
     "embedding_dup_clusters": (("embeddings",), [("vec_id", pa.int64()), ("cluster_id", pa.int64())]),
-    "rollup_token_stats": (("documents",), [("source", pa.string()), ("lang", pa.string()), ("n_docs", pa.int64()), ("n_tokens", pa.int64())]),
     "strip_duplicate_spans": (("documents",), [("doc_id", pa.int64()), ("n_removed_tokens", pa.int64()), ("clean_text", pa.string())]),
     "bag_dedup": (("documents",), [("bag_md5", pa.string()), ("keep_doc_id", pa.int64()), ("n_dups", pa.int64())]),
     "inverted_index": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("first_conv", pa.string()), ("last_conv", pa.string())]),
     "label_centroids": (("embeddings",), [("label", pa.int64()), ("dim", pa.int64()), ("n_vecs", pa.int64()), ("centroid", pa.float64())]),
-    "lang_id": (("documents",), [("doc_id", pa.int64()), ("lang_pred", pa.string())]),
-    "lang_id_ngram": (("documents",), [("doc_id", pa.int64()), ("lang_pred", pa.string())]),
     "leakage_safe_split": (("documents",), [("doc_id", pa.int64()), ("group_key", pa.int64()), ("split", pa.string())]),
-    "length_histogram": (("documents",), [("bucket_lo", pa.int64()), ("n", pa.int64())]),
-    "longest_docs_by_source": (("documents",), [("source", pa.string()), ("doc_id", pa.int64()), ("n_tokens", pa.int64()), ("rank", pa.int64())]),
     "props_stats": (("events",), [("event_type", pa.string()), ("n", pa.int64()), ("sum_k", pa.int64()), ("max_k", pa.int64())]),
-    "quality_score": (("documents",), [("doc_id", pa.int64()), ("ttr", pa.float64()), ("is_short", pa.bool_())]),
     "running_user_spend": (("events",), [("event_id", pa.int64()), ("user_id", pa.int64()), ("ts", pa.timestamp("us")), ("cents", pa.int64()), ("running_cents", pa.int64())]),
     "sample_hash": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("role", pa.string())]),
     "sessionize": (("events",), [("user_id", pa.int64()), ("session_idx", pa.int64()), ("n_events", pa.int64()), ("start_ts", pa.timestamp("us")), ("end_ts", pa.timestamp("us")), ("sum_value_cents", pa.int64())]),
-    "token_quantiles_by_source": (("documents",), [("source", pa.string()), ("p25", pa.float64()), ("p50", pa.float64()), ("p75", pa.float64())]),
     "turns_synth": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("role", pa.string()), ("text", pa.string()), ("tool", pa.string()), ("ts", pa.timestamp("us"))]),
     "window_agg": (("events",), [("window_start", pa.timestamp("us")), ("event_type", pa.string()), ("n_events", pa.int64()), ("sum_value_cents", pa.int64())]),
-    "winnowing_fingerprints": (("documents",), [("doc_id", pa.int64()), ("pos", pa.int64()), ("fp", pa.uint64())]),
 }
 
 
@@ -667,7 +651,6 @@ def oracle_sql() -> dict[str, str]:
     from phenobert_ray.functions import ann as f_ann
     from phenobert_ray.functions import dedup as f_dedup
     from phenobert_ray.functions import events as f_events
-    from phenobert_ray.functions import textstats as f_text
 
     out = {
         "turns_synth": _with_turns() + " SELECT * FROM turns",
@@ -806,7 +789,6 @@ def oracle_sql() -> dict[str, str]:
         """,
         "onto_similarity": _onto_similarity_sql(),
     }
-    out.update(f_text.oracles())
     out.update(f_dedup.oracles())
     out.update(f_ann.oracles())
     out.update(f_events.oracles())

@@ -46,7 +46,8 @@ def _cpus() -> int:
 def _host_stamp() -> dict:
     """The host and versions a result was measured on: CPUs of the
     affinity mask, ``os.cpu_count()``, ``OMP_NUM_THREADS``, memory,
-    Ray/pyarrow/numpy versions and the checkout's git SHA."""
+    Ray/pyarrow/numpy versions, the checkout's git SHA and whether the
+    checkout has uncommitted changes (``git_dirty``)."""
     import platform
 
     import numpy
@@ -58,13 +59,19 @@ def _host_stamp() -> dict:
         for line in f:
             if line.startswith("MemTotal:"):
                 mem_mb = int(line.split()[1]) // 1024
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        ).stdout.strip() or None
-    except OSError:
-        sha = None
+
+    def git(*args: str) -> str | None:
+        try:
+            r = subprocess.run(
+                ["git", *args], capture_output=True, text=True,
+                cwd=os.path.dirname(os.path.abspath(__file__)),
+            )
+        except OSError:
+            return None
+        return r.stdout if r.returncode == 0 else None
+
+    sha = (git("rev-parse", "HEAD") or "").strip() or None
+    status = git("status", "--porcelain")
     return {
         "cpus": len(os.sched_getaffinity(0)),
         "os_cpu_count": os.cpu_count(),
@@ -75,6 +82,7 @@ def _host_stamp() -> dict:
         "pyarrow": pyarrow.__version__,
         "numpy": numpy.__version__,
         "git_sha": sha,
+        "git_dirty": None if status is None else bool(status.strip()),
     }
 
 
@@ -196,68 +204,45 @@ def run_queries(sf_dir: str) -> dict:
         "kg_triples",
         "inverted_index",
         "eval_micro",
-        "doc_stats",
         "exact_dedup",
         "minhash_lsh_pairs",
         "ngram_jaccard_pairs",
         "simhash_dup_pairs",
         "embedding_dup_pairs",
         "ann_topk",
-        "lang_id",
         "sessionize",
         "window_agg",
-        # interval join (chunked non-equi), distributed total-order rank
+        # interval join (chunked non-equi)
         "range_join",
-        "global_sort_rank",
         # ExactSubstr-style duplicated-substring spans (two linear
-        # exchanges, no pair product) and the iterative BPE merge loop
-        # (4 rounds × one streaming pass each)
+        # exchanges, no pair product)
         "duplicate_spans",
-        "bpe_train_merges",
-        # MOSS sketch (pure map), semantic dedup (bounded kmeans + one
-        # cell exchange), cluster-granular split (posting + CC + tag-union)
-        "winnowing_fingerprints",
+        # semantic dedup (bounded kmeans + one cell exchange),
+        # cluster-granular split (posting + CC + tag-union)
         "semdedup",
         "leakage_safe_split",
-        # Bloom incremental screen (m-bounded build + streaming probe),
-        # Count-Min sketch (two tiny exchanges)
+        # Bloom incremental screen (m-bounded build + streaming probe)
         "bloom_incremental_dedup",
-        "cms_probe_counts",
         # per-key running totals (chunked prefix-sum window), sort-blocked
         # dedup, keep-latest compaction, DAG rollup
         "running_user_spend",
         "snm_candidate_pairs",
         "compact_latest_events",
         "hpo_ancestor_rollup",
-        "ntile_by_source",
         # quality-aware near-dup collapse (packed-argmax exchange over
         # the CC output), OR index probe
         "dedup_keep_best",
         "index_search_or",
-        # hierarchical rollup (leaf combiner exchange), ExactSubstr
-        # rewrite (span/doc tagged-union exchange)
-        "rollup_token_stats",
+        # ExactSubstr rewrite (span/doc tagged-union exchange)
         "strip_duplicate_spans",
         "cooccurrence_pmi",
         "hpo_information_content",
     ]
     qs = E.queries()
-
-    # production-shape variant timed alongside the queries() surface (not
-    # a registered query; pytest-pinned bit-equal to bpe_train_merges):
-    # the materialized BPE trainer at 64 merges
-    def _bpe64(sf):
-        from phenobert_ray.functions.textstats import (
-            bpe_train_merges_materialized,
-        )
-
-        return bpe_train_merges_materialized(sf, n_merges=64)
-
-    extra = {"bpe_train_merges64_materialized": _bpe64}
     out = {}
-    for name in picks + list(extra):
+    for name in picks:
         t0 = time.time()
-        res = extra[name](sf_dir) if name in extra else qs[name](sf_dir)
+        res = qs[name](sf_dir)
         # consume lazily-built datasets
         if hasattr(res, "count"):
             res.count()
@@ -316,77 +301,6 @@ def run_cc_scale(n_edges: int, chain: int = 256) -> dict:
         "nodes_checked": int(agg["sum(n)"]),
         "mislabeled": int(agg["sum(bad)"]),
         "validated": int(agg["sum(bad)"]) == 0 and int(agg["sum(n)"]) == n_edges,
-    }
-
-
-def run_rank_scale(n_docs: int) -> dict:
-    """Global sort-rank scale regression: pins the order-preserving
-    composite-bucket rank path (distributed ORDER BY).  Synthetic
-    corpus with n_tokens = 1 + doc % 37 — the closed-form
-    rank of doc d among (n_tokens DESC, doc_id ASC) is
-        rank(d) = (#docs with nt > nt(d)) + (#same-nt docs with id < d) + 1
-    with both counts exact from n_docs and d, validated DISTRIBUTED."""
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.textstats import global_sort_rank
-
-    out_dir = "/tmp/rank_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-    templ = np.array([" ".join(["w"] * (1 + k)) for k in range(37)], dtype=object)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        d = batch.column("id").to_numpy()
-        return pa.table(
-            {
-                "doc_id": pa.array(d, pa.int64()),
-                "text": pa.array(templ[d % 37]),
-                "source": pa.array(np.full(len(d), "s", dtype=object)),
-            }
-        )
-
-    ray.data.range(n_docs).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/documents.parquet"
-    )
-
-    t0 = time.time()
-    ranked = global_sort_rank(out_dir, n_id_buckets=64)
-
-    def check(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        d = b.column("doc_id").to_numpy()
-        r = d % 37  # n_tokens - 1
-        # docs with residue k: count = n_docs//37 + (k < n_docs % 37)
-        base, rem = divmod(n_docs, 37)
-        counts = base + (np.arange(37) < rem).astype(np.int64)
-        # longer docs first: residues > r(d) all rank earlier
-        csum_desc = np.concatenate(([0], counts[::-1].cumsum()))  # by 36..0
-        before = csum_desc[36 - r]  # docs with residue > r
-        same_before = d // 37  # same residue, smaller doc_id
-        expect = before + same_before + 1
-        bad = int((b.column("rank").to_numpy() != expect).sum())
-        bad += int((b.column("n_tokens").to_numpy() != 1 + r).sum())
-        return pa.table(
-            {
-                "bad": pa.array([bad], pa.int64()),
-                "n": pa.array([b.num_rows], pa.int64()),
-            }
-        )
-
-    agg = ranked.map_batches(check, batch_format="pyarrow").sum(["bad", "n"])
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    return {
-        "sec": round(dt, 2),
-        "docs": n_docs,
-        "docs_per_sec": round(n_docs / dt, 1),
-        "docs_checked": int(agg["sum(n)"]),
-        "mismatched": int(agg["sum(bad)"]),
-        "validated": int(agg["sum(bad)"]) == 0 and int(agg["sum(n)"]) == n_docs,
     }
 
 
@@ -1078,8 +992,6 @@ def main() -> None:
     scale_flags = {
         "--cc-scale": ("GRAFT_CC_EDGES", 10_000_000, run_cc_scale,
                        "cc_scale_edges_per_sec", "edges_per_sec", "edges/sec"),
-        "--rank-scale": ("GRAFT_RANK_DOCS", 5_000_000, run_rank_scale,
-                         "rank_scale_docs_per_sec", "docs_per_sec", "docs/sec"),
         "--spans-scale": ("GRAFT_SPANS_DOCS", 2_000_000, run_spans_scale,
                           "spans_scale_docs_per_sec", "docs_per_sec",
                           "docs/sec"),

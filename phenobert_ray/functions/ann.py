@@ -14,8 +14,7 @@ Input contract: ``vec_id`` is a PRIMARY KEY (vector ids are generated,
 not crawled).  The family's oracles key sample/seed/join steps on it, so
 duplicate ids make engine and oracle legitimately disagree on which row
 a given id denotes (probed, review r4 w9) — unlike the documents table,
-where row-distinct semantics are defined and oracled (see
-textstats._bpe_units_sql).
+where row-distinct semantics are defined.
 
 Integer-exact k-means kernel (``ann_kmeans_topk``'s coarse quantizer and
 ``dedup.semdedup``): true Lloyd centroids are RATIONAL (Σx / n), and

@@ -667,12 +667,11 @@ def snm_candidate_pairs(
     Distributed shape — two ordered-prefix-sum passes, no sorted copy:
       1. global rank over (key, doc_id): order-preserving range bucket on
          the key's first 2 bytes, in-cluster bucket counts → exclusive
-         offsets broadcast (O(buckets)), per-bucket local sort + offset —
-         the global_sort_rank pattern.  A corpus sharing one 2-byte
-         prefix collapses into one bucket; at scale widen the band using
-         sampled key quantiles (Ray sort's own strategy) — doc-id
-         sub-splits canNOT be used here because within-prefix order
-         depends on the rest of the key;
+         offsets broadcast (O(buckets)), per-bucket local sort + offset.
+         A corpus sharing one 2-byte prefix collapses into one bucket;
+         at scale widen the band using sampled key quantiles (Ray
+         sort's own strategy) — doc-id sub-splits canNOT be used here
+         because within-prefix order depends on the rest of the key;
       2. rank-adjacency join as a CHUNKED exchange (the range-join trick):
          each rank goes to chunk r//C, and the first w−1 ranks of every
          chunk replicate to the previous chunk, so every length-w window
@@ -1564,9 +1563,8 @@ def documents_deduped(sf_dir: str):
     probe happens inside the join workers."""
     import pyarrow.dataset as pads
 
-    from ..stages.shuffle import join_num_partitions
-
-    from ..stages.shuffle import normalize_empty_blocks
+    from ..stages.shuffle import (from_pandas_clean, join_num_partitions,
+                                  normalize_empty_blocks)
 
     if pads.dataset(f"{sf_dir}/documents.parquet").count_rows() == 0:
         # a zero-row join side ships schema-less partitions the hash
@@ -1585,13 +1583,16 @@ def documents_deduped(sf_dir: str):
         .rename_columns({"keep_doc_id": "doc_id"})
     )
 
-    def f(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
+    # metadata-free Arrow out: a pandas block carries the b'pandas' schema
+    # blob into the semi-join's aggregator, which then fails to hash the
+    # block schemas
+    def f(df: pd.DataFrame) -> pa.Table:
+        return from_pandas_clean(pd.DataFrame(
             {
                 "doc_id": df["doc_id"].astype("int64"),
                 "text_md5": df["text"].map(lambda t: hashlib.md5(t.encode()).hexdigest()),
             }
-        )
+        ))
 
     hashed = _read_docs(sf_dir).map_batches(f, batch_format="pandas")
     return hashed.join(winners, "left_semi", join_num_partitions(), on=("doc_id",))
@@ -1928,6 +1929,32 @@ def semdedup(sf_dir: str, threshold: float = COSINE_THRESHOLD,
     return assigned.groupby("cell").map_groups(dedup_cell, batch_format="pandas")
 
 
+_GRAM_H: dict[str, int] = {}  # gram-hash memo (per worker)
+
+
+def _gram_md5_64(g: str) -> int:
+    h = _GRAM_H.get(g)
+    if h is None:
+        h = int(hashlib.md5(g.encode()).hexdigest()[:16], 16)
+        if len(_GRAM_H) < 500_000:
+            _GRAM_H[g] = h
+    return h
+
+
+def doc_gram_hashes(text: str, n: int) -> np.ndarray:
+    """md5-64 hashes of the word n-grams of ``text`` (positions, not
+    distinct) — the compact wire/broadcast representation of a gram."""
+    toks = text.split(" ")
+    m = len(toks) - n + 1
+    if m <= 0:
+        return np.empty(0, dtype=np.uint64)
+    return np.fromiter(
+        (_gram_md5_64(" ".join(toks[i : i + n])) for i in range(m)),
+        dtype=np.uint64,
+        count=m,
+    )
+
+
 # ---------------------------------------------------------------------------
 # exact duplicated-substring spans (Lee et al. 2022, "Deduplicating Training
 # Data Makes Language Models Better" — the ExactSubstr operator), k-gram-
@@ -1947,7 +1974,7 @@ def duplicate_spans(sf_dir: str, L: int = DUP_SPAN_L,
     Scale shape (vs the paper's monolithic suffix array, which needs the
     whole corpus in one address space):
       1. one tokenize pass → (gram-hash, doc_id, start) int posting rows
-         (md5-64 per gram via textstats.doc_gram_hashes — positions, not
+         (md5-64 per gram via doc_gram_hashes — positions, not
          distinct; the gram TEXT never leaves its block);
       2. hash-exchange on gram → per-bucket vectorized mark: a gram group
          with ≥ 2 DISTINCT docs marks all its (doc_id, start) rows.  Mark
@@ -1964,7 +1991,6 @@ def duplicate_spans(sf_dir: str, L: int = DUP_SPAN_L,
     and the DuckDB oracle compares gram STRINGS, so the driver hash check
     would catch one)."""
     from ..stages.shuffle import default_num_buckets, from_pandas_clean
-    from .textstats import doc_gram_hashes
 
     P = num_buckets or default_num_buckets()
 

@@ -393,9 +393,8 @@ def running_user_spend(sf_dir: str, num_buckets: int | None = None):
     the shape behind running totals, cumulative token budgets, and
     per-conversation position counters.
 
-    The chunked prefix-sum pattern, applied PER KEY (global_sort_rank
-    does it globally): a hot user's history never needs
-    one task —
+    The chunked prefix-sum pattern, applied PER KEY: a hot user's
+    history never needs one task —
       1. per-(user, time-chunk) partial sums: one combiner exchange,
          ≤ one row per user-chunk;
       2. per-user exclusive chunk offsets: a groupby(user) over those

@@ -11,8 +11,6 @@ sweep is re-runnable any time with
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -281,14 +279,14 @@ def _canon(df):
 
 @pytest.mark.parametrize("qname,table,cols", [
     ("exact_dedup", "documents", ("doc_id", "text")),
-    # doc_stats no longer projects `source` (review r4 w8: over-projection
-    # dropped null-source docs the oracle counts)
-    ("doc_stats", "documents", ("doc_id", "text")),
-    ("kg_triples", "documents", ("doc_id", "text")),
-    ("window_agg", "events", ("ts", "event_type", "value")),
-    ("props_stats", "events", ("event_type", "props")),
-    # explicit ids keep the numbering these cases had while a sixth
-    # case (the removed kmeans_assign query) preceded them
+    # explicit ids keep the numbering these cases had while the removed
+    # doc_stats and kmeans_assign cases preceded them
+    pytest.param("kg_triples", "documents", ("doc_id", "text"),
+                 id="kg_triples-documents-cols2"),
+    pytest.param("window_agg", "events", ("ts", "event_type", "value"),
+                 id="window_agg-events-cols3"),
+    pytest.param("props_stats", "events", ("event_type", "props"),
+                 id="props_stats-events-cols4"),
     pytest.param("ann_topk", "embeddings", ("vec_id", "embedding"),
                  id="ann_topk-embeddings-cols6"),
     pytest.param("label_centroids", "embeddings",
@@ -315,86 +313,6 @@ def test_null_rows_dropped_at_read(tmp_path_factory, qname, table, cols):
     pd.testing.assert_frame_equal(_canon(got), _canon(want))
 
 
-def test_null_unprojected_column_never_drops_doc(tmp_path_factory):
-    """review r4 w8: text-only operators over-projected `source`, so a doc
-    with NULL source vanished from lang_id/doc_stats while its tokens still
-    reached top_tokens — inconsistent corpus views.  A null in a column an
-    operator does not use must never drop the row."""
-    d = tmp_path_factory.mktemp("nullsrc")
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array([0, 1], pa.int64()),
-                "text": pa.array(["zzz qqq", "aaa bbb"], pa.string()),
-                "lang": pa.array(["en", "en"], pa.string()),
-                "source": pa.array([None, "s"], pa.string()),
-                "n_chars": pa.array([7, 7], pa.int64()),
-            }
-        ),
-        str(d / "documents.parquet"),
-    )
-    from phenobert_ray.functions.textstats import (
-        cms_probe_counts,
-        doc_stats,
-        lang_id,
-        token_count_by_source,
-    )
-
-    assert sorted(lang_id(str(d)).to_pandas()["doc_id"]) == [0, 1]
-    assert sorted(doc_stats(str(d)).to_pandas()["doc_id"]) == [0, 1]
-    # cms: probe tokens and sketch counts must see the SAME corpus —
-    # the null-source doc's tokens count (est == true_n == 1, not 0)
-    cms = cms_probe_counts(str(d)).to_pandas().set_index("token")
-    assert cms.loc["zzz", "true_n"] == 1 and cms.loc["zzz", "est"] >= 1
-    # token_count_by_source DOES project source: the null-source row is
-    # incomplete FOR IT and drops, per the read-boundary contract
-    tc = token_count_by_source(str(d)).to_pandas()
-    assert tc["source"].tolist() == ["s"] and int(tc["n_docs"].iloc[0]) == 1
-
-
-def test_cms_cell_memo_keyed_by_width(tmp_path_factory):
-    """review r4 w8: the per-worker cell memo ignored the sketch width, so
-    a second call with a different w reused cells computed mod the first w."""
-    from phenobert_ray.functions.textstats import _cms_cell
-
-    a = _cms_cell(0, "collision-probe", 512)
-    b = _cms_cell(0, "collision-probe", 256)
-    assert b < 256
-    assert b == int(hashlib.md5(b"0|collision-probe").hexdigest()[:16], 16) % 256
-
-
-def test_bpe_regex_ascii_whitespace_parity(tmp_path_factory):
-    """review r4 w8: Python \\s is Unicode-aware, RE2's is ASCII-only — a
-    NBSP diverged engine vs oracle; the explicit ASCII class must make
-    both engines split identically."""
-    import duckdb
-
-    from phenobert_ray.functions.textstats import _BPE_RE_SRC, bpe_token_count
-
-    d = tmp_path_factory.mktemp("nbsp")
-    texts = ["a b", "x   y", "plain text"]
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array([0, 1, 2], pa.int64()),
-                "text": pa.array(texts, pa.string()),
-                "lang": pa.array(["en"] * 3, pa.string()),
-                "source": pa.array(["s"] * 3, pa.string()),
-                "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-            }
-        ),
-        str(d / "documents.parquet"),
-    )
-    got = bpe_token_count(str(d)).to_pandas().set_index("doc_id")["n_bpe_tokens"]
-    con = duckdb.connect()
-    want = con.execute(
-        f"SELECT len(regexp_extract_all(t, '{_BPE_RE_SRC}')) "
-        "FROM (VALUES (?), (?), (?)) v(t)", texts
-    ).fetchall()
-    for i in range(3):
-        assert got[i] == want[i][0], (i, got[i], want[i][0])
-
-
 def test_search_convs_with_all_empty_ids(mini, sf_small):
     """review r4 w8: hpo_ids=[] crashed the exchange (aggs={}); vacuous
     AND = every conv with a non-negated mention."""
@@ -409,33 +327,6 @@ def test_search_convs_with_all_empty_ids(mini, sf_small):
         annotate_turns(read_turns(sf_small), mini), []
     ).to_pandas()["conv_id"])
     assert got == want
-
-
-def test_token_count_by_source_empty_corpus(tmp_path_factory):
-    """review r4 w8: empty corpus returned a column-less frame (KeyError in
-    any consumer); must be typed-empty like the file's other operators."""
-    d = tmp_path_factory.mktemp("emptydocs")
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "text": pa.array([], pa.string()),
-                "lang": pa.array([], pa.string()),
-                "source": pa.array([], pa.string()),
-                "n_chars": pa.array([], pa.int64()),
-            }
-        ),
-        str(d / "documents.parquet"),
-    )
-    from phenobert_ray.functions.textstats import token_count_by_source
-
-    ds = token_count_by_source(str(d))
-    # ray's to_pandas drops columns on ANY empty dataset; the guard makes
-    # the DATASET schema (what write_parquet and schema-sensitive
-    # consumers see) typed instead of raising/column-less
-    assert [f.name for f in ds.schema().base_schema] == [
-        "source", "n_docs", "total_tokens"]
-    assert ds.count() == 0
 
 
 def _mini_docs(tmp_path_factory, name, doc_ids, texts, sources=None):
@@ -482,41 +373,6 @@ def test_zero_pair_results_keep_schema(tmp_path_factory):
         ds = fn(d)
         assert ds.count() == 0, fn.__name__
         assert [f.name for f in ds.schema().base_schema] == cols, fn.__name__
-
-
-def test_duplicate_doc_ids_row_distinct_oracles(tmp_path_factory):
-    """review r4 w9: the fingerprint and BPE oracles keyed their per-row
-    sequence unrolling on doc_id, so duplicate ids (a re-crawled corpus)
-    cross-joined the recursive roll (11 rows from 7 inputs) and interleaved
-    token streams; both are row-distinct now, matching the engines."""
-    import duckdb
-
-    d = _mini_docs(
-        tmp_path_factory, "dupkeys", [0, 0, 1, 1, 2],
-        ["alpha beta gamma", "delta epsilon", "same text", "same text",
-         "join window hash join"],
-    )
-    from phenobert_ray.functions.textstats import bpe_encode, fingerprint, oracles
-
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{d}/documents.parquet')"
-    )
-    got_fp = fingerprint(d).to_pandas().sort_values(
-        ["doc_id", "fp"]).reset_index(drop=True)
-    want_fp = con.execute(oracles()["fingerprint"]).df().sort_values(
-        ["doc_id", "fp"]).reset_index(drop=True)
-    assert len(got_fp) == 5
-    pd.testing.assert_frame_equal(
-        got_fp.astype({"fp": "uint64"}), want_fp.astype({"fp": "uint64"}))
-
-    got_be = bpe_encode(d).to_pandas().sort_values(
-        ["doc_id", "n_units"]).reset_index(drop=True)
-    want_be = con.execute(oracles()["bpe_encode"]).df().sort_values(
-        ["doc_id", "n_units"]).reset_index(drop=True)
-    assert len(got_be) == 5
-    pd.testing.assert_frame_equal(
-        got_be.astype("int64"), want_be.astype("int64"))
 
 
 def test_running_user_spend_range_frame_ties(tmp_path_factory):
@@ -570,8 +426,8 @@ def test_all_empty_sf_returns_typed_results(tmp_path_factory, sf_small):
         tbl = pq.read_table(f"{sf_small}/{t}.parquet")
         pq.write_table(tbl.schema.empty_table(), str(d / f"{t}.parquet"))
     qs = E.queries()
-    for name in ["extract_mentions", "sessionize", "doc_stats",
-                 "inverted_index", "exact_dedup", "label_centroids"]:
+    for name in ["extract_mentions", "sessionize", "inverted_index",
+                 "exact_dedup", "label_centroids"]:
         res = qs[name](str(d))
         want = [c for c, _ in E._EMPTY_RESULT_SCHEMAS[name][1]]
         got = [f.name for f in res.schema().base_schema]

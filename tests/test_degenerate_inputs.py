@@ -35,17 +35,6 @@ def _run(fn, tiny_dir):
     return res.to_pandas() if hasattr(res, "to_pandas") else res
 
 
-def test_textstats_family_on_tiny(tiny_dir):
-    from phenobert_ray.functions import textstats as t
-
-    assert len(_run(t.doc_stats, tiny_dir)) == 4
-    assert len(_run(t.quality_score, tiny_dir)) == 4
-    assert len(_run(t.lang_id, tiny_dir)) == 4
-    assert len(_run(t.fingerprint, tiny_dir)) == 4
-    q = _run(t.token_quantiles_by_source, tiny_dir)
-    assert set(q["source"]) == {"src3", "src7"}
-
-
 def test_dedup_family_on_tiny(tiny_dir):
     from phenobert_ray.functions import dedup as d
 
@@ -56,21 +45,6 @@ def test_dedup_family_on_tiny(tiny_dir):
     assert set(zip(mh["doc_a"], mh["doc_b"])) == {(1, 2)}
     sh = _run(d.simhash_signatures, tiny_dir)
     assert len(sh) == 4
-
-
-def test_r3d_ops_on_tiny(tiny_dir):
-    """Rank / HLL on the pathological 4-doc corpus."""
-    from phenobert_ray.functions import textstats as t
-
-    r = _run(t.global_sort_rank, tiny_dir)
-    assert sorted(r["rank"]) == [1, 2, 3, 4]
-
-    h = _run(t.hll_distinct_by_source, tiny_dir)
-    h = h.set_index("source")
-    # 4 docs, 3 distinct texts in src3 (two dups), 1 in src7; tiny
-    # cardinalities are exact under linear counting
-    assert abs(float(h.loc["src3", "est"]) - 2.0) < 0.1
-    assert abs(float(h.loc["src7", "est"]) - 1.0) < 0.1
 
 
 def test_range_join_no_views(tmp_path_factory):
@@ -124,17 +98,11 @@ def test_r3e_ops_on_tiny(tiny_dir):
     (no grams), an exact-dup pair (cross-doc spans over the
     FULL text), and per-source singletons."""
     from phenobert_ray.functions import dedup as d
-    from phenobert_ray.functions import textstats as t
 
     spans = _run(d.duplicate_spans, tiny_dir)
     # docs 1+2 (8 tokens each, L=8): one full-width span each
     assert set(zip(spans["doc_id"], spans["span_start"], spans["span_end"])) \
         == {(1, 0, 7), (2, 0, 7)}
-    merges = _run(t.bpe_train_merges, tiny_dir)
-    assert len(merges) == 4 and merges.loc[0, "n"] >= 2
-    win = _run(t.winnowing_fingerprints, tiny_dir)
-    # doc 0 has no 4-grams; docs 1-3 (8 tokens → 5 grams = w) each select
-    assert set(win["doc_id"]) == {1, 2, 3}
     ls = _run(d.leakage_safe_split, tiny_dir).set_index("doc_id")
     assert len(ls) == 4
     assert ls.loc[1, "split"] == ls.loc[2, "split"]  # dup pair same side
@@ -187,14 +155,12 @@ def test_r3f_ops_on_degenerate(single_doc_dir):
         bloom_incremental_dedup,
         snm_candidate_pairs,
     )
-    from phenobert_ray.functions.textstats import cms_probe_counts
 
     # doc_id 7: empty SNM windows beyond 1 doc, empty bloom base (doc 7
-    # is incoming), empty CMS probe set (doc_id < 5 absent)
+    # is incoming)
     assert len(snm_candidate_pairs(single_doc_dir).to_pandas()) == 0
     bl = bloom_incremental_dedup(single_doc_dir).to_pandas()
     assert len(bl) == 1 and not bl["maybe_dup"].iloc[0]
-    assert len(cms_probe_counts(single_doc_dir).to_pandas()) == 0
 
 
 @pytest.fixture(scope="module")
@@ -433,34 +399,6 @@ def test_two_phase_groupby_keeps_null_keys():
     assert int(null_row["n"].iloc[0]) == 2
 
 
-# --- textstats degenerate paths ---
-
-
-def test_doc_stats_rounding_tie_matches_duckdb(tmp_path):
-    """stop_ratio = 1/128 lands exactly on a 7th-decimal tie (7812.5e-6);
-    pandas .round(6) is half-even (0.007812), DuckDB round() half-away
-    (0.007813) — the engine must use the half-away bridge (reproduced)."""
-    import duckdb
-
-    from phenobert_ray.functions import textstats as t
-
-    text = " ".join(["the"] + [f"w{i}" for i in range(127)])
-    pq.write_table(
-        pa.table({"doc_id": pa.array([0], pa.int64()),
-                  "text": pa.array([text]), "source": pa.array(["s"]),
-                  "n_chars": pa.array([len(text)], pa.int64())}),
-        str(tmp_path / "documents.parquet"),
-    )
-    eng = t.doc_stats(str(tmp_path)).to_pandas()
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM "
-        f"read_parquet('{tmp_path}/documents.parquet')"
-    )
-    ora = con.execute(t.oracles()["doc_stats"]).df()
-    assert eng["stop_ratio"].iloc[0] == ora["stop_ratio"].iloc[0] == 0.007813
-
-
 # --- review wave 9: the empty-corpus sweep (all queries × empty tables) ---
 
 
@@ -483,12 +421,10 @@ def test_empty_corpus_sweep_queries_dont_crash(empty_sf_dir):
     partitions the hash aggregator cannot finalize, int(None) on empty
     Dataset aggregates, and KeyErrors on schema-less to_pandas frames.
     Every oracle returns 0 rows; the engine must too."""
-    from phenobert_ray.functions import ann, dedup, textstats
+    from phenobert_ray.functions import ann, dedup
 
     fns = [
         ann.knn_label_vote,
-        textstats.cms_probe_counts, textstats.top_tokens,
-        textstats.bpe_pair_counts, textstats.bpe_encode,
         dedup.documents_deduped,
     ]
     for fn in fns:

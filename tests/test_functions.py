@@ -15,7 +15,6 @@ from phenobert_ray.functions.dedup import (
     shingles,
     simhash_signatures,
 )
-from phenobert_ray.functions.textstats import fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -60,16 +59,6 @@ def test_simhash_matches_local(sf_small, docs):
 
     for d in list(docs)[:20]:
         assert int(got.loc[d]) == local(docs[d])
-
-
-def test_fingerprint_deterministic_and_order_sensitive(sf_small):
-    # row order across runs is not contractual — compare by doc_id
-    a = fingerprint(sf_small).to_pandas().set_index("doc_id")["fp"].sort_index()
-    b = fingerprint(sf_small).to_pandas().set_index("doc_id")["fp"].sort_index()
-    assert (a == b).all()
-    # rolling hash is order-sensitive: reversing tokens changes it for
-    # non-palindromic docs (simhash/minhash would not)
-    assert a.nunique() > 1
 
 
 def test_ann_topk_bruteforce(sf_small):
@@ -710,120 +699,6 @@ def test_duplicate_spans_bucket_count_invariance(sf_small, docs):
 
 
 # ---------------------------------------------------------------------------
-# bpe_train_merges (iterative tokenizer-training loop)
-
-
-def _brute_merges(texts, n_merges=4):
-    from collections import Counter
-
-    from phenobert_ray.functions.textstats import _apply_merges
-
-    merges, rows = [], []
-    for rank in range(n_merges):
-        c = Counter()
-        for t in texts:
-            u = _apply_merges(t.split(" "), merges)
-            c.update(zip(u, u[1:]))
-        if not c:
-            break
-        (a, b), n = sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        merges.append((a, b))
-        rows.append((rank, a, b, n))
-    return rows
-
-
-def test_bpe_train_merges_vs_bruteforce(sf_small, docs):
-    from phenobert_ray.functions.textstats import bpe_train_merges
-
-    got = bpe_train_merges(sf_small).to_pandas()
-    want = _brute_merges(list(docs.values()))
-    assert list(zip(got["rank"], got["left"], got["right"], got["n"])) == want
-
-
-def test_bpe_train_merges_chains_merged_units(tmp_path):
-    """A later merge must be able to pair a PREVIOUSLY merged unit: corpus
-    dominated by 'x y z' makes merge-0 ('x','y') and merge-1 must then be
-    ('x y','z') — pairing the rank-0 unit, not raw tokens."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq_
-
-    from phenobert_ray.functions.textstats import bpe_train_merges
-
-    texts = ["x y z p " * 10 + "x y z", "x y z q r s " * 5 + "x y z"]
-    d = tmp_path / "bpe"
-    d.mkdir()
-    pq_.write_table(
-        pa.table({"doc_id": [0, 1], "text": texts}),
-        str(d / "documents.parquet"),
-    )
-    got = bpe_train_merges(str(d), n_merges=2).to_pandas()
-    assert list(zip(got["left"], got["right"])) == [("x", "y"), ("x y", "z")]
-    assert list(zip(got["rank"], got["left"], got["right"], got["n"])) == \
-        _brute_merges(texts, 2)
-
-
-def test_bpe_train_merges_materialized_equivalent(sf_small, docs):
-    """The production-shape trainer (materialized sequences + sharded
-    delta-updated count actors) must emit the IDENTICAL merge table as the
-    per-round re-derive reference, including counts and tie-breaks — at a
-    merge count deep enough that chained units and delta bookkeeping are
-    both exercised."""
-    from phenobert_ray.functions.textstats import (
-        bpe_train_merges,
-        bpe_train_merges_materialized,
-    )
-
-    got = bpe_train_merges_materialized(sf_small, n_merges=8).to_pandas()
-    ref = bpe_train_merges(sf_small, n_merges=8).to_pandas()
-    assert got.values.tolist() == ref.values.tolist()
-    assert got.values.tolist()[: len(_brute_merges(list(docs.values()), 8))]
-
-
-def test_bpe_train_merges_materialized_exhausts(tmp_path):
-    """When the corpus runs out of positive pairs before n_merges, the
-    materialized trainer stops — and the delta bookkeeping (subtract old
-    pairs / add new) must leave no phantom positive counts behind."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq_
-
-    from phenobert_ray.functions.textstats import (
-        bpe_train_merges,
-        bpe_train_merges_materialized,
-    )
-
-    texts = ["a b c", "a b c", "d e"]
-    d = tmp_path / "bpe_m"
-    d.mkdir()
-    pq_.write_table(
-        pa.table({"doc_id": [0, 1, 2], "text": texts}),
-        str(d / "documents.parquet"),
-    )
-    got = bpe_train_merges_materialized(str(d), n_merges=64).to_pandas()
-    ref = bpe_train_merges(str(d), n_merges=64).to_pandas()
-    assert got.values.tolist() == ref.values.tolist()
-    assert len(got) < 64  # exhausted, not capped
-
-
-# ---------------------------------------------------------------------------
-# longest_docs_by_source (grouped top-k)
-
-
-def test_grouped_topk_bruteforce(sf_small):
-    from phenobert_ray.functions.textstats import longest_docs_by_source
-
-    got = longest_docs_by_source(sf_small).to_pandas()
-    d = pq.read_table(f"{sf_small}/documents.parquet",
-                      columns=["doc_id", "text", "source"]).to_pandas()
-    d["n_tokens"] = d["text"].str.split(" ").str.len()
-    for src, g in d.groupby("source"):
-        want = g.sort_values(["n_tokens", "doc_id"], ascending=[False, True]).head(3)
-        mine = got[got["source"] == src].sort_values("rank")
-        assert list(mine["doc_id"]) == list(want["doc_id"])
-        assert list(mine["n_tokens"]) == list(want["n_tokens"])
-        assert list(mine["rank"]) == list(range(1, len(want) + 1))
-
-
-# ---------------------------------------------------------------------------
 # integer-exact k-means kernel (ann_kmeans_topk, semdedup)
 
 
@@ -917,62 +792,6 @@ def test_semdedup_planted_duplicates(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# winnowing_fingerprints
-
-
-def test_winnowing_guarantees(sf_small, docs):
-    """The two winnowing invariants (Schleimer et al. 2003): (1) every
-    window of w consecutive gram positions contains ≥ 1 selection;
-    (2) two docs sharing a substring of ≥ w+k−1 tokens share a
-    fingerprint value."""
-    from phenobert_ray.functions.textstats import (
-        WINNOW_K,
-        WINNOW_W,
-        doc_gram_hashes,
-        winnowing_fingerprints,
-    )
-
-    got = winnowing_fingerprints(sf_small).to_pandas()
-    by_doc = {d: set(g["pos"]) for d, g in got.groupby("doc_id")}
-    for d, text in docs.items():
-        m = len(doc_gram_hashes(text, WINNOW_K))
-        if m < WINNOW_W:
-            assert d not in by_doc
-            continue
-        sel = by_doc[d]
-        for p in range(m - WINNOW_W + 1):
-            assert any(q in sel for q in range(p, p + WINNOW_W))
-
-
-def test_winnowing_shared_substring(tmp_path):
-    """Two docs sharing a ≥ w+k−1-token substring inside otherwise-unique
-    text must share a fingerprint VALUE (the winnowing guarantee)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq_
-
-    from phenobert_ray.functions.textstats import winnowing_fingerprints
-
-    shared = " ".join(f"s{i}" for i in range(10))  # ≥ w+k−1 = 8 tokens
-    texts = {
-        0: " ".join(f"a{i}" for i in range(6)) + " " + shared
-           + " " + " ".join(f"b{i}" for i in range(6)),
-        1: " ".join(f"c{i}" for i in range(9)) + " " + shared,
-        2: " ".join(f"d{i}" for i in range(30)),  # unique
-    }
-    d = tmp_path / "win"
-    d.mkdir()
-    pq_.write_table(
-        pa.table({"doc_id": list(texts), "text": list(texts.values()),
-                  "source": ["s"] * 3}),
-        str(d / "documents.parquet"),
-    )
-    got = winnowing_fingerprints(str(d)).to_pandas()
-    fps = {d_: set(g["fp"]) for d_, g in got.groupby("doc_id")}
-    assert fps[0] & fps[1]          # shared substring ⇒ shared fingerprint
-    assert not (fps[2] & (fps[0] | fps[1]))
-
-
-# ---------------------------------------------------------------------------
 # leakage_safe_split
 
 
@@ -1058,108 +877,6 @@ def test_bloom_incremental_no_false_negatives(tmp_path):
     assert fp < 0.5
 
 
-def test_cms_overestimates_and_is_tight_when_wide(sf_small):
-    from phenobert_ray.functions.textstats import cms_probe_counts
-
-    got = cms_probe_counts(sf_small).to_pandas()
-    assert len(got) > 0
-    # CMS guarantee: never under-estimates
-    assert (got["est"] >= got["true_n"]).all()
-    # with a sketch much wider than the probe vocabulary collisions are
-    # rare but not impossible; the bulk of probes must be exact
-    assert (got["est"] == got["true_n"]).mean() > 0.5
-
-
-def test_cms_exact_when_vocab_fits(tmp_path):
-    import pyarrow as pa
-
-    from phenobert_ray.functions.textstats import cms_probe_counts
-
-    # vocabulary of 3 tokens, width 512: collisions impossible in practice
-    # unless md5 maps two of three tokens to one cell in all 4 rows
-    texts = ["aa bb aa", "bb cc", "aa aa cc"]
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array([0, 1, 2], pa.int64()),
-                "text": texts,
-                "source": ["s"] * 3,
-            }
-        ),
-        f"{tmp_path}/documents.parquet",
-    )
-    got = cms_probe_counts(str(tmp_path)).to_pandas().set_index("token")
-    assert got.loc["aa", "true_n"] == 4 and got.loc["aa", "est"] == 4
-    assert got.loc["bb", "true_n"] == 2 and got.loc["bb", "est"] == 2
-    assert got.loc["cc", "true_n"] == 2 and got.loc["cc", "est"] == 2
-
-
-def test_bpe_encode_matches_serial(sf_small):
-    from phenobert_ray.functions.textstats import (
-        _apply_merges,
-        bpe_encode,
-        bpe_train_merges,
-    )
-
-    merges = [
-        (r["left"], r["right"])
-        for _, r in bpe_train_merges(sf_small).to_pandas().sort_values("rank").iterrows()
-    ]
-    assert merges  # learned something
-    got = bpe_encode(sf_small).to_pandas().set_index("doc_id")
-    t = pq.read_table(f"{sf_small}/documents.parquet", columns=["doc_id", "text"])
-    for d, txt in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-        u = _apply_merges(txt.split(" "), merges)
-        assert got.loc[d, "n_units"] == len(u)
-        assert got.loc[d, "n_merged_units"] == sum(" " in x for x in u)
-    # merges actually fire somewhere in the corpus
-    assert got["n_merged_units"].sum() > 0
-
-
-def test_bpe_sql_oracle_matches_serial():
-    """The windowed-CTE BPE oracle (_bpe_units_sql, review r4 w9) must
-    reproduce the serial greedy trainer/encoder on the shapes that break a
-    naive string-replace formulation: adjacent merge-site chains
-    ([a,b,a,b] — replace misses every other site), same-token runs
-    ([x,x,x,x] — run parity), merged-unit chaining, empty docs, and
-    early-exhausted corpora (pure duckdb, no Ray)."""
-    import duckdb
-
-    from phenobert_ray.functions.textstats import (
-        _apply_merges,
-        _bpe_encode_oracle,
-        _bpe_train_merges_oracle,
-    )
-
-    cases = [
-        ["a b a b a b", "x x x x x", "a b c a b c", ""],
-        ["the cat sat on the mat", "the cat", "on on on on", "z"],
-        ["p q p q p q p q", "q p q p", "p p p p p p"],
-        ["a a b a a b a a b", "b a a b"],
-        ["m m", "m m m", "m m m m m m m"],
-        ["solo"],  # zero pairs: every round's best is empty (early break)
-        ["x y z p " * 10 + "x y z", "x y z q r s " * 5 + "x y z"],
-    ]
-    for texts in cases:
-        want = _brute_merges(texts, 4)
-        merges = [(a, b) for _, a, b, _ in want]
-        con = duckdb.connect()
-        df = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
-        con.register("documents", df)
-        got = con.execute(_bpe_train_merges_oracle(4)).fetchall()
-        assert [tuple(g) for g in got] == want, texts
-        enc_want = sorted(
-            (d, len(u), sum(" " in x for x in u))
-            for d, u in (
-                (d, _apply_merges(t.split(" "), merges))
-                for d, t in enumerate(texts)
-            )
-        )
-        enc_got = sorted(con.execute(_bpe_encode_oracle(4)).fetchall())
-        assert enc_got == enc_want, texts
-        con.close()
-
-
 def test_snm_pairs_complete_and_unique(tmp_path):
     import pyarrow as pa
 
@@ -1229,38 +946,6 @@ def test_kcore_fully_peeled_graph_is_empty():
     edges = pa.table({"hpo_a": ["a", "b", "c"], "hpo_b": ["b", "c", "d"]})
     got = kcore_nodes(ray.data.from_arrow(edges), k=2, rounds=4).to_pandas()
     assert len(got) == 0
-
-
-def test_ntile_uneven_and_tiny_groups(tmp_path):
-    import pyarrow as pa
-
-    from phenobert_ray.functions.textstats import ntile_by_source
-
-    # source A: 5 docs with k=4 => bucket sizes 2,1,1,1 (extra to front);
-    # docs 1 and 2 share a LENGTH, so the multi-row group path and the
-    # doc_id tie-break are exercised (not just singleton groups);
-    # source B: 2 docs (< k) => quartiles 1 and 2
-    texts_a = ["w", "w w", "v v", "w w w", "w w w w"]
-    texts_b = ["x", "x y"]
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array(range(7), pa.int64()),
-                "text": [t.strip() for t in texts_a + texts_b],
-                "source": ["A"] * 5 + ["B"] * 2,
-            }
-        ),
-        f"{tmp_path}/documents.parquet",
-    )
-    got = (
-        ntile_by_source(str(tmp_path))
-        .to_pandas()
-        .sort_values("doc_id")["quartile"]
-        .tolist()
-    )
-    # A ordered by n_tokens asc = doc order: ranks 1..5 -> 1,1,2,3,4
-    # B: ranks 1,2 -> 1,2
-    assert got == [1, 1, 2, 3, 4, 1, 2]
 
 
 def test_dedup_keep_best_matches_serial(sf_small):

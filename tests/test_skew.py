@@ -70,44 +70,6 @@ def test_combiner_bounds_shuffle_rows(mini, skewed_turns):
     assert shuffled_rows < raw
 
 
-def test_hot_source_quantiles_exact(tmp_path):
-    """token_quantiles_by_source: one source dominates with 20k docs — the
-    exchange carries only (source, n_tokens, cnt) histogram rows (bounded
-    by distinct counts, not doc count) and the weighted interpolation is
-    exactly numpy's linear percentile."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from phenobert_ray.functions.textstats import token_quantiles_by_source
-
-    rng = np.random.default_rng(3)
-    n_hot = 20_000
-    hot_counts = rng.integers(3, 40, size=n_hot)  # ≤ 37 distinct values
-    texts = ["w " * (c - 1) + "w" for c in hot_counts]
-    cold = ["a b c", "a b c d e"]
-    t = pa.table(
-        {
-            "doc_id": pa.array(range(n_hot + 2), pa.int64()),
-            "text": pa.array(texts + cold),
-            "source": pa.array(["hot"] * n_hot + ["cold"] * 2),
-        }
-    )
-    pq.write_table(t, str(tmp_path / "documents.parquet"))
-    got = (
-        token_quantiles_by_source(str(tmp_path))
-        .to_pandas()
-        .set_index("source")
-        .sort_index()
-    )
-    want_hot = np.percentile(hot_counts.astype(np.float64), [25, 50, 75])
-    assert got.loc["hot", ["p25", "p50", "p75"]].to_numpy() == pytest.approx(
-        np.round(want_hot, 6)
-    )
-    assert got.loc["cold", ["p25", "p50", "p75"]].to_numpy() == pytest.approx(
-        np.round(np.percentile([3.0, 5.0], [25, 50, 75]), 6)
-    )
-
-
 def test_compact_latest_hot_key(tmp_path):
     import numpy as np
     import pandas as pd
