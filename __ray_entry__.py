@@ -128,7 +128,6 @@ def entry() -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from phenobert_ray.functions import ann as f_ann
-    from phenobert_ray.functions import dedup as f_dedup
     from phenobert_ray.functions import events as f_events
 
     def turns_synth(sf):
@@ -315,7 +314,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "eval_micro": eval_micro,
         "eval_macro": eval_macro,
         "onto_similarity": onto_similarity,
-        **f_dedup.queries(),
         **f_ann.queries(),
         **f_events.queries(),
     }
@@ -351,26 +349,18 @@ def _guard_empty(name: str, fn):
 
 _EMPTY_RESULT_SCHEMAS: dict = {
     "asof_join": (("events",), [("event_id", pa.int64()), ("user_id", pa.int64()), ("ts", pa.timestamp("us")), ("view_event_id", pa.int64()), ("view_ts", pa.timestamp("us"))]),
-    "bloom_incremental_dedup": (("documents",), [("doc_id", pa.int64()), ("n_hit", pa.int64()), ("maybe_dup", pa.bool_())]),
     "compact_latest_events": (("events",), [("user_id", pa.int64()), ("event_type", pa.string()), ("event_id", pa.int64()), ("ts", pa.timestamp("us")), ("value", pa.float64())]),
     "conv_hpo_sets": (("documents",), [("conv_id", pa.string()), ("hpo_id", pa.string())]),
     "cooccurrence_edges": (("documents",), [("hpo_a", pa.string()), ("hpo_b", pa.string()), ("n_convs", pa.int64())]),
     "cooccurrence_pmi": (("documents",), [("hpo_a", pa.string()), ("hpo_b", pa.string()), ("n_convs", pa.int64()), ("pmi_nano", pa.int64())]),
     "hpo_information_content": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("ic_nano", pa.int64())]),
-    "exact_dedup": (("documents",), [("text_md5", pa.string()), ("keep_doc_id", pa.int64()), ("n_dups", pa.int64())]),
     "extract_mentions": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("mention", pa.string()), ("hpo_id", pa.string()), ("score", pa.float32()), ("negated", pa.bool_())]),
     "hopping_window_agg": (("events",), [("window_start", pa.timestamp("us")), ("event_type", pa.string()), ("n_events", pa.int64()), ("sum_value_cents", pa.int64())]),
     "hpo_ancestor_rollup": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64())]),
     "index_search_and": (("documents",), [("conv_id", pa.string())]),
     "index_search_or": (("documents",), [("conv_id", pa.string())]),
-    "dedup_keep_best": (("documents",), [("cluster_id", pa.int64()), ("keep_doc_id", pa.int64()), ("best_n_chars", pa.int64()), ("n_members", pa.int64())]),
-    "minhash_dup_clusters": (("documents",), [("doc_id", pa.int64()), ("cluster_id", pa.int64())]),
-    "embedding_dup_clusters": (("embeddings",), [("vec_id", pa.int64()), ("cluster_id", pa.int64())]),
-    "strip_duplicate_spans": (("documents",), [("doc_id", pa.int64()), ("n_removed_tokens", pa.int64()), ("clean_text", pa.string())]),
-    "bag_dedup": (("documents",), [("bag_md5", pa.string()), ("keep_doc_id", pa.int64()), ("n_dups", pa.int64())]),
     "inverted_index": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("first_conv", pa.string()), ("last_conv", pa.string())]),
     "label_centroids": (("embeddings",), [("label", pa.int64()), ("dim", pa.int64()), ("n_vecs", pa.int64()), ("centroid", pa.float64())]),
-    "leakage_safe_split": (("documents",), [("doc_id", pa.int64()), ("group_key", pa.int64()), ("split", pa.string())]),
     "props_stats": (("events",), [("event_type", pa.string()), ("n", pa.int64()), ("sum_k", pa.int64()), ("max_k", pa.int64())]),
     "running_user_spend": (("events",), [("event_id", pa.int64()), ("user_id", pa.int64()), ("ts", pa.timestamp("us")), ("cents", pa.int64()), ("running_cents", pa.int64())]),
     "sample_hash": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("role", pa.string())]),
@@ -649,7 +639,6 @@ def _ancestor_rollup_sql(final: str | None = None) -> str:
 
 def oracle_sql() -> dict[str, str]:
     from phenobert_ray.functions import ann as f_ann
-    from phenobert_ray.functions import dedup as f_dedup
     from phenobert_ray.functions import events as f_events
 
     out = {
@@ -789,7 +778,6 @@ def oracle_sql() -> dict[str, str]:
         """,
         "onto_similarity": _onto_similarity_sql(),
     }
-    out.update(f_dedup.oracles())
     out.update(f_ann.oracles())
     out.update(f_events.oracles())
     return out

@@ -14,8 +14,8 @@ num_cpus=N/4 and num_cpus=N (N = the CPU count above) on the same input
 and reports both throughputs plus scaling efficiency
 = (T_lo/T_hi)/(hi/lo).  Exits nonzero when N < 2 (nothing to compare).
 
-``--<name>-scale`` (``--index-scale``, ``--skew-scale``, ``--cc-scale``,
-``--dedup-scale``, ...; see ``scale_flags`` in :func:`main`): closed-form
+``--<name>-scale`` (``--index-scale``, ``--skew-scale``, ``--ann-scale``,
+``--events-scale``; see ``scale_flags`` in :func:`main`): closed-form
 long-haul regressions, each sized by its own ``$GRAFT_*`` variable; each
 prints one JSON line and exits nonzero when the distributed validation
 fails.
@@ -204,37 +204,18 @@ def run_queries(sf_dir: str) -> dict:
         "kg_triples",
         "inverted_index",
         "eval_micro",
-        "exact_dedup",
-        "minhash_lsh_pairs",
-        "ngram_jaccard_pairs",
-        "simhash_dup_pairs",
-        "embedding_dup_pairs",
         "ann_topk",
         "sessionize",
         "window_agg",
         # interval join (chunked non-equi)
         "range_join",
-        # ExactSubstr-style duplicated-substring spans (two linear
-        # exchanges, no pair product)
-        "duplicate_spans",
-        # semantic dedup (bounded kmeans + one cell exchange),
-        # cluster-granular split (posting + CC + tag-union)
-        "semdedup",
-        "leakage_safe_split",
-        # Bloom incremental screen (m-bounded build + streaming probe)
-        "bloom_incremental_dedup",
-        # per-key running totals (chunked prefix-sum window), sort-blocked
-        # dedup, keep-latest compaction, DAG rollup
+        # per-key running totals (chunked prefix-sum window),
+        # keep-latest compaction, DAG rollup
         "running_user_spend",
-        "snm_candidate_pairs",
         "compact_latest_events",
         "hpo_ancestor_rollup",
-        # quality-aware near-dup collapse (packed-argmax exchange over
-        # the CC output), OR index probe
-        "dedup_keep_best",
+        # OR index probe
         "index_search_or",
-        # ExactSubstr rewrite (span/doc tagged-union exchange)
-        "strip_duplicate_spans",
         "cooccurrence_pmi",
         "hpo_information_content",
     ]
@@ -248,60 +229,6 @@ def run_queries(sf_dir: str) -> dict:
             res.count()
         out[name] = round(time.time() - t0, 3)
     return out
-
-
-def run_cc_scale(n_edges: int, chain: int = 256) -> dict:
-    """Connected-components scale regression: a
-    deterministic graph of length-``chain`` cycles — diameter chain/2, so
-    convergence NEEDS the pointer-jumping + coalescing path — generated
-    distributed, clustered, and validated distributed (the expected
-    cluster of node n is its cycle head (n // chain) * chain; nothing
-    cluster-sized ever reaches the driver)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.graph import connected_components
-
-    def edges(batch: pa.Table) -> pa.Table:
-        i = batch.column("id").to_numpy()
-        # close each cycle at chain boundaries AND at the corpus edge so no
-        # node id ≥ n_edges leaks out of the final partial cycle
-        nxt = np.where(
-            ((i + 1) % chain == 0) | (i + 1 == n_edges), (i // chain) * chain, i + 1
-        )
-        return pa.table(
-            {
-                "doc_a": pa.array(i, pa.int64()),
-                "doc_b": pa.array(nxt, pa.int64()),
-            }
-        )
-
-    ds = ray.data.range(n_edges).map_batches(edges, batch_format="pyarrow")
-    t0 = time.time()
-    clusters = connected_components(ds, max_rounds=24)
-
-    def check(b: pa.Table) -> pa.Table:
-        node = b.column("doc_id").to_numpy()
-        bad = int((b.column("cluster_id").to_numpy() != (node // chain) * chain).sum())
-        return pa.table(
-            {
-                "bad": pa.array([bad], pa.int64()),
-                "n": pa.array([b.num_rows], pa.int64()),
-            }
-        )
-
-    agg = clusters.map_batches(check, batch_format="pyarrow").sum(["bad", "n"])
-    dt = time.time() - t0
-    return {
-        "sec": round(dt, 2),
-        "edges": n_edges,
-        "chain_len": chain,
-        "edges_per_sec": round(n_edges / dt, 1),
-        "nodes_checked": int(agg["sum(n)"]),
-        "mislabeled": int(agg["sum(bad)"]),
-        "validated": int(agg["sum(bad)"]) == 0 and int(agg["sum(n)"]) == n_edges,
-    }
 
 
 def run_events_scale(n_events: int) -> dict:
@@ -457,70 +384,6 @@ def run_events_scale(n_events: int) -> dict:
         "rows_checked": {k: v[1] for k, v in checks.items()},
         "mismatched": bad_total,
         "validated": bad_total == 0 and rows_ok,
-    }
-
-
-def run_spans_scale(n_docs: int) -> dict:
-    """duplicate_spans scale regression: pins the ExactSubstr path (posting
-    mark + gaps-and-islands) with a closed-form expectation.  Docs come in
-    PAIRS: doc d = 5 unique-prefix tokens + a 12-token region shared with
-    its pair partner (family f = d // 2) + 5 unique-suffix tokens, all
-    tokens id-tagged so NO gram crosses families.  With L = 8 every doc
-    has EXACTLY one duplicated span [5, 16] of 12 tokens — validated
-    DISTRIBUTED; no driver state grows with n_docs."""
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.dedup import duplicate_spans
-
-    out_dir = "/tmp/spans_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        d = batch.column("id").to_numpy()
-        texts = [
-            " ".join(
-                [f"u{i}x{j}" for j in range(5)]
-                + [f"f{i // 2}x{j}" for j in range(12)]
-                + [f"v{i}x{j}" for j in range(5)]
-            )
-            for i in d
-        ]
-        return pa.table(
-            {"doc_id": pa.array(d, pa.int64()), "text": pa.array(texts)}
-        )
-
-    ray.data.range(n_docs).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/documents.parquet"
-    )
-
-    t0 = time.time()
-    spans = duplicate_spans(out_dir)
-
-    def check(b: pa.Table) -> pa.Table:
-        bad = int((b.column("span_start").to_numpy() != 5).sum())
-        bad += int((b.column("span_end").to_numpy() != 16).sum())
-        bad += int((b.column("n_tokens").to_numpy() != 12).sum())
-        return pa.table(
-            {
-                "bad": pa.array([bad], pa.int64()),
-                "n": pa.array([b.num_rows], pa.int64()),
-            }
-        )
-
-    agg = spans.map_batches(check, batch_format="pyarrow").sum(["bad", "n"])
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    return {
-        "sec": round(dt, 2),
-        "docs": n_docs,
-        "docs_per_sec": round(n_docs / dt, 1),
-        "spans_checked": int(agg["sum(n)"]),
-        "mismatched": int(agg["sum(bad)"]),
-        "validated": int(agg["sum(bad)"]) == 0 and int(agg["sum(n)"]) == n_docs,
     }
 
 
@@ -811,164 +674,6 @@ def run_ann_scale(n_vecs: int) -> dict:
     }
 
 
-def run_dedup_scale(n_docs: int) -> dict:
-    """Near-dup dedup long-haul regression: the full
-    flagship chain minhash LSH → exact-Jaccard verify → connected
-    components at ≥1M docs, with a closed-form expectation validated
-    DISTRIBUTED (no driver state grows with n_docs).
-
-    Corpus: docs come in families of 3 (family f = d // 3).  Members 0
-    and 1 share identical 12-token family-tagged text (signature equality
-    ⇒ every band collides ⇒ guaranteed candidate; Jaccard exactly 1.0 ⇒
-    survives any threshold).  Member 2 is 12 doc-unique tokens — no gram
-    crosses families, so it must never pair.  Expected: pairs = exactly
-    (3f, 3f+1, jac=1.0) per family; CC = 2 rows per family, both rooted
-    at 3f.  The edge count (n_docs/3) exceeds the CC single-task bound,
-    so the distributed pointer-jumping rounds engage — this pins the
-    production path end to end."""
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.dedup import minhash_lsh_pairs
-    from phenobert_ray.functions.graph import connected_components
-
-    n_docs -= n_docs % 3
-    out_dir = "/tmp/dedup_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        d = batch.column("id").to_numpy()
-        texts = [
-            " ".join(f"f{i // 3}x{j}" for j in range(12))
-            if i % 3 < 2
-            else " ".join(f"u{i}x{j}" for j in range(12))
-            for i in d
-        ]
-        return pa.table(
-            {"doc_id": pa.array(d, pa.int64()), "text": pa.array(texts)}
-        )
-
-    ray.data.range(n_docs).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/documents.parquet"
-    )
-
-    t0 = time.time()
-    pairs = minhash_lsh_pairs(out_dir)
-
-    def check_pairs(b: pa.Table) -> pa.Table:
-        a = b.column("doc_a").to_numpy()
-        bb = b.column("doc_b").to_numpy()
-        jac = b.column("jac").to_numpy()
-        bad = int((a % 3 != 0).sum() + (bb != a + 1).sum() + (jac != 1.0).sum())
-        return pa.table({"bad": pa.array([bad], pa.int64()),
-                         "n": pa.array([b.num_rows], pa.int64())})
-
-    # one materialized pass: the pair set feeds both the validator and CC
-    pairs = pairs.materialize()
-    pagg = pairs.map_batches(check_pairs, batch_format="pyarrow").sum(["bad", "n"])
-    t_pairs = time.time() - t0
-
-    cc = connected_components(pairs.select_columns(["doc_a", "doc_b"]))
-
-    def check_cc(b: pa.Table) -> pa.Table:
-        d = b.column("doc_id").to_numpy()
-        c = b.column("cluster_id").to_numpy()
-        bad = int((c != d - d % 3).sum() + (d % 3 > 1).sum())
-        return pa.table({"bad": pa.array([bad], pa.int64()),
-                         "n": pa.array([b.num_rows], pa.int64())})
-
-    cagg = cc.map_batches(check_cc, batch_format="pyarrow").sum(["bad", "n"])
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    n_fam = n_docs // 3
-    ok = (
-        int(pagg["sum(bad)"]) == 0 and int(pagg["sum(n)"]) == n_fam
-        and int(cagg["sum(bad)"]) == 0 and int(cagg["sum(n)"]) == 2 * n_fam
-    )
-    return {
-        "sec": round(dt, 2),
-        "sec_pairs": round(t_pairs, 2),
-        "docs": n_docs,
-        "docs_per_sec": round(n_docs / dt, 1),
-        "pairs_checked": int(pagg["sum(n)"]),
-        "cc_rows_checked": int(cagg["sum(n)"]),
-        "mismatched": int(pagg["sum(bad)"]) + int(cagg["sum(bad)"]),
-        "validated": ok,
-    }
-
-
-def run_keepbest_scale(n_docs: int) -> dict:
-    """Keep-best near-dup collapse long-haul: dedup_keep_best at ≥500k
-    docs with a closed-form expectation validated DISTRIBUTED.
-
-    Corpus: families of 3 (f = d // 3).  Members 0 and 1 share identical
-    12-token family-tagged text (Jaccard 1.0 ⇒ a guaranteed pair) with
-    n_chars = 100 + member, member 2 is unique and must never cluster.
-    Expected: exactly one row per family — cluster 3f keeps doc 3f+1
-    (the larger n_chars beats the smaller doc_id), best_n_chars = 101,
-    n_members = 2.  Pins the cluster⋈n_chars hash join and the
-    packed-argmax exchange on top of the CC path."""
-    import shutil
-
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.dedup import dedup_keep_best
-
-    n_docs -= n_docs % 3
-    out_dir = "/tmp/keepbest_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        d = batch.column("id").to_numpy()
-        texts = [
-            " ".join(f"f{i // 3}x{j}" for j in range(12))
-            if i % 3 < 2
-            else " ".join(f"u{i}x{j}" for j in range(12))
-            for i in d
-        ]
-        return pa.table({
-            "doc_id": pa.array(d, pa.int64()),
-            "text": pa.array(texts),
-            "n_chars": pa.array(100 + (d % 3), pa.int64()),
-        })
-
-    ray.data.range(n_docs).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/documents.parquet"
-    )
-
-    t0 = time.time()
-    out = dedup_keep_best(out_dir)
-
-    def check(b: pa.Table) -> pa.Table:
-        c = b.column("cluster_id").to_numpy()
-        k = b.column("keep_doc_id").to_numpy()
-        bn = b.column("best_n_chars").to_numpy()
-        nm = b.column("n_members").to_numpy()
-        bad = int(((c % 3 != 0) | (k != c + 1) | (bn != 101)
-                   | (nm != 2)).sum())
-        return pa.table({"bad": pa.array([bad], pa.int64()),
-                         "n": pa.array([b.num_rows], pa.int64())})
-
-    agg = out.map_batches(check, batch_format="pyarrow").sum(["bad", "n"])
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    n_fam = n_docs // 3
-    ok = int(agg["sum(bad)"]) == 0 and int(agg["sum(n)"]) == n_fam
-    return {
-        "sec": round(dt, 2),
-        "docs": n_docs,
-        "docs_per_sec": round(n_docs / dt, 1),
-        "clusters_checked": int(agg["sum(n)"]),
-        "clusters_expected": n_fam,
-        "mismatched": int(agg["sum(bad)"]),
-        "validated": ok,
-    }
-
-
 def child_main(num_cpus: int) -> None:
     """Fresh-process headline run at a given parallelism (for --scaling)."""
     import ray
@@ -990,11 +695,6 @@ def main() -> None:
     # runner -> one JSON line -> nonzero exit when the distributed
     # validation failed
     scale_flags = {
-        "--cc-scale": ("GRAFT_CC_EDGES", 10_000_000, run_cc_scale,
-                       "cc_scale_edges_per_sec", "edges_per_sec", "edges/sec"),
-        "--spans-scale": ("GRAFT_SPANS_DOCS", 2_000_000, run_spans_scale,
-                          "spans_scale_docs_per_sec", "docs_per_sec",
-                          "docs/sec"),
         "--index-scale": ("GRAFT_INDEX_CONVS", 2_000_000, run_index_scale,
                           "index_scale_convs_per_sec", "convs_per_sec",
                           "convs/sec"),
@@ -1004,16 +704,9 @@ def main() -> None:
         "--ann-scale": ("GRAFT_ANN_VECS", 2_000_000, run_ann_scale,
                         "ann_scale_vecs_per_sec", "vecs_per_sec",
                         "vecs/sec"),
-        "--dedup-scale": ("GRAFT_DEDUP_DOCS", 1_200_000, run_dedup_scale,
-                          "dedup_scale_docs_per_sec", "docs_per_sec",
-                          "docs/sec"),
         "--events-scale": ("GRAFT_EVENTS_N", 10_000_000, run_events_scale,
                            "events_scale_events_per_sec", "events_per_sec",
                            "events/sec"),
-        "--keepbest-scale": ("GRAFT_KEEPBEST_DOCS", 600_000,
-                             run_keepbest_scale,
-                             "keepbest_scale_docs_per_sec", "docs_per_sec",
-                             "docs/sec"),
     }
     flag = next((f for f in scale_flags if f in sys.argv), None)
     if flag is not None:

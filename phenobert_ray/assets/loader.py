@@ -195,8 +195,10 @@ def resolve_builtin(model_dir: str | None = None,
     """Resolve the ``"builtin"`` sentinels to packaged asset paths.
 
     Entry points reach it through :func:`resolve_entry`.  Raises
-    FileNotFoundError when a requested packaged asset is absent — callers
-    must fail loudly, never silently degrade to dictionary-only output."""
+    FileNotFoundError when a requested packaged asset is absent, or when
+    an explicit ``model_dir`` is not a directory or an explicit
+    ``ner_path`` is not a file — callers must fail loudly before any
+    output is written, never silently degrade to dictionary-only output."""
     import os
 
     if model_dir == "builtin":
@@ -205,6 +207,8 @@ def resolve_builtin(model_dir: str | None = None,
             raise FileNotFoundError(
                 "no packaged trained weights found (--model-dir builtin)")
         model_dir = d
+    elif model_dir and not os.path.isdir(model_dir):
+        raise FileNotFoundError(f"model dir not found: {model_dir}")
     if ner_path == "builtin":
         d = trained_model_dir()
         p = os.path.join(d, "ner.pt") if d else None
@@ -212,6 +216,8 @@ def resolve_builtin(model_dir: str | None = None,
             raise FileNotFoundError(
                 "no packaged ner tagger found (--ner builtin)")
         ner_path = p
+    elif ner_path and not os.path.isfile(ner_path):
+        raise FileNotFoundError(f"ner tagger not found: {ner_path}")
     return model_dir, ner_path
 
 
@@ -244,8 +250,9 @@ def resolve_entry(dict_path: str | None = None, model_dir: str | None = None,
     set-up shared by the CLI (``__main__``), the HTTP server (``serve``)
     and the eval harness (``tools/eval_corpus``).
 
-    Resolves the ``"builtin"`` sentinels first (FileNotFoundError before
-    any ontology loads), then loads the ontology (:func:`load_ontology`).
+    Resolves the ``"builtin"`` sentinels and checks explicit weight paths
+    first (FileNotFoundError before any ontology loads), then loads the
+    ontology (:func:`load_ontology`).
     Thresholds left ``None`` take the reference defaults (0.8/0.6), or
     0.95/0.9 with ``model_dir="builtin"``: the packaged weights use the
     hashing embedding, not the reference's fastText, and over-admit at

@@ -16,11 +16,11 @@ duplicate ids make engine and oracle legitimately disagree on which row
 a given id denotes (probed, review r4 w9) — unlike the documents table,
 where row-distinct semantics are defined.
 
-Integer-exact k-means kernel (``ann_kmeans_topk``'s coarse quantizer and
-``dedup.semdedup``): true Lloyd centroids are RATIONAL (Σx / n), and
-comparing exact rationals across clusters with different denominators
-doesn't vectorize into int64.  Instead centroids live on a fixed-point
-grid at 1/R of a quantization step:
+Integer-exact k-means kernel (``ann_kmeans_topk``'s coarse quantizer):
+true Lloyd centroids are RATIONAL (Σx / n), and comparing exact
+rationals across clusters with different denominators doesn't vectorize
+into int64.  Instead centroids live on a fixed-point grid at 1/R of a
+quantization step:
 
     point  q  = floor(f·QUANT + 0.5)                (identical in DuckDB)
     M_c       = round_half_away(R·Σq / n)           (exact int division)
@@ -52,7 +52,7 @@ import ray
 K = 5
 N_QUERIES = 8  # vec_id < 8 are the query set; the rest is the corpus
 
-# kmeans-IVF coarse quantizer (used by ann_kmeans_topk and dedup.semdedup)
+# kmeans-IVF coarse quantizer (used by ann_kmeans_topk)
 N_CELLS = 8
 KMEANS_ITERS = 3  # Lloyd rounds; mirrored as SQL CTE pairs in the oracle
 KMEANS_SAMPLE = 4096  # driver-side fit sample (bounded regardless of corpus)
@@ -762,8 +762,8 @@ def _fit_centroids(sf_dir: str, n_cells: int = N_CELLS,
     the WHOLE fit — sample, seeds (the ``n_cells`` smallest sample ids),
     every round, tie-breaks, empty-cluster carry — is re-derivable in
     ANSI SQL (see ``_sampled_lloyd_cte``), which is what upgrades
-    ann_kmeans_topk and semdedup from rows-only to full value-hash
-    oracles (r5; the previous float/rng fit was unverifiable by design).
+    ann_kmeans_topk from a rows-only to a full value-hash oracle (r5;
+    the previous float/rng fit was unverifiable by design).
     Returns (M, seed_vids): the fixed-point centroid matrix (k, DIM) of
     int64 m-values plus the seed vec_ids — the PUBLIC cell labels
     (oracle parity: ``vec_id AS cluster``).

@@ -24,24 +24,6 @@ def _events_dir(tmp_path_factory, name, rows):
     return str(d)
 
 
-def _docs_dir(tmp_path_factory, name, texts):
-    d = tmp_path_factory.mktemp(name)
-    n = len(texts)
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array(np.arange(n, dtype=np.int64)),
-                "text": pa.array(texts, pa.string()),
-                "lang": pa.array(["en"] * n, pa.string()),
-                "source": pa.array(["s"] * n, pa.string()),
-                "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-            }
-        ),
-        str(d / "documents.parquet"),
-    )
-    return str(d)
-
-
 def test_props_stats_digit_free_props(tmp_path_factory):
     """'{}' / '{"k": null}' / junk props crashed the whole query
     (str.extract -> NaN -> astype int64); unparsable rows must be
@@ -122,37 +104,6 @@ def test_range_join_cents_respect_view_order(tmp_path_factory):
     assert len(got) == 1
     assert int(got.loc[0, "n_views"]) == 2  # +1h, +2h in (0, 3h]
     assert int(got.loc[0, "sum_view_cents"]) == 4200
-
-
-def test_snm_rank_monotone_on_unicode_keys(tmp_path_factory):
-    """Bucket ids must be monotone in lexicographic key order for ANY
-    code points: with radix 257 a large second code point ('a🔥…')
-    outranked a later first char ('b …'), mis-ranking the corpus."""
-    from phenobert_ray.functions.dedup import snm_candidate_pairs
-
-    texts = [
-        "a\U0001F525 fire starts this text",
-        "b plain ascii follows it",
-        "病人有头痛 cjk first char",
-        " leading space sorts first",
-        "é accent vs ascii",
-        "a\U0001F525 fire starts this text",  # exact dup of 0
-    ]
-    d = _docs_dir(tmp_path_factory, "snmuni", texts)
-    got = (snm_candidate_pairs(d, w=len(texts))  # full window: all pairs
-           .to_pandas())
-    # serial reference: rank by (key, doc_id) with Python's code-point order
-    df = pd.DataFrame({"doc_id": np.arange(len(texts)), "text": texts})
-    df["key"] = df["text"].str.slice(0, 12)
-    df = df.sort_values(["key", "doc_id"]).reset_index(drop=True)
-    df["r"] = np.arange(1, len(df) + 1)
-    exp = set()
-    for i in range(len(df)):
-        for j in range(i + 1, len(df)):
-            exp.add((int(df.loc[i, "doc_id"]), int(df.loc[j, "doc_id"]),
-                     int(df.loc[j, "r"] - df.loc[i, "r"]),
-                     texts[df.loc[i, "doc_id"]] == texts[df.loc[j, "doc_id"]]))
-    assert set(zip(got["doc_a"], got["doc_b"], got["gap"], got["is_dup"])) == exp
 
 
 def test_label_centroids_mixed_magnitudes_deterministic(tmp_path_factory):
@@ -278,9 +229,8 @@ def _canon(df):
 
 
 @pytest.mark.parametrize("qname,table,cols", [
-    ("exact_dedup", "documents", ("doc_id", "text")),
     # explicit ids keep the numbering these cases had while the removed
-    # doc_stats and kmeans_assign cases preceded them
+    # exact_dedup, doc_stats and kmeans_assign cases preceded them
     pytest.param("kg_triples", "documents", ("doc_id", "text"),
                  id="kg_triples-documents-cols2"),
     pytest.param("window_agg", "events", ("ts", "event_type", "value"),
@@ -327,52 +277,6 @@ def test_search_convs_with_all_empty_ids(mini, sf_small):
         annotate_turns(read_turns(sf_small), mini), []
     ).to_pandas()["conv_id"])
     assert got == want
-
-
-def _mini_docs(tmp_path_factory, name, doc_ids, texts, sources=None):
-    d = tmp_path_factory.mktemp(name)
-    n = len(doc_ids)
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.int64()),
-                "text": pa.array(texts, pa.string()),
-                "lang": pa.array(["en"] * n, pa.string()),
-                "source": pa.array(sources or ["s"] * n, pa.string()),
-                "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-            }
-        ),
-        str(d / "documents.parquet"),
-    )
-    return str(d)
-
-
-def test_zero_pair_results_keep_schema(tmp_path_factory):
-    """review r4 w9: a corpus with NO near-duplicates (legitimate input) made
-    every pair-shaped operator return a dataset whose schema Ray dropped —
-    write_parquet and in-cluster consumers saw column-less blocks.
-    typed_result must pin Dataset.schema() (to_pandas stays Ray-limited)."""
-    from phenobert_ray.functions.dedup import (
-        duplicate_spans,
-        minhash_lsh_pairs,
-        ngram_jaccard_pairs,
-        simhash_dup_pairs,
-    )
-
-    d = _mini_docs(
-        tmp_path_factory, "nopairs", [0, 1, 2, 3],
-        ["alpha beta gamma delta", "epsilon zeta eta theta",
-         "iota kappa lam mu", "nu xi omicron pi"],
-    )
-    for fn, cols in [
-        (minhash_lsh_pairs, ["doc_a", "doc_b", "jac"]),
-        (ngram_jaccard_pairs, ["doc_a", "doc_b", "jac"]),
-        (simhash_dup_pairs, ["doc_a", "doc_b", "hamming"]),
-        (duplicate_spans, ["doc_id", "span_start", "span_end", "n_tokens"]),
-    ]:
-        ds = fn(d)
-        assert ds.count() == 0, fn.__name__
-        assert [f.name for f in ds.schema().base_schema] == cols, fn.__name__
 
 
 def test_running_user_spend_range_frame_ties(tmp_path_factory):
@@ -427,7 +331,7 @@ def test_all_empty_sf_returns_typed_results(tmp_path_factory, sf_small):
         pq.write_table(tbl.schema.empty_table(), str(d / f"{t}.parquet"))
     qs = E.queries()
     for name in ["extract_mentions", "sessionize", "inverted_index",
-                 "exact_dedup", "label_centroids"]:
+                 "label_centroids"]:
         res = qs[name](str(d))
         want = [c for c, _ in E._EMPTY_RESULT_SCHEMAS[name][1]]
         got = [f.name for f in res.schema().base_schema]

@@ -340,6 +340,22 @@ def test_builtin_thresholds_same_on_cli_and_eval(tmp_path, monkeypatch, threshol
     assert cli.model_dir == loader.trained_model_dir() and cli.use_model_standins
 
 
+@pytest.mark.parametrize("flag", [["-m", "/nonexistent"],
+                                  ["--ner", "/missing.pt"]],
+                         ids=["model_dir", "ner"])
+def test_missing_weights_path_fails_before_output(tmp_path, capsys, flag):
+    """An explicit weights path that does not exist is a one-line error
+    (exit 2) raised before the ontology loads: no traceback and nothing
+    written to -o."""
+    turns = tmp_path / "turns"
+    turns.mkdir()
+    out = tmp_path / "kg"
+    assert main(["-i", str(turns), "-o", str(out), *flag]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.endswith("not found: " + flag[1]) and "\n" not in err
+    assert not os.path.exists(out / "ontology")
+
+
 def test_actor_pool_size_flag_is_a_usage_error(capsys):
     """The annotate stage has one execution path: the actor-pool size
     flag is gone and argparse rejects it (exit 2)."""

@@ -1,50 +1,12 @@
-"""Degenerate-input robustness: a pathological 4-doc documents table (a
-1-token doc, an exact duplicate pair, a french-marker doc) must flow through every documents-family operator without crashing — tiny
-and empty groups/blocks are where group-merge and exchange code breaks
-first at scale."""
+"""Degenerate-input robustness: single-vector labels, users with no
+views, wedge-free and star graphs, and fully-empty tables must flow
+through every operator without crashing — tiny and empty groups/blocks
+are where group-merge and exchange code breaks first at scale."""
 
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-
-TINY = pd.DataFrame(
-    {
-        "doc_id": pd.array([0, 1, 2, 3], dtype="int64"),
-        "text": [
-            "x",  # single token: no 2/3-grams at all
-            "the fast table scan the fast table scan",
-            "the fast table scan the fast table scan",  # exact dup of 1
-            "le la les le la les le la",  # french markers
-        ],
-        # one three-doc source holding the duplicate pair, one singleton
-        "source": ["src3", "src3", "src3", "src7"],
-    }
-)
-
-
-@pytest.fixture(scope="module")
-def tiny_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("tinydocs")
-    pq.write_table(pa.Table.from_pandas(TINY), str(d / "documents.parquet"))
-    return str(d)
-
-
-def _run(fn, tiny_dir):
-    res = fn(tiny_dir)
-    return res.to_pandas() if hasattr(res, "to_pandas") else res
-
-
-def test_dedup_family_on_tiny(tiny_dir):
-    from phenobert_ray.functions import dedup as d
-
-    ex = _run(d.exact_dedup, tiny_dir)
-    assert len(ex) == 3  # docs 1+2 collapse
-    assert int(ex.set_index("text_md5")["n_dups"].max()) == 2
-    mh = _run(d.minhash_lsh_pairs, tiny_dir)
-    assert set(zip(mh["doc_a"], mh["doc_b"])) == {(1, 2)}
-    sh = _run(d.simhash_signatures, tiny_dir)
-    assert len(sh) == 4
 
 
 def test_range_join_no_views(tmp_path_factory):
@@ -93,106 +55,17 @@ def test_label_centroids_single_vector_labels(tmp_path_factory):
         assert (mine == vecs[i].astype(np.float64)).all()
 
 
-def test_r3e_ops_on_tiny(tiny_dir):
-    """The r3e family on the pathological 4-doc table: single-token doc
-    (no grams), an exact-dup pair (cross-doc spans over the
-    FULL text), and per-source singletons."""
-    from phenobert_ray.functions import dedup as d
-
-    spans = _run(d.duplicate_spans, tiny_dir)
-    # docs 1+2 (8 tokens each, L=8): one full-width span each
-    assert set(zip(spans["doc_id"], spans["span_start"], spans["span_end"])) \
-        == {(1, 0, 7), (2, 0, 7)}
-    ls = _run(d.leakage_safe_split, tiny_dir).set_index("doc_id")
-    assert len(ls) == 4
-    assert ls.loc[1, "split"] == ls.loc[2, "split"]  # dup pair same side
-    assert ls.loc[1, "group_key"] == ls.loc[2, "group_key"] == 1
-
-
-def test_semdedup_two_vectors(tmp_path_factory):
-    """A 2-vector table (fewer rows than cells): no crash, identical
-    vectors collapse."""
-    import numpy as np
-
-    from phenobert_ray.functions.dedup import semdedup
-
-    d = tmp_path_factory.mktemp("sem2")
-    v = [0.5] * 8
-    pq.write_table(
-        pa.table(
-            {
-                "vec_id": pa.array([0, 1], pa.int64()),
-                "embedding": pa.array([v, v], pa.list_(pa.float32())),
-                "label": pa.array([0, 0], pa.int32()),
-            }
-        ),
-        str(d / "embeddings.parquet"),
-    )
-    got = semdedup(str(d), n_cells=8).to_pandas().set_index("vec_id")
-    assert got.loc[0, "keep"] and not got.loc[1, "keep"]
-    assert (got["group_id"] == 0).all()
-    del np
-
-
-@pytest.fixture(scope="module")
-def single_doc_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("singledoc")
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array([7], pa.int64()),
-                "text": ["single doc only"],
-                "source": ["s"],
-            }
-        ),
-        str(d / "documents.parquet"),
-    )
-    return str(d)
-
-
-def test_r3f_ops_on_degenerate(single_doc_dir):
-    from phenobert_ray.functions.dedup import (
-        bloom_incremental_dedup,
-        snm_candidate_pairs,
-    )
-
-    # doc_id 7: empty SNM windows beyond 1 doc, empty bloom base (doc 7
-    # is incoming)
-    assert len(snm_candidate_pairs(single_doc_dir).to_pandas()) == 0
-    bl = bloom_incremental_dedup(single_doc_dir).to_pandas()
-    assert len(bl) == 1 and not bl["maybe_dup"].iloc[0]
-
-
-@pytest.fixture(scope="module")
-def empty_docs_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("emptydocs")
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "text": pa.array([], pa.string()),
-                "source": pa.array([], pa.string()),
-            }
-        ),
-        str(d / "documents.parquet"),
-    )
-    return str(d)
-
-
-def test_review_repros_stay_fixed(empty_docs_dir, tmp_path_factory):
-    """Crash classes a code review confirmed (zero-row / edge-topology
-    paths): star-graph kcore peeling and empty-corpus SNM."""
+def test_review_repros_stay_fixed():
+    """Crash class a code review confirmed (edge-topology path):
+    star-graph kcore peeling."""
     import ray
 
-    from phenobert_ray.functions.dedup import snm_candidate_pairs
     from phenobert_ray.pipelines.graph import kcore_nodes
 
     # hub whose neighbors are all degree-1: a round leaves alive nodes but
     # zero alive-alive edges
     edges = pa.table({"hpo_a": ["a", "a", "a"], "hpo_b": ["b", "c", "d"]})
     assert len(kcore_nodes(ray.data.from_arrow(edges), k=2).to_pandas()) == 0
-
-    assert len(snm_candidate_pairs(empty_docs_dir).to_pandas()) == 0
 
 
 def test_assign_overflow_guard_rejects_unsafe_range():
@@ -228,13 +101,12 @@ def test_triangles_wedge_free_and_empty_graphs():
 
 def test_ann_queries_on_empty_embeddings(tmp_path):
     """An empty embeddings table returns a typed empty result from every
-    ann_* query and semdedup instead of crashing np.stack([]) (review r4)."""
+    ann_* query instead of crashing np.stack([]) (review r4)."""
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
     from phenobert_ray.functions.ann import (ann_ivf_topk, ann_kmeans_topk,
                                              ann_lsh_topk, ann_topk)
-    from phenobert_ray.functions.dedup import semdedup
 
     src = pads.dataset("/root/testdata/sf0.001/embeddings.parquet")
     d = tmp_path / "sf"
@@ -244,76 +116,6 @@ def test_ann_queries_on_empty_embeddings(tmp_path):
         res = fn(str(d))
         assert res.count() == 0
         assert set(res.schema().names) == {"query_id", "rank", "neighbor_id"}
-    sd = semdedup(str(d))
-    assert sd.count() == 0
-
-
-def test_shingle_dedup_short_docs_match_oracle(tmp_path):
-    """Docs with fewer than k tokens emit NO shingles — identical 2-token
-    docs must NOT near-dup-pair (the SQL oracles' range() emits nothing
-    for them; exact_dedup owns that case) (review r4)."""
-    import duckdb
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from phenobert_ray.functions.dedup import (minhash_lsh_pairs,
-                                               ngram_jaccard_pairs, shingles)
-
-    assert shingles("one two", 3) == set()
-    # identical LONG docs: every band matches, so minhash must find the
-    # (2,3) pair while the identical SHORT docs never pair on either side
-    texts = ["tiny doc", "tiny doc",
-             "alpha beta gamma delta epsilon zeta",
-             "alpha beta gamma delta epsilon zeta"]
-    t = pa.table({"doc_id": pa.array(range(4), pa.int64()),
-                  "text": pa.array(texts, pa.string()),
-                  "source": pa.array(["s"] * 4, pa.string())})
-    d = tmp_path / "sf"
-    d.mkdir()
-    pq.write_table(t, d / "documents.parquet")
-
-    import __ray_entry__ as E
-    con = duckdb.connect()
-    con.execute("CREATE VIEW documents AS SELECT * FROM "
-                f"read_parquet('{d}/documents.parquet')")
-    for name, fn in (("ngram_jaccard_pairs", ngram_jaccard_pairs),
-                     ("minhash_lsh_pairs", minhash_lsh_pairs)):
-        mine = fn(str(d)).to_pandas().sort_values(
-            ["doc_a", "doc_b"]).reset_index(drop=True)
-        oracle = con.execute(E.oracle_sql()[name]).df().sort_values(
-            ["doc_a", "doc_b"]).reset_index(drop=True)
-        assert len(mine) == len(oracle), name
-        assert mine["doc_a"].tolist() == oracle["doc_a"].tolist(), name
-        # the short identical docs never pair; the long near-dups do
-        assert 0 not in set(mine["doc_a"]) and 1 not in set(mine["doc_b"]), name
-        assert [2] == sorted(set(mine["doc_a"])), name
-
-
-def test_contrastive_pairs_needs_three_docs(tmp_path):
-    """With only the two pair members in the corpus no valid negative
-    exists; engine and oracle both emit zero triplets (review r4 — the
-    bump chain previously returned a pair member as the negative)."""
-    import duckdb
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from phenobert_ray.functions.dedup import contrastive_pairs
-
-    texts = ["alpha beta gamma delta epsilon zeta",
-             "alpha beta gamma delta epsilon eta"]
-    t = pa.table({"doc_id": pa.array(range(2), pa.int64()),
-                  "text": pa.array(texts, pa.string()),
-                  "source": pa.array(["s"] * 2, pa.string())})
-    d = tmp_path / "sf"
-    d.mkdir()
-    pq.write_table(t, d / "documents.parquet")
-    assert contrastive_pairs(str(d)).count() == 0
-
-    import __ray_entry__ as E
-    con = duckdb.connect()
-    con.execute("CREATE VIEW documents AS SELECT * FROM "
-                f"read_parquet('{d}/documents.parquet')")
-    assert len(con.execute(E.oracle_sql()["contrastive_pairs"]).df()) == 0
 
 
 def test_lsh_probe_bits_beyond_two():
@@ -421,11 +223,10 @@ def test_empty_corpus_sweep_queries_dont_crash(empty_sf_dir):
     partitions the hash aggregator cannot finalize, int(None) on empty
     Dataset aggregates, and KeyErrors on schema-less to_pandas frames.
     Every oracle returns 0 rows; the engine must too."""
-    from phenobert_ray.functions import ann, dedup
+    from phenobert_ray.functions import ann
 
     fns = [
         ann.knn_label_vote,
-        dedup.documents_deduped,
     ]
     for fn in fns:
         out = fn(empty_sf_dir)

@@ -126,6 +126,12 @@ def test_builtin_without_assets_fails_loudly(monkeypatch):
     with pytest.raises(FileNotFoundError):
         build_state(ner_path="builtin")
     assert main(["--model-dir", "builtin", "--port", "0"]) == 2
+    # an explicit weights path that does not exist fails the same way
+    with pytest.raises(FileNotFoundError, match="model dir not found"):
+        build_state(model_dir="/nonexistent")
+    with pytest.raises(FileNotFoundError, match="ner tagger not found"):
+        build_state(ner_path="/missing.pt")
+    assert main(["--ner", "/missing.pt", "--port", "0"]) == 2
 
 
 def test_offsets_preserved_with_leading_whitespace(server):

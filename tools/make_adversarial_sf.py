@@ -72,7 +72,7 @@ def make_documents(out: str) -> None:
     # unicode block, hot source
     for t in UNICODE_TEXTS:
         add(nxt, t, "xx", "hot"); nxt += 1
-    # exact duplicates (same text, many ids) — dedup families
+    # exact duplicates (same text, many ids)
     for i in range(20):
         add(nxt, "exact duplicate corpus text for dedup checks", "en", "hot")
         nxt += 1
