@@ -58,6 +58,8 @@ def _tagged_membership_rows(sf_dir: str):
     length, plus a phantom HP:0000001 for convs whose number % 13 == 0."""
     import pyarrow.compute as pc
 
+    from phenobert_ray.eval.metrics import collapse_tagged
+
     def tag(b: pa.Table) -> pa.Table:
         p = pc.invert(b.column("negated"))
         g = pc.and_(
@@ -65,15 +67,16 @@ def _tagged_membership_rows(sf_dir: str):
             pc.equal(pc.bit_wise_and(pc.utf8_length(b.column("mention")), 1), 0),
         )
         # g implies p (g = p AND even-length), so "any flag set" == p:
-        # the filter simply drops negated rows
-        return pa.table(
+        # the filter simply drops negated rows; the membership combiner
+        # runs here, fused into the annotate operator
+        return collapse_tagged(pa.table(
             {
                 "conv_id": b.column("conv_id"),
                 "hpo_id": b.column("hpo_id"),
                 "p": pc.cast(p, pa.int64()),
                 "g": pc.cast(g, pa.int64()),
             }
-        ).filter(p)
+        ).filter(p))
 
     tagged = _annotations(sf_dir).map_batches(tag, batch_format="pyarrow")
 
@@ -110,12 +113,6 @@ def _tagged_membership_rows(sf_dir: str):
     return tagged.union(ph)
 
 
-def _pred(sf_dir: str):
-    from phenobert_ray.pipelines.triples import dedup_conv_hpo
-
-    return dedup_conv_hpo(_annotations(sf_dir)).select_columns(["conv_id", "hpo_id"])
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -139,7 +136,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
     def conv_hpo_sets(sf):
-        return _pred(sf)
+        from phenobert_ray.pipelines.triples import conv_hpo_pairs
+
+        return conv_hpo_pairs(_annotations(sf))
 
     def kg_triples(sf):
         from phenobert_ray.pipelines.annotate import kg_from_turns
@@ -242,17 +241,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return _turns(sf).map_batches(f, batch_format="pyarrow")
 
     def inverted_index(sf):
-        # two-phase scalars over SHARDED postings — no full conv list is
-        # ever concatenated into one row (hot-phenotype safe)
         from phenobert_ray.sources.inverted_index import index_scalars
 
-        def norm(df: pd.DataFrame) -> pd.DataFrame:
-            df["n_convs"] = df["n_convs"].astype("int64")
-            return df[["hpo_id", "n_convs", "first_conv", "last_conv"]]
-
-        return index_scalars(_annotations(sf)).map_batches(
-            norm, batch_format="pandas"
-        )
+        return index_scalars(_annotations(sf))
 
     def _r6(x: float) -> float:
         # floor(x*1e6+0.5)/1e6: Python round() is half-to-even, DuckDB

@@ -6,47 +6,75 @@ Re-creates the reference scorer semantics (eval_all.py:60-126,260-321):
 - A3: macro P/R/F1 — per-conv P/R averaged
 - A4: ontology-similarity score — set-vs-set LCS-based similarity, averaged
 
-The pred/gold intersection is computed WITHOUT a join: both sides are tagged
-and union'd, then one (conv_id, hpo_id) groupby yields per-key membership
-flags — a single shuffle, no broadcast of either side.
+The pred/gold intersection is computed WITHOUT a join or an exchange: both
+sides are tagged and union'd, a per-block Arrow ``group_by`` combiner fused
+into the tagging map keeps max(p) / max(g) per (conv_id, hpo_id),
+``repartition(1)`` gathers the partials and one merge task applies the
+same ``group_by`` — the plan shape of ``pipelines.triples.dedup_conv_hpo``.
+The membership table is that one block, so every conversation's rows sit
+together, and each metric is one pass over it as it streams to the driver.
+Memory contract: the distinct (conv_id, hpo_id) keys of pred ∪ gold fit in
+one block.
 """
 
 from __future__ import annotations
 
-import pandas as pd
+import itertools
+
+import numpy as np
 import pyarrow as pa
-import ray
+import pyarrow.compute as pc
 
 from ..assets.hpo_dag import HpoDag
+
+TAGGED_SCHEMA = pa.schema([("conv_id", pa.string()), ("hpo_id", pa.string()),
+                           ("p", pa.int64()), ("g", pa.int64())])
+MEMBERSHIP_SCHEMA = pa.schema([("conv_id", pa.string()), ("hpo_id", pa.string()),
+                               ("in_pred", pa.int64()), ("in_gold", pa.int64())])
+
+
+def collapse_tagged(b: pa.Table) -> pa.Table:
+    """max(p), max(g) per (conv_id, hpo_id) of a tagged block — the
+    membership combiner.  Producers of a tagged stream call it in the map
+    that tags, so it runs fused there and the gather moves one row per key
+    per block.  (A separate map after a union would skip the union's
+    empty blocks and emit column-less ones.)"""
+    agg = b.group_by(["conv_id", "hpo_id"], use_threads=False).aggregate(
+        [("p", "max"), ("g", "max")])
+    return pa.Table.from_arrays(
+        [agg["conv_id"], agg["hpo_id"], agg["p_max"], agg["g_max"]],
+        names=TAGGED_SCHEMA.names).cast(TAGGED_SCHEMA)
 
 
 def _tag(ds, col: str):
     def f(b: pa.Table) -> pa.Table:
         n = b.num_rows
-        return pa.Table.from_arrays(
+        return collapse_tagged(pa.Table.from_arrays(
             [
                 b.column("conv_id"),
                 b.column("hpo_id"),
                 pa.array([1 if col == "p" else 0] * n, pa.int64()),
                 pa.array([1 if col == "g" else 0] * n, pa.int64()),
             ],
-            names=["conv_id", "hpo_id", "p", "g"],
-        )
+            names=TAGGED_SCHEMA.names,
+        ))
 
     return ds.map_batches(f, batch_format="pyarrow")
 
 
+def _membership(b: pa.Table) -> pa.Table:
+    return collapse_tagged(b).rename_columns(MEMBERSHIP_SCHEMA.names)
+
+
 def membership_from_tagged(tagged_ds):
     """(conv_id, hpo_id, in_pred, in_gold) — one row per key (A1 dedup)
-    from an already-tagged (conv_id, hpo_id, p, g) stream; one two-phase
-    bucketed exchange (see stages/shuffle.py)."""
-    from ..stages.shuffle import two_phase_groupby
+    from a tagged (conv_id, hpo_id, p, g) stream, merged in one block (see
+    the module docstring).  The stream's blocks should already be
+    collapsed by :func:`collapse_tagged`; the gather moves what they
+    hold."""
+    from ..stages.shuffle import in_one_block
 
-    return two_phase_groupby(
-        tagged_ds,
-        keys=["conv_id", "hpo_id"],
-        aggs={"in_pred": ("p", "max", "max"), "in_gold": ("g", "max", "max")},
-    )
+    return in_one_block(tagged_ds, _membership, MEMBERSHIP_SCHEMA)
 
 
 def membership(pred_ds, gold_ds):
@@ -57,6 +85,21 @@ def membership(pred_ds, gold_ds):
     the union + per-side tag stages (and the upstream materialize the
     two-reader pattern forces)."""
     return membership_from_tagged(_tag(pred_ds, "p").union(_tag(gold_ds, "g")))
+
+
+def _block_sums(m, fn, **kwargs) -> dict:
+    """Sums of ``fn``'s per-block partials (a dict of numbers) as the
+    membership blocks stream to the driver.  Whole blocks: a
+    conversation's rows never straddle two.  The partials run on the
+    driver rather than in a ``map_batches``: a map over the typed empty
+    block of ``typed_result`` emits a column-less block, which Ray Data
+    logs as a schema change."""
+    tot: dict = {}
+    for b in m.iter_batches(batch_format="pyarrow", batch_size=None):
+        if b.num_rows:
+            for k, v in fn(b, **kwargs).items():
+                tot[k] = tot.get(k, 0) + v
+    return tot
 
 
 def micro_prf(pred_ds, gold_ds) -> dict:
@@ -70,27 +113,15 @@ def micro_prf_tagged(tagged_ds) -> dict:
     return micro_prf_membership(membership_from_tagged(tagged_ds))
 
 
+def _micro_counts(b: pa.Table) -> dict:
+    p = b["in_pred"].to_numpy()
+    g = b["in_gold"].to_numpy()
+    return {"tp": int((p & g).sum()), "np_": int(p.sum()), "ng": int(g.sum())}
+
+
 def micro_prf_membership(m) -> dict:
-    def counts(b: pa.Table) -> pa.Table:
-        p = b.column("in_pred").to_numpy()
-        g = b.column("in_gold").to_numpy()
-        return pa.Table.from_pydict(
-            {"tp": [int((p & g).sum())], "np_": [int(p.sum())], "ng": [int(g.sum())]}
-        )
-
-    # per-block partials are ONE row each — summing them on the driver is
-    # bounded by block count; the native aggregate would spend a whole
-    # all-to-all operator on it
-    import pyarrow.compute as pc
-
-    tp = np_ = ng = 0
-    for b in m.map_batches(counts, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        if b.num_rows:
-            tp += pc.sum(b.column("tp")).as_py() or 0
-            np_ += pc.sum(b.column("np_")).as_py() or 0
-            ng += pc.sum(b.column("ng")).as_py() or 0
+    s = _block_sums(m, _micro_counts)
+    tp, np_, ng = s.get("tp", 0), s.get("np_", 0), s.get("ng", 0)
     p = tp / np_ if np_ else 0.0
     r = tp / ng if ng else 0.0
     f1 = 2 * p * r / (p + r) if (p + r) else 0.0
@@ -114,71 +145,38 @@ def macro_prf_tagged(tagged_ds, n_all_convs: int | None = None) -> dict:
     return macro_prf_membership(membership_from_tagged(tagged_ds), n_all_convs)
 
 
-def macro_prf_membership(m, n_all_convs: int | None = None) -> dict:
-    from ..stages.shuffle import two_phase_groupby
+def _macro_sums(b: pa.Table) -> dict:
+    b = b.append_column("tp", pc.multiply(b["in_pred"], b["in_gold"]))
+    g = b.group_by("conv_id", use_threads=False).aggregate(
+        [("tp", "sum"), ("in_pred", "sum"), ("in_gold", "sum")])
+    tp = g["tp_sum"].to_numpy().astype(float)
+    np_ = g["in_pred_sum"].to_numpy().astype(float)
+    ng = g["in_gold_sum"].to_numpy().astype(float)
+    p = np.where(np_ > 0, tp / np.maximum(np_, 1), 0.0)
+    r = np.where(ng > 0, tp / np.maximum(ng, 1), 0.0)
+    return {"sp": float(p.sum()), "sr": float(r.sum()), "n": g.num_rows}
 
-    merged = two_phase_groupby(
-        m,
-        keys=["conv_id"],
-        aggs={
-            "sum(tp)": ("tp", "sum", "sum"),
-            "sum(np_)": ("in_pred", "sum", "sum"),
-            "sum(ng)": ("in_gold", "sum", "sum"),
-        },
-        pre_filter=lambda df: df.assign(tp=df["in_pred"] * df["in_gold"]),
-    )
 
-    def prf(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        df = b.to_pandas()
-        tp = df["sum(tp)"].to_numpy(dtype=float)
-        np_ = df["sum(np_)"].to_numpy(dtype=float)
-        ng = df["sum(ng)"].to_numpy(dtype=float)
-        p = np.where(np_ > 0, tp / np.maximum(np_, 1), 0.0)
-        r = np.where(ng > 0, tp / np.maximum(ng, 1), 0.0)
-        return pa.Table.from_pydict({"conv_id": df["conv_id"], "p": p, "r": r})
-
-    # per-block PARTIALS (one row each) then a driver sum bounded by block
-    # count — the per-conv rows themselves never reach the driver
-    perconv_prf = merged.map_batches(prf, batch_format="pyarrow")
-
-    def partials(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.Table.from_pydict(
-            {
-                "sp": [pc.sum(b.column("p")).as_py() or 0.0],
-                "sr": [pc.sum(b.column("r")).as_py() or 0.0],
-                "n": [b.num_rows],
-            }
-        )
-
-    sp = sr = 0.0
-    n = 0
-    for b in perconv_prf.map_batches(partials, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        import pyarrow.compute as pc
-
-        if b.num_rows:
-            sp += pc.sum(b.column("sp")).as_py() or 0.0
-            sr += pc.sum(b.column("sr")).as_py() or 0.0
-            n += pc.sum(b.column("n")).as_py() or 0
+def _average(s: dict, keys: tuple[str, ...], n_all_convs: int | None) -> list:
+    """Per-conv sums / conv count; convs outside the membership stream
+    (neither gold nor pred) score 1.0 each when ``n_all_convs`` counts
+    them (eval_all.py:64-67, util.py:511-512)."""
+    n = s.get("n", 0)
+    tot = [s.get(k, 0.0) for k in keys]
     if n_all_convs is not None and n_all_convs > n:
-        # docs with neither gold nor pred: P=R=1 each (eval_all.py:64-67)
-        sp += n_all_convs - n
-        sr += n_all_convs - n
+        tot = [t + n_all_convs - n for t in tot]
         n = n_all_convs
-    if n == 0:
-        return {"macro_precision": 0.0, "macro_recall": 0.0}
-    return {"macro_precision": sp / n, "macro_recall": sr / n}
+    return [t / n if n else 0.0 for t in tot]
+
+
+def macro_prf_membership(m, n_all_convs: int | None = None) -> dict:
+    p, r = _average(_block_sums(m, _macro_sums), ("sp", "sr"), n_all_convs)
+    return {"macro_precision": p, "macro_recall": r}
 
 
 def ontology_similarity(pred_ds, gold_ds, dag: HpoDag,
                         n_all_convs: int | None = None) -> float:
     """A4 — mean over convs of set-vs-set LCS similarity (util.py:504-537).
-    The DAG is broadcast to the map_groups workers via ray.put.
     ``n_all_convs``: see macro_prf — empty-vs-empty docs score 1.0
     (util.py:511-512) and the reference averages over all files."""
     return ontology_similarity_membership(membership(pred_ds, gold_ds), dag,
@@ -193,51 +191,21 @@ def ontology_similarity_tagged(tagged_ds, dag: HpoDag,
     )
 
 
+def _sim_sums(b: pa.Table, dag: HpoDag) -> dict:
+    # the LCS similarity itself is per-conv python
+    b = b.sort_by("conv_id")
+    rows = zip(b["conv_id"].to_pylist(), b["hpo_id"].to_pylist(),
+               b["in_pred"].to_pylist(), b["in_gold"].to_pylist())
+    total, n = 0.0, 0
+    for _, conv in itertools.groupby(rows, key=lambda r: r[0]):
+        conv = list(conv)
+        total += dag.set_sim({h for _, h, p, _ in conv if p},
+                             {h for _, h, _, g in conv if g})
+        n += 1
+    return {"s": total, "n": n}
+
+
 def ontology_similarity_membership(m, dag: HpoDag,
                                    n_all_convs: int | None = None) -> float:
-    from ..stages.shuffle import default_num_buckets
-
-    dag_ref = ray.put(dag)
-    P = default_num_buckets()
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["bucket"] = (
-            pd.util.hash_pandas_object(df["conv_id"], index=False).to_numpy() % P
-        ).astype("int64")
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # many convs per call (per-conv map_groups costs ~ms of overhead
-        # per group); the LCS similarity itself is per-conv python
-        d = ray.get(dag_ref)
-        rows = []
-        for conv, g in df.groupby("conv_id", sort=False):
-            pred = set(g.loc[g.in_pred == 1, "hpo_id"])
-            gold = set(g.loc[g.in_gold == 1, "hpo_id"])
-            rows.append((conv, d.set_sim(pred, gold)))
-        return pd.DataFrame(rows, columns=["conv_id", "sim"])
-
-    sims = (
-        m.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
-    def sim_partials(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"s": [float(df["sim"].sum())], "n": [len(df)]})
-
-    import pyarrow.compute as pc
-
-    total = 0.0
-    n = 0
-    for b in sims.map_batches(sim_partials, batch_format="pandas").iter_batches(
-        batch_format="pyarrow"
-    ):
-        if b.num_rows:
-            total += pc.sum(b.column("s")).as_py() or 0.0
-            n += pc.sum(b.column("n")).as_py() or 0
-    if n_all_convs is not None and n_all_convs > n:
-        # empty-vs-empty docs: similarity 1.0 each (util.py:511-512)
-        total += n_all_convs - n
-        n = n_all_convs
-    return total / n if n else 0.0
+    (s,) = _average(_block_sums(m, _sim_sums, dag=dag), ("s",), n_all_convs)
+    return s

@@ -15,8 +15,14 @@ The KG job (``pipelines.annotate.run_kg_job``) keys the combiner on the
 input fragment too (a ``path`` column), keeps one merged partial per
 fragment, and merges those once on the driver, so the job's distinct
 pairs — ~11.5k rows per 20k-turn kg_chat job — are what the driver holds.
-The co-occurrence and IC operators below still use the bucketed
-``two_phase_groupby`` exchange.
+
+The phenotype analytics below (co-occurrence, PMI, DAG rollup, IC; and
+``sources.inverted_index``) run on the pair table of
+:func:`on_pair_table`: the same combiner → ``repartition(1)`` → merge
+plan, keyed on (conv_id, hpo_id) only, with the analytic computed by Arrow
+``group_by`` / ``take`` / ``list_flatten`` and numpy in the merge task.
+One memory contract covers them all: the distinct pairs of the input fit
+in one block.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -181,55 +186,123 @@ def has_phenotype_triples(annotations_ds, cfg: PipelineConfig | None = None):
         _merge_to_triples, batch_format="pyarrow", batch_size=None)
 
 
-def _distinct_conv_hpo_per_block(b: pa.Table) -> pa.Table:
-    """Per-block distinct non-negated (conv_id, hpo_id) combiner — runs
-    BEFORE the conv exchange so a hot conversation's million mentions
-    move as ≤ |phenotype vocab| rows per block.  Shared by
-    cooccurrence_edges and cooccurrence_pmi (a fix here must reach
-    both)."""
-    df = b.to_pandas()
-    df = df[~df["negated"]][["conv_id", "hpo_id"]].drop_duplicates()
-    if not len(df):
-        # all-negated block: an empty pandas frame would infer Arrow
-        # null columns — the documented mixed-schema footgun
-        return pa.schema([("conv_id", pa.string()),
-                          ("hpo_id", pa.string())]).empty_table()
-    return pa.Table.from_pandas(
-        df, preserve_index=False).replace_schema_metadata(None)
+PAIR_SCHEMA = pa.schema([("conv_id", pa.string()), ("hpo_id", pa.string())])
 
 
-def _conv_bucketizer(n_buckets: int):
-    """hash(conv_id) % n_buckets tagger.  The modulus MUST be snapshotted
-    once on the driver and captured here: computing it from
-    ray.cluster_resources() inside the worker would let batches observe
-    different CPU counts mid-job (autoscaling / node loss), splitting one
-    conversation across buckets — cross-bucket pairs silently lost."""
-    def conv_bucket(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["bucket"] = (
-            pd.util.hash_pandas_object(df["conv_id"], index=False).to_numpy()
-            % n_buckets
-        ).astype("int64")
-        return pa.Table.from_pandas(
-            df, preserve_index=False).replace_schema_metadata(None)
-    return conv_bucket
+def _distinct_pairs(batch: pa.Table, drop_negated: bool = True) -> pa.Table:
+    """Pair-table combiner: the distinct (conv_id, hpo_id) of a block,
+    non-negated mentions only when ``drop_negated``.  It reads only
+    ``conv_id``, ``hpo_id`` and ``negated``, so a bare three-column
+    annotation table qualifies."""
+    if drop_negated:
+        batch = batch.filter(pc.invert(batch["negated"]))
+    return batch.group_by(_PAIR, use_threads=False).aggregate([]).cast(
+        PAIR_SCHEMA)
 
 
-def _expand_conv_pairs(df: pd.DataFrame) -> tuple[list, list]:
-    """Per-conv unordered pair expansion over an already-deduped,
-    (conv_id, hpo_id)-sorted frame: C(k, 2) rows for a k-phenotype
-    conversation, bounded by the per-conv vocabulary.  The inner loop is
-    per CONV, not per Ray group task (the map_groups-per-key trap
-    measured in --events-scale)."""
-    out_a: list = []
-    out_b: list = []
-    for _, hs in df.groupby("conv_id", sort=False)["hpo_id"]:
-        v = hs.to_numpy()
-        k = len(v)
-        for i in range(k - 1):
-            out_a.extend([v[i]] * (k - 1 - i))
-            out_b.extend(v[i + 1:])
-    return out_a, out_b
+def _sorted_pairs_then(batch: pa.Table, fn, **kwargs) -> pa.Table:
+    pairs = _distinct_pairs(batch, drop_negated=False)
+    return fn(pairs.sort_by([("conv_id", "ascending"), ("hpo_id", "ascending")]),
+              **kwargs)
+
+
+def on_pair_table(annotations_ds, fn, schema: pa.Schema,
+                  drop_negated: bool = True, **kwargs):
+    """``fn(pairs, **kwargs)`` over the pair table of ``annotations_ds``:
+    its distinct (conv_id, hpo_id) rows (non-negated ones when
+    ``drop_negated``) as one Arrow table sorted by (conv_id, hpo_id), the
+    key set of :func:`dedup_conv_hpo`.  Same plan shape as that dedup: a
+    per-block distinct combiner fused into the upstream operator,
+    ``repartition(1)``, one merge task that also runs ``fn``; no shuffle,
+    no pandas.  The result is cast to ``schema`` and typed when empty.
+
+    Memory contract (the one :func:`dedup_conv_hpo` states): the distinct
+    pairs of the input fit in one block."""
+    from ..stages.shuffle import in_one_block
+
+    partials = annotations_ds.map_batches(
+        _distinct_pairs, batch_format="pyarrow",
+        fn_kwargs={"drop_negated": drop_negated})
+    return in_one_block(partials, _sorted_pairs_then, schema, fn=fn, **kwargs)
+
+
+def _as_is(pairs: pa.Table) -> pa.Table:
+    return pairs
+
+
+def conv_hpo_pairs(annotations_ds, drop_negated: bool = True):
+    """The pair table itself (PAIR_SCHEMA), lazily: see
+    :func:`on_pair_table`."""
+    return on_pair_table(annotations_ds, _as_is, PAIR_SCHEMA, drop_negated)
+
+
+def run_starts(v: np.ndarray) -> np.ndarray:
+    """True where a run of equal values of a sorted array starts."""
+    starts = np.ones(len(v), dtype=bool)
+    starts[1:] = v[1:] != v[:-1]
+    return starts
+
+
+def run_pairs(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row index pairs (i, j), i < j, inside every run of a sorted array
+    whose runs begin where ``starts`` is True: C(k, 2) pairs for a run of
+    k rows, built without a Python loop."""
+    n = len(starts)
+    pos = np.arange(n)
+    run_id = np.cumsum(starts) - 1
+    run_end = (np.flatnonzero(starts) + np.bincount(run_id))[run_id]
+    fan = run_end - pos - 1                  # partners after row i in its run
+    left = np.repeat(pos, fan)
+    first = np.cumsum(fan) - fan             # where row i's partners begin
+    right = left + 1 + (np.arange(len(left)) - np.repeat(first, fan))
+    return left, right
+
+
+def vocab_codes(*cols) -> tuple[pa.Array, list[np.ndarray]]:
+    """Sorted distinct values of ``cols`` and each column's codes into
+    them; code order is value order."""
+    vocab = pc.unique(pa.chunked_array(
+        [c for col in cols for c in col.chunks], type=pa.string()))
+    vocab = vocab.take(pc.sort_indices(vocab))
+    return vocab, [pc.index_in(c, value_set=vocab).to_numpy().astype(np.int64)
+                   for c in cols]
+
+
+def _pair_counts(pairs: pa.Table):
+    """(vocab, a, b, n_ab, n_node, n_convs): every unordered pair of
+    distinct phenotypes co-mentioned in a conversation, as codes a < b
+    into ``vocab`` with its conversation count, plus each phenotype's
+    conversation count and the conversation total.  The pairs are the
+    C(k, 2) self-expansion of each conversation's sorted run."""
+    vocab, (code,) = vocab_codes(pairs["hpo_id"])
+    starts = run_starts(pairs["conv_id"].to_numpy())
+    i, j = run_pairs(starts)
+    width = len(vocab)
+    key, n_ab = np.unique(code[i] * width + code[j], return_counts=True)
+    n_node = np.bincount(code, minlength=len(vocab))
+    return vocab, key // width, key % width, n_ab, n_node, int(starts.sum())
+
+
+EDGE_SCHEMA = pa.schema([("hpo_a", pa.string()), ("hpo_b", pa.string()),
+                         ("n_convs", pa.int64())])
+PMI_SCHEMA = EDGE_SCHEMA.append(pa.field("pmi_nano", pa.int64()))
+
+
+def _edges(pairs: pa.Table) -> pa.Table:
+    vocab, a, b, n_ab, _, _ = _pair_counts(pairs)
+    return pa.Table.from_arrays(
+        [vocab.take(a), vocab.take(b), pa.array(n_ab, pa.int64())],
+        schema=EDGE_SCHEMA)
+
+
+def _pmi(pairs: pa.Table) -> pa.Table:
+    vocab, a, b, n_ab, n_node, n_convs = _pair_counts(pairs)
+    ln_n = _ln_nano_arr(np.asarray([max(n_convs, 1)], dtype=np.int64))[0]
+    pmi = (_ln_nano_arr(n_ab) + ln_n
+           - _ln_nano_arr(n_node[a]) - _ln_nano_arr(n_node[b]))
+    return pa.Table.from_arrays(
+        [vocab.take(a), vocab.take(b), pa.array(n_ab, pa.int64()),
+         pa.array(pmi, pa.int64())], schema=PMI_SCHEMA)
 
 
 def cooccurrence_edges(annotations_ds, cfg: PipelineConfig | None = None):
@@ -239,44 +312,11 @@ def cooccurrence_edges(annotations_ds, cfg: PipelineConfig | None = None):
     co-mention them.  The KG-enrichment operator behind comorbidity-style
     edges.
 
-    Two exchanges: (1) a per-block distinct-(conv, hpo) combiner collapses
-    repeated mentions BEFORE the groupby(conv_id) exchange, so a hot
-    conversation's million mentions move as ≤ |phenotype vocab| rows per
-    block; (2) per-conv pair expansion emits C(k, 2) rows for a k-phenotype
-    conversation — bounded by the per-conv vocabulary, never corpus size —
-    into a two-phase pair-count exchange (its own combiner collapses
-    repeated pairs per block)."""
-    from ..stages.shuffle import default_num_buckets, two_phase_groupby
-
-    n_buckets = default_num_buckets()
-
-    def pairs(df: pd.DataFrame) -> pa.Table:
-        # ONE call per BUCKET of conversations; dedup once, then expand
-        # each conv's sorted phenotype list (shared kernel)
-        df = (df[["conv_id", "hpo_id"]].drop_duplicates()
-              .sort_values(["conv_id", "hpo_id"]))
-        out_a, out_b = _expand_conv_pairs(df)
-        # explicit Arrow schema: single-phenotype convs emit 0 rows and an
-        # empty pandas frame would lose the column types
-        return pa.table(
-            {
-                "hpo_a": pa.array(out_a, pa.string()),
-                "hpo_b": pa.array(out_b, pa.string()),
-            }
-        )
-
-    per_conv = (
-        annotations_ds
-        .map_batches(_distinct_conv_hpo_per_block, batch_format="pyarrow")
-        .map_batches(_conv_bucketizer(n_buckets), batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs, batch_format="pandas")
-    )
-    return two_phase_groupby(
-        per_conv,
-        keys=["hpo_a", "hpo_b"],
-        aggs={"n_convs": (None, "size", "sum")},
-    )
+    One task over the pair table (:func:`on_pair_table`): each
+    conversation's sorted phenotype run expands to its C(k, 2) pairs as
+    index arithmetic, and one ``np.unique`` counts them.  Same memory
+    contract: the distinct pairs fit in one block."""
+    return on_pair_table(annotations_ds, _edges, EDGE_SCHEMA)
 
 
 def cooccurrence_pmi(annotations_ds, cfg: PipelineConfig | None = None):
@@ -292,109 +332,47 @@ def cooccurrence_pmi(annotations_ds, cfg: PipelineConfig | None = None):
     hash-identical to SQL: each term is floor(ln(k)·1e9 + 0.5) computed
     per distinct count, summed as int64.
 
-    Scale shape: ONE annotate pass feeds one hash(conv) exchange whose
-    per-bucket fold emits a tagged union — pair partials (kind 0),
-    per-phenotype conv-count partials (kind 1) and a distinct-conv count
-    partial (kind 2); conv-hash bucketing makes every partial exact under
-    summation.  Node counts and N are bounded by the ONTOLOGY (≈16k HPO
-    terms), so they reduce in-cluster and broadcast back to the edge
-    stream — never a join.
+    The pair counts, the per-phenotype counts and N all come from the one
+    pair table in the one task of :func:`cooccurrence_edges`; same memory
+    contract."""
+    return on_pair_table(annotations_ds, _pmi, PMI_SCHEMA)
 
-    The tagged stream is materialized (three consumers, annotate runs
-    once) — safe at ANY corpus size because the per-bucket fold has
-    already aggregated: ≤ |vocab|² pair rows + |vocab| node rows + 1
-    conv-count row per bucket, i.e. vocabulary-bounded, never
-    row-proportional."""
-    from ..stages.shuffle import default_num_buckets, two_phase_groupby
 
-    n_buckets = default_num_buckets()
-    mid_schema = pa.schema([
-        ("hpo_a", pa.string()), ("hpo_b", pa.string()),
-        ("n", pa.int64()), ("kind", pa.int64()),
-    ])
+ROLLUP_SCHEMA = pa.schema([("hpo_id", pa.string()), ("n_convs", pa.int64())])
+IC_SCHEMA = ROLLUP_SCHEMA.append(pa.field("ic_nano", pa.int64()))
 
-    def fold(df: pd.DataFrame) -> pa.Table:
-        if df.empty or "conv_id" not in df.columns:
-            return mid_schema.empty_table()
-        df = (df[["conv_id", "hpo_id"]].drop_duplicates()
-              .sort_values(["conv_id", "hpo_id"]))
-        out_a, out_b = _expand_conv_pairs(df)
-        pairs = pd.DataFrame({"hpo_a": out_a, "hpo_b": out_b})
-        pairs = pairs.groupby(["hpo_a", "hpo_b"], as_index=False).size()
-        node = df.groupby("hpo_id", as_index=False).size()
-        parts = [
-            pd.DataFrame({"hpo_a": pairs["hpo_a"], "hpo_b": pairs["hpo_b"],
-                          "n": pairs["size"].astype("int64"),
-                          "kind": np.int64(0)}),
-            pd.DataFrame({"hpo_a": node["hpo_id"], "hpo_b": "",
-                          "n": node["size"].astype("int64"),
-                          "kind": np.int64(1)}),
-            pd.DataFrame({"hpo_a": [""], "hpo_b": [""],
-                          "n": np.asarray([df["conv_id"].nunique()],
-                                          dtype=np.int64),
-                          "kind": np.int64(2)}),
-        ]
-        from ..stages.shuffle import from_pandas_clean
 
-        return from_pandas_clean(
-            pd.concat(parts, ignore_index=True)).cast(mid_schema)
+def _rollup(pairs: pa.Table, anc_map: dict) -> pa.Table:
+    """Per node, the conversations that mention it or a descendant: each
+    pair's ancestor list (``take`` by phenotype), flattened to
+    (conv_id, ancestor) rows, made distinct, counted per node."""
+    vocab = pc.unique(pairs["hpo_id"])
+    lists = pa.array([anc_map.get(h, [h]) for h in vocab.to_pylist()],
+                     pa.list_(pa.string()))
+    per_row = lists.take(pc.index_in(pairs["hpo_id"], value_set=vocab))
+    hits = pa.table({
+        "conv_id": pairs["conv_id"].take(pc.list_parent_indices(per_row)),
+        "hpo_id": pc.list_flatten(per_row),
+    }).group_by(_PAIR, use_threads=False).aggregate([])
+    g = hits.group_by("hpo_id", use_threads=False).aggregate(
+        [([], "count_all")])
+    return pa.Table.from_arrays([g["hpo_id"], g["count_all"]],
+                                schema=ROLLUP_SCHEMA)
 
-    mid = (
-        annotations_ds
-        .map_batches(_distinct_conv_hpo_per_block, batch_format="pyarrow")
-        .map_batches(_conv_bucketizer(n_buckets), batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
-    ).materialize()  # consumed three ways below; annotate runs ONCE
 
-    def by_kind(k: int):
-        def f(b: pa.Table) -> pa.Table:
-            return b.filter(pc.equal(b.column("kind"), k))
-        return f
+def _ic(pairs: pa.Table, anc_map: dict) -> pa.Table:
+    roll = _rollup(pairs, anc_map)
+    n = roll["n_convs"].to_numpy()
+    ln_tot = _ln_nano_arr(n.max(keepdims=True))[0]
+    return roll.append_column(
+        "ic_nano", pa.array(ln_tot - _ln_nano_arr(n), pa.int64()))
 
-    # node counts + N: bounded by the ontology (≤ ~16k rows) — the
-    # documented O(bounded) driver fetch, like the scatter matrices
-    nodes = two_phase_groupby(
-        mid.map_batches(by_kind(1), batch_format="pyarrow"),
-        keys=["hpo_a"], aggs={"n": ("n", "sum", "sum")},
-    ).take_all()
-    node_n = {r["hpo_a"]: int(r["n"]) for r in nodes}
-    total_n = sum(
-        int(r["n"])
-        for r in mid.map_batches(by_kind(2), batch_format="pyarrow")
-        .select_columns(["n"]).take_all()
-    )
-    node_ref = ray.put(node_n)
 
-    edges = two_phase_groupby(
-        mid.map_batches(by_kind(0), batch_format="pyarrow"),
-        keys=["hpo_a", "hpo_b"],
-        aggs={"n_convs": ("n", "sum", "sum")},
-    )
-
-    out_schema = pa.schema([
-        ("hpo_a", pa.string()), ("hpo_b", pa.string()),
-        ("n_convs", pa.int64()), ("pmi_nano", pa.int64()),
-    ])
-
-    def score(b: pa.Table) -> pa.Table:
-        nn = ray.get(node_ref)
-        df = b.to_pandas()
-        n_ab = df["n_convs"].to_numpy(dtype=np.int64)
-        n_a = df["hpo_a"].map(nn).to_numpy(dtype=np.int64)
-        n_b = df["hpo_b"].map(nn).to_numpy(dtype=np.int64)
-        ln_n = _ln_nano_arr(np.asarray([max(total_n, 1)], dtype=np.int64))[0]
-        df["pmi_nano"] = (_ln_nano_arr(n_ab) + ln_n
-                          - _ln_nano_arr(n_a) - _ln_nano_arr(n_b))
-        from ..stages.shuffle import from_pandas_clean
-
-        return from_pandas_clean(
-            df[["hpo_a", "hpo_b", "n_convs", "pmi_nano"]]).cast(out_schema)
-
-    from ..stages.shuffle import typed_result
-
-    return typed_result(
-        edges.map_batches(score, batch_format="pyarrow"), out_schema)
+def _ancestor_map(dag: HpoDag) -> dict[str, list[str]]:
+    """Each abnormality node → itself and its abnormality ancestors; a
+    phenotype outside the abnormality subtree rolls up to itself only."""
+    return {h: sorted((dag.ancestors.get(h, set()) & dag.abnormality) | {h})
+            for h in dag.abnormality}
 
 
 def hpo_information_content(annotations_ds, dag: HpoDag,
@@ -411,30 +389,10 @@ def hpo_information_content(annotations_ds, dag: HpoDag,
     engines quantize each ln term to integer nanos (:func:`_ln_nano_arr`)
     so the score is summation- and platform-order-proof.
 
-    Scale shape: ancestor_rollup's two bounded exchanges run ONCE
-    (materialized — output ≤ |ontology| rows), the max is an in-cluster
-    aggregate, and scoring is a pure map with one broadcast scalar."""
-    from ..stages.shuffle import from_pandas_clean, typed_result
-
-    out_schema = pa.schema([
-        ("hpo_id", pa.string()), ("n_convs", pa.int64()),
-        ("ic_nano", pa.int64()),
-    ])
-    rollup = ancestor_rollup(annotations_ds, dag, cfg).materialize()
-    if rollup.count() == 0:
-        return ray.data.from_arrow(out_schema.empty_table())
-    n_tot = int(rollup.max("n_convs"))
-
-    def score(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        n = df["n_convs"].to_numpy(dtype=np.int64)
-        ln_tot = _ln_nano_arr(np.asarray([n_tot], dtype=np.int64))[0]
-        df["ic_nano"] = ln_tot - _ln_nano_arr(n)
-        return from_pandas_clean(
-            df[["hpo_id", "n_convs", "ic_nano"]]).cast(out_schema)
-
-    return typed_result(
-        rollup.map_batches(score, batch_format="pyarrow"), out_schema)
+    The :func:`ancestor_rollup` kernel and the scoring run in the same
+    one task over the pair table; same memory contract."""
+    return on_pair_table(annotations_ds, _ic, IC_SCHEMA,
+                         anc_map=_ancestor_map(dag))
 
 
 def ancestor_rollup(annotations_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
@@ -443,49 +401,14 @@ def ancestor_rollup(annotations_ds, dag: HpoDag, cfg: PipelineConfig | None = No
     phenotype KG needs (term frequencies at internal nodes, IC weighting,
     per-subtree corpus stats).
 
-    Scale shape: the ancestor closure is a property of the ONTOLOGY
-    (bounded, ~16k HPO nodes × mean depth ≲ 10), broadcast once via
-    ``ray.put`` — never a join against a closure table.  Per block:
-    distinct-(conv, hpo) combiner → vectorized ``explode`` to
-    (conv, ancestor) — fan-out bounded by ontology depth, collapsed by a
-    second per-block dedup — then two bucketed exchanges (distinct pairs,
-    then per-node conv counts).  A hot phenotype's rollup row is a count
-    accumulated combiner-first; no node ever needs its conv list in one
-    place."""
-    from ..stages.shuffle import from_pandas_clean, two_phase_groupby
-
-    anc_map = {
-        h: sorted((dag.ancestors.get(h, set()) & dag.abnormality) | {h})
-        for h in dag.abnormality
-    }
-    ref = ray.put(anc_map)
-
-    def expand(b: pa.Table) -> pa.Table:
-        amap = ray.get(ref)
-        df = b.to_pandas()
-        df = df[~df["negated"]][["conv_id", "hpo_id"]].drop_duplicates()
-        out = (
-            df.assign(anc=df["hpo_id"].map(lambda h: amap.get(h, [h])))
-            .explode("anc")[["conv_id", "anc"]]
-            .drop_duplicates()
-            .rename(columns={"anc": "hpo_id"})
-        )
-        if out.empty:
-            return pa.table(
-                {"conv_id": pa.array([], pa.string()),
-                 "hpo_id": pa.array([], pa.string())}
-            )
-        return from_pandas_clean(out)
-
-    pairs = annotations_ds.map_batches(expand, batch_format="pyarrow")
-    distinct = two_phase_groupby(
-        pairs, keys=["conv_id", "hpo_id"], aggs={"n": (None, "size", "sum")}
-    )
-    return two_phase_groupby(
-        distinct, keys=["hpo_id"], aggs={"n_convs": (None, "size", "sum")}
-    ).map_batches(
-        lambda t: t.select(["hpo_id", "n_convs"]), batch_format="pyarrow"
-    )
+    The ancestor closure is a property of the ontology (~16k HPO nodes ×
+    mean depth ≲ 10), built on the driver and shipped with the one task
+    over the pair table (:func:`on_pair_table`): an ancestor-list
+    ``take`` → ``list_flatten`` → distinct → ``group_by``.  Same memory
+    contract: the distinct pairs, and their ancestor fan-out, fit in one
+    block."""
+    return on_pair_table(annotations_ds, _rollup, ROLLUP_SCHEMA,
+                         anc_map=_ancestor_map(dag))
 
 
 def is_a_table(dag: HpoDag) -> pa.Table:

@@ -5,220 +5,116 @@ Re-creates the GeneReviews search engine semantics
 ``hpo → set(doc)`` postings from annotations, then probe with AND/OR set
 semantics.
 
-Scale notes: postings are SHARDED — the index rows are
-``(hpo_id, shard=hash(conv) % S, convs)``, so a hot phenotype that appears
-in most of 10^12 turns spreads its conv list over S rows/workers instead of
-concentrating it in one list cell.  Scalar index stats (counts, first/last)
-come from a two-phase exchange over the shard rows and never concatenate a
-full posting list anywhere; block-level partials dedupe (hpo, conv) before
-the shuffle so the exchange carries at most one row per (hpo, conv) pair.
+Every operator here is one task over the pair table
+(``pipelines.triples.on_pair_table``): the distinct (conv_id, hpo_id) rows
+of the annotations, gathered into one Arrow block.  Postings and scalars
+are an Arrow ``group_by`` on it; the AND/OR probes count each
+conversation's ``is_in`` hits with a ``group_by`` on ``conv_id``.  Memory contract: the distinct pairs
+of the input fit in one block.  Posting rows stay split by
+``hash(conv) % NUM_POSTING_SHARDS``, so no list cell holds more than ~1/S
+of a hot phenotype's conversations.
 """
 
 from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..stages.shuffle import from_pandas_clean
+from ..pipelines.triples import on_pair_table
 
 NUM_POSTING_SHARDS = 16
 
+POSTINGS_SCHEMA = pa.schema([("hpo_id", pa.string()), ("shard", pa.int64()),
+                             ("n_convs", pa.int64()),
+                             ("convs", pa.list_(pa.string()))])
+SCALARS_SCHEMA = pa.schema([("hpo_id", pa.string()), ("n_convs", pa.int64()),
+                            ("first_conv", pa.string()),
+                            ("last_conv", pa.string())])
+CONVS_SCHEMA = pa.schema([("conv_id", pa.string())])
 
-def _shard_of(conv_ids: pd.Series, num_shards: int) -> pd.Series:
-    return (
-        pd.util.hash_pandas_object(conv_ids, index=False) % num_shards
-    ).astype("int64")
+
+def _postings(pairs: pa.Table) -> pa.Table:
+    shard = pd.util.hash_pandas_object(
+        pairs["conv_id"].to_pandas(), index=False).to_numpy() % NUM_POSTING_SHARDS
+    # pairs arrive sorted by conv_id and a single-threaded group_by keeps
+    # row order, so every list comes out sorted
+    g = pairs.append_column("shard", pa.array(shard.astype("int64"))).group_by(
+        ["hpo_id", "shard"], use_threads=False).aggregate(
+        [([], "count_all"), ("conv_id", "list")])
+    return pa.Table.from_arrays(
+        [g["hpo_id"], g["shard"], g["count_all"], g["conv_id_list"]],
+        schema=POSTINGS_SCHEMA)
 
 
-def build_inverted_index(annotations_ds, include_negated: bool = False,
-                         num_shards: int = NUM_POSTING_SHARDS):
+def build_inverted_index(annotations_ds, include_negated: bool = False):
     """annotations → Dataset[(hpo_id, shard, n_convs, convs:list<string>)].
 
     One row per (hpo_id, shard); a conv always lands in the same shard, so
-    per-row conv lists are exact-deduped and the union over a hpo's shard
-    rows is its full posting set.  No row ever holds more than ~1/S of a
-    hot phenotype's postings.
-    """
-
-    partial_schema = pa.schema([("hpo_id", pa.string()),
-                                ("shard", pa.int64()),
-                                ("convs", pa.list_(pa.string()))])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.select(["hpo_id", "conv_id", "negated"]).to_pandas()
-        if not include_negated:
-            df = df[~df.negated]
-        if not len(df):
-            # empty pandas → null-typed arrow columns → mixed block
-            # schemas downstream; emit the typed empty
-            return partial_schema.empty_table()
-        df = df.drop_duplicates(["hpo_id", "conv_id"])
-        df["shard"] = _shard_of(df["conv_id"], num_shards)
-        g = (
-            df.groupby(["hpo_id", "shard"])["conv_id"]
-            .agg(lambda s: sorted(set(s)))
-            .reset_index()
-            .rename(columns={"conv_id": "convs"})
-        )
-        return from_pandas_clean(g).cast(partial_schema)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        convs = sorted({c for lst in df["convs"] for c in lst})
-        return pd.DataFrame(
-            {
-                "hpo_id": [df.hpo_id.iloc[0]],
-                "shard": [int(df.shard.iloc[0])],
-                "n_convs": [len(convs)],
-                "convs": [convs],
-            }
-        )
-
-    return (
-        annotations_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["hpo_id", "shard"])
-        .map_groups(merge, batch_format="pandas")
-    )
+    per-row conv lists are exact-deduped and sorted, and the union over a
+    hpo's shard rows is its full posting set.  ``include_negated`` keeps
+    negated mentions in the pair table."""
+    return on_pair_table(annotations_ds, _postings, POSTINGS_SCHEMA,
+                         drop_negated=not include_negated)
 
 
-def index_scalars(annotations_ds, include_negated: bool = False,
-                  num_shards: int = NUM_POSTING_SHARDS):
-    """(hpo_id, n_convs, first_conv, last_conv) via two-phase aggregation
-    over the sharded postings — the full conv list of a phenotype is never
-    concatenated in one task."""
-    from ..stages.shuffle import two_phase_groupby
+def _scalars(pairs: pa.Table) -> pa.Table:
+    g = pairs.group_by("hpo_id", use_threads=False).aggregate(
+        [([], "count_all"), ("conv_id", "min"), ("conv_id", "max")])
+    return pa.Table.from_arrays(
+        [g["hpo_id"], g["count_all"], g["conv_id_min"], g["conv_id_max"]],
+        schema=SCALARS_SCHEMA)
 
-    sharded = build_inverted_index(
-        annotations_ds, include_negated=include_negated, num_shards=num_shards
-    )
 
-    def shard_stats(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "hpo_id": df["hpo_id"],
-                "n": df["n_convs"].astype("int64"),
-                "mn": df["convs"].str[0],
-                "mx": df["convs"].str[-1],
-            }
-        )
-
-    return two_phase_groupby(
-        sharded.map_batches(shard_stats, batch_format="pandas"),
-        keys=["hpo_id"],
-        aggs={
-            "n_convs": ("n", "sum", "sum"),
-            "first_conv": ("mn", "min", "min"),
-            "last_conv": ("mx", "max", "max"),
-        },
-    )
+def index_scalars(annotations_ds, include_negated: bool = False):
+    """(hpo_id, n_convs, first_conv, last_conv): one ``group_by`` over the
+    pair table, so no posting list is built."""
+    return on_pair_table(annotations_ds, _scalars, SCALARS_SCHEMA,
+                         drop_negated=not include_negated)
 
 
 def search(index_df: pd.DataFrame, terms: list[str], mode: str = "and") -> list[str]:
     """Driver-side probe with AND/OR semantics over the (small) collected
     index (gene_reviews_search_engine.py:31-43).  Accepts the sharded rows:
-    a hpo's postings are the union of its shard rows."""
+    a hpo's postings are the union of its shard rows.  An empty AND is
+    every indexed conversation (⋂ over ∅), an empty OR none — the
+    semantics of :func:`search_convs_with_all` / :func:`search_convs_with_any`."""
     lut: dict[str, set] = {}
     for h, convs in zip(index_df["hpo_id"], index_df["convs"]):
         lut.setdefault(h, set()).update(convs)
-    postings = [lut.get(t, set()) for t in terms]
-    if not postings:
-        return []
-    acc = postings[0]
-    for s in postings[1:]:
-        acc = acc & s if mode == "and" else acc | s
+    if mode == "and":
+        acc = set().union(*lut.values())
+        for t in terms:
+            acc &= lut.get(t, set())
+    else:
+        acc = set().union(*(lut.get(t, set()) for t in terms))
     return sorted(acc)
+
+
+def _convs_with(pairs: pa.Table, wanted: list[str], need: int) -> pa.Table:
+    """Conversations with at least ``need`` of the distinct ``wanted`` ids
+    (pairs are distinct, so a conv holds each id at most once)."""
+    hit = pc.cast(pc.is_in(pairs["hpo_id"],
+                           value_set=pa.array(wanted, pa.string())), pa.int64())
+    g = pairs.append_column("hit", hit).group_by(
+        "conv_id", use_threads=False).aggregate([("hit", "sum")])
+    return g.filter(pc.greater_equal(g["hit_sum"], need)).select(["conv_id"])
 
 
 def search_convs_with_all(annotations_ds, hpo_ids: list[str]):
     """Distributed AND-probe (gene_reviews_search_engine.py:31-39 semantics
     without collecting the index): conversations containing EVERY id in
-    ``hpo_ids`` — per-conv flag aggregation via the bucketed exchange."""
-    import pyarrow.compute as pc
-
-    from ..stages.shuffle import two_phase_groupby
-
-    wanted = list(hpo_ids)
-
-    if not wanted:
-        # vacuous AND: every indexed conversation matches all zero ids
-        # (⋂ over ∅ = the universe of convs with any non-negated mention);
-        # aggs={} crashed the exchange's pandas agg()
-        import pyarrow.compute as _pc
-
-        from ..stages.shuffle import two_phase_groupby as _tpg
-
-        def conv_only(b: pa.Table) -> pa.Table:
-            b = b.filter(_pc.invert(b.column("negated")))
-            return b.select(["conv_id"])
-
-        return _tpg(
-            annotations_ds.map_batches(conv_only, batch_format="pyarrow"),
-            keys=["conv_id"],
-            aggs={"n": (None, "size", "sum")},
-        ).map_batches(lambda t: t.select(["conv_id"]), batch_format="pyarrow")
-
-    flags_schema = pa.schema([("conv_id", pa.string())] +
-                             [(f"f{i}", pa.int64())
-                              for i in range(len(wanted))])
-
-    def flags(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.invert(b.column("negated")))
-        df = b.select(["conv_id", "hpo_id"]).to_pandas()
-        if not len(df):  # all-negated block: keep the schema typed
-            return flags_schema.empty_table()
-        for i, h in enumerate(wanted):
-            df[f"f{i}"] = (df["hpo_id"] == h).astype("int64")
-        return from_pandas_clean(df.drop(columns=["hpo_id"])).cast(flags_schema)
-
-    aggs = {f"f{i}": (f"f{i}", "max", "max") for i in range(len(wanted))}
-    per_conv = two_phase_groupby(
-        annotations_ds.map_batches(flags, batch_format="pyarrow"),
-        keys=["conv_id"],
-        aggs=aggs,
-    )
-
-    out_schema = pa.schema([("conv_id", pa.string())])
-
-    def keep_all(df: pd.DataFrame) -> pa.Table:
-        mask = pd.Series(True, index=df.index)
-        for i in range(len(wanted)):
-            mask &= df[f"f{i}"] == 1
-        kept = df.loc[mask, ["conv_id"]]
-        if not len(kept):
-            # an all-filtered bucket must stay TYPED (the documented
-            # empty-block footgun this file already guards twice)
-            return out_schema.empty_table()
-        return from_pandas_clean(kept).cast(out_schema)
-
-    return per_conv.map_batches(keep_all, batch_format="pandas")
+    ``hpo_ids``, by a per-conv count of the distinct wanted ids in the pair
+    table.  Vacuous AND: ``[]`` matches every conversation with a
+    non-negated mention."""
+    wanted = sorted(set(hpo_ids))
+    return on_pair_table(annotations_ds, _convs_with, CONVS_SCHEMA,
+                         wanted=wanted, need=len(wanted))
 
 
 def search_convs_with_any(annotations_ds, hpo_ids: list[str]):
     """Distributed OR-probe (gene_reviews_search_engine.py:40-43's union
     branch, without collecting the index): conversations containing AT
-    LEAST ONE id in ``hpo_ids`` — a dedup exchange over the pre-filtered
-    mention stream (no per-conv flag columns needed: membership in the
-    wanted set is the filter itself)."""
-    import pyarrow.compute as pc
-
-    from ..stages.shuffle import two_phase_groupby
-
-    out_schema = pa.schema([("conv_id", pa.string())])
-    wanted = list(hpo_ids)
-    if not wanted:
-        # vacuous OR: ⋃ over ∅ = no conversation matches
-        import ray as _ray
-
-        return _ray.data.from_arrow(out_schema.empty_table())
-
-    def hits(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.and_(
-            pc.invert(b.column("negated")),
-            pc.is_in(b.column("hpo_id"), value_set=pa.array(wanted)),
-        ))
-        return b.select(["conv_id"])
-
-    return two_phase_groupby(
-        annotations_ds.map_batches(hits, batch_format="pyarrow"),
-        keys=["conv_id"],
-        aggs={"n": (None, "size", "sum")},
-    ).map_batches(lambda t: t.select(["conv_id"]), batch_format="pyarrow")
+    LEAST ONE id in ``hpo_ids``.  ``[]`` matches none (⋃ over ∅)."""
+    return on_pair_table(annotations_ds, _convs_with, CONVS_SCHEMA,
+                         wanted=sorted(set(hpo_ids)), need=1)

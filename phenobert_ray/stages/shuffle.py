@@ -1,9 +1,12 @@
-"""Two-phase bucketed group-merge — the engine's workhorse exchange.
+"""Exchange helpers: the read-boundary null contract, typed results, the
+one-block gather (:func:`in_one_block`) the phenotype analytics run on,
+and the two-phase bucketed group-merge that ``functions/ann`` and
+``functions/events`` still use.
 
 Ray Data's built-in ``groupby().aggregate()`` reduces per *group* in Python,
 which is slow when there are ~as many groups as rows (exactly the shape of
-per-conversation dedup).  This helper does the classic combiner pattern
-instead:
+per-conversation dedup).  ``two_phase_groupby`` does the classic combiner
+pattern instead:
 
   1. partial: per-block vectorized pandas groupby (collapses duplicates
      before anything moves) + a coarse ``bucket = hash(key) % P`` column
@@ -110,20 +113,6 @@ def default_num_buckets() -> int:
     return max(8, int(ray.cluster_resources().get("CPU", 8)))
 
 
-def join_num_partitions() -> int:
-    """Partition count for native ``Dataset.join`` hash joins.
-
-    Unlike the bucket exchange (where buckets are just groupby keys), every
-    join partition is a long-lived HashShuffleAggregator ACTOR holding a CPU
-    slot; a plan with two chained joins runs both pools concurrently.
-    Measured on this Ray (2.49): two chained joins at P=32 on an 8-CPU
-    cluster deadlock (64 actor slots wanted, map tasks starve); P=cpus/4
-    leaves room for both pools plus the map stages.  At real scale raise P
-    so dataset_size/P fits an aggregator's heap — cores/4 per join is the
-    FLOOR for pipelining, not a cap on data size."""
-    return max(2, int(ray.cluster_resources().get("CPU", 8)) // 4)
-
-
 def coalesce_for_exchange(ds, est_rows: int, rows_per_block: int = 200_000):
     """Row-proportional block-count cap ahead of a sort-based exchange.
 
@@ -140,34 +129,6 @@ def coalesce_for_exchange(ds, est_rows: int, rows_per_block: int = 200_000):
     if want >= default_num_buckets():
         return ds
     return ds.repartition(want)
-
-
-def normalize_empty_blocks(ds, schema: pa.Schema, num_blocks: int | None = None):
-    """Ray footgun: ``groupby().map_groups`` (and ``Dataset.join`` itself)
-    emit COLUMN-LESS blocks for partitions that produced no rows, and the
-    hash-join aggregator rejects them ("No match ... for key field").
-    Worse, ``map_batches`` is SKIPPED for empty blocks, so a downstream
-    fixer alone never sees them.  The working recipe, measured here:
-    coalesce with a small ``repartition`` (merges schema-less empties into
-    typed neighbors; cheap — these are small pair/summary datasets), then
-    rewrite any still-schema-less batch to a typed empty table.  Apply to
-    every join input that came from a groupby/join rather than a plain
-    ``map_batches`` chain.
-
-    A FULLY empty dataset has no typed neighbor to merge with and
-    ``map_batches`` never sees its empty blocks, so the repartition+fixer
-    recipe alone cannot type it (a join crash on empty corpora) — union
-    one explicit typed empty block first; the repartition then folds
-    everything into typed blocks."""
-    ds = ds.union(ray.data.from_arrow(schema.empty_table()))
-    ds = ds.repartition(num_blocks or join_num_partitions())
-
-    def f(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or t.num_columns == 0:
-            return schema.empty_table()
-        return t
-
-    return ds.map_batches(f, batch_format="pyarrow")
 
 
 def table_rows(sf_dir: str, table: str) -> int:
@@ -209,6 +170,25 @@ def typed_result(ds, schema: pa.Schema):
     return ds.union(ray.data.from_arrow(schema.empty_table()))
 
 
+def _apply_cast(b: pa.Table, fn, schema: pa.Schema, kwargs: dict) -> pa.Table:
+    return fn(b, **kwargs).cast(schema)
+
+
+def in_one_block(ds, fn, schema: pa.Schema, /, **kwargs):
+    """``fn(table, **kwargs)`` over the whole of ``ds`` gathered into one
+    Arrow block by ``repartition(1)``, run as one task, its result cast to
+    ``schema`` and typed when empty (:func:`typed_result`).  No shuffle:
+    the gather moves every block once.
+
+    Memory contract: all of ``ds`` fits in one block, so feed it
+    vocabulary-bounded tables (a distinct-pair table, an edge list), not
+    raw rows."""
+    out = ds.repartition(1).map_batches(
+        _apply_cast, batch_format="pyarrow", batch_size=None,
+        fn_kwargs={"fn": fn, "schema": schema, "kwargs": kwargs})
+    return typed_result(out, schema)
+
+
 def two_phase_groupby(
     ds,
     keys: list[str],
@@ -234,11 +214,10 @@ def two_phase_groupby(
             df = pre_filter(df)
         if not len(df):
             # typed empty: an empty pandas frame converts object columns
-            # to Arrow `null`, emitting mixed/schema-less blocks — the
-            # exact footgun normalize_empty_blocks documents, reproduced
-            # through this very function on all-filtered blocks.  Types
-            # come from the incoming Arrow batch; columns the
-            # pre_filter derived fall back to their (empty) pandas dtype.
+            # to Arrow `null`, emitting mixed/schema-less blocks on
+            # all-filtered blocks.  Types come from the incoming Arrow
+            # batch; columns the pre_filter derived fall back to their
+            # (empty) pandas dtype.
             def atype(col: str):
                 if col in batch.schema.names:
                     t = batch.schema.field(col).type

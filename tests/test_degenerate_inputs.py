@@ -81,9 +81,8 @@ def test_assign_overflow_guard_rejects_unsafe_range():
 
 
 def test_triangles_wedge_free_and_empty_graphs():
-    """Path graphs and empty edge lists leave every wedge partition empty;
-    the chained joins must return 0 triangles, not crash the hash-join
-    aggregator on column-less blocks (review r4, reproduced)."""
+    """Path graphs and empty edge lists have no wedge to close: 0
+    triangles, not a crash on empty or column-less blocks."""
     import pandas as pd
     import ray
 

@@ -392,9 +392,12 @@ def test_kcore_peels_low_degree_tail():
             "hpo_b": ["b", "c", "c", "d", "e"],
         }
     )
-    got = kcore_nodes(ray.data.from_arrow(edges), k=2, rounds=3).to_pandas()
-    assert sorted(got["hpo_id"]) == ["a", "b", "c"]
-    assert (got.set_index("hpo_id")["degree"] == 2).all()
+    # the edge list in one block and split over several (one edge each)
+    for blocks in (1, 7):
+        got = kcore_nodes(ray.data.from_arrow(edges).repartition(blocks),
+                          k=2, rounds=3).to_pandas()
+        assert sorted(got["hpo_id"]) == ["a", "b", "c"], blocks
+        assert (got.set_index("hpo_id")["degree"] == 2).all()
 
 
 def test_kcore_fully_peeled_graph_is_empty():

@@ -66,6 +66,18 @@ def test_inverted_index_and_search(mini):
     assert sorted(lut["HP:2"]) == ["c1", "c3"]
     assert search(idx, ["HP:1", "HP:2"], "and") == ["c1"]
     assert search(idx, ["HP:1", "HP:2"], "or") == ["c1", "c2", "c3"]
+    # vacuous AND: every conv with a non-negated mention, as the
+    # distributed probe answers it
+    from phenobert_ray.sources.inverted_index import search_convs_with_all
+
+    def probe(ids):
+        return sorted(search_convs_with_all(anns, ids).to_pandas()["conv_id"])
+
+    assert search(idx, [], "and") == probe([]) == ["c1", "c2", "c3"]
+    assert search(idx, [], "or") == []
+    # a repeated id is the single id
+    assert search(idx, ["HP:1", "HP:1"], "and") == ["c1", "c2"]
+    assert probe(["HP:1", "HP:1"]) == probe(["HP:1"]) == ["c1", "c2"]
 
 
 def test_inverted_index_hot_key_sharding(mini):
@@ -83,13 +95,13 @@ def test_inverted_index_hot_key_sharding(mini):
             }
         )
     )
-    idx = build_inverted_index(anns, num_shards=8).to_pandas()
+    idx = build_inverted_index(anns).to_pandas()
     hot = idx[idx.hpo_id == "HP:HOT"]
     assert len(hot) > 1  # sharded, not one giant row
     assert hot["convs"].map(len).max() < 200
     assert sorted(c for lst in hot["convs"] for c in lst) == convs
 
-    sc = index_scalars(anns, num_shards=8).to_pandas()
+    sc = index_scalars(anns).to_pandas()
     row = sc[sc.hpo_id == "HP:HOT"].iloc[0]
     assert int(row.n_convs) == 200
     assert row.first_conv == "c0000" and row.last_conv == "c0199"

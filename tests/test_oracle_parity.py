@@ -34,3 +34,33 @@ def test_query_matches_oracle(con, sf_small, name):
     oracle = canon(con.execute(E.oracle_sql()[name]).df())
     assert compare(mine, oracle), (name, len(mine), len(oracle),
                                    list(mine.columns), list(oracle.columns))
+
+
+def test_phenotype_queries_run_without_exchange(sf_small, monkeypatch, caplog):
+    """Every phenotype query runs on the pair table or a one-block gather:
+    no bucketed exchange, no Ray Data groupby or join, and no block with a
+    schema other than its operator's ('different schema' warning — the
+    bucketed exchange's empty sort partitions logged it)."""
+    import logging
+
+    import ray.data
+
+    import phenobert_ray.stages.shuffle as shuffle
+
+    def refuse(name):
+        def f(*a, **k):
+            raise AssertionError(f"phenotype query used {name}")
+        return f
+
+    monkeypatch.setattr(shuffle, "two_phase_groupby", refuse("two_phase_groupby"))
+    monkeypatch.setattr(ray.data.Dataset, "groupby", refuse("Dataset.groupby"))
+    monkeypatch.setattr(ray.data.Dataset, "join", refuse("Dataset.join"))
+    ray_data = logging.getLogger("ray.data")  # does not propagate to root
+    ray_data.addHandler(caplog.handler)
+    try:
+        with caplog.at_level(logging.WARNING, logger="ray.data"):
+            for name in PHENOTYPE_QUERIES:
+                to_df(E.queries()[name](sf_small))
+    finally:
+        ray_data.removeHandler(caplog.handler)
+    assert not [r for r in caplog.records if "different schema" in r.getMessage()]

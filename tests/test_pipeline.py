@@ -9,6 +9,10 @@ from phenobert_ray.pipelines.triples import dedup_conv_hpo
 from phenobert_ray.stages.annotate import annotate_turns
 from phenobert_ray.transcripts import read_turns
 
+# the pair-table analytics gather their input into one block: each is
+# checked on annotations cut to one block and to several
+BLOCKS = (1, 7)
+
 
 @pytest.fixture(scope="module")
 def annotations(mini, sf_small):
@@ -198,10 +202,14 @@ def test_cooccurrence_edges_bruteforce(mini, sf_small):
         for a, b in combinations(hs, 2):
             want[(a, b)] = want.get((a, b), 0) + 1
 
-    got = cooccurrence_edges(annotate_turns(read_turns(sf_small), mini)).to_pandas()
-    got_d = {(a, b): int(n) for a, b, n in zip(got["hpo_a"], got["hpo_b"], got["n_convs"])}
-    assert got_d == want
-    assert all(a < b for a, b in got_d)  # canonical undirected order
+    for blocks in BLOCKS:
+        got = cooccurrence_edges(
+            annotate_turns(read_turns(sf_small), mini).repartition(blocks)
+        ).to_pandas()
+        got_d = {(a, b): int(n) for a, b, n in
+                 zip(got["hpo_a"], got["hpo_b"], got["n_convs"])}
+        assert got_d == want, blocks
+        assert all(a < b for a, b in got_d)  # canonical undirected order
 
 
 def test_triangles_bruteforce(mini, sf_small):
@@ -221,13 +229,14 @@ def test_triangles_bruteforce(mini, sf_small):
         for a, b, c in combinations(nodes, 3)
         if (a, b) in eset and (a, c) in eset and (b, c) in eset
     }
-    got = triangles(
-        cooccurrence_edges(annotate_turns(read_turns(sf_small), mini))
-    ).to_pandas()
-    got_set = set(zip(got["hpo_a"], got["hpo_b"], got["hpo_c"]))
-    assert got_set == want
-    assert len(got) == len(got_set)  # no duplicate triangle rows
-    assert all(a < b < c for a, b, c in got_set)
+    for blocks in BLOCKS:
+        got = triangles(cooccurrence_edges(
+            annotate_turns(read_turns(sf_small), mini).repartition(blocks)
+        )).to_pandas()
+        got_set = set(zip(got["hpo_a"], got["hpo_b"], got["hpo_c"]))
+        assert got_set == want, blocks
+        assert len(got) == len(got_set)  # no duplicate triangle rows
+        assert all(a < b < c for a, b, c in got_set)
 
 
 def test_pagerank_bruteforce(mini, sf_small):
@@ -255,16 +264,18 @@ def test_pagerank_bruteforce(mini, sf_small):
         r = 0.15 / n + 0.85 * np.array(
             [sum(contrib[u] for u in nbrs[v]) for v in range(n)]
         )
-    got = (
-        pagerank(cooccurrence_edges(annotate_turns(read_turns(sf_small), mini)))
-        .to_pandas()
-        .set_index("hpo_id")["rank"]
-    )
-    assert len(got) == n
-    for name, i in idx.items():
-        assert got[name] == round(r[i], 6)
-    # ranks remain a probability-mass-like vector (no dangling nodes)
-    assert abs(got.sum() - 1.0) < 1e-4
+    for blocks in BLOCKS:
+        got = (
+            pagerank(cooccurrence_edges(
+                annotate_turns(read_turns(sf_small), mini).repartition(blocks)))
+            .to_pandas()
+            .set_index("hpo_id")["rank"]
+        )
+        assert len(got) == n
+        for name, i in idx.items():
+            assert got[name] == round(r[i], 6), (blocks, name)
+        # ranks remain a probability-mass-like vector (no dangling nodes)
+        assert abs(got.sum() - 1.0) < 1e-4
 
 
 def test_annotate_task_default_cfg(mini):
@@ -319,7 +330,7 @@ def test_cooccurrence_pmi_matches_serial(sf_small, mini_session_dag):
     from phenobert_ray.transcripts import read_turns
 
     ann = annotate_turns(read_turns(sf_small), mini_session_dag)
-    got = cooccurrence_pmi(ann).to_pandas()
+    gots = [cooccurrence_pmi(ann.repartition(b)).to_pandas() for b in BLOCKS]
 
     ann2 = annotate_turns(read_turns(sf_small), mini_session_dag).to_pandas()
     pred = (ann2[~ann2["negated"]][["conv_id", "hpo_id"]]
@@ -336,13 +347,14 @@ def test_cooccurrence_pmi_matches_serial(sf_small, mini_session_dag):
         for i in range(len(hs) - 1):
             for b in hs[i + 1:]:
                 want[(hs[i], b)] = want.get((hs[i], b), 0) + 1
-    got_map = {(a, b): (int(n), int(p)) for a, b, n, p in zip(
-        got["hpo_a"], got["hpo_b"], got["n_convs"], got["pmi_nano"])}
     want_full = {
         k: (n, ln9(n) + ln9(total) - ln9(node[k[0]]) - ln9(node[k[1]]))
         for k, n in want.items()
     }
-    assert got_map == want_full
+    for got in gots:
+        got_map = {(a, b): (int(n), int(p)) for a, b, n, p in zip(
+            got["hpo_a"], got["hpo_b"], got["n_convs"], got["pmi_nano"])}
+        assert got_map == want_full
 
 
 def test_hpo_information_content_matches_serial(sf_small, mini_session_dag):
@@ -358,7 +370,8 @@ def test_hpo_information_content_matches_serial(sf_small, mini_session_dag):
     from phenobert_ray.transcripts import read_turns
 
     ann = annotate_turns(read_turns(sf_small), mini_session_dag)
-    got = hpo_information_content(ann, mini_session_dag).to_pandas()
+    gots = [hpo_information_content(ann.repartition(b), mini_session_dag)
+            .to_pandas() for b in BLOCKS]
     ann2 = annotate_turns(read_turns(sf_small), mini_session_dag)
     roll = ancestor_rollup(ann2, mini_session_dag).to_pandas()
     n_tot = int(roll["n_convs"].max())
@@ -368,8 +381,9 @@ def test_hpo_information_content_matches_serial(sf_small, mini_session_dag):
 
     want = {h: (int(n), ln9(n_tot) - ln9(int(n)))
             for h, n in zip(roll["hpo_id"], roll["n_convs"])}
-    got_map = {h: (int(n), int(ic)) for h, n, ic in zip(
-        got["hpo_id"], got["n_convs"], got["ic_nano"])}
-    assert got_map == want
-    # the root (max-count node) has IC exactly 0
-    assert 0 in {ic for _, ic in got_map.values()}
+    for got in gots:
+        got_map = {h: (int(n), int(ic)) for h, n, ic in zip(
+            got["hpo_id"], got["n_convs"], got["ic_nano"])}
+        assert got_map == want
+        # the root (max-count node) has IC exactly 0
+        assert 0 in {ic for _, ic in got_map.values()}

@@ -79,9 +79,9 @@ def main(argv=None) -> int:
         batch_format="pyarrow",
     )
 
-    # one membership exchange feeds all three metrics (micro_prf /
-    # macro_prf / ontology_similarity each rebuild it otherwise — a 3×
-    # recompute of the tag+union+shuffle); averages run over
+    # one membership table (one block) feeds all three metrics (micro_prf
+    # / macro_prf / ontology_similarity each rebuild it otherwise — a 3×
+    # recompute of the tag+union+gather); averages run over
     # ALL corpus docs like the reference (docs with neither gold nor
     # predicted HPOs score P=R=1 / sim=1, eval_all.py:64-67)
     n_docs = len({f for f in os.listdir(args.corpus_dir)

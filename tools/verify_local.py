@@ -9,6 +9,7 @@ With query names given, only those queries are checked.
 
 from __future__ import annotations
 
+import logging
 import os
 import sys
 import time
@@ -17,6 +18,7 @@ from pathlib import Path
 import duckdb
 import pandas as pd
 import ray
+import ray.data  # configures the "ray.data" logger main() hooks
 
 # the tables the oracles read; the phenotype queries read only documents
 # (the turns are synthesized from it in SQL, see phenobert_ray/transcripts.py)
@@ -98,9 +100,25 @@ def compare(mine: pd.DataFrame, oracle: pd.DataFrame) -> bool:
     )
 
 
+class _SchemaWarnings(logging.Handler):
+    """Counts Ray Data's "different schema" warnings: a block whose schema
+    differs from its operator's previous one."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.n = 0
+
+    def emit(self, record):
+        self.n += "different schema" in record.getMessage()
+
+
 def main(sf_dir: str, only: list[str] | None = None) -> int:
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False)
+    schema_warnings = _SchemaWarnings()
+    logging.getLogger("ray.data").addHandler(schema_warnings)
+    t_start = time.time()
+    passes = 0
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as E
 
@@ -136,6 +154,7 @@ def main(sf_dir: str, only: list[str] | None = None) -> int:
         if compare(mine, oracle):
             print(f"PASS  {name}: rows={len(mine)} hash={value_hash(mine)} "
                   f"[{time.time()-t0:.1f}s]")
+            passes += 1
             continue
         failures += 1
         print(
@@ -159,6 +178,9 @@ def main(sf_dir: str, only: list[str] | None = None) -> int:
             bad = neq.any(axis=1)
             print(mine[bad].head(5))
             print(oracle[bad].head(5))
+    print(f"{passes} PASS / {failures} FAIL in {time.time() - t_start:.1f} s, "
+          f"{schema_warnings.n} schema-mismatch warnings")
+    logging.getLogger("ray.data").removeHandler(schema_warnings)
     ray.shutdown()
     return failures
 
