@@ -63,7 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=4,
                    help="kg output files, split by conversation hash "
                         "(at most one per input fragment)")
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--batch-size", type=int, default=256,
+                   help="turns per kernel call inside an annotate task, on "
+                        "the dictionary and model paths alike; sizing only, "
+                        "never changes the output")
     p.add_argument("-t", "--threads", type=float, default=1.0,
                    help="CPUs reserved per annotate task (reference -t sets "
                         "torch intra-op threads, annotate.py:23; here the "

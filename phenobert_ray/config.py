@@ -23,11 +23,12 @@ class PipelineConfig:
     # the documented recall-superset default, candidates.py:6-14)
 
     # Ray sizing (never changes output).  The annotate stage is one
-    # task-pool ``map_batches``: the dictionary path hands each task
-    # ``annotate_batch_size`` turns under Ray Data's per-operator CPU
-    # reservation; a model path (model_dir, use_model_standins or
-    # ner_path) hands each block to its own task, and ``run_kg_job`` lifts
-    # the reservation so those tasks run on every CPU.
+    # task-pool ``map_batches`` that hands each block to its own task on
+    # both paths, fused into the read; ``annotate_batch_size`` sets the
+    # turns per kernel call inside a task.  The dictionary path keeps Ray
+    # Data's per-operator CPU reservation; for a model path (model_dir,
+    # use_model_standins or ner_path) ``run_kg_job`` lifts it so those
+    # tasks run on every CPU.
     annotate_batch_size: int = 256           # turns per kernel call
     annotate_num_cpus: float = 1.0           # CPUs reserved per task
 

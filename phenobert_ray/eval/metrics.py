@@ -74,7 +74,7 @@ def membership_from_tagged(tagged_ds):
     hold."""
     from ..stages.shuffle import in_one_block
 
-    return in_one_block(tagged_ds, _membership, MEMBERSHIP_SCHEMA)
+    return in_one_block(tagged_ds, TAGGED_SCHEMA, _membership, MEMBERSHIP_SCHEMA)
 
 
 def membership(pred_ds, gold_ds):
@@ -91,9 +91,8 @@ def _block_sums(m, fn, **kwargs) -> dict:
     """Sums of ``fn``'s per-block partials (a dict of numbers) as the
     membership blocks stream to the driver.  Whole blocks: a
     conversation's rows never straddle two.  The partials run on the
-    driver rather than in a ``map_batches``: a map over the typed empty
-    block of ``typed_result`` emits a column-less block, which Ray Data
-    logs as a schema change."""
+    driver rather than in a ``map_batches``: a map over a zero-row
+    membership block emits a column-less one."""
     tot: dict = {}
     for b in m.iter_batches(batch_format="pyarrow", batch_size=None):
         if b.num_rows:

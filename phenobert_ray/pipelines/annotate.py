@@ -148,10 +148,12 @@ def _annotate_pending(turns_path: str, pending: list[_Unit], dag: HpoDag,
             turns_path if input_format == "textdir" else pending[0].paths,
             input_format)
     if carries_model(cfg):
-        # Ray Data reserves each operator its own CPU share, which keeps
-        # the annotate operator on one CPU.  Ray gives every read a copy
-        # of the global DataContext, so lifting the reservation here
-        # touches only this job's lineage.
+        # Ray Data reserves each operator its own CPU share; a model path
+        # lifts it so its annotate tasks run on every CPU.  Ray gives
+        # every read a copy of the global DataContext, so this touches
+        # only this job's lineage.  The dictionary path keeps it: its
+        # fused read+annotate operator gets the read's share too, and
+        # runs on two workers.
         turns.context.op_resource_reservation_enabled = False
     gathered = gather_partials(annotate_turns(turns, dag, cfg),
                                cfg.triples_drop_negated)

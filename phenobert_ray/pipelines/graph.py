@@ -15,7 +15,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..stages.shuffle import in_one_block
-from .triples import run_pairs, run_starts, vocab_codes
+from .triples import EDGE_SCHEMA, run_pairs, run_starts, vocab_codes
 
 TRIANGLE_SCHEMA = pa.schema([("hpo_a", pa.string()), ("hpo_b", pa.string()),
                              ("hpo_c", pa.string())])
@@ -53,7 +53,7 @@ def triangles(edges_ds):
     ``cooccurrence_edges`` uses), kept when the closing edge exists.  A
     hub of degree d contributes C(d, 2) wedges — the classic bound; the
     co-occurrence graph is phenotype-vocabulary-sized, so d is small."""
-    return in_one_block(edges_ds, _triangles, TRIANGLE_SCHEMA)
+    return in_one_block(edges_ds, EDGE_SCHEMA, _triangles, TRIANGLE_SCHEMA)
 
 
 def _pagerank(edges: pa.Table, iters: int, damping: float) -> pa.Table:
@@ -77,7 +77,7 @@ def pagerank(edges_ds, iters: int = 3, damping: float = 0.85):
     ``np.bincount`` of rank/degree contributions over the adjacency, in
     the one task that holds the edge list.  Dangling nodes don't occur,
     since every node in an edge list has degree ≥ 1."""
-    return in_one_block(edges_ds, _pagerank, RANK_SCHEMA,
+    return in_one_block(edges_ds, EDGE_SCHEMA, _pagerank, RANK_SCHEMA,
                         iters=iters, damping=damping)
 
 
@@ -110,4 +110,5 @@ def kcore_nodes(edges_ds, k: int = 2, rounds: int = 3):
     removes nothing — callers can raise ``rounds`` until stable.  Each
     round is one ``np.bincount`` over the alive-alive adjacency, in the
     one task that holds the edge list."""
-    return in_one_block(edges_ds, _kcore, KCORE_SCHEMA, k=k, rounds=rounds)
+    return in_one_block(edges_ds, EDGE_SCHEMA, _kcore, KCORE_SCHEMA,
+                        k=k, rounds=rounds)

@@ -126,11 +126,15 @@ def gather_partials(annotations_ds, drop_negated: bool):
     """The per-block partials of ``annotations_ds``, gathered into one block.
 
     The combiner is a ``map_batches`` with default remote args, so Ray
-    fuses it into the annotate operator and each block leaves that task
-    already collapsed; ``repartition(1)`` then moves only partials.  The
-    gather also keeps the annotate operator under Ray Data's per-operator
-    CPU reservation (without it, the dictionary path spreads over every
-    CPU at +25% peak RSS)."""
+    fuses it into the read+annotate operator and each block leaves that
+    task already collapsed; ``repartition(1)`` then moves only partials.
+    The gather also holds the dictionary path's annotate operator to its
+    share of Ray Data's per-operator CPU reservation (two workers).
+    Without the gather that path spreads over every CPU: on kg_chat
+    (4 CPUs, seeds 1-2) 41.1k / 42.0k turns/s against 26.9k / 27.1k with
+    it, but 2,227 / 2,228 MB peak RSS against 1,771 / 1,770 MB, +26%
+    (each extra busy worker holds a Ray worker, the ontology and its
+    memo)."""
     return annotations_ds.map_batches(
         _conv_hpo_partial, batch_format="pyarrow",
         fn_kwargs={"drop_negated": drop_negated},
@@ -147,12 +151,13 @@ def dedup_conv_hpo(annotations_ds, drop_negated: bool = True):
 
     Memory contract: the merge holds the distinct pairs of the whole input
     in one block (~11.5k rows per 20k kg_chat turns).
-    A zero-row input yields a typed zero-row result."""
-    from ..stages.shuffle import typed_result
+    The result is one block, typed even with zero rows."""
+    from ..stages.shuffle import in_one_block
 
-    merged = gather_partials(annotations_ds, drop_negated).map_batches(
-        _conv_hpo_merge, batch_format="pyarrow", batch_size=None)
-    return typed_result(merged, DEDUP_SCHEMA)
+    partials = annotations_ds.map_batches(
+        _conv_hpo_partial, batch_format="pyarrow",
+        fn_kwargs={"drop_negated": drop_negated})
+    return in_one_block(partials, DEDUP_SCHEMA, _conv_hpo_merge, DEDUP_SCHEMA)
 
 
 def _to_triples(b: pa.Table) -> pa.Table:
@@ -177,9 +182,9 @@ def has_phenotype_triples(annotations_ds, cfg: PipelineConfig | None = None):
     with the triple build in the merge task.  Same memory contract;
     ``cfg.triples_drop_negated`` keeps negated mentions out.
 
-    Unlike :func:`dedup_conv_hpo`, no typed empty block is appended: a
+    Unlike :func:`dedup_conv_hpo`, the gather has no marker row: a
     zero-row result comes back column-less (Ray skips ``map_batches`` on
-    empty blocks); the append would cost an extra union operator (35-100
+    empty blocks); the marker would cost an extra union operator (35-100
     ms measured per execution)."""
     cfg = cfg or PipelineConfig()
     return gather_partials(annotations_ds, cfg.triples_drop_negated).map_batches(
@@ -223,7 +228,8 @@ def on_pair_table(annotations_ds, fn, schema: pa.Schema,
     partials = annotations_ds.map_batches(
         _distinct_pairs, batch_format="pyarrow",
         fn_kwargs={"drop_negated": drop_negated})
-    return in_one_block(partials, _sorted_pairs_then, schema, fn=fn, **kwargs)
+    return in_one_block(partials, PAIR_SCHEMA, _sorted_pairs_then, schema,
+                        fn=fn, **kwargs)
 
 
 def _as_is(pairs: pa.Table) -> pa.Table:

@@ -13,9 +13,13 @@ deserialized once per worker process — never re-shipped per batch
 (SURVEY.md §2.5).  On the dictionary path it is the ontology (the shipped
 DAG pickles to ~4.6 MB); on a model path it is ``(dag, scorer, ner)``,
 built once on the driver (~36 MB for ``-m builtin``), so no worker loads
-checkpoints.  A model path also hands each block to its own task, which
-``run_kg_job`` lets run on every CPU.  The scorers are numpy
-(``models_np``, ``bert_np``, ``ner_np``), so the stage reserves CPUs only.
+checkpoints.  Every path hands each block to its own task
+(``batch_size=None``), so Ray fuses the stage into the parquet read that
+feeds it: one ``ReadParquet->...->MapBatches(_annotate_task)`` task per
+block, sliced into ``annotate_batch_size`` turns per kernel call.
+``run_kg_job`` lets a model path's tasks run on every CPU.  The scorers
+are numpy (``models_np``, ``bert_np``, ``ner_np``), so the stage reserves
+CPUs only.
 ``AnnotateTurns`` is the same stage run in-process, one batch per call.
 """
 
@@ -152,7 +156,7 @@ def _annotate_batch(batch: pa.Table, dag: HpoDag, scorer, cfg: PipelineConfig,
 
 def _annotate_block(block: pa.Table, state, cfg: PipelineConfig) -> pa.Table:
     """Annotate ``block`` ``cfg.annotate_batch_size`` turns per kernel call
-    (a model path hands each task a whole block)."""
+    (each task gets a whole block), which bounds the memory of one call."""
     dag, scorer, memo, ner = state
     step = max(1, cfg.annotate_batch_size)
     return pa.concat_tables([
@@ -217,14 +221,15 @@ def annotate_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
     """turns Dataset → annotations Dataset (lazy, streaming).
 
     One task-pool ``map_batches``: the stage state is broadcast once per
-    Ray session (``_broadcast``) and cached per worker process.  The
-    dictionary path takes ``annotate_batch_size`` turns per task; a model
-    path gives each block its own task."""
+    Ray session (``_broadcast``) and cached per worker process.  Each block
+    is its own task (``batch_size=None``), so Ray fuses the map into the
+    read that feeds it; ``annotate_batch_size`` sets the turns per kernel
+    call inside the task, never the output."""
     cfg = cfg or PipelineConfig()
     return turns_ds.map_batches(
         _annotate_task,
         batch_format="pyarrow",
-        batch_size=None if carries_model(cfg) else cfg.annotate_batch_size,
+        batch_size=None,
         fn_kwargs={"dag_ref": _broadcast(dag, cfg), "cfg": cfg,
                    "fingerprint": getattr(dag, "fingerprint", None)},
         num_cpus=cfg.annotate_num_cpus,

@@ -166,27 +166,62 @@ def typed_result(ds, schema: pa.Schema):
     It cannot fix
     ``Dataset.to_pandas()`` — Ray 2.49 drops the columns of ANY
     zero-row dataset there; driver-side consumers needing a typed frame
-    must rebuild it from ``schema()`` (see tools/verify_local.to_df)."""
+    must rebuild it from ``schema()`` (see tools/verify_local.to_df).
+    Ray logs a schema change when the union meets a column-less block;
+    :func:`in_one_block` types its result without a union."""
     return ds.union(ray.data.from_arrow(schema.empty_table()))
 
 
+def _marker(ds, in_schema: pa.Schema):
+    """One all-null row in the schema and block format of ``ds``'s blocks:
+    the plan's own when it knows them without running, else ``in_schema``
+    (Ray cannot gather Arrow and pandas blocks into one)."""
+    known = ds.schema(fetch_if_missing=False)
+    base = in_schema if known is None else known.base_schema
+    if isinstance(base, pa.Schema):
+        return ray.data.from_arrow(pa.Table.from_arrays(
+            [pa.nulls(1, f.type) for f in base], schema=base))
+    return ray.data.from_pandas(pd.DataFrame({n: [None] for n in base.names}))
+
+
+def _drop_null_row(b: pa.Table) -> pa.Table:
+    """``b`` without one row whose every column is null: the gather's
+    marker (any such row of the input is indistinguishable from it)."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    valid = pc.is_valid(b.column(0))
+    for c in b.columns[1:]:
+        valid = pc.or_(valid, pc.is_valid(c))
+    i = int(np.flatnonzero(~valid.to_numpy(zero_copy_only=False))[0])
+    return pa.concat_tables([b.slice(0, i), b.slice(i + 1)])
+
+
 def _apply_cast(b: pa.Table, fn, schema: pa.Schema, kwargs: dict) -> pa.Table:
+    b = _drop_null_row(b)
+    if not b.num_rows:
+        return schema.empty_table()
     return fn(b, **kwargs).cast(schema)
 
 
-def in_one_block(ds, fn, schema: pa.Schema, /, **kwargs):
+def in_one_block(ds, in_schema: pa.Schema, fn, schema: pa.Schema, /, **kwargs):
     """``fn(table, **kwargs)`` over the whole of ``ds`` gathered into one
     Arrow block by ``repartition(1)``, run as one task, its result cast to
-    ``schema`` and typed when empty (:func:`typed_result`).  No shuffle:
-    the gather moves every block once.
+    ``schema``.  No shuffle: the gather moves every block once.
+
+    The result is exactly one block, typed even with zero rows (``fn`` is
+    then not called).  Ray skips a map over a zero-row block and emits a
+    column-less one, so the gather always holds one all-null marker row
+    (:func:`_marker`), which the task drops.  ``in_schema`` is the schema
+    of ``ds``'s blocks; a marker of another schema works, but Ray logs the
+    change.
 
     Memory contract: all of ``ds`` fits in one block, so feed it
     vocabulary-bounded tables (a distinct-pair table, an edge list), not
     raw rows."""
-    out = ds.repartition(1).map_batches(
+    return ds.union(_marker(ds, in_schema)).repartition(1).map_batches(
         _apply_cast, batch_format="pyarrow", batch_size=None,
         fn_kwargs={"fn": fn, "schema": schema, "kwargs": kwargs})
-    return typed_result(out, schema)
 
 
 def two_phase_groupby(

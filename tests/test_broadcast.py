@@ -221,10 +221,10 @@ def test_model_kg_job_after_session_restart(mini, tmp_path):
 
 def test_model_path_lifts_reservation_for_its_job_only(mini, monkeypatch, tmp_path):
     """Only a model-path KG job's own datasets run without Ray Data's
-    per-operator reservation, with one annotate task per block (Ray may
-    split a fragment's block, never bundle blocks);
-    the global DataContext, a caller's input dataset and the dictionary
-    path keep it."""
+    per-operator reservation; the global DataContext, a caller's input
+    dataset and the dictionary path keep it.  Both paths run one annotate
+    task per block (Ray may split a fragment's block, never bundle
+    blocks)."""
     import re
 
     import phenobert_ray.pipelines.annotate as pipeline
@@ -250,12 +250,44 @@ def test_model_path_lifts_reservation_for_its_job_only(mini, monkeypatch, tmp_pa
 
     (model_ctx, model_stats), (dict_ctx, dict_stats) = seen
     assert model_ctx is False and annotate_tasks(model_stats) >= 4
-    assert dict_ctx is True and annotate_tasks(dict_stats) == 1
+    assert dict_ctx is True and annotate_tasks(dict_stats) >= 4
     assert ray.data.DataContext.get_current().op_resource_reservation_enabled
 
     caller = ray.data.read_parquet(turns)
     annotate_turns(caller, mini, STANDIN).materialize()
     assert caller.context.op_resource_reservation_enabled
+
+
+def test_dict_kg_job_fuses_read_into_annotate(mini, monkeypatch, tmp_path):
+    """A dictionary-path KG job reads and annotates each block in one
+    task: its executed plan has one operator from ReadParquet through the
+    annotate map, and the job keeps Ray Data's reservation on its own
+    lineage and on the global DataContext.  Ray splits a read with fewer
+    than two blocks per CPU, and a split read does not fuse, so the input
+    has that many fragments."""
+    import re
+
+    import phenobert_ray.pipelines.annotate as pipeline
+
+    seen = []
+    real = pipeline.gather_partials
+
+    def spy(ann, drop_negated):
+        seen.append((ann, real(ann, drop_negated)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(pipeline, "gather_partials", spy)
+    files = 2 * int(ray.cluster_resources()["CPU"])
+    turns = _turns_dir(tmp_path, mini, files=files)
+    stats = run_kg_job(turns, str(tmp_path / "kg"), mini, num_shards=1)
+    assert stats["fragments_run"] == files and stats["rows"] > 0
+
+    ((ann, gathered),) = seen
+    ops = re.findall(r"^Operator \d+ (\S+):", gathered.stats(), re.M)
+    assert [op for op in ops
+            if "ReadParquet" in op and "MapBatches(_annotate_task)" in op] == ops[:1]
+    assert ann.context.op_resource_reservation_enabled
+    assert ray.data.DataContext.get_current().op_resource_reservation_enabled
 
 
 def test_ner_kg_job_uses_driver_built_tagger(mini, tmp_path):

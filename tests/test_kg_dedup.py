@@ -295,3 +295,64 @@ def test_kg_job_logs_no_schema_mismatch(mini, tmp_path, monkeypatch, caplog):
     finally:
         ray_data.removeHandler(caplog.handler)
     assert not [r for r in caplog.records if "different schema" in r.getMessage()]
+
+
+def test_zero_pair_analytics_log_no_schema_mismatch(mini, caplog):
+    """Pair-table analytics, graph operators and probes return one typed
+    block, with no 'different schema' warning, when the input has no
+    pair (every mention negated) or no co-occurring pair (one mention per
+    conversation): their one-block task always runs, so Ray never emits a
+    column-less block beside a typed one."""
+    import ray.data  # noqa: F401  (configures the logger this test hooks)
+
+    from phenobert_ray.eval import metrics
+    from phenobert_ray.pipelines import graph, triples
+    from phenobert_ray.sources import inverted_index as index
+
+    a, b = sorted(mini.abnormality_nt)[:2]
+    ops = {
+        "dedup": (dedup_conv_hpo, DEDUP_SCHEMA),
+        "pairs": (triples.conv_hpo_pairs, triples.PAIR_SCHEMA),
+        "edges": (triples.cooccurrence_edges, triples.EDGE_SCHEMA),
+        "pmi": (triples.cooccurrence_pmi, triples.PMI_SCHEMA),
+        "ic": (lambda d: triples.hpo_information_content(d, mini), triples.IC_SCHEMA),
+        "rollup": (lambda d: triples.ancestor_rollup(d, mini), triples.ROLLUP_SCHEMA),
+        "index": (index.build_inverted_index, index.POSTINGS_SCHEMA),
+        "scalars": (index.index_scalars, index.SCALARS_SCHEMA),
+        "all": (lambda d: index.search_convs_with_all(d, [a, b]), index.CONVS_SCHEMA),
+        "any": (lambda d: index.search_convs_with_any(d, [a, b]), index.CONVS_SCHEMA),
+        "triangles": (lambda d: graph.triangles(triples.cooccurrence_edges(d)),
+                      graph.TRIANGLE_SCHEMA),
+        "pagerank": (lambda d: graph.pagerank(triples.cooccurrence_edges(d)),
+                     graph.RANK_SCHEMA),
+        "kcore": (lambda d: graph.kcore_nodes(triples.cooccurrence_edges(d), k=1),
+                  graph.KCORE_SCHEMA),
+        "membership": (lambda d: metrics.membership(d, d), metrics.MEMBERSHIP_SCHEMA),
+    }
+    inputs = {
+        "all_negated": _ann_table([("c1", 0, 0, 4, "x", a, 1.0, True),
+                                   ("c2", 0, 0, 4, "x", b, 1.0, True)]),
+        "single_mention": _ann_table([("c1", 0, 0, 4, "x", a, 1.0, False),
+                                      ("c2", 0, 0, 4, "x", b, 1.0, False)]),
+    }
+    rows = {}
+    ray_data = logging.getLogger("ray.data")  # does not propagate to root
+    ray_data.addHandler(caplog.handler)
+    try:
+        with caplog.at_level(logging.WARNING, logger="ray.data"):
+            for name, table in inputs.items():
+                for op, (fn, schema) in ops.items():
+                    refs = fn(ray.data.from_arrow(table)).to_arrow_refs()
+                    (block,) = ray.get(refs)
+                    assert block.schema == schema, (name, op)
+                    rows[name, op] = block.num_rows
+    finally:
+        ray_data.removeHandler(caplog.handler)
+    assert not [r for r in caplog.records if "different schema" in r.getMessage()]
+
+    assert {op for (name, op), n in rows.items()
+            if name == "all_negated" and n} == {"membership"}
+    assert {op for (name, op), n in rows.items()
+            if name == "single_mention" and not n} == {
+        "edges", "pmi", "all", "triangles", "pagerank", "kcore"}
+    assert rows["single_mention", "dedup"] == rows["single_mention", "any"] == 2

@@ -93,9 +93,10 @@ def test_determinism_across_parallelism(mini, sf_small):
 @pytest.mark.parametrize("model", [False, True], ids=["dict", "model"])
 def test_annotate_plan_is_one_cpu_task_pool(mini, sf_small, model):
     """The default annotate plan is one task-pool map_batches that reserves
-    CPUs only: the dictionary path batches annotate_batch_size turns per
-    task, a model path hands each block to its own task.  The plan is
-    built, never executed."""
+    CPUs only and hands each block to its own task on both paths
+    (batch_size=None, so Ray can fuse it into the read; annotate_batch_size
+    slices the block per kernel call inside the task).  The plan is built,
+    never executed."""
     from phenobert_ray.config import PipelineConfig
 
     cfg = PipelineConfig(use_model_standins=model)
@@ -103,7 +104,7 @@ def test_annotate_plan_is_one_cpu_task_pool(mini, sf_small, model):
     assert op._fn.__name__ == "_annotate_task"
     assert type(op._compute).__name__ == "TaskPoolStrategy"
     assert op._ray_remote_args == {"num_cpus": cfg.annotate_num_cpus}
-    assert op._batch_size == (None if model else cfg.annotate_batch_size)
+    assert op._batch_size is None
 
 
 def test_streaming_no_materialize(mini, sf_small):
