@@ -102,6 +102,13 @@ class HpoDag:
         # per pipeline) does not force a re-deserialize per worker
         self.refresh_fingerprint()
 
+    def __getstate__(self) -> dict:
+        # the driver's is_a table (pipelines.triples.is_a_table, ~1 MB
+        # pickled) stays out of the broadcast; no worker reads it
+        state = self.__dict__.copy()
+        state.pop("_is_a", None)
+        return state
+
     def refresh_fingerprint(self) -> None:
         """Recompute after any post-construction dictionary mutation
         (e.g. simplified-key indexing).  Full-content hash: the resume

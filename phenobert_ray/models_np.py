@@ -22,9 +22,25 @@ downloaded into a model dir, this path reproduces its CNN scoring without
 torch.  The sequence max-pool runs over ALL padded positions (the
 reference's masked pooling is commented out, model.py:151-157 — we
 replicate the shipped behaviour).
+
+Inference is factored (``CnnEncoderNP.encode_keys``).  The conv has
+kernel size 1, so a padded position holds ``relu(v·Wᵀ + b)`` for its own
+token alone, and every pad position holds ``relu(b)``.  A candidate's
+pooled vector is therefore the elementwise max of its tokens' projected
+rows, with ``relu(b)`` when it is shorter than ``MAX_SEQ_LEN`` (a longer
+key is truncated with no pad column, as the padded tensor does).  The
+scorer never builds the padded ``(B, S, E)`` tensor: each encoder
+projects each distinct token of a call once, pools per distinct token
+tuple, and the dense ``__call__`` stays as the training and test oracle.
+Both give the same bits when BLAS rounds their products alike.  BLAS may
+round a product of a few rows in the last place differently from a
+larger one, far below the 4-decimal scores the scorer emits
+(tests/test_factored_scorer.py).
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -35,6 +51,15 @@ MAX_SEQ_LEN = 30  # util.py:55
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
+
+
+def key_matrix(keys, pad: int) -> np.ndarray:
+    """Token-index keys, longest first → the (B, S) matrix the factored
+    encoders pool over: S = min(MAX_SEQ_LEN, longest + 1), so a key
+    shorter than ``MAX_SEQ_LEN`` keeps a ``pad`` column and a longer one
+    is cut, as the reference's padded tensor does."""
+    S = min(MAX_SEQ_LEN, len(keys[0]) + 1)
+    return np.array([list(k[:S]) + [pad] * (S - len(k)) for k in keys], np.intp)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -57,6 +82,7 @@ class CnnEncoderNP:
         self.lin_w = np.asarray(w[f"{prefix}linear.weight"], np.float32)
         self.lin_b = np.asarray(w[f"{prefix}linear.bias"], np.float32)
         self.embedding_dim = self.conv_w.shape[1]
+        self.pad = relu(self.conv_b)  # every zero-pad position's conv output
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """x: (B, S, E) padded token embeddings → (B, D) normalized."""
@@ -65,7 +91,32 @@ class CnnEncoderNP:
         # (reshaped matmul hits BLAS; the einsum form was ~20× slower)
         h = relu((x.reshape(B * S, E) @ self.conv_w.T).reshape(B, S, -1)
                  + self.conv_b)
-        h = h.max(axis=1)  # global max-pool over the (padded) sequence
+        return self._head(h.max(axis=1))  # global max-pool over the sequence
+
+    def encode_keys(self, vecs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The forward without the padded tensor: ``idx`` is a
+        :func:`key_matrix` of row indices into ``vecs`` (T, E), longest row
+        first, padded with T → (B, D), equal to ``__call__`` on the rows
+        zero-padded to S positions.
+
+        Each token row is projected once.  Column j's tokens are a prefix
+        of the rows, so the pool is one gather-max per column; a row
+        shorter than ``MAX_SEQ_LEN`` also pools the pad value."""
+        T = len(vecs)
+        proj = relu(vecs @ self.conv_w.T + self.conv_b)  # (T, C)
+        n = np.count_nonzero(idx < T, axis=0)  # rows with a token in column j
+        h = np.empty((len(idx), proj.shape[1]), np.float32)
+        h[:n[0]] = proj[idx[:n[0], 0]]
+        h[n[0]:] = self.pad
+        for j in range(1, len(n)):
+            if not n[j]:
+                break
+            np.maximum(h[:n[j]], proj[idx[:n[j], j]], out=h[:n[j]])
+        np.maximum(h[n[-1]:], self.pad, out=h[n[-1]:])
+        return self._head(h)
+
+    def _head(self, h: np.ndarray) -> np.ndarray:
+        """Pooled (B, C) → linear → relu → L2 normalize."""
         h = relu(h @ self.lin_w.T + self.lin_b)
         n = np.linalg.norm(h, axis=1, keepdims=True)
         return h / np.where(n > 0, n, 1.0)
@@ -83,6 +134,11 @@ class L1RouterNP:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """(B, S, E) → (B, n_class+1) sigmoid scores."""
         return _sigmoid(self.encoder(x) @ self.out_w.T + self.out_b)
+
+    def forward_keys(self, vecs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Key matrix (``CnnEncoderNP.encode_keys``) → sigmoid scores."""
+        return _sigmoid(self.encoder.encode_keys(vecs, idx) @ self.out_w.T
+                        + self.out_b)
 
 
 def ancestor_matrix(dag: HpoDag, members: list[str]) -> np.ndarray:
@@ -158,9 +214,9 @@ class SubtreeModelNP:
             )
         self.graph = (ancestor_graph(dag, members, H0) + bias).T  # (out2, n+1)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """(B, S, E) → (B, n+1) raw logits."""
-        return self.encoder(x) @ self.graph
+    def forward_keys(self, vecs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Key matrix (``CnnEncoderNP.encode_keys``) → (B, n+1) raw logits."""
+        return self.encoder.encode_keys(vecs, idx) @ self.graph
 
     def hpo_of(self, idx: int) -> str:
         return self.members[idx] if idx < len(self.members) else "None"
@@ -173,6 +229,10 @@ class NumpyModelScorer:
     Interface-compatible with StandInScorer: called with surviving
     candidates, returns [(candidate, hpo_id, score)].
     """
+
+    # per-worker token memo bound, as the fastText memo in
+    # standins.load_torch_scorer; tokens past it are looked up each call
+    VEC_CACHE_MAX = 1_000_000
 
     def __init__(self, dag: HpoDag, l1_router: L1RouterNP,
                  sub_models: dict[str, SubtreeModelNP], token_vec,
@@ -189,67 +249,80 @@ class NumpyModelScorer:
         self.layer1 = dag.layer1
         self._vec_cache: dict[str, np.ndarray] = {}  # token → embedding row
 
-    def _batch(self, cands) -> np.ndarray:
-        E = self.l1.encoder.embedding_dim
+    def _keys(self, cands):
+        """``(vecs, idx, key_of)``: the call's distinct tokens as (T, E)
+        rows, its distinct token tuples, longest first, as a
+        :func:`key_matrix` over them, and each candidate's row in it."""
+        toks = [tuple(c.tokens) for c in cands]
+        keys = sorted(dict.fromkeys(toks), key=len, reverse=True)
+        key_row = {k: u for u, k in enumerate(keys)}
+        tok_row = {t: i for i, t in enumerate(
+            dict.fromkeys(chain.from_iterable(keys)))}
         cache = self._vec_cache
-        # S = min(30, maxlen+1): keeping ≥1 zero-pad column makes the
-        # global max-pool IDENTICAL to a fixed 30-pad (all pad positions
-        # tie at relu(conv bias)) while cutting conv work ~5× on the
-        # typical ≤6-token candidate
-        maxlen = max((len(c.tokens) for c in cands), default=1)
-        S = min(MAX_SEQ_LEN, max(1, maxlen) + 1)
-        x = np.zeros((len(cands), S, E), dtype=np.float32)
-        for i, c in enumerate(cands):
-            for j, tok in enumerate(c.tokens[:MAX_SEQ_LEN]):
-                if j >= S:
-                    break
-                v = cache.get(tok)
-                if v is None:
-                    v = self.token_vec(tok)
+        vecs = []
+        for tok in tok_row:
+            v = cache.get(tok)
+            if v is None:
+                v = self.token_vec(tok)
+                if len(cache) < self.VEC_CACHE_MAX:
                     cache[tok] = v
-                x[i, j] = v
-        return x
+            vecs.append(v)
+        vecs = np.array(vecs, np.float32)
+        idx = key_matrix([[tok_row[t] for t in k] for k in keys], len(vecs))
+        return vecs, idx, [key_row[k] for k in toks]
 
     def __call__(self, cands):
         """Batched per SUBTREE (the reference equivalently pushes batches of
-        256 phrases through each submodel, util.py:1066): every candidate
-        routed to a given L1 goes through that submodel in ONE forward, then
-        the per-candidate Step-2/Step-3 branch logic (semantics identical to
-        the reference's per-phrase loop, verified by the branch-parity
-        tests) assembles results from the shared top-k tables."""
+        256 phrases through each submodel, util.py:1066): every distinct
+        token tuple routed to a given L1 goes through that submodel in ONE
+        forward, then the per-candidate Step-2/Step-3 branch logic
+        (semantics identical to the reference's per-phrase loop, verified
+        by the branch-parity tests) assembles results from the shared
+        top-k tables."""
         if not cands:
             return []
-        x = self._batch(cands)
-        y = self.l1(x)  # (B, n_class+1)
+        vecs, idx, key_of = self._keys(cands)
+        y = self.l1.forward_keys(vecs, idx)  # (U, n_class+1)
         none_idx = y.shape[1] - 1
-        routed = y >= self.p1  # (B, n_class+1)
+        routed = y >= self.p1  # (U, n_class+1)
         # reference gate (util.py:1104-1110): drop a phrase when nothing
         # routes or when the None slot itself clears p1
         alive = routed[:, :none_idx].any(axis=1) & ~routed[:, none_idx]
         if not alive.any():
             return []
 
-        # one batched submodel forward per routed L1 subtree; per-candidate
+        # one batched submodel forward per routed L1 subtree; per-key
         # (hpo, prob) rankings gathered from the shared top-k tables in
         # ascending-l1, descending-prob order — the exact iteration order of
         # the per-phrase reference loop, so first-max tie-breaks agree
         topk = 5 if self.bert is None else 10
         ranked: dict[int, list[tuple[str, float]]] = {}
-        for j in range(min(none_idx, len(self.layer1))):
+        live = routed[:, :min(none_idx, len(self.layer1))] & alive[:, None]
+        for j in np.flatnonzero(live.any(axis=0)):  # subtrees with a row
             sub = self.subs.get(self.layer1[j])
             if sub is None:
                 continue
-            idx = np.flatnonzero(routed[:, j] & alive)
-            if not len(idx):
-                continue
-            logits = sub(x[idx])                         # (m, n+1)
+            rows = np.flatnonzero(live[:, j])
+            # the subtree projects only its rows' tokens: renumber them
+            # in order, so the pad index (the largest) stays the largest
+            sub_idx = idx[rows]
+            seen = np.zeros(len(vecs) + 1, bool)
+            seen[sub_idx] = True
+            logits = sub.forward_keys(vecs[np.flatnonzero(seen[:-1])],
+                                      (np.cumsum(seen) - 1)[sub_idx])  # (m, n+1)
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             probs = e / e.sum(axis=1, keepdims=True)
+            # only a row with some prob ≥ p2 adds to the ranking, so only
+            # those rows are sorted (a row's argsort does not depend on
+            # the other rows); with p2 > 0.5 that is one entry per row
+            hit = np.flatnonzero((probs >= self.p2).any(axis=1))
+            if not len(hit):
+                continue
             k = min(topk, probs.shape[1])
-            top = np.argsort(-probs, axis=1)[:, :k]
-            for r, ci in enumerate(idx):
-                lst = ranked.setdefault(int(ci), [])
-                for t in top[r]:
+            top = np.argsort(-probs[hit], axis=1)[:, :k]
+            for r, row in zip(hit, top):
+                lst = ranked.setdefault(int(rows[r]), [])
+                for t in row:
                     p = float(probs[r, t])
                     if p >= self.p2:
                         lst.append((sub.hpo_of(int(t)), p))
@@ -260,14 +333,14 @@ class NumpyModelScorer:
             # top-5 ≥ p2, "None" entries INCLUDED in the ranking; the
             # phrase is dropped outright when "None" outranks every
             # concept (Candidate_hpos_sub[0][0] != "None").
-            for ci in sorted(ranked):
-                step2 = ranked[ci]
-                if not step2:  # routed, but nothing cleared p2 → drop
+            for c, u in zip(cands, key_of):
+                step2 = ranked.get(u)
+                if not step2:  # nothing routed or cleared p2 → drop
                     continue
                 h, p = max(step2, key=lambda hp: hp[1])
                 if h == "None":
                     continue
-                out.append((cands[ci], h, round(p, 4)))
+                out.append((c, h, round(p, 4)))
             return out
 
         # Step-3 branch (util.py:1120-1146): per subtree top-10 (or all
@@ -280,17 +353,17 @@ class NumpyModelScorer:
         # processStr; phrase side is toString() = the simplified tokens.
         from .textops import addwords_tokens
 
-        for ci in sorted(ranked):
-            cand_set = {h for h, _ in ranked[ci]}
+        for c, u in zip(cands, key_of):
+            cand_set = {h for h, _ in ranked.get(u, ())}
             if not cand_set or "None" in cand_set:
                 continue
             named = [(h, addwords_tokens(self.dag.name_of[h]))
                      for h in sorted(cand_set)]
             m = self.bert.best_match(
-                addwords_tokens(" ".join(cands[ci].tokens)), named, self.p3
+                addwords_tokens(" ".join(c.tokens)), named, self.p3
             )
             if m is not None:
-                out.append((cands[ci], m[0], round(m[1], 4)))
+                out.append((c, m[0], round(m[1], 4)))
         return out
 
 

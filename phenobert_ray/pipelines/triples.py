@@ -418,9 +418,15 @@ def ancestor_rollup(annotations_ds, dag: HpoDag, cfg: PipelineConfig | None = No
 
 
 def is_a_table(dag: HpoDag) -> pa.Table:
-    """Ontology edges as a ``TRIPLES_SCHEMA`` table, built driver-side."""
+    """Ontology edges as a ``TRIPLES_SCHEMA`` table, built driver-side once
+    per ontology and cached on the dag keyed by its content fingerprint,
+    like ``linker._probe_index`` (a mutated dag must call
+    ``refresh_fingerprint()`` to rebuild it)."""
+    cached = getattr(dag, "_is_a", None)
+    if cached is not None and cached[0] == dag.fingerprint:
+        return cached[1]
     edges = dag.is_a_edges()
-    return pa.Table.from_arrays(
+    table = pa.Table.from_arrays(
         [
             pa.array([c for c, _ in edges], pa.string()),
             pa.array(["is_a"] * len(edges), pa.string()),
@@ -430,6 +436,8 @@ def is_a_table(dag: HpoDag) -> pa.Table:
         ],
         schema=TRIPLES_SCHEMA,
     )
+    dag._is_a = (dag.fingerprint, table)
+    return table
 
 
 def is_a_triples(dag: HpoDag):

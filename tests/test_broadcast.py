@@ -132,6 +132,35 @@ def test_ontology_table_is_the_is_a_triples(mini, tmp_path):
         assert f.read().strip() == mini.fingerprint
 
 
+def test_is_a_table_cached_per_fingerprint(tmp_path):
+    """is_a_table builds once per ontology: the cached table writes the
+    same is_a.parquet bytes as a fresh build, stays out of the dag's
+    pickle, and a mutated dag rebuilds it after refresh_fingerprint()."""
+    import pickle
+
+    from phenobert_ray.assets.mini_hpo import mini_dag
+    from phenobert_ray.pipelines.triples import is_a_table, write_is_a
+
+    dag = mini_dag()
+    write_is_a(dag, str(tmp_path / "cold"))
+    table = is_a_table(dag)
+    assert is_a_table(dag) is table
+    write_is_a(dag, str(tmp_path / "warm"))
+    assert ((tmp_path / "cold" / "is_a.parquet").read_bytes()
+            == (tmp_path / "warm" / "is_a.parquet").read_bytes())
+    assert not hasattr(pickle.loads(pickle.dumps(dag)), "_is_a")
+
+    child = next(h for h in sorted(dag.abnormality_nt)
+                 if dag.layer1[0] not in dag.parents[h])
+    dag.parents[child].add(dag.layer1[0])
+    dag.refresh_fingerprint()
+    rebuilt = is_a_table(dag)
+    assert rebuilt is not table
+    assert rebuilt.num_rows == table.num_rows + 1
+    assert (child, dag.layer1[0]) in zip(rebuilt["subj"].to_pylist(),
+                                         rebuilt["obj"].to_pylist())
+
+
 # ------------------------------------------------------------ model path
 STANDIN = PipelineConfig(use_model_standins=True)
 
