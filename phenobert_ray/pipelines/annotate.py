@@ -2,12 +2,12 @@
 
 Lifecycle (SURVEY.md §3, re-expressed Ray-Data-first):
   driver builds/broadcasts the ontology asset →
-  ``read_parquet`` (column-pruned) → fused annotate operator
-  (``map_batches``) with the Arrow (conv_id, hpo_id) combiner in the same
-  task → ``repartition(1)`` (no exchange) → the driver merges per input
-  fragment, keeps each fragment's partial, merges every partial once →
-  has_phenotype triples split by conversation hash ∪ is_a edges →
-  parquet + lineage manifests.
+  ``read_parquet`` (column-pruned, one block per annotate slot) → fused
+  annotate operator (``map_batches``), one task per slot, with the Arrow
+  (conv_id, hpo_id) combiner in the same task → ``repartition(1)`` (no
+  exchange) → the driver merges per input fragment, keeps each
+  fragment's partial, merges every partial once → has_phenotype triples
+  split by conversation hash ∪ is_a edges → parquet + lineage manifests.
 
 Everything is lazy/streaming until a sink consumes it.  ``run_kg_job`` is
 the one KG writer, for every input format, and runs one Ray Data
@@ -44,28 +44,63 @@ def kg_from_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
     return materialize_triples(annotate_turns(turns_ds, dag, cfg), dag, cfg)
 
 
-def read_turns_input(src, input_format: str = "parquet", include_paths: bool = False):
+def read_turns_input(src, input_format: str = "parquet", include_paths: bool = False,
+                     num_blocks: int | None = None):
     """Turns Dataset from ``src``: a parquet file/dir (or fragment list), a
     jsonl file/dir (or file list), or a directory of text files.  Parquet
     is read column-pruned to ``TURN_COLS`` (plus each row's file as
     ``path`` with ``include_paths``).  Parquet and jsonl apply the
     read-boundary null contract: only the load-bearing turn columns may
     drop a row (a NULL text otherwise crashes the annotate kernel on one
-    bad row)."""
+    bad row).  ``num_blocks`` sets the read's block count (Ray's
+    ``override_num_blocks``; a text dir becomes that many row slices, no
+    more than it has rows); None lets Ray choose."""
     from ..stages.shuffle import drop_null_rows
 
     if input_format == "textdir":
         from ..sources.loaders import read_text_dir_as_turns
 
-        return ray.data.from_arrow(read_text_dir_as_turns(src))
+        return ray.data.from_arrow(_row_slices(read_text_dir_as_turns(src), num_blocks or 1))
     if input_format == "jsonl":
         from ..sources.loaders import read_turns_jsonl
 
-        ds = read_turns_jsonl(src)
+        ds = read_turns_jsonl(src, num_blocks)
     else:
-        ds = ray.data.read_parquet(src, columns=TURN_COLS,
-                                   include_paths=include_paths)
+        ds = ray.data.read_parquet(src, columns=TURN_COLS, include_paths=include_paths,
+                                   override_num_blocks=num_blocks)
     return drop_null_rows(ds, columns=TURN_COLS)
+
+
+def _row_slices(t: pa.Table, n: int) -> list[pa.Table]:
+    """``t`` as ``n`` contiguous slices of near-equal rows, fewer when it
+    has fewer rows (one slice when it has none)."""
+    n = max(1, min(n, t.num_rows))
+    step, extra = divmod(t.num_rows, n)
+    starts = [k * step + min(k, extra) for k in range(n + 1)]
+    return [t.slice(a, b - a) for a, b in zip(starts, starts[1:])]
+
+
+def annotate_slots(cfg: PipelineConfig) -> int:
+    """W, the annotate tasks a KG job runs at once: the cluster's CPUs
+    over ``annotate_num_cpus`` on a model path, half that (at least one)
+    on the dictionary path, where each extra busy worker holds ~180 MB
+    (a Ray worker, the ontology and its memo): every CPU measured +26%
+    peak RSS on kgperf's kg_chat."""
+    if not ray.is_initialized():
+        ray.init()
+    cpus = ray.cluster_resources().get("CPU", 1)
+    slots = int(cpus // cfg.annotate_num_cpus) if cfg.annotate_num_cpus > 0 else int(cpus)
+    return max(1, slots if carries_model(cfg) else slots // 2)
+
+
+def _read_blocks(slots: int, files: int) -> int:
+    """Blocks to read ``files`` input files as, one annotate task each:
+    ``slots`` when there are at least that many files (Ray packs them into
+    ``slots`` read tasks, each fused with its annotate task), else the
+    largest multiple of ``files`` not above ``slots`` (Ray splits each
+    file's output evenly).  Never more than ``slots``, so the job runs in
+    one wave."""
+    return files * (slots // files) if 0 < files < slots else slots
 
 
 def _input_files(path: str, input_format: str) -> list[str]:
@@ -133,38 +168,40 @@ def _write_ontology(out_dir: str, dag: HpoDag) -> None:
 
 
 def _annotate_pending(turns_path: str, pending: list[_Unit], dag: HpoDag,
-                      cfg: PipelineConfig, input_format: str) -> dict[str, pa.Table]:
+                      cfg: PipelineConfig, input_format: str) -> tuple[dict[str, pa.Table], int]:
     """Each pending unit's distinct ``(conv_id, hpo_id)`` partial
     (DEDUP_SCHEMA), from the job's one Ray Data execution: read →
     annotate → combiner keyed on the fragment → ``repartition(1)``,
-    streamed to the driver and merged there per fragment."""
+    streamed to the driver and merged there per fragment.  Also returns
+    the annotate tasks the read was sized to: at most one per slot
+    (``annotate_slots``)."""
     import pyarrow.compute as pc
 
-    if input_format == "parquet":
-        turns = read_turns_input([u.paths[0] for u in pending], include_paths=True)
-    else:
+    slots = annotate_slots(cfg)
+    if input_format == "textdir":
         # the text-dir loader lists its directory itself
-        turns = read_turns_input(
-            turns_path if input_format == "textdir" else pending[0].paths,
-            input_format)
-    if carries_model(cfg):
-        # Ray Data reserves each operator its own CPU share; a model path
-        # lifts it so its annotate tasks run on every CPU.  Ray gives
-        # every read a copy of the global DataContext, so this touches
-        # only this job's lineage.  The dictionary path keeps it: its
-        # fused read+annotate operator gets the read's share too, and
-        # runs on two workers.
-        turns.context.op_resource_reservation_enabled = False
+        turns = read_turns_input(turns_path, input_format, num_blocks=slots)
+        tasks = turns.num_blocks()
+    else:
+        files = [p for u in pending for p in u.paths]
+        tasks = _read_blocks(slots, len(files))
+        turns = read_turns_input(files, input_format, num_blocks=tasks,
+                                 include_paths=input_format == "parquet")
+    # Ray Data reserves each operator its own CPU share, which would cap
+    # the fused read+annotate operator below ``slots``; the job's own
+    # block count caps it instead.  Ray gives every dataset a copy of the
+    # global DataContext, so this touches only this job's lineage.
+    turns.context.op_resource_reservation_enabled = False
     gathered = gather_partials(annotate_turns(turns, dag, cfg),
                                cfg.triples_drop_negated)
     blocks = [b for b in gathered.iter_batches(batch_size=None, batch_format="pyarrow")
               if b.num_rows]
     out = {u.name: DEDUP_SCHEMA.empty_table() for u in pending}
     if not blocks:
-        return out
+        return out, tasks
     merged = _conv_hpo_merge(pa.concat_tables(blocks))
     if "path" not in merged.column_names:  # one textdir/jsonl unit
-        return {pending[0].name: _sorted(merged)}
+        return {pending[0].name: _sorted(merged)}, tasks
     # sorted by fragment, each fragment's rows are one slice
     merged = merged.sort_by([("path", "ascending"), ("conv_id", "ascending"),
                              ("hpo_id", "ascending")])
@@ -176,7 +213,7 @@ def _annotate_pending(turns_path: str, pending: list[_Unit], dag: HpoDag,
             raise RuntimeError(f"annotated rows from an unread fragment: {run['values']}")
         out[by_path[run["values"]]] = merged.slice(start, run["counts"]).drop_columns(["path"])
         start += run["counts"]
-    return out
+    return out, tasks
 
 
 def _sorted(pairs: pa.Table) -> pa.Table:
@@ -247,9 +284,14 @@ def run_kg_job(
     least one), split by conversation hash.  The is_a edges go to ``ontology/`` +
     ``ontology.fingerprint``.
 
+    The pending units are read as at most one block per annotate slot
+    (``annotate_slots``), so each slot runs one fused read+annotate task
+    and the job runs in one wave.
+
     Stats: ``shards_run`` / ``shards_skipped`` / ``shards_pruned`` and
     ``rows`` (written this run) for the output shards, ``fragments_run`` /
-    ``fragments_skipped`` for the units."""
+    ``fragments_skipped`` for the units, ``annotate_tasks`` for the
+    blocks the read was sized to (0 when every unit was skipped)."""
     cfg = cfg or PipelineConfig()
     spec = f"{'' if input_format == 'parquet' else input_format}|job:{_job_identity(dag, cfg)}"
     if input_format == "parquet":
@@ -266,12 +308,14 @@ def run_kg_job(
     _write_ontology(out_dir, dag)
     mf.prune_stale_partials(out_dir, {u.name for u in units})
     pending = [u for u in units if not mf.partial_done(out_dir, u.name, u.key)]
-    fresh = _annotate_pending(turns_path, pending, dag, cfg, input_format) if pending else {}
+    fresh, tasks = (_annotate_pending(turns_path, pending, dag, cfg, input_format)
+                    if pending else ({}, 0))
     for u in pending:
         t = fresh[u.name]
         write_partial(out_dir, u.name, t)
         mf.write_partial_manifest(out_dir, u.name, u.paths, spec, u.key,
                                   t.num_rows, sum(t["n_mentions"].to_pylist()))
     stats = _write_shards(out_dir, units, fresh, min(max(num_shards, 1), len(units)))
-    stats.update(fragments_run=len(pending), fragments_skipped=len(units) - len(pending))
+    stats.update(fragments_run=len(pending), fragments_skipped=len(units) - len(pending),
+                 annotate_tasks=tasks)
     return stats

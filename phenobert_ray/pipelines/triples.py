@@ -128,13 +128,11 @@ def gather_partials(annotations_ds, drop_negated: bool):
     The combiner is a ``map_batches`` with default remote args, so Ray
     fuses it into the read+annotate operator and each block leaves that
     task already collapsed; ``repartition(1)`` then moves only partials.
-    The gather also holds the dictionary path's annotate operator to its
-    share of Ray Data's per-operator CPU reservation (two workers).
-    Without the gather that path spreads over every CPU: on kg_chat
-    (4 CPUs, seeds 1-2) 41.1k / 42.0k turns/s against 26.9k / 27.1k with
-    it, but 2,227 / 2,228 MB peak RSS against 1,771 / 1,770 MB, +26%
-    (each extra busy worker holds a Ray worker, the ontology and its
-    memo)."""
+    The gather does not bound how many annotate tasks run at once:
+    ``run_kg_job`` reads one block per annotate slot, so the dictionary
+    path runs on half the CPUs (each extra busy worker holds a Ray
+    worker, the ontology and its memo; every CPU measured +26% peak RSS
+    on kg_chat)."""
     return annotations_ds.map_batches(
         _conv_hpo_partial, batch_format="pyarrow",
         fn_kwargs={"drop_negated": drop_negated},

@@ -142,15 +142,16 @@ def write_turns_jsonl(turns_ds, out_dir: str) -> None:
     turns_ds.map_batches(ts_to_us, batch_format="pyarrow").write_json(out_dir)
 
 
-def read_turns_jsonl(in_dir: str):
+def read_turns_jsonl(in_dir, num_blocks: int | None = None):
     """JSONL shards → turns Dataset with the exact input_hint schema
     (conv_id, turn_idx:int32, role, text, tool, ts:timestamp[us]) —
     column-typed on read, so downstream stages see the same Arrow schema
-    as the parquet path (roundtrip pinned in tests)."""
+    as the parquet path (roundtrip pinned in tests).  ``num_blocks`` is
+    Ray's ``override_num_blocks`` (None: Ray chooses)."""
     import pyarrow as pa_
     import ray as _ray
 
-    ds = _ray.data.read_json(in_dir)
+    ds = _ray.data.read_json(in_dir, override_num_blocks=num_blocks)
 
     def fix_types(b: pa_.Table) -> pa_.Table:
         import pyarrow.compute as pc

@@ -13,13 +13,14 @@ deserialized once per worker process — never re-shipped per batch
 (SURVEY.md §2.5).  On the dictionary path it is the ontology (the shipped
 DAG pickles to ~4.6 MB); on a model path it is ``(dag, scorer, ner)``,
 built once on the driver (~36 MB for ``-m builtin``), so no worker loads
-checkpoints.  Every path hands each block to its own task
-(``batch_size=None``), so Ray fuses the stage into the parquet read that
-feeds it: one ``ReadParquet->...->MapBatches(_annotate_task)`` task per
-block, sliced into ``annotate_batch_size`` turns per kernel call.
-``run_kg_job`` lets a model path's tasks run on every CPU.  The scorers
-are numpy (``models_np``, ``bert_np``, ``ner_np``), so the stage reserves
-CPUs only.
+checkpoints.  Every path maps each block whole (``batch_size=None``),
+so Ray fuses the stage into the parquet read that feeds it: one
+``ReadParquet->...->MapBatches(_annotate_task)`` task per read task, each
+block sliced into ``annotate_batch_size`` turns per kernel call.
+``run_kg_job`` sizes the read to one task per annotate slot, so each slot
+runs one such task per job (a task may stream several fragments).
+The scorers are numpy (``models_np``, ``bert_np``, ``ner_np``), so the
+stage reserves CPUs only.
 ``AnnotateTurns`` is the same stage run in-process, one batch per call.
 """
 
@@ -222,9 +223,10 @@ def annotate_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
 
     One task-pool ``map_batches``: the stage state is broadcast once per
     Ray session (``_broadcast``) and cached per worker process.  Each block
-    is its own task (``batch_size=None``), so Ray fuses the map into the
-    read that feeds it; ``annotate_batch_size`` sets the turns per kernel
-    call inside the task, never the output."""
+    is mapped whole (``batch_size=None``), so Ray fuses the map into the
+    read that feeds it and the read's task count is the annotate task
+    count; ``annotate_batch_size`` sets the turns per kernel call inside
+    the task, never the output."""
     cfg = cfg or PipelineConfig()
     return turns_ds.map_batches(
         _annotate_task,

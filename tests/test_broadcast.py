@@ -9,6 +9,7 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 import ray
 
 from phenobert_ray.assets.hpo_dag import HpoDag
@@ -248,54 +249,9 @@ def test_model_kg_job_after_session_restart(mini, tmp_path):
     assert manifests("a") == manifests("b")
 
 
-def test_model_path_lifts_reservation_for_its_job_only(mini, monkeypatch, tmp_path):
-    """Only a model-path KG job's own datasets run without Ray Data's
-    per-operator reservation; the global DataContext, a caller's input
-    dataset and the dictionary path keep it.  Both paths run one annotate
-    task per block (Ray may split a fragment's block, never bundle
-    blocks)."""
-    import re
-
-    import phenobert_ray.pipelines.annotate as pipeline
-    from phenobert_ray.stages.annotate import annotate_turns
-
-    seen = []
-    real = pipeline.gather_partials
-
-    def spy(ann, drop_negated):
-        out = real(ann, drop_negated)
-        seen.append((ann.context.op_resource_reservation_enabled,
-                     out.materialize().stats()))
-        return out
-
-    monkeypatch.setattr(pipeline, "gather_partials", spy)
-    turns = _turns_dir(tmp_path, mini, files=4)
-    run_kg_job(turns, str(tmp_path / "model"), mini, STANDIN, num_shards=1)
-    run_kg_job(turns, str(tmp_path / "dict"), mini, num_shards=1)
-
-    def annotate_tasks(stats: str) -> int:
-        m = re.search(r"MapBatches\(_annotate_task\)[^:\n]*: (\d+) tasks executed", stats)
-        return int(m.group(1))
-
-    (model_ctx, model_stats), (dict_ctx, dict_stats) = seen
-    assert model_ctx is False and annotate_tasks(model_stats) >= 4
-    assert dict_ctx is True and annotate_tasks(dict_stats) >= 4
-    assert ray.data.DataContext.get_current().op_resource_reservation_enabled
-
-    caller = ray.data.read_parquet(turns)
-    annotate_turns(caller, mini, STANDIN).materialize()
-    assert caller.context.op_resource_reservation_enabled
-
-
-def test_dict_kg_job_fuses_read_into_annotate(mini, monkeypatch, tmp_path):
-    """A dictionary-path KG job reads and annotates each block in one
-    task: its executed plan has one operator from ReadParquet through the
-    annotate map, and the job keeps Ray Data's reservation on its own
-    lineage and on the global DataContext.  Ray splits a read with fewer
-    than two blocks per CPU, and a split read does not fuse, so the input
-    has that many fragments."""
-    import re
-
+def _spy_gathers(monkeypatch) -> list:
+    """Every (annotations, gathered) pair ``run_kg_job`` builds; the
+    gathered dataset's ``stats()`` is the executed plan after the job."""
     import phenobert_ray.pipelines.annotate as pipeline
 
     seen = []
@@ -306,24 +262,122 @@ def test_dict_kg_job_fuses_read_into_annotate(mini, monkeypatch, tmp_path):
         return seen[-1][1]
 
     monkeypatch.setattr(pipeline, "gather_partials", spy)
-    files = 2 * int(ray.cluster_resources()["CPU"])
-    turns = _turns_dir(tmp_path, mini, files=files)
-    stats = run_kg_job(turns, str(tmp_path / "kg"), mini, num_shards=1)
+    return seen
+
+
+def _executed_ops(gathered) -> dict[str, int]:
+    """Executed operator name → tasks, from a finished job's plan."""
+    import re
+
+    return {op: int(n) for op, n in re.findall(
+        r"^Operator \d+ (\S+): (\d+) tasks executed", gathered.stats(), re.M)}
+
+
+# annotate slots at the session's 4 CPUs (conftest): every CPU on a model
+# path, half of them on the dictionary path
+SLOTS = {"dictionary": 2, "standin": 4}
+CFGS = {"dictionary": PipelineConfig(), "standin": STANDIN}
+FUSED = "ReadParquet->MapBatches(f)->MapBatches(_annotate_task)->MapBatches(_conv_hpo_partial)"
+
+
+def test_kg_job_lifts_reservation_for_its_job_only(mini, monkeypatch, tmp_path):
+    """Every KG job's own datasets run without Ray Data's per-operator
+    reservation, on both paths; the global DataContext and a caller's
+    input dataset keep it.  The job's read is sized to its annotate
+    slots, which cap the tasks instead."""
+    from phenobert_ray.stages.annotate import annotate_turns
+
+    seen = _spy_gathers(monkeypatch)
+    turns = _turns_dir(tmp_path, mini, files=4)
+    model = run_kg_job(turns, str(tmp_path / "model"), mini, STANDIN, num_shards=1)
+    dictionary = run_kg_job(turns, str(tmp_path / "dict"), mini, num_shards=1)
+
+    (model_ann, model_out), (dict_ann, dict_out) = seen
+    assert model_ann.context.op_resource_reservation_enabled is False
+    assert dict_ann.context.op_resource_reservation_enabled is False
+    assert model["annotate_tasks"] == _executed_ops(model_out)[FUSED] == 4
+    assert dictionary["annotate_tasks"] == _executed_ops(dict_out)[FUSED] == 2
+    assert ray.data.DataContext.get_current().op_resource_reservation_enabled
+
+    caller = ray.data.read_parquet(turns)
+    annotate_turns(caller, mini, STANDIN).materialize()
+    assert caller.context.op_resource_reservation_enabled
+
+
+@pytest.mark.parametrize("files", [3, 4, 5, 8])
+@pytest.mark.parametrize("path", ["dictionary", "standin"])
+def test_kg_job_runs_one_fused_task_per_slot(mini, monkeypatch, tmp_path, path, files):
+    """At 4 CPUs a KG job reads its fragments as one block per annotate
+    slot: its executed plan has one fused read+annotate operator and no
+    ``SplitBlocks``, and runs 2 annotate tasks on the dictionary path and
+    4 on a model path.  With fewer fragments than slots (3 on a model
+    path) each fragment is one task, so the job still runs in one wave."""
+    assert ray.cluster_resources()["CPU"] == 4
+    seen = _spy_gathers(monkeypatch)
+    stats = run_kg_job(_turns_dir(tmp_path, mini, files=files), str(tmp_path / "kg"),
+                       mini, CFGS[path], num_shards=1)
     assert stats["fragments_run"] == files and stats["rows"] > 0
 
+    tasks = min(files, SLOTS[path])
     ((ann, gathered),) = seen
-    ops = re.findall(r"^Operator \d+ (\S+):", gathered.stats(), re.M)
-    assert [op for op in ops
-            if "ReadParquet" in op and "MapBatches(_annotate_task)" in op] == ops[:1]
-    assert ann.context.op_resource_reservation_enabled
+    ops = _executed_ops(gathered)
+    assert not any("SplitBlocks" in op for op in ops)
+    assert [op for op in ops if "ReadParquet" in op] == [FUSED]
+    assert ops[FUSED] == stats["annotate_tasks"] == tasks
+    assert ann.context.op_resource_reservation_enabled is False
     assert ray.data.DataContext.get_current().op_resource_reservation_enabled
+
+
+@pytest.mark.parametrize("path", ["dictionary", "standin"])
+def test_one_fragment_job_runs_a_task_per_slot(mini, monkeypatch, tmp_path, path):
+    """A one-fragment input is split into one block per annotate slot
+    (the split read cannot fuse, so it runs as its own task first)."""
+    seen = _spy_gathers(monkeypatch)
+    stats = run_kg_job(_turns_dir(tmp_path, mini, files=1), str(tmp_path / "kg"),
+                       mini, CFGS[path], num_shards=1)
+    ops = _executed_ops(seen[0][1])
+    split = f"ReadParquet->SplitBlocks({SLOTS[path]})"
+    annotate = FUSED.removeprefix("ReadParquet->")
+    assert ops == {split: 1, annotate: SLOTS[path]}
+    assert stats["annotate_tasks"] == SLOTS[path]
+
+
+def test_textdir_job_runs_a_task_per_slot(mini, monkeypatch, tmp_path):
+    """A text-dir input reaches Ray as one row slice per annotate slot, so
+    its job runs 2 annotate tasks at 4 CPUs instead of one, and writes the
+    same triples as the same dir read as one block."""
+    import phenobert_ray.pipelines.annotate as pipeline
+
+    d = tmp_path / "docs"
+    d.mkdir()
+    texts = _turns(mini)["text"].to_pylist()
+    for k in range(12):
+        (d / f"doc-{k:02d}.txt").write_text(" ".join(texts[k::12]))
+    seen = _spy_gathers(monkeypatch)
+    sliced = run_kg_job(str(d), str(tmp_path / "sliced"), mini, num_shards=1,
+                        input_format="textdir")
+    monkeypatch.setattr(pipeline, "annotate_slots", lambda cfg: 1)
+    whole = run_kg_job(str(d), str(tmp_path / "whole"), mini, num_shards=1,
+                       input_format="textdir")
+
+    annotate = FUSED.removeprefix("ReadParquet->MapBatches(f)->")
+    (ann, sliced_out), (_, whole_out) = seen
+    assert sliced["annotate_tasks"] == _executed_ops(sliced_out)[annotate] == 2
+    assert whole["annotate_tasks"] == _executed_ops(whole_out)[annotate] == 1
+    assert ann.context.op_resource_reservation_enabled is False
+    assert ray.data.DataContext.get_current().op_resource_reservation_enabled
+
+    def triples(out):
+        return pq.read_table(os.path.join(tmp_path, out, "shard=0"))
+
+    assert sliced["rows"] > 0 and triples("sliced").equals(triples("whole"))
+    assert ([m["content_hash"] for m in read_manifests(str(tmp_path / "sliced"))]
+            == [m["content_hash"] for m in read_manifests(str(tmp_path / "whole"))])
 
 
 def test_ner_kg_job_uses_driver_built_tagger(mini, tmp_path):
     """An NER-only KG job ships the driver-loaded tagger to its workers and
     writes exactly the pairs an in-process annotate_text recomputes."""
-    import pytest
-
     from phenobert_ray.assets.loader import trained_model_dir
     from phenobert_ray.linker import annotate_text
     from phenobert_ray.ner_np import NerTagger

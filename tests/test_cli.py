@@ -245,7 +245,8 @@ def test_cli_kg_layout_and_rerun_skip(tmp_path, sf_small, capsys, input_format):
     """--output-format kg writes one layout for every input format (shard
     dirs, manifests, ontology/), and a second run into the same directory
     is a full skip that leaves the rows unchanged (the textdir/jsonl sink
-    used to append a second copy of every triple)."""
+    used to append a second copy of every triple).  Both runs print the
+    annotate tasks the read was sized to."""
     from phenobert_ray.state.manifest import read_manifests
 
     src = _kg_input(tmp_path, sf_small, input_format)
@@ -259,9 +260,12 @@ def test_cli_kg_layout_and_rerun_skip(tmp_path, sf_small, capsys, input_format):
     assert os.path.isdir(os.path.join(out, "ontology"))
     assert os.path.isfile(os.path.join(out, "ontology.fingerprint"))
     assert sorted(n for n in os.listdir(out) if n.startswith("shard=")) == ["shard=0"]
-    capsys.readouterr()
+    # one annotate task per slot: half the session's 4 CPUs on this path
+    assert "'annotate_tasks': 2}" in capsys.readouterr().out
     assert main(argv) == 0
-    assert "'shards_run': 0, 'shards_skipped': 1" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "'shards_run': 0, 'shards_skipped': 1" in printed
+    assert "'annotate_tasks': 0}" in printed
     assert _kg_rows(out) == rows
     assert read_manifests(out) == [m]
 

@@ -220,6 +220,23 @@ def test_kg_job_output_pinned(mini, tmp_path, num_shards):
     assert got == SINK_PINS[num_shards]
 
 
+def test_uneven_read_groups_keep_the_pin(mini, tmp_path):
+    """The dictionary path reads 3 fragments as its 2 annotate slots (one
+    task streams two fragments, the other one) and 1 fragment as 2 split
+    blocks; both write the one-shard pinned triples."""
+    got = []
+    for files in (3, 1):
+        src = tmp_path / f"in{files}"
+        src.mkdir()
+        out = str(tmp_path / f"kg{files}")
+        stats = run_kg_job(_turns_dir(src, files=files), out, mini, num_shards=1)
+        assert stats["annotate_tasks"] == 2 and stats["fragments_run"] == files
+        got.append([((m["row_count"], m["content_hash"]),
+                     shard_content_hash(os.path.join(out, "shard=0"), TRIPLES_SCHEMA.names))
+                    for m in read_manifests(out)])
+    assert got == [SINK_PINS[1], SINK_PINS[1]]
+
+
 def test_mentions_reconcile_with_fragment_manifests(mini, tmp_path):
     """Each fragment manifest records its partial's rows and mention
     total; the written triples' ``n_mentions`` add up to the manifests'

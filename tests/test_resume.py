@@ -96,7 +96,7 @@ def test_manifest_contents(mini, sf_small, tmp_path):
     stats = run_kg_job(src, out, mini, num_shards=1)
     assert stats == {
         "shards_run": 0, "shards_skipped": 1, "rows": 0, "shards_pruned": 0,
-        "fragments_run": 0, "fragments_skipped": 4,
+        "fragments_run": 0, "fragments_skipped": 4, "annotate_tasks": 0,
     }
 
 
