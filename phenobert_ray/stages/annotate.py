@@ -90,12 +90,11 @@ def _load_state(src, cfg: PipelineConfig, fingerprint: str | None = None):
     return state
 
 
-_MEMO_MAX = 200_000  # per-worker entries; annotations are tiny rows
 # Only short turns are memoized: the memo targets verbatim-repeated turns
 # ("ok", tool boilerplate), which are short; admitting arbitrary-length
 # texts let a corpus of unique 50 KB turns grow the memo to ~10 GB per
-# worker before the entry cap bound.  Worst case is now
-# _MEMO_MAX × _MEMO_MAX_TEXT_LEN ≈ 200 MB of keys per worker.
+# worker.  The memo lives for one block (``_annotate_block``), so its keys
+# are bounded by one block's short turns.
 _MEMO_MAX_TEXT_LEN = 1024
 
 
@@ -121,8 +120,7 @@ def _annotate_batch(batch: pa.Table, dag: HpoDag, scorer, cfg: PipelineConfig,
                     ner=ner,
                 )
             ]
-            if (memo is not None and len(memo) < _MEMO_MAX
-                    and len(text) <= _MEMO_MAX_TEXT_LEN):
+            if memo is not None and len(text) <= _MEMO_MAX_TEXT_LEN:
                 memo[text] = rows
         if src is not None and rows:
             src.extend([i] * len(rows))
@@ -157,8 +155,12 @@ def _annotate_batch(batch: pa.Table, dag: HpoDag, scorer, cfg: PipelineConfig,
 
 def _annotate_block(block: pa.Table, state, cfg: PipelineConfig) -> pa.Table:
     """Annotate ``block`` ``cfg.annotate_batch_size`` turns per kernel call
-    (each task gets a whole block), which bounds the memory of one call."""
+    (each task gets a whole block), which bounds the memory of one call.
+    The memo is cleared first: a worker's later blocks come from other jobs,
+    which rarely repeat a text, so entries kept across blocks only hold
+    memory."""
     dag, scorer, memo, ner = state
+    memo.clear()
     step = max(1, cfg.annotate_batch_size)
     return pa.concat_tables([
         _annotate_batch(block.slice(i, step), dag, scorer, cfg, memo, ner)

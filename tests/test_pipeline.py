@@ -321,6 +321,28 @@ def test_memo_skips_long_turns(mini):
     assert short_text in memo and long_text not in memo
 
 
+def test_memo_lives_for_one_block(mini):
+    """A worker's memo holds only the block it is annotating: texts of
+    earlier blocks (other jobs) are not kept."""
+    import pyarrow as pa
+
+    from phenobert_ray.stages.annotate import AnnotateTurns
+
+    def block(texts):
+        return pa.table({
+            "conv_id": pa.array(["c"] * len(texts), pa.string()),
+            "turn_idx": pa.array(range(len(texts)), pa.int32()),
+            "text": pa.array(texts, pa.string()),
+        })
+
+    stage = AnnotateTurns(mini)
+    first = stage(block(["seizure", "ptosis"]))
+    assert set(stage.memo) == {"seizure", "ptosis"}
+    stage(block(["hearing impairment", "seizure"]))
+    assert set(stage.memo) == {"hearing impairment", "seizure"}
+    assert stage(block(["seizure", "ptosis"])).equals(first)
+
+
 def test_cooccurrence_pmi_matches_serial(sf_small, mini_session_dag):
     """PMI edges must equal the serial computation over conversation
     phenotype sets, with every ln term quantized identically."""

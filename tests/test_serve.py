@@ -1,17 +1,26 @@
 """GUI-equivalent HTTP wrapper (serve.py; ref gui.py:44-58)."""
 
 import json
+import socket
 import threading
+import time
 import urllib.request
 
 import pytest
 
 
 @pytest.fixture(scope="module")
-def server():
-    from phenobert_ray.serve import build_state, make_server
+def state():
+    from phenobert_ray.serve import build_state
 
-    srv = make_server("127.0.0.1", 0, build_state())  # mini dag, dict-only
+    return build_state()  # mini dag, dict-only
+
+
+@pytest.fixture(scope="module")
+def server(state):
+    from phenobert_ray.serve import make_server
+
+    srv = make_server("127.0.0.1", 0, state)
     t = threading.Thread(target=srv.serve_forever, daemon=True)
     t.start()
     base = f"http://127.0.0.1:{srv.server_address[1]}"
@@ -186,16 +195,29 @@ def test_scorer_exception_returns_500(server, monkeypatch):
 def _raw_post(base: str, length: str) -> int:
     """Status of a POST /annotate that sends ``Content-Length: length``
     and no body at all, so the server must answer without reading one."""
-    import socket
     from urllib.parse import urlsplit
 
     u = urlsplit(base)
-    with socket.create_connection((u.hostname, u.port), timeout=10) as s:
-        s.sendall(f"POST /annotate HTTP/1.1\r\nHost: {u.netloc}\r\n"
-                  f"Content-Type: text/plain\r\nContent-Length: {length}\r\n"
-                  f"\r\n".encode())
-        status_line = s.makefile("rb").readline().decode()
-    return int(status_line.split()[1])
+    return _raw(base, f"POST /annotate HTTP/1.1\r\nHost: {u.netloc}\r\n"
+                f"Content-Type: text/plain\r\nContent-Length: {length}\r\n"
+                f"\r\n".encode())[0]
+
+
+def _connect(base: str) -> socket.socket:
+    from urllib.parse import urlsplit
+
+    u = urlsplit(base)
+    return socket.create_connection((u.hostname, u.port), timeout=10)
+
+
+def _raw(base: str, data: bytes) -> tuple[int, bytes]:
+    """(status, body) of the response to ``data`` sent on a fresh
+    connection and left open, read until the server closes it."""
+    with _connect(base) as s:
+        s.sendall(data)
+        resp = s.makefile("rb").read()
+    head, _, body = resp.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
 
 
 @pytest.mark.parametrize("length,status", [("abc", 400), ("-1", 400),
@@ -219,3 +241,183 @@ def test_body_at_the_cap_is_read(server):
     body = b"seizure".ljust(MAX_BODY_BYTES)
     status, out = _post(server + "/annotate", body, "text/plain")
     assert status == 200 and json.loads(out)["annotations"]
+
+
+def _stall(base: str) -> list[socket.socket]:
+    """Two stalled connections: one that sends nothing and one that sends
+    half of its declared body."""
+    idle, half = _connect(base), _connect(base)
+    half.sendall(b"POST /annotate HTTP/1.1\r\nContent-Type: text/plain\r\n"
+                 b"Content-Length: 100\r\n\r\n" + b"x" * 50)
+    return [idle, half]
+
+
+def _closed(s: socket.socket) -> bool:
+    """True once the server has closed ``s`` without sending anything."""
+    try:
+        return s.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+def test_stalled_clients_do_not_block(server):
+    """A client that stalls holds only its own connection: a third
+    request is still answered at once."""
+    stalled = _stall(server)
+    try:
+        time.sleep(0.05)  # both stalled requests are accepted first
+        t0 = time.perf_counter()
+        with urllib.request.urlopen(server + "/health", timeout=1) as r:
+            assert r.status == 200
+        assert time.perf_counter() - t0 < 1
+    finally:
+        for s in stalled:
+            s.close()
+
+
+def test_stalled_clients_closed_after_deadline(server, monkeypatch):
+    import phenobert_ray.serve as serve_mod
+
+    monkeypatch.setattr(serve_mod, "DEADLINE_S", 0.2)
+    stalled = _stall(server)
+    try:
+        t0 = time.perf_counter()
+        assert all(_closed(s) for s in stalled)
+        assert time.perf_counter() - t0 < 5
+    finally:
+        for s in stalled:
+            s.close()
+
+
+@pytest.mark.parametrize("prefix", [b"GET /", b"GET / HTTP/1.1\r\nX-Pad: "],
+                         ids=["request-line", "header"])
+def test_head_over_limit_refused(server, prefix):
+    """A head over MAX_HEAD_BYTES is a 431 answered as soon as the limit
+    is passed, without waiting for the rest of the head."""
+    from phenobert_ray.serve import MAX_HEAD_BYTES
+
+    # send exactly the bytes the server reads before it refuses: unread
+    # bytes at close would reset the connection under the response
+    data = prefix.ljust(MAX_HEAD_BYTES, b"a")
+    status, body = _raw(server, data)
+    assert status == 431 and "head" in json.loads(body)["error"]
+
+
+@pytest.mark.parametrize("line", [b"NONSENSE", b"GET /", b"GET / HTTP/2.0",
+                                  b"GET / FTP/1.0 extra"])
+def test_malformed_request_line_400(server, line):
+    assert _raw(server, line + b"\r\n\r\n")[0] == 400
+
+
+def test_unsupported_method_501(server):
+    status, body = _raw(server, b"PUT /annotate HTTP/1.1\r\n"
+                                b"Content-Length: 7\r\n\r\nseizure")
+    assert status == 501 and "PUT" in json.loads(body)["error"]
+
+
+def test_missing_content_length_is_empty_body(server):
+    status, body = _raw(server, b"POST /annotate HTTP/1.1\r\n"
+                                b"Content-Type: text/plain\r\n\r\n")
+    assert status == 400 and json.loads(body)["error"] == "empty text"
+
+
+def test_concurrent_requests_match_in_process(server, state):
+    """4 threads × 50 mixed requests (JSON, form, tsv): every response is
+    the in-process output for its own text."""
+    from urllib.parse import urlencode
+
+    from phenobert_ray.serve import _annotations, _tsv
+
+    phrases = ["atrial septal defect", "seizure", "hearing impairment",
+               "ptosis", "no seizure"]
+    mismatches: list = []
+
+    def client(k: int) -> None:
+        for i in range(50):
+            text = (f"Patient {k}-{i} shows {phrases[i % len(phrases)]} and "
+                    f"{phrases[(i + k) % len(phrases)]}.")
+            rows = _annotations(text, state)
+            kind = (k + i) % 3
+            if kind == 0:
+                _, body = _post(server + "/annotate",
+                                json.dumps({"text": text}).encode(),
+                                "application/json")
+                ok = json.loads(body)["annotations"] == rows
+            elif kind == 1:
+                _, body = _post(server + "/annotate",
+                                urlencode({"text": text}).encode(),
+                                "application/x-www-form-urlencoded")
+                ok = json.loads(body)["annotations"] == rows
+            else:
+                _, body = _post(server + "/annotate?format=tsv",
+                                text.encode(), "text/plain")
+                ok = body == _tsv(rows)
+            if not ok:
+                mismatches.append(text)
+
+    threads = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+@pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
+def test_shutdown_stops_loop_then_close_frees_port(state, caplog):
+    """shutdown() returns once the loop has exited, even with a stalled
+    client connected; server_close() then closes the listening socket."""
+    import logging
+
+    from phenobert_ray.serve import make_server
+
+    srv = make_server("127.0.0.1", 0, state)
+    base = f"http://127.0.0.1:{srv.server_address[1]}"
+    loop = threading.Thread(target=srv.serve_forever)
+    loop.start()
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        with urllib.request.urlopen(base + "/health", timeout=5) as r:
+            assert r.status == 200
+        stalled = _connect(base)
+        time.sleep(0.05)
+        stopper = threading.Thread(target=srv.shutdown)
+        stopper.start()
+        stopper.join(timeout=5)
+        loop.join(timeout=5)
+        assert not stopper.is_alive() and not loop.is_alive()
+        assert _closed(stalled)
+        stalled.close()
+    assert caplog.records == []
+    srv.server_close()
+    with pytest.raises(ConnectionRefusedError):
+        _connect(base)
+
+
+def test_request_log_behind_verbose_switch(server, capfd, monkeypatch):
+    import re
+
+    monkeypatch.setenv("PHENOBERT_SERVE_VERBOSE", "1")
+    with urllib.request.urlopen(server + "/health?x=1") as r:
+        r.read()
+    assert re.search(r"^GET /health 200 \d+\.\d\dms$", capfd.readouterr().err,
+                     re.M)
+    monkeypatch.delenv("PHENOBERT_SERVE_VERBOSE")
+    with urllib.request.urlopen(server + "/health") as r:
+        r.read()
+    assert "/health" not in capfd.readouterr().err
+
+
+def test_route_without_transport(state):
+    """The routing is a plain function of (method, target, headers, body)."""
+    from phenobert_ray.serve import _annotations, route
+
+    assert route("GET", "/health", {}, b"", state)[0] == 200
+    assert route("DELETE", "/", {}, b"", state)[0] == 501
+    status, body, ctype = route("POST", "/annotate?format=tsv",
+                                {"content-type": "text/plain"},
+                                b"hearing impairment.", state)
+    assert status == 200 and ctype == "text/plain"
+    assert body.split("\t")[3] == _annotations("hearing impairment.",
+                                               state)[0]["hpo_id"]
