@@ -18,11 +18,13 @@ Endpoints:
                     (util.py:1199-1209), default JSON rows
   GET  /health      {"status": "ok"}
 
-Transport: one single-threaded asyncio event loop serves every connection.
-A connection carries one request: the loop reads its head and body without
-blocking, runs the annotate call inline, writes one HTTP/1.0 response and
-closes the connection.  Annotate calls therefore run one at a time, in the
-order their requests finish arriving.  The kernel held the GIL for its whole
+Transport: one single-threaded asyncio event loop serves every connection
+on non-blocking sockets (``loop.sock_recv``/``sock_sendall``; asyncio's
+stream server was ~9% slower on kgperf's serve_ner).  A connection
+carries one request: the loop reads its head and body without blocking,
+runs the annotate call inline, writes one HTTP/1.0 response and closes the
+connection.  Annotate calls therefore run one at a time, in the order
+their requests finish arriving.  The kernel held the GIL for its whole
 call under a thread per connection too, so the loop loses no parallelism;
 what it saves is a thread start and the GIL hand-offs per request.  The
 trade-off: a request that arrives while a large one is being annotated
@@ -33,6 +35,8 @@ waited 0.39 s, against a median of 41 ms with a thread per connection;
 behind one 1 MiB request (30 s, dictionary only: overlap resolution is
 quadratic in a text's matches) it waited 30 s, against a median of 21 ms.
 
+Head lines may end in CRLF or a bare LF, and a header line that starts
+with a space or tab continues the one before it, as http.server read them.
 Each request is refused before more of it is read:
   - a head (request line and headers, through the blank line that ends
     them) over ``MAX_HEAD_BYTES``: 431, with no byte read past the limit;
@@ -42,9 +46,11 @@ Each request is refused before more of it is read:
     ``MAX_BODY_BYTES``: 413.  A missing one means an empty body.
 A body that is not valid UTF-8 is refused with 400: the returned start/end
 offsets must index the string the client sent, not a repaired copy.  A
-connection gets ``DEADLINE_S`` to send its whole request and again to take
-its response; past either it is closed without an answer, so a stalled
+connection gets ``DEADLINE_S`` to send its whole request and take its whole
+response; past it the connection is closed without an answer, so a stalled
 client holds one coroutine and one socket until then and never the loop.
+The deadline counts loop time outside annotate calls only: a client whose
+bytes arrived while the loop was annotating a request was not slow.
 
 ``PHENOBERT_SERVE_VERBOSE`` set and non-empty logs one stderr line per
 answered request: method, path, status and milliseconds from accept.
@@ -56,6 +62,7 @@ import argparse
 import asyncio
 import json
 import os
+import re
 import socket
 import sys
 import threading
@@ -174,35 +181,50 @@ class _Refused(Exception):
     """A request answered from its head alone: ``args`` = (status, message)."""
 
 
+# the blank line that ends a head, after CRLF or bare LF line ends
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+
+
+async def _recv(loop, conn: socket.socket, n: int) -> bytes:
+    chunk = await loop.sock_recv(conn, n)
+    if not chunk:
+        raise ConnectionAbortedError("client closed mid-request")
+    return chunk
+
+
 async def _read_head(loop, conn: socket.socket) -> tuple[bytes, bytes]:
     """``(head, start of the body)``: reads until the blank line that ends
     the head, and never more than ``MAX_HEAD_BYTES`` in all."""
     buf = bytearray()
-    end = -1
-    while end < 0:
+    seen = 0
+    while (end := _HEAD_END.search(buf, max(0, seen - 3))) is None:
         if len(buf) >= MAX_HEAD_BYTES:
             raise _Refused(431, f"request head over {MAX_HEAD_BYTES} bytes")
-        chunk = await loop.sock_recv(conn, MAX_HEAD_BYTES - len(buf))
-        if not chunk:
-            raise ConnectionAbortedError("client closed mid-request")
-        start = max(0, len(buf) - 3)
-        buf += chunk
-        end = buf.find(b"\r\n\r\n", start)
-    return bytes(buf[:end]), bytes(buf[end + 4:])
+        seen = len(buf)
+        buf += await _recv(loop, conn, MAX_HEAD_BYTES - seen)
+    return bytes(buf[:end.start()]), bytes(buf[end.end():])
 
 
 def _parse_head(head: bytes) -> tuple[str, str, dict]:
-    """``(method, target, headers)``; ``headers`` maps lower-cased names."""
-    lines = head.decode("latin-1").split("\r\n")
+    """``(method, target, headers)``; ``headers`` maps lower-cased names to
+    the first value sent, with folded continuation lines joined."""
+    lines = head.decode("latin-1").split("\n")
     parts = lines[0].split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise _Refused(400, "bad request line")
     headers: dict = {}
+    last = None  # the header a continuation line extends
     for line in lines[1:]:
+        line = line.rstrip("\r")
+        if line[:1] in (" ", "\t") and last is not None:
+            headers[last] = f"{headers[last]} {line.strip()}".strip()
+            continue
         name, sep, value = line.partition(":")
         if not sep:
             raise _Refused(400, "bad header line")
-        headers.setdefault(name.strip().lower(), value.strip())
+        name = name.strip().lower()
+        last = None if name in headers else name
+        headers.setdefault(name, value.strip())
     return parts[0], parts[1], headers
 
 
@@ -222,10 +244,7 @@ async def _read_body(loop, conn: socket.socket, method: str, headers: dict,
         raise _Refused(413, f"body over {MAX_BODY_BYTES} bytes")
     buf = bytearray(body[:n])
     while len(buf) < n:
-        chunk = await loop.sock_recv(conn, n - len(buf))
-        if not chunk:
-            raise ConnectionAbortedError("client closed mid-request")
-        buf += chunk
+        buf += await _recv(loop, conn, n - len(buf))
     return bytes(buf)
 
 
@@ -253,6 +272,7 @@ class AnnotateServer:
         self._running = None  # (loop, stop event) while serve_forever runs
         self._shutdown_request = False
         self._is_shut_down = threading.Event()
+        self._busy_s = 0.0  # loop time spent inside route() calls
 
     def serve_forever(self) -> None:
         self._is_shut_down.clear()
@@ -303,28 +323,49 @@ class AnnotateServer:
             open_conns.add(task)
             task.add_done_callback(open_conns.discard)
 
+    def _deadline(self, loop, task: asyncio.Task):
+        """Cancel ``task``, a connection, once it has had ``DEADLINE_S``
+        of loop time outside ``route`` calls: a client whose bytes arrived
+        while the loop annotated another request was not slow.  The
+        cancelled connection closes its socket without a response.
+        Returns a function that disarms the deadline."""
+        t0, busy0 = loop.time(), self._busy_s
+
+        def check() -> None:
+            nonlocal timer
+            left = DEADLINE_S - (loop.time() - t0) + (self._busy_s - busy0)
+            if left > 0:
+                timer = loop.call_later(left, check)
+            else:
+                task.cancel()
+
+        timer = loop.call_later(DEADLINE_S, check)
+        return lambda: timer.cancel()
+
     async def _connection(self, loop, conn: socket.socket) -> None:
         t0 = time.perf_counter()
         method = target = "-"
+        disarm = self._deadline(loop, asyncio.current_task())
         try:
             try:
-                async with asyncio.timeout(DEADLINE_S):
-                    head, body = await _read_head(loop, conn)
-                    method, target, headers = _parse_head(head)
-                    body = await _read_body(loop, conn, method, headers, body)
+                head, body = await _read_head(loop, conn)
+                method, target, headers = _parse_head(head)
+                body = await _read_body(loop, conn, method, headers, body)
             except _Refused as e:
                 reply = _error(*e.args)
             else:
+                t = loop.time()
                 reply = route(method, target, headers, body, self.state)
+                self._busy_s += loop.time() - t
             if os.environ.get("PHENOBERT_SERVE_VERBOSE"):
                 print(f"{method} {target.partition('?')[0]} {reply[0]} "
                       f"{1000 * (time.perf_counter() - t0):.2f}ms",
                       file=sys.stderr, flush=True)
-            async with asyncio.timeout(DEADLINE_S):
-                await loop.sock_sendall(conn, _response(*reply))
-        except (TimeoutError, ConnectionError):
-            pass  # a client that stalled or went away gets no response
+            await loop.sock_sendall(conn, _response(*reply))
+        except ConnectionError:
+            pass  # a client that went away gets no response
         finally:
+            disarm()
             conn.close()
 
 

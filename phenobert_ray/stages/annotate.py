@@ -156,9 +156,10 @@ def _annotate_batch(batch: pa.Table, dag: HpoDag, scorer, cfg: PipelineConfig,
 def _annotate_block(block: pa.Table, state, cfg: PipelineConfig) -> pa.Table:
     """Annotate ``block`` ``cfg.annotate_batch_size`` turns per kernel call
     (each task gets a whole block), which bounds the memory of one call.
-    The memo is cleared first: a worker's later blocks come from other jobs,
-    which rarely repeat a text, so entries kept across blocks only hold
-    memory."""
+    The memo is cleared first, so it lives for one block: a text repeated
+    in a later block, of the same job or another, is annotated again.
+    Jobs rarely repeat each other's texts, so entries kept across blocks
+    mostly held memory."""
     dag, scorer, memo, ner = state
     memo.clear()
     step = max(1, cfg.annotate_batch_size)

@@ -321,6 +321,49 @@ def test_missing_content_length_is_empty_body(server):
     assert status == 400 and json.loads(body)["error"] == "empty text"
 
 
+def test_bare_lf_and_folded_head(server, state):
+    """Heads with bare LF line ends, and folded header lines, are read as
+    http.server read them."""
+    from phenobert_ray.serve import _annotations
+
+    assert _raw(server, b"GET /health HTTP/1.0\n\n")[0] == 200
+    body = json.dumps({"text": "seizure"}).encode()
+    status, out = _raw(server, b"POST /annotate HTTP/1.0\r\n"
+                               b"Content-Type:\r\n application/json\n"
+                               b"Content-Length: %d\n\n" % len(body) + body)
+    assert status == 200
+    assert json.loads(out)["annotations"] == _annotations("seizure", state)
+
+
+def test_deadline_skips_time_spent_annotating(server, monkeypatch):
+    """A request that arrives in full while the loop annotates another one
+    for longer than DEADLINE_S is still answered: only a client's own
+    stall counts against its deadline."""
+    import phenobert_ray.serve as serve_mod
+
+    real = serve_mod._annotations
+
+    def slow(text, state):
+        if text == "slow":
+            time.sleep(0.6)
+        return real(text, state)
+
+    monkeypatch.setattr(serve_mod, "DEADLINE_S", 0.3)
+    monkeypatch.setattr(serve_mod, "_annotations", slow)
+    with _connect(server) as late:
+        late.sendall(b"GET /health HTTP/1.0\r\n")
+        time.sleep(0.05)  # accepted: its deadline runs from here
+        blocker = threading.Thread(target=_raw, args=(
+            server, b"POST /annotate HTTP/1.0\r\nContent-Length: 4\r\n"
+                    b"\r\nslow"))
+        blocker.start()
+        time.sleep(0.15)  # the loop is inside the slow call
+        late.sendall(b"\r\n")
+        resp = late.makefile("rb").read()
+    blocker.join(timeout=10)
+    assert resp.startswith(b"HTTP/1.0 200 ")
+
+
 def test_concurrent_requests_match_in_process(server, state):
     """4 threads × 50 mixed requests (JSON, form, tsv): every response is
     the in-process output for its own text."""
