@@ -58,7 +58,11 @@ def dict_link(
     from .textops import lemmatize
 
     results: list[tuple[Candidate, str, float]] = []
-    matched_locs: list[frozenset] = []
+    # L2 index: token start -> locs of the matched spans holding it.  A
+    # non-empty locs lies inside a matched span only if that span holds its
+    # first start, so a candidate is checked against those spans alone,
+    # not every span matched so far (quadratic in a long text's matches).
+    covering: dict[int, list[frozenset]] = {}
     survivors: list[Candidate] = []
     p2h = dag.phrase2hpo
     vocab = dag.phrase_vocab
@@ -74,10 +78,16 @@ def dict_link(
             hit = ""
         if hit and dag.in_abnormality(hit):
             results.append((cand, hit, 1.0))
-            matched_locs.append(cand.locs)
+            locs = cand.locs
+            for st in locs:
+                covering.setdefault(st, []).append(locs)
         else:
             locs = cand.locs
-            if not any(locs.issubset(m) for m in matched_locs):
+            if locs:
+                inside = any(locs <= m for m in covering.get(cand.starts[0], ()))
+            else:  # an empty locs lies inside any matched span
+                inside = bool(results)
+            if not inside:
                 survivors.append(cand)
     return results, survivors
 
@@ -86,20 +96,39 @@ def resolve_overlaps(
     results: list[tuple[Candidate, str, float]],
     use_longest: bool = True,
 ) -> list[tuple[Candidate, str, float]]:
-    """L7 pairwise overlap dedup on locs-subset relations (util.py:1171-1194)."""
-    # Loop structure replicated exactly from util.py:1171-1192, including the
+    """L7 pairwise overlap dedup on locs-subset relations (util.py:1171-1194).
+
+    The reference compares every pair ``i < j``; a pair is related only
+    when one locs set holds the other, so two results with no token start
+    in common are never related (an empty locs set is related to every
+    result).  Each ``i`` visits only the ``j > i`` it shares a token start
+    with, in increasing ``j``: the related pairs the reference meets, in
+    its order, near-linear in the results of a text instead of quadratic.
+    """
+    # Loop structure replicated from util.py:1171-1192, including the
     # quirk that a span removed mid-inner-loop keeps participating in later
     # comparisons within the same pass.
     removed: set[int] = set()
     n = len(results)
-    # hoist the locs frozensets: the property rebuilds one per access and
-    # this loop is O(n^2) accesses per turn
+    # hoist the locs frozensets: the property rebuilds one per access
     locs = [r[0].locs for r in results]
+    holders: dict[int, list[int]] = {}  # token start -> results holding it
+    empty = []
+    for k, lk in enumerate(locs):
+        if not lk:
+            empty.append(k)
+        for st in lk:
+            holders.setdefault(st, []).append(k)
     for i in range(n):
         if i in removed:
             continue
+        if locs[i]:
+            partners = sorted({j for st in locs[i] for j in holders[st] if j > i}
+                              .union(j for j in empty if j > i))
+        else:
+            partners = range(i + 1, n)
         ci = results[i][0]
-        for j in range(i + 1, n):
+        for j in partners:
             if j in removed:
                 continue
             cj = results[j][0]

@@ -1,13 +1,14 @@
 """Flagship pipeline: transcript turns → annotations → KG triples.
 
 Lifecycle (SURVEY.md §3, re-expressed Ray-Data-first):
-  driver builds/broadcasts the ontology asset →
-  ``read_parquet`` (column-pruned, one block per annotate slot) → fused
-  annotate operator (``map_batches``), one task per slot, with the Arrow
-  (conv_id, hpo_id) combiner in the same task → ``repartition(1)`` (no
-  exchange) → the driver merges per input fragment, keeps each
-  fragment's partial, merges every partial once → has_phenotype triples
-  split by conversation hash ∪ is_a edges → parquet + lineage manifests.
+  driver builds/broadcasts the ontology asset → ``ParquetTurnsDatasource``
+  (planned from the parquet footers on the driver: column-pruned, one
+  even row range per annotate slot) → one fused operator per slot's
+  task: read → annotate (``map_batches``) → Arrow (conv_id, hpo_id)
+  combiner → its partial block streams to the driver (no gather, no
+  exchange), which merges per input fragment, keeps each fragment's
+  partial, merges every partial once → has_phenotype triples split by
+  conversation hash ∪ is_a edges → parquet + lineage manifests.
 
 Everything is lazy/streaming until a sink consumes it.  ``run_kg_job`` is
 the one KG writer, for every input format, and runs one Ray Data
@@ -16,11 +17,15 @@ execution per job.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import os
 from typing import NamedTuple
 
 import pyarrow as pa
 import ray
+from ray.data import Datasource, ReadTask
+from ray.data.block import BlockMetadata
 
 from ..assets.hpo_dag import HpoDag
 from ..config import PipelineConfig
@@ -31,7 +36,7 @@ from .triples import (
     DEDUP_SCHEMA,
     _conv_hpo_merge,
     _to_triples,
-    gather_partials,
+    conv_hpo_partials,
     materialize_triples,
     write_is_a,
 )
@@ -48,13 +53,15 @@ def read_turns_input(src, input_format: str = "parquet", include_paths: bool = F
                      num_blocks: int | None = None):
     """Turns Dataset from ``src``: a parquet file/dir (or fragment list), a
     jsonl file/dir (or file list), or a directory of text files.  Parquet
-    is read column-pruned to ``TURN_COLS`` (plus each row's file as
-    ``path`` with ``include_paths``).  Parquet and jsonl apply the
-    read-boundary null contract: only the load-bearing turn columns may
-    drop a row (a NULL text otherwise crashes the annotate kernel on one
-    bad row).  ``num_blocks`` sets the read's block count (Ray's
-    ``override_num_blocks``; a text dir becomes that many row slices, no
-    more than it has rows); None lets Ray choose."""
+    is read by :class:`ParquetTurnsDatasource`, column-pruned to
+    ``TURN_COLS`` (plus each row's fragment as ``path`` with
+    ``include_paths``).  Parquet and jsonl apply the read-boundary null
+    contract: only the load-bearing turn columns may drop a row (a NULL
+    text otherwise crashes the annotate kernel on one bad row).
+    ``num_blocks`` sets the read's block count: that many even row ranges
+    of a parquet input and row slices of a text dir (never more than
+    either has rows), Ray's ``override_num_blocks`` for jsonl; None lets
+    Ray choose."""
     from ..stages.shuffle import drop_null_rows
 
     if input_format == "textdir":
@@ -64,11 +71,109 @@ def read_turns_input(src, input_format: str = "parquet", include_paths: bool = F
     if input_format == "jsonl":
         from ..sources.loaders import read_turns_jsonl
 
-        ds = read_turns_jsonl(src, num_blocks)
-    else:
-        ds = ray.data.read_parquet(src, columns=TURN_COLS, include_paths=include_paths,
-                                   override_num_blocks=num_blocks)
-    return drop_null_rows(ds, columns=TURN_COLS)
+        return drop_null_rows(read_turns_jsonl(src, num_blocks), columns=TURN_COLS)
+    return ParquetTurnsDatasource(src, include_paths).read(num_blocks)
+
+
+class ParquetTurnsDatasource(Datasource):
+    """Turns parquet fragments as ``TURN_COLS`` blocks (plus ``path``, the
+    fragment each row came from, with ``include_paths``), one block per
+    read task, with the read-boundary null contract applied in the task.
+
+    The read is planned on the driver from the fragments' parquet footers
+    and runs no Ray task of its own: ``n`` read tasks take even,
+    contiguous row ranges of the fragments' rows in path order, so a job
+    fills ``n`` slots whatever its fragment count (a fragment may be split
+    between two tasks), and a task reads only the row groups its range
+    covers.  A fragment without a turn column fails here, before any
+    task runs."""
+
+    def __init__(self, src, include_paths: bool = False):
+        import pyarrow.parquet as pq
+
+        if isinstance(src, list):
+            paths = [os.path.abspath(p) for p in src]
+        else:
+            import pyarrow.dataset as pads
+
+            paths = [os.path.abspath(f.path) for f in pads.dataset(src).get_fragments()]
+        if not paths:
+            raise FileNotFoundError(f"no parquet fragments in {src}")
+        self._frags = []  # (path, rows per row group)
+        self._size = 0
+        schema = None
+        for p in paths:
+            meta = pq.read_metadata(p)
+            schema = schema or meta.schema.to_arrow_schema()
+            missing = [c for c in TURN_COLS if c not in meta.schema.names]
+            if missing:
+                raise ValueError(f"{p}: no turn column {', '.join(missing)}")
+            groups = [meta.row_group(k) for k in range(meta.num_row_groups)]
+            self._frags.append((p, [g.num_rows for g in groups]))
+            self._size += sum(g.total_byte_size for g in groups)
+        # every block takes the first fragment's types, as read_parquet did
+        fields = [schema.field(c).remove_metadata() for c in TURN_COLS]
+        if include_paths:
+            fields.append(pa.field("path", pa.string()))
+        self._schema = pa.schema(fields)
+        self.rows = sum(sum(g) for _, g in self._frags)
+
+    def read_tasks(self, parallelism: int) -> int:
+        """The read tasks ``parallelism`` plans: one per row, at most."""
+        return max(1, min(parallelism, self.rows))
+
+    def read(self, num_blocks: int | None = None):
+        """The Dataset of ``read_tasks(num_blocks)`` blocks (None: Ray
+        chooses the parallelism)."""
+        return ray.data.read_datasource(
+            self, override_num_blocks=num_blocks and self.read_tasks(num_blocks))
+
+    def estimate_inmemory_data_size(self) -> int:
+        return self._size
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        n = self.read_tasks(parallelism)
+        cuts = [k * self.rows // n for k in range(n + 1)]
+        return [self._task(a, b) for a, b in zip(cuts, cuts[1:])]
+
+    def _task(self, a: int, b: int) -> ReadTask:
+        """The read task of rows ``[a, b)`` of the fragments in path order:
+        per fragment it touches, the row groups and the slice of them."""
+        pieces, off = [], 0
+        for path, groups in self._frags:
+            rows = sum(groups)
+            lo, hi = max(a, off) - off, min(b, off + rows) - off
+            off += rows
+            if lo >= hi:
+                continue
+            ends = list(itertools.accumulate(groups))
+            first = bisect.bisect_right(ends, lo)
+            last = bisect.bisect_left(ends, hi)
+            pieces.append((path, list(range(first, last + 1)),
+                           lo - (ends[first] - groups[first]), hi - lo))
+        size = self._size * (b - a) // max(1, self.rows)
+        meta = BlockMetadata(num_rows=b - a, size_bytes=size, exec_stats=None,
+                             input_files=[p[0] for p in pieces])
+        schema = self._schema
+        return ReadTask(lambda: [_read_turn_pieces(pieces, schema)], meta, schema)
+
+
+def _read_turn_pieces(pieces: list, schema: pa.Schema) -> pa.Table:
+    """One read task's block: each ``(path, row_groups, skip, rows)``
+    piece read column-pruned, sliced, tagged with its ``path`` when the
+    schema has one, then the rows with a NULL turn column dropped."""
+    import pyarrow.parquet as pq
+
+    from ..stages.shuffle import valid_rows
+
+    parts = []
+    for path, row_groups, skip, rows in pieces:
+        t = pq.ParquetFile(path).read_row_groups(row_groups, columns=TURN_COLS)
+        t = t.select(TURN_COLS).slice(skip, rows)
+        if "path" in schema.names:
+            t = t.append_column("path", pa.array([path] * t.num_rows, pa.string()))
+        parts.append(t.cast(schema))
+    return valid_rows(pa.concat_tables(parts) if parts else schema.empty_table(), TURN_COLS)
 
 
 def _row_slices(t: pa.Table, n: int) -> list[pa.Table]:
@@ -93,13 +198,12 @@ def annotate_slots(cfg: PipelineConfig) -> int:
     return max(1, slots if carries_model(cfg) else slots // 2)
 
 
-def _read_blocks(slots: int, files: int) -> int:
-    """Blocks to read ``files`` input files as, one annotate task each:
+def _jsonl_blocks(slots: int, files: int) -> int:
+    """Blocks to read a jsonl unit's ``files`` as, one annotate task each:
     ``slots`` when there are at least that many files (Ray packs them into
-    ``slots`` read tasks, each fused with its annotate task), else the
-    largest multiple of ``files`` not above ``slots`` (Ray splits each
-    file's output evenly).  Never more than ``slots``, so the job runs in
-    one wave."""
+    ``slots`` fused read tasks), else the largest multiple of ``files``
+    not above ``slots`` (Ray's reader splits a file's output only evenly).
+    Never more than ``slots``, so the job runs in one wave."""
     return files * (slots // files) if 0 < files < slots else slots
 
 
@@ -170,11 +274,11 @@ def _write_ontology(out_dir: str, dag: HpoDag) -> None:
 def _annotate_pending(turns_path: str, pending: list[_Unit], dag: HpoDag,
                       cfg: PipelineConfig, input_format: str) -> tuple[dict[str, pa.Table], int]:
     """Each pending unit's distinct ``(conv_id, hpo_id)`` partial
-    (DEDUP_SCHEMA), from the job's one Ray Data execution: read →
-    annotate → combiner keyed on the fragment → ``repartition(1)``,
-    streamed to the driver and merged there per fragment.  Also returns
-    the annotate tasks the read was sized to: at most one per slot
-    (``annotate_slots``)."""
+    (DEDUP_SCHEMA), from the job's one Ray Data execution: one fused
+    read → annotate → combiner (keyed on the fragment) task per block,
+    whose partial blocks stream to the driver and are merged there per
+    fragment.  Also returns the annotate tasks the read was sized to: at
+    most one per slot (``annotate_slots``)."""
     import pyarrow.compute as pc
 
     slots = annotate_slots(cfg)
@@ -182,19 +286,20 @@ def _annotate_pending(turns_path: str, pending: list[_Unit], dag: HpoDag,
         # the text-dir loader lists its directory itself
         turns = read_turns_input(turns_path, input_format, num_blocks=slots)
         tasks = turns.num_blocks()
+    elif input_format == "parquet":
+        source = ParquetTurnsDatasource([u.paths[0] for u in pending], include_paths=True)
+        turns, tasks = source.read(slots), source.read_tasks(slots)
     else:
         files = [p for u in pending for p in u.paths]
-        tasks = _read_blocks(slots, len(files))
-        turns = read_turns_input(files, input_format, num_blocks=tasks,
-                                 include_paths=input_format == "parquet")
+        tasks = _jsonl_blocks(slots, len(files))
+        turns = read_turns_input(files, input_format, num_blocks=tasks)
     # Ray Data reserves each operator its own CPU share, which would cap
     # the fused read+annotate operator below ``slots``; the job's own
     # block count caps it instead.  Ray gives every dataset a copy of the
     # global DataContext, so this touches only this job's lineage.
     turns.context.op_resource_reservation_enabled = False
-    gathered = gather_partials(annotate_turns(turns, dag, cfg),
-                               cfg.triples_drop_negated)
-    blocks = [b for b in gathered.iter_batches(batch_size=None, batch_format="pyarrow")
+    partials = conv_hpo_partials(annotate_turns(turns, dag, cfg), cfg.triples_drop_negated)
+    blocks = [b for b in partials.iter_batches(batch_size=None, batch_format="pyarrow")
               if b.num_rows]
     out = {u.name: DEDUP_SCHEMA.empty_table() for u in pending}
     if not blocks:
@@ -285,8 +390,10 @@ def run_kg_job(
     ``ontology.fingerprint``.
 
     The pending units are read as at most one block per annotate slot
-    (``annotate_slots``), so each slot runs one fused read+annotate task
-    and the job runs in one wave.
+    (``annotate_slots``; a parquet input is split into that many row
+    ranges whatever its fragment count), so each slot runs one fused
+    read+annotate+combiner task, the job runs in one wave, and the
+    tasks' partial blocks go straight to the driver's merge.
 
     Stats: ``shards_run`` / ``shards_skipped`` / ``shards_pruned`` and
     ``rows`` (written this run) for the output shards, ``fragments_run`` /

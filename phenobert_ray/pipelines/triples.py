@@ -12,9 +12,11 @@ fused into the annotate operator collapses each block (a hot term in most
 turns of a conversation becomes one row per block), and one Arrow
 ``group_by`` over a single ``repartition(1)`` block merges the partials.
 The KG job (``pipelines.annotate.run_kg_job``) keys the combiner on the
-input fragment too (a ``path`` column), keeps one merged partial per
-fragment, and merges those once on the driver, so the job's distinct
-pairs — ~11.5k rows per 20k-turn kg_chat job — are what the driver holds.
+input fragment too (a ``path`` column) and has no gather: it streams the
+fused operator's partial blocks (one per annotate slot) to the driver,
+keeps one merged partial per fragment, and merges those once there, so
+the job's distinct pairs — ~11.5k rows per 20k-turn kg_chat job — are
+what the driver holds.
 
 The phenotype analytics below (co-occurrence, PMI, DAG rollup, IC; and
 ``sources.inverted_index``) run on the pair table of
@@ -122,21 +124,24 @@ def _conv_hpo_merge(batch: pa.Table) -> pa.Table:
     return _pair_table(g, "first_turn_min", "max_score_max", "n_mentions_sum")
 
 
-def gather_partials(annotations_ds, drop_negated: bool):
-    """The per-block partials of ``annotations_ds``, gathered into one block.
+def conv_hpo_partials(annotations_ds, drop_negated: bool):
+    """The per-block partials of ``annotations_ds`` (DEDUP_SCHEMA, plus
+    ``path`` when the rows carry it), one per block, lazily.
 
     The combiner is a ``map_batches`` with default remote args, so Ray
     fuses it into the read+annotate operator and each block leaves that
-    task already collapsed; ``repartition(1)`` then moves only partials.
-    The gather does not bound how many annotate tasks run at once:
-    ``run_kg_job`` reads one block per annotate slot, so the dictionary
-    path runs on half the CPUs (each extra busy worker holds a Ray
-    worker, the ontology and its memo; every CPU measured +26% peak RSS
-    on kg_chat)."""
+    task already collapsed.  ``run_kg_job`` streams these blocks straight
+    into its driver-side merge."""
     return annotations_ds.map_batches(
         _conv_hpo_partial, batch_format="pyarrow",
-        fn_kwargs={"drop_negated": drop_negated},
-    ).repartition(1)
+        fn_kwargs={"drop_negated": drop_negated})
+
+
+def gather_partials(annotations_ds, drop_negated: bool):
+    """The per-block partials of ``annotations_ds``, gathered into one
+    block by ``repartition(1)``, which moves only partials: the input of
+    :func:`has_phenotype_triples`' merge task."""
+    return conv_hpo_partials(annotations_ds, drop_negated).repartition(1)
 
 
 def dedup_conv_hpo(annotations_ds, drop_negated: bool = True):

@@ -14,11 +14,12 @@ deserialized once per worker process — never re-shipped per batch
 DAG pickles to ~4.6 MB); on a model path it is ``(dag, scorer, ner)``,
 built once on the driver (~36 MB for ``-m builtin``), so no worker loads
 checkpoints.  Every path maps each block whole (``batch_size=None``),
-so Ray fuses the stage into the parquet read that feeds it: one
-``ReadParquet->...->MapBatches(_annotate_task)`` task per read task, each
+so Ray fuses the stage into the read that feeds it: one
+``ReadParquetTurns->MapBatches(_annotate_task)`` task per read task, each
 block sliced into ``annotate_batch_size`` turns per kernel call.
-``run_kg_job`` sizes the read to one task per annotate slot, so each slot
-runs one such task per job (a task may stream several fragments).
+``run_kg_job`` plans its read as one row range per annotate slot, so each
+slot runs one such task per job (a range may span several fragments or
+part of one).
 The scorers are numpy (``models_np``, ``bert_np``, ``ner_np``), so the
 stage reserves CPUs only.
 ``AnnotateTurns`` is the same stage run in-process, one batch per call.

@@ -70,15 +70,22 @@ def drop_null_rows(ds, columns=None):
     cols = list(columns)
 
     def f(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = None
-        for c in cols:
-            v = pc.is_valid(t.column(c))
-            keep = v if keep is None else pc.and_(keep, v)
-        return t.filter(keep).replace_schema_metadata(None)
+        return valid_rows(t, cols)
 
     return ds.map_batches(f, batch_format="pyarrow")
+
+
+def valid_rows(t: pa.Table, columns) -> pa.Table:
+    """The rows of ``t`` with no NULL in ``columns``, without schema
+    metadata: :func:`drop_null_rows`' kernel, for readers that apply the
+    contract inside their own read task."""
+    import pyarrow.compute as pc
+
+    keep = None
+    for c in columns:
+        v = pc.is_valid(t.column(c))
+        keep = v if keep is None else pc.and_(keep, v)
+    return t.filter(keep).replace_schema_metadata(None)
 
 
 def round6_away(x):

@@ -180,14 +180,21 @@ def _null_sf(tmp_path_factory):
     return d
 
 
-@pytest.mark.parametrize("columns", [None, ["conv_id", "text"]])
+@pytest.mark.parametrize("columns", [None, ["conv_id", "text"],
+                                     pytest.param("turns", id="turns_reader")])
 def test_read_boundary_strips_pandas_schema_metadata(tmp_path, columns):
     """pandas-written parquet carries a b'pandas' schema-metadata dict that
     Ray's unify_schemas cannot hash ("Failed to hash the schemas" on every
-    exchange); the read boundary hands on metadata-free blocks."""
+    exchange); the read boundary hands on metadata-free blocks, and so
+    does the KG turns reader (``pipelines.annotate.read_turns_input``),
+    which logs no such warning."""
+    import logging
+
     import pandas as pd
     import ray
+    import ray.data
 
+    from phenobert_ray.pipelines.annotate import read_turns_input
     from phenobert_ray.stages.shuffle import drop_null_rows
 
     path = str(tmp_path / "turns.parquet")
@@ -198,10 +205,28 @@ def test_read_boundary_strips_pandas_schema_metadata(tmp_path, columns):
     }).to_parquet(path, index=False)
     assert b"pandas" in pq.read_schema(path).metadata  # the input shape
 
-    ds = drop_null_rows(ray.data.read_parquet(path), columns=columns)
+    if columns == "turns":
+        ds = read_turns_input(path)
+    else:
+        ds = drop_null_rows(ray.data.read_parquet(path), columns=columns)
     blocks = ray.get(ds.to_arrow_refs())
     assert blocks and all(b.schema.metadata is None for b in blocks)
     assert sum(b.num_rows for b in blocks) == 2
+    if columns == "turns":
+        warnings = []
+
+        class Hashes(logging.Handler):
+            def emit(self, record):
+                if "Failed to hash the schemas" in record.getMessage():
+                    warnings.append(record)
+
+        ray_data, hook = logging.getLogger("ray.data"), Hashes()
+        ray_data.addHandler(hook)
+        try:
+            assert read_turns_input(path).schema().names == ["conv_id", "turn_idx", "text"]
+        finally:
+            ray_data.removeHandler(hook)
+        assert not warnings
 
 
 def _twin(src_dir, tmp_path_factory, table, cols):

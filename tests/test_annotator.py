@@ -1,8 +1,12 @@
 """Operator conformance: candidate generation + linking on fixture text vs
 hand-computed expected spans (SURVEY.md §5 item 2)."""
 
-from phenobert_ray.candidates import generate_candidates
-from phenobert_ray.linker import annotate_text, resolve_overlaps
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phenobert_ray.candidates import Candidate, generate_candidates
+from phenobert_ray.linker import annotate_text, dict_link, resolve_overlaps
 from phenobert_ray.textops import canonicalize_for_segmentation
 
 
@@ -77,6 +81,78 @@ def test_use_longest_false_keeps_both(mini):
     anns = annotate_text("patient shows grand mal seizure today.", mini, use_longest=False)
     ids = {a.hpo_id for a in anns}
     assert ids == {"HP:0002069", "HP:0001250"}
+
+
+def _resolve_overlaps_all_pairs(results, use_longest=True):
+    """The reference's all-pairs L7 loop (util.py:1171-1192), kept as the
+    oracle for ``resolve_overlaps``, which compares fewer pairs."""
+    removed = set()
+    for i in range(len(results)):
+        if i in removed:
+            continue
+        ci = results[i][0]
+        for j in range(i + 1, len(results)):
+            if j in removed:
+                continue
+            cj = results[j][0]
+            if ci.locs <= cj.locs or ci.locs >= cj.locs:
+                if use_longest:
+                    removed.add(j if len(ci.tokens) > len(cj.tokens) else i)
+                elif results[i][1] == results[j][1]:
+                    removed.add(i if len(ci.tokens) > len(cj.tokens) else j)
+    return sorted((r for k, r in enumerate(results) if k not in removed),
+                  key=lambda r: r[0].start)
+
+
+# a result: token starts drawn from a small range (so spans share starts
+# and nest often, empty sets included), its token count, its HPO id
+SPANS = st.lists(st.tuples(st.frozensets(st.integers(0, 12), max_size=5),
+                           st.integers(1, 5), st.sampled_from("ABC")),
+                 max_size=40)
+
+
+@pytest.mark.parametrize("use_longest", [True, False])
+@given(spans=SPANS)
+@settings(max_examples=300, deadline=None)
+def test_resolve_overlaps_matches_all_pairs(spans, use_longest):
+    """On random span sets, ``resolve_overlaps`` keeps exactly the results
+    the all-pairs loop keeps, in the same order."""
+    results = [(Candidate(tokens=["t"] * n, starts=sorted(locs),
+                          start=min(locs, default=0), end=0), hpo, float(k))
+               for k, (locs, n, hpo) in enumerate(spans)]
+    want = [r[2] for r in _resolve_overlaps_all_pairs(results, use_longest)]
+    assert [r[2] for r in resolve_overlaps(results, use_longest)] == want
+
+
+def _survivors_all_matched(cands, results):
+    """The reference's L2 skip (util.py:1054-1061): the unmatched
+    candidates outside every span matched before them, checked against
+    each of those spans."""
+    hits = {id(c) for c, _, _ in results}
+    matched, out = [], []
+    for c in cands:
+        if id(c) in hits:
+            matched.append(c.locs)
+        elif not any(c.locs <= m for m in matched):
+            out.append(c)
+    return out
+
+
+# words of the mini ontology's phrases (so spans match and nest) and filler
+WORDS = st.lists(st.sampled_from(
+    "febrile seizure grand mal broad thumbs toes hearing loss scoliosis "
+    "obesity hypotonia the of no and patient shows today . ,".split()),
+    max_size=60)
+
+
+@given(words=WORDS)
+@settings(max_examples=200, deadline=None)
+def test_dict_link_subsumption_matches_all_matched(mini_session_dag, words):
+    """``dict_link`` keeps exactly the unmatched candidates the check
+    against every earlier matched span keeps, in order."""
+    cands = _cands(" ".join(words))
+    results, survivors = dict_link(cands, mini_session_dag)
+    assert survivors == _survivors_all_matched(cands, results)
 
 
 def test_offsets_slice_original_text(mini):

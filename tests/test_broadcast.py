@@ -249,35 +249,53 @@ def test_model_kg_job_after_session_restart(mini, tmp_path):
     assert manifests("a") == manifests("b")
 
 
-def _spy_gathers(monkeypatch) -> list:
-    """Every (annotations, gathered) pair ``run_kg_job`` builds; the
-    gathered dataset's ``stats()`` is the executed plan after the job."""
+def _spy_jobs(monkeypatch) -> list:
+    """Every (annotations, partials) pair ``run_kg_job`` builds: the
+    partials dataset is the job's own plan, and its ``stats()`` is the
+    executed plan after the job.  Also fails the job if it builds a Ray
+    ``ParquetDatasource``, whose planning resolves paths, prefetches
+    metadata and runs ``_sample_fragment`` tasks."""
     import phenobert_ray.pipelines.annotate as pipeline
+    from ray.data._internal.datasource import parquet_datasource
 
+    def no_parquet_planning(self, *a, **k):
+        raise AssertionError("the KG job built a ParquetDatasource")
+
+    monkeypatch.setattr(parquet_datasource.ParquetDatasource, "__init__",
+                        no_parquet_planning)
     seen = []
-    real = pipeline.gather_partials
+    real = pipeline.conv_hpo_partials
 
     def spy(ann, drop_negated):
         seen.append((ann, real(ann, drop_negated)))
         return seen[-1][1]
 
-    monkeypatch.setattr(pipeline, "gather_partials", spy)
+    monkeypatch.setattr(pipeline, "conv_hpo_partials", spy)
     return seen
 
 
-def _executed_ops(gathered) -> dict[str, int]:
+def _executed_ops(partials) -> dict[str, int]:
     """Executed operator name → tasks, from a finished job's plan."""
     import re
 
     return {op: int(n) for op, n in re.findall(
-        r"^Operator \d+ (\S+): (\d+) tasks executed", gathered.stats(), re.M)}
+        r"^Operator \d+ (\S+): (\d+) tasks executed", partials.stats(), re.M)}
 
 
 # annotate slots at the session's 4 CPUs (conftest): every CPU on a model
 # path, half of them on the dictionary path
 SLOTS = {"dictionary": 2, "standin": 4}
 CFGS = {"dictionary": PipelineConfig(), "standin": STANDIN}
-FUSED = "ReadParquet->MapBatches(f)->MapBatches(_annotate_task)->MapBatches(_conv_hpo_partial)"
+FUSED = "ReadParquetTurns->MapBatches(_annotate_task)->MapBatches(_conv_hpo_partial)"
+
+
+def _assert_one_fused_operator(partials, fused: str, tasks: int) -> None:
+    """The job's whole executed plan is one fused read+annotate+combiner
+    operator of ``tasks`` tasks: no ``SplitBlocks``, no ``Repartition``
+    (a text dir's input is its ``from_arrow`` slices)."""
+    ops = _executed_ops(partials)
+    ops.pop("FromArrow", None)
+    assert ops == {fused: tasks}
 
 
 def test_kg_job_lifts_reservation_for_its_job_only(mini, monkeypatch, tmp_path):
@@ -287,7 +305,7 @@ def test_kg_job_lifts_reservation_for_its_job_only(mini, monkeypatch, tmp_path):
     slots, which cap the tasks instead."""
     from phenobert_ray.stages.annotate import annotate_turns
 
-    seen = _spy_gathers(monkeypatch)
+    seen = _spy_jobs(monkeypatch)
     turns = _turns_dir(tmp_path, mini, files=4)
     model = run_kg_job(turns, str(tmp_path / "model"), mini, STANDIN, num_shards=1)
     dictionary = run_kg_job(turns, str(tmp_path / "dict"), mini, num_shards=1)
@@ -299,6 +317,7 @@ def test_kg_job_lifts_reservation_for_its_job_only(mini, monkeypatch, tmp_path):
     assert dictionary["annotate_tasks"] == _executed_ops(dict_out)[FUSED] == 2
     assert ray.data.DataContext.get_current().op_resource_reservation_enabled
 
+    monkeypatch.undo()
     caller = ray.data.read_parquet(turns)
     annotate_turns(caller, mini, STANDIN).materialize()
     assert caller.context.op_resource_reservation_enabled
@@ -307,45 +326,41 @@ def test_kg_job_lifts_reservation_for_its_job_only(mini, monkeypatch, tmp_path):
 @pytest.mark.parametrize("files", [3, 4, 5, 8])
 @pytest.mark.parametrize("path", ["dictionary", "standin"])
 def test_kg_job_runs_one_fused_task_per_slot(mini, monkeypatch, tmp_path, path, files):
-    """At 4 CPUs a KG job reads its fragments as one block per annotate
-    slot: its executed plan has one fused read+annotate operator and no
-    ``SplitBlocks``, and runs 2 annotate tasks on the dictionary path and
-    4 on a model path.  With fewer fragments than slots (3 on a model
-    path) each fragment is one task, so the job still runs in one wave."""
+    """At 4 CPUs a KG job reads its fragments as one even row range per
+    annotate slot, whatever their count: its executed plan is one fused
+    read+annotate+combiner operator (no ``SplitBlocks``, no
+    ``Repartition``, no parquet planning tasks) of 2 tasks on the
+    dictionary path and 4 on a model path, 3 fragments included."""
     assert ray.cluster_resources()["CPU"] == 4
-    seen = _spy_gathers(monkeypatch)
+    seen = _spy_jobs(monkeypatch)
     stats = run_kg_job(_turns_dir(tmp_path, mini, files=files), str(tmp_path / "kg"),
                        mini, CFGS[path], num_shards=1)
     assert stats["fragments_run"] == files and stats["rows"] > 0
 
-    tasks = min(files, SLOTS[path])
-    ((ann, gathered),) = seen
-    ops = _executed_ops(gathered)
-    assert not any("SplitBlocks" in op for op in ops)
-    assert [op for op in ops if "ReadParquet" in op] == [FUSED]
-    assert ops[FUSED] == stats["annotate_tasks"] == tasks
+    ((ann, partials),) = seen
+    _assert_one_fused_operator(partials, FUSED, stats["annotate_tasks"])
+    assert stats["annotate_tasks"] == SLOTS[path]
     assert ann.context.op_resource_reservation_enabled is False
     assert ray.data.DataContext.get_current().op_resource_reservation_enabled
 
 
 @pytest.mark.parametrize("path", ["dictionary", "standin"])
 def test_one_fragment_job_runs_a_task_per_slot(mini, monkeypatch, tmp_path, path):
-    """A one-fragment input is split into one block per annotate slot
-    (the split read cannot fuse, so it runs as its own task first)."""
-    seen = _spy_gathers(monkeypatch)
+    """A one-fragment input is read as one row range per annotate slot,
+    each fused with its annotate task: no ``SplitBlocks`` operator."""
+    seen = _spy_jobs(monkeypatch)
     stats = run_kg_job(_turns_dir(tmp_path, mini, files=1), str(tmp_path / "kg"),
                        mini, CFGS[path], num_shards=1)
-    ops = _executed_ops(seen[0][1])
-    split = f"ReadParquet->SplitBlocks({SLOTS[path]})"
-    annotate = FUSED.removeprefix("ReadParquet->")
-    assert ops == {split: 1, annotate: SLOTS[path]}
+    _assert_one_fused_operator(seen[0][1], FUSED, SLOTS[path])
     assert stats["annotate_tasks"] == SLOTS[path]
 
 
 def test_textdir_job_runs_a_task_per_slot(mini, monkeypatch, tmp_path):
-    """A text-dir input reaches Ray as one row slice per annotate slot, so
-    its job runs 2 annotate tasks at 4 CPUs instead of one, and writes the
-    same triples as the same dir read as one block."""
+    """A text-dir input reaches Ray as one row slice per annotate slot
+    (``from_arrow``: the read is the slices, not an operator), so its job
+    runs 2 fused annotate+combiner tasks at 4 CPUs instead of one, with no
+    ``Repartition``, and writes the same triples as the same dir read as
+    one block."""
     import phenobert_ray.pipelines.annotate as pipeline
 
     d = tmp_path / "docs"
@@ -353,17 +368,18 @@ def test_textdir_job_runs_a_task_per_slot(mini, monkeypatch, tmp_path):
     texts = _turns(mini)["text"].to_pylist()
     for k in range(12):
         (d / f"doc-{k:02d}.txt").write_text(" ".join(texts[k::12]))
-    seen = _spy_gathers(monkeypatch)
+    seen = _spy_jobs(monkeypatch)
     sliced = run_kg_job(str(d), str(tmp_path / "sliced"), mini, num_shards=1,
                         input_format="textdir")
     monkeypatch.setattr(pipeline, "annotate_slots", lambda cfg: 1)
     whole = run_kg_job(str(d), str(tmp_path / "whole"), mini, num_shards=1,
                        input_format="textdir")
 
-    annotate = FUSED.removeprefix("ReadParquet->MapBatches(f)->")
+    annotate = FUSED.removeprefix("ReadParquetTurns->")
     (ann, sliced_out), (_, whole_out) = seen
-    assert sliced["annotate_tasks"] == _executed_ops(sliced_out)[annotate] == 2
-    assert whole["annotate_tasks"] == _executed_ops(whole_out)[annotate] == 1
+    _assert_one_fused_operator(sliced_out, annotate, sliced["annotate_tasks"])
+    _assert_one_fused_operator(whole_out, annotate, whole["annotate_tasks"])
+    assert (sliced["annotate_tasks"], whole["annotate_tasks"]) == (2, 1)
     assert ann.context.op_resource_reservation_enabled is False
     assert ray.data.DataContext.get_current().op_resource_reservation_enabled
 

@@ -221,9 +221,9 @@ def test_kg_job_output_pinned(mini, tmp_path, num_shards):
 
 
 def test_uneven_read_groups_keep_the_pin(mini, tmp_path):
-    """The dictionary path reads 3 fragments as its 2 annotate slots (one
-    task streams two fragments, the other one) and 1 fragment as 2 split
-    blocks; both write the one-shard pinned triples."""
+    """The dictionary path reads 3 fragments, and 1 fragment, as its 2
+    annotate slots' even row ranges (a range may hold parts of several
+    fragments, or half of one); both write the one-shard pinned triples."""
     got = []
     for files in (3, 1):
         src = tmp_path / f"in{files}"

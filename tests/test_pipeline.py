@@ -145,8 +145,10 @@ def test_kg_job_sink_matches_union(mini, sf_small, tmp_path):
 
 def test_turns_read_projects_turn_columns(mini, tmp_path):
     """Parquet turns are read column-pruned to conv_id / turn_idx / text,
-    so a NULL role, tool or ts never drops a turn (a NULL text does), and
-    run_kg_job writes the triples of every kept turn."""
+    so a NULL role, tool or ts never drops a turn (a NULL conv_id,
+    turn_idx or text does), each row's ``path`` is the fragment its
+    manifest names, and run_kg_job writes the triples of every kept
+    turn."""
     import datetime
     import glob
 
@@ -155,19 +157,20 @@ def test_turns_read_projects_turn_columns(mini, tmp_path):
 
     from phenobert_ray.linker import annotate_text
     from phenobert_ray.pipelines.annotate import TURN_COLS, read_turns_input, run_kg_job
+    from phenobert_ray.state.manifest import read_partial_manifests
 
     ts = datetime.datetime(2024, 1, 1)
     texts = ["patient shows seizure.", "obesity noted.", "scoliosis present.",
-             "microcephaly seen.", None]
+             "microcephaly seen.", None, "obesity noted.", "scoliosis present."]
     src = tmp_path / "turns"
     src.mkdir()
     pq.write_table(pa.table({
-        "conv_id": pa.array([f"c{i}" for i in range(5)], pa.string()),
-        "turn_idx": pa.array([0] * 5, pa.int32()),
-        "role": pa.array([None, "user", "user", "user", "user"], pa.string()),
+        "conv_id": pa.array([f"c{i}" for i in range(5)] + [None, "c6"], pa.string()),
+        "turn_idx": pa.array([0] * 6 + [None], pa.int32()),
+        "role": pa.array([None, "user", "user", "user", "user", "user", "user"], pa.string()),
         "text": pa.array(texts, pa.string()),
-        "tool": pa.array(["t", None, "t", "t", "t"], pa.string()),
-        "ts": pa.array([ts, ts, None, ts, ts], pa.timestamp("us")),
+        "tool": pa.array(["t", None, "t", "t", "t", "t", "t"], pa.string()),
+        "ts": pa.array([ts, ts, None, ts, ts, ts, ts], pa.timestamp("us")),
     }), src / "part-0.parquet")
 
     kept = read_turns_input(str(src)).to_pandas()
@@ -181,6 +184,35 @@ def test_turns_read_projects_turn_columns(mini, tmp_path):
     want = {(f"c{i}", a.hpo_id) for i, text in enumerate(texts[:4])
             for a in annotate_text(text, mini) if not a.negated}
     assert got == want and {c for c, _ in want} == {"c0", "c1", "c2", "c3"}
+
+    paths = read_turns_input(str(src), include_paths=True).to_pandas()["path"]
+    (manifest,) = read_partial_manifests(out)
+    assert set(paths) == set(manifest["input_paths"]) == {str(src / "part-0.parquet")}
+
+
+def test_turns_read_fails_on_a_fragment_without_text(mini, tmp_path):
+    """A fragment without a turn column fails the job on the driver,
+    before any partial is written."""
+    import glob
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from phenobert_ray.pipelines.annotate import run_kg_job
+    from phenobert_ray.state.manifest import read_partial_manifests
+
+    src = tmp_path / "turns"
+    src.mkdir()
+    good = pa.table({"conv_id": ["c0"], "turn_idx": pa.array([0], pa.int32()),
+                     "text": ["seizure noted."]})
+    pq.write_table(good, src / "part-0.parquet")
+    pq.write_table(good.drop_columns(["text"]), src / "part-1.parquet")
+    out = str(tmp_path / "kg")
+    with pytest.raises(ValueError, match="part-1.parquet: no turn column text"):
+        run_kg_job(str(src), out, mini, num_shards=1)
+    assert read_partial_manifests(out) == []
+    assert not glob.glob(os.path.join(out, "_partials", "*"))
 
 
 def test_cooccurrence_edges_bruteforce(mini, sf_small):
