@@ -124,7 +124,6 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from phenobert_ray.functions import ann as f_ann
     from phenobert_ray.functions import events as f_events
 
     def turns_synth(sf):
@@ -305,7 +304,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "eval_micro": eval_micro,
         "eval_macro": eval_macro,
         "onto_similarity": onto_similarity,
-        **f_ann.queries(),
         **f_events.queries(),
     }
     return {k: _guard_empty(k, fn) for k, fn in q.items()}
@@ -313,9 +311,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 def _guard_empty(name: str, fn):
     """Zero-row-input guard at the query surface: Ray cannot type a dataset
-    whose every block is empty (map_batches never runs — see
-    stages/shuffle.typed_result), so a query over an empty primary table
-    would return a SCHEMA-LESS empty result no in-cluster stage can fix.
+    whose every block is empty (map_batches never runs on an empty block),
+    so a query over an empty primary table would return a SCHEMA-LESS
+    empty result no in-cluster stage can fix.
     The registry below records each query's result schema (derived from
     its own sf0.001 output, NOT from the oracle — the oracle must stay an
     independent check) and the tables whose emptiness makes the result
@@ -339,7 +337,6 @@ def _guard_empty(name: str, fn):
 
 
 _EMPTY_RESULT_SCHEMAS: dict = {
-    "asof_join": (("events",), [("event_id", pa.int64()), ("user_id", pa.int64()), ("ts", pa.timestamp("us")), ("view_event_id", pa.int64()), ("view_ts", pa.timestamp("us"))]),
     "compact_latest_events": (("events",), [("user_id", pa.int64()), ("event_type", pa.string()), ("event_id", pa.int64()), ("ts", pa.timestamp("us")), ("value", pa.float64())]),
     "conv_hpo_sets": (("documents",), [("conv_id", pa.string()), ("hpo_id", pa.string())]),
     "cooccurrence_edges": (("documents",), [("hpo_a", pa.string()), ("hpo_b", pa.string()), ("n_convs", pa.int64())]),
@@ -351,7 +348,6 @@ _EMPTY_RESULT_SCHEMAS: dict = {
     "index_search_and": (("documents",), [("conv_id", pa.string())]),
     "index_search_or": (("documents",), [("conv_id", pa.string())]),
     "inverted_index": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("first_conv", pa.string()), ("last_conv", pa.string())]),
-    "label_centroids": (("embeddings",), [("label", pa.int64()), ("dim", pa.int64()), ("n_vecs", pa.int64()), ("centroid", pa.float64())]),
     "props_stats": (("events",), [("event_type", pa.string()), ("n", pa.int64()), ("sum_k", pa.int64()), ("max_k", pa.int64())]),
     "running_user_spend": (("events",), [("event_id", pa.int64()), ("user_id", pa.int64()), ("ts", pa.timestamp("us")), ("cents", pa.int64()), ("running_cents", pa.int64())]),
     "sample_hash": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("role", pa.string())]),
@@ -629,7 +625,6 @@ def _ancestor_rollup_sql(final: str | None = None) -> str:
 
 
 def oracle_sql() -> dict[str, str]:
-    from phenobert_ray.functions import ann as f_ann
     from phenobert_ray.functions import events as f_events
 
     out = {
@@ -769,6 +764,5 @@ def oracle_sql() -> dict[str, str]:
         """,
         "onto_similarity": _onto_similarity_sql(),
     }
-    out.update(f_ann.oracles())
     out.update(f_events.oracles())
     return out

@@ -14,7 +14,7 @@ num_cpus=N/4 and num_cpus=N (N = the CPU count above) on the same input
 and reports both throughputs plus scaling efficiency
 = (T_lo/T_hi)/(hi/lo).  Exits nonzero when N < 2 (nothing to compare).
 
-``--<name>-scale`` (``--index-scale``, ``--skew-scale``, ``--ann-scale``,
+``--<name>-scale`` (``--index-scale``, ``--skew-scale``,
 ``--events-scale``; see ``scale_flags`` in :func:`main`): closed-form
 long-haul regressions, each sized by its own ``$GRAFT_*`` variable; each
 prints one JSON line and exits nonzero when the distributed validation
@@ -204,11 +204,8 @@ def run_queries(sf_dir: str) -> dict:
         "kg_triples",
         "inverted_index",
         "eval_micro",
-        "ann_topk",
         "sessionize",
         "window_agg",
-        # interval join (chunked non-equi)
-        "range_join",
         # per-key running totals (chunked prefix-sum window),
         # keep-latest compaction, DAG rollup
         "running_user_spend",
@@ -232,7 +229,7 @@ def run_queries(sf_dir: str) -> dict:
 
 
 def run_events_scale(n_events: int) -> dict:
-    """Events-family long-haul: sessionize + range_join + window_agg +
+    """Events-family long-haul: sessionize + window_agg +
     running_user_spend over a closed-form corpus, every expectation
     validated DISTRIBUTED (nothing driver-side grows with n_events).
 
@@ -244,10 +241,6 @@ def run_events_scale(n_events: int) -> dict:
       s = j//5: n_events = 5, sum = (25s+10)·100 cents, start = t(5s),
       end = t(5s+4).  BASE is 23:00 UTC so session 0 straddles the 24h
       split chunk → the boundary-merge phase engages for EVERY user.
-    - range_join(6h): purchase s sees its own 4 views plus all 4 of
-      block s+1 (Δ = 3h40m < 6h; block s+2 at 7h20m is out) →
-      n_views = 8 and 100·(40s+40) cents, except the last block (4 views,
-      100·(20s+10) cents).
     - window_agg: per-window closed forms are messy; the TOTALS are not —
       Σ n_events = n_events, Σ cents = users · 100·K(K−1)/2.
     - running_user_spend: running at event j = 100·j(j+1)/2 exactly."""
@@ -257,7 +250,7 @@ def run_events_scale(n_events: int) -> dict:
     import pyarrow as pa
     import ray
 
-    from phenobert_ray.functions.events import (range_join, running_user_spend,
+    from phenobert_ray.functions.events import (running_user_spend,
                                                 sessionize, window_agg)
 
     K = 20
@@ -314,22 +307,6 @@ def run_events_scale(n_events: int) -> dict:
     tally("sessions", sessionize(out_dir, split_hours=24), chk_sessions)
     t_sess = time.time() - t0
 
-    def chk_range(b: pa.Table) -> pa.Table:
-        e = b.column("event_id").to_numpy()
-        s = (e % K) // 5
-        last = s == (K // 5 - 1)
-        nv = b.column("n_views").to_numpy()
-        cents = b.column("sum_view_cents").to_numpy()
-        exp_nv = np.where(last, 4, 8)
-        exp_c = np.where(last, (20 * s + 10) * 100, (40 * s + 40) * 100)
-        bad = int(((nv != exp_nv) | (cents != exp_c)).sum())
-        return pa.table({"bad": pa.array([bad], pa.int64()),
-                         "n": pa.array([b.num_rows], pa.int64())})
-
-    t1 = time.time()
-    tally("range", range_join(out_dir), chk_range)
-    t_range = time.time() - t1
-
     def chk_window(b: pa.Table) -> pa.Table:
         # totals-only invariant (summed across all windows at the end)
         return pa.table(
@@ -367,7 +344,6 @@ def run_events_scale(n_events: int) -> dict:
     shutil.rmtree(out_dir, ignore_errors=True)
     expected_rows = {
         "sessions": n_users * (K // 5),
-        "range": n_users * (K // 5),
         "window": n_events,
         "running": n_events,
     }
@@ -376,7 +352,6 @@ def run_events_scale(n_events: int) -> dict:
     return {
         "sec": round(dt, 2),
         "sec_sessionize": round(t_sess, 2),
-        "sec_range_join": round(t_range, 2),
         "sec_window_agg": round(t_window, 2),
         "sec_running": round(t_running, 2),
         "events": n_events,
@@ -600,80 +575,6 @@ def run_skew_scale(n_turns: int) -> dict:
     }
 
 
-def run_ann_scale(n_vecs: int) -> dict:
-    """ann_topk long-haul regression: the brute-force cosine top-k path
-    (broadcast query matrix → per-block matmul partials → in-cluster tree
-    merge) at millions of corpus vectors, with a closed-form expectation.
-
-    Queries are vec_id < 8 (one-hot direction e_q).  Corpus vec i ≥ 8 of
-    class q = i % 8 is e_q + 0.25·(i//8)·e_{8+q}: cos(query q, vec 8m+q)
-    = 1/√(1+(m/4)²) strictly decreases in m and is exactly 0 across
-    classes, so query q's top-5 is exactly [8+q, 16+q, 24+q, 32+q, 40+q].
-    The RESULT is k × queries = 40 rows by construction (a constant), so
-    the exact-frame check is honest driver-side work; what the regression
-    pins distributed is the partial top-k + merge over every block."""
-    import shutil
-
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.ann import DIM, K, N_QUERIES, ann_topk
-
-    out_dir = "/tmp/ann_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    def gen(batch: pa.Table) -> pa.Table:
-        i = batch.column("id").to_numpy()
-        q = i % N_QUERIES
-        e = np.zeros((len(i), DIM), dtype=np.float32)
-        e[np.arange(len(i)), q] = 1.0
-        corpus = i >= N_QUERIES
-        e[corpus, N_QUERIES + q[corpus]] = 0.25 * (i[corpus] // N_QUERIES)
-        return pa.table(
-            {
-                "vec_id": pa.array(i, pa.int64()),
-                "embedding": pa.FixedSizeListArray.from_arrays(
-                    pa.array(e.reshape(-1), type=pa.float32()), DIM
-                ),
-                "label": pa.array(q.astype(np.int32), pa.int32()),
-            }
-        )
-
-    ray.data.range(n_vecs).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/embeddings.parquet"
-    )
-
-    t0 = time.time()
-    got = (
-        ann_topk(out_dir)
-        .to_pandas()
-        .sort_values(["query_id", "rank"])
-        .reset_index(drop=True)
-    )
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    expect = pd.DataFrame(
-        [
-            (q, r, N_QUERIES * r + q)
-            for q in range(N_QUERIES)
-            for r in range(1, K + 1)
-        ],
-        columns=["query_id", "rank", "neighbor_id"],
-    ).astype("int64")
-    ok = got.equals(expect)
-    return {
-        "sec": round(dt, 2),
-        "vecs": n_vecs,
-        "vecs_per_sec": round(n_vecs / dt, 1),
-        "rows_checked": len(got),
-        "mismatched": 0 if ok else int((got.to_numpy() != expect.to_numpy()).sum())
-        if got.shape == expect.shape else -1,
-        "validated": ok,
-    }
-
-
 def child_main(num_cpus: int) -> None:
     """Fresh-process headline run at a given parallelism (for --scaling)."""
     import ray
@@ -701,9 +602,6 @@ def main() -> None:
         "--skew-scale": ("GRAFT_SKEW_TURNS", 2_000_000, run_skew_scale,
                          "skew_scale_turns_per_sec", "turns_per_sec",
                          "turns/sec"),
-        "--ann-scale": ("GRAFT_ANN_VECS", 2_000_000, run_ann_scale,
-                        "ann_scale_vecs_per_sec", "vecs_per_sec",
-                        "vecs/sec"),
         "--events-scale": ("GRAFT_EVENTS_N", 10_000_000, run_events_scale,
                            "events_scale_events_per_sec", "events_per_sec",
                            "events/sec"),

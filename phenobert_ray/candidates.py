@@ -21,6 +21,7 @@ normalized) text and therefore valid into the type-normalized raw text.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .textops import (
@@ -120,6 +121,42 @@ def _sentence_tokens(canon: str) -> list[tuple[int, int, list[Token]]]:
     return out
 
 
+def _ner_seeds(
+    sents: list[tuple[int, int, list[Token]]],
+    ner_segments: list[tuple[int, int]],
+) -> list[list[list[Token]]]:
+    """C1 seeds per sentence of ``sents``: for every NER span that
+    intersects the sentence, in ``ner_segments`` order, the sentence's
+    tokens starting inside the span, cut into runs at SPAN_PUNCT — the
+    reference BREAKS a PROBLEM span at {, . : ; ( ) [ ]} (util.py:903), so
+    a tagger that scores punctuation above threshold must not produce
+    'cleft lip , cleft palate' as one phrase.
+
+    One walk over the spans, linear in the spans and the tokens they
+    cover: sentences are disjoint and in text order, so the sentences a
+    span intersects are a contiguous range and its tokens a contiguous
+    slice of each, both found by bisection.  Spans may be unsorted,
+    overlapping or cross sentence boundaries."""
+    starts = [s for s, _, _ in sents]
+    ends = [e for _, e, _ in sents]
+    tok_starts = [[t.start for t in toks] for _, _, toks in sents]
+    seeds: list[list[list[Token]]] = [[] for _ in sents]
+    for ns, ne in ner_segments:
+        for k in range(bisect_right(ends, ns), bisect_left(starts, ne)):
+            ts = tok_starts[k]
+            run: list[Token] = []
+            for t in sents[k][2][bisect_left(ts, ns):bisect_left(ts, ne)]:
+                if t.text in SPAN_PUNCT:
+                    if run:
+                        seeds[k].append(run)
+                    run = []
+                else:
+                    run.append(t)
+            if run:
+                seeds[k].append(run)
+    return seeds
+
+
 def generate_segments(
     canon: str,
     ner_segments: list[tuple[int, int]] | None = None,
@@ -129,45 +166,22 @@ def generate_segments(
     canon: canonical text from textops.canonicalize_for_segmentation.
     """
     segments: list[_Segment] = []
+    sents = _sentence_tokens(canon)
+    pseudo_seeded = ner_segments is None
+    seeds = None if pseudo_seeded else _ner_seeds(sents, ner_segments)
 
-    for s, e, toks in _sentence_tokens(canon):
+    for k, (_, _, toks) in enumerate(sents):
         if not toks:
             continue
         seeded_locs: set[int] = set()
-        pseudo_seeded = ner_segments is None
-        if ner_segments is not None:
+        if seeds is not None:
             # C1: NER-seeded spans take priority; sentence skipped entirely
             # when the NER found nothing in it (util.py:920-922).
-            hit = False
-            # only spans intersecting THIS sentence: the full document-wide
-            # list re-scanned every sentence made the hot kernel
-            # O(sentences × spans × tokens) on long turns;
-            # an int overlap test per span keeps it near-linear
-            for ns, ne in ner_segments:
-                if ne <= s or ns >= e:
-                    continue
-                # the reference BREAKS a PROBLEM span at {, . : ; ( ) [ ]}
-                # (util.py:903) — a tagger that scores punctuation above
-                # threshold must not produce 'cleft lip , cleft palate' as
-                # one phrase
-                cur_seed: list[Token] = []
-                for t in toks:
-                    if not (ns <= t.start < ne):
-                        continue
-                    if t.text in SPAN_PUNCT:
-                        if cur_seed:
-                            segments.append(_Segment(cur_seed, seeded=True))
-                            seeded_locs.update(x.start for x in cur_seed)
-                            hit = True
-                        cur_seed = []
-                    else:
-                        cur_seed.append(t)
-                if cur_seed:
-                    segments.append(_Segment(cur_seed, seeded=True))
-                    seeded_locs.update(x.start for x in cur_seed)
-                    hit = True
-            if not hit:
+            if not seeds[k]:
                 continue
+            for run in seeds[k]:
+                segments.append(_Segment(run, seeded=True))
+                seeded_locs.update(t.start for t in run)
         # C2: spliter-based segmentation of remaining tokens; only segments
         # not overlapping NER spans are added (util.py:924-943).  With a
         # real NER the leftover segments split on the FULL spliter set

@@ -186,161 +186,6 @@ def window_agg(sf_dir: str):
     )
 
 
-def range_join(
-    sf_dir: str,
-    window_hours: int = 6,
-    num_buckets: int | None = None,
-):
-    """Interval/range join (the brief's third custom-operator case beside
-    as-of join and windowed aggregate — Ray Data has no non-equi join):
-    every ``purchase`` opens an attribution window ``(ts, ts + W]``; count
-    and value-sum the same user's ``view`` events inside it.
-
-    Output: (event_id, user_id, ts, n_views, sum_view_cents) — one row per
-    purchase, zero-match purchases included; view-value sums in exact
-    integer cents (``_cents``).
-
-    Scale shape: both sides exchange ONCE on ``hash(user_id, time_chunk)``
-    with chunk length = W, so a purchase's window overlaps at most two
-    chunks — the purchase row is replicated to exactly those two (≤2×
-    replication, independent of data size), views are never replicated,
-    and a hot user's events stay spread across time chunks (same skew
-    story as sessionize).  Within a bucket the match is a vectorized
-    searchsorted over (user, chunk)-grouped view timestamps with a cumsum
-    for the value sums — never a cross product.  A second, tiny exchange
-    (≤2 partial rows per purchase) merges the two replicas' partials."""
-    from ..stages.shuffle import default_num_buckets, two_phase_groupby
-
-    P = num_buckets or default_num_buckets()
-    w_us = window_hours * 3_600 * 1_000_000
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df = df[df["event_type"].isin(["purchase", "view"])]
-        ts_int = df["ts"].astype("int64")
-        chunk = (ts_int // w_us).astype("int64")
-        views = df[df["event_type"] == "view"]
-        buys = df[df["event_type"] == "purchase"]
-        parts = [
-            pd.DataFrame(
-                {
-                    "event_id": views["event_id"].astype("int64"),
-                    "user_id": views["user_id"].astype("int64"),
-                    "ts": views["ts"],
-                    "cents": _cents(views["value"]),
-                    "tchunk": chunk[views.index],
-                    "side": np.int64(1),
-                }
-            )
-        ]
-        # replicate each purchase into the two chunks its window can touch
-        for off in (0, 1):
-            parts.append(
-                pd.DataFrame(
-                    {
-                        "event_id": buys["event_id"].astype("int64"),
-                        "user_id": buys["user_id"].astype("int64"),
-                        "ts": buys["ts"],
-                        "cents": np.int64(0),
-                        "tchunk": chunk[buys.index] + off,
-                        "side": np.int64(0),
-                    }
-                )
-            )
-        out = pd.concat(parts, ignore_index=True)
-        out["bucket"] = (
-            pd.util.hash_pandas_object(
-                out[["user_id", "tchunk"]], index=False
-            ).to_numpy()
-            % P
-        ).astype("int64")
-        return from_pandas_clean(out)
-
-    def local_match(df: pd.DataFrame) -> pd.DataFrame:
-        buys = df[df["side"] == 0]
-        empty = pd.DataFrame(
-            {
-                "event_id": pd.Series([], dtype="int64"),
-                "user_id": pd.Series([], dtype="int64"),
-                "ts": pd.Series([], dtype="datetime64[us]"),
-                "n_views": pd.Series([], dtype="int64"),
-                "sv": pd.Series([], dtype="int64"),
-            }
-        )
-        if buys.empty:
-            return empty
-        views = df[df["side"] == 1]
-        ts_all = df["ts"].astype("int64").to_numpy()
-        tmin = int(ts_all.min())
-        span = int(ts_all.max()) - tmin + w_us + 2
-        # group id per (user, chunk): views carry their OWN chunk, purchase
-        # replicas their TARGET chunk — hash collisions between different
-        # (user, chunk) pairs in one bucket cannot cross-count
-        keys = df[["user_id", "tchunk"]].to_numpy(dtype=np.int64)
-        _, gid = np.unique(keys, axis=0, return_inverse=True)
-        n_groups = int(gid.max()) + 1 if len(gid) else 0
-        if n_groups * span >= 2 ** 63:
-            # the composite searchsorted key gid*span + ts would wrap
-            # int64 and silently cross-match other groups' windows
-            # (review r4) — fail loudly; more buckets shrink both factors
-            raise ValueError(
-                f"range_join: composite key overflow ({n_groups} groups × "
-                f"span {span} µs ≥ 2^63) — raise num_buckets so each "
-                f"bucket holds fewer groups / a narrower time span")
-        gid_b = gid[(df["side"] == 0).to_numpy()]
-        gid_v = gid[(df["side"] == 1).to_numpy()]
-        b_ts = buys["ts"].astype("int64").to_numpy() - tmin
-        v_ts = views["ts"].astype("int64").to_numpy() - tmin
-        order = np.lexsort((v_ts, gid_v))
-        vkeys = gid_v[order] * span + v_ts[order]
-        # int64 cents prefix sum: cs[hi]-cs[lo] is exact (a float cumsum
-        # here lost sub-cent digits next to 1e12-scale view values)
-        cs = np.concatenate(
-            ([np.int64(0)],
-             np.cumsum(views["cents"].to_numpy(dtype=np.int64)[order]))
-        )
-        lo = np.searchsorted(vkeys, gid_b * span + b_ts, side="right")
-        hi = np.searchsorted(vkeys, gid_b * span + b_ts + w_us, side="right")
-        return pd.DataFrame(
-            {
-                "event_id": buys["event_id"].to_numpy(),
-                "user_id": buys["user_id"].to_numpy(),
-                "ts": buys["ts"].to_numpy(),
-                "n_views": (hi - lo).astype("int64"),
-                "sv": (cs[hi] - cs[lo]).astype("int64"),
-            }
-        )
-
-    partials = (
-        _read_events(sf_dir)
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(local_match, batch_format="pandas")
-    )
-
-    merged = two_phase_groupby(
-        partials,
-        keys=["event_id"],
-        aggs={
-            "user_id": ("user_id", "max", "max"),
-            "ts": ("ts", "max", "max"),
-            "n_views": ("n_views", "sum", "sum"),
-            "sv": ("sv", "sum", "sum"),
-        },
-    )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        df["sum_view_cents"] = df["sv"].astype("int64")
-        return df[["event_id", "user_id", "ts", "n_views", "sum_view_cents"]]
-
-    from ..stages.shuffle import typed_result
-
-    return typed_result(merged.map_batches(finish, batch_format="pandas"),
-                        pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
-                                   ("ts", pa.timestamp("us")), ("n_views", pa.int64()),
-                                   ("sum_view_cents", pa.int64())]))
-
-
 def hopping_window_agg(sf_dir: str, width_hours: int = 2, hop_hours: int = 1):
     """Sliding/hopping windows (width 2h, hop 1h) per event_type:
     (window_start, event_type, n_events, sum_value_cents) — each event belongs to
@@ -360,7 +205,7 @@ def hopping_window_agg(sf_dir: str, width_hours: int = 2, hop_hours: int = 1):
             p = pd.DataFrame(
                 {
                     # keep [us]: a bare ns-resolution Timedelta would promote
-                    # the column to datetime64[ns] (same footgun as asof)
+                    # the column to datetime64[ns]
                     "window_start": (
                         base - pd.Timedelta(hours=hop_hours * k)
                     ).astype("datetime64[us]"),
@@ -401,9 +246,9 @@ def running_user_spend(sf_dir: str, num_buckets: int | None = None):
          partial rows (state bounded by a user's CHUNK count, not event
          count);
       3. one tagged-union bucketed exchange on (user, chunk) — data rows
-         ∪ offset rows, the CC join shape — each group sorts its chunk
-         locally and adds its offset; all cumsums are vectorized pandas
-         groupby-cumsum, no Python loop.
+         ∪ offset rows — each group sorts its chunk locally and adds its
+         offset; all cumsums are vectorized pandas groupby-cumsum, no
+         Python loop.
     Amounts ride as exact integer cents, so the result hash-matches the
     SQL window oracle."""
     from ..stages.shuffle import default_num_buckets, from_pandas_clean
@@ -610,7 +455,6 @@ def compact_latest_events(sf_dir: str, num_buckets: int | None = None):
 def queries():
     return {"sessionize": sessionize, "window_agg": window_agg,
             "hopping_window_agg": hopping_window_agg,
-            "asof_join": asof_join, "range_join": range_join,
             "props_stats": props_stats,
             "compact_latest_events": compact_latest_events,
             "running_user_spend": running_user_spend}
@@ -633,32 +477,6 @@ def oracles():
                                     ORDER BY ts DESC, event_id DESC) AS rn
           FROM events
         ) WHERE rn = 1
-        """,
-        "asof_join": """
-        WITH p AS (SELECT event_id, user_id, ts FROM events WHERE event_type = 'purchase'),
-        v AS (SELECT event_id AS view_event_id, user_id, ts AS view_ts
-              FROM events WHERE event_type = 'view'),
-        j AS (
-          SELECT p.event_id, p.user_id, p.ts, v.view_event_id, v.view_ts,
-                 row_number() OVER (PARTITION BY p.event_id
-                                    ORDER BY v.view_ts DESC, v.view_event_id DESC) AS rn
-          FROM p JOIN v ON v.user_id = p.user_id AND v.view_ts < p.ts
-        )
-        SELECT p.event_id, p.user_id, p.ts,
-               coalesce(j.view_event_id, -1) AS view_event_id, j.view_ts
-        FROM p LEFT JOIN (SELECT * FROM j WHERE rn = 1) j USING (event_id, user_id, ts)
-        """,
-        "range_join": """
-        SELECT p.event_id, p.user_id, p.ts,
-               count(v.event_id) AS n_views,
-               CAST(coalesce(sum(CAST(floor(v.value * 100 + 0.5) AS BIGINT)), 0)
-                    AS BIGINT) AS sum_view_cents
-        FROM events p
-        LEFT JOIN events v
-          ON v.user_id = p.user_id AND v.event_type = 'view'
-         AND v.ts > p.ts AND v.ts <= p.ts + INTERVAL 6 HOUR
-        WHERE p.event_type = 'purchase'
-        GROUP BY p.event_id, p.user_id, p.ts
         """,
         "props_stats": """
         SELECT event_type, count(*) AS n,
@@ -704,178 +522,6 @@ def oracles():
         GROUP BY 1, 2
         """,
     }
-
-
-_ASOF_EMPTY = {
-    "event_id": "int64",
-    "user_id": "int64",
-    "ts": "datetime64[us]",
-    "view_event_id": "int64",
-    "view_ts": "datetime64[us]",
-}
-
-
-def _asof_empty() -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in _ASOF_EMPTY.items()})
-
-
-def asof_join(
-    sf_dir: str,
-    num_buckets: int | None = None,
-    split_hours: int | None = 24,
-):
-    """As-of join (custom operator per the brief — Ray Data has none):
-    for each ``purchase`` event, the latest strictly-prior ``view`` event of
-    the same user.  Within a bucket the join is a vectorized sorted-merge
-    (``pandas.merge_asof``) — never a cross product.  Output: (event_id,
-    user_id, ts, view_event_id, view_ts); purchases with no prior view get
-    the -1/null sentinel.
-
-    Skew story (same as sessionize): the event exchange is keyed on
-    ``hash(user_id, time_chunk)`` so a hot user's events never land in one
-    bucket.  Phase 1 resolves purchases against views of the SAME chunk;
-    the leftovers (no in-chunk prior view) are joined in phase 2 against
-    per-(user, chunk) last-view SUMMARIES (one row per chunk with views —
-    bounded by chunk count, not events).  A same-chunk view earlier than
-    the purchase always beats any earlier-chunk view, so the two-phase
-    result is identical to the single-pass join.  ``split_hours=None``
-    falls back to the one-exchange path."""
-    from ..stages.shuffle import default_num_buckets
-
-    P = num_buckets or default_num_buckets()
-    chunk_us = (split_hours or 1) * 3_600 * 1_000_000
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df = df[df["event_type"].isin(["purchase", "view"])].copy()
-        if split_hours is None:
-            df["chunk"] = 0
-            key = df["user_id"]
-        else:
-            df["chunk"] = (df["ts"].astype("int64") // chunk_us).astype("int64")
-            key = df[["user_id", "chunk"]]
-        df["bucket"] = (
-            pd.util.hash_pandas_object(key, index=False).to_numpy() % P
-        ).astype("int64")
-        return from_pandas_clean(
-            df[["event_id", "ts", "user_id", "event_type", "chunk", "bucket"]]
-        )
-
-    def local_join(df: pd.DataFrame) -> pd.DataFrame:
-        """Matched purchases (side 0) + unmatched purchases (side 1) +
-        per-(user, chunk) last-view summaries (side 2)."""
-        left = df[df.event_type == "purchase"].sort_values(["ts", "event_id"])
-        right = (
-            df[df.event_type == "view"]
-            .sort_values(["ts", "event_id"])
-            .rename(columns={"event_id": "view_event_id", "ts": "view_ts"})
-        )
-        parts = []
-        if not left.empty:
-            j = pd.merge_asof(
-                left[["event_id", "user_id", "chunk", "ts"]],
-                right[["view_event_id", "user_id", "chunk", "view_ts"]],
-                left_on="ts",
-                right_on="view_ts",
-                by=["user_id", "chunk"],
-                direction="backward",
-                allow_exact_matches=False,
-            )
-            matched = j["view_ts"].notna()
-            m = j[matched].copy()
-            m["side"] = 0
-            u = j[~matched].copy()
-            u["view_event_id"] = -1
-            u["side"] = 1
-            parts += [m, u]
-        if not right.empty:
-            s = right.groupby(["user_id", "chunk"], as_index=False).tail(1).copy()
-            s["event_id"] = -1
-            # keep timestamp unit us: bare pd.NaT assignment would create an
-            # [ns] column and poison the block schema on concat
-            s["ts"] = pd.Series(pd.NaT, index=s.index, dtype="datetime64[us]")
-            s["side"] = 2
-            parts.append(s[["event_id", "user_id", "chunk", "ts",
-                            "view_event_id", "view_ts", "side"]])
-        if not parts:
-            e = _asof_empty()
-            e["chunk"] = pd.Series([], dtype="int64")
-            e["side"] = pd.Series([], dtype="int64")
-            return e
-        out = pd.concat(parts, ignore_index=True)
-        out["view_event_id"] = out["view_event_id"].astype("int64")
-        return out[["event_id", "user_id", "chunk", "ts",
-                    "view_event_id", "view_ts", "side"]]
-
-    local = (
-        _read_events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(local_join, batch_format="pandas")
-    )
-
-    if split_hours is None:
-        # true one-exchange path: chunk is constant 0, so phase 1 already
-        # resolved every purchase against ALL of its user's views
-        def finish(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[df["side"] != 2]
-            if df.empty:
-                return _asof_empty()
-            out = df[["event_id", "user_id", "ts", "view_event_id", "view_ts"]].copy()
-            out["view_event_id"] = out["view_event_id"].astype("int64")
-            return out
-
-        return local.map_batches(finish, batch_format="pandas")
-
-    def rebucket(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        # Only side-1 (unmatched purchases) and side-2 (chunk summaries)
-        # need user_id co-location for the phase-2 merge.  Side-0 rows
-        # (purchases already resolved in-chunk — potentially the bulk of a
-        # hot user's volume) are pure pass-through, so they spread by
-        # event_id hash: the phase-2 exchange stays linear AND skew-free
-        # even when one user dominates the corpus.  (Routing side-0 around
-        # the exchange via union would re-execute the whole phase-1
-        # pipeline a second time or force a mid-pipeline materialize;
-        # spreading keeps a single streaming pass.)
-        key = pd.util.hash_pandas_object(df["user_id"], index=False).to_numpy()
-        passthrough = (df["side"] == 0).to_numpy()
-        key[passthrough] = pd.util.hash_pandas_object(
-            df["event_id"], index=False
-        ).to_numpy()[passthrough]
-        df["bucket"] = (key % P).astype("int64")
-        return from_pandas_clean(df)
-
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        # a bucket holding only unmatched purchases has an all-null
-        # view_ts, which arrives as object dtype and made merge_asof raise
-        df["view_ts"] = df["view_ts"].astype("datetime64[us]")
-        done = df[df["side"] == 0]
-        pending = df[df["side"] == 1].sort_values(["ts", "event_id"])
-        summaries = df[df["side"] == 2].sort_values(["view_ts", "view_event_id"])
-        outs = [done[["event_id", "user_id", "ts", "view_event_id", "view_ts"]]]
-        if not pending.empty:
-            j = pd.merge_asof(
-                pending[["event_id", "user_id", "chunk", "ts"]],
-                summaries[["view_event_id", "user_id", "view_ts"]],
-                left_on="ts",
-                right_on="view_ts",
-                by="user_id",
-                direction="backward",
-                allow_exact_matches=False,
-            )
-            j["view_event_id"] = j["view_event_id"].fillna(-1).astype("int64")
-            outs.append(j[["event_id", "user_id", "ts", "view_event_id", "view_ts"]])
-        out = pd.concat(outs, ignore_index=True)
-        if out.empty:
-            return _asof_empty()
-        return out
-
-    return (
-        local.map_batches(rebucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(resolve, batch_format="pandas")
-    )
 
 
 def props_stats(sf_dir: str):

@@ -1,7 +1,6 @@
-"""Exchange helpers: the read-boundary null contract, typed results, the
-one-block gather (:func:`in_one_block`) the phenotype analytics run on,
-and the two-phase bucketed group-merge that ``functions/ann`` and
-``functions/events`` still use.
+"""Exchange helpers: the read-boundary null contract, the one-block gather
+(:func:`in_one_block`) the phenotype analytics run on, and the two-phase
+bucketed group-merge that ``functions/events`` still uses.
 
 Ray Data's built-in ``groupby().aggregate()`` reduces per *group* in Python,
 which is slow when there are ~as many groups as rows (exactly the shape of
@@ -48,7 +47,7 @@ def drop_null_rows(ds, columns=None):
     column never discards the row.  One vectorized Arrow kernel per block
     (`Table.drop_null`), zero-copy in, fused into the read.
 
-    SQL oracles over documents/events/embeddings assume null-free
+    SQL oracles over documents/events assume null-free
     testdata; on null-bearing inputs the engine's contract is engine(T)
     == engine(T with incomplete rows removed) — pinned by
     tests/test_adversarial_regressions.py.
@@ -88,21 +87,6 @@ def valid_rows(t: pa.Table, columns) -> pa.Table:
     return t.filter(keep).replace_schema_metadata(None)
 
 
-def round6_away(x):
-    """Round-half-AWAY-from-zero to 6 decimals, vectorized — the oracle
-    bridge for every ratio column compared against DuckDB ``round(x, 6)``.
-
-    numpy/pandas ``round`` is half-to-EVEN; DuckDB rounds half away from
-    zero.  Ratios of small integers (stop_ratio, TTR, Jaccard c/(na+nb−c))
-    DO land exactly on ties at the 7th decimal whenever the denominator
-    is a multiple of 128 with an odd cofactor dividing 5⁶·numerator —
-    reproduced: stop 1/128 → 7812.5 ties, engine 0.007812 vs oracle
-    0.007813.  Returns a float64 ndarray (0-d for scalar input)."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.floor(np.abs(x) * 1e6 + 0.5) / 1e6
-
 # aggregation spec: out_col -> (src_col | None, partial_agg, merge_agg);
 # src_col None means "count rows" (partial=size, merge must be "sum")
 AggSpec = dict[str, tuple[str | None, str, str]]
@@ -111,12 +95,11 @@ AggSpec = dict[str, tuple[str | None, str, str]]
 def default_num_buckets() -> int:
     """P = cluster cores — the parallelism FLOOR, not a data-size cap.
 
-    Every bucket is a map_groups task, and an ITERATIVE workload
-    (pagerank, k-core) pays that per-bucket task overhead every round, so
-    more buckets than cores only adds scheduling cost.  At real scale
-    callers must RAISE num_buckets so (data / P) fits a worker's heap —
-    the partial phase has already collapsed per-block duplicates, so
-    bucket payload is bounded by distinct keys, not rows."""
+    Every bucket is a map_groups task, so more buckets than cores only
+    adds scheduling cost.  At real scale the events operators must RAISE
+    num_buckets so (data / P) fits a worker's heap — the partial phase has
+    already collapsed per-block duplicates, so bucket payload is bounded
+    by distinct keys, not rows."""
     return max(8, int(ray.cluster_resources().get("CPU", 8)))
 
 
@@ -142,8 +125,8 @@ def table_rows(sf_dir: str, table: str) -> int:
     """Footer-only row count of ``{sf_dir}/{table}.parquet`` (file or
     fragment directory) — no column data is read.  Used by the
     empty-input guards: Ray cannot type a dataset whose every block is
-    empty (see typed_result), so operators short-circuit zero-row inputs
-    with an explicit typed empty result."""
+    empty (``map_batches`` never runs on an empty block), so queries
+    short-circuit zero-row inputs with an explicit typed empty result."""
     import glob
     import os
 
@@ -158,25 +141,6 @@ def table_rows(sf_dir: str, table: str) -> int:
         raise FileNotFoundError(
             f"table_rows: no parquet file or fragment at {p}")
     return sum(pq.ParquetFile(f).metadata.num_rows for f in paths)
-
-
-def typed_result(ds, schema: pa.Schema):
-    """Pin a RESULT dataset's schema against Ray's fully-empty-dataset
-    schema loss: when every block of a dataset is empty, ``map_batches``
-    never runs (so no in-cluster stage can retype it) and ``to_pandas`` /
-    ``schema()`` come back column-less — a downstream ``df[["hpo_a"]]``
-    KeyErrors.  That is a LEGITIMATE state for pair-shaped results (a
-    corpus with zero co-occurring phenotypes), not just for empty inputs,
-    so the early empty-input guards don't cover it.  Appending one empty
-    TYPED block via union fixes ``Dataset.schema()``, ``write_parquet``
-    output and every in-cluster consumer, and the plan still streams.
-    It cannot fix
-    ``Dataset.to_pandas()`` — Ray 2.49 drops the columns of ANY
-    zero-row dataset there; driver-side consumers needing a typed frame
-    must rebuild it from ``schema()`` (see tools/verify_local.to_df).
-    Ray logs a schema change when the union meets a column-less block;
-    :func:`in_one_block` types its result without a union."""
-    return ds.union(ray.data.from_arrow(schema.empty_table()))
 
 
 def _marker(ds, in_schema: pa.Schema):

@@ -77,65 +77,6 @@ def test_window_agg_exact_cents_with_extremes(tmp_path_factory):
     assert int(got.loc[0, "n_events"]) == 4
 
 
-def test_range_join_cents_respect_view_order(tmp_path_factory):
-    """The cents prefix sum must be built over the LEXSORTED view order
-    (a refactor summed the unsorted array: right n_views, wrong sums
-    whenever file order != ts order — caught at sf0.01)."""
-    from phenobert_ray.functions.events import range_join
-
-    base = np.datetime64("2024-05-01T00:00:00", "us")
-    h = np.timedelta64(3_600_000_000, "us")
-    # views written in REVERSED time order; window covers only the first 2
-    d = _events_dir(
-        tmp_path_factory, "rjorder",
-        {
-            "event_id": np.arange(4, dtype=np.int64),
-            "ts": np.array([base + 5 * h, base + 2 * h, base + 1 * h, base],
-                           dtype="datetime64[us]"),
-            "event_type": np.array(
-                ["view", "view", "view", "purchase"], dtype=object
-            ),
-            "user_id": np.zeros(4, dtype=np.int64),
-            "value": np.array([800.0, 40.0, 2.0, 0.0]),
-            "props": np.array(['{"k": 1}'] * 4, dtype=object),
-        },
-    )
-    got = range_join(d, window_hours=3).to_pandas()
-    assert len(got) == 1
-    assert int(got.loc[0, "n_views"]) == 2  # +1h, +2h in (0, 3h]
-    assert int(got.loc[0, "sum_view_cents"]) == 4200
-
-
-def test_label_centroids_mixed_magnitudes_deterministic(tmp_path_factory):
-    """One label holding 1e3-scale and 1e-8-scale vectors: the micro-
-    quantized integer sum is partition-order-proof (a double partial sum
-    was not); exactness pinned against the serial integer reference."""
-    from phenobert_ray.functions.ann import label_centroids
-
-    rng = np.random.default_rng(7)
-    vecs = [rng.normal(size=8) * 1e3, rng.normal(size=8) * 1e-8,
-            rng.normal(size=8)]
-    d = tmp_path_factory.mktemp("centmix")
-    pq.write_table(
-        pa.table(
-            {
-                "vec_id": pa.array([0, 1, 2], pa.int64()),
-                "embedding": pa.array([v.astype(np.float32).tolist()
-                                       for v in vecs],
-                                      pa.list_(pa.float32())),
-                "label": pa.array([1, 1, 1], pa.int32()),
-            }
-        ),
-        str(d / "embeddings.parquet"),
-    )
-    got = (label_centroids(str(d)).to_pandas()
-           .sort_values("dim")["centroid"].to_numpy())
-    M = np.stack([v.astype(np.float32) for v in vecs]).astype(np.float64)
-    s = np.floor(M * 1e6 + 0.5).astype(np.int64).sum(axis=0)
-    want = np.sign(s / 1e6 / 3) * np.floor(np.abs(s / 1e6 / 3) * 1e6 + 0.5) / 1e6
-    assert (got == want).all()
-
-
 @pytest.mark.parametrize("q", ["sessionize", "hopping_window_agg"])
 def test_cents_columns_are_int64(sf_small, q):
     """The whole events family publishes exact integer cent sums."""
@@ -171,12 +112,6 @@ def _null_sf(tmp_path_factory):
         "props": pa.array(['{"k": 1}', None, '{"k": 2}', '{"k": 3}'],
                           pa.string()),
     }), str(d / "events.parquet"))
-    pq.write_table(pa.table({
-        "vec_id": pa.array([0, 1, 2], pa.int64()),
-        "embedding": pa.array([[0.1] * 64, None, [0.2] * 64],
-                              pa.list_(pa.float32())),
-        "label": pa.array([0, 1, None], pa.int32()),
-    }), str(d / "embeddings.parquet"))
     return d
 
 
@@ -255,18 +190,14 @@ def _canon(df):
 
 @pytest.mark.parametrize("qname,table,cols", [
     # explicit ids keep the numbering these cases had while the removed
-    # exact_dedup, doc_stats and kmeans_assign cases preceded them
+    # exact_dedup, doc_stats, kmeans_assign, ann_topk and label_centroids
+    # cases sat among them
     pytest.param("kg_triples", "documents", ("doc_id", "text"),
                  id="kg_triples-documents-cols2"),
     pytest.param("window_agg", "events", ("ts", "event_type", "value"),
                  id="window_agg-events-cols3"),
     pytest.param("props_stats", "events", ("event_type", "props"),
                  id="props_stats-events-cols4"),
-    pytest.param("ann_topk", "embeddings", ("vec_id", "embedding"),
-                 id="ann_topk-embeddings-cols6"),
-    pytest.param("label_centroids", "embeddings",
-                 ("vec_id", "embedding", "label"),
-                 id="label_centroids-embeddings-cols7"),
     pytest.param("extract_mentions", "documents", ("doc_id", "text"),
                  id="extract_mentions-documents-cols8"),
     pytest.param("inverted_index", "documents", ("doc_id", "text"),
@@ -355,8 +286,7 @@ def test_all_empty_sf_returns_typed_results(tmp_path_factory, sf_small):
         tbl = pq.read_table(f"{sf_small}/{t}.parquet")
         pq.write_table(tbl.schema.empty_table(), str(d / f"{t}.parquet"))
     qs = E.queries()
-    for name in ["extract_mentions", "sessionize", "inverted_index",
-                 "label_centroids"]:
+    for name in ["extract_mentions", "sessionize", "inverted_index"]:
         res = qs[name](str(d))
         want = [c for c, _ in E._EMPTY_RESULT_SCHEMAS[name][1]]
         got = [f.name for f in res.schema().base_schema]

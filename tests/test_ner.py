@@ -171,3 +171,78 @@ def test_train_tagger_never_trains_on_empty_split():
     with pytest.raises(ValueError):
         train_tagger([sent("only", ["a"], [0])], frozenset(),
                      log=lambda *a: None)
+
+
+def _scan_seeds(sents, ner_segments):
+    """Reference for ``candidates._ner_seeds``: every span tested against
+    every sentence, and every token of the sentence against every span
+    that intersects it."""
+    from phenobert_ray.textops import SPAN_PUNCT
+
+    out = []
+    for s, e, toks in sents:
+        runs = []
+        for ns, ne in ner_segments:
+            if ne <= s or ns >= e:
+                continue
+            run = []
+            for t in toks:
+                if not (ns <= t.start < ne):
+                    continue
+                if t.text in SPAN_PUNCT:
+                    if run:
+                        runs.append(run)
+                    run = []
+                else:
+                    run.append(t)
+            if run:
+                runs.append(run)
+        out.append(runs)
+    return out
+
+
+def test_ner_seeding_sweep_matches_scan(monkeypatch):
+    """The span sweep seeds, and ``generate_segments`` emits, exactly what
+    the per-sentence scan did, segment for segment and in the same order,
+    on random texts with unsorted, overlapping, empty, out-of-range and
+    sentence-crossing span lists."""
+    import random
+
+    from phenobert_ray import candidates
+    from phenobert_ray.textops import canonicalize_for_segmentation
+
+    words = ["cleft", "lip", "palate", "no", "seizure", "and", "or", "/",
+             ",", ";", "(", ")", ":", "with", "the", "2", "renal", "failure",
+             ".", "!", "?", "\n", "+"]
+
+    def segs(canon, spans):
+        return [([(t.text, t.start, t.end) for t in g.items], g.negated,
+                 g.seeded, [(t.text, t.start) for t in g.simple])
+                for g in candidates.generate_segments(canon, spans)]
+
+    rng = random.Random(11)
+    cases = []
+    for _ in range(300):
+        canon = canonicalize_for_segmentation(
+            " ".join(rng.choice(words) for _ in range(rng.randint(0, 60))))
+        n = len(canon)
+        spans = []
+        for _ in range(rng.randint(0, 12)):
+            a = rng.randint(-3, n + 3)
+            spans.append((a, a + rng.randint(-4, max(1, n // 2))))
+        cases.append((canon, spans))
+        cases.append((canon, sorted(spans)))
+    # a sentence no span touches is skipped (util.py:920-922): only the
+    # first sentence below is seeded, and the second yields no segment
+    two = canonicalize_for_segmentation("cleft lip. renal failure.")
+    assert [t for _, _, _, simple in segs(two, [(0, 4), (20, 11)])
+            for t in simple] == [("cleft", 0)]
+    got = []
+    for canon, spans in cases:
+        sents = candidates._sentence_tokens(canon)
+        assert candidates._ner_seeds(sents, spans) == _scan_seeds(sents, spans)
+        got.append(segs(canon, spans))
+    monkeypatch.setattr(candidates, "_ner_seeds", _scan_seeds)
+    want = [segs(canon, spans) for canon, spans in cases]
+    assert got == want
+    assert sum(len(g) for g in got) > 1000  # the cases produce segments

@@ -115,52 +115,3 @@ def test_two_phase_groupby_matches_pandas(rows):
     pd.testing.assert_frame_equal(
         got[["k1", "k2", "mn", "mx", "sw", "n"]], exp, check_dtype=False
     )
-
-
-@given(
-    st.lists(
-        st.lists(st.integers(-2000, 2000), min_size=8, max_size=8),
-        min_size=1,
-        max_size=20,
-    ),
-    st.lists(
-        st.lists(st.integers(-32000, 32000), min_size=8, max_size=8),
-        min_size=2,
-        max_size=5,
-    ),
-)
-@settings(max_examples=200, deadline=None)
-def test_kmeans_assign_expansion_matches_naive(qrows, mrows):
-    # the matmul-expanded integer cost must argmin identically to the
-    # naive per-cluster subtraction, first-hit ties included
-    import numpy as np
-
-    from phenobert_ray.functions import ann
-
-    q = np.array(qrows, dtype=np.int64)
-    M = np.array(mrows, dtype=np.int64)
-    # emulate an 8-dim problem by monkey-free direct kernel use: _assign
-    # only uses shapes, R and the matmul — dims need not be 64
-    naive = ((ann.R * q[:, None, :] - M[None, :, :]) ** 2).sum(axis=2)
-    want = np.argmin(naive, axis=1)
-    got = ann._assign(q, M)
-    assert (got == want).all()
-
-
-@given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
-@settings(max_examples=300, deadline=None)
-def test_rounded_div_is_half_away_exact(s, n):
-    from fractions import Fraction
-
-    import numpy as np
-
-    from phenobert_ray.functions import ann
-
-    got = int(ann._rounded_div(np.array([s], dtype=np.int64),
-                               np.array([n], dtype=np.int64))[0])
-    x = Fraction(ann.R * s, n)
-    frac = abs(x) - abs(x).numerator // abs(x).denominator
-    mag = abs(x).numerator // abs(x).denominator + (1 if 2 * frac >= 1 else 0)
-    want = mag if x >= 0 else -mag
-    assert got == want
-

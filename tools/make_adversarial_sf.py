@@ -1,13 +1,12 @@
 """Synthesize a pathological scale-factor directory for the oracle gate.
 
-The three tables the oracles read (documents, events, embeddings), with
-the same schemas as the testdata sf* directories (TESTDATA.md), but every
-value distribution chosen to be hostile: unicode (CJK, emoji, RTL,
-combining marks, special-casing), empty strings, whitespace runs, exact
-and near duplicate texts, key skew (one hot source / user), singleton
-groups, rounding-tie money values, boundary timestamps (exact window
-edges), zero vectors and duplicate embeddings, ties everywhere two rows
-can tie.
+The two tables the oracles read (documents, events), with the same
+schemas as the testdata sf* directories (TESTDATA.md), but every value
+distribution chosen to be hostile: unicode (CJK, emoji, RTL, combining
+marks, special-casing), empty strings, whitespace runs, exact and near
+duplicate texts, key skew (one hot source / user), singleton groups,
+rounding-tie money values, boundary timestamps (exact window edges), ties
+everywhere two rows can tie.
 
 Usage:  python tools/make_adversarial_sf.py [out_dir]   (default /tmp/sfadv)
 
@@ -125,47 +124,6 @@ def make_documents(out: str) -> None:
     pq.write_table(tbl.take(pa.array(perm)), f"{out}/documents.parquet")
 
 
-# --- embeddings --------------------------------------------------------
-
-EMB_DIM = 64
-
-
-def make_embeddings(out: str) -> None:
-    rng = _rng()
-    vecs, labels = [], []
-    # zero vector (cosine denominators), duplicate vectors, negations
-    vecs.append(np.zeros(EMB_DIM)); labels.append(0)
-    base = rng.normal(size=EMB_DIM)
-    for _ in range(5):
-        vecs.append(base.copy()); labels.append(1)          # exact dups
-    vecs.append(-base); labels.append(2)                     # antipode
-    vecs.append(base * 1e-8); labels.append(1)               # tiny norm
-    # large-but-in-contract norm: the integer-exact k-means kernel
-    # documents |value| < ~4194 with QUANT=1000 (ann.py docstring)
-    # and fails LOUDLY past it (pinned in tests) — stay inside here so
-    # the oracle comparison, not the guard, is what this input exercises
-    vecs.append(base * 1e3); labels.append(1)                # huge norm
-    near = base.copy(); near[0] += 1e-7
-    vecs.append(near); labels.append(1)                      # near-dup
-    # a second zero vector (zero-zero cosine pair)
-    vecs.append(np.zeros(EMB_DIM)); labels.append(-1)        # negative label
-    # clustered bulk: 3 tight clusters + uniform noise
-    for c in range(3):
-        center = rng.normal(size=EMB_DIM) * 2
-        for _ in range(60):
-            vecs.append(center + rng.normal(size=EMB_DIM) * 0.05)
-            labels.append(c)
-    for _ in range(50):
-        vecs.append(rng.normal(size=EMB_DIM)); labels.append(9)
-    arr = np.asarray(vecs, dtype=np.float32)
-    tbl = pa.table({
-        "vec_id": pa.array(np.arange(len(vecs), dtype=np.int64)),
-        "embedding": pa.array(list(arr), pa.list_(pa.float32())),
-        "label": pa.array(labels, pa.int32()),
-    })
-    pq.write_table(tbl, f"{out}/embeddings.parquet")
-
-
 # --- events ------------------------------------------------------------
 
 def make_events(out: str) -> None:
@@ -179,7 +137,7 @@ def make_events(out: str) -> None:
         nonlocal eid
         rows.append((eid, ts, uid, etype, value, props)); eid += 1
 
-    # hot user: 400 events, many identical timestamps (asof/window ties)
+    # hot user: 400 events, many identical timestamps (session/window ties)
     for i in range(400):
         ts = base + (i // 4) * np.timedelta64(601, "s")  # 4-way ts ties
         add(ts, 1, ["click", "view", "error", "signup"][i % 4],
@@ -240,7 +198,6 @@ def fragment(out: str, n_frags: int = 3) -> None:
 def main(out: str = "/tmp/sfadv", fragments: bool = False) -> None:
     os.makedirs(out, exist_ok=True)
     make_documents(out)
-    make_embeddings(out)
     make_events(out)
     if fragments:
         fragment(out)

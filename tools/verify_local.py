@@ -22,7 +22,7 @@ import ray.data  # configures the "ray.data" logger main() hooks
 
 # the tables the oracles read; the phenotype queries read only documents
 # (the turns are synthesized from it in SQL, see phenobert_ray/transcripts.py)
-TABLES = ["events", "documents", "embeddings"]
+TABLES = ["events", "documents"]
 
 
 def to_df(res) -> pd.DataFrame:
@@ -36,7 +36,7 @@ def to_df(res) -> pd.DataFrame:
         df = res.to_pandas()
         if not len(df) and not len(df.columns):
             # Ray's to_pandas drops the columns of ANY zero-row Dataset,
-            # even a schema-carrying one (typed_result); rebuild the typed
+            # even a schema-carrying one (_guard_empty's); rebuild the typed
             # empty frame from the dataset schema so a legitimately-empty
             # result (zero co-occurring pairs) compares against its
             # oracle on columns, not on a column-less frame
