@@ -124,8 +124,6 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from phenobert_ray.functions import events as f_events
-
     def turns_synth(sf):
         return _turns(sf)
 
@@ -304,7 +302,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "eval_micro": eval_micro,
         "eval_macro": eval_macro,
         "onto_similarity": onto_similarity,
-        **f_events.queries(),
     }
     return {k: _guard_empty(k, fn) for k, fn in q.items()}
 
@@ -316,18 +313,17 @@ def _guard_empty(name: str, fn):
     empty result no in-cluster stage can fix.
     The registry below records each query's result schema (derived from
     its own sf0.001 output, NOT from the oracle — the oracle must stay an
-    independent check) and the tables whose emptiness makes the result
-    empty; the guard reads only parquet footers, so every query passes
-    its oracle on an ALL-EMPTY scale factor."""
-    spec = _EMPTY_RESULT_SCHEMAS.get(name)
-    if spec is None:
+    independent check); an empty ``documents`` table makes every listed
+    result empty.  The guard reads only parquet footers, so every query
+    passes its oracle on an ALL-EMPTY scale factor."""
+    fields = _EMPTY_RESULT_SCHEMAS.get(name)
+    if fields is None:
         return fn
-    tables, fields = spec
 
     def g(sf_dir: str, *a, **kw):
         from phenobert_ray.stages.shuffle import table_rows
 
-        if any(table_rows(sf_dir, t) == 0 for t in tables):
+        if table_rows(sf_dir, "documents") == 0:
             import ray as _ray
 
             return _ray.data.from_arrow(pa.schema(fields).empty_table())
@@ -337,23 +333,17 @@ def _guard_empty(name: str, fn):
 
 
 _EMPTY_RESULT_SCHEMAS: dict = {
-    "compact_latest_events": (("events",), [("user_id", pa.int64()), ("event_type", pa.string()), ("event_id", pa.int64()), ("ts", pa.timestamp("us")), ("value", pa.float64())]),
-    "conv_hpo_sets": (("documents",), [("conv_id", pa.string()), ("hpo_id", pa.string())]),
-    "cooccurrence_edges": (("documents",), [("hpo_a", pa.string()), ("hpo_b", pa.string()), ("n_convs", pa.int64())]),
-    "cooccurrence_pmi": (("documents",), [("hpo_a", pa.string()), ("hpo_b", pa.string()), ("n_convs", pa.int64()), ("pmi_nano", pa.int64())]),
-    "hpo_information_content": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("ic_nano", pa.int64())]),
-    "extract_mentions": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("mention", pa.string()), ("hpo_id", pa.string()), ("score", pa.float32()), ("negated", pa.bool_())]),
-    "hopping_window_agg": (("events",), [("window_start", pa.timestamp("us")), ("event_type", pa.string()), ("n_events", pa.int64()), ("sum_value_cents", pa.int64())]),
-    "hpo_ancestor_rollup": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64())]),
-    "index_search_and": (("documents",), [("conv_id", pa.string())]),
-    "index_search_or": (("documents",), [("conv_id", pa.string())]),
-    "inverted_index": (("documents",), [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("first_conv", pa.string()), ("last_conv", pa.string())]),
-    "props_stats": (("events",), [("event_type", pa.string()), ("n", pa.int64()), ("sum_k", pa.int64()), ("max_k", pa.int64())]),
-    "running_user_spend": (("events",), [("event_id", pa.int64()), ("user_id", pa.int64()), ("ts", pa.timestamp("us")), ("cents", pa.int64()), ("running_cents", pa.int64())]),
-    "sample_hash": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("role", pa.string())]),
-    "sessionize": (("events",), [("user_id", pa.int64()), ("session_idx", pa.int64()), ("n_events", pa.int64()), ("start_ts", pa.timestamp("us")), ("end_ts", pa.timestamp("us")), ("sum_value_cents", pa.int64())]),
-    "turns_synth": (("documents",), [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("role", pa.string()), ("text", pa.string()), ("tool", pa.string()), ("ts", pa.timestamp("us"))]),
-    "window_agg": (("events",), [("window_start", pa.timestamp("us")), ("event_type", pa.string()), ("n_events", pa.int64()), ("sum_value_cents", pa.int64())]),
+    "conv_hpo_sets": [("conv_id", pa.string()), ("hpo_id", pa.string())],
+    "cooccurrence_edges": [("hpo_a", pa.string()), ("hpo_b", pa.string()), ("n_convs", pa.int64())],
+    "cooccurrence_pmi": [("hpo_a", pa.string()), ("hpo_b", pa.string()), ("n_convs", pa.int64()), ("pmi_nano", pa.int64())],
+    "hpo_information_content": [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("ic_nano", pa.int64())],
+    "extract_mentions": [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("mention", pa.string()), ("hpo_id", pa.string()), ("score", pa.float32()), ("negated", pa.bool_())],
+    "hpo_ancestor_rollup": [("hpo_id", pa.string()), ("n_convs", pa.int64())],
+    "index_search_and": [("conv_id", pa.string())],
+    "index_search_or": [("conv_id", pa.string())],
+    "inverted_index": [("hpo_id", pa.string()), ("n_convs", pa.int64()), ("first_conv", pa.string()), ("last_conv", pa.string())],
+    "sample_hash": [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("role", pa.string())],
+    "turns_synth": [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("role", pa.string()), ("text", pa.string()), ("tool", pa.string()), ("ts", pa.timestamp("us"))],
 }
 
 
@@ -625,9 +615,7 @@ def _ancestor_rollup_sql(final: str | None = None) -> str:
 
 
 def oracle_sql() -> dict[str, str]:
-    from phenobert_ray.functions import events as f_events
-
-    out = {
+    return {
         "turns_synth": _with_turns() + " SELECT * FROM turns",
         "extract_mentions": _with_turns("mentions")
         + " SELECT conv_id, turn_idx, mention, hpo_id,"
@@ -764,5 +752,3 @@ def oracle_sql() -> dict[str, str]:
         """,
         "onto_similarity": _onto_similarity_sql(),
     }
-    out.update(f_events.oracles())
-    return out

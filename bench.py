@@ -14,11 +14,10 @@ num_cpus=N/4 and num_cpus=N (N = the CPU count above) on the same input
 and reports both throughputs plus scaling efficiency
 = (T_lo/T_hi)/(hi/lo).  Exits nonzero when N < 2 (nothing to compare).
 
-``--<name>-scale`` (``--index-scale``, ``--skew-scale``,
-``--events-scale``; see ``scale_flags`` in :func:`main`): closed-form
-long-haul regressions, each sized by its own ``$GRAFT_*`` variable; each
-prints one JSON line and exits nonzero when the distributed validation
-fails.
+``--<name>-scale`` (``--index-scale``, ``--skew-scale``; see
+``scale_flags`` in :func:`main`): closed-form long-haul regressions,
+each sized by its own ``$GRAFT_*`` variable; each prints one JSON line
+and exits nonzero when the distributed validation fails.
 
 The turns table is amplified ``$GRAFT_BENCH_REPLICATE`` × (default 20) by
 replicating the documents table with offset doc_ids — deterministic, so
@@ -204,12 +203,6 @@ def run_queries(sf_dir: str) -> dict:
         "kg_triples",
         "inverted_index",
         "eval_micro",
-        "sessionize",
-        "window_agg",
-        # per-key running totals (chunked prefix-sum window),
-        # keep-latest compaction, DAG rollup
-        "running_user_spend",
-        "compact_latest_events",
         "hpo_ancestor_rollup",
         # OR index probe
         "index_search_or",
@@ -226,140 +219,6 @@ def run_queries(sf_dir: str) -> dict:
             res.count()
         out[name] = round(time.time() - t0, 3)
     return out
-
-
-def run_events_scale(n_events: int) -> dict:
-    """Events-family long-haul: sessionize + window_agg +
-    running_user_spend over a closed-form corpus, every expectation
-    validated DISTRIBUTED (nothing driver-side grows with n_events).
-
-    Corpus: K = 20 events per user; event j of user u at
-    t(j) = BASE + j·20min + (j//5)·2h, value = j euros, type = purchase
-    when j % 5 == 0 else view.  Consequences, all exact:
-    - sessionize(gap 30min): gaps inside a 5-event block are 20min, the
-      block boundary jump is 2h20m → user sessions are exactly the blocks
-      s = j//5: n_events = 5, sum = (25s+10)·100 cents, start = t(5s),
-      end = t(5s+4).  BASE is 23:00 UTC so session 0 straddles the 24h
-      split chunk → the boundary-merge phase engages for EVERY user.
-    - window_agg: per-window closed forms are messy; the TOTALS are not —
-      Σ n_events = n_events, Σ cents = users · 100·K(K−1)/2.
-    - running_user_spend: running at event j = 100·j(j+1)/2 exactly."""
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from phenobert_ray.functions.events import (running_user_spend,
-                                                sessionize, window_agg)
-
-    K = 20
-    n_events -= n_events % K
-    n_users = n_events // K
-    out_dir = "/tmp/events_scale"
-    shutil.rmtree(out_dir, ignore_errors=True)
-    BASE = np.datetime64("2024-01-01T23:00:00", "us")
-
-    def gen(batch: pa.Table) -> pa.Table:
-        e = batch.column("id").to_numpy()
-        u = e // K
-        j = e % K
-        ts = BASE + ((j * 1200 + (j // 5) * 7200) * 1_000_000).astype(
-            "timedelta64[us]"
-        )
-        return pa.table(
-            {
-                "event_id": pa.array(e, pa.int64()),
-                "ts": pa.array(ts, pa.timestamp("us")),
-                "user_id": pa.array(u, pa.int64()),
-                "event_type": pa.array(
-                    np.where(j % 5 == 0, "purchase", "view"), pa.string()
-                ),
-                "value": pa.array(j.astype(np.float64), pa.float64()),
-            }
-        )
-
-    ray.data.range(n_events).map_batches(gen, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/events.parquet"
-    )
-
-    t0 = time.time()
-    checks: dict[str, tuple[int, int]] = {}  # name -> (bad, rows)
-
-    def tally(name: str, ds, fn):
-        agg = ds.map_batches(fn, batch_format="pyarrow").sum(["bad", "n"])
-        checks[name] = (int(agg["sum(bad)"]), int(agg["sum(n)"]))
-
-    def chk_sessions(b: pa.Table) -> pa.Table:
-        s = b.column("session_idx").to_numpy()
-        ne = b.column("n_events").to_numpy()
-        cents = b.column("sum_value_cents").to_numpy()
-        start = b.column("start_ts").to_numpy().astype("datetime64[us]")
-        j0 = 5 * s
-        exp_start = BASE + ((j0 * 1200 + (j0 // 5) * 7200) * 1_000_000).astype(
-            "timedelta64[us]"
-        )
-        bad = int(((ne != 5) | (cents != (25 * s + 10) * 100)
-                   | (start != exp_start)).sum())
-        return pa.table({"bad": pa.array([bad], pa.int64()),
-                         "n": pa.array([b.num_rows], pa.int64())})
-
-    tally("sessions", sessionize(out_dir, split_hours=24), chk_sessions)
-    t_sess = time.time() - t0
-
-    def chk_window(b: pa.Table) -> pa.Table:
-        # totals-only invariant (summed across all windows at the end)
-        return pa.table(
-            {"bad": pa.array([0], pa.int64()),
-             "n": pa.array([int(b.column("n_events").to_numpy().sum())],
-                           pa.int64()),
-             "c": pa.array([int(b.column("sum_value_cents").to_numpy().sum())],
-                           pa.int64())}
-        )
-
-    t2 = time.time()
-    wagg = (window_agg(out_dir)
-            .map_batches(chk_window, batch_format="pyarrow").sum(["n", "c"]))
-    exp_total_cents = n_users * 100 * (K * (K - 1) // 2)
-    checks["window"] = (
-        int(int(wagg["sum(n)"]) != n_events)
-        + int(int(wagg["sum(c)"]) != exp_total_cents),
-        int(wagg["sum(n)"]),
-    )
-    t_window = time.time() - t2
-
-    def chk_running(b: pa.Table) -> pa.Table:
-        e = b.column("event_id").to_numpy()
-        j = e % K
-        run = b.column("running_cents").to_numpy()
-        bad = int((run != 100 * j * (j + 1) // 2).sum())
-        return pa.table({"bad": pa.array([bad], pa.int64()),
-                         "n": pa.array([b.num_rows], pa.int64())})
-
-    t3 = time.time()
-    tally("running", running_user_spend(out_dir), chk_running)
-    t_running = time.time() - t3
-
-    dt = time.time() - t0
-    shutil.rmtree(out_dir, ignore_errors=True)
-    expected_rows = {
-        "sessions": n_users * (K // 5),
-        "window": n_events,
-        "running": n_events,
-    }
-    bad_total = sum(b for b, _ in checks.values())
-    rows_ok = all(checks[k][1] == expected_rows[k] for k in expected_rows)
-    return {
-        "sec": round(dt, 2),
-        "sec_sessionize": round(t_sess, 2),
-        "sec_window_agg": round(t_window, 2),
-        "sec_running": round(t_running, 2),
-        "events": n_events,
-        "events_per_sec": round(n_events / dt, 1),
-        "rows_checked": {k: v[1] for k, v in checks.items()},
-        "mismatched": bad_total,
-        "validated": bad_total == 0 and rows_ok,
-    }
 
 
 def run_index_scale(n_convs: int) -> dict:
@@ -602,9 +461,6 @@ def main() -> None:
         "--skew-scale": ("GRAFT_SKEW_TURNS", 2_000_000, run_skew_scale,
                          "skew_scale_turns_per_sec", "turns_per_sec",
                          "turns/sec"),
-        "--events-scale": ("GRAFT_EVENTS_N", 10_000_000, run_events_scale,
-                           "events_scale_events_per_sec", "events_per_sec",
-                           "events/sec"),
     }
     flag = next((f for f in scale_flags if f in sys.argv), None)
     if flag is not None:

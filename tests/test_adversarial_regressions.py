@@ -18,68 +18,9 @@ import pyarrow.parquet as pq
 import pytest
 
 
-def _events_dir(tmp_path_factory, name, rows):
-    d = tmp_path_factory.mktemp(name)
-    pq.write_table(pa.table(rows), str(d / "events.parquet"))
-    return str(d)
-
-
-def test_props_stats_digit_free_props(tmp_path_factory):
-    """'{}' / '{"k": null}' / junk props crashed the whole query
-    (str.extract -> NaN -> astype int64); unparsable rows must be
-    dropped, parsable ones aggregated."""
-    from phenobert_ray.functions.events import props_stats
-
-    base = np.datetime64("2024-01-01T00:00:00", "us")
-    d = _events_dir(
-        tmp_path_factory, "pstats",
-        {
-            "event_id": np.arange(5, dtype=np.int64),
-            "ts": np.array([base] * 5, dtype="datetime64[us]"),
-            "user_id": np.zeros(5, dtype=np.int64),
-            "event_type": np.array(["a", "a", "a", "b", "b"], dtype=object),
-            "value": np.zeros(5),
-            "props": np.array(
-                ['{"k": 3}', "{}", '{"k": null}', "not json", '{"k": 7}'],
-                dtype=object,
-            ),
-        },
-    )
-    got = props_stats(d).to_pandas().set_index("event_type")
-    assert int(got.loc["a", "n"]) == 1 and int(got.loc["a", "sum_k"]) == 3
-    assert int(got.loc["b", "n"]) == 1 and int(got.loc["b", "max_k"]) == 7
-
-
-def test_window_agg_exact_cents_with_extremes(tmp_path_factory):
-    """±1e12 next to 0.005 in one window: a raw double sum is
-    accumulation-order-dependent ((1e12 + 0.005) − 1e12 ≠ 0.005); the
-    integer-cents sum is exact regardless of distribution order."""
-    from phenobert_ray.functions.events import window_agg
-
-    base = np.datetime64("2024-01-01T00:00:00", "us")
-    vals = np.array([1e12, 0.005, -1e12, 99.995])
-    d = _events_dir(
-        tmp_path_factory, "wagg",
-        {
-            "event_id": np.arange(4, dtype=np.int64),
-            "ts": np.array([base + np.timedelta64(i, "s") for i in range(4)],
-                           dtype="datetime64[us]"),
-            "user_id": np.zeros(4, dtype=np.int64),
-            "event_type": np.array(["x"] * 4, dtype=object),
-            "value": vals,
-            "props": np.array(['{"k": 1}'] * 4, dtype=object),
-        },
-    )
-    got = window_agg(d).to_pandas()
-    assert len(got) == 1
-    want = int(np.floor(vals * 100 + 0.5).astype(np.int64).sum())
-    assert int(got.loc[0, "sum_value_cents"]) == want
-    assert int(got.loc[0, "n_events"]) == 4
-
-
-@pytest.mark.parametrize("q", ["sessionize", "hopping_window_agg"])
+@pytest.mark.parametrize("q", ["sessionize"])
 def test_cents_columns_are_int64(sf_small, q):
-    """The whole events family publishes exact integer cent sums."""
+    """sessionize publishes exact integer cent sums."""
     from phenobert_ray.functions import events as ev
 
     got = ev.queries()[q](sf_small).to_pandas()
@@ -92,7 +33,6 @@ def test_cents_columns_are_int64(sf_small, q):
 
 def _null_sf(tmp_path_factory):
     d = tmp_path_factory.mktemp("sfnull")
-    base = np.datetime64("2024-01-01T00:00:00", "us")
     pq.write_table(pa.table({
         "doc_id": pa.array([0, 1, 2, 3, 4], pa.int64()),
         "text": pa.array(["hello world", None, "the fast scan", "x", None],
@@ -101,17 +41,6 @@ def _null_sf(tmp_path_factory):
         "source": pa.array(["s1", "s1", None, "s2", None], pa.string()),
         "n_chars": pa.array([11, None, 13, 1, None], pa.int64()),
     }), str(d / "documents.parquet"))
-    pq.write_table(pa.table({
-        "event_id": pa.array([0, 1, 2, 3], pa.int64()),
-        "ts": pa.array([base, base, None, base + np.timedelta64(5, "s")],
-                       pa.timestamp("us")),
-        "user_id": pa.array([1, None, 1, 2], pa.int64()),
-        "event_type": pa.array(["view", "purchase", None, "view"],
-                               pa.string()),
-        "value": pa.array([1.0, None, 3.0, None], pa.float64()),
-        "props": pa.array(['{"k": 1}', None, '{"k": 2}', '{"k": 3}'],
-                          pa.string()),
-    }), str(d / "events.parquet"))
     return d
 
 
@@ -190,14 +119,10 @@ def _canon(df):
 
 @pytest.mark.parametrize("qname,table,cols", [
     # explicit ids keep the numbering these cases had while the removed
-    # exact_dedup, doc_stats, kmeans_assign, ann_topk and label_centroids
-    # cases sat among them
+    # exact_dedup, doc_stats, kmeans_assign, ann_topk, label_centroids,
+    # window_agg and props_stats cases sat among them
     pytest.param("kg_triples", "documents", ("doc_id", "text"),
                  id="kg_triples-documents-cols2"),
-    pytest.param("window_agg", "events", ("ts", "event_type", "value"),
-                 id="window_agg-events-cols3"),
-    pytest.param("props_stats", "events", ("event_type", "props"),
-                 id="props_stats-events-cols4"),
     pytest.param("extract_mentions", "documents", ("doc_id", "text"),
                  id="extract_mentions-documents-cols8"),
     pytest.param("inverted_index", "documents", ("doc_id", "text"),
@@ -235,47 +160,12 @@ def test_search_convs_with_all_empty_ids(mini, sf_small):
     assert got == want
 
 
-def test_running_user_spend_range_frame_ties(tmp_path_factory):
-    """review r4 w9: rows tied on the FULL window order key (duplicate
-    (ts, event_id) — re-ingested streams) are SQL window PEERS under the
-    default RANGE frame: every peer sees the sum through the last peer.
-    The plain row-cumsum gave tied rows different running totals."""
-    import numpy as np
-
-    d = tmp_path_factory.mktemp("dupev")
-    base = np.datetime64("2024-01-01T00:00:00", "us")
-    pq.write_table(
-        pa.table(
-            {
-                "event_id": pa.array([0, 1, 1, 2], pa.int64()),
-                "ts": pa.array(
-                    [base, base + np.timedelta64(600, "s"),
-                     base + np.timedelta64(600, "s"),
-                     base + np.timedelta64(1200, "s")],
-                    pa.timestamp("us"),
-                ),
-                "user_id": pa.array([1, 1, 1, 1], pa.int64()),
-                "event_type": pa.array(["view"] * 4, pa.string()),
-                "value": pa.array([10.0, 1.0, 2.0, 3.0], pa.float64()),
-                "props": pa.array(['{"n": 1}'] * 4, pa.string()),
-            }
-        ),
-        str(d / "events.parquet"),
-    )
-    from phenobert_ray.functions.events import running_user_spend
-
-    got = running_user_spend(str(d)).to_pandas().sort_values(
-        ["event_id", "cents"]).reset_index(drop=True)
-    # the two event_id=1 peers BOTH see 10+1+2 = 13.00
-    assert got["running_cents"].tolist() == [1000, 1300, 1300, 1600]
-
-
 def test_all_empty_sf_returns_typed_results(tmp_path_factory, sf_small):
     """review r4 w9: over an ALL-EMPTY scale factor (a legitimate quiet
     time-slice partition) 48 queries returned schema-less empties (Ray
     can't type a dataset whose every block is empty).  The query surface
-    now guards zero-row primary tables with its result-schema registry;
-    spot-check one query per family against the registry, and every
+    now guards a zero-row documents table with its result-schema
+    registry; spot-check two queries against the registry, and every
     phenotype query against its oracle (same columns, same row count)."""
     import __ray_entry__ as E
     from test_oracle_parity import PHENOTYPE_QUERIES
@@ -286,9 +176,9 @@ def test_all_empty_sf_returns_typed_results(tmp_path_factory, sf_small):
         tbl = pq.read_table(f"{sf_small}/{t}.parquet")
         pq.write_table(tbl.schema.empty_table(), str(d / f"{t}.parquet"))
     qs = E.queries()
-    for name in ["extract_mentions", "sessionize", "inverted_index"]:
+    for name in ["extract_mentions", "inverted_index"]:
         res = qs[name](str(d))
-        want = [c for c, _ in E._EMPTY_RESULT_SCHEMAS[name][1]]
+        want = [c for c, _ in E._EMPTY_RESULT_SCHEMAS[name]]
         got = [f.name for f in res.schema().base_schema]
         assert got == want, (name, got, want)
         assert res.count() == 0, name

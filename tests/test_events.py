@@ -1,7 +1,6 @@
-"""The window/running-total queries of ``functions/events.py``: each query
-against its DuckDB oracle on adversarial event streams, plus the edge
-semantics the oracles pin (inclusive gaps, tie breaks, window
-boundaries, chunk straddles, exact integer cents)."""
+"""``functions/events.sessionize``: the query against its DuckDB oracle on
+adversarial event streams, plus the edge semantics the oracle pins
+(inclusive gaps, chunk straddles, exact integer cents)."""
 
 from __future__ import annotations
 
@@ -163,47 +162,12 @@ def test_sessionize_custom_gap(event_dirs):
         check_like=True)
 
 
-# ---------------------------------------------------------------------------
-# running_user_spend, compact_latest_events
-
-
-def test_running_user_spend_ts_ties_ordered_by_event_id(tmp_path):
-    """Rows tied on ts (distinct event ids) are not window peers: the
-    running total steps through them in event_id order."""
-    d = _write_events(
-        tmp_path,
-        [3, 1, 2, 0],
-        [BASE + MIN, BASE + MIN, BASE + MIN, BASE],
-        [9, 9, 9, 9],
-        ["view"] * 4,
-        [3.0, 1.0, 2.0, 10.0],
-    )
-    got = _sorted(ev.running_user_spend(d).to_pandas(), "event_id")
-    assert got["running_cents"].tolist() == [1000, 1100, 1300, 1600]
-
-
-def test_compact_latest_events_ts_tie_breaks_to_larger_event_id(tmp_path):
-    d = _write_events(
-        tmp_path,
-        [5, 8, 2, 1],
-        [BASE + MIN, BASE + MIN, BASE, BASE],
-        [1, 1, 1, 2],
-        ["view", "view", "view", "view"],
-        [1.5, 2.5, 9.0, 4.25],
-    )
-    got = _sorted(ev.compact_latest_events(d).to_pandas(), "user_id")
-    assert got["event_id"].tolist() == [8, 1]
-    assert got["value"].tolist() == [2.5, 4.25]
-
-
 @pytest.mark.parametrize(
     "query,keys",
-    # explicit ids keep the numbering these cases had while the removed
-    # asof_join case sat between them
+    # an explicit id keeps the numbering this case had while the removed
+    # asof_join and compact_latest_events cases sat beside it
     [pytest.param("sessionize", ["user_id", "session_idx"],
-                  id="sessionize-keys0"),
-     pytest.param("compact_latest_events", ["user_id", "event_type"],
-                  id="compact_latest_events-keys2")],
+                  id="sessionize-keys0")],
 )
 def test_bucket_count_invariance(event_dirs, query, keys):
     d = event_dirs["dense"]
@@ -211,52 +175,3 @@ def test_bucket_count_invariance(event_dirs, query, keys):
     a = _sorted(fn(d, num_buckets=3).to_pandas(), keys)
     b = _sorted(fn(d, num_buckets=61).to_pandas(), keys)
     pd.testing.assert_frame_equal(a, b, check_like=True)
-
-
-# ---------------------------------------------------------------------------
-# window_agg, hopping_window_agg, props_stats
-
-
-def test_window_agg_hour_boundary(tmp_path):
-    """An event exactly at 01:00 opens the 01:00 window; one microsecond
-    earlier still belongs to 00:00."""
-    ts = [BASE + HOUR - np.timedelta64(1, "us"), BASE + HOUR]
-    d = _write_events(tmp_path, [0, 1], ts, [1, 1], ["x", "x"], [1.0, 2.0])
-    got = _sorted(ev.window_agg(d).to_pandas(), "window_start")
-    assert got["window_start"].tolist() == [pd.Timestamp(BASE),
-                                            pd.Timestamp(BASE + HOUR)]
-    assert got["sum_value_cents"].tolist() == [100, 200]
-
-
-@pytest.mark.parametrize("width,hop", [(2, 1), (3, 1), (4, 2)])
-def test_hopping_window_agg_width_and_hop(event_dirs, width, hop):
-    """Each event lands in exactly width/hop windows, starting at its
-    hop-floored ts and stepping back by one hop each."""
-    d = event_dirs["dense"]
-    df = pq.read_table(f"{d}/events.parquet").to_pandas()
-    base = df["ts"].dt.floor(f"{hop}h")
-    parts = [pd.DataFrame({
-        "window_start": (base - pd.Timedelta(hours=hop * k))
-        .astype("datetime64[us]"),
-        "event_type": df["event_type"],
-        "cents": _cents(df["value"]),
-    }) for k in range(width // hop)]
-    want = (pd.concat(parts).groupby(["window_start", "event_type"],
-                                     as_index=False)
-            .agg(n_events=("cents", "size"), sum_value_cents=("cents", "sum")))
-    got = ev.hopping_window_agg(d, width_hours=width, hop_hours=hop).to_pandas()
-    keys = ["window_start", "event_type"]
-    got = _sorted(got, keys)[list(want.columns)]
-    assert int(got["n_events"].sum()) == len(df) * (width // hop)
-    pd.testing.assert_frame_equal(got, _sorted(want, keys), check_dtype=False)
-
-
-def test_props_stats_takes_first_integer(tmp_path):
-    """Only the first digit run of ``props`` counts, as in the oracle's
-    ``regexp_extract``."""
-    d = _write_events(
-        tmp_path, [0, 1, 2], [BASE] * 3, [1, 1, 1], ["a", "a", "b"],
-        [0.0] * 3, ['{"k": 12, "j": 99}', '{"k": 5}', '{"x": "7z8"}'])
-    got = ev.props_stats(d).to_pandas().set_index("event_type")
-    assert got.loc["a", ["n", "sum_k", "max_k"]].tolist() == [2, 17, 12]
-    assert got.loc["b", ["n", "sum_k", "max_k"]].tolist() == [1, 7, 7]

@@ -1,5 +1,6 @@
-"""Training-data ops: pytest oracles for the rows-only queries (brute-force
-reference implementations on the small table)."""
+"""Brute-force pandas references for sessionize on a hot-user corpus and
+on random event streams, and the k-core peel of the HPO co-occurrence
+graph."""
 
 import numpy as np
 import pandas as pd
@@ -144,40 +145,3 @@ def test_kcore_fully_peeled_graph_is_empty():
     edges = pa.table({"hpo_a": ["a", "b", "c"], "hpo_b": ["b", "c", "d"]})
     got = kcore_nodes(ray.data.from_arrow(edges), k=2, rounds=4).to_pandas()
     assert len(got) == 0
-
-
-def test_running_user_spend_exact_beyond_float53(tmp_path):
-    """Running totals above 2^53 cents must come back EXACT end to end
-    (odd, not float64-representable): pins the all-integer partial-sum /
-    offset path against any future float promotion."""
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    from phenobert_ray.functions.events import RUN_CHUNK_US, running_user_spend
-
-    import math
-
-    # chunk 0: a huge (even, ~2^55-cent) event plus a 1-cent event make
-    # the chunk-1 OFFSET odd and > 2^53 — not float64-representable, so
-    # the old float-promoting merge corrupts it by ±1
-    big = float(1 << 55) / 100.0
-    c_big = math.floor(big * 100 + 0.5)
-    assert c_big % 2 == 0 and c_big > (1 << 53)  # construction holds
-    rows = [
-        (1, 5, 1, big),
-        (2, 9, 1, 0.01),
-        (3, RUN_CHUNK_US + 5, 1, 1.0),
-    ]
-    t = _pa.table({
-        "event_id": _pa.array([r[0] for r in rows], _pa.int64()),
-        "ts": _pa.array([r[1] for r in rows], _pa.timestamp("us")),
-        "user_id": _pa.array([r[2] for r in rows], _pa.int64()),
-        "event_type": _pa.array(["click"] * len(rows)),
-        "value": _pa.array([r[3] for r in rows]),
-        "props": _pa.array(["{}"] * len(rows)),
-    })
-    _pq.write_table(t, tmp_path / "events.parquet")
-    got = (running_user_spend(str(tmp_path)).to_pandas()
-           .sort_values("event_id"))
-    assert got["running_cents"].tolist() == [c_big, c_big + 1, c_big + 101]
-

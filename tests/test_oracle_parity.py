@@ -19,8 +19,8 @@ PHENOTYPE_QUERIES = [
 
 
 def test_every_query_has_an_oracle():
-    assert set(E.queries()) == set(E.oracle_sql())
-    assert set(PHENOTYPE_QUERIES) <= set(E.queries())
+    # exact: the registry holds the phenotype queries and nothing else
+    assert set(E.queries()) == set(E.oracle_sql()) == set(PHENOTYPE_QUERIES)
 
 
 @pytest.fixture(scope="module")
@@ -38,21 +38,18 @@ def test_query_matches_oracle(con, sf_small, name):
 
 def test_phenotype_queries_run_without_exchange(sf_small, monkeypatch, caplog):
     """Every phenotype query runs on the pair table or a one-block gather:
-    no bucketed exchange, no Ray Data groupby or join, and no block with a
-    schema other than its operator's ('different schema' warning — the
-    bucketed exchange's empty sort partitions logged it)."""
+    no Ray Data groupby or join, and no block with a schema other than its
+    operator's ('different schema' warning — a bucketed exchange's empty
+    sort partitions logged it)."""
     import logging
 
     import ray.data
-
-    import phenobert_ray.stages.shuffle as shuffle
 
     def refuse(name):
         def f(*a, **k):
             raise AssertionError(f"phenotype query used {name}")
         return f
 
-    monkeypatch.setattr(shuffle, "two_phase_groupby", refuse("two_phase_groupby"))
     monkeypatch.setattr(ray.data.Dataset, "groupby", refuse("Dataset.groupby"))
     monkeypatch.setattr(ray.data.Dataset, "join", refuse("Dataset.join"))
     ray_data = logging.getLogger("ray.data")  # does not propagate to root

@@ -1,9 +1,8 @@
 """The phenotype KG engine stands without ``phenobert_ray.functions``.
 
-The registry operators under ``functions/`` serve the driver contract
-(``__ray_entry__.queries()``) only; the KG surfaces — the annotate
-pipeline, the HTTP server, the Python API and the CLI — must never import
-them, so cutting a ``functions/`` module can never change the KG path."""
+``functions/`` holds an operator outside the query registry; the KG
+surfaces — the annotate pipeline, the HTTP server, the Python API and the
+CLI — must never import it, so cutting it can never change the KG path."""
 
 import os
 import subprocess

@@ -70,48 +70,3 @@ def test_annotate_offsets_and_determinism(mini_session_dag, s):
 def test_no_annotations_without_dict_vocab(mini_session_dag, s):
     # text over a vocabulary disjoint from the mini ontology can never match
     assert annotate_text(s, mini_session_dag) == []
-
-
-@given(
-    rows=st.lists(
-        st.tuples(st.integers(0, 8), st.integers(0, 4), st.integers(0, 100),
-                  st.floats(0, 1, allow_nan=False)),
-        min_size=0, max_size=200,
-    )
-)
-@settings(max_examples=25, deadline=None)
-def test_two_phase_groupby_matches_pandas(rows):
-    """The bucketed exchange must agree with a plain pandas groupby for any
-    key distribution (including empty / all-hot-key inputs)."""
-    import pandas as pd
-    import ray as _ray
-
-    from phenobert_ray.stages.shuffle import two_phase_groupby
-
-    df = pd.DataFrame(rows, columns=["k1", "k2", "v", "w"])
-    ds = _ray.data.from_pandas(df) if len(df) else _ray.data.from_pandas(
-        pd.DataFrame({"k1": pd.Series([], dtype="int64"),
-                      "k2": pd.Series([], dtype="int64"),
-                      "v": pd.Series([], dtype="int64"),
-                      "w": pd.Series([], dtype="float64")})
-    )
-    got = two_phase_groupby(
-        ds,
-        keys=["k1", "k2"],
-        aggs={"mn": ("v", "min", "min"), "mx": ("v", "max", "max"),
-              "sw": ("w", "sum", "sum"), "n": (None, "size", "sum")},
-        num_buckets=4,
-    ).to_pandas()
-    if df.empty:
-        assert len(got) == 0
-        return
-    got = got.sort_values(["k1", "k2"]).reset_index(drop=True)
-    exp = (
-        df.groupby(["k1", "k2"], as_index=False)
-        .agg(mn=("v", "min"), mx=("v", "max"), sw=("w", "sum"), n=("v", "size"))
-        .sort_values(["k1", "k2"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(
-        got[["k1", "k2", "mn", "mx", "sw", "n"]], exp, check_dtype=False
-    )

@@ -1,12 +1,11 @@
 """Synthesize a pathological scale-factor directory for the oracle gate.
 
-The two tables the oracles read (documents, events), with the same
-schemas as the testdata sf* directories (TESTDATA.md), but every value
-distribution chosen to be hostile: unicode (CJK, emoji, RTL, combining
-marks, special-casing), empty strings, whitespace runs, exact and near
-duplicate texts, key skew (one hot source / user), singleton groups,
-rounding-tie money values, boundary timestamps (exact window edges), ties
-everywhere two rows can tie.
+The one table the oracles read (documents), with the same schema as the
+testdata sf* directories (TESTDATA.md), but every value distribution
+chosen to be hostile: unicode (CJK, emoji, RTL, combining marks,
+special-casing), empty strings, whitespace runs, exact and near
+duplicate texts, key skew (one hot source), singleton groups, doc_id
+gaps, ties everywhere two rows can tie.
 
 Usage:  python tools/make_adversarial_sf.py [out_dir]   (default /tmp/sfadv)
 
@@ -124,56 +123,6 @@ def make_documents(out: str) -> None:
     pq.write_table(tbl.take(pa.array(perm)), f"{out}/documents.parquet")
 
 
-# --- events ------------------------------------------------------------
-
-def make_events(out: str) -> None:
-    rng = _rng()
-    rows = []
-    eid = 0
-    base = np.datetime64("2024-01-01T00:00:00", "us")
-    H = np.timedelta64(3600, "s")
-
-    def add(ts, uid, etype, value, props):
-        nonlocal eid
-        rows.append((eid, ts, uid, etype, value, props)); eid += 1
-
-    # hot user: 400 events, many identical timestamps (session/window ties)
-    for i in range(400):
-        ts = base + (i // 4) * np.timedelta64(601, "s")  # 4-way ts ties
-        add(ts, 1, ["click", "view", "error", "signup"][i % 4],
-            float(i % 7) * 10.0, '{"k": %d}' % (i % 5))
-    # exact hour-boundary timestamps (window bucket edges)
-    for i in range(24):
-        add(base + i * H, 2, "click", 0.0, '{"k": 0}')
-    # single-event users
-    for u in range(100, 140):
-        add(base + np.timedelta64(u, "s"), u, "view", -5.5, '{"k": 1}')
-    # value extremes, ties in value, zero values
-    for i in range(30):
-        add(base + np.timedelta64(7200 + i, "s"), 3, "purchase",
-            [0.0, 1e12, -1e12, 0.005, 99.995][i % 5], '{"k": %d}' % (10 ** (i % 4)))
-    # digit-free / weird props (JSON-ish garbage) — semi-structured edge
-    add(base, 4, "meta", 1.0, "{}")
-    add(base + np.timedelta64(1, "s"), 4, "meta", 2.0, '{"k": null}')
-    add(base + np.timedelta64(2, "s"), 4, "", 3.0, "not json at all")
-    # out-of-order event ids vs ts (events later in file, earlier in time)
-    for i in range(50):
-        add(base - np.timedelta64(i, "s"), 5, "click", float(i), '{"k": 2}')
-
-    rows_arr = list(zip(*rows))
-    tbl = pa.table({
-        "event_id": pa.array(rows_arr[0], pa.int64()),
-        "ts": pa.array(np.array(rows_arr[1], dtype="datetime64[us]"),
-                       pa.timestamp("us")),
-        "user_id": pa.array(rows_arr[2], pa.int64()),
-        "event_type": pa.array(rows_arr[3], pa.string()),
-        "value": pa.array(rows_arr[4], pa.float64()),
-        "props": pa.array(rows_arr[5], pa.string()),
-    })
-    perm = rng.permutation(len(rows))
-    pq.write_table(tbl.take(pa.array(perm)), f"{out}/events.parquet")
-
-
 def fragment(out: str, n_frags: int = 3) -> None:
     """Rewrite every table as a DIRECTORY of ``n_frags`` parquet fragments
     with rows dealt round-robin — the multi-file layout a real 100 TB
@@ -198,7 +147,6 @@ def fragment(out: str, n_frags: int = 3) -> None:
 def main(out: str = "/tmp/sfadv", fragments: bool = False) -> None:
     os.makedirs(out, exist_ok=True)
     make_documents(out)
-    make_events(out)
     if fragments:
         fragment(out)
     print(f"wrote adversarial tables to {out}"

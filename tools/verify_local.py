@@ -20,9 +20,9 @@ import pandas as pd
 import ray
 import ray.data  # configures the "ray.data" logger main() hooks
 
-# the tables the oracles read; the phenotype queries read only documents
-# (the turns are synthesized from it in SQL, see phenobert_ray/transcripts.py)
-TABLES = ["events", "documents"]
+# the table the oracles read (the turns are synthesized from it in SQL,
+# see phenobert_ray/transcripts.py)
+TABLES = ["documents"]
 
 
 def to_df(res) -> pd.DataFrame:
