@@ -8,9 +8,10 @@ Re-creates the reference scorer semantics (eval_all.py:60-126,260-321):
 
 The pred/gold intersection is computed WITHOUT a join or an exchange: both
 sides are tagged and union'd, a per-block Arrow ``group_by`` combiner fused
-into the tagging map keeps max(p) / max(g) per (conv_id, hpo_id),
-``repartition(1)`` gathers the partials and one merge task applies the
-same ``group_by`` — the plan shape of ``pipelines.triples.dedup_conv_hpo``.
+into the tagging map keeps max(p) / max(g) per (conv_id, hpo_id), the
+one-block gather (``stages.shuffle.in_one_block``) collects the partials
+and one merge task applies the same ``group_by`` — the plan shape of
+``pipelines.triples.dedup_conv_hpo``.
 The membership table is that one block, so every conversation's rows sit
 together, and each metric is one pass over it as it streams to the driver.
 Memory contract: the distinct (conv_id, hpo_id) keys of pred ∪ gold fit in

@@ -37,7 +37,8 @@ from .triples import (
     _conv_hpo_merge,
     _to_triples,
     conv_hpo_partials,
-    materialize_triples,
+    has_phenotype_triples,
+    is_a_triples,
     write_is_a,
 )
 
@@ -46,7 +47,11 @@ TURN_COLS = ["conv_id", "turn_idx", "text"]
 
 
 def kg_from_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
-    return materialize_triples(annotate_turns(turns_ds, dag, cfg), dag, cfg)
+    """Full KG as one lazy Dataset: has_phenotype ∪ is_a.  ``union`` breaks
+    streaming, so this serves callers that need one Dataset result (the
+    driver queries); ``run_kg_job`` writes the two families separately."""
+    ann = annotate_turns(turns_ds, dag, cfg)
+    return has_phenotype_triples(ann, cfg).union(is_a_triples(dag))
 
 
 def read_turns_input(src, input_format: str = "parquet", include_paths: bool = False,

@@ -10,7 +10,8 @@ Scale notes: the ``(conv_id, hpo_id)`` dedup is exchange-free.  A per-block
 distinct set is a mergeable summary, so an Arrow ``group_by`` combiner
 fused into the annotate operator collapses each block (a hot term in most
 turns of a conversation becomes one row per block), and one Arrow
-``group_by`` over a single ``repartition(1)`` block merges the partials.
+``group_by`` merges the partials in the one block that
+``stages.shuffle.in_one_block`` gathers them into.
 The KG job (``pipelines.annotate.run_kg_job``) keys the combiner on the
 input fragment too (a ``path`` column) and has no gather: it streams the
 fused operator's partial blocks (one per annotate slot) to the driver,
@@ -20,7 +21,7 @@ what the driver holds.
 
 The phenotype analytics below (co-occurrence, PMI, DAG rollup, IC; and
 ``sources.inverted_index``) run on the pair table of
-:func:`on_pair_table`: the same combiner → ``repartition(1)`` → merge
+:func:`on_pair_table`: the same combiner → one-block gather → merge
 plan, keyed on (conv_id, hpo_id) only, with the analytic computed by Arrow
 ``group_by`` / ``take`` / ``list_flatten`` and numpy in the merge task.
 One memory contract covers them all: the distinct pairs of the input fit
@@ -137,13 +138,6 @@ def conv_hpo_partials(annotations_ds, drop_negated: bool):
         fn_kwargs={"drop_negated": drop_negated})
 
 
-def gather_partials(annotations_ds, drop_negated: bool):
-    """The per-block partials of ``annotations_ds``, gathered into one
-    block by ``repartition(1)``, which moves only partials: the input of
-    :func:`has_phenotype_triples`' merge task."""
-    return conv_hpo_partials(annotations_ds, drop_negated).repartition(1)
-
-
 def dedup_conv_hpo(annotations_ds, drop_negated: bool = True):
     """annotations → one row per (conv_id, hpo_id): min turn_idx, max score,
     total mention count (DEDUP_SCHEMA), lazily.
@@ -157,10 +151,8 @@ def dedup_conv_hpo(annotations_ds, drop_negated: bool = True):
     The result is one block, typed even with zero rows."""
     from ..stages.shuffle import in_one_block
 
-    partials = annotations_ds.map_batches(
-        _conv_hpo_partial, batch_format="pyarrow",
-        fn_kwargs={"drop_negated": drop_negated})
-    return in_one_block(partials, DEDUP_SCHEMA, _conv_hpo_merge, DEDUP_SCHEMA)
+    return in_one_block(conv_hpo_partials(annotations_ds, drop_negated),
+                        DEDUP_SCHEMA, _conv_hpo_merge, DEDUP_SCHEMA)
 
 
 def _to_triples(b: pa.Table) -> pa.Table:
@@ -182,16 +174,14 @@ def _merge_to_triples(b: pa.Table) -> pa.Table:
 def has_phenotype_triples(annotations_ds, cfg: PipelineConfig | None = None):
     """annotations → ``has_phenotype`` triples (TRIPLES_SCHEMA), one per
     distinct (conv_id, hpo_id), lazily: the :func:`dedup_conv_hpo` plan
-    with the triple build in the merge task.  Same memory contract;
-    ``cfg.triples_drop_negated`` keeps negated mentions out.
+    with the triple build in the merge task.  Same memory contract, and
+    the same one typed block, even with zero rows;
+    ``cfg.triples_drop_negated`` keeps negated mentions out."""
+    from ..stages.shuffle import in_one_block
 
-    Unlike :func:`dedup_conv_hpo`, the gather has no marker row: a
-    zero-row result comes back column-less (Ray skips ``map_batches`` on
-    empty blocks); the marker would cost an extra union operator (35-100
-    ms measured per execution)."""
     cfg = cfg or PipelineConfig()
-    return gather_partials(annotations_ds, cfg.triples_drop_negated).map_batches(
-        _merge_to_triples, batch_format="pyarrow", batch_size=None)
+    return in_one_block(conv_hpo_partials(annotations_ds, cfg.triples_drop_negated),
+                        DEDUP_SCHEMA, _merge_to_triples, TRIPLES_SCHEMA)
 
 
 PAIR_SCHEMA = pa.schema([("conv_id", pa.string()), ("hpo_id", pa.string())])
@@ -220,8 +210,8 @@ def on_pair_table(annotations_ds, fn, schema: pa.Schema,
     its distinct (conv_id, hpo_id) rows (non-negated ones when
     ``drop_negated``) as one Arrow table sorted by (conv_id, hpo_id), the
     key set of :func:`dedup_conv_hpo`.  Same plan shape as that dedup: a
-    per-block distinct combiner fused into the upstream operator,
-    ``repartition(1)``, one merge task that also runs ``fn``; no shuffle,
+    per-block distinct combiner fused into the upstream operator, the
+    one-block gather, one merge task that also runs ``fn``; no shuffle,
     no pandas.  The result is cast to ``schema`` and typed when empty.
 
     Memory contract (the one :func:`dedup_conv_hpo` states): the distinct
@@ -458,14 +448,3 @@ def write_is_a(dag: HpoDag, out_dir: str) -> None:
 
     os.makedirs(out_dir, exist_ok=True)
     pq.write_table(is_a_table(dag), os.path.join(out_dir, "is_a.parquet"))
-
-
-def materialize_triples(annotations_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
-    """Full KG: has_phenotype ∪ is_a, as one Dataset.
-
-    NOTE: ``union`` breaks streaming execution in Ray Data (the big side
-    gets materialized / re-executed) — use this only where a single Dataset
-    result is required (driver correctness queries).  The KG writer
-    (``pipelines.annotate.run_kg_job``) writes the two families separately
-    instead."""
-    return has_phenotype_triples(annotations_ds, cfg).union(is_a_triples(dag))

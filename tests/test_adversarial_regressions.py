@@ -18,15 +18,6 @@ import pyarrow.parquet as pq
 import pytest
 
 
-@pytest.mark.parametrize("q", ["sessionize"])
-def test_cents_columns_are_int64(sf_small, q):
-    """sessionize publishes exact integer cent sums."""
-    from phenobert_ray.functions import events as ev
-
-    got = ev.queries()[q](sf_small).to_pandas()
-    assert got["sum_value_cents"].dtype == np.int64
-
-
 # ---------------------------------------------------------------------------
 # the read-boundary null contract (stages/shuffle.py drop_null_rows):
 # engine(T) == engine(T with rows null-in-projected-columns removed)
@@ -220,3 +211,22 @@ def test_search_convs_with_any_or_semantics(mini, sf_small):
     assert search_convs_with_any(
         annotate_turns(read_turns(sf_small), mini), []
     ).count() == 0
+
+
+def test_make_adversarial_sf_refuses_unknown_flags(tmp_path):
+    """A misspelled flag exits 2 and writes nothing, instead of silently
+    writing unfragmented tables; ``--fragments`` still fragments."""
+    import os
+    import subprocess
+    import sys
+
+    tool = os.path.join(os.path.dirname(__file__), "..", "tools",
+                        "make_adversarial_sf.py")
+    bad = subprocess.run([sys.executable, tool, str(tmp_path / "bad"),
+                          "--fragmnets"], capture_output=True, text=True)
+    assert bad.returncode == 2 and "--fragmnets" in bad.stderr
+    assert not (tmp_path / "bad").exists()
+    ok = subprocess.run([sys.executable, tool, str(tmp_path / "ok"),
+                         "--fragments"], capture_output=True, text=True)
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "ok" / "documents.parquet").is_dir()

@@ -1,7 +1,7 @@
-"""Degenerate-input robustness: wedge-free and star graphs and
-fully-empty tables must flow through every operator without crashing —
-tiny and empty groups/blocks are where graph and exchange code breaks
-first at scale."""
+"""Degenerate-input robustness: wedge-free, star and path graphs, a
+pendant tail the k-core must peel, and fully-empty tables must flow
+through every operator without crashing — tiny and empty groups/blocks
+are where graph and exchange code breaks first at scale."""
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -37,6 +37,37 @@ def test_triangles_wedge_free_and_empty_graphs():
     tri = pd.DataFrame({"hpo_a": ["1", "1", "2"], "hpo_b": ["2", "3", "3"]})
     got = triangles(ray.data.from_pandas(tri)).to_pandas()
     assert got.values.tolist() == [["1", "2", "3"]]
+
+
+def test_kcore_peels_low_degree_tail():
+    import ray
+
+    from phenobert_ray.pipelines.graph import kcore_nodes
+
+    # triangle a-b-c (2-core) plus a pendant path c-d-e that must peel off
+    edges = pa.table(
+        {
+            "hpo_a": ["a", "a", "b", "c", "d"],
+            "hpo_b": ["b", "c", "c", "d", "e"],
+        }
+    )
+    # the edge list in one block and split over several (one edge each)
+    for blocks in (1, 7):
+        got = kcore_nodes(ray.data.from_arrow(edges).repartition(blocks),
+                          k=2, rounds=3).to_pandas()
+        assert sorted(got["hpo_id"]) == ["a", "b", "c"], blocks
+        assert (got.set_index("hpo_id")["degree"] == 2).all()
+
+
+def test_kcore_fully_peeled_graph_is_empty():
+    import ray
+
+    from phenobert_ray.pipelines.graph import kcore_nodes
+
+    # a path graph has no 2-core
+    edges = pa.table({"hpo_a": ["a", "b", "c"], "hpo_b": ["b", "c", "d"]})
+    got = kcore_nodes(ray.data.from_arrow(edges), k=2, rounds=4).to_pandas()
+    assert len(got) == 0
 
 
 # --- review wave 9: the empty-corpus sweep (all queries × empty tables) ---

@@ -308,11 +308,11 @@ def test_kg_job_logs_no_schema_mismatch(mini, tmp_path, caplog):
 
 
 def test_zero_pair_analytics_log_no_schema_mismatch(mini, caplog):
-    """Pair-table analytics, graph operators and probes return one typed
-    block, with no 'different schema' warning, when the input has no
-    pair (every mention negated) or no co-occurring pair (one mention per
-    conversation): their one-block task always runs, so Ray never emits a
-    column-less block beside a typed one."""
+    """The triples, pair-table analytics, graph operators and probes
+    return one typed block, with no 'different schema' warning, when the
+    input has no pair (every mention negated) or no co-occurring pair (one
+    mention per conversation): their one-block task always runs, so Ray
+    never emits a column-less block beside a typed one."""
     import ray.data  # noqa: F401  (configures the logger this test hooks)
 
     from phenobert_ray.eval import metrics
@@ -322,6 +322,7 @@ def test_zero_pair_analytics_log_no_schema_mismatch(mini, caplog):
     a, b = sorted(mini.abnormality_nt)[:2]
     ops = {
         "dedup": (dedup_conv_hpo, DEDUP_SCHEMA),
+        "triples": (has_phenotype_triples, TRIPLES_SCHEMA),
         "pairs": (triples.conv_hpo_pairs, triples.PAIR_SCHEMA),
         "edges": (triples.cooccurrence_edges, triples.EDGE_SCHEMA),
         "pmi": (triples.cooccurrence_pmi, triples.PMI_SCHEMA),

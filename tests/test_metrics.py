@@ -1,10 +1,16 @@
 """A1-A4 metric aggregates vs hand-computed values (eval_all.py semantics)."""
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 
 from phenobert_ray.eval.metrics import macro_prf, micro_prf, ontology_similarity
-from phenobert_ray.sources.inverted_index import build_inverted_index, search
+from phenobert_ray.sources.inverted_index import (
+    NUM_POSTING_SHARDS,
+    build_inverted_index,
+    search,
+)
 
 
 def _ds(rows):
@@ -80,10 +86,40 @@ def test_inverted_index_and_search(mini):
     assert probe(["HP:1", "HP:1"]) == probe(["HP:1"]) == ["c1", "c2"]
 
 
+def _closed_form_annotations(n_convs: int, n_hpos: int):
+    """Conv c mentions the 5 phenotypes (c + j) % H, j = 0..4, and (odd c)
+    NEGATES (c + 7) % H, a distinct phenotype, so a broken negation filter
+    inflates counts instead of hiding behind the (conv, hpo) dedup."""
+    c = np.arange(n_convs)
+    odd = c[c % 2 == 1]
+    conv = np.concatenate([np.repeat(c, 5), odd])
+    hpo = np.concatenate([(np.repeat(c, 5) + np.tile(np.arange(5), n_convs)),
+                          odd + 7]) % n_hpos
+    t = pa.table({
+        "conv_id": np.char.add("conv-", conv.astype(str)),
+        "hpo_id": [f"HP:{h:07d}" for h in hpo],
+        "negated": np.arange(len(conv)) >= 5 * n_convs,
+    })
+    step = -(-t.num_rows // 4)
+    return ray.data.from_arrow([t.slice(i, step) for i in range(0, t.num_rows, step)])
+
+
+def _check_postings(idx: pd.DataFrame) -> None:
+    """Every posting row holds sorted distinct convs, counts them, and
+    holds only convs whose own hash picks its shard."""
+    assert (idx["convs"].map(len) == idx["n_convs"]).all()
+    assert idx["convs"].map(lambda cs: list(cs) == sorted(set(cs))).all()
+    flat = idx.explode("convs")
+    shard = pd.util.hash_pandas_object(flat["convs"], index=False) % NUM_POSTING_SHARDS
+    assert (shard.to_numpy() == flat["shard"].to_numpy()).all()
+
+
 def test_inverted_index_hot_key_sharding(mini):
     """A phenotype present in EVERY conv must spread over multiple shard
-    rows, and the scalar path must still be exact."""
-    from phenobert_ray.sources.inverted_index import index_scalars
+    rows, and the scalar path must still be exact.  Then a closed-form
+    corpus of ~2k conversations: the postings, the scalars and the AND
+    probe match their closed forms exactly."""
+    from phenobert_ray.sources.inverted_index import index_scalars, search_convs_with_all
 
     convs = [f"c{i:04d}" for i in range(200)]
     anns = ray.data.from_pandas(
@@ -105,6 +141,32 @@ def test_inverted_index_hot_key_sharding(mini):
     row = sc[sc.hpo_id == "HP:HOT"].iloc[0]
     assert int(row.n_convs) == 200
     assert row.first_conv == "c0000" and row.last_conv == "c0199"
+    _check_postings(idx)
+
+    H, C = 100, 2_013
+    anns = _closed_form_annotations(C, H)
+    base, rem = divmod(C, H)
+
+    def cnt(r):  # conversations c with c % H == r
+        return base + (r < rem)
+
+    idx = build_inverted_index(anns).to_pandas()
+    _check_postings(idx)
+    assert idx["n_convs"].sum() == 5 * C
+    flat = idx.explode("convs")
+    offset = (flat["hpo_id"].str[3:].astype(int)
+              - flat["convs"].str[5:].astype(int)) % H
+    assert (offset <= 4).all()
+
+    sc = index_scalars(anns).to_pandas()
+    h = sc["hpo_id"].str[3:].astype(int).to_numpy()
+    assert len(sc) == H
+    assert (sc["n_convs"].to_numpy()
+            == sum(cnt((h - j) % H) for j in range(5))).all()
+
+    got = search_convs_with_all(anns, ["HP:0000000", "HP:0000001"]).to_pandas()
+    want = [c for c in range(C) if c % H in (0, H - 1, H - 2, H - 3)]
+    assert sorted(got["conv_id"].str[5:].astype(int)) == want
 
 
 def test_ancestor_rollup_invariants(mini, sf_small):

@@ -7,7 +7,8 @@ special-casing), empty strings, whitespace runs, exact and near
 duplicate texts, key skew (one hot source), singleton groups, doc_id
 gaps, ties everywhere two rows can tie.
 
-Usage:  python tools/make_adversarial_sf.py [out_dir]   (default /tmp/sfadv)
+Usage:  python tools/make_adversarial_sf.py [out_dir] [--fragments]
+        (default out_dir /tmp/sfadv; an unknown flag exits 2)
 
 Then:   python tools/verify_local.py /tmp/sfadv
 
@@ -18,8 +19,8 @@ datetime64[ns] range (the documented contract of the turns synth).
 
 from __future__ import annotations
 
+import argparse
 import os
-import sys
 
 import numpy as np
 import pyarrow as pa
@@ -154,6 +155,9 @@ def main(out: str = "/tmp/sfadv", fragments: bool = False) -> None:
 
 
 if __name__ == "__main__":
-    args = [a for a in sys.argv[1:] if not a.startswith("--")]
-    main(args[0] if args else "/tmp/sfadv",
-         fragments="--fragments" in sys.argv)
+    ap = argparse.ArgumentParser(prog="make_adversarial_sf")
+    ap.add_argument("out_dir", nargs="?", default="/tmp/sfadv")
+    ap.add_argument("--fragments", action="store_true",
+                    help="write each table as a directory of fragments")
+    args = ap.parse_args()
+    main(args.out_dir, fragments=args.fragments)
