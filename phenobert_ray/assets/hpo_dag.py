@@ -104,9 +104,12 @@ class HpoDag:
 
     def __getstate__(self) -> dict:
         # the driver's is_a table (pipelines.triples.is_a_table, ~1 MB
-        # pickled) stays out of the broadcast; no worker reads it
+        # pickled) and the dictionary kernel's index (linker._kernel_index,
+        # built on a process's first probe) stay out of the broadcast: no
+        # worker reads the first, and each builds the second itself
         state = self.__dict__.copy()
         state.pop("_is_a", None)
+        state.pop("_kernel_idx", None)
         return state
 
     def refresh_fingerprint(self) -> None:

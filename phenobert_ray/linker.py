@@ -15,18 +15,44 @@ Mirrors the control flow of the reference's ``annotate_phrases``
           -HPO-then-shortest (util.py:1171-1194)
   L8      sort by span start (util.py:1193-1194)
   L9      alt-ID canonicalization (util.py:308,319-323)
+
+With a scorer, a text runs that chain as written.  Without one only Step 1
+can emit, and ``annotate_texts`` runs it as one columnar kernel over a batch
+of texts: a byte-class table cuts the joined ASCII texts into tokens and
+sentences, Arrow hands Python each distinct token once, C2/C3 segments and
+negation are cumsums over token flags, and every 1..maxk-token window is a
+multiset hash looked up by ``searchsorted``; Python checks only the hash
+hits, exactly.  NER-seeded and non-ASCII texts are cut by
+``candidates.generate_segments`` and enter the same probe.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
+import numpy as np
+
+from . import candidates  # generate_segments is looked up per call: kgperf wraps it
 from .assets.hpo_dag import HpoDag
-from .candidates import Candidate, generate_candidates
+from .candidates import (
+    _CONJUNCTIONS,
+    _SEGMENT_SPLITERS,
+    MAX_KMER,
+    Candidate,
+    generate_candidates,
+)
 from .textops import (
+    _SENT_RE,
+    NEGATION_WORDS,
+    NUM2WORD,
+    STOPWORDS,
     canonicalize_for_segmentation,
+    is_num,
     lemma_bag_key,
+    lemmatize,
     bag_key,
 )
 
@@ -55,8 +81,6 @@ def dict_link(
     dictionary key is just the sorted bag + lemma fallback — no re-running
     of process_str per probe (vectorization-friendly).
     """
-    from .textops import lemmatize
-
     results: list[tuple[Candidate, str, float]] = []
     # L2 index: token start -> locs of the matched spans holding it.  A
     # non-empty locs lies inside a matched span only if that span holds its
@@ -69,7 +93,7 @@ def dict_link(
     for cand in candidates:
         # vocab prune: a bag can only match if every token (or its lemma)
         # appears in some dictionary key — skips key construction for most
-        # prose windows (same pruning as the fast path)
+        # prose windows (the batch kernel's bad-id counts prune the same way)
         if all(t in vocab or lemmatize(t) in vocab for t in cand.tokens):
             hit = p2h.get(bag_key(cand.tokens), "")
             if not hit:
@@ -150,132 +174,230 @@ def resolve_overlaps(
     )
 
 
-def _probe_index(dag: HpoDag):
-    """Integer-tuple probe index over ``phrase2hpo``, built lazily once per
-    worker and cached on the dag keyed by its content fingerprint (the
-    phrase dict is mutable post-construction; a refreshed fingerprint
-    invalidates the cache).
-
-    Token ids are assigned in SORTED-vocabulary order, so the monotone
-    token↔id bijection makes "sort window tokens by text, join, hash the
-    string" equivalent to "hash the tuple of ids in text-sorted order" —
-    an int-tuple hash instead of building + hashing a joined string per
-    window (the previous hottest line of the dict probe)."""
-    fp = getattr(dag, "fingerprint", None)
-    idx = getattr(dag, "_probe_idx", None)
-    if idx is not None and idx[0] == fp:
-        return idx[1], idx[2], idx[3]
-    # vocabulary derived from the KEYS, not dag.phrase_vocab: the index
-    # must stay self-consistent with phrase2hpo even if a caller mutated
-    # the dict without refreshing the derived prune set
-    tok2id = {
-        t: i
-        for i, t in enumerate(sorted({t for k in dag.phrase2hpo
-                                      for t in k.split()}))
-    }
-    keyseq2hpo = {
-        tuple(tok2id[t] for t in k.split()): v
-        for k, v in dag.phrase2hpo.items()
-    }
-    # token → (surface_id, lemma_id) memo, filled during probing: corpus
-    # tokens repeat heavily, and one dict hit replaces two tok2id lookups
-    # plus a (cached) lemmatize call per token per segment
-    id_memo: dict = {}
-    dag._probe_idx = (fp, tok2id, keyseq2hpo, id_memo)
-    return tok2id, keyseq2hpo, id_memo
+# Byte classes of the batch tokenizer, one per ASCII code point, read off
+# the regexes it stands in for: _TOKEN_RE's \w and \s, and _SENT_RE's
+# terminators [.!?] and its one-char "\n" sentence.
+_WORD, _PUNCT, _TERM, _NL = 1, 2, 4, 8
 
 
-def _dict_match_fast(canon: str, dag: HpoDag, ner_segments) -> list[tuple[Candidate, str, float]]:
-    """Dictionary-only fast path: probe k-mer windows directly without
-    materializing non-matching Candidate objects, and cap the window length
-    at the dictionary's longest key (a longer window can never bag-match).
+def _byte_class(ch: str) -> int:
+    sent = _SENT_RE.match(ch + "a")
+    return ((_WORD if re.fullmatch(r"\w", ch) else 0 if re.fullmatch(r"\s", ch) else _PUNCT)
+            | (_TERM if sent is None else _NL if sent.end() == 1 else 0))
 
-    Produces exactly the Step-1 results of the slow path; when no model
-    scorer is configured the survivors are discarded anyway, so skipping
-    them is output-equivalent (see test_fast_path_equivalence).
 
-    Probing detail: a window's surface key is its tokens in text-sorted
-    order; its lemma key is the LEMMAS of the tokens in the same
-    text-sorted order (reference util.py:414-415 sorts by surface before
-    lemmatizing).  Both are probed as id tuples via ``_probe_index`` —
-    the insort-maintained window keeps (text, surface_id, lemma_id)
-    entries text-sorted, so both keys fall out as tuple slices; a window
-    holding any out-of-index id (-1) is skipped for that variant, which
-    is output-equivalent because an index key only contains vocabulary
-    tokens."""
-    from bisect import insort
+_CLASSES = np.array([_byte_class(chr(c)) for c in range(128)], np.uint8)
+# canonicalize_for_segmentation of ASCII as byte maps: of each code point
+# alone, and whether it turns into "." after a word char (\r, \n)
+_CANON = np.frombuffer("".join(map(canonicalize_for_segmentation, map(chr, range(128))))
+                       .encode(), np.uint8)
+_TO_DOT = np.array([canonicalize_for_segmentation("a" + chr(c)) == "a." for c in range(128)])
 
-    from .candidates import MAX_KMER, generate_segments
-    from .textops import STOPWORDS, is_num, lemmatize
+# per-token flags (``_resolve``)
+_SPLIT, _CONJ, _NEG, _KEEP, _SHORT = 1, 2, 4, 8, 16
 
-    tok2id, keyseq2hpo, id_memo = _probe_index(dag)
-    in_ab = dag.abnormality_nt
-    maxk = min(MAX_KMER, dag.max_phrase_tokens or MAX_KMER)
-    results: list[tuple[Candidate, str, float]] = []
-    memo_get = id_memo.get
-    for seg in generate_segments(canon, ner_segments):
-        toks = seg.simple
-        n = len(toks)
-        if n == 0:
-            continue
-        joined = " ".join(t.text for t in toks)
-        if is_num(joined) or len(joined) <= 1:
-            continue
-        texts = [t.text for t in toks]
-        sids, lids = [], []
-        for t in texts:
-            pair = memo_get(t)
-            if pair is None:
-                pair = (tok2id.get(t, -1), tok2id.get(lemmatize(t), -1))
-                if len(id_memo) < 500_000:  # bound per-worker memory
-                    id_memo[t] = pair
-            sids.append(pair[0])
-            lids.append(pair[1])
-        # a window matches only if every token is dictionary vocabulary
-        # (by surface or lemma); precompute the in-vocab run length from
-        # each position so out-of-vocab stretches (most prose) are skipped
-        # wholesale
-        run = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            run[i] = run[i + 1] + 1 if (sids[i] >= 0 or lids[i] >= 0) else 0
-        for i in range(n):
-            kmax = min(maxk, run[i])
-            if kmax == 0:
-                continue
-            win: list[tuple[str, int, int]] = []
-            bad_s = bad_l = 0
-            for j in range(kmax):
-                x = i + j
-                insort(win, (texts[x], sids[x], lids[x]))
-                if sids[x] < 0:
-                    bad_s += 1
-                if lids[x] < 0:
-                    bad_l += 1
-                if bad_s and bad_l:  # bad counts only grow with j: once
-                    break            # both variants are dead, so is every
-                                     # longer window from this start
-                if j == 0 and (texts[i] in STOPWORDS or is_num(texts[i])):
-                    continue
-                hit = ""
-                if not bad_s:
-                    hit = keyseq2hpo.get(tuple(e[1] for e in win), "")
-                if not hit and not bad_l:
-                    hit = keyseq2hpo.get(tuple(e[2] for e in win), "")
-                if hit and hit in in_ab:
-                    results.append(
-                        (
-                            Candidate(
-                                tokens=texts[i:x + 1],
-                                starts=[t.start for t in toks[i:x + 1]],
-                                start=toks[i].start,
-                                end=toks[x].end,
-                                negated=seg.negated,
-                            ),
-                            hit,
-                            1.0,
-                        )
-                    )
-    return results
+
+def _resolve(tok: str, tok2id: dict) -> int:
+    """A token's flags and ids, packed as ``flags | (surface id + 1) << 8 |
+    (lemma id + 1) << 36``.  Flags: C2 spliter, C3 conjunction, negation
+    cue, kept by ``_Segment.simplify`` and, as a part by itself, too short
+    to probe.  The ids are of its simplified text, -1 outside the index."""
+    simp = NUM2WORD.get(tok, tok)
+    keep = tok in NUM2WORD or not (tok in STOPWORDS or is_num(tok))
+    flags = ((_SPLIT if tok in _SEGMENT_SPLITERS else 0) | (_CONJ if tok in _CONJUNCTIONS else 0)
+             | (_NEG if tok in NEGATION_WORDS else 0) | (_KEEP if keep else 0)
+             | (_SHORT if len(simp) <= 1 or is_num(simp) else 0))
+    return flags | (tok2id.get(simp, -1) + 1) << 8 | (tok2id.get(lemmatize(simp), -1) + 1) << 36
+
+
+def _kernel_index(dag: HpoDag) -> tuple:
+    """``(fingerprint, tok2id, keyseq2hpo, tok_hash, key_hash, memo)``,
+    built on a process's first dictionary probe, cached on the dag by its
+    fingerprint and left out of its pickle (``HpoDag.__getstate__``).  Ids
+    follow the sorted vocabulary of the keys (``phrase_vocab`` may be
+    stale), so a bag key's id tuple is sorted.  ``tok_hash`` is a random
+    64-bit value per id (0 for id -1), ``key_hash`` the keys' multiset
+    hashes, sorted, plus a 0 so it is never empty."""
+    idx = getattr(dag, "_kernel_idx", None)
+    if idx is None or idx[0] != getattr(dag, "fingerprint", None):
+        vocab = sorted({t for k in dag.phrase2hpo for t in k.split()})
+        tok2id = {t: i for i, t in enumerate(vocab)}
+        keyseq2hpo = {tuple(tok2id[t] for t in k.split()): v for k, v in dag.phrase2hpo.items()}
+        rng = np.random.default_rng(0)
+        tok_hash = np.frombuffer(rng.bytes(8 * len(vocab)) + bytes(8), np.uint64)  # id -1: 0
+        lens = np.array([len(k) for k in keyseq2hpo], np.int64)
+        cum = np.cumsum(np.append(np.uint64(0), tok_hash[list(chain.from_iterable(keyseq2hpo))]))
+        ends = np.cumsum(lens)
+        key_hash = np.sort(np.append(cum[ends] - cum[ends - lens], np.uint64(0)))
+        idx = dag._kernel_idx = (getattr(dag, "fingerprint", None), tok2id, keyseq2hpo,
+                                 tok_hash, key_hash, {})
+    return idx
+
+
+def _tokenize(texts: list[str]):
+    """Canonicalize and tokenize ASCII texts at once: the canonical bytes
+    of the texts joined by ``"\\n"``, then each token's start, end (into
+    the bytes), sentence id and text index, and each text's offset.
+    Tokens outside every sentence are dropped: ``_SENT_RE`` leaves out a
+    [.!?] run at a text's start or right after ``"\\n"``."""
+    raw = np.frombuffer("\n".join(texts).encode("ascii"), np.uint8)
+    base = np.cumsum([0] + [len(t) + 1 for t in texts[:-1]])
+    b = _CANON[raw]
+    dot = _TO_DOT[raw] & np.append(False, (_CLASSES[b[:-1]] & _WORD) != 0)
+    dot[base[1:] - 1] = False  # the separators stay
+    b[dot] = ord(".")
+    c = _CLASSES[b]
+    word, punct, term = (c & _WORD) != 0, (c & _PUNCT) != 0, (c & _TERM) != 0
+    st = np.flatnonzero(punct | (word & ~np.append(False, word[:-1])))
+    en = np.flatnonzero(punct | (word & ~np.append(word[1:], False))) + 1
+    brk = term | ((c & _NL) != 0)
+    sent = np.cumsum(~brk & np.append(True, brk[:-1]))[st]
+    # a [.!?] run is in a sentence when the last non-terminator before it
+    # is a sentence body, not a newline or the start
+    body = np.maximum.accumulate(np.where(term, -1, np.arange(len(c))))[st]
+    keep = ~term[st] | ((body >= 0) & ~brk[np.maximum(body, 0)])
+    st, en, sent = st[keep], en[keep], sent[keep]
+    return b, st, en, sent, np.searchsorted(base, st, "right") - 1, base
+
+
+def _columnar_parts(flags, sent, tix):
+    """C2 segments, negation and C3 parts of tokens in text order, as
+    cumsums over their flags; a segment never crosses a sentence.  Returns
+    the positions of the parts' tokens, part by part in
+    ``generate_segments`` order (a segment's parts, then its A+B ellipsis
+    part), the part of each position, and each part's text and negation."""
+    cut = np.append(True, sent[1:] != sent[:-1]) | ((flags & _SPLIT) != 0)
+    seg = np.cumsum(cut)
+    part = np.cumsum(cut | ((flags & _CONJ) != 0))
+    seg_neg = np.zeros(len(seg) + 1, bool)
+    seg_neg[seg[(flags & _NEG) != 0]] = True
+    item = np.flatnonzero((flags & (_SPLIT | _CONJ)) == 0)
+    first = np.flatnonzero(np.diff(part[item], prepend=-1))
+    plen = np.diff(np.append(first, len(item)))
+    pseg = seg[item[first]]
+    p_text, p_neg = tix[item[first]], seg_neg[pseg]
+    pid = np.repeat(np.arange(len(first)), plen)
+    # C3 ellipsis: a segment of exactly two parts a, b with |a| == 1 or
+    # |b| == 1 also yields a[:-1] + b (when |b| == 1) or a + b[1:]
+    pair = np.flatnonzero((pseg[:-1] == pseg[1:]) & (np.bincount(pseg)[pseg[:-1]] == 2))
+    la, lb = plen[pair], plen[pair + 1]
+    pair, la, lb = (x[(la == 1) | (lb == 1)] for x in (pair, la, lb))
+    size = la + lb
+    at = np.repeat(first[pair] - np.cumsum(size) + size, size) + np.arange(size.sum())
+    at = at[at != np.repeat(np.where(lb == 1, first[pair] + la - 1, first[pair + 1]), size)]
+    # part k sorts as 2k, the ellipsis of parts (k, k + 1) as 2k + 3
+    porder = np.argsort(np.concatenate((2 * np.arange(len(first)), 2 * pair + 3)))
+    rank = np.argsort(porder)
+    dense = rank[np.concatenate((pid, np.repeat(np.arange(len(first), len(porder)), size - 1)))]
+    order = np.argsort(dense, kind="stable")
+    return (np.concatenate((item, item[at]))[order], dense[order],
+            np.concatenate((p_text, p_text[pair]))[porder],
+            np.concatenate((p_neg, p_neg[pair]))[porder])
+
+
+def _finalize(text: str, results, dag: HpoDag) -> list[Annotation]:
+    return [Annotation(c.start, c.end, text[c.start:c.end], dag.canonical(hpo), round(score, 2),
+                       c.negated) for c, hpo, score in results]
+
+
+def annotate_texts(texts: Sequence[str], dag: HpoDag, use_longest: bool = True, ner=None,
+                   ner_segments: Sequence[list[tuple[int, int]] | None] | None = None,
+                   ) -> list[list[Annotation]]:
+    """``[annotate_text(t, dag, use_longest=use_longest, ner=ner) for t in
+    texts]`` as one columnar kernel (module docstring); ``ner_segments``
+    gives each text's C1 spans (None: unseeded) in place of ``ner``.
+
+    A window's surface key is its ids, sorted; its lemma key is the lemma
+    ids of its tokens in their text-sorted order (the reference sorts by
+    surface before lemmatizing, util.py:414-415).  A window holding an id
+    of -1 is not probed for that key: no key holds such a token."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if ner_segments is None:
+        ner_segments = [None if ner is None else
+                        ner.predict_segments(canonicalize_for_segmentation(t)) for t in texts]
+    # unseeded ASCII texts go to the byte tokenizer as they are
+    canon = [t if s is None and t.isascii() else canonicalize_for_segmentation(t)
+             for t, s in zip(texts, ner_segments)]
+    col = [i for i, (c, s) in enumerate(zip(canon, ner_segments)) if s is None and c.isascii()]
+    data, st, en, sent, tix, base = _tokenize([canon[i] for i in col])
+    n = len(st)
+    off = np.r_[0, np.column_stack((st, en)).ravel(), len(data)]  # gap, token, ..., token, gap
+    tokens = pa.LargeStringArray.from_buffers(2 * n + 1, pa.py_buffer(off), pa.py_buffer(data))
+    # the other texts' parts, as generate_segments cuts them
+    segs = [(i, s) for i in sorted(set(range(len(texts))) - set(col))
+            for s in candidates.generate_segments(canon[i], ner_segments[i]) if s.simple]
+    fb = [(t.text, t.start, t.end, p) for p, (_, s) in enumerate(segs) for t in s.simple]
+    enc = pc.dictionary_encode(pa.concat_arrays([
+        tokens.take(pa.array(np.arange(1, 2 * n, 2))),
+        pa.array([t for t, _, _, _ in fb], pa.large_string())]))
+    distinct = enc.dictionary.to_numpy(zero_copy_only=False).tolist()  # to_pylist: ~20x slower
+    code = enc.indices.to_numpy()
+    _, tok2id, k2h, tok_hash, key_hash, memo = _kernel_index(dag)
+    packed = np.fromiter(map(memo.get, distinct, repeat(-1)), np.int64, len(distinct))
+    for j in np.flatnonzero(packed < 0).tolist():
+        packed[j] = p = _resolve(distinct[j], tok2id)
+        if len(memo) < 500_000:  # bound per-worker memory
+            memo[distinct[j]] = p
+    flags, sid, lid = packed & 0xFF, (packed >> 8 & 0xFFFFFFF) - 1, (packed >> 36) - 1
+
+    pos, part, p_text, p_neg = _columnar_parts(flags[code[:n]], sent, tix)
+    fb = np.array([x for _, *x in fb], np.int64).reshape(-1, 3)
+    code = np.concatenate((code[pos], code[n:]))
+    start = np.concatenate(((st - base[tix])[pos], fb[:, 0]))
+    end = np.concatenate(((en - base[tix])[pos], fb[:, 1]))
+    part = np.concatenate((part, len(p_text) + fb[:, 2]))
+    p_text = np.array(col, np.int64)[p_text].tolist() + [i for i, _ in segs]
+    p_neg = p_neg.tolist() + [s.negated for _, s in segs]
+    # C4 over simplified tokens: stopwords and numbers leave each part
+    kept = (flags[code] & _KEEP) != 0
+    code, start, end, part = code[kept], start[kept], end[kept], part[kept]
+    first = np.flatnonzero(np.diff(part, prepend=-1))
+    size = np.diff(np.append(first, len(code)))
+    part_end = np.repeat(first + size, size)
+    # a part of one token that is one char or a number yields no window
+    alive = np.ones(len(code), bool)
+    alive[first[(size == 1) & ((flags[code[first]] & _SHORT) != 0)]] = False
+
+    sid, lid = sid[code], lid[code]
+    hs = np.cumsum(np.append(np.uint64(0), tok_hash[sid]))
+    hl = np.cumsum(np.append(np.uint64(0), tok_hash[lid]))
+    bs, bl = np.cumsum(np.append(0, sid < 0)), np.cumsum(np.append(0, lid < 0))
+    last = len(key_hash) - 1
+    found = []
+    act = np.flatnonzero(alive)
+    for k in range(1, min(MAX_KMER, dag.max_phrase_tokens or MAX_KMER) + 1):
+        act = act[act + k <= part_end[act]]
+        e = act + k
+        ok_s, ok_l = bs[e] == bs[act], bl[e] == bl[act]
+        live = ok_s | ok_l  # with bad ids of both kinds, no longer window
+        act, e, ok_s, ok_l = act[live], e[live], ok_s[live], ok_l[live]
+        if not len(act):    # from the same start can match either
+            break
+        h = hs[e] - hs[act]
+        ms = ok_s & (key_hash[np.minimum(np.searchsorted(key_hash, h), last)] == h)
+        h = hl[e] - hl[act]
+        ml = ok_l & (key_hash[np.minimum(np.searchsorted(key_hash, h), last)] == h)
+        h = np.flatnonzero(ms | ml)
+        found += zip(act[h].tolist(), repeat(k), ms[h].tolist(), ml[h].tolist())
+
+    # exact check of the hash hits, surface key before lemma key, and the
+    # Candidates of the hits alone
+    simp = [NUM2WORD.get(t, t) for t in distinct]
+    code, sid, lid, start, end, part = (x.tolist() for x in (code, sid, lid, start, end, part))
+    results: list[list] = [[] for _ in texts]
+    for i, k, s_ok, l_ok in sorted(found):
+        words = [simp[c] for c in code[i:i + k]]
+        hit = k2h.get(tuple(sorted(sid[i:i + k])), "") if s_ok else ""
+        if not hit and l_ok:
+            hit = k2h.get(tuple(x for _, x in sorted(zip(words, lid[i:i + k]))), "")
+        if hit and hit in dag.abnormality_nt:
+            p = part[i]
+            results[p_text[p]].append((Candidate(words, start[i:i + k], start[i],
+                                                 end[i + k - 1], p_neg[p]), hit, 1.0))
+    return [_finalize(text, resolve_overlaps(r, use_longest=use_longest) if len(r) > 1 else r, dag)
+            for text, r in zip(texts, results)]
 
 
 def annotate_text(
@@ -291,7 +413,11 @@ def annotate_text(
     Equivalent of the reference's per-document
     ``process_text2phrases`` + ``annotate_phrases`` chain
     (annotate.py:61-67), returning structured rows instead of TSV lines.
+    Without a scorer it is the one-text case of ``annotate_texts``.
     """
+    if scorer is None:
+        return annotate_texts([text], dag, use_longest, ner,
+                              None if ner_segments is None else [ner_segments])[0]
     # Reference fidelity (util.py:885-889): the offset-bearing document text
     # gets ONLY length-preserving transforms (lowercase + accent fold +
     # punct→space + newline→'.').  The hyphen-deleting type-notation rewrite
@@ -303,22 +429,7 @@ def annotate_text(
         # C1 seeding (ref annotate.py:47, util.py:891-917): PROBLEM spans
         # from the tagger; sentences with no hit are skipped downstream
         ner_segments = ner.predict_segments(canon)
-    if scorer is None:
-        results = _dict_match_fast(canon, dag, ner_segments)
-    else:
-        cands = generate_candidates(canon, ner_segments)
-        results, survivors = dict_link(cands, dag)
-        if survivors:
-            results = results + list(scorer(survivors))
-    results = resolve_overlaps(results, use_longest=use_longest)
-    return [
-        Annotation(
-            start=c.start,
-            end=c.end,
-            mention=text[c.start:c.end],
-            hpo_id=dag.canonical(hpo),
-            score=round(score, 2),
-            negated=c.negated,
-        )
-        for c, hpo, score in results
-    ]
+    results, survivors = dict_link(generate_candidates(canon, ner_segments), dag)
+    if survivors:
+        results = results + list(scorer(survivors))
+    return _finalize(text, resolve_overlaps(results, use_longest=use_longest), dag)

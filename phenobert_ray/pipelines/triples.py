@@ -413,7 +413,7 @@ def ancestor_rollup(annotations_ds, dag: HpoDag, cfg: PipelineConfig | None = No
 def is_a_table(dag: HpoDag) -> pa.Table:
     """Ontology edges as a ``TRIPLES_SCHEMA`` table, built driver-side once
     per ontology and cached on the dag keyed by its content fingerprint,
-    like ``linker._probe_index`` (a mutated dag must call
+    like ``linker._kernel_index`` (a mutated dag must call
     ``refresh_fingerprint()`` to rebuild it)."""
     cached = getattr(dag, "_is_a", None)
     if cached is not None and cached[0] == dag.fingerprint:

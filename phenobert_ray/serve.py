@@ -31,9 +31,9 @@ trade-off: a request that arrives while a large one is being annotated
 waits for the rest of that call, where threads interleaved them in 5 ms
 GIL slices.  Measured on a 4-CPU host, a small request sent while one
 64 KiB request was annotated (0.44 s, builtin scorer and NER tagger)
-waited 0.39 s, against a median of 41 ms with a thread per connection;
-behind one 1 MiB request (30 s, dictionary only: overlap resolution is
-quadratic in a text's matches) it waited 30 s, against a median of 21 ms.
+waited 0.39 s, against a median of 41 ms with a thread per connection.
+A 1 MiB dictionary-only body of back-to-back dictionary phrases (44,886
+annotations) holds the loop for ~1 s (0.82-1.84 s on the same host).
 
 Head lines may end in CRLF or a bare LF, and a header line that starts
 with a space or tab continues the one before it, as http.server read them.

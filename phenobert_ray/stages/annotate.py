@@ -27,12 +27,15 @@ stage reserves CPUs only.
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
 import pyarrow as pa
 import ray
 
 from ..assets.hpo_dag import HpoDag
 from ..config import PipelineConfig
-from ..linker import annotate_text
+from ..linker import annotate_text, annotate_texts
 from ..standins import build_models
 
 ANNOTATIONS_SCHEMA = pa.schema(
@@ -104,54 +107,43 @@ def _annotate_batch(batch: pa.Table, dag: HpoDag, scorer, cfg: PipelineConfig,
     """One annotation row per mention (ANNOTATIONS_SCHEMA).  A batch read
     with ``include_paths=True`` keeps its ``path`` column on each row, so
     the KG job can dedup per input fragment."""
-    conv = batch.column("conv_id").to_pylist()
-    tidx = batch.column("turn_idx").to_pylist()
     texts = batch.column("text").to_pylist()
-    src = [] if "path" in batch.column_names else None
+    # each distinct text of the batch is annotated once, and the
+    # dictionary kernel takes all of the memo misses in one call
+    memo = {} if memo is None else memo
+    index: dict = {}
+    tid = np.array([index.setdefault(text, len(index)) for text in texts], np.int64)
+    uniq = list(index)
+    rows = [memo.get(text) for text in uniq]
+    todo = [j for j, r in enumerate(rows) if r is None]
+    miss = [uniq[j] for j in todo]
+    if scorer is None:
+        fresh = annotate_texts(miss, dag, use_longest=cfg.use_longest, ner=ner)
+    else:
+        fresh = [annotate_text(text, dag, scorer=scorer, use_longest=cfg.use_longest,
+                               ner=ner) for text in miss]
+    for j, anns in zip(todo, fresh):
+        rows[j] = [(a.start, a.end, a.mention, a.hpo_id, a.score, a.negated) for a in anns]
+        if len(uniq[j]) <= _MEMO_MAX_TEXT_LEN:
+            memo[uniq[j]] = rows[j]
 
-    out_conv, out_tidx = [], []
-    starts, ends, mentions, hpos, scores, negs = [], [], [], [], [], []
-    for i, (c, t, text) in enumerate(zip(conv, tidx, texts)):
-        rows = memo.get(text) if memo is not None else None
-        if rows is None:
-            rows = [
-                (a.start, a.end, a.mention, a.hpo_id, a.score, a.negated)
-                for a in annotate_text(
-                    text, dag, scorer=scorer, use_longest=cfg.use_longest,
-                    ner=ner,
-                )
-            ]
-            if memo is not None and len(text) <= _MEMO_MAX_TEXT_LEN:
-                memo[text] = rows
-        if src is not None and rows:
-            src.extend([i] * len(rows))
-        for st, en, m, h, sc, ng in rows:
-            out_conv.append(c)
-            out_tidx.append(t)
-            starts.append(st)
-            ends.append(en)
-            mentions.append(m)
-            hpos.append(h)
-            scores.append(sc)
-            negs.append(ng)
-
+    # output row r is row r - (first output row of its turn) of its text's
+    # rows, which start at row text_first of all the texts' rows
+    n_rows = np.array([len(r) for r in rows], np.int64)
+    per_turn = n_rows[tid]
+    turn = np.repeat(np.arange(len(texts)), per_turn)
+    text_first = (np.cumsum(n_rows) - n_rows)[tid]
+    at = np.arange(len(turn)) + np.repeat(text_first - np.cumsum(per_turn) + per_turn, per_turn)
+    cols = list(zip(*chain.from_iterable(rows))) or [()] * 6
     out = pa.Table.from_arrays(
-        [
-            pa.array(out_conv, pa.string()),
-            pa.array(out_tidx, pa.int32()),
-            pa.array(starts, pa.int32()),
-            pa.array(ends, pa.int32()),
-            pa.array(mentions, pa.string()),
-            pa.array(hpos, pa.string()),
-            pa.array(scores, pa.float32()),
-            pa.array(negs, pa.bool_()),
-        ],
-        schema=ANNOTATIONS_SCHEMA,
-    )
-    if src is None:
+        [batch.column("conv_id").take(turn), batch.column("turn_idx").take(turn)]
+        + [pa.array(v, f.type).take(at)
+           for v, f in zip(cols, list(ANNOTATIONS_SCHEMA)[2:])],
+        names=ANNOTATIONS_SCHEMA.names,
+    ).cast(ANNOTATIONS_SCHEMA)
+    if "path" not in batch.column_names:
         return out
-    return out.append_column(
-        "path", batch.column("path").take(pa.array(src, pa.int64())))
+    return out.append_column("path", batch.column("path").take(turn))
 
 
 def _annotate_block(block: pa.Table, state, cfg: PipelineConfig) -> pa.Table:

@@ -158,10 +158,6 @@ def is_num(s: str) -> bool:
         return False
 
 
-def contain_num(s: str) -> bool:
-    return _DIGIT_RE.search(s) is not None
-
-
 # --------------------------------------------------------------------------
 # M7: number -> word substitution (reference data/NUM.txt, util.py:215-221).
 NUM2WORD: dict[str, str] = {
@@ -213,10 +209,6 @@ NEGATION_WORDS: frozenset[str] = frozenset(
     {"no", "not", "none", "negative", "non", "never", "few", "lower",
      "fewer", "less", "normal"}
 )
-
-
-def has_negation_cue(tokens: list[str]) -> bool:
-    return any(t in NEGATION_WORDS for t in tokens)
 
 
 # --------------------------------------------------------------------------

@@ -34,3 +34,15 @@ def mini_session_dag():
     from phenobert_ray.assets.mini_hpo import mini_dag
 
     return mini_dag()
+
+
+@pytest.fixture(scope="session")
+def shipped_dag():
+    """The shipped 14k-node ontology (assets/trained/DAG.json)."""
+    import json
+    from importlib.resources import files
+
+    from phenobert_ray.assets.hpo_dag import HpoDag
+
+    return HpoDag(json.loads(
+        files("phenobert_ray.assets").joinpath("trained/DAG.json").read_text()))

@@ -1,13 +1,22 @@
 """Operator conformance: candidate generation + linking on fixture text vs
 hand-computed expected spans (SURVEY.md §5 item 2)."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phenobert_ray import linker
 from phenobert_ray.candidates import Candidate, generate_candidates
-from phenobert_ray.linker import annotate_text, dict_link, resolve_overlaps
-from phenobert_ray.textops import canonicalize_for_segmentation
+from phenobert_ray.linker import annotate_text, annotate_texts, dict_link, resolve_overlaps
+from phenobert_ray.textops import (
+    _SENT_RE,
+    _TOKEN_RE,
+    NEGATION_WORDS,
+    NUM2WORD,
+    canonicalize_for_segmentation,
+)
 
 
 def _cands(text):
@@ -183,27 +192,124 @@ def test_ner_seeding_restricts_sentences(mini):
     assert {a.hpo_id for a in anns} == {"HP:0002373"}
 
 
-def test_fast_path_equivalence(mini):
-    """The dict-only fast probe (vocab-pruned, length-capped) is output-
-    equivalent to the full candidate-generation + dict_link path."""
-    samples = [
-        "the fast key table scan. patient shows no grand mal seizure today.",
-        "patient shows broad thumbs and toes today. exam reveals hearing loss.",
-        "Noted: Febrile-Seizure today. dominant inheritance. 3 toes",
-        "seizure, hypotonia and obesity. normal gait",
-        "",
-        "....",
-    ]
-    for txt in samples:
-        fast = [
-            (a.start, a.end, a.hpo_id, a.negated, a.score)
-            for a in annotate_text(txt, mini)
-        ]
-        slow = [
-            (a.start, a.end, a.hpo_id, a.negated, a.score)
-            for a in annotate_text(txt, mini, scorer=lambda c: [])
-        ]
-        assert fast == slow, txt
+_PHRASES: dict = {}
+
+
+def _phrases(dag) -> list[str]:
+    if id(dag) not in _PHRASES:
+        _PHRASES[id(dag)] = sorted({p for n in dag.nodes.values()
+                                    for p in n.get("name", []) + n.get("synonym", [])})
+    return _PHRASES[id(dag)]
+
+
+def _kernel_texts(draw, dag) -> str:
+    """Text made of pieces that exercise each rule of the dictionary
+    kernel: dictionary phrases (also with one word made plural, which
+    can reorder the lemma key), filler, digits and number words,
+    conjunctions with one-token sides, phrases split around a conjunction
+    so that only the C3 ellipsis rebuilds them, negation cues, spliter
+    punctuation, sentence terminators, ``...`` runs at the start and
+    after a newline, ASCII chars the tokenizer treats specially, and
+    non-ASCII letters."""
+    phrases = st.sampled_from(_phrases(dag))
+    word = st.sampled_from(["patient", "shows", "today", "the", "of", "with",
+                            "x", "+", "%", "a1", "nan", "1_0"])
+    one = word | st.sampled_from(sorted(NUM2WORD)) | st.integers(0, 120).map(str)
+    plural = st.tuples(phrases.map(str.split), st.integers(0, 20)).map(
+        lambda t: " ".join(w + "s" * (i == t[1] % len(t[0])) for i, w in enumerate(t[0])))
+    split = phrases.filter(lambda p: " " in p).map(str.split).flatmap(lambda w: st.sampled_from([
+        ", " + " ".join(w[:-1]) + " today and " + w[-1] + " ,",
+        ", " + w[0] + " or today " + " ".join(w[1:]) + " ,"]))
+    piece = st.one_of(
+        phrases, plural, split, one,
+        st.tuples(one | phrases, st.sampled_from(["and", "or", "/"]), phrases
+                  ).map(" ".join),
+        st.tuples(phrases, st.sampled_from(["and", "or", "/"]), one).map(" ".join),
+        st.sampled_from(sorted(NEGATION_WORDS)),
+        st.sampled_from(list(",.;:()[]!?") + ["...", "\n", "\n...", "\n\n..!",
+                                              "_", "\r", "\t", "\x1c", "\x1d",
+                                              "\x1e", "\x1f", "\x7f"]),
+        st.sampled_from(["é", "Ölfleck", "ß", "İ", "ñandú", "‘quoted’"]),
+    )
+    pieces = draw(st.lists(st.tuples(piece, st.sampled_from([" ", " ", ""])),
+                           max_size=20))
+    return "".join(p + sep for p, sep in pieces)
+
+
+_EXAMPLES = [
+    "the fast key table scan. patient shows no grand mal seizure today.",
+    "patient shows broad thumbs and toes today. exam reveals hearing loss.",
+    "Noted: Febrile-Seizure today. dominant inheritance. 3 toes",
+    "seizure, hypotonia and obesity. normal gait",
+    "",
+    "....",
+    # lemma keys in surface order, out of lemma order (util.py:414-415)
+    "Absent kidney ons one side",
+    "Abnormality of hard tissues ofs teeth",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fast_path_equivalence(shipped_dag, data):
+    """The batch dictionary kernel gives exactly the reference-shaped slow
+    path's annotations (generate_candidates + dict_link, which a scorer
+    forces) on the shipped ontology, unseeded and NER-seeded."""
+    for txt in _EXAMPLES + [data.draw(st.composite(_kernel_texts)(shipped_dag))]:
+        assert annotate_text(txt, shipped_dag) == annotate_text(
+            txt, shipped_dag, scorer=lambda c: []), txt
+    bound = st.integers(0, len(txt))
+    seeds = data.draw(st.lists(st.tuples(bound, bound).map(sorted).map(tuple), max_size=4))
+    assert annotate_text(txt, shipped_dag, ner_segments=seeds) == annotate_text(
+        txt, shipped_dag, scorer=lambda c: [], ner_segments=seeds), (txt, seeds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kernel_is_batch_invariant(shipped_dag, data):
+    """One kernel call over many texts equals one call per text, whatever
+    the order, duplicates, empty texts or texts that end mid-sentence:
+    no segment or window crosses a text boundary."""
+    texts = data.draw(st.lists(st.composite(_kernel_texts)(shipped_dag)
+                               | st.sampled_from(["", "febrile", "seizure"]),
+                               max_size=8))
+    texts = data.draw(st.permutations(texts + texts[:data.draw(st.integers(0, 3))]))
+    assert annotate_texts(texts, shipped_dag) == [
+        annotate_text(t, shipped_dag) for t in texts]
+
+
+def test_class_table_matches_the_regexes():
+    assert all(
+        ((_TOKEN_RE.findall(ch * 2) == [ch * 2]) == bool(cls & linker._WORD))
+        and ((_TOKEN_RE.findall(ch * 2) == [ch, ch]) == bool(cls & linker._PUNCT))
+        and ((_SENT_RE.findall(f"a{ch}a") == [f"a{ch}", "a"]) == bool(cls & linker._TERM))
+        and ((_SENT_RE.findall(f"a{ch}a") == ["a", "\n", "a"]) == bool(cls & linker._NL))
+        for ch, cls in zip(map(chr, range(128)), linker._CLASSES.tolist()))
+
+
+def test_one_char_key_matches_only_inside_a_longer_part(mini):
+    """A part of one one-char token yields no window, as in the slow path;
+    inside a longer part the same token matches."""
+    dag = copy.deepcopy(mini)
+    dag.phrase2hpo["x"] = "HP:0001250"
+    dag.refresh_fingerprint()
+    for txt in ["x", "x seizure", "patient x", "x. x, x and seizure"]:
+        assert annotate_text(txt, dag) == annotate_text(txt, dag, scorer=lambda c: []), txt
+    assert [a.mention for a in annotate_text("patient x", dag)] == ["x"]
+
+
+def test_kernel_index_stays_out_of_the_broadcast():
+    """The dictionary kernel's index (and its token memo) is built on a
+    process's first probe; pickling the dag after that ships none of it."""
+    import pickle
+
+    from phenobert_ray.assets.mini_hpo import mini_dag
+
+    dag = mini_dag()
+    size = len(pickle.dumps(dag))
+    assert annotate_text("febrile seizure and hypotonia today.", dag)
+    assert hasattr(dag, "_kernel_idx")
+    assert len(pickle.dumps(dag)) == size
 
 
 def test_c3_ellipsis_only_on_seeded_spans():

@@ -47,7 +47,6 @@ def test_sentence_and_token_spans():
 
 def test_num_predicates():
     assert T.is_num("3.5") and T.is_num("7") and not T.is_num("3a")
-    assert T.contain_num("a3b") and not T.contain_num("abc")
 
 
 def test_lemmatize():
@@ -78,11 +77,6 @@ def test_lemmatize():
 def test_bag_keys():
     assert T.bag_key(["b", "a"]) == "a b"
     assert T.lemma_bag_key(["thumbs", "broad"]) == "broad thumb"
-
-
-def test_negation_words():
-    assert T.has_negation_cue(["shows", "no", "x"])
-    assert not T.has_negation_cue(["shows", "x"])
 
 
 def test_canonicalize_length_preserving_turkish_dotted_i():
