@@ -64,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kg output files, split by conversation hash "
                         "(at most one per input fragment)")
     p.add_argument("--batch-size", type=int, default=256,
-                   help="turns per kernel call inside an annotate task, on "
-                        "the dictionary and model paths alike; sizing only, "
-                        "never changes the output")
+                   help="distinct texts per kernel call inside an annotate "
+                        "task, on the dictionary and model paths alike; "
+                        "sizing only, never changes the output")
     p.add_argument("-t", "--threads", type=float, default=1.0,
                    help="CPUs reserved per annotate task (reference -t sets "
                         "torch intra-op threads, annotate.py:23; here the "

@@ -25,13 +25,13 @@ class PipelineConfig:
     # Ray sizing (never changes output).  The annotate stage is one
     # task-pool ``map_batches`` that hands each block to its own task on
     # both paths, fused into the read; ``annotate_batch_size`` sets the
-    # turns per kernel call inside a task.  ``run_kg_job`` reads a job's
-    # input as one block per annotate slot (``annotate_slots``): the
-    # cluster's CPUs over ``annotate_num_cpus`` on a model path
-    # (model_dir, use_model_standins or ner_path), half that on the
-    # dictionary path; it lifts Ray Data's per-operator CPU reservation
+    # distinct texts of a block per kernel call inside a task.
+    # ``run_kg_job`` reads a job's input as one block per annotate slot
+    # (``annotate_slots``): the cluster's CPUs over ``annotate_num_cpus``
+    # on a model path (model_dir, use_model_standins or ner_path), half
+    # that on the dictionary path; it lifts Ray Data's per-operator CPU reservation
     # on the job's own lineage, so the slot count is the cap.
-    annotate_batch_size: int = 256           # turns per kernel call
+    annotate_batch_size: int = 256           # distinct texts per kernel call
     annotate_num_cpus: float = 1.0           # CPUs reserved per task
 
     # keep negated mentions out of has_phenotype triples (annotations keep

@@ -16,14 +16,15 @@ Mirrors the control flow of the reference's ``annotate_phrases``
   L8      sort by span start (util.py:1193-1194)
   L9      alt-ID canonicalization (util.py:308,319-323)
 
-With a scorer, a text runs that chain as written.  Without one only Step 1
-can emit, and ``annotate_texts`` runs it as one columnar kernel over a batch
-of texts: a byte-class table cuts the joined ASCII texts into tokens and
-sentences, Arrow hands Python each distinct token once, C2/C3 segments and
-negation are cumsums over token flags, and every 1..maxk-token window is a
-multiset hash looked up by ``searchsorted``; Python checks only the hash
-hits, exactly.  NER-seeded and non-ASCII texts are cut by
-``candidates.generate_segments`` and enter the same probe.
+``annotate_texts`` annotates N texts into columns.  With a scorer, each
+text runs that chain as written.  Without one only Step 1 can emit, and it
+runs as one columnar kernel over all the texts: a byte-class table cuts
+the joined ASCII texts into tokens and sentences, Arrow hands Python each
+distinct token once, C2/C3 segments and negation are cumsums over token
+flags, and every 1..maxk-token window is a multiset hash looked up by
+``searchsorted``; Python checks only the hash hits, exactly.  NER-seeded
+and non-ASCII texts are cut by ``candidates.generate_segments`` and enter
+the same probe.  Both paths end in ``_finalize`` (L7-L9, column lists).
 """
 
 from __future__ import annotations
@@ -295,17 +296,24 @@ def _columnar_parts(flags, sent, tix):
             np.concatenate((p_neg, p_neg[pair]))[porder])
 
 
-def _finalize(text: str, results, dag: HpoDag) -> list[Annotation]:
-    return [Annotation(c.start, c.end, text[c.start:c.end], dag.canonical(hpo), round(score, 2),
-                       c.negated) for c, hpo, score in results]
+def _finalize(texts: Sequence[str], results: list[list], dag: HpoDag,
+              use_longest: bool) -> tuple[list, ...]:
+    """L7-L9 of each text's ``(candidate, hpo, score)`` results, as column
+    lists: text index, start, end, mention, hpo_id (alt ids canonical),
+    score (2 decimals) and negated, texts in order, then by start."""
+    results = [resolve_overlaps(r, use_longest=use_longest) if len(r) > 1 else r
+               for r in results]
+    idx = [i for i, r in enumerate(results) for _ in r]
+    hits = list(chain.from_iterable(results))
+    cands = [c for c, _, _ in hits]
+    return (idx, [c.start for c in cands], [c.end for c in cands],
+            [texts[i][c.start:c.end] for i, c in zip(idx, cands)],
+            [dag.canonical(h) for _, h, _ in hits], [round(s, 2) for _, _, s in hits],
+            [c.negated for c in cands])
 
 
-def annotate_texts(texts: Sequence[str], dag: HpoDag, use_longest: bool = True, ner=None,
-                   ner_segments: Sequence[list[tuple[int, int]] | None] | None = None,
-                   ) -> list[list[Annotation]]:
-    """``[annotate_text(t, dag, use_longest=use_longest, ner=ner) for t in
-    texts]`` as one columnar kernel (module docstring); ``ner_segments``
-    gives each text's C1 spans (None: unseeded) in place of ``ner``.
+def _dict_results(texts: Sequence[str], dag: HpoDag, ner_segments) -> list[list]:
+    """Step 1 of every text as one columnar kernel (module docstring).
 
     A window's surface key is its ids, sorted; its lemma key is the lemma
     ids of its tokens in their text-sorted order (the reference sorts by
@@ -314,9 +322,6 @@ def annotate_texts(texts: Sequence[str], dag: HpoDag, use_longest: bool = True, 
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    if ner_segments is None:
-        ner_segments = [None if ner is None else
-                        ner.predict_segments(canonicalize_for_segmentation(t)) for t in texts]
     # unseeded ASCII texts go to the byte tokenizer as they are
     canon = [t if s is None and t.isascii() else canonicalize_for_segmentation(t)
              for t, s in zip(texts, ner_segments)]
@@ -396,8 +401,52 @@ def annotate_texts(texts: Sequence[str], dag: HpoDag, use_longest: bool = True, 
             p = part[i]
             results[p_text[p]].append((Candidate(words, start[i:i + k], start[i],
                                                  end[i + k - 1], p_neg[p]), hit, 1.0))
-    return [_finalize(text, resolve_overlaps(r, use_longest=use_longest) if len(r) > 1 else r, dag)
-            for text, r in zip(texts, results)]
+    return results
+
+
+def _annotate(texts, dag, scorer, use_longest, ner, ner_segments) -> tuple[list, ...]:
+    """The column lists of ``annotate_texts``.  With a scorer, each text
+    runs the reference chain: C1-C4 → Step 1 + L2 → the scorer on the
+    survivors (one call per text).  The chain's functions are module
+    globals, looked up per call: kgperf's replay wraps them."""
+    if ner_segments is None:
+        # C1 seeding (ref annotate.py:47, util.py:891-917): PROBLEM spans
+        # from the tagger; sentences with no hit are skipped downstream
+        ner_segments = [None if ner is None else
+                        ner.predict_segments(canonicalize_for_segmentation(t)) for t in texts]
+    if scorer is None:
+        return _finalize(texts, _dict_results(texts, dag, ner_segments), dag, use_longest)
+    results = []
+    for text, segs in zip(texts, ner_segments):
+        # Reference fidelity (util.py:885-889): the document gets ONLY
+        # length-preserving transforms; the hyphen-deleting rewrite is for
+        # dictionary keys alone (processStr, util.py:714) and, run on the
+        # document, drifted every later span off the GSC+ gold offsets.
+        canon = canonicalize_for_segmentation(text)
+        hits, survivors = dict_link(generate_candidates(canon, segs), dag)
+        if survivors:
+            hits = hits + list(scorer(survivors))
+        results.append(hits)
+    return _finalize(texts, results, dag, use_longest)
+
+
+# the columns of ``annotate_texts``, as ``_finalize`` writes them
+COLUMNS = ("text_idx", "start", "end", "mention", "hpo_id", "score", "negated")
+
+
+def annotate_texts(texts: Sequence[str], dag: HpoDag, scorer: Scorer | None = None,
+                   use_longest: bool = True, ner=None,
+                   ner_segments: Sequence[list[tuple[int, int]] | None] | None = None):
+    """One ``pyarrow.Table`` row per annotation of ``texts`` (``COLUMNS``;
+    ``text_idx`` is the text's position), in text order, then by start.
+    ``ner_segments`` gives each text's C1 spans (None: unseeded) in place
+    of ``ner``."""
+    import pyarrow as pa
+
+    # the types of stages.annotate.ANNOTATIONS_SCHEMA
+    types = (pa.int32(),) * 3 + (pa.string(),) * 2 + (pa.float32(), pa.bool_())
+    cols = _annotate(texts, dag, scorer, use_longest, ner, ner_segments)
+    return pa.table(dict(zip(COLUMNS, map(pa.array, cols, types))))
 
 
 def annotate_text(
@@ -413,23 +462,9 @@ def annotate_text(
     Equivalent of the reference's per-document
     ``process_text2phrases`` + ``annotate_phrases`` chain
     (annotate.py:61-67), returning structured rows instead of TSV lines.
-    Without a scorer it is the one-text case of ``annotate_texts``.
+    It is the one-text case of ``annotate_texts``, read off the same
+    column lists without building Arrow arrays.
     """
-    if scorer is None:
-        return annotate_texts([text], dag, use_longest, ner,
-                              None if ner_segments is None else [ner_segments])[0]
-    # Reference fidelity (util.py:885-889): the offset-bearing document text
-    # gets ONLY length-preserving transforms (lowercase + accent fold +
-    # punct→space + newline→'.').  The hyphen-deleting type-notation rewrite
-    # applies to DICTIONARY keys alone (processStr, util.py:714) — running it
-    # on the document would shift every offset after the first deletion
-    # (measured as a cumulative span drift vs GSC+ gold).
-    canon = canonicalize_for_segmentation(text)
-    if ner is not None and ner_segments is None:
-        # C1 seeding (ref annotate.py:47, util.py:891-917): PROBLEM spans
-        # from the tagger; sentences with no hit are skipped downstream
-        ner_segments = ner.predict_segments(canon)
-    results, survivors = dict_link(generate_candidates(canon, ner_segments), dag)
-    if survivors:
-        results = results + list(scorer(survivors))
-    return _finalize(text, resolve_overlaps(results, use_longest=use_longest), dag)
+    _, *cols = _annotate([text], dag, scorer, use_longest, ner,
+                         None if ner_segments is None else [ner_segments])
+    return list(map(Annotation, *cols))

@@ -146,18 +146,21 @@ def silver_sentences(texts: dict[str, str], dag) -> list[dict]:
     {words, labels, doc_id}.  A token is PROBLEM iff it lies inside a
     Step-1 dictionary match of the engine's own linker (the silver
     supervision; gold annotations are never read here)."""
-    from .linker import annotate_text
+    from .linker import annotate_texts
     from .textops import canonicalize_for_segmentation, sentence_spans, \
         token_spans
 
+    docs = sorted(texts.items())
+    canons = [canonicalize_for_segmentation(text) for _, text in docs]
+    # one kernel call over every document.  The linker canonicalizes
+    # internally; the transform is idempotent and length-preserving, so
+    # passing canon skips a second full pass over every document
+    ann = annotate_texts(canons, dag).select(["text_idx", "start", "end"]).to_pydict()
+    doc_spans: list[list] = [[] for _ in docs]
+    for i, a, b in zip(*ann.values()):
+        doc_spans[i].append((a, b))
     out = []
-    for doc_id, text in sorted(texts.items()):
-        canon = canonicalize_for_segmentation(text)
-        # annotate_text canonicalizes internally; the transform is
-        # idempotent and length-preserving, so passing canon skips a
-        # second full pass over every document
-        anns = annotate_text(canon, dag)
-        spans = [(a.start, a.end) for a in anns]
+    for (doc_id, _), canon, spans in zip(docs, canons, doc_spans):
         for s, e in sentence_spans(canon):
             toks = [(canon[s + a:s + b], s + a, s + b)
                     for a, b in token_spans(canon[s:e])]

@@ -9,33 +9,32 @@ hard-part (b)).  Fusing them means zero shuffles before the triple
 materialize step, and turn-level rows keep blocks balanced.
 
 The stage state is broadcast once per Ray session (``_broadcast``) and
-deserialized once per worker process — never re-shipped per batch
+deserialized once per worker process — never re-shipped per block
 (SURVEY.md §2.5).  On the dictionary path it is the ontology (the shipped
 DAG pickles to ~4.6 MB); on a model path it is ``(dag, scorer, ner)``,
 built once on the driver (~36 MB for ``-m builtin``), so no worker loads
 checkpoints.  Every path maps each block whole (``batch_size=None``),
 so Ray fuses the stage into the read that feeds it: one
-``ReadParquetTurns->MapBatches(_annotate_task)`` task per read task, each
-block sliced into ``annotate_batch_size`` turns per kernel call.
+``ReadParquetTurns->MapBatches(_annotate_task)`` task per read task, which
+annotates each distinct text of its block once (``_annotate_block``).
 ``run_kg_job`` plans its read as one row range per annotate slot, so each
 slot runs one such task per job (a range may span several fragments or
 part of one).
 The scorers are numpy (``models_np``, ``bert_np``, ``ner_np``), so the
 stage reserves CPUs only.
-``AnnotateTurns`` is the same stage run in-process, one batch per call.
+``AnnotateTurns`` is the same stage run in-process, one block per call.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 import pyarrow as pa
 import ray
 
+from .. import linker  # looked up per call, so a test can spy on annotate_texts
 from ..assets.hpo_dag import HpoDag
 from ..config import PipelineConfig
-from ..linker import annotate_text, annotate_texts
+from ..linker import annotate_text  # noqa: F401  kgperf's replay wraps this name
 from ..standins import build_models
 
 ANNOTATIONS_SCHEMA = pa.schema(
@@ -62,7 +61,7 @@ _STATE_CACHE: dict = {}
 
 def _state_key(fingerprint, cfg: PipelineConfig) -> tuple:
     # every output-changing field is in this key, or a reused worker
-    # silently serves state (and memoized rows) built under other thresholds
+    # silently serves state built under other thresholds
     return (fingerprint, *cfg.output_identity())
 
 
@@ -72,7 +71,7 @@ def carries_model(cfg: PipelineConfig) -> bool:
 
 
 def _load_state(src, cfg: PipelineConfig, fingerprint: str | None = None):
-    """This worker's ``(dag, scorer, memo, ner)``.  ``src`` is the session's
+    """This worker's ``(dag, scorer, ner)``.  ``src`` is the session's
     broadcast ref (``_broadcast``) or a plain dag.  A ref resolves to the
     driver-built ``(dag, scorer, ner)`` or, on the dictionary path, to the
     dag; a dag has its models (if any) built in-process.  Keyed on the
@@ -84,95 +83,60 @@ def _load_state(src, cfg: PipelineConfig, fingerprint: str | None = None):
     state = _STATE_CACHE.get(key)
     if state is None:
         obj = ray.get(src) if isinstance(src, ray.ObjectRef) else src
-        dag, scorer, ner = obj if isinstance(obj, tuple) else (obj, *build_models(obj, cfg))
-        # memo: turn text → annotation rows.  Web-scale transcripts repeat
-        # short turns constantly ("ok", tool boilerplate); identical text ⇒
-        # identical annotations, so this is pure dedup of CPU work.
-        state = (dag, scorer, {}, ner)
+        state = obj if isinstance(obj, tuple) else (obj, *build_models(obj, cfg))
         _STATE_CACHE.clear()  # hold at most one ontology per worker
         _STATE_CACHE[key] = state
     return state
 
 
-# Only short turns are memoized: the memo targets verbatim-repeated turns
-# ("ok", tool boilerplate), which are short; admitting arbitrary-length
-# texts let a corpus of unique 50 KB turns grow the memo to ~10 GB per
-# worker.  The memo lives for one block (``_annotate_block``), so its keys
-# are bounded by one block's short turns.
-_MEMO_MAX_TEXT_LEN = 1024
-
-
-def _annotate_batch(batch: pa.Table, dag: HpoDag, scorer, cfg: PipelineConfig,
-                    memo: dict | None = None, ner=None) -> pa.Table:
-    """One annotation row per mention (ANNOTATIONS_SCHEMA).  A batch read
-    with ``include_paths=True`` keeps its ``path`` column on each row, so
-    the KG job can dedup per input fragment."""
-    texts = batch.column("text").to_pylist()
-    # each distinct text of the batch is annotated once, and the
-    # dictionary kernel takes all of the memo misses in one call
-    memo = {} if memo is None else memo
-    index: dict = {}
-    tid = np.array([index.setdefault(text, len(index)) for text in texts], np.int64)
-    uniq = list(index)
-    rows = [memo.get(text) for text in uniq]
-    todo = [j for j, r in enumerate(rows) if r is None]
-    miss = [uniq[j] for j in todo]
-    if scorer is None:
-        fresh = annotate_texts(miss, dag, use_longest=cfg.use_longest, ner=ner)
-    else:
-        fresh = [annotate_text(text, dag, scorer=scorer, use_longest=cfg.use_longest,
-                               ner=ner) for text in miss]
-    for j, anns in zip(todo, fresh):
-        rows[j] = [(a.start, a.end, a.mention, a.hpo_id, a.score, a.negated) for a in anns]
-        if len(uniq[j]) <= _MEMO_MAX_TEXT_LEN:
-            memo[uniq[j]] = rows[j]
+def _annotate_block(block: pa.Table, state, cfg: PipelineConfig) -> pa.Table:
+    """One annotation row per mention (ANNOTATIONS_SCHEMA), in turn order.
+    Each distinct text of ``block`` goes to the kernel once,
+    ``cfg.annotate_batch_size`` at a time (bounding one call's memory);
+    the rows are expanded to the turns by ``take``.  A ``path`` column
+    (``include_paths=True``) is kept on each row, for per-fragment dedup."""
+    dag, scorer, ner = state
+    enc = block.column("text").combine_chunks().dictionary_encode()
+    step = max(1, cfg.annotate_batch_size)
+    parts = []
+    for i in range(0, max(1, len(enc.dictionary)), step):
+        texts = enc.dictionary.slice(i, step).to_numpy(zero_copy_only=False).tolist()
+        part = linker.annotate_texts(texts, dag, scorer, cfg.use_longest, ner)
+        parts.append(part.set_column(0, "text_idx", pa.array(part.column(0).to_numpy() + i)))
+    ann = pa.concat_tables(parts)
 
     # output row r is row r - (first output row of its turn) of its text's
-    # rows, which start at row text_first of all the texts' rows
-    n_rows = np.array([len(r) for r in rows], np.int64)
+    # rows, which start at row text_first of the annotations
+    tid = enc.indices.to_numpy()
+    n_rows = np.bincount(ann.column("text_idx").to_numpy(), minlength=len(enc.dictionary))
     per_turn = n_rows[tid]
-    turn = np.repeat(np.arange(len(texts)), per_turn)
+    turn = np.repeat(np.arange(len(tid)), per_turn)
     text_first = (np.cumsum(n_rows) - n_rows)[tid]
     at = np.arange(len(turn)) + np.repeat(text_first - np.cumsum(per_turn) + per_turn, per_turn)
-    cols = list(zip(*chain.from_iterable(rows))) or [()] * 6
     out = pa.Table.from_arrays(
-        [batch.column("conv_id").take(turn), batch.column("turn_idx").take(turn)]
-        + [pa.array(v, f.type).take(at)
-           for v, f in zip(cols, list(ANNOTATIONS_SCHEMA)[2:])],
+        [block.column("conv_id").take(turn), block.column("turn_idx").take(turn)]
+        + ann.drop_columns("text_idx").take(at).columns,
         names=ANNOTATIONS_SCHEMA.names,
     ).cast(ANNOTATIONS_SCHEMA)
-    if "path" not in batch.column_names:
+    if "path" not in block.column_names:
         return out
-    return out.append_column("path", batch.column("path").take(turn))
-
-
-def _annotate_block(block: pa.Table, state, cfg: PipelineConfig) -> pa.Table:
-    """Annotate ``block`` ``cfg.annotate_batch_size`` turns per kernel call
-    (each task gets a whole block), which bounds the memory of one call.
-    The memo is cleared first, so it lives for one block: a text repeated
-    in a later block, of the same job or another, is annotated again.
-    Jobs rarely repeat each other's texts, so entries kept across blocks
-    mostly held memory."""
-    dag, scorer, memo, ner = state
-    memo.clear()
-    step = max(1, cfg.annotate_batch_size)
-    return pa.concat_tables([
-        _annotate_batch(block.slice(i, step), dag, scorer, cfg, memo, ner)
-        for i in range(0, max(1, block.num_rows), step)])
+    return out.append_column("path", block.column("path").take(turn))
 
 
 class AnnotateTurns:
     """The stage in-process, without Ray Data: ``__init__`` loads the
     state a worker would hold (``dag_ref`` is a broadcast ref or a plain
-    dag), and each ``__call__`` annotates one batch as ``_annotate_task``
-    does.  Profilers replay batches through it, reading ``.memo``,
-    ``.scorer`` and ``.ner``."""
+    dag), and each ``__call__`` annotates one block as ``_annotate_task``
+    does.  Profilers replay blocks through it, reading ``.scorer`` and
+    ``.ner``."""
+
+    memo: dict = {}  # always empty (no memo); kgperf's replay still clears it
 
     def __init__(self, dag_ref, cfg: PipelineConfig | None = None,
                  fingerprint: str | None = None):
         self.cfg = cfg or PipelineConfig()
         self.state = _load_state(dag_ref, self.cfg, fingerprint)
-        self.dag, self.scorer, self.memo, self.ner = self.state
+        self.dag, self.scorer, self.ner = self.state
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return _annotate_block(batch, self.state, self.cfg)
@@ -180,8 +144,7 @@ class AnnotateTurns:
 
 def _annotate_task(batch: pa.Table, dag_ref=None, cfg: PipelineConfig | None = None,
                    fingerprint: str | None = None) -> pa.Table:
-    # the advertised default was a guaranteed AttributeError: _load_state
-    # and _annotate_batch both dereference cfg fields
+    # defaulted here: _load_state and _annotate_block both read cfg fields
     cfg = cfg or PipelineConfig()
     return _annotate_block(batch, _load_state(dag_ref, cfg, fingerprint), cfg)
 
@@ -221,8 +184,8 @@ def annotate_turns(turns_ds, dag: HpoDag, cfg: PipelineConfig | None = None):
     Ray session (``_broadcast``) and cached per worker process.  Each block
     is mapped whole (``batch_size=None``), so Ray fuses the map into the
     read that feeds it and the read's task count is the annotate task
-    count; ``annotate_batch_size`` sets the turns per kernel call inside
-    the task, never the output."""
+    count; ``annotate_batch_size`` sets the distinct texts per kernel call
+    inside the task, never the output."""
     cfg = cfg or PipelineConfig()
     return turns_ds.map_batches(
         _annotate_task,

@@ -264,18 +264,35 @@ def test_fast_path_equivalence(shipped_dag, data):
         txt, shipped_dag, scorer=lambda c: [], ner_segments=seeds), (txt, seeds)
 
 
+@pytest.fixture(scope="module")
+def standin(shipped_dag):
+    from phenobert_ray.config import PipelineConfig
+    from phenobert_ray.standins import StandInScorer
+
+    # loose thresholds, so the scorer's spans meet the dictionary's in L7
+    return StandInScorer(shipped_dag, PipelineConfig(param1=0.5, param2=0.0, param3=0.0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_kernel_is_batch_invariant(shipped_dag, data):
-    """One kernel call over many texts equals one call per text, whatever
-    the order, duplicates, empty texts or texts that end mid-sentence:
-    no segment or window crosses a text boundary."""
+def test_kernel_is_batch_invariant(shipped_dag, standin, data):
+    """One ``annotate_texts`` call over many texts has the rows of one
+    ``annotate_text`` call per text, with or without a scorer, whatever
+    the order, duplicates, empty texts or texts that end mid-sentence: no
+    segment or window crosses a text boundary."""
+    import pyarrow as pa
+
     texts = data.draw(st.lists(st.composite(_kernel_texts)(shipped_dag)
                                | st.sampled_from(["", "febrile", "seizure"]),
                                max_size=8))
     texts = data.draw(st.permutations(texts + texts[:data.draw(st.integers(0, 3))]))
-    assert annotate_texts(texts, shipped_dag) == [
-        annotate_text(t, shipped_dag) for t in texts]
+    for scorer in (None, lambda c: [], standin):
+        got = annotate_texts(texts, shipped_dag, scorer=scorer)
+        rows = [dict(zip(linker.COLUMNS, (i, a.start, a.end, a.mention, a.hpo_id, a.score,
+                                          a.negated)))
+                for i, t in enumerate(texts) for a in annotate_text(t, shipped_dag, scorer=scorer)]
+        assert got.column_names == list(linker.COLUMNS)
+        assert got.equals(pa.Table.from_pylist(rows, got.schema)), (scorer, texts)
 
 
 def test_class_table_matches_the_regexes():

@@ -329,50 +329,48 @@ def test_annotate_task_default_cfg(mini):
     assert out.column("hpo_id").to_pylist()[0].startswith("HP:")
 
 
-def test_memo_skips_long_turns(mini):
-    """The per-worker memo admits only short texts: unique long turns must
-    not accumulate (review r4 w8 memory bound)."""
+def test_block_annotates_each_distinct_text_once(mini, monkeypatch):
+    """Each distinct text of a block reaches the linker once, whatever
+    its length and however far apart its repeats fall in the block; a
+    text of an earlier block is annotated again.  The expanded rows equal
+    one linker call per turn."""
     import pyarrow as pa
 
+    from phenobert_ray import linker
     from phenobert_ray.config import PipelineConfig
-    from phenobert_ray.stages.annotate import (
-        _MEMO_MAX_TEXT_LEN,
-        _annotate_batch,
-    )
+    from phenobert_ray.stages.annotate import ANNOTATIONS_SCHEMA, AnnotateTurns
 
-    memo = {}
-    long_text = "patient shows seizure today. " * 200  # ≫ cap
-    short_text = "patient shows seizure today"
-    assert len(long_text) > _MEMO_MAX_TEXT_LEN >= len(short_text)
-    batch = pa.table({
-        "conv_id": pa.array(["a", "b"], pa.string()),
-        "turn_idx": pa.array([0, 0], pa.int32()),
-        "text": pa.array([long_text, short_text], pa.string()),
-    })
-    _annotate_batch(batch, mini, None, PipelineConfig(), memo=memo)
-    assert short_text in memo and long_text not in memo
+    calls = []
+    kernel = linker.annotate_texts
 
+    def spy(texts, *args, **kwargs):
+        calls.append(list(texts))
+        return kernel(texts, *args, **kwargs)
 
-def test_memo_lives_for_one_block(mini):
-    """A worker's memo holds only the block it is annotating: texts of
-    earlier blocks (other jobs) are not kept."""
-    import pyarrow as pa
-
-    from phenobert_ray.stages.annotate import AnnotateTurns
+    monkeypatch.setattr(linker, "annotate_texts", spy)
 
     def block(texts):
         return pa.table({
-            "conv_id": pa.array(["c"] * len(texts), pa.string()),
+            "conv_id": pa.array([f"c{i % 2}" for i in range(len(texts))], pa.string()),
             "turn_idx": pa.array(range(len(texts)), pa.int32()),
             "text": pa.array(texts, pa.string()),
         })
 
-    stage = AnnotateTurns(mini)
-    first = stage(block(["seizure", "ptosis"]))
-    assert set(stage.memo) == {"seizure", "ptosis"}
-    stage(block(["hearing impairment", "seizure"]))
-    assert set(stage.memo) == {"hearing impairment", "seizure"}
-    assert stage(block(["seizure", "ptosis"])).equals(first)
+    long_text = "patient shows seizure today. " * 200  # > 1 KiB
+    assert len(long_text) > 1024
+    texts = [long_text, "seizure", "ptosis", "seizure", "no seizure", "ok", long_text]
+    stage = AnnotateTurns(mini, PipelineConfig(annotate_batch_size=2))
+    out = stage(block(texts))
+    seen = [t for c in calls for t in c]
+    assert sorted(seen) == sorted(set(texts)) and max(map(len, calls)) == 2
+    rows = [(f"c{i % 2}", i, a.start, a.end, a.mention, a.hpo_id, a.score, a.negated)
+            for i, t in enumerate(texts) for a in linker.annotate_text(t, mini)]
+    assert out.equals(pa.Table.from_pylist(
+        [dict(zip(ANNOTATIONS_SCHEMA.names, r)) for r in rows], ANNOTATIONS_SCHEMA))
+
+    calls.clear()
+    stage(block(["seizure", "hearing impairment"]))
+    assert sorted(t for c in calls for t in c) == ["hearing impairment", "seizure"]
 
 
 def test_cooccurrence_pmi_matches_serial(sf_small, mini_session_dag):

@@ -42,11 +42,11 @@ def test_ckpt_refuses_malicious_globals(tmp_path):
         read_state_dict(p)
 
 
-def test_loaded_weights_drive_annotate_batch(mini, tmp_path):
+def test_loaded_weights_drive_annotate_block(mini, tmp_path):
     """load_torch_scorer on a reference-layout fixture, end-to-end through
-    one annotate_turns batch with the model stages active."""
+    one annotate stage block with the model stages active."""
     from phenobert_ray.config import PipelineConfig
-    from phenobert_ray.stages.annotate import _annotate_batch
+    from phenobert_ray.stages.annotate import _annotate_block
     from phenobert_ray.standins import DIM, LoadedEmbeddingCache, load_torch_scorer
     from phenobert_ray.state.torch_ckpt import write_state_dict
 
@@ -76,7 +76,7 @@ def test_loaded_weights_drive_annotate_batch(mini, tmp_path):
             ],
         }
     )
-    out = _annotate_batch(batch, mini, scorer, cfg)
+    out = _annotate_block(batch, (mini, scorer, None), cfg)
     assert out.num_rows >= 1
     assert set(out.column("hpo_id").to_pylist()) <= set(
         h for h in mini.abnormality
