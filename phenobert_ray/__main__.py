@@ -56,10 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "'builtin' selects the packaged tagger); default "
                         "pseudo-seeding")
     p.add_argument("--dict", dest="dict_path", default=None,
-                   help="phrase dictionary: train.txt pairs, hpo.json or .obo "
-                        "(default: built-in mini ontology)")
+                   help="ontology: a reference hpo.json, an engine node-table "
+                        ".json (e.g. assets/trained/DAG.json), an .obo file, "
+                        "or train.txt (phrase, HP id) pairs (default: built-in "
+                        "mini ontology)")
     p.add_argument("--simplified-keys", action="store_true",
-                   help="also index stopword-free dictionary keys (+recall)")
+                   help="also index each name's and synonym's stopword-free "
+                        "key (+recall), for every --dict format")
     p.add_argument("--shards", type=int, default=4,
                    help="kg output files, split by conversation hash "
                         "(at most one per input fragment)")
@@ -87,7 +90,7 @@ def main(argv=None) -> int:
             use_longest=not args.al, use_step_3=not args.nb,
             annotate_batch_size=args.batch_size,
             annotate_num_cpus=args.threads)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, ValueError) as e:  # before any output
         print(str(e), file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .assets.hpo_dag import HpoDag
 from .config import PipelineConfig
-from .linker import annotate_text as _annotate
+from .linker import annotate_text as _annotate, tsv_line
 from .standins import StandInScorer, _EmbeddingCache
 from .textops import process_str
 
@@ -37,15 +37,7 @@ def annotate_text(text: str, dag: HpoDag | None = None, use_standins: bool = Fal
     else:
         scorer = StandInScorer(dag) if use_standins else None
     anns = _annotate(text, dag, scorer=scorer, **kwargs)
-    if not as_tsv:
-        return anns
-    lines = []
-    for a in anns:
-        line = f"{a.start}\t{a.end}\t{a.mention}\t{a.hpo_id}\t{'%.2f' % a.score}"
-        if a.negated:
-            line += "\tNeg"
-        lines.append(line)
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(tsv_line(**vars(a)) for a in anns) if as_tsv else anns
 
 
 def get_L1_HPO_term(phrases: list[str], dag: HpoDag | None = None) -> list[list[str]]:

@@ -6,16 +6,15 @@ broadcast state, never shuffled (SURVEY.md §2.5).
 
 Node input format: ``{hpo_id: {"name": [..], "synonym": [..],
 "alt_id": [..], "is_a": [..], "def": str}}`` — the same information content
-as the reference's ``data/hpo.json`` (node schema at util.py:27-44), built
-either from a real ontology dump or from the synthetic mini ontology in
-``mini_hpo.py``.
+as the reference's ``data/hpo.json`` (node schema at util.py:27-44).
+``assets.loader.load_ontology`` turns every ontology format into it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
-from ..textops import bag_key, lemma_bag_key, process_str
+from ..textops import bag_key, lemma_bag_key, process_str, simplify
 
 ROOT = "HP:0000118"  # "Phenotypic abnormality" (util.py:296)
 
@@ -28,10 +27,20 @@ class HpoDag:
     sorted concept list, hpo2idx, alt-ID map, sorted-token-bag phrase
     dictionary, L1 layer (direct sons of the root), BFS min-depth table,
     full ancestor/descendant closures.
+
+    ``phrase2hpo`` holds the reference key (util.py:324-327) of every name
+    and synonym.  ``simplified_keys=True`` then adds each one's simplified
+    bag (``textops.simplify``: stopwords and numbers dropped, digits turned
+    into number words — what a candidate's tokens go through), nodes in
+    order, names before synonyms: the first such bag wins, and none
+    replaces a reference key.  It reaches phrases whose reference key
+    holds a stopword no candidate can carry; False keeps strict reference
+    Step-1 parity.
     """
 
     nodes: dict[str, dict]
     root: str = ROOT
+    simplified_keys: InitVar[bool] = False
     # derived:
     parents: dict[str, set] = field(default_factory=dict)
     children: dict[str, set] = field(default_factory=dict)
@@ -48,7 +57,7 @@ class HpoDag:
     depth: dict[str, int] = field(default_factory=dict)
     name_of: dict[str, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, simplified_keys: bool) -> None:
         self.parents = {h: set(n.get("is_a", ())) for h, n in self.nodes.items()}
         self.children = {h: set() for h in self.nodes}
         for h, ps in self.parents.items():
@@ -73,14 +82,12 @@ class HpoDag:
             self.name_of[h] = names[0] if names else h
             for phrase in set(list(names) + list(n.get("synonym", ()))):
                 self.phrase2hpo[bag_key(process_str(phrase))] = h
-
-        self.max_phrase_tokens = max(
-            (len(k.split()) for k in self.phrase2hpo), default=0
-        )
-        # token vocabulary across all dictionary keys: a window can only
-        # bag-match if EVERY one of its tokens is in this set (pruning index
-        # for the fast dict-probe path)
-        self.phrase_vocab = {t for k in self.phrase2hpo for t in k.split()}
+        if simplified_keys:
+            for h, n in self.nodes.items():
+                for phrase in [*n.get("name", ()), *n.get("synonym", ())]:
+                    simp = simplify(process_str(phrase))
+                    if simp:
+                        self.phrase2hpo.setdefault(bag_key(simp), h)
 
         # BFS min-depth from root (util.py:329-349); multi-parent nodes get
         # their minimum depth.
@@ -113,9 +120,9 @@ class HpoDag:
         return state
 
     def refresh_fingerprint(self) -> None:
-        """Recompute after any post-construction dictionary mutation
-        (e.g. simplified-key indexing).  Full-content hash: the resume
-        machinery (``pipelines.annotate._job_identity``) folds this into
+        """Recompute after any post-construction dictionary mutation.
+        Full-content hash: the resume machinery
+        (``pipelines.annotate._job_identity``) folds this into
         every fragment's identity, so two ontologies that differ in ANY
         phrase mapping or is_a edge must never collide (a changed ontology
         on a reused out_dir must invalidate every fragment).  Also refreshes the derived
@@ -125,6 +132,9 @@ class HpoDag:
         self.max_phrase_tokens = max(
             (len(k.split()) for k in self.phrase2hpo), default=0
         )
+        # token vocabulary across all dictionary keys: a window can only
+        # bag-match if EVERY one of its tokens is in this set (pruning index
+        # for the fast dict-probe path)
         self.phrase_vocab = {t for k in self.phrase2hpo for t in k.split()}
         import hashlib as _hl
 
@@ -171,12 +181,6 @@ class HpoDag:
         if hit:
             return hit
         return self.phrase2hpo.get(lemma_bag_key(toks), "")
-
-    def match_tokens(self, tokens: list[str]) -> str:
-        hit = self.phrase2hpo.get(bag_key(tokens), "")
-        if hit:
-            return hit
-        return self.phrase2hpo.get(lemma_bag_key(tokens), "")
 
     def in_abnormality(self, hpo: str) -> bool:
         return hpo in self.abnormality_nt
@@ -228,44 +232,3 @@ class HpoDag:
                 if p in self.abnormality:
                     out.append((h, p))
         return out
-
-
-def dag_from_phrase_pairs(
-    pairs: list[tuple[str, str]], simplified_keys: bool = False
-) -> HpoDag:
-    """Build a dictionary-only DAG from (phrase, hpo_id) pairs — the shape of
-    the reference's models/train.txt name+synonym dump (48,600 lines).  No
-    is_a structure is available from that file, so every term is attached
-    directly under the root (flat DAG): dictionary linking works at full
-    fidelity, subtree filtering degenerates to membership.
-
-    simplified_keys=True additionally indexes each phrase's *simplified*
-    bag (stopwords/digits dropped, digits → number words — the same
-    transform candidates undergo), recovering matches the reference's
-    stopword-bearing keys can never make (measured +1.6pt recall on GSC+
-    gold); False preserves strict reference Step-1 parity.
-    """
-    nodes: dict[str, dict] = {ROOT: {"name": ["Phenotypic abnormality"], "is_a": []}}
-    for phrase, hpo in pairs:
-        n = nodes.setdefault(hpo, {"name": [], "synonym": [], "is_a": [ROOT]})
-        if not n["name"]:
-            n["name"] = [phrase]
-        else:
-            n.setdefault("synonym", []).append(phrase)
-    dag = HpoDag(nodes)
-    if simplified_keys:
-        from ..textops import NUM2WORD, STOPWORDS, is_num, process_str
-
-        for phrase, hpo in pairs:
-            toks = process_str(phrase)
-            simp = [
-                t
-                for t in (NUM2WORD.get(x, x) for x in toks)
-                if t not in STOPWORDS and not is_num(t)
-            ]
-            if simp and simp != toks:
-                dag.phrase2hpo.setdefault(bag_key(simp), hpo)
-        dag.phrase_vocab = {t for k in dag.phrase2hpo for t in k.split()}
-        dag.max_phrase_tokens = max(len(k.split()) for k in dag.phrase2hpo)
-        dag.refresh_fingerprint()
-    return dag

@@ -1,8 +1,11 @@
-"""S4: ontology loaders for real HPO dumps.
+"""S4: ontology loaders.
 
-Supports the reference's ``hpo.json`` node layout (dict-of-dicts keyed by
-``HP:...`` with ``Name/Alt_id/Synonym/Is_a`` fields, util.py:27-44) and a
-minimal ``.obo`` parser, normalized into the node format HpoDag consumes.
+:func:`load_ontology` reads every ontology format into the node table
+HpoDag consumes: the reference's ``hpo.json`` (dict-of-dicts keyed by
+``HP:...`` with ``Name/Alt_id/Synonym/Is_a`` fields, util.py:27-44), the
+engine's own node table (lowercase ``name/synonym/alt_id/is_a``, the
+``DAG.json`` that ``train_np`` and ``tools/import_reference_weights.py``
+write), a minimal ``.obo`` parser and ``train.txt``-style phrase pairs.
 Assets build once on the driver and broadcast (SURVEY.md §2.5).
 ``resolve_entry`` is the set-up every entry point runs: ontology loader,
 ``builtin`` asset paths and the threshold defaults.
@@ -13,7 +16,10 @@ from __future__ import annotations
 import json
 import re
 
-from .hpo_dag import HpoDag
+from .hpo_dag import ROOT, HpoDag
+
+# hpo.json field → node-table field
+_REF_FIELDS = {"Name": "name", "Synonym": "synonym", "Alt_id": "alt_id", "Is_a": "is_a"}
 
 
 def _norm_strlist(v) -> list[str]:
@@ -24,21 +30,28 @@ def _norm_strlist(v) -> list[str]:
     return list(v)
 
 
-def dag_from_hpo_json(path: str) -> HpoDag:
-    """Load the reference's hpo.json format (util.py:284-285)."""
+def _nodes_from_json(path: str) -> dict[str, dict]:
+    """The node table of a reference ``hpo.json`` (util.py:284-285) or of
+    an engine node table, told apart by their field names; a file whose
+    nodes carry neither set is refused."""
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
-    nodes = {}
-    for hpo, d in data.items():
-        nodes[hpo] = {
-            "name": _norm_strlist(d.get("Name")),
-            "synonym": [
-                _extract_quoted(s) for s in _norm_strlist(d.get("Synonym"))
-            ],
-            "alt_id": _norm_strlist(d.get("Alt_id")),
-            "is_a": [s.split(" !")[0].strip() for s in _norm_strlist(d.get("Is_a"))],
+    nodes = list(data.values()) if isinstance(data, dict) else []
+    if any(isinstance(d, dict) and not _REF_FIELDS.keys().isdisjoint(d) for d in nodes):
+        return {
+            hpo: {
+                "name": _norm_strlist(d.get("Name")),
+                "synonym": [_extract_quoted(s) for s in _norm_strlist(d.get("Synonym"))],
+                "alt_id": _norm_strlist(d.get("Alt_id")),
+                "is_a": [s.split(" !")[0].strip() for s in _norm_strlist(d.get("Is_a"))],
+            }
+            for hpo, d in data.items()
         }
-    return HpoDag(nodes)
+    if any(isinstance(d, dict) and not d.keys().isdisjoint(_REF_FIELDS.values()) for d in nodes):
+        return data
+    raise ValueError(f"{path}: not an ontology: no node carries the hpo.json fields "
+                     f"({'/'.join(_REF_FIELDS)}) or the node-table fields "
+                     f"({'/'.join(_REF_FIELDS.values())})")
 
 
 _QUOTED = re.compile(r'"([^"]*)"')
@@ -47,6 +60,23 @@ _QUOTED = re.compile(r'"([^"]*)"')
 def _extract_quoted(s: str) -> str:
     m = _QUOTED.search(s)
     return m.group(1) if m else s
+
+
+def _nodes_from_phrase_pairs(pairs: list[tuple[str, str]]) -> dict[str, dict]:
+    """The node table of (phrase, hpo_id) pairs — the shape of the
+    reference's models/train.txt name+synonym dump (48,600 lines): a
+    concept's first phrase is its name, the rest its synonyms.  No is_a
+    structure is available from that file, so every term is attached
+    directly under the root (flat DAG): dictionary linking works at full
+    fidelity, subtree filtering degenerates to membership."""
+    nodes: dict[str, dict] = {ROOT: {"name": ["Phenotypic abnormality"], "is_a": []}}
+    for phrase, hpo in pairs:
+        n = nodes.setdefault(hpo, {"name": [], "synonym": [], "is_a": [ROOT]})
+        if not n["name"]:
+            n["name"] = [phrase]
+        else:
+            n.setdefault("synonym", []).append(phrase)
+    return nodes
 
 
 def dag_from_train_source(models_dir: str) -> HpoDag:
@@ -148,7 +178,7 @@ def dag_from_train_source(models_dir: str) -> HpoDag:
     return dag
 
 
-def dag_from_obo(path: str) -> HpoDag:
+def _nodes_from_obo(path: str) -> dict[str, dict]:
     """Minimal .obo term parser (public OBO format)."""
     nodes: dict[str, dict] = {}
     cur: dict | None = None
@@ -172,7 +202,7 @@ def dag_from_obo(path: str) -> HpoDag:
                     cur["is_a"].append(line[6:].split(" !")[0].strip())
                 elif not line:
                     cur = None
-    return HpoDag(nodes)
+    return nodes
 
 
 def trained_model_dir() -> str | None:
@@ -223,23 +253,33 @@ def resolve_builtin(model_dir: str | None = None,
 
 def load_ontology(dict_path: str | None = None,
                   simplified_keys: bool = False) -> HpoDag:
-    """The ontology an entry point annotates with: the built-in mini
-    ontology when ``dict_path`` is empty, else a reference ``hpo.json``,
-    an ``.obo`` file, or ``train.txt``-style phrase pairs
-    (``simplified_keys`` reaches only the phrase-pair loader)."""
+    """The ontology an entry point annotates with:
+    ``HpoDag(nodes, simplified_keys=simplified_keys)`` over the node table
+    of ``dict_path``.  No path gives the built-in mini ontology; a
+    ``.json`` path is a reference ``hpo.json`` (capitalized
+    ``Name``/``Synonym``/``Is_a``/``Alt_id``) or an engine node table
+    (lowercase fields, like the shipped ``assets/trained/DAG.json``); an
+    ``.obo`` path is an OBO dump; any other path holds ``train.txt``-style
+    ``phrase\\tHP:...`` pairs.  Raises ValueError, naming the file, when
+    a ``.json`` is neither node format or when no phrase names a concept
+    under the root, so nothing could ever be annotated."""
     if not dict_path:
-        from .mini_hpo import mini_dag
+        from .mini_hpo import mini_nodes
 
-        return mini_dag()
-    if dict_path.endswith(".json"):
-        return dag_from_hpo_json(dict_path)
-    if dict_path.endswith(".obo"):
-        return dag_from_obo(dict_path)
-    from ..sources.loaders import read_phrase_pairs
-    from .hpo_dag import dag_from_phrase_pairs
+        nodes = mini_nodes()
+    elif dict_path.endswith(".json"):
+        nodes = _nodes_from_json(dict_path)
+    elif dict_path.endswith(".obo"):
+        nodes = _nodes_from_obo(dict_path)
+    else:
+        from ..sources.loaders import read_phrase_pairs
 
-    return dag_from_phrase_pairs(read_phrase_pairs(dict_path),
-                                 simplified_keys=simplified_keys)
+        nodes = _nodes_from_phrase_pairs(read_phrase_pairs(dict_path))
+    dag = HpoDag(nodes, simplified_keys=simplified_keys)
+    if dag.abnormality_nt.isdisjoint(dag.phrase2hpo.values()):
+        raise ValueError(f"{dict_path}: the ontology has no phrase of a concept "
+                         f"under {ROOT} to match")
+    return dag
 
 
 def resolve_entry(dict_path: str | None = None, model_dir: str | None = None,

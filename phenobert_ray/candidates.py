@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 
 from .textops import (
     NEGATION_WORDS,
-    NUM2WORD,
     SPAN_PUNCT,
     SPLITERS,
     STOPWORDS,
     is_num,
     sentence_spans,
+    simplify_token,
 )
 
 MAX_KMER = 10  # util.py:1006
@@ -84,16 +84,12 @@ class _Segment:
     seeded: bool = True
 
     def simplify(self) -> None:
-        # PhraseItem.simplify (util.py:239-252): num→word, drop stopwords
-        # and pure numbers.
+        # PhraseItem.simplify (util.py:239-252), one token at a time
         out = []
         for t in self.items:
-            if t.text in NUM2WORD:
-                out.append(Token(NUM2WORD[t.text], t.start, t.end))
-            elif t.text in STOPWORDS or is_num(t.text):
-                continue
-            else:
-                out.append(t)
+            s = simplify_token(t.text)
+            if s is not None:
+                out.append(t if s is t.text else Token(s, t.start, t.end))
         self.simple = out
 
 

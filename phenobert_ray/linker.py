@@ -48,13 +48,12 @@ from .candidates import (
 from .textops import (
     _SENT_RE,
     NEGATION_WORDS,
-    NUM2WORD,
-    STOPWORDS,
     canonicalize_for_segmentation,
     is_num,
     lemma_bag_key,
     lemmatize,
     bag_key,
+    simplify_token,
 )
 
 
@@ -66,6 +65,15 @@ class Annotation:
     hpo_id: str
     score: float
     negated: bool
+
+
+def tsv_line(start, end, mention, hpo_id, score, negated) -> str:
+    """One annotation as the reference's TSV line
+    ``start\\tend\\tmention\\thpo\\tscore[\\tNeg]\\n``, score to two places
+    (util.py:1199-1209): the CLI's tsv files, ``api.annotate_text(as_tsv=
+    True)`` and serve's ``?format=tsv`` all write it."""
+    neg = "\tNeg" if negated else ""
+    return f"{start}\t{end}\t{mention}\t{hpo_id}\t{score:.2f}{neg}\n"
 
 
 # scorer: candidates -> [(candidate, hpo_id, score)]
@@ -201,13 +209,13 @@ _SPLIT, _CONJ, _NEG, _KEEP, _SHORT = 1, 2, 4, 8, 16
 def _resolve(tok: str, tok2id: dict) -> int:
     """A token's flags and ids, packed as ``flags | (surface id + 1) << 8 |
     (lemma id + 1) << 36``.  Flags: C2 spliter, C3 conjunction, negation
-    cue, kept by ``_Segment.simplify`` and, as a part by itself, too short
+    cue, kept by ``simplify_token`` and, as a part by itself, too short
     to probe.  The ids are of its simplified text, -1 outside the index."""
-    simp = NUM2WORD.get(tok, tok)
-    keep = tok in NUM2WORD or not (tok in STOPWORDS or is_num(tok))
+    simp = simplify_token(tok)
     flags = ((_SPLIT if tok in _SEGMENT_SPLITERS else 0) | (_CONJ if tok in _CONJUNCTIONS else 0)
-             | (_NEG if tok in NEGATION_WORDS else 0) | (_KEEP if keep else 0)
-             | (_SHORT if len(simp) <= 1 or is_num(simp) else 0))
+             | (_NEG if tok in NEGATION_WORDS else 0) | (_KEEP if simp is not None else 0))
+    simp = tok if simp is None else simp
+    flags |= _SHORT if len(simp) <= 1 or is_num(simp) else 0
     return flags | (tok2id.get(simp, -1) + 1) << 8 | (tok2id.get(lemmatize(simp), -1) + 1) << 36
 
 
@@ -389,7 +397,7 @@ def _dict_results(texts: Sequence[str], dag: HpoDag, ner_segments) -> list[list]
 
     # exact check of the hash hits, surface key before lemma key, and the
     # Candidates of the hits alone
-    simp = [NUM2WORD.get(t, t) for t in distinct]
+    simp = [simplify_token(t) for t in distinct]  # None only where no window reaches
     code, sid, lid, start, end, part = (x.tolist() for x in (code, sid, lid, start, end, part))
     results: list[list] = [[] for _ in texts]
     for i, k, s_ok, l_ok in sorted(found):

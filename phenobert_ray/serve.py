@@ -112,14 +112,9 @@ def _annotations(text: str, state) -> list[dict]:
 
 
 def _tsv(rows: list[dict]) -> str:
-    lines = []
-    for r in rows:
-        line = (f"{r['start']}\t{r['end']}\t{r['mention']}\t{r['hpo_id']}"
-                f"\t{r['score']:.2f}")
-        if r["negated"]:
-            line += "\tNeg"
-        lines.append(line)
-    return "\n".join(lines) + ("\n" if lines else "")
+    from .linker import tsv_line
+
+    return "".join(tsv_line(**r) for r in rows)
 
 
 def _error(status: int, message: str) -> tuple[int, str, str]:
@@ -377,7 +372,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="phenobert_ray.serve")
     ap.add_argument("--host", default="127.0.0.1")
     ap.add_argument("--port", type=int, default=8765)
-    ap.add_argument("--dict", dest="dict_path", default=None)
+    ap.add_argument("--dict", dest="dict_path", default=None,
+                    help="ontology, in any format the CLI's --dict reads")
     ap.add_argument("-m", "--model-dir", default=None,
                     help="'builtin' selects the packaged trained weights")
     ap.add_argument("--ner", dest="ner_path", default=None,
@@ -385,7 +381,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         state = build_state(args.dict_path, args.model_dir, args.ner_path)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, ValueError) as e:  # before any output
         print(str(e), file=sys.stderr)
         return 2
     srv = make_server(args.host, args.port, state)

@@ -109,20 +109,6 @@ def read_phrase_pairs(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def read_gold_level_csv(ann_dir: str) -> pa.Table:
-    """S3c: ``level*`` gold — per-doc lines of comma-separated HPO ids
-    (eval_all.py:101-103); no spans, so start/end are -1."""
-    rows = []
-    for name in sorted(os.listdir(ann_dir)):
-        with open(os.path.join(ann_dir, name), encoding="utf-8") as f:
-            for line in f:
-                for hpo in line.strip().split(","):
-                    hpo = hpo.strip()
-                    if hpo.startswith("HP:"):
-                        rows.append((name, -1, -1, "", hpo))
-    return _gold_table(rows)
-
-
 def write_turns_jsonl(turns_ds, out_dir: str) -> None:
     """Turns → newline-delimited JSON shards (the interchange format
     agent-transcript dumps usually arrive in).  Streaming Ray sink —

@@ -14,6 +14,8 @@ import os
 
 import pandas as pd
 
+from ..linker import tsv_line
+
 
 def safe_filename(conv_id: str) -> str:
     """Map an untrusted conv_id to a safe basename, deterministically.
@@ -64,10 +66,7 @@ def write_annotations_tsv(annotations_ds, out_dir: str) -> int:
     for conv_id, g in df.groupby("conv_id", sort=True):
         with open(os.path.join(out_dir, safe_filename(conv_id)), "w",
                   encoding="utf-8") as f:
-            for r in g.itertuples():
-                line = f"{r.start}\t{r.end}\t{r.mention}\t{r.hpo_id}\t{'%.2f' % r.score}"
-                if r.negated:
-                    line += "\tNeg"
-                f.write(line + "\n")
+            f.writelines(tsv_line(r.start, r.end, r.mention, r.hpo_id, r.score, r.negated)
+                         for r in g.itertuples())
         n += 1
     return n

@@ -322,15 +322,11 @@ def load_torch_scorer(model_dir: str, dag: HpoDag, cfg: PipelineConfig):
             from .state.fasttext_bin import FastTextBin
 
             ft = FastTextBin(ft_path)
-            _ft_cache: dict[str, np.ndarray] = {}
 
-            def token_vec(tok, _ft=ft, _c=_ft_cache):
-                v = _c.get(tok)
-                if v is None:
-                    v = _ft.get_word_vector(tok).astype(np.float32)
-                    if len(_c) < 1_000_000:  # per-worker memo, bounded
-                        _c[tok] = v
-                return v
+            def token_vec(tok, _ft=ft):
+                # no memo here: the scorer's own token cache
+                # (NumpyModelScorer._vec_cache) calls this only on a miss
+                return _ft.get_word_vector(tok).astype(np.float32)
         elif os.path.exists(emb_ckpt) and os.path.exists(vocab_path):
             matrix = np.asarray(read_state_dict(emb_ckpt)["embedding.weight"],
                                 np.float32)

@@ -191,6 +191,28 @@ mustn't needn needn't shan shan't shouldn shouldn't wasn wasn't weren weren't
 won won't wouldn wouldn't
 """.split())
 
+
+@lru_cache(maxsize=65536)
+def simplify_token(tok: str) -> str | None:
+    """PhraseItem.simplify for one token (util.py:241-252): a NUM2WORD
+    token ("3", "3rd") becomes its word, a stopword or any other number is
+    dropped (None), every other token is kept.  The one rule both sides of
+    the Step-1 lookup share: candidates (``_Segment.simplify``, the
+    dictionary kernel) and the dictionary's simplified keys.  Cached like
+    ``lemmatize``: it runs per token per turn, and tokens repeat."""
+    word = NUM2WORD.get(tok)
+    if word is not None:
+        return word
+    if tok in STOPWORDS or is_num(tok):
+        return None
+    return tok
+
+
+def simplify(tokens: list[str]) -> list[str]:
+    """:func:`simplify_token` over a token list, dropped tokens left out."""
+    return [s for s in map(simplify_token, tokens) if s is not None]
+
+
 # --------------------------------------------------------------------------
 # Spliter words (reference util.py:758-764: stopwords POS-tagged CC/WP/TO/WDT
 # plus punctuation).  Without NLTK's tagger we embed the fixed result of that

@@ -45,17 +45,9 @@ MAX_SEQ_LEN = 30  # util.py:55
 def simplified_tokens(phrase: str) -> list[str]:
     """process_str + PhraseItem.simplify (util.py:239-252): the exact token
     stream inference candidates carry."""
-    from .textops import NUM2WORD, STOPWORDS, is_num, process_str
+    from .textops import process_str, simplify
 
-    out = []
-    for t in process_str(phrase):
-        if t in NUM2WORD:
-            out.append(NUM2WORD[t])
-        elif t in STOPWORDS or is_num(t):
-            continue
-        else:
-            out.append(t)
-    return out
+    return simplify(process_str(phrase))
 
 
 class HashEmbedder:

@@ -58,10 +58,9 @@ def test_cli_custom_dict_matches_library(tmp_path, mini):
 
     import pyarrow.dataset as pads
 
-    from phenobert_ray.assets.hpo_dag import dag_from_phrase_pairs
+    from phenobert_ray.assets.loader import load_ontology
     from phenobert_ray.assets.train_pairs import write_train_files
     from phenobert_ray.linker import annotate_text
-    from phenobert_ray.sources.loaders import read_phrase_pairs
 
     write_train_files(mini, str(tmp_path), seed=3)
     dict_path = str(tmp_path / "train.txt")
@@ -80,7 +79,7 @@ def test_cli_custom_dict_matches_library(tmp_path, mini):
         (s.rsplit(":", 1)[0], o) for s, o in zip(trip.subj, trip.obj)
     }
 
-    dag = dag_from_phrase_pairs(read_phrase_pairs(dict_path))
+    dag = load_ontology(dict_path)
     want = set()
     for name in ["d1", "d2"]:
         doc = (corpus / name).read_text()
@@ -358,6 +357,24 @@ def test_missing_weights_path_fails_before_output(tmp_path, capsys, flag):
     err = capsys.readouterr().err.strip()
     assert err.endswith("not found: " + flag[1]) and "\n" not in err
     assert not os.path.exists(out / "ontology")
+
+
+@pytest.mark.parametrize("body,name", [
+    ('{"HP:0000118": {"Is_a": []}, "HP:0001250": {"Is_a": ["HP:0000118"]}}', "hpo.json"),
+    ("seizure\tnone\n", "train.txt"),
+], ids=["hpo_json_without_names", "pairs_without_hp_lines"])
+def test_empty_dictionary_fails_before_output(tmp_path, capsys, body, name):
+    """A --dict with no phrase to match is a one-line error (exit 2) that
+    names the file, raised before anything is written to -o."""
+    d = tmp_path / name
+    d.write_text(body)
+    turns = tmp_path / "turns"
+    turns.mkdir()
+    out = tmp_path / "kg"
+    assert main(["-i", str(turns), "-o", str(out), "--dict", str(d)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(str(d)) and "no phrase" in err and "\n" not in err
+    assert not os.path.exists(out)
 
 
 def test_actor_pool_size_flag_is_a_usage_error(capsys):

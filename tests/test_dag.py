@@ -1,4 +1,7 @@
-"""DAG ops on the synthetic mini-ontology (SURVEY.md §5 item 1)."""
+"""DAG ops on the synthetic mini-ontology (SURVEY.md §5 item 1), and the
+ontology loader over every format."""
+
+import pytest
 
 from phenobert_ray.assets.mini_hpo import ORACLE_PHRASES, mini_dag
 
@@ -98,3 +101,121 @@ def test_set_sim_reference_formula(mini):
     fs = "HP:0002373"
     expect = 1 - (1 - mini.node_sim(fs, a)) / 2
     assert abs(mini.set_sim({fs, a}, {a}) - expect) < 1e-12
+
+
+# ---- one loader for every ontology format ---------------------------------
+
+def _write_format(fmt, nodes, d):
+    """``nodes`` written as ontology format ``fmt`` under ``d``; its path
+    (None for the built-in mini ontology)."""
+    import json
+
+    if fmt == "none":
+        return None
+    if fmt == "hpo_json":
+        p = d / "hpo.json"
+        p.write_text(json.dumps({h: {
+            "Name": n["name"], "Synonym": [f'"{s}" EXACT []' for s in n["synonym"]],
+            "Alt_id": n["alt_id"], "Is_a": [f"{x} ! parent" for x in n["is_a"]],
+        } for h, n in nodes.items()}))
+    elif fmt == "node_json":
+        p = d / "DAG.json"
+        p.write_text(json.dumps(nodes))
+    elif fmt == "obo":
+        p = d / "hp.obo"
+        p.write_text("format-version: 1.2\n\n" + "".join(
+            f"[Term]\nid: {h}\n" + "".join(f"name: {x}\n" for x in n["name"])
+            + "".join(f'synonym: "{x}" EXACT []\n' for x in n["synonym"])
+            + "".join(f"alt_id: {x}\n" for x in n["alt_id"])
+            + "".join(f"is_a: {x} ! parent\n" for x in n["is_a"]) + "\n"
+            for h, n in nodes.items()))
+    else:
+        p = d / "train.txt"
+        p.write_text("".join(f"{x}\t{h}\n" for h, n in nodes.items()
+                             for x in [*n["name"], *n["synonym"]]))
+    return str(p)
+
+
+def _simplified_oracle(nodes, reference):
+    """The reference keys plus every name's and synonym's simplified bag
+    (util.py:241-252, written out here on its own), nodes in order, names
+    first, the first bag winning and no reference key replaced."""
+    from phenobert_ray.textops import NUM2WORD, STOPWORDS, bag_key, is_num, process_str
+
+    want = dict(reference)
+    for h, n in nodes.items():
+        for phrase in [*n.get("name", ()), *n.get("synonym", ())]:
+            toks = [NUM2WORD.get(t, t) for t in process_str(phrase)
+                    if t in NUM2WORD or not (t in STOPWORDS or is_num(t))]
+            if toks:
+                want.setdefault(bag_key(toks), h)
+    return want
+
+
+@pytest.mark.parametrize("simplified", [False, True], ids=["reference", "simplified"])
+@pytest.mark.parametrize("fmt", ["none", "hpo_json", "node_json", "obo", "pairs"])
+def test_load_ontology_reads_every_format(fmt, simplified, tmp_path, mini):
+    from phenobert_ray.assets.loader import load_ontology
+    from phenobert_ray.assets.mini_hpo import mini_nodes
+
+    nodes = mini_nodes()
+    dag = load_ontology(_write_format(fmt, nodes, tmp_path), simplified)
+    if not simplified:
+        assert dag.phrase2hpo == mini.phrase2hpo
+        return
+    assert dag.phrase2hpo == _simplified_oracle(nodes, mini.phrase2hpo)
+    assert len(mini.phrase2hpo) == 81 and len(dag.phrase2hpo) == 93
+    assert {k: dag.phrase2hpo[k] for k in mini.phrase2hpo} == mini.phrase2hpo
+
+
+def test_load_ontology_reads_the_shipped_node_table(shipped_dag):
+    from importlib.resources import files
+
+    from phenobert_ray.assets.loader import load_ontology
+
+    dag = load_ontology(str(files("phenobert_ray.assets").joinpath("trained/DAG.json")))
+    assert len(dag.phrase2hpo) == 31_540
+    assert dag.phrase2hpo == shipped_dag.phrase2hpo
+    assert dag.fingerprint == shipped_dag.fingerprint == "09cf819b3bf844d0"
+
+
+def test_simplified_keys_on_the_shipped_dag(shipped_dag):
+    from phenobert_ray.assets.hpo_dag import HpoDag
+    from phenobert_ray.textops import bag_key, process_str, simplify
+
+    ref = shipped_dag.phrase2hpo
+    dag = HpoDag(shipped_dag.nodes, simplified_keys=True)
+    added = {k: h for k, h in dag.phrase2hpo.items() if k not in ref}
+    assert len(dag.phrase2hpo) == 43_057 and len(added) == 11_517
+    assert {k: dag.phrase2hpo[k] for k in ref} == ref
+    for k, h in added.items():
+        n = dag.nodes[h]
+        assert k in {bag_key(simplify(process_str(p)))
+                     for p in [*n.get("name", ()), *n.get("synonym", ())]}, k
+    # the added keys reach the probe's prune set
+    assert dag.fingerprint != shipped_dag.fingerprint
+    assert dag.phrase_vocab >= {t for k in added for t in k.split()}
+
+
+@pytest.mark.parametrize("body,name", [
+    ('{"HP:0000118": {"Is_a": []}, "HP:0001250": {"Is_a": ["HP:0000118"]}}', "hpo.json"),
+    ("seizure\tnone\n# a comment\n", "train.txt"),
+], ids=["hpo_json_without_names", "pairs_without_hp_lines"])
+def test_load_ontology_refuses_an_empty_dictionary(body, name, tmp_path):
+    from phenobert_ray.assets.loader import load_ontology
+
+    p = tmp_path / name
+    p.write_text(body)
+    with pytest.raises(ValueError, match="no phrase of a concept") as ei:
+        load_ontology(str(p))
+    assert str(p) in str(ei.value)
+
+
+def test_load_ontology_refuses_json_of_neither_format(tmp_path):
+    from phenobert_ray.assets.loader import load_ontology
+
+    p = tmp_path / "other.json"
+    p.write_text('{"HP:0001250": {"label": "Seizure"}}')
+    with pytest.raises(ValueError, match="not an ontology") as ei:
+        load_ontology(str(p))
+    assert str(p) in str(ei.value)

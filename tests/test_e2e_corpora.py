@@ -33,10 +33,9 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def big_dag():
-    from phenobert_ray.assets.hpo_dag import dag_from_phrase_pairs
-    from phenobert_ray.sources.loaders import read_phrase_pairs
+    from phenobert_ray.assets.loader import load_ontology
 
-    return dag_from_phrase_pairs(read_phrase_pairs(f"{REF}/models/train.txt"))
+    return load_ontology(f"{REF}/models/train.txt")
 
 
 def _prf(pred: dict, ref: dict):

@@ -143,6 +143,18 @@ def test_builtin_without_assets_fails_loudly(monkeypatch):
     assert main(["--ner", "/missing.pt", "--port", "0"]) == 2
 
 
+def test_empty_dictionary_fails_at_startup(tmp_path, capsys):
+    """A --dict with no phrase to match exits 2 with the loader's one-line
+    error before the server binds, as a missing weights path does."""
+    from phenobert_ray.serve import main
+
+    d = tmp_path / "train.txt"
+    d.write_text("seizure\tnone\n")
+    assert main(["--dict", str(d), "--port", "0"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(str(d)) and "no phrase" in err and "\n" not in err
+
+
 def test_offsets_preserved_with_leading_whitespace(server):
     """start/end must index into the CLIENT's original string: newline
     flattening is len-preserving and nothing is stripped (review r4)."""

@@ -6,7 +6,7 @@ import os
 import pytest
 import ray
 
-from phenobert_ray.assets.loader import dag_from_hpo_json, dag_from_obo
+from phenobert_ray.assets.loader import load_ontology
 from phenobert_ray.sources.writers import ordered_annotations, write_annotations_tsv
 
 REF = "/root/reference/phenobert"
@@ -58,7 +58,7 @@ def test_hpo_json_loader(tmp_path):
     }
     p = tmp_path / "hpo.json"
     p.write_text(json.dumps(j))
-    dag = dag_from_hpo_json(str(p))
+    dag = load_ontology(str(p))
     assert dag.match_phrase("epileptic seizure") == "HP:0001250"
     assert dag.canonical("HP:0010520") == "HP:0001250"
     assert dag.in_abnormality("HP:0001250")
@@ -80,7 +80,7 @@ is_a: HP:0000118 ! Phenotypic abnormality
 """
     p = tmp_path / "hp.obo"
     p.write_text(obo)
-    dag = dag_from_obo(str(p))
+    dag = load_ontology(str(p))
     assert dag.match_phrase("seizures") == "HP:0001250"
     assert ("HP:0001250", "HP:0000118") in dag.is_a_edges()
 
@@ -145,21 +145,18 @@ def test_tsv_writer_hostile_conv_ids(mini, tmp_path):
 
 
 def test_train_pair_producers(mini, tmp_path):
-    from phenobert_ray.assets.hpo_dag import dag_from_phrase_pairs
     from phenobert_ray.assets.train_pairs import (
         produce_match_pairs,
         produce_phrase_pairs,
         write_train_files,
     )
-    from phenobert_ray.sources.loaders import read_phrase_pairs
 
     stats = write_train_files(mini, str(tmp_path), seed=7)
     assert stats["phrase_pairs"] > 40
     assert stats["match_pairs"] > 100
 
     # round trip: train.txt dump rebuilds a dictionary that matches
-    pairs = read_phrase_pairs(str(tmp_path / "train.txt"))
-    dag2 = dag_from_phrase_pairs(pairs)
+    dag2 = load_ontology(str(tmp_path / "train.txt"))
     assert dag2.match_phrase("febrile seizure") == "HP:0002373"
 
     # determinism + label semantics

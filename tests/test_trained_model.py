@@ -44,11 +44,11 @@ def _gsc_sets(cfg, dag):
 
 
 def test_trained_weights_beat_dictionary_recall(trained_dir):
-    from phenobert_ray.assets.hpo_dag import dag_from_phrase_pairs
+    from phenobert_ray.assets.loader import load_ontology
     from phenobert_ray.config import PipelineConfig
-    from phenobert_ray.sources.loaders import read_gold_gsc, read_phrase_pairs
+    from phenobert_ray.sources.loaders import read_gold_gsc
 
-    dag = dag_from_phrase_pairs(read_phrase_pairs(f"{REF}/models/train.txt"))
+    dag = load_ontology(f"{REF}/models/train.txt")
     gold_t = read_gold_gsc(f"{REF}/data/GSC+/ann").to_pandas()
     gold = set(zip(gold_t.doc_id, gold_t.hpo_id))
 
@@ -83,11 +83,11 @@ def test_builtin_step3_matcher_trades_recall_for_precision(trained_dir):
 
     if not os.path.exists(os.path.join(trained_dir, "bert.pt")):
         pytest.skip("no packaged bert matcher")
-    from phenobert_ray.assets.hpo_dag import dag_from_phrase_pairs
+    from phenobert_ray.assets.loader import load_ontology
     from phenobert_ray.config import PipelineConfig
-    from phenobert_ray.sources.loaders import read_gold_gsc, read_phrase_pairs
+    from phenobert_ray.sources.loaders import read_gold_gsc
 
-    dag = dag_from_phrase_pairs(read_phrase_pairs(f"{REF}/models/train.txt"))
+    dag = load_ontology(f"{REF}/models/train.txt")
     gold_t = read_gold_gsc(f"{REF}/data/GSC+/ann").to_pandas()
     gold = set(zip(gold_t.doc_id, gold_t.hpo_id))
     s = _gsc_sets(

@@ -117,10 +117,9 @@ def main(argv=None) -> int:
 
     import json
 
-    from phenobert_ray.assets.loader import dag_from_hpo_json
-    from phenobert_ray.assets.mini_hpo import mini_dag
+    from phenobert_ray.assets.loader import load_ontology
 
-    dag = dag_from_hpo_json(args.hpo_json) if args.hpo_json else mini_dag()
+    dag = load_ontology(args.hpo_json)
     os.makedirs(args.out, exist_ok=True)
 
     l1_pkl = os.path.join(args.models_dir, "HPOModel_H", "model_layer1.pkl")

@@ -42,11 +42,10 @@ def read_gold_spans(ann_dir: str) -> dict[str, list[tuple[int, int, str]]]:
 
 
 def main(corpus_dir: str, ann_dir: str) -> dict:
-    from phenobert_ray.assets.hpo_dag import dag_from_phrase_pairs
+    from phenobert_ray.assets.loader import load_ontology
     from phenobert_ray.linker import annotate_text
-    from phenobert_ray.sources.loaders import read_phrase_pairs
 
-    dag = dag_from_phrase_pairs(read_phrase_pairs(f"{REF}/models/train.txt"))
+    dag = load_ontology(f"{REF}/models/train.txt")
     gold = read_gold_spans(ann_dir)
     counts = defaultdict(int)
     diffs = []

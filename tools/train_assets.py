@@ -45,13 +45,13 @@ def f16_compress(model_dir: str) -> None:
 def sweep_gsc(model_dir: str, points, use_step_3: bool = False) -> list[dict]:
     import ray
 
-    from phenobert_ray.assets.hpo_dag import dag_from_phrase_pairs
+    from phenobert_ray.assets.loader import load_ontology
     from phenobert_ray.config import PipelineConfig
     from phenobert_ray.sources.loaders import (
-        read_gold_gsc, read_phrase_pairs, read_text_dir_as_turns)
+        read_gold_gsc, read_text_dir_as_turns)
     from phenobert_ray.stages.annotate import annotate_turns
 
-    dag = dag_from_phrase_pairs(read_phrase_pairs(f"{REF}/models/train.txt"))
+    dag = load_ontology(f"{REF}/models/train.txt")
     gold_t = read_gold_gsc(f"{REF}/data/GSC+/ann").to_pandas()
     gold = set(zip(gold_t.doc_id, gold_t.hpo_id))
     turns = ray.data.from_arrow(

@@ -44,16 +44,15 @@ def main(argv=None) -> int:
                     default=["GSC+", "ID-68", "GeneReviews", "val"])
     args = ap.parse_args(argv)
 
-    from phenobert_ray.assets.hpo_dag import dag_from_phrase_pairs
+    from phenobert_ray.assets.loader import load_ontology
     from phenobert_ray.ner_np import (
         dict_token_vocab,
         silver_sentences,
         train_tagger,
     )
-    from phenobert_ray.sources.loaders import read_phrase_pairs
 
     t0 = time.time()
-    dag = dag_from_phrase_pairs(read_phrase_pairs(f"{REF}/models/train.txt"))
+    dag = load_ontology(f"{REF}/models/train.txt")
     texts = load_texts(args.corpora)
     print(f"{len(texts)} docs from {args.corpora}")
     sents = silver_sentences(texts, dag)
